@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-check lint-baseline vet fmt fmt-check bench bench-tuner bench-smoke bench-gate fault-smoke recover-smoke traffic-smoke churn-smoke tuner-smoke shard-smoke scale-smoke tuner-surface golden golden-check ci
+.PHONY: all build test race lint lint-check lint-baseline vet fmt fmt-check bench bench-tuner bench-smoke bench-gate bench-check fault-smoke recover-smoke traffic-smoke churn-smoke tuner-smoke shard-smoke scale-smoke tuner-surface golden golden-check ci
 
 all: build
 
@@ -78,6 +78,13 @@ bench-gate:
 	$(GO) run ./cmd/benchjson -o bench-report.json < bench-gate.log; \
 	$(GO) run ./cmd/benchjson -compare BENCH_kernel.json -tolerance 25 < bench-gate.log > /dev/null; \
 	$(GO) run ./cmd/benchjson -compare BENCH_tuner.json -tolerance 25 < bench-gate.log > /dev/null
+
+# Repository-benchmark check: runs all five benchmark workloads (bench/,
+# its own module) at op seeds 1997/1998 and compares their output
+# digests against bench/expected.json — the byte-level pin on traffic.Run
+# and mcastsim.Run outputs beyond the golden tables.
+bench-check:
+	cd bench && $(GO) test ./...
 
 # End-to-end fault-injection smoke: generate the F1 degradation table at
 # low trial count, exercising fault plans, degraded routing and the run
@@ -174,4 +181,4 @@ golden:
 golden-check: golden
 	git diff --exit-code -- results
 
-ci: fmt-check build test lint race bench-smoke bench-gate fault-smoke recover-smoke traffic-smoke churn-smoke tuner-smoke shard-smoke scale-smoke golden-check
+ci: fmt-check build test bench-check lint race bench-smoke bench-gate fault-smoke recover-smoke traffic-smoke churn-smoke tuner-smoke shard-smoke scale-smoke golden-check

@@ -764,7 +764,7 @@ func runChurn(o options, topoName, platform string, topo wormhole.Topology,
 			net.SetObserver(trace.Multi{usage, timeline})
 		}
 		mainCfg := mcastsim.Config{Software: soft, AddrBytes: o.addrB, MaxCycles: o.deadline}
-		res, err = member.Run(net, tab, ch, sched, o.bytes, member.Config{
+		res, err = member.Run(net, tab, ch, sched, o.bytes, recov.Config{
 			Sim:       mainCfg,
 			TEnd:      tend,
 			Repair:    pol,

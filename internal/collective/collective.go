@@ -201,37 +201,16 @@ func (d *driver) acquire(i, c int, t int64) {
 	})
 }
 
-// drain runs the event/fabric loop to completion.
+// drain runs the event/fabric loop to completion under the no-progress
+// watchdog, so a destination cut off by faults surfaces at the freeze
+// with its cause and deadlock report instead of at the cycle deadline.
 func (d *driver) drain() error {
 	// Generous bound: every chunk crosses every link serially.
 	perMsg := int64(d.net.Config().Flits(d.bytes)) + int64(d.net.Topology().NumChannels())
 	soft := d.cfg.Software.Send.At(d.bytes) + d.cfg.Software.Recv.At(d.bytes) + d.cfg.Software.Hold.At(d.bytes)
 	deadline := d.t0 + (perMsg+soft+1024)*int64(len(d.ch)+1)*8 + 1<<22
-
-	for d.events.Len() > 0 || d.net.Active() > 0 {
-		if d.net.Active() == 0 {
-			d.net.AdvanceTo(d.events.NextTime())
-		}
-		d.events.RunDue(d.net.Now())
-		if d.net.Active() == 0 && d.events.Len() == 0 {
-			break
-		}
-		if d.net.Active() > 0 {
-			// Fast-forward stalls, but never past the next software event
-			// or the deadline check (kept in the future — AdvanceTo may
-			// have leapt past a tiny deadline already).
-			limit := deadline + 1
-			if limit <= d.net.Now() {
-				limit = d.net.Now() + 1
-			}
-			if d.events.Len() > 0 && d.events.NextTime() < limit {
-				limit = d.events.NextTime()
-			}
-			d.net.StepUntil(limit)
-			if d.net.Now() > deadline {
-				return fmt.Errorf("collective: broadcast not complete after %d cycles", deadline-d.t0)
-			}
-		}
+	if err := mcastsim.Drive(d.net, &d.events, deadline, mcastsim.NewWatchdog(d.net, d.cfg)); err != nil {
+		return fmt.Errorf("collective: broadcast: %w", err)
 	}
 	if err := d.net.Quiesced(); err != nil {
 		return fmt.Errorf("collective: fabric did not quiesce: %w", err)

@@ -1,11 +1,13 @@
 package collective_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/chain"
 	. "repro/internal/collective"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/mcastsim"
 	"repro/internal/mesh"
 	"repro/internal/model"
@@ -152,5 +154,30 @@ func TestDeterministic(t *testing.T) {
 	a, b := run(), run()
 	if a.Latency != b.Latency || a.BlockedCycles != b.BlockedCycles {
 		t.Fatal("scatter-allgather not deterministic")
+	}
+}
+
+// TestFaultedBroadcastFailsAtTheFreeze: when dead links cut a node off,
+// the broadcast must stop at the freeze with the unreachable cause and
+// the deadlock report, not step on to its multi-million-cycle deadline
+// and report only that it did not finish.
+func TestFaultedBroadcastFailsAtTheFreeze(t *testing.T) {
+	m := mesh.New2D(8, 8)
+	ch := meshChainOf(m, 16, 16)
+	for seed := uint64(1); seed <= 3; seed++ {
+		net := wormhole.New(m, wormhole.DefaultConfig())
+		net.SetFaults(fault.MustPlan(m, fault.Spec{DeadFrac: 0.2, Seed: seed}))
+		_, err := ScatterAllgather(net, ch, 8192, mcastsim.Config{Software: soft})
+		if err == nil {
+			t.Fatalf("seed %d: broadcast over 20%% dead links completed", seed)
+		}
+		for _, want := range []string{"collective: ", "unreachable", "worms in flight"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("seed %d: error lacks %q: %v", seed, want, err)
+			}
+		}
+		if now := net.Now(); now > 100_000 {
+			t.Fatalf("seed %d: error surfaced at cycle %d, long after the freeze", seed, now)
+		}
 	}
 }

@@ -108,7 +108,7 @@ func (s *Suite) churnCell(a Algorithm, policy recov.RepairPolicy, k, bytes, tria
 			net.SetFaults(fp)
 			ch := chain.New(addrs, s.Platform.Less)
 			tab := a.Table(len(ch), thold, tend)
-			res, err := member.Run(net, tab, ch, sched, bytes, member.Config{
+			res, err := member.Run(net, tab, ch, sched, bytes, recov.Config{
 				Sim:    s.runConfig(),
 				TEnd:   tend,
 				Repair: policy,

@@ -113,40 +113,12 @@ func RunConcurrent(net *wormhole.Network, groups []Group, cfg Config) ([]GroupRe
 	max += 1 << 20
 
 	startStats := net.Stats()
-	deadline := t0 + max
-	wd := NewWatchdog(net, cfg)
-	for events.Len() > 0 || net.Active() > 0 {
-		if net.Active() == 0 {
-			net.AdvanceTo(events.NextTime())
-			wd.Idled()
-		}
-		events.RunDue(net.Now())
-		if planErr != nil {
-			return nil, planErr
-		}
-		if net.Active() == 0 && events.Len() == 0 {
-			break
-		}
-		if net.Active() > 0 {
-			// As in Run: fast-forward stalls, but never past the next
-			// software event or the deadline check (kept in the future —
-			// AdvanceTo may have leapt past a tiny deadline already).
-			limit := deadline + 1
-			if limit <= net.Now() {
-				limit = net.Now() + 1
-			}
-			if events.Len() > 0 && events.NextTime() < limit {
-				limit = events.NextTime()
-			}
-			net.StepUntil(limit)
-			if err := wd.Check(); err != nil {
-				return nil, err
-			}
-			if net.Now() > deadline {
-				return nil, fmt.Errorf("mcastsim: concurrent batch not complete after %d cycles; %s",
-					max, net.DeadlockReport(8))
-			}
-		}
+	err := Drive(net, &events, t0+max, NewWatchdog(net, cfg))
+	if planErr != nil {
+		return nil, planErr
+	}
+	if err != nil {
+		return nil, fmt.Errorf("mcastsim: concurrent batch: %w", err)
 	}
 	if err := net.Quiesced(); err != nil {
 		return nil, fmt.Errorf("mcastsim: fabric did not quiesce: %w", err)

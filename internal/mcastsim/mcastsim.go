@@ -48,57 +48,6 @@ type Config struct {
 	NoProgressCycles int64
 }
 
-// defaultNoProgress is the watchdog window used when
-// Config.NoProgressCycles is 0.
-const defaultNoProgress = 4096
-
-// Watchdog aborts runs on a degraded or misrouted fabric that can no
-// longer make progress, instead of spinning until the cycle deadline.
-// It is exported so other drive loops over the same fabric (the
-// open-system traffic engine) share one definition of "stuck" instead
-// of drifting copies.
-type Watchdog struct {
-	net      *wormhole.Network
-	window   int64 // <= 0: disabled
-	lastHops int64
-	lastMove int64
-}
-
-// NewWatchdog arms a watchdog over net using cfg's window settings
-// (Config.NoProgressCycles semantics).
-func NewWatchdog(net *wormhole.Network, cfg Config) Watchdog {
-	w := cfg.NoProgressCycles
-	if w == 0 {
-		w = defaultNoProgress
-	}
-	if min := 2*net.Config().RouterDelay + 64; w > 0 && w < min {
-		w = min
-	}
-	return Watchdog{net: net, window: w, lastHops: net.Stats().FlitHops, lastMove: net.Now()}
-}
-
-// Idled resets the movement clock after the driver fast-forwards an idle
-// fabric (no worms in flight is not a stall).
-func (wd *Watchdog) Idled() { wd.lastMove = wd.net.Now() }
-
-// Check is called after every StepUntil. It surfaces unreachable-
-// destination errors recorded by the fault layer and detects fabric-wide
-// no-progress freezes.
-func (wd *Watchdog) Check() error {
-	if err := wd.net.Err(); err != nil {
-		return fmt.Errorf("mcastsim: %w; %s", err, wd.net.DeadlockReport(8))
-	}
-	if h := wd.net.Stats().FlitHops; h != wd.lastHops {
-		wd.lastHops, wd.lastMove = h, wd.net.Now()
-		return nil
-	}
-	if wd.window > 0 && wd.net.Active() > 0 && wd.net.Now()-wd.lastMove >= wd.window {
-		return fmt.Errorf("mcastsim: no flit moved for %d cycles (deadlocked or partitioned fabric); %s",
-			wd.net.Now()-wd.lastMove, wd.net.DeadlockReport(8))
-	}
-	return nil
-}
-
 // Result reports one multicast execution.
 type Result struct {
 	// Latency is the multicast latency: the time the last destination
@@ -169,7 +118,11 @@ func Run(net *wormhole.Network, tab core.SplitTable, ch chain.Chain, root int, m
 	}
 
 	var planErr error
-	r.onPlanErr = func(err error) { planErr = err }
+	r.onPlanErr = func(err error) {
+		if planErr == nil {
+			planErr = err
+		}
+	}
 	r.deliver(root, chain.Segment{L: 0, R: len(ch) - 1}, r.t0)
 	if planErr != nil {
 		return Result{}, planErr
@@ -184,42 +137,12 @@ func Run(net *wormhole.Network, tab core.SplitTable, ch chain.Chain, root int, m
 	}
 
 	startStats := net.Stats()
-	deadline := r.t0 + max
-	wd := NewWatchdog(net, cfg)
-	for r.events.Len() > 0 || net.Active() > 0 {
-		if net.Active() == 0 {
-			net.AdvanceTo(r.events.NextTime())
-			wd.Idled()
-		}
-		r.events.RunDue(net.Now())
-		if planErr != nil {
-			return Result{}, planErr
-		}
-		if net.Active() == 0 && r.events.Len() == 0 {
-			break
-		}
-		if net.Active() > 0 {
-			// Let the kernel fast-forward stalled stretches, but never
-			// past the next software event (a pending send must inject at
-			// its exact cycle) or the deadline check. AdvanceTo may have
-			// legitimately leapt past a tiny deadline already, so keep the
-			// limit in the future; the check below still fires.
-			limit := deadline + 1
-			if limit <= net.Now() {
-				limit = net.Now() + 1
-			}
-			if r.events.Len() > 0 && r.events.NextTime() < limit {
-				limit = r.events.NextTime()
-			}
-			net.StepUntil(limit)
-			if err := wd.Check(); err != nil {
-				return Result{}, err
-			}
-			if net.Now() > deadline {
-				return Result{}, fmt.Errorf("mcastsim: multicast not complete after %d cycles (routing deadlock or misconfiguration); %s",
-					max, net.DeadlockReport(8))
-			}
-		}
+	err := Drive(net, r.events, r.t0+max, NewWatchdog(net, cfg))
+	if planErr != nil {
+		return Result{}, planErr
+	}
+	if err != nil {
+		return Result{}, fmt.Errorf("mcastsim: %w", err)
 	}
 	if err := net.Quiesced(); err != nil {
 		return Result{}, fmt.Errorf("mcastsim: fabric did not quiesce: %w", err)

@@ -87,7 +87,7 @@ func churnChaosRun(t *testing.T, p chaosPlatform, ch chain.Chain, sched member.S
 	net.SetFaults(fp)
 	thold := testSoft.Hold.At(bytes)
 	tab := core.NewOptTable(len(ch), thold, tend)
-	res, err := member.Run(net, tab, ch, sched, bytes, member.Config{
+	res, err := member.Run(net, tab, ch, sched, bytes, recov.Config{
 		Sim:    mcastsim.Config{Software: testSoft},
 		TEnd:   tend,
 		Repair: recov.RepairIncremental,

@@ -6,44 +6,9 @@ import (
 	"repro/internal/chain"
 	"repro/internal/core"
 	"repro/internal/mcastsim"
-	"repro/internal/model"
-	"repro/internal/plan"
 	recov "repro/internal/recover"
-	"repro/internal/sim"
 	"repro/internal/wormhole"
 )
-
-// Config parameterizes one churned multicast execution. The reliability
-// knobs mirror recover.Config exactly — the engine is the recovery
-// layer's drive loop extended with membership events.
-type Config struct {
-	// Sim carries the software costs and the MaxCycles safety net.
-	Sim mcastsim.Config
-	// TEnd is the calibrated healthy unicast latency anchoring every
-	// delivery deadline. Required.
-	TEnd model.Time
-	// SlackNum/SlackDen scale TEnd into the per-send deadline (default
-	// 3/1).
-	SlackNum, SlackDen int64
-	// MaxRetries is the per-assignment retransmission budget (default
-	// 3; negative: none).
-	MaxRetries int
-	// BackoffBase is the retransmission backoff base (default
-	// max(TEnd/4, 1)).
-	BackoffBase int64
-	// ChurnLimit is the binomial-degradation threshold (default 2+k/4;
-	// negative disables).
-	ChurnLimit int
-	// Repair selects the re-planning policy, recover's ladder: full,
-	// incremental (graft, then full past half the churn limit), or
-	// binomial from the start.
-	Repair recov.RepairPolicy
-	// DegreeCap, when positive, plans every tree with the
-	// degree-bounded planner instead of the one-port split table.
-	DegreeCap int
-	// Seed drives the deterministic backoff jitter.
-	Seed uint64
-}
 
 // Result reports one churned multicast execution. All per-position
 // slices are indexed by chain position.
@@ -82,751 +47,103 @@ type Result struct {
 	Worms int64
 }
 
-const (
-	pairUntried uint8 = iota
-	pairUnroutable
-)
-
-// xfer is one delivery assignment, as in the recovery layer.
-type xfer struct {
-	from, to int
-	live     []int
-	attempt  int
-	seq      int
-	adopted  bool
-	worm     *wormhole.Worm
-	done     bool
-}
-
-type runner struct {
-	net    *wormhole.Network
-	tab    core.SplitTable
-	fb     core.SplitTable
-	ch     chain.Chain
-	root   int
-	bytes  int
-	cfg    Config
-	events *sim.EventQueue
-	rng    *sim.RNG
-	t0     int64
-	res    Result
-
-	tSend, tRecv, tHold int64
-	timeout             int64
-	maxRetry            int
-	churnLimit          int
-	incrLimit           int
-
-	delivered  []bool
-	wanted     []bool
-	ever       []bool
-	down       []int64 // 0: up; else outage end (fault.Forever: permanent)
-	orphan     []bool
-	joinOrphan []bool // orphaned by a join/rejoin: its send counts as a graft
-	inflight   []int  // outstanding xfers targeting the position
-	nextFree   []int64
-	pair       []uint8
-	hop        []int32
-	xfers      []*xfer
-	unBuf      []*wormhole.Worm
-	churn      int
-	fallback   bool
-	runErr     error
-}
-
 // Run executes a reliable multicast of msgBytes while the churn
-// schedule fires. ch must contain every address the schedule mentions —
+// schedule fires, on the recover delivery engine with cfg's semantics
+// (recover.Run's). ch must contain every address the schedule mentions —
 // the initial members and every joiner — in architecture order; the
 // schedule's outage windows must already be compiled into net's fault
 // plan (fault.Spec.NodeOutages), since the plan is immutable once worms
 // are in flight. The run is a pure function of its arguments: reruns,
 // kernels and parallelism levels produce bit-identical Results.
-func Run(net *wormhole.Network, tab core.SplitTable, ch chain.Chain, sched Schedule, msgBytes int, cfg Config) (Result, error) {
-	if err := ch.Validate(); err != nil {
-		return Result{}, err
-	}
+func Run(net *wormhole.Network, tab core.SplitTable, ch chain.Chain, sched Schedule, msgBytes int, cfg recov.Config) (Result, error) {
 	if err := sched.Validate(); err != nil {
 		return Result{}, err
 	}
 	k := len(ch)
-	if k > tab.K() {
-		return Result{}, fmt.Errorf("member: chain of %d nodes exceeds split table K=%d", k, tab.K())
-	}
-	if msgBytes < 0 {
-		return Result{}, fmt.Errorf("member: negative message size %d", msgBytes)
-	}
 	pos := make(map[int]int, k)
 	for i, a := range ch {
-		if a < 0 || a >= net.Topology().NumNodes() {
-			return Result{}, fmt.Errorf("member: chain address %d outside fabric of %d nodes", a, net.Topology().NumNodes())
-		}
 		pos[a] = i
 	}
+	members := make([]bool, k)
 	for _, a := range sched.Members {
-		if _, ok := pos[a]; !ok {
+		p, ok := pos[a]
+		if !ok {
 			return Result{}, fmt.Errorf("member: initial member %d not in chain", a)
 		}
+		members[p] = true
 	}
 	for i, e := range sched.Events {
 		if _, ok := pos[e.Node]; !ok {
 			return Result{}, fmt.Errorf("member: event %d node %d not in chain", i, e.Node)
 		}
 	}
-	if err := net.Quiesced(); err != nil {
-		return Result{}, fmt.Errorf("member: fabric not idle: %w", err)
-	}
-	if cfg.TEnd <= 0 {
-		return Result{}, fmt.Errorf("member: Config.TEnd must be the calibrated unicast latency, got %d", cfg.TEnd)
-	}
-	if cfg.SlackNum == 0 && cfg.SlackDen == 0 {
-		cfg.SlackNum, cfg.SlackDen = 3, 1
-	}
-	if cfg.SlackNum <= 0 || cfg.SlackDen <= 0 || cfg.SlackNum < cfg.SlackDen {
-		return Result{}, fmt.Errorf("member: slack %d/%d invalid (need a ratio >= 1)", cfg.SlackNum, cfg.SlackDen)
-	}
-	if cfg.BackoffBase < 0 {
-		return Result{}, fmt.Errorf("member: negative BackoffBase %d", cfg.BackoffBase)
-	}
-	if cfg.BackoffBase == 0 {
-		cfg.BackoffBase = cfg.TEnd / 4
-		if cfg.BackoffBase < 1 {
-			cfg.BackoffBase = 1
-		}
-	}
-	maxRetry := cfg.MaxRetries
-	switch {
-	case maxRetry == 0:
-		maxRetry = 3
-	case maxRetry < 0:
-		maxRetry = 0
-	}
-	churnLimit := cfg.ChurnLimit
-	if churnLimit == 0 {
-		churnLimit = 2 + k/4
-	}
-	if cfg.Repair > recov.RepairBinomial {
-		return Result{}, fmt.Errorf("member: unknown repair policy %d", cfg.Repair)
-	}
-	if cfg.DegreeCap < 0 {
-		return Result{}, fmt.Errorf("member: negative degree cap %d", cfg.DegreeCap)
-	}
-	incrLimit := -1
-	if cfg.Repair == recov.RepairIncremental && churnLimit > 0 {
-		incrLimit = churnLimit / 2
-		if incrLimit < 1 {
-			incrLimit = 1
-		}
+	root := pos[sched.Members[0]]
+	g, err := recov.Open(net, tab, ch, root, msgBytes, cfg, members)
+	if err != nil {
+		return Result{}, fmt.Errorf("member: %w", err)
 	}
 
-	r := &runner{
-		net:        net,
-		tab:        tab,
-		fb:         core.BinomialTable{Max: k},
-		ch:         ch,
-		bytes:      msgBytes,
-		cfg:        cfg,
-		events:     new(sim.EventQueue),
-		rng:        sim.NewRNG(cfg.Seed ^ 0x7ec0_4e11_ab1e_c0de),
-		t0:         net.Now(),
-		tSend:      cfg.Sim.Software.Send.At(msgBytes),
-		tRecv:      cfg.Sim.Software.Recv.At(msgBytes),
-		tHold:      cfg.Sim.Software.Hold.At(msgBytes),
-		timeout:    cfg.TEnd * cfg.SlackNum / cfg.SlackDen,
-		maxRetry:   maxRetry,
-		churnLimit: churnLimit,
-		incrLimit:  incrLimit,
-		delivered:  make([]bool, k),
-		wanted:     make([]bool, k),
-		ever:       make([]bool, k),
-		down:       make([]int64, k),
-		orphan:     make([]bool, k),
-		joinOrphan: make([]bool, k),
-		inflight:   make([]int, k),
-		nextFree:   make([]int64, k),
-		pair:       make([]uint8, k*k),
-		hop:        make([]int32, k*k),
-		res: Result{
-			Deliveries: make([]int64, k),
-			Member:     make([]bool, k),
-			Alive:      make([]bool, k),
-			FallbackAt: -1,
-		},
-	}
-	for i := range r.res.Deliveries {
-		r.res.Deliveries[i] = -1
-	}
-	if cfg.Repair == recov.RepairBinomial {
-		r.fallback = true
-		r.res.FallbackAt = 0
-	}
-	r.root = pos[sched.Members[0]]
-	live := make([]int, 0, len(sched.Members))
-	for _, a := range sched.Members {
-		p := pos[a]
-		r.wanted[p] = true
-		r.ever[p] = true
-	}
-	for p := 0; p < k; p++ {
-		if r.wanted[p] {
-			live = append(live, p)
-		}
-	}
-
-	// Membership events enter the same queue that drives deadlines and
+	// Membership events enter the queue that drives deadlines and
 	// backoffs: every membership decision lands at its exact cycle, on
 	// every kernel (invariant 11).
-	for i := range sched.Events {
-		e := sched.Events[i]
-		r.events.At(r.t0+e.At, func() { r.apply(e) })
+	applied := 0
+	for _, e := range sched.Events {
+		p := pos[e.Node]
+		g.Schedule(e.At, func() {
+			applied++
+			switch e.Kind {
+			case KindJoin:
+				g.Join(p)
+			case KindLeave:
+				g.Leave(p)
+			case KindCrash:
+				g.Crash(p, e.Until)
+			case KindRejoin:
+				g.Rejoin(p)
+			}
+		})
 	}
 	if len(sched.Events) > 0 {
 		// Settle round: once every event has fired and every finite
-		// outage has ended, clear the give-up marks (they may encode
-		// mid-outage verdicts) and re-drive the stragglers, so quiesce
-		// delivery matches the post-churn oracle.
-		r.events.At(r.t0+sched.End()+1, r.settle)
+		// outage has ended, re-drive the stragglers so quiesce delivery
+		// matches the post-churn oracle.
+		g.Schedule(sched.End()+1, g.Settle)
+	}
+	if err := g.Run(sched.End()); err != nil {
+		return Result{}, fmt.Errorf("member: %w", err)
 	}
 
-	max := cfg.Sim.MaxCycles
-	if max <= 0 {
-		perMsg := int64(net.Config().Flits(msgBytes+cfg.Sim.AddrBytes*k)) + int64(net.Topology().NumChannels())
-		soft := r.tSend + r.tRecv + r.tHold
-		base := (perMsg+soft+1024)*int64(k+1)*4 + 1<<20
-		perAssign := (r.timeout + cfg.BackoffBase<<7) * int64(maxRetry+1)
-		max = base + int64(k+2)*int64(k+2)*perAssign + sched.End()
-	}
-	deadline := r.t0 + max
-
-	startStats := net.Stats()
-	r.deliverAt(r.root, live, r.t0, nil)
-	for r.runErr == nil && (r.events.Len() > 0 || net.Active() > 0) {
-		if net.Active() == 0 {
-			if next := r.events.NextTime(); next > net.Now() {
-				net.AdvanceTo(next)
-			}
-		}
-		r.events.RunDue(net.Now())
-		if r.runErr != nil || (net.Active() == 0 && r.events.Len() == 0) {
-			break
-		}
-		if net.Active() > 0 {
-			limit := deadline + 1
-			if limit <= net.Now() {
-				limit = net.Now() + 1
-			}
-			if r.events.Len() > 0 && r.events.NextTime() < limit {
-				limit = r.events.NextTime()
-			}
-			net.StepUntil(limit)
-			r.reclaimFrozen()
-			if err := net.Err(); err != nil {
-				return Result{}, fmt.Errorf("member: %w; %s", err, net.DeadlockReport(8))
-			}
-			if net.Now() > deadline {
-				return Result{}, fmt.Errorf("member: run not complete after %d cycles; %s", max, net.DeadlockReport(8))
-			}
-		}
-	}
-	if r.runErr != nil {
-		return Result{}, r.runErr
-	}
-	if err := net.Quiesced(); err != nil {
-		return Result{}, fmt.Errorf("member: fabric did not quiesce: %w", err)
-	}
-
-	for p := 0; p < k; p++ {
-		alive := r.down[p] == 0
-		r.res.Member[p] = r.wanted[p]
-		r.res.Alive[p] = alive
-		if p == r.root {
-			continue
-		}
-		switch {
-		case r.wanted[p] && alive:
-			if r.delivered[p] {
-				r.res.Delivered++
-				if d := r.res.Deliveries[p]; d > r.res.Latency {
-					r.res.Latency = d
-				}
-			} else {
-				r.res.Undelivered++
-			}
-		case r.wanted[p]:
-			r.res.Dead++
-		case r.ever[p]:
-			r.res.Left++
-		}
+	rr := g.Result()
+	res := Result{
+		Deliveries: rr.Deliveries,
+		Member:     make([]bool, k),
+		Alive:      make([]bool, k),
+		Overhead:   rr.Overhead,
+		Grafts:     g.Grafts(),
+		Events:     applied,
+		FallbackAt: rr.FallbackAt,
+		Worms:      rr.Worms,
 	}
 	in := make([]bool, k)
 	for p := 0; p < k; p++ {
-		in[p] = r.res.Member[p] && r.res.Alive[p]
-	}
-	r.res.Oracle = ReachableAmong(net.Topology(), net.Faults(), ch, r.root, in)
-	end := net.Stats()
-	r.res.Worms = end.Worms - startStats.Worms
-	return r.res, nil
-}
-
-// apply executes one membership event at its exact cycle.
-func (r *runner) apply(e Event) {
-	now := r.net.Now()
-	p := r.posOf(e.Node)
-	r.res.Events++
-	switch e.Kind {
-	case KindJoin:
-		r.wanted[p] = true
-		r.ever[p] = true
-		if !r.delivered[p] && r.inflight[p] == 0 {
-			r.orphan[p] = true
-			r.joinOrphan[p] = true
-		}
-	case KindLeave:
-		r.wanted[p] = false
-		r.orphan[p] = false
-		r.joinOrphan[p] = false
-		if !r.delivered[p] {
-			r.excise(p, now)
-		}
-	case KindCrash:
-		r.down[p] = e.Until
-		if r.delivered[p] {
-			// Amnesia: whatever the node held is gone with it.
-			r.delivered[p] = false
-			r.res.Deliveries[p] = -1
-		}
-		r.orphan[p] = false
-		r.joinOrphan[p] = false
-		r.excise(p, now)
-	case KindRejoin:
-		r.down[p] = 0
-		r.wanted[p] = true
-		if !r.delivered[p] && r.inflight[p] == 0 {
-			r.orphan[p] = true
-			r.joinOrphan[p] = true
-		}
-	}
-	r.assignOrphans(now)
-}
-
-// posOf maps a fabric address to its chain position (validated at Run
-// entry, so a miss is an internal fault).
-func (r *runner) posOf(addr int) int {
-	for i, a := range r.ch {
-		if a == addr {
-			return i
-		}
-	}
-	r.fault(fmt.Errorf("member: address %d lost from chain", addr))
-	return 0
-}
-
-// excise withdraws every outstanding assignment touching position p —
-// inbound (p can no longer receive) and outbound (p can no longer
-// relay). A killed inbound assignment whose sender still stands is a
-// tree repair: the stranded subtree is re-planned per the configured
-// policy from that sender (this is where incremental grafting saves its
-// sends over full re-splitting). When the sender itself is the casualty
-// the survivors fall to the orphan queue for per-member adoption.
-func (r *runner) excise(p int, now int64) {
-	for _, x := range r.xfers {
-		if x.done || (x.to != p && x.from != p) {
+		wanted, alive, ever := g.Membership(p)
+		res.Member[p], res.Alive[p] = wanted, alive
+		in[p] = wanted && alive
+		if p == root {
 			continue
 		}
-		r.kill(x)
-		rest := r.strandable(x.live, p)
-		if len(rest) == 0 {
-			continue
-		}
-		if x.to == p && r.senderStands(x.from) {
-			r.noteChurn(now)
-			r.repairRest(x.from, rest, now)
-		} else {
-			for _, q := range rest {
-				r.orphan[q] = true
-			}
+		switch {
+		case in[p] && res.Deliveries[p] >= 0:
+			res.Delivered++
+			res.Latency = max(res.Latency, res.Deliveries[p])
+		case in[p]:
+			res.Undelivered++
+		case wanted:
+			res.Dead++
+		case ever:
+			res.Left++
 		}
 	}
-}
-
-// strandable filters live down to the positions still owed delivery and
-// not assigned elsewhere, skipping position skip, preserving order.
-func (r *runner) strandable(live []int, skip int) []int {
-	rest := make([]int, 0, len(live))
-	for _, q := range live {
-		if q == skip || !r.wanted[q] || r.delivered[q] || r.down[q] != 0 || r.inflight[q] > 0 {
-			continue
-		}
-		rest = append(rest, q)
-	}
-	return rest
-}
-
-// senderStands reports whether a position can still act as a repair
-// sender: delivered, subscribed and up.
-func (r *runner) senderStands(p int) bool {
-	return r.delivered[p] && r.wanted[p] && r.down[p] == 0
-}
-
-// noteChurn advances the graceful-degradation counter for one repair
-// event and records the binomial flip when the limit is hit.
-func (r *runner) noteChurn(now int64) {
-	r.churn++
-	if !r.fallback && r.churnLimit >= 0 && r.churn >= r.churnLimit {
-		r.fallback = true
-		r.res.FallbackAt = now - r.t0
-	}
-}
-
-// repairRest re-plans the stranded subtree rest from the standing
-// sender per the configured policy: one graft send while the
-// incremental budget lasts, a full re-split otherwise.
-func (r *runner) repairRest(from int, rest []int, now int64) {
-	if r.cfg.Repair == recov.RepairIncremental && !r.fallback && (r.incrLimit < 0 || r.churn <= r.incrLimit) {
-		r.graft(from, rest, now)
-		return
-	}
-	liveSelf := make([]int, 0, len(rest)+1)
-	placed := false
-	for _, p := range rest {
-		if !placed && from < p {
-			liveSelf = append(liveSelf, from)
-			placed = true
-		}
-		liveSelf = append(liveSelf, p)
-	}
-	if !placed {
-		liveSelf = append(liveSelf, from)
-	}
-	r.spawn(from, liveSelf, now, true, true)
-}
-
-// kill terminates an assignment: the in-flight worm (if any) is
-// withdrawn and the xfer's pending events are invalidated. Assignments
-// whose fabric delivery already completed (done, receive pending) are
-// resolved by deliverAt instead.
-func (r *runner) kill(x *xfer) {
-	if x.done {
-		return
-	}
-	if x.worm != nil {
-		r.net.Cancel(x.worm)
-		r.res.Overhead.Cancelled++
-		x.worm = nil
-	}
-	x.done = true
-	x.seq++
-	r.inflight[x.to]--
-}
-
-// newXfer creates and registers an assignment targeting to.
-func (r *runner) newXfer(from, to int, live []int, adopted bool) *xfer {
-	x := &xfer{from: from, to: to, live: live, adopted: adopted}
-	r.xfers = append(r.xfers, x)
-	r.inflight[to]++
-	r.orphan[to] = false
-	return x
-}
-
-// deliverAt records a delivery at position self with responsibility for
-// live. A crash between fabric arrival and software-receive completion
-// loses the message (amnesia), so a delivery into a down node is
-// dropped.
-func (r *runner) deliverAt(self int, live []int, t int64, via *xfer) {
-	if via != nil {
-		r.inflight[self]--
-	}
-	if r.down[self] != 0 {
-		// The receiver crashed mid-receive; its subtree members fall to
-		// the orphan queue.
-		for _, q := range r.strandable(live, self) {
-			r.orphan[q] = true
-		}
-		r.assignOrphans(t)
-		return
-	}
-	if r.delivered[self] {
-		r.fault(fmt.Errorf("member: duplicate delivery to chain position %d", self))
-		return
-	}
-	r.delivered[self] = true
-	r.orphan[self] = false
-	r.res.Deliveries[self] = t - r.t0
-	if self != r.root && !r.wanted[self] {
-		// The receiver unsubscribed mid-flight: it keeps the payload (so
-		// a later re-join needs no re-delivery) but relays nothing.
-		for _, q := range r.strandable(live, self) {
-			r.orphan[q] = true
-		}
-		r.assignOrphans(t)
-		return
-	}
-	rest := r.filterLive(live, self)
-	if len(rest) > 1 {
-		r.spawn(self, rest, t, via != nil && via.adopted, false)
-	}
-	r.assignOrphans(t)
-}
-
-// filterLive keeps self plus the positions still owed delivery and not
-// already assigned elsewhere, preserving ascending order.
-func (r *runner) filterLive(live []int, self int) []int {
-	out := make([]int, 0, len(live))
-	for _, p := range live {
-		if p == self || (r.wanted[p] && !r.delivered[p] && r.down[p] == 0 && r.inflight[p] == 0) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// spawn plans and issues self's sends for the live positions.
-func (r *runner) spawn(self int, live []int, t int64, adopted, repair bool) {
-	var sends []plan.RepairSend
-	var err error
-	if r.cfg.DegreeCap > 0 {
-		sends, err = plan.DegreeSends(live, self, r.cfg.DegreeCap)
-	} else {
-		tab := r.tab
-		if r.fallback {
-			tab = r.fb
-		}
-		sends, err = plan.RepairSends(tab, live, self)
-	}
-	if err != nil {
-		r.fault(err)
-		return
-	}
-	for _, snd := range sends {
-		x := r.newXfer(self, snd.To, snd.Live, adopted || repair)
-		if repair {
-			r.res.Overhead.RepairSends++
-		}
-		r.issue(x, t)
-	}
-}
-
-// issue schedules one transmission of x (one-port pacing, delivery
-// deadline armed), exactly as the recovery layer does.
-func (r *runner) issue(x *xfer, notBefore int64) {
-	at := notBefore
-	if nf := r.nextFree[x.from]; nf > at {
-		at = nf
-	}
-	r.nextFree[x.from] = at + r.tHold
-	x.seq++
-	seq := x.seq
-	r.events.At(at+r.tSend, func() { r.inject(x, seq) })
-	r.events.At(at+r.timeout, func() { r.expire(x, seq) })
-	r.res.Overhead.Sends++
-}
-
-func (r *runner) inject(x *xfer, seq int) {
-	if x.done || x.seq != seq {
-		return
-	}
-	bytes := r.bytes + r.cfg.Sim.AddrBytes*(len(x.live)-1)
-	src := wormhole.NodeID(r.ch[x.from])
-	dst := wormhole.NodeID(r.ch[x.to])
-	x.worm = r.net.Send(src, dst, bytes, x, func(_ *wormhole.Worm, now int64) {
-		// The assignment stays in flight (inflight held) through the
-		// software receive: a churn event landing in that window must not
-		// re-target the position.
-		x.done = true
-		x.worm = nil
-		r.events.At(now+r.tRecv, func() { r.deliverAt(x.to, x.live, now+r.tRecv, x) })
-	})
-}
-
-func (r *runner) expire(x *xfer, seq int) {
-	if x.done || x.seq != seq {
-		return
-	}
-	r.fail(x, false)
-}
-
-// reclaimFrozen cancels worms the fault layer froze (no live route) and
-// routes their assignments into the retry/give-up path immediately.
-func (r *runner) reclaimFrozen() {
-	r.unBuf = r.net.Unreachable(r.unBuf[:0])
-	for _, w := range r.unBuf {
-		x, ok := w.Tag.(*xfer)
-		if !ok {
-			r.fault(fmt.Errorf("member: frozen worm %d carries foreign tag %T", w.ID, w.Tag))
-			return
-		}
-		r.fail(x, true)
-	}
-}
-
-// fail handles a lost send: retry with backoff, or give up when the
-// budget is spent, the route is provably dead, or the target is known
-// down or unsubscribed (retrying those cannot help; the rejoin or the
-// orphan queue will re-drive delivery when it becomes possible).
-func (r *runner) fail(x *xfer, frozen bool) {
-	if x.done {
-		return
-	}
-	if x.worm != nil {
-		r.net.Cancel(x.worm)
-		r.res.Overhead.Cancelled++
-		x.worm = nil
-	}
-	x.seq++
-	now := r.net.Now()
-	if !r.wanted[x.to] && r.down[x.to] == 0 {
-		// The target unsubscribed mid-flight; drop the assignment but
-		// keep its subtree members in play.
-		r.kill(x)
-		if rest := r.strandable(x.live, x.to); len(rest) > 0 {
-			if r.senderStands(x.from) {
-				r.repairRest(x.from, rest, now)
-			} else {
-				for _, q := range rest {
-					r.orphan[q] = true
-				}
-			}
-		}
-		r.assignOrphans(now)
-		return
-	}
-	give := x.attempt >= r.maxRetry
-	if r.down[x.to] != 0 {
-		give = true
-	}
-	if frozen && !r.routable(x.from, x.to) {
-		give = true
-	}
-	if give {
-		r.giveUp(x, now)
-		return
-	}
-	x.attempt++
-	r.res.Overhead.Retransmits++
-	r.issue(x, now+recov.Backoff(r.cfg.BackoffBase, x.attempt, r.rng))
-}
-
-// giveUp declares the pair lost, repairs the stranded subtree per the
-// configured policy, and queues the target for later re-delivery if it
-// is still owed one.
-func (r *runner) giveUp(x *xfer, now int64) {
-	k := len(r.ch)
-	r.pair[x.from*k+x.to] = pairUnroutable
-	r.res.Overhead.Repairs++
-	r.noteChurn(now)
-	x.done = true
-	r.inflight[x.to]--
-	if r.wanted[x.to] && r.down[x.to] == 0 {
-		r.orphan[x.to] = true
-	}
-	if rest := r.strandable(x.live, x.to); len(rest) > 0 {
-		r.repairRest(x.from, rest, now)
-	}
-	r.assignOrphans(now)
-}
-
-// graft hands the stranded members whole to the one nearest the sender
-// by hop distance (ties to the lowest position) in a single repair
-// send; unroutable strands become orphans.
-func (r *runner) graft(from int, rest []int, now int64) {
-	k := len(r.ch)
-	h, bestD := -1, 0
-	for _, p := range rest {
-		if r.pair[from*k+p] == pairUnroutable {
-			continue
-		}
-		d := r.hopDist(from, p)
-		if d < 0 {
-			continue
-		}
-		if h < 0 || d < bestD {
-			h, bestD = p, d
-		}
-	}
-	if h < 0 {
-		for _, p := range rest {
-			r.orphan[p] = true
-		}
-		return
-	}
-	x := r.newXfer(from, h, rest, true)
-	r.res.Overhead.RepairSends++
-	r.issue(x, now)
-}
-
-// assignOrphans re-drives every queued orphan from the delivered,
-// subscribed, alive member nearest it by hop distance (ties to the
-// lowest position). Join/rejoin orphans count as grafts.
-func (r *runner) assignOrphans(now int64) {
-	k := len(r.ch)
-	for c := 0; c < k; c++ {
-		if !r.orphan[c] || r.delivered[c] || r.down[c] != 0 || r.inflight[c] > 0 {
-			continue
-		}
-		best, bestD := -1, 0
-		for s := 0; s < k; s++ {
-			if s == c || !r.delivered[s] || !r.wanted[s] || r.down[s] != 0 || r.pair[s*k+c] == pairUnroutable {
-				continue
-			}
-			d := r.hopDist(s, c)
-			if d < 0 {
-				continue
-			}
-			if best < 0 || d < bestD {
-				best, bestD = s, d
-			}
-		}
-		if best < 0 {
-			continue
-		}
-		if r.joinOrphan[c] {
-			r.joinOrphan[c] = false
-			r.res.Grafts++
-		} else {
-			r.res.Overhead.OrphanSends++
-		}
-		x := r.newXfer(best, c, []int{c}, true)
-		r.issue(x, now)
-	}
-}
-
-// settle fires after the last event and the last finite outage: give-up
-// verdicts reached mid-outage no longer hold, so the pair marks are
-// cleared and every straggler is re-driven against the settled fabric.
-func (r *runner) settle() {
-	for i := range r.pair {
-		r.pair[i] = pairUntried
-	}
-	k := len(r.ch)
-	for p := 0; p < k; p++ {
-		if r.wanted[p] && r.down[p] == 0 && !r.delivered[p] && r.inflight[p] == 0 {
-			r.orphan[p] = true
-		}
-	}
-	r.assignOrphans(r.net.Now())
-}
-
-// hopDist caches the idle-fabric hop-distance oracle per position pair.
-func (r *runner) hopDist(a, b int) int {
-	i := a*len(r.ch) + b
-	if v := r.hop[i]; v != 0 {
-		if v < 0 {
-			return -1
-		}
-		return int(v - 1)
-	}
-	d := recov.HopDistance(r.net.Topology(), r.net.Faults(), wormhole.NodeID(r.ch[a]), wormhole.NodeID(r.ch[b]))
-	if d < 0 {
-		r.hop[i] = -1
-	} else {
-		r.hop[i] = int32(d + 1)
-	}
-	return d
-}
-
-func (r *runner) routable(a, b int) bool { return r.hopDist(a, b) >= 0 }
-
-func (r *runner) fault(err error) {
-	if r.runErr == nil {
-		r.runErr = err
-	}
+	res.Oracle = ReachableAmong(net.Topology(), net.Faults(), ch, root, in)
+	return res, nil
 }

@@ -91,7 +91,7 @@ func FuzzChurnRun(f *testing.F) {
 		}
 		net := wormhole.New(m, wormhole.DefaultConfig())
 		net.SetFaults(fp)
-		res, err := member.Run(net, core.BinomialTable{Max: len(ch)}, ch, sched, bytes, member.Config{
+		res, err := member.Run(net, core.BinomialTable{Max: len(ch)}, ch, sched, bytes, recov.Config{
 			Sim:    mcastsim.Config{Software: testSoft},
 			TEnd:   tend,
 			Repair: recov.RepairIncremental,

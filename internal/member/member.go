@@ -12,14 +12,16 @@
 //     single flit (wormhole.Network.SetFaults refuses changes with
 //     active worms, deliberately).
 //
-//   - Run executes one reliable multicast while the schedule fires:
-//     membership events are entries in the same event queue that
-//     drives timeouts and backoffs, so every membership decision
-//     happens at an exact cycle (DESIGN.md invariant 11). Crashes
-//     excise the victim's subtree and re-parent the survivors onto the
-//     nearest delivered members; joins and rejoins are grafted onto
-//     the nearest delivered member in one send; repair follows the
-//     configured recover.RepairPolicy ladder.
+//   - Run feeds the schedule to the recover delivery engine: membership
+//     events are entries in the same event queue that drives timeouts
+//     and backoffs, so every membership decision happens at an exact
+//     cycle (DESIGN.md invariant 11). The engine excises a crashed
+//     victim's subtree and re-parents the survivors onto the nearest
+//     delivered members, grafts joins and rejoins onto the nearest
+//     delivered member in one send, and repairs along the configured
+//     recover.RepairPolicy ladder. Run itself only validates the
+//     schedule, schedules its events, and assembles the Result and the
+//     oracle.
 //
 // The correctness contract at quiesce: the delivered set over the
 // final alive membership equals the membership-and-fault-reachable

@@ -191,7 +191,7 @@ func TestNoChurnMatchesRecover(t *testing.T) {
 		}
 		netM := wormhole.New(m, wormhole.DefaultConfig())
 		netM.SetFaults(fp)
-		got, err := member.Run(netM, tab, ch, sched, bytes, member.Config{
+		got, err := member.Run(netM, tab, ch, sched, bytes, recov.Config{
 			Sim: mcastsim.Config{Software: testSoft}, TEnd: tend, Seed: 11})
 		if err != nil {
 			t.Fatal(err)
@@ -229,7 +229,7 @@ func run(t *testing.T, topo wormhole.Topology, tab core.SplitTable, ch chain.Cha
 	bytes int, tend int64, policy recov.RepairPolicy) member.Result {
 	t.Helper()
 	net := churnNet(t, topo, sched, fault.Spec{})
-	res, err := member.Run(net, tab, ch, sched, bytes, member.Config{
+	res, err := member.Run(net, tab, ch, sched, bytes, recov.Config{
 		Sim:    mcastsim.Config{Software: testSoft},
 		TEnd:   tend,
 		Repair: policy,

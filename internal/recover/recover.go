@@ -1,6 +1,7 @@
-// Package recover delivers multicasts reliably on a faulted fabric. It
-// wraps the mcastsim runtime pattern — nodes re-derive their sends from
-// the split table on delivery — with three composed mechanisms:
+// Package recover is the delivery engine: it delivers multicasts
+// reliably on a (possibly faulted) fabric. It runs the mcastsim runtime
+// pattern — nodes re-derive their sends from the split table on
+// delivery — with three composed mechanisms:
 //
 //  1. Per-send timeout and retransmission: every send carries a delivery
 //     deadline, the model-predicted unicast latency t_end scaled by a
@@ -22,6 +23,14 @@
 //     trades latency for fewer deep dependency chains — and the policy
 //     flip is recorded in the result.
 //
+// One transfer state machine serves every delivery layer. Run drives a
+// single fixed group. The churn engine (internal/member) feeds its
+// schedule onto a group's event queue through Join, Leave, Crash,
+// Rejoin and Settle; with every position subscribed and none down those
+// branches are no-ops, which is why Run is the same engine. The
+// open-system traffic engine (internal/traffic) serves each admitted
+// request as a group on one shared Engine (Serve).
+//
 // The recovery clock is the event queue, never the watchdog: deadlines
 // and backoffs fire at exact cycles, and unreachable freezes pin the
 // fast kernel's cycle-skipping to the freeze cycle, so both wormhole
@@ -36,7 +45,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/mcastsim"
 	"repro/internal/model"
-	"repro/internal/plan"
 	"repro/internal/sim"
 	"repro/internal/wormhole"
 )
@@ -127,6 +135,17 @@ type Config struct {
 	Seed uint64
 }
 
+// withDefaults fills the zero-valued slack and backoff knobs.
+func (c Config) withDefaults() Config {
+	if c.SlackNum == 0 && c.SlackDen == 0 {
+		c.SlackNum, c.SlackDen = 3, 1
+	}
+	if c.BackoffBase == 0 {
+		c.BackoffBase = max(c.TEnd/4, 1)
+	}
+	return c
+}
+
 // Result reports one reliable multicast execution.
 type Result struct {
 	// Latency is when the last successful delivery completed (software
@@ -164,55 +183,6 @@ type Result struct {
 	Cycles           int64
 }
 
-// pair-state values for runner.pair.
-const (
-	pairUntried    uint8 = iota
-	pairUnroutable       // declared dead after exhausting the retry budget
-)
-
-// xfer is one delivery assignment: from must get the message to to,
-// which then becomes responsible for the ascending chain positions live
-// (to included). The assignment survives retransmissions; seq
-// invalidates the deadline events of superseded issues.
-type xfer struct {
-	from, to int
-	live     []int
-	attempt  int
-	seq      int
-	adopted  bool
-	worm     *wormhole.Worm
-	done     bool
-}
-
-type runner struct {
-	net    *wormhole.Network
-	tab    core.SplitTable
-	fb     core.SplitTable
-	ch     chain.Chain
-	bytes  int
-	cfg    Config
-	events *sim.EventQueue
-	rng    *sim.RNG
-	t0     int64
-	res    Result
-
-	tSend, tRecv, tHold int64
-	timeout             int64 // per-send deadline: TEnd*SlackNum/SlackDen
-	maxRetry            int
-	churnLimit          int // < 0: fallback disabled
-
-	delivered []bool
-	orphan    []bool  // given up by some sender, awaiting re-assignment
-	nextFree  []int64 // per position: when its one send port frees up
-	pair      []uint8 // k*k flattened (from*k+to) give-up record
-	hop       []int32 // k*k HopDistance cache: 0 unknown, d+1 routable, -1 not
-	unBuf     []*wormhole.Worm
-	churn     int
-	incrLimit int // incremental -> full threshold; < 0: never degrade
-	fallback  bool
-	runErr    error
-}
-
 // Run executes a reliable multicast of msgBytes over ch with the source
 // at chain index root, shaping trees with tab on the (possibly faulted)
 // net. Unlike mcastsim.Run it does not fail when destinations are
@@ -221,12 +191,31 @@ type runner struct {
 // outcomes. Errors are reserved for misconfiguration and safety-net
 // exhaustion.
 func Run(net *wormhole.Network, tab core.SplitTable, ch chain.Chain, root int, msgBytes int, cfg Config) (Result, error) {
+	g, err := Open(net, tab, ch, root, msgBytes, cfg, nil)
+	if err == nil {
+		err = g.Run(0)
+	}
+	if err != nil {
+		return Result{}, fmt.Errorf("recover: %w", err)
+	}
+	return g.Result(), nil
+}
+
+// Open validates one reliable multicast of msgBytes over ch from the
+// source at chain index root and prepares it on an engine of its own,
+// sending nothing until Group.Run. members flags the positions
+// subscribed at the start (nil: every position); the others may join
+// later. Errors carry no package prefix.
+func Open(net *wormhole.Network, tab core.SplitTable, ch chain.Chain, root, msgBytes int, cfg Config, members []bool) (*Group, error) {
 	if err := ch.Validate(); err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	k := len(ch)
 	if root < 0 || root >= k {
-		return Result{}, fmt.Errorf("recover: root index %d outside chain of %d nodes", root, k)
+		return nil, fmt.Errorf("root index %d outside chain of %d nodes", root, k)
+	}
+	if members != nil && (len(members) != k || !members[root]) {
+		return nil, fmt.Errorf("membership of %d positions must cover the chain of %d and include the source", len(members), k)
 	}
 	if cfg.Select != nil {
 		if t := cfg.Select(k); t != nil {
@@ -234,486 +223,55 @@ func Run(net *wormhole.Network, tab core.SplitTable, ch chain.Chain, root int, m
 		}
 	}
 	if k > tab.K() {
-		return Result{}, fmt.Errorf("recover: chain of %d nodes exceeds split table K=%d", k, tab.K())
+		return nil, fmt.Errorf("chain of %d nodes exceeds split table K=%d", k, tab.K())
 	}
 	if msgBytes < 0 {
-		return Result{}, fmt.Errorf("recover: negative message size %d", msgBytes)
+		return nil, fmt.Errorf("negative message size %d", msgBytes)
 	}
 	for _, a := range ch {
 		if a < 0 || a >= net.Topology().NumNodes() {
-			return Result{}, fmt.Errorf("recover: chain address %d outside fabric of %d nodes", a, net.Topology().NumNodes())
+			return nil, fmt.Errorf("chain address %d outside fabric of %d nodes", a, net.Topology().NumNodes())
 		}
 	}
 	if err := net.Quiesced(); err != nil {
-		return Result{}, fmt.Errorf("recover: fabric not idle: %w", err)
+		return nil, fmt.Errorf("fabric not idle: %w", err)
 	}
 	if cfg.TEnd <= 0 {
-		return Result{}, fmt.Errorf("recover: Config.TEnd must be the calibrated unicast latency, got %d", cfg.TEnd)
+		return nil, fmt.Errorf("Config.TEnd must be the calibrated unicast latency, got %d", cfg.TEnd)
 	}
-	if cfg.SlackNum == 0 && cfg.SlackDen == 0 {
-		cfg.SlackNum, cfg.SlackDen = 3, 1
-	}
+	cfg = cfg.withDefaults()
 	if cfg.SlackNum <= 0 || cfg.SlackDen <= 0 || cfg.SlackNum < cfg.SlackDen {
-		return Result{}, fmt.Errorf("recover: slack %d/%d invalid (need a ratio >= 1)", cfg.SlackNum, cfg.SlackDen)
+		return nil, fmt.Errorf("slack %d/%d invalid (need a ratio >= 1)", cfg.SlackNum, cfg.SlackDen)
 	}
 	if cfg.BackoffBase < 0 {
-		return Result{}, fmt.Errorf("recover: negative BackoffBase %d", cfg.BackoffBase)
-	}
-	if cfg.BackoffBase == 0 {
-		cfg.BackoffBase = cfg.TEnd / 4
-		if cfg.BackoffBase < 1 {
-			cfg.BackoffBase = 1
-		}
-	}
-	maxRetry := cfg.MaxRetries
-	switch {
-	case maxRetry == 0:
-		maxRetry = 3
-	case maxRetry < 0:
-		maxRetry = 0
-	}
-	churnLimit := cfg.ChurnLimit
-	if churnLimit == 0 {
-		churnLimit = 2 + k/4
+		return nil, fmt.Errorf("negative BackoffBase %d", cfg.BackoffBase)
 	}
 	if cfg.Repair > RepairBinomial {
-		return Result{}, fmt.Errorf("recover: unknown repair policy %d", cfg.Repair)
+		return nil, fmt.Errorf("unknown repair policy %d", cfg.Repair)
 	}
 	if cfg.DegreeCap < 0 {
-		return Result{}, fmt.Errorf("recover: negative degree cap %d", cfg.DegreeCap)
+		return nil, fmt.Errorf("negative degree cap %d", cfg.DegreeCap)
 	}
-	incrLimit := -1
-	if cfg.Repair == RepairIncremental && churnLimit > 0 {
-		incrLimit = churnLimit / 2
-		if incrLimit < 1 {
-			incrLimit = 1
+
+	e := &Engine{net: net, events: new(sim.EventQueue), rng: sim.NewRNG(cfg.Seed ^ 0x7ec0_4e11_ab1e_c0de)}
+	g := e.open(net.Now(), tab, ch, root, msgBytes, cfg)
+	if members != nil {
+		for p := range g.pos {
+			g.pos[p].wanted, g.pos[p].ever = members[p], members[p]
 		}
 	}
-
-	r := &runner{
-		net:        net,
-		tab:        tab,
-		fb:         core.BinomialTable{Max: k},
-		ch:         ch,
-		bytes:      msgBytes,
-		cfg:        cfg,
-		events:     new(sim.EventQueue),
-		rng:        sim.NewRNG(cfg.Seed ^ 0x7ec0_4e11_ab1e_c0de),
-		t0:         net.Now(),
-		tSend:      cfg.Sim.Software.Send.At(msgBytes),
-		tRecv:      cfg.Sim.Software.Recv.At(msgBytes),
-		tHold:      cfg.Sim.Software.Hold.At(msgBytes),
-		timeout:    cfg.TEnd * cfg.SlackNum / cfg.SlackDen,
-		maxRetry:   maxRetry,
-		churnLimit: churnLimit,
-		incrLimit:  incrLimit,
-		delivered:  make([]bool, k),
-		orphan:     make([]bool, k),
-		nextFree:   make([]int64, k),
-		pair:       make([]uint8, k*k),
-		hop:        make([]int32, k*k),
-		res: Result{
-			Deliveries: make([]int64, k),
-			Status:     make([]mcastsim.DestStatus, k),
-			AdoptedBy:  make([]int, k),
-			FallbackAt: -1,
-		},
-	}
-	for i := range r.res.Deliveries {
-		r.res.Deliveries[i] = -1
-		r.res.AdoptedBy[i] = -1
-	}
-	if cfg.Repair == RepairBinomial {
-		// Binomial as a fixed policy: the degradation endpoint from the
-		// first plan, recorded at cycle 0.
-		r.fallback = true
-		r.res.FallbackAt = 0
-	}
-
-	max := cfg.Sim.MaxCycles
-	if max <= 0 {
-		// The mcastsim safety net, widened for the worst recovery case:
-		// every pair burning its whole retry budget with maximum backoff.
-		perMsg := int64(net.Config().Flits(msgBytes+cfg.Sim.AddrBytes*k)) + int64(net.Topology().NumChannels())
-		soft := r.tSend + r.tRecv + r.tHold
-		base := (perMsg+soft+1024)*int64(k+1)*4 + 1<<20
-		perAssign := (r.timeout + cfg.BackoffBase<<7) * int64(maxRetry+1)
-		max = base + int64(k+2)*int64(k+2)*perAssign
-	}
-	deadline := r.t0 + max
-
-	startStats := net.Stats()
-	r.deliverAt(root, chain.Segment{L: 0, R: k - 1}.Positions(), r.t0, nil)
-	for r.runErr == nil && (r.events.Len() > 0 || net.Active() > 0) {
-		if net.Active() == 0 {
-			if next := r.events.NextTime(); next > net.Now() {
-				net.AdvanceTo(next)
-			}
-		}
-		r.events.RunDue(net.Now())
-		if r.runErr != nil || (net.Active() == 0 && r.events.Len() == 0) {
-			break
-		}
-		if net.Active() > 0 {
-			// Step the fabric, but never past the next recovery event (a
-			// deadline or a pending injection must fire at its exact cycle)
-			// or the safety-net check.
-			limit := deadline + 1
-			if limit <= net.Now() {
-				limit = net.Now() + 1
-			}
-			if r.events.Len() > 0 && r.events.NextTime() < limit {
-				limit = r.events.NextTime()
-			}
-			net.StepUntil(limit)
-			r.reclaimFrozen()
-			if err := net.Err(); err != nil {
-				return Result{}, fmt.Errorf("recover: %w; %s", err, net.DeadlockReport(8))
-			}
-			if net.Now() > deadline {
-				return Result{}, fmt.Errorf("recover: multicast not complete after %d cycles; %s", max, net.DeadlockReport(8))
-			}
-		}
-	}
-	if r.runErr != nil {
-		return Result{}, r.runErr
-	}
-	if err := net.Quiesced(); err != nil {
-		return Result{}, fmt.Errorf("recover: fabric did not quiesce: %w", err)
-	}
-
-	for i := range ch {
-		if i == root {
-			continue
-		}
-		if r.delivered[i] {
-			r.res.Delivered++
-		} else {
-			r.res.Status[i] = mcastsim.StatusAbandoned
-			r.res.Abandoned++
-		}
-	}
-	end := net.Stats()
-	r.res.Worms = end.Worms - startStats.Worms
-	r.res.BlockedCycles = end.BlockedCycles - startStats.BlockedCycles
-	r.res.InjectWaitCycles = end.InjectWaitCycles - startStats.InjectWaitCycles
-	r.res.Cycles = end.Cycles - startStats.Cycles
-	return r.res, nil
-}
-
-// deliverAt records that the position self received the message (with
-// responsibility for live) at time t via assignment via (nil for the
-// source), then schedules its sends and revisits queued orphans — a new
-// delivered member is a new candidate relay.
-func (r *runner) deliverAt(self int, live []int, t int64, via *xfer) {
-	if r.delivered[self] {
-		r.fault(fmt.Errorf("recover: duplicate delivery to chain position %d", self))
-		return
-	}
-	r.delivered[self] = true
-	r.orphan[self] = false
-	r.res.Deliveries[self] = t - r.t0
-	if lat := t - r.t0; lat > r.res.Latency {
-		r.res.Latency = lat
-	}
-	adopted := false
-	if via != nil {
-		adopted = via.adopted
-		switch {
-		case via.adopted:
-			r.res.Status[self] = mcastsim.StatusAdopted
-			r.res.AdoptedBy[self] = via.from
-		case via.attempt > 0:
-			r.res.Status[self] = mcastsim.StatusRetried
-		default:
-			r.res.Status[self] = mcastsim.StatusDelivered
-		}
-	}
-	if len(live) > 1 {
-		r.spawn(self, live, t, adopted, false)
-	}
-	r.assignOrphans(t)
-}
-
-// spawn plans and issues self's sends for the live positions, using the
-// fallback table once the degradation policy has flipped. repair marks
-// the sends as replanned (they count toward Overhead.RepairSends and
-// their receivers as adopted).
-func (r *runner) spawn(self int, live []int, t int64, adopted, repair bool) {
-	var sends []plan.RepairSend
-	var err error
-	if r.cfg.DegreeCap > 0 {
-		sends, err = plan.DegreeSends(live, self, r.cfg.DegreeCap)
-	} else {
-		tab := r.tab
-		if r.fallback {
-			tab = r.fb
-		}
-		sends, err = plan.RepairSends(tab, live, self)
-	}
-	if err != nil {
-		r.fault(err)
-		return
-	}
-	for _, snd := range sends {
-		x := &xfer{from: self, to: snd.To, live: snd.Live, adopted: adopted || repair}
-		if repair {
-			r.res.Overhead.RepairSends++
-		}
-		r.issue(x, t)
-	}
-}
-
-// issue schedules one transmission of x no earlier than notBefore,
-// serialized behind the sender's other sends (one-port pacing: a node's
-// consecutive issues are t_hold apart, exactly mcastsim's spacing), and
-// arms its delivery deadline.
-func (r *runner) issue(x *xfer, notBefore int64) {
-	at := notBefore
-	if nf := r.nextFree[x.from]; nf > at {
-		at = nf
-	}
-	r.nextFree[x.from] = at + r.tHold
-	x.seq++
-	seq := x.seq
-	r.events.At(at+r.tSend, func() { r.inject(x, seq) })
-	r.events.At(at+r.timeout, func() { r.expire(x, seq) })
-	r.res.Overhead.Sends++
-}
-
-// inject hands x's message to the fabric (software send cost already
-// elapsed). The arrival callback schedules delivery after the receive
-// cost; the deadline event watches the race.
-func (r *runner) inject(x *xfer, seq int) {
-	if x.done || x.seq != seq {
-		return
-	}
-	bytes := r.bytes + r.cfg.Sim.AddrBytes*(len(x.live)-1)
-	src := wormhole.NodeID(r.ch[x.from])
-	dst := wormhole.NodeID(r.ch[x.to])
-	x.worm = r.net.Send(src, dst, bytes, x, func(_ *wormhole.Worm, now int64) {
-		x.done = true
-		x.worm = nil
-		r.events.At(now+r.tRecv, func() { r.deliverAt(x.to, x.live, now+r.tRecv, x) })
-	})
-}
-
-// expire fires at x's delivery deadline; if the current issue of x has
-// not arrived by then the send is declared lost.
-func (r *runner) expire(x *xfer, seq int) {
-	if x.done || x.seq != seq {
-		return
-	}
-	r.fail(x, false)
-}
-
-// reclaimFrozen cancels worms frozen by the fault layer (no live route)
-// and routes their assignments into the retry/give-up path immediately —
-// a frozen worm never completes, and waiting out its deadline would just
-// hold channels hostage. Cancelling the last frozen worm clears the
-// fabric error, so the run continues.
-func (r *runner) reclaimFrozen() {
-	r.unBuf = r.net.Unreachable(r.unBuf[:0])
-	for _, w := range r.unBuf {
-		x, ok := w.Tag.(*xfer)
-		if !ok {
-			r.fault(fmt.Errorf("recover: frozen worm %d carries foreign tag %T", w.ID, w.Tag))
-			return
-		}
-		r.fail(x, true)
-	}
-}
-
-// fail handles a lost send: the outstanding worm (if any) is withdrawn
-// so delivery stays at-most-once, then the assignment is retried with
-// bounded exponential backoff or given up. frozen marks losses where the
-// fault layer proved no live route existed from the worm's position —
-// if the idle-fabric oracle agrees the pair is unroutable, the retry
-// budget is skipped (retrying a provably dead route cannot help);
-// otherwise the freeze was a contention-driven detour into a dead end
-// and retrying on a quieter fabric can still succeed.
-func (r *runner) fail(x *xfer, frozen bool) {
-	if x.worm != nil {
-		r.net.Cancel(x.worm)
-		r.res.Overhead.Cancelled++
-		x.worm = nil
-	}
-	x.seq++
-	now := r.net.Now()
-	give := x.attempt >= r.maxRetry
-	if frozen && !r.routable(x.from, x.to) {
-		give = true
-	}
-	if give {
-		r.giveUp(x, now)
-		return
-	}
-	x.attempt++
-	r.res.Overhead.Retransmits++
-	r.issue(x, now+Backoff(r.cfg.BackoffBase, x.attempt, r.rng))
+	return g, nil
 }
 
 // Backoff returns the bounded exponential retransmission delay for the
 // given 1-based attempt: base<<min(attempt-1, 6) plus one seeded jitter
-// draw in [0, base). It is the single backoff schedule shared by the
-// recovery layer and the open-system traffic engine's reliable mode, so
-// both layers desynchronize retries identically. base must be >= 1.
+// draw in [0, base). It is the single backoff schedule of the delivery
+// engine, so every layer on it desynchronizes retries identically. base
+// must be >= 1.
 func Backoff(base int64, attempt int, rng *sim.RNG) int64 {
 	shift := uint(attempt - 1)
 	if shift > 6 {
 		shift = 6
 	}
 	return base<<shift + int64(rng.Uint64()%uint64(base))
-}
-
-// giveUp declares the (from, to) pair unroutable, re-plans the rest of
-// to's subtree from the same sender (subtree adoption via RepairSends),
-// queues to as an orphan for re-assignment to another delivered member,
-// and advances the graceful-degradation policy.
-func (r *runner) giveUp(x *xfer, now int64) {
-	k := len(r.ch)
-	r.pair[x.from*k+x.to] = pairUnroutable
-	r.res.Overhead.Repairs++
-	r.churn++
-	if !r.fallback && r.churnLimit >= 0 && r.churn >= r.churnLimit {
-		r.fallback = true
-		r.res.FallbackAt = now - r.t0
-	}
-	r.orphan[x.to] = true
-	if len(x.live) > 1 {
-		if r.cfg.Repair == RepairIncremental && !r.fallback && (r.incrLimit < 0 || r.churn <= r.incrLimit) {
-			// Incremental repair: excise only the lost member and graft
-			// the rest of its subtree, in one send, onto a surviving
-			// member — no OPT re-split at the sender.
-			r.graft(x, now)
-		} else {
-			// Full re-plan: survivors of the subtree to would have
-			// served, re-split from this sender over the surviving
-			// sub-chain (sender inserted in order).
-			liveSelf := make([]int, 0, len(x.live))
-			placed := false
-			for _, p := range x.live {
-				if p == x.to {
-					continue
-				}
-				if !placed && x.from < p {
-					liveSelf = append(liveSelf, x.from)
-					placed = true
-				}
-				liveSelf = append(liveSelf, p)
-			}
-			if !placed {
-				liveSelf = append(liveSelf, x.from)
-			}
-			r.spawn(x.from, liveSelf, now, true, true)
-		}
-	}
-	r.assignOrphans(now)
-}
-
-// graft implements the incremental repair step: the excised subtree's
-// survivors (the failed assignment's live set minus the given-up
-// member, order preserved) are handed whole to the survivor nearest the
-// sender by hop distance on the idle-fabric walk (ties to the lowest
-// chain position), costing exactly one repair send; the graft point
-// re-derives its own sends on delivery, exactly as any tree node does.
-// If no survivor is routable from the sender, the members are queued as
-// orphans for per-member adoption instead.
-func (r *runner) graft(x *xfer, now int64) {
-	k := len(r.ch)
-	rest := make([]int, 0, len(x.live)-1)
-	for _, p := range x.live {
-		if p != x.to {
-			rest = append(rest, p)
-		}
-	}
-	h, bestD := -1, 0
-	for _, p := range rest {
-		if r.pair[x.from*k+p] == pairUnroutable {
-			continue
-		}
-		d := r.hopDist(x.from, p)
-		if d < 0 {
-			continue
-		}
-		if h < 0 || d < bestD {
-			h, bestD = p, d
-		}
-	}
-	if h < 0 {
-		for _, p := range rest {
-			r.orphan[p] = true
-		}
-		return
-	}
-	nx := &xfer{from: x.from, to: h, live: rest, adopted: true}
-	r.res.Overhead.RepairSends++
-	r.issue(nx, now)
-}
-
-// assignOrphans retries delivery for every queued orphan that some
-// delivered member can still reach: the delivered member nearest the
-// orphan by hop distance on the idle-fabric walk (ties to the lowest
-// chain position) whose pair is not already given up. Assignment order
-// is position-ascending and the metric is a pure function of the fault
-// set, so the schedule is deterministic; unassignable orphans stay
-// queued until a new member is delivered, and are abandoned if the run
-// drains first.
-func (r *runner) assignOrphans(now int64) {
-	k := len(r.ch)
-	for c := 0; c < k; c++ {
-		if !r.orphan[c] || r.delivered[c] {
-			continue
-		}
-		best, bestD := -1, 0
-		for s := 0; s < k; s++ {
-			if s == c || !r.delivered[s] || r.pair[s*k+c] == pairUnroutable {
-				continue
-			}
-			d := r.hopDist(s, c)
-			if d < 0 {
-				continue
-			}
-			if best < 0 || d < bestD {
-				best, bestD = s, d
-			}
-		}
-		if best < 0 {
-			continue
-		}
-		r.orphan[c] = false
-		x := &xfer{from: best, to: c, live: []int{c}, adopted: true}
-		r.res.Overhead.OrphanSends++
-		r.issue(x, now)
-	}
-}
-
-// hopDist caches the idle-fabric HopDistance oracle per position pair —
-// dead channels never heal, so the verdict is stable for the whole run.
-// Returns -1 for unroutable pairs.
-func (r *runner) hopDist(a, b int) int {
-	i := a*len(r.ch) + b
-	if v := r.hop[i]; v != 0 {
-		if v < 0 {
-			return -1
-		}
-		return int(v - 1)
-	}
-	d := HopDistance(r.net.Topology(), r.net.Faults(), wormhole.NodeID(r.ch[a]), wormhole.NodeID(r.ch[b]))
-	if d < 0 {
-		r.hop[i] = -1
-	} else {
-		r.hop[i] = int32(d + 1)
-	}
-	return d
-}
-
-// routable reports whether the pair has any idle-fabric route.
-func (r *runner) routable(a, b int) bool { return r.hopDist(a, b) >= 0 }
-
-// fault records the first internal error; the run loop aborts on it.
-func (r *runner) fault(err error) {
-	if r.runErr == nil {
-		r.runErr = err
-	}
 }

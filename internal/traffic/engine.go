@@ -6,49 +6,34 @@ import (
 	"repro/internal/chain"
 	"repro/internal/core"
 	"repro/internal/mcastsim"
-	"repro/internal/plan"
 	recov "repro/internal/recover"
 	"repro/internal/sim"
 	"repro/internal/wormhole"
 )
 
-// xfer is one delivery assignment of one request: from must get the
-// message to to, which then becomes responsible for the ascending chain
-// positions live (to included). It survives retransmissions; seq
-// invalidates deadline and injection events of superseded issues —
-// exactly the internal/recover discipline, carried per request.
-type xfer struct {
-	rs       *reqState
-	from, to int
-	live     []int
-	attempt  int
-	seq      int
-	worm     *wormhole.Worm
-	done     bool
-}
-
 // reqState tracks one request through admission, service and completion.
 type reqState struct {
 	req         *request
 	start, done int64 // -1 until the event happens
-	delivered   []bool
-	resolved    int // delivered + abandoned chain positions
-	abandoned   int
 	shed        bool
+	// The delivery outcome, copied out at completion so the request's
+	// engine state can go as soon as it is served.
+	delivered []bool
+	abandoned int
+	overhead  mcastsim.Overhead
 }
 
 type engine struct {
 	net    *wormhole.Network
 	cfg    Config
 	events *sim.EventQueue
-	rng    *sim.RNG // reliable-mode backoff jitter
-	states []*reqState
-
-	// One-port ledger per fabric node: when each node's send port frees
-	// up. Shared across all in-flight requests, so overlapping multicasts
-	// serialize their software sends on a common CPU timeline — the
-	// open-system generalization of mcastsim's per-run t_hold spacing.
-	portFree []int64
+	// delivery serves every admitted request as a group on one engine,
+	// sharing its one-port ledger per fabric node — overlapping
+	// multicasts serialize their software sends on a common CPU
+	// timeline, the open-system generalization of mcastsim's per-run
+	// t_hold spacing — and its backoff jitter stream.
+	delivery *recov.Engine
+	states   []*reqState
 
 	inflight  int
 	queue     []*reqState
@@ -61,15 +46,6 @@ type engine struct {
 
 	occ       sim.TimeWeighted
 	warmStart int64
-
-	// Reliable-mode machinery.
-	reach       []int8 // nodes*nodes Routable cache: 0 unknown, 1 yes, -1 no
-	unBuf       []*wormhole.Worm
-	retransmits int64
-	repairSends int64
-	cancelled   int64
-
-	runErr error
 }
 
 // Run executes one open-system traffic run on net, which must be a
@@ -92,16 +68,13 @@ func Run(net *wormhole.Network, cfg Config) (Result, error) {
 
 	t0 := net.Now()
 	reqs := genRequests(cfg, nodes)
+	events := new(sim.EventQueue)
 	e := &engine{
 		net:      net,
 		cfg:      cfg,
-		events:   new(sim.EventQueue),
-		rng:      sim.NewRNG(cfg.Seed ^ seedBackoff),
+		events:   events,
+		delivery: recov.NewEngine(net, events, sim.NewRNG(cfg.Seed^seedBackoff)),
 		states:   make([]*reqState, len(reqs)),
-		portFree: make([]int64, nodes),
-	}
-	if cfg.Reliable {
-		e.reach = make([]int8, nodes*nodes)
 	}
 	if cfg.Tuner != nil {
 		e.tabs = make(map[planKey]core.SplitTable)
@@ -122,48 +95,19 @@ func Run(net *wormhole.Network, cfg Config) (Result, error) {
 	if max <= 0 {
 		max = e.defaultMaxCycles(reqs, t0)
 	}
-	deadline := t0 + max
-	wd := mcastsim.NewWatchdog(net, mcastsim.Config{NoProgressCycles: cfg.NoProgressCycles})
-	startStats := net.Stats()
-
-	for e.runErr == nil && (e.events.Len() > 0 || net.Active() > 0) {
-		if net.Active() == 0 {
-			if next := e.events.NextTime(); next > net.Now() {
-				net.AdvanceTo(next)
-			}
-			wd.Idled()
-		}
-		e.events.RunDue(net.Now())
-		if e.runErr != nil || (net.Active() == 0 && e.events.Len() == 0) {
-			break
-		}
-		if net.Active() > 0 {
-			// Step the fabric, but never past the next engine event (an
-			// arrival, injection or deadline must fire at its exact cycle)
-			// or the safety-net check.
-			limit := deadline + 1
-			if limit <= net.Now() {
-				limit = net.Now() + 1
-			}
-			if e.events.Len() > 0 && e.events.NextTime() < limit {
-				limit = e.events.NextTime()
-			}
-			net.StepUntil(limit)
-			if cfg.Reliable {
-				e.reclaimFrozen()
-				if err := net.Err(); err != nil {
-					return Result{}, fmt.Errorf("traffic: %w; %s", err, net.DeadlockReport(8))
-				}
-			} else if err := wd.Check(); err != nil {
-				return Result{}, fmt.Errorf("traffic: %w", err)
-			}
-			if net.Now() > deadline {
-				return Result{}, fmt.Errorf("traffic: run not complete after %d cycles; %s", max, net.DeadlockReport(8))
-			}
-		}
+	// Reliable mode's per-send deadlines subsume the no-progress
+	// watchdog; plain mode has nothing else to notice a freeze.
+	var mon mcastsim.Monitor = e.delivery
+	if !cfg.Reliable {
+		mon = mcastsim.NewWatchdog(net, mcastsim.Config{NoProgressCycles: cfg.NoProgressCycles})
 	}
-	if e.runErr != nil {
-		return Result{}, e.runErr
+	startStats := net.Stats()
+	err := mcastsim.Drive(net, events, t0+max, mon)
+	if ferr := e.delivery.Err(); ferr != nil {
+		err = ferr
+	}
+	if err != nil {
+		return Result{}, fmt.Errorf("traffic: %w", err)
 	}
 	if err := net.Quiesced(); err != nil {
 		return Result{}, fmt.Errorf("traffic: fabric did not quiesce: %w", err)
@@ -209,13 +153,6 @@ func (e *engine) defaultMaxCycles(reqs []*request, t0 int64) int64 {
 	}
 	span := reqs[len(reqs)-1].arrive
 	return span + perReq*int64(len(reqs)+1) + 1<<20
-}
-
-// fault records the first internal error; the drive loop stops on it.
-func (e *engine) fault(err error) {
-	if e.runErr == nil {
-		e.runErr = err
-	}
 }
 
 // noteOcc records an in-service count change for the time-weighted
@@ -269,175 +206,34 @@ func (e *engine) resolve(rs *reqState, t int64) {
 
 // begin moves a request into service: the source "delivers" to itself
 // with responsibility for the whole chain, which schedules its sends.
+// Reliable mode arms the recover defaults (deadline 3·t_end, three
+// retries, backoff base t_end/4); plain mode arms no deadlines.
 func (e *engine) begin(rs *reqState, t int64) {
 	rs.start = t
 	if e.cfg.Tuner != nil {
 		e.resolve(rs, t)
 	}
-	rs.delivered = make([]bool, len(rs.req.ch))
 	e.inflight++
 	e.noteOcc(t)
-	all := make([]int, len(rs.req.ch))
-	for i := range all {
-		all[i] = i
-	}
-	e.deliver(rs, rs.req.root, all, t)
-}
-
-// deliver records that chain position self of rs has the message (with
-// responsibility for live) at time t, schedules its sends, and closes
-// the request out when every position is resolved.
-func (e *engine) deliver(rs *reqState, self int, live []int, t int64) {
-	if rs.delivered[self] {
-		e.fault(fmt.Errorf("traffic: duplicate delivery to request %d chain position %d", rs.req.id, self))
-		return
-	}
-	rs.delivered[self] = true
-	rs.resolved++
-	if len(live) > 1 {
-		e.spawn(rs, self, live, t, false)
-	}
-	e.maybeComplete(rs, t)
-}
-
-// spawn plans self's sends for the live positions and issues them.
-// repair marks give-up re-plans (counted separately).
-func (e *engine) spawn(rs *reqState, self int, live []int, t int64, repair bool) {
-	sends, err := plan.RepairSends(rs.req.tab, live, self)
-	if err != nil {
-		e.fault(err)
-		return
-	}
-	for _, snd := range sends {
-		if repair {
-			e.repairSends++
-		}
-		e.issue(&xfer{rs: rs, from: self, to: snd.To, live: snd.Live}, t)
-	}
-}
-
-// issue schedules one transmission of x no earlier than notBefore,
-// serialized behind every other send of the same fabric node via the
-// shared port ledger, and — in Reliable mode — arms its delivery
-// deadline.
-func (e *engine) issue(x *xfer, notBefore int64) {
-	node := x.rs.req.ch[x.from]
-	at := notBefore
-	if nf := e.portFree[node]; nf > at {
-		at = nf
-	}
-	e.portFree[node] = at + x.rs.req.tHold
-	x.seq++
-	seq := x.seq
-	e.events.At(at+x.rs.req.tSend, func() { e.inject(x, seq) })
+	rq := rs.req
+	cfg := recov.Config{Sim: mcastsim.Config{Software: e.cfg.Software, AddrBytes: e.cfg.AddrBytes}}
 	if e.cfg.Reliable {
-		e.events.At(at+x.rs.req.timeout, func() { e.expire(x, seq) })
+		cfg.TEnd = rq.tEnd
 	}
+	e.delivery.Serve(t, rq.tab, rq.ch, rq.root, rq.bytes, cfg, func(t int64, res recov.Result) { e.complete(rs, t, res) })
 }
 
-// inject hands x's message to the fabric (software send cost elapsed).
-func (e *engine) inject(x *xfer, seq int) {
-	if x.done || x.seq != seq {
-		return
-	}
-	rq := x.rs.req
-	bytes := rq.bytes + e.cfg.AddrBytes*(len(x.live)-1)
-	x.worm = e.net.Send(nodeOf(rq.ch[x.from]), nodeOf(rq.ch[x.to]), bytes, x, func(_ *wormhole.Worm, now int64) {
-		x.done = true
-		x.worm = nil
-		e.events.At(now+rq.tRecv, func() { e.deliver(x.rs, x.to, x.live, now+rq.tRecv) })
-	})
-}
-
-// expire fires at x's delivery deadline (Reliable mode only).
-func (e *engine) expire(x *xfer, seq int) {
-	if x.done || x.seq != seq {
-		return
-	}
-	e.fail(x, false)
-}
-
-// reclaimFrozen cancels worms the fault layer froze (no live route) and
-// routes their assignments into the retry/give-up path immediately.
-func (e *engine) reclaimFrozen() {
-	e.unBuf = e.net.Unreachable(e.unBuf[:0])
-	for _, w := range e.unBuf {
-		x, ok := w.Tag.(*xfer)
-		if !ok {
-			e.fault(fmt.Errorf("traffic: frozen worm %d carries foreign tag %T", w.ID, w.Tag))
-			return
-		}
-		e.fail(x, true)
-	}
-}
-
-// fail handles a lost send: withdraw the worm, then retry with the
-// shared backoff schedule or give the destination up — the
-// internal/recover policy with its default budget.
-func (e *engine) fail(x *xfer, frozen bool) {
-	if x.worm != nil {
-		e.net.Cancel(x.worm)
-		e.cancelled++
-		x.worm = nil
-	}
-	x.seq++
-	now := e.net.Now()
-	give := x.attempt >= reliableRetries
-	if frozen && !e.routable(x.rs.req.ch[x.from], x.rs.req.ch[x.to]) {
-		give = true
-	}
-	if give {
-		e.giveUp(x, now)
-		return
-	}
-	x.attempt++
-	e.retransmits++
-	e.issue(x, now+recov.Backoff(x.rs.req.backoffBase, x.attempt, e.rng))
-}
-
-// giveUp abandons x's destination and re-plans the rest of its subtree
-// from the same sender (subtree re-adoption: the sender joins the
-// surviving live list in chain order and re-runs the split over it).
-func (e *engine) giveUp(x *xfer, now int64) {
-	rs := x.rs
-	rs.abandoned++
-	rs.resolved++
-	rest := make([]int, 0, len(x.live)-1)
-	for _, p := range x.live {
-		if p != x.to {
-			rest = append(rest, p)
-		}
-	}
-	if len(rest) > 0 {
-		e.spawn(rs, x.from, insertSorted(rest, x.from), now, true)
-	}
-	e.maybeComplete(rs, now)
-}
-
-// routable answers the idle-fabric oracle for a fabric-node pair, cached
-// per run.
-func (e *engine) routable(from, to int) bool {
-	idx := from*e.net.Topology().NumNodes() + to
-	if v := e.reach[idx]; v != 0 {
-		return v > 0
-	}
-	ok := recov.Routable(e.net.Topology(), e.net.Faults(), nodeOf(from), nodeOf(to))
-	if ok {
-		e.reach[idx] = 1
-	} else {
-		e.reach[idx] = -1
-	}
-	return ok
-}
-
-// maybeComplete closes a request once every chain position is delivered
-// or abandoned, frees its service slot, and starts the next queued
-// request at the same cycle.
-func (e *engine) maybeComplete(rs *reqState, t int64) {
-	if rs.resolved < len(rs.req.ch) || rs.done >= 0 {
-		return
-	}
+// complete closes a request once every chain position is delivered or
+// abandoned, frees its service slot, and starts the next queued request
+// at the same cycle.
+func (e *engine) complete(rs *reqState, t int64, res recov.Result) {
 	rs.done = t
+	rs.delivered = make([]bool, len(res.Deliveries))
+	for p, d := range res.Deliveries {
+		rs.delivered[p] = d >= 0
+	}
+	rs.abandoned = res.Abandoned
+	rs.overhead = res.Overhead
 	e.inflight--
 	e.noteOcc(t)
 	if e.cfg.Tuner != nil {

@@ -70,9 +70,6 @@ func (e *engine) collect(t0 int64, start wormhole.Stats) Result {
 		Requests:    len(e.states),
 		Measured:    len(e.states) - e.cfg.Warmup,
 		Shed:        e.shedCount,
-		Retransmits: e.retransmits,
-		RepairSends: e.repairSends,
-		Cancelled:   e.cancelled,
 		WarmStart:   e.warmStart - t0,
 		LastArrival: e.states[len(e.states)-1].req.arrive,
 	}
@@ -102,6 +99,9 @@ func (e *engine) collect(t0 int64, start wormhole.Stats) Result {
 			rr.Abandoned = rs.abandoned
 			m.Completed++
 			m.AbandonedDests += rs.abandoned
+			m.Retransmits += rs.overhead.Retransmits
+			m.RepairSends += rs.overhead.RepairSends
+			m.Cancelled += rs.overhead.Cancelled
 			if measured {
 				m.CompletedMeasured++
 				if rr.Done > m.End {

@@ -19,12 +19,14 @@
 //     once the queue is full. Shed requests are always reported as shed,
 //     never silently dropped.
 //
-// Admitted requests run concurrently on one shared fabric through the
-// same delivery discipline as internal/mcastsim (nodes re-derive sends
-// from the split table on delivery; one-port spacing via a per-node port
-// ledger, so overlapping requests serialize their software sends
-// honestly), optionally wrapped in internal/recover's timeout/
-// retransmit/repair machinery for faulted fabrics (Reliable mode).
+// Admitted requests run concurrently on one shared fabric, each as a
+// group on one internal/recover delivery engine: nodes re-derive sends
+// from the split table on delivery, and one-port spacing comes from the
+// engine's per-node port ledger, so overlapping requests serialize their
+// software sends honestly. Reliable mode arms the engine's per-send
+// deadlines, retransmissions and give-up re-plans for faulted fabrics;
+// plain mode is the same engine with no deadlines armed. Arrivals,
+// admission and completion are this package's event source on top.
 //
 // The engine follows the event-queue-as-clock discipline: every
 // decision — arrival, admission, send issue, injection, deadline,
@@ -41,7 +43,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/model"
-	"repro/internal/wormhole"
 )
 
 // Arrival process kinds.
@@ -175,9 +176,9 @@ const (
 	seedBackoff  = 0xbac0_ff5e_ed00_77aa
 )
 
-// Reliable-mode constants, matching the internal/recover defaults: the
-// deadline slack factor on TEnd, the retransmission budget, and the
-// TEnd divisor for the backoff base.
+// The internal/recover defaults Reliable mode runs with — the deadline
+// slack factor on TEnd, the retransmission budget, and the TEnd divisor
+// for the backoff base — as the safety-net bound needs them.
 const (
 	reliableSlack   = 3
 	reliableRetries = 3
@@ -296,6 +297,3 @@ type Selector interface {
 	Choose(at int64, k, bytes int) Choice
 	Observe(at int64, algo, k, bytes int, latency int64)
 }
-
-// nodeOf is a readability alias for chain address → fabric node.
-func nodeOf(a int) wormhole.NodeID { return wormhole.NodeID(a) }

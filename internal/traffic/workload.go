@@ -1,10 +1,9 @@
 package traffic
 
 import (
-	"sort"
-
 	"repro/internal/chain"
 	"repro/internal/core"
+	"repro/internal/model"
 	"repro/internal/sim"
 )
 
@@ -26,10 +25,9 @@ type request struct {
 	ch    chain.Chain
 	root  int
 	tab   core.SplitTable
-	// Per-size software costs and reliable-mode deadline parameters.
-	tSend, tRecv, tHold int64
-	timeout             int64 // deadline after issue: TEnd*reliableSlack
-	backoffBase         int64
+	// tHold and tEnd are the per-size t_hold and calibrated t_end.
+	tHold int64
+	tEnd  model.Time
 }
 
 // genRequests draws the whole workload: arrival times from the arrival
@@ -74,25 +72,18 @@ func genRequests(cfg Config, nodes int) []*request {
 				tabs[tk] = tab
 			}
 		}
-		base := int64(tEnd) / backoffDivisor
-		if base < 1 {
-			base = 1
-		}
 		reqs[i] = &request{
-			id:          i,
-			arrive:      at,
-			k:           k,
-			bytes:       bytes,
-			addrs:       addrs,
-			algo:        -1,
-			ch:          ch,
-			root:        root,
-			tab:         tab,
-			tSend:       cfg.Software.Send.At(bytes),
-			tRecv:       cfg.Software.Recv.At(bytes),
-			tHold:       cfg.Software.Hold.At(bytes),
-			timeout:     int64(tEnd) * reliableSlack,
-			backoffBase: base,
+			id:     i,
+			arrive: at,
+			k:      k,
+			bytes:  bytes,
+			addrs:  addrs,
+			algo:   -1,
+			ch:     ch,
+			root:   root,
+			tab:    tab,
+			tHold:  cfg.Software.Hold.At(bytes),
+			tEnd:   tEnd,
 		}
 	}
 	return reqs
@@ -146,16 +137,4 @@ func drawMembers(rng *sim.RNG, nodes, k int, hot []int, hotFrac float64, down fu
 		add(v)
 	}
 	return members
-}
-
-// insertSorted returns xs with v inserted in ascending order; used when
-// a give-up re-adopts the rest of a subtree under its sender (the live
-// list plan.RepairSends consumes must stay strictly ascending).
-func insertSorted(xs []int, v int) []int {
-	i := sort.SearchInts(xs, v)
-	out := make([]int, 0, len(xs)+1)
-	out = append(out, xs[:i]...)
-	out = append(out, v)
-	out = append(out, xs[i:]...)
-	return out
 }
