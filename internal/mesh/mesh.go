@@ -96,11 +96,14 @@ func TryNew(dims ...int) (*Mesh, error) {
 		return nil, fmt.Errorf("mesh: dimensions %v give %d channels, overflowing the int32 ChannelID space (max %d)", dims, chans64, math.MaxInt32)
 	}
 	n := int(n64)
+	links := int(chans64 - 2*n64)
 	m := &Mesh{
-		dims:   append([]int(nil), dims...),
-		n:      n,
-		stride: stride,
-		link:   make([]wormhole.ChannelID, n*2*len(dims)),
+		dims:    append([]int(nil), dims...),
+		n:       n,
+		stride:  stride,
+		link:    make([]wormhole.ChannelID, n*2*len(dims)),
+		chanSrc: make([]wormhole.NodeID, 0, links),
+		chanDst: make([]wormhole.NodeID, 0, links),
 	}
 	for i := range m.link {
 		m.link[i] = wormhole.NoChannel

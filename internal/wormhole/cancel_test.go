@@ -7,6 +7,8 @@ package wormhole_test
 // cancelled fabric identically.
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -72,6 +74,52 @@ func TestCancelUnblocksWaiter(t *testing.T) {
 	}
 	if err := n.Quiesced(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCancelReleasesOnlyTheLiveWindow: a blocked worm whose tail has
+// already left the start of its path holds only the channels from its
+// first unreleased one on. Cancel must release exactly those, in path
+// order, at the cancel cycle, with one Release event each — on both
+// kernels.
+func TestCancelReleasesOnlyTheLiveWindow(t *testing.T) {
+	for _, k := range []Kernel{KernelFast, KernelReference} {
+		n := newMeshNet(8, 1, DefaultConfig())
+		n.SetKernel(k)
+		log := &eventLog{}
+		n.SetObserver(log)
+		n.Send(6, 7, 1<<12, nil, nil) // holds the last link for hundreds of cycles
+		stepTo(t, n, 10)
+		w := n.Send(0, 7, 16, nil, nil) // 3 flits compress behind it into two channels
+		stepTo(t, n, 60)
+		if w.BlockedCycles == 0 {
+			t.Fatal("worm never blocked behind the hog; scenario too weak")
+		}
+		released := 0
+		for _, e := range log.events {
+			if strings.Contains(e, fmt.Sprintf(" rel w=%d ", w.ID)) {
+				released++
+			}
+		}
+		if released == 0 || released >= len(w.Path()) {
+			t.Fatalf("kernel %d: %d of %d channels released before cancel; want a strict prefix", k, released, len(w.Path()))
+		}
+		before := len(log.events)
+		n.Cancel(w)
+		var want []string
+		for _, c := range w.Path()[released:] {
+			want = append(want, fmt.Sprintf("t=60 rel w=%d c=%d", w.ID, c))
+		}
+		if got := log.events[before:]; !reflect.DeepEqual(got, want) {
+			t.Fatalf("kernel %d: Cancel events\n got %q\nwant %q", k, got, want)
+		}
+		checkWindows(t, n)
+		if _, err := n.RunUntilIdle(1 << 20); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Quiesced(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -18,46 +18,6 @@ import (
 	. "repro/internal/wormhole"
 )
 
-// runWorkloadFaulty is runWorkload for fabrics that may legitimately
-// fail to drain: instead of t.Fatal on a RunUntilIdle error it captures
-// the error text as part of the observable outcome, and only demands
-// Quiesced on clean runs (an unreachable worm freezes holding its
-// channels by design).
-func runWorkloadFaulty(t *testing.T, n *Network, sends []timedSend) (runSnapshot, string) {
-	t.Helper()
-	log := &eventLog{}
-	n.SetObserver(log)
-	var snap runSnapshot
-	record := func(w *Worm, now int64) {
-		snap.Worms = append(snap.Worms, wormRecord{
-			ID: w.ID, Src: w.Src, Dst: w.Dst,
-			Bytes: w.Bytes, Flits: w.Flits(), PathLen: len(w.Path()),
-			InjectedAt: w.InjectedAt, ArrivedAt: w.ArrivedAt,
-			Blocked: w.BlockedCycles, InjectWait: w.InjectWaitCycles,
-		})
-	}
-	for _, s := range sends {
-		for n.Now() < s.at {
-			if n.Active() == 0 {
-				n.AdvanceTo(s.at)
-				break
-			}
-			n.StepUntil(s.at)
-		}
-		n.Send(s.src, s.dst, s.bytes, nil, record)
-	}
-	var errText string
-	if _, err := n.RunUntilIdle(1 << 20); err != nil {
-		errText = err.Error()
-	} else if err := n.Quiesced(); err != nil {
-		t.Fatal(err)
-	}
-	snap.Stats = n.Stats()
-	snap.Now = n.Now()
-	snap.Events = log.events
-	return snap, errText
-}
-
 // TestKernelDifferentialFaults runs seeded random workloads on all four
 // fabric families under shared seeded fault plans (dead + degraded +
 // flaky channels) through both kernels, requiring bit-identical
@@ -86,11 +46,11 @@ func TestKernelDifferentialFaults(t *testing.T) {
 				ref := New(p.topo, cfg)
 				ref.SetKernel(KernelReference)
 				ref.SetFaults(plan)
-				want, wantErr := runWorkloadFaulty(t, ref, sends)
+				want, wantErr := driveWorkload(t, ref, sends, true)
 
 				fast := New(p.topo, cfg)
 				fast.SetFaults(plan)
-				got, gotErr := runWorkloadFaulty(t, fast, sends)
+				got, gotErr := driveWorkload(t, fast, sends, true)
 
 				if gotErr != wantErr {
 					t.Fatalf("error text diverges:\n got %q\nwant %q", gotErr, wantErr)
@@ -117,7 +77,7 @@ func TestFaultsWithoutDeadLinksAlwaysDrain(t *testing.T) {
 			n.SetFaults(plan)
 			r := rand.New(rand.NewSource(99))
 			sends := randWorkload(r, p.topo.NumNodes(), 40)
-			snap, errText := runWorkloadFaulty(t, n, sends)
+			snap, errText := driveWorkload(t, n, sends, true)
 			if errText != "" {
 				t.Fatalf("degraded/flaky-only fabric failed to drain: %s", errText)
 			}
@@ -142,12 +102,7 @@ func (o *retainObserver) Release(now int64, w *Worm, c ChannelID)               
 func (o *retainObserver) Blocked(now int64, w *Worm, c ChannelID, holder *Worm) {}
 func (o *retainObserver) Complete(now int64, w *Worm) {
 	o.worms = append(o.worms, w)
-	o.seen = append(o.seen, wormRecord{
-		ID: w.ID, Src: w.Src, Dst: w.Dst,
-		Bytes: w.Bytes, Flits: w.Flits(), PathLen: len(w.Path()),
-		InjectedAt: w.InjectedAt, ArrivedAt: w.ArrivedAt,
-		Blocked: w.BlockedCycles, InjectWait: w.InjectWaitCycles,
-	})
+	o.seen = append(o.seen, recordWorm(w))
 }
 
 // TestRecyclingNeverPoolsUnderObserver is the regression test for the
@@ -182,13 +137,7 @@ func TestRecyclingNeverPoolsUnderObserver(t *testing.T) {
 		t.Fatalf("observed %d completions, want %d", len(obs.worms), len(sends))
 	}
 	for i, w := range obs.worms {
-		now := wormRecord{
-			ID: w.ID, Src: w.Src, Dst: w.Dst,
-			Bytes: w.Bytes, Flits: w.Flits(), PathLen: len(w.Path()),
-			InjectedAt: w.InjectedAt, ArrivedAt: w.ArrivedAt,
-			Blocked: w.BlockedCycles, InjectWait: w.InjectWaitCycles,
-		}
-		if now != obs.seen[i] {
+		if now := recordWorm(w); now != obs.seen[i] {
 			t.Fatalf("retained worm %d was rewritten after Complete (pooled and reissued):\n at Complete %+v\n now         %+v",
 				i, obs.seen[i], now)
 		}
@@ -233,7 +182,7 @@ func TestUnreachableErrorNamesTheWorm(t *testing.T) {
 		n.SetFaults(plan)
 		r := rand.New(rand.NewSource(int64(seed)))
 		sends := randWorkload(r, topo.NumNodes(), 64)
-		_, errText := runWorkloadFaulty(t, n, sends)
+		_, errText := driveWorkload(t, n, sends, true)
 		if errText == "" {
 			continue
 		}

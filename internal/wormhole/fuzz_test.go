@@ -12,7 +12,9 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/mesh"
+	"repro/internal/torus"
 	. "repro/internal/wormhole"
 )
 
@@ -41,13 +43,19 @@ func decodeSends(data []byte, nodes int) []timedSend {
 	return sends
 }
 
-// FuzzWormholeKernel checks, for every fuzz-derived workload on a 4×4
-// mesh: RunUntilIdle terminates, the fabric quiesces with every channel
-// released, flit conservation holds (injected == consumed == the closed
-// form flits×(hops+1) summed over worms), the fast kernel's full
-// observable outcome equals the reference kernel's, and the
+// FuzzWormholeKernel checks, for every fuzz-derived workload: the fabric
+// drains within the deadline, quiesces with every channel released (the
+// live windows checked after every step on the way), flit
+// conservation holds (injected == consumed == the closed form
+// flits×(hops+1) summed over worms), and the fast kernel's full
+// observable outcome equals the reference kernel's. It does so on three
+// fabrics, one per flit-motion loop of the fast kernel: a healthy 4×4
+// mesh (the check-free loop), a 4×4 torus whose virtual channels share
+// physical links, and the 4×4 mesh under a fault plan of degraded and
+// flaky channels seeded from the input (both the gated loop; with no
+// dead channel every workload still drains). On the healthy mesh the
 // domain-parallel kernel at P ∈ {1,2,4,8} — including a fuzz-derived
-// random node partition — matches byte for byte.
+// random node partition — must match byte for byte as well.
 func FuzzWormholeKernel(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 5, 8, 0, 1, 5, 8, 0, 2, 5, 8, 0, 3, 5, 8, 0})
@@ -60,40 +68,20 @@ func FuzzWormholeKernel(f *testing.F) {
 	}
 
 	topo := mesh.New2D(4, 4)
+	ring := torus.New2D(4, 4)
 	cfg := DefaultConfig()
 	cfg.RouterDelay = 2
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sends := decodeSends(data, topo.NumNodes())
-
-		run := func(k Kernel) runSnapshot {
-			n := New(topo, cfg)
-			n.SetKernel(k)
-			return runWorkload(t, n, sends) // fails the test if RunUntilIdle or Quiesced fail
+		want := fuzzLeg(t, "mesh", topo, nil, cfg, sends)
+		fuzzLeg(t, "torus", ring, nil, cfg, sends)
+		seed := uint64(len(data))
+		for _, b := range data {
+			seed = seed*131 + uint64(b)
 		}
-		got, want := run(KernelFast), run(KernelReference)
-
-		if len(got.Worms) != len(sends) {
-			t.Fatalf("%d of %d worms completed", len(got.Worms), len(sends))
-		}
-		var wantHops int64
-		for _, w := range got.Worms {
-			if w.Flits != cfg.Flits(w.Bytes) {
-				t.Fatalf("worm %d carried %d flits, want %d for %d bytes", w.ID, w.Flits, cfg.Flits(w.Bytes), w.Bytes)
-			}
-			// Injection + every inter-channel move + consumption: each of
-			// the worm's flits crosses each of its pathLen channels once
-			// and is consumed once. Equality with the kernel's FlitHops
-			// counter says every injected flit was consumed exactly once.
-			wantHops += int64(w.Flits) * int64(w.PathLen+1)
-		}
-		if got.Stats.FlitHops != wantHops {
-			t.Fatalf("flit conservation violated: %d flit-hops counted, %d implied by completed worms",
-				got.Stats.FlitHops, wantHops)
-		}
-		if !reflect.DeepEqual(got, want) {
-			diffSnapshots(t, got, want)
-		}
+		plan := fault.MustPlan(topo, fault.Spec{DegradedFrac: 0.15, FlakyFrac: 0.15, Seed: seed})
+		fuzzLeg(t, "faulted mesh", topo, plan, cfg, sends)
 
 		// Parallel legs: every P must reproduce the serial outcome
 		// (events excluded — parallel runs are observer-free). P=1 pins
@@ -120,4 +108,45 @@ func FuzzWormholeKernel(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fuzzLeg runs sends on topo (under plan, when non-nil) through the fast
+// and reference kernels, requires every worm delivered with flits
+// conserved and the two outcomes identical, and returns the reference
+// outcome.
+func fuzzLeg(t *testing.T, name string, topo Topology, plan FaultModel, cfg Config, sends []timedSend) runSnapshot {
+	t.Helper()
+	run := func(k Kernel) runSnapshot {
+		n := New(topo, cfg)
+		n.SetKernel(k)
+		if plan != nil {
+			n.SetFaults(plan)
+		}
+		return runWorkload(t, n, sends) // fails the test unless the fabric drains and quiesces
+	}
+	got, want := run(KernelFast), run(KernelReference)
+
+	if len(got.Worms) != len(sends) {
+		t.Fatalf("%s: %d of %d worms completed", name, len(got.Worms), len(sends))
+	}
+	var wantHops int64
+	for _, w := range got.Worms {
+		if w.Flits != cfg.Flits(w.Bytes) {
+			t.Fatalf("%s: worm %d carried %d flits, want %d for %d bytes", name, w.ID, w.Flits, cfg.Flits(w.Bytes), w.Bytes)
+		}
+		// Injection + every inter-channel move + consumption: each of
+		// the worm's flits crosses each of its pathLen channels once
+		// and is consumed once. Equality with the kernel's FlitHops
+		// counter says every injected flit was consumed exactly once.
+		wantHops += int64(w.Flits) * int64(w.PathLen+1)
+	}
+	if got.Stats.FlitHops != wantHops {
+		t.Fatalf("%s: flit conservation violated: %d flit-hops counted, %d implied by completed worms",
+			name, got.Stats.FlitHops, wantHops)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: fast kernel diverges from reference:", name)
+		diffSnapshots(t, got, want)
+	}
+	return want
 }

@@ -91,22 +91,50 @@ func randWorkload(r *rand.Rand, nodes, count int) []timedSend {
 	return sends
 }
 
-// runWorkload drives a network through the timed sends exactly as the
-// mcastsim drivers do — AdvanceTo across idle gaps, StepUntil bounded by
-// the next injection time — and returns the complete observable outcome.
-func runWorkload(t *testing.T, n *Network, sends []timedSend) runSnapshot {
-	t.Helper()
-	log := &eventLog{}
-	n.SetObserver(log)
-	var snap runSnapshot
-	record := func(w *Worm, now int64) {
-		snap.Worms = append(snap.Worms, wormRecord{
-			ID: w.ID, Src: w.Src, Dst: w.Dst,
-			Bytes: w.Bytes, Flits: w.Flits(), PathLen: len(w.Path()),
-			InjectedAt: w.InjectedAt, ArrivedAt: w.ArrivedAt,
-			Blocked: w.BlockedCycles, InjectWait: w.InjectWaitCycles,
-		})
+// recordWorm snapshots everything observable about a completed worm.
+func recordWorm(w *Worm) wormRecord {
+	return wormRecord{
+		ID: w.ID, Src: w.Src, Dst: w.Dst,
+		Bytes: w.Bytes, Flits: w.Flits(), PathLen: len(w.Path()),
+		InjectedAt: w.InjectedAt, ArrivedAt: w.ArrivedAt,
+		Blocked: w.BlockedCycles, InjectWait: w.InjectWaitCycles,
 	}
+}
+
+// checkWindows fails the test if any in-flight worm's live window (its
+// first unreleased channel onward) or the owned-channel count disagrees
+// with the owner table.
+func checkWindows(t *testing.T, n *Network) {
+	t.Helper()
+	if err := n.CheckLiveWindows(); err != nil {
+		t.Fatalf("cycle %d: %v", n.Now(), err)
+	}
+}
+
+// drainLimit bounds the final drain of a workload, as RunUntilIdle's
+// maxCycles would.
+const drainLimit = 1 << 22
+
+// driveWorkload drives a network through the timed sends exactly as the
+// mcastsim drivers do — AdvanceTo across idle gaps, StepUntil bounded by
+// the next injection time — then drains it with RunUntilIdle's checks:
+// stop at the first fabric error (Err) or once drainLimit cycles have
+// passed. The live-window invariants are checked after every StepUntil.
+// With observe the full event stream is recorded; without it the network
+// may step the domain-parallel kernel, which an attached Observer would
+// force back to serial. It returns the observable outcome and the text of
+// the error that stopped the drain: "" when the fabric drained, which must
+// then be quiesced. On faulted fabrics the error text is part of the
+// outcome (an unreachable worm freezes holding its channels by design).
+func driveWorkload(t *testing.T, n *Network, sends []timedSend, observe bool) (runSnapshot, string) {
+	t.Helper()
+	var log *eventLog
+	if observe {
+		log = &eventLog{}
+		n.SetObserver(log)
+	}
+	var snap runSnapshot
+	record := func(w *Worm, now int64) { snap.Worms = append(snap.Worms, recordWorm(w)) }
 	for _, s := range sends {
 		for n.Now() < s.at {
 			if n.Active() == 0 {
@@ -114,55 +142,55 @@ func runWorkload(t *testing.T, n *Network, sends []timedSend) runSnapshot {
 				break
 			}
 			n.StepUntil(s.at)
+			checkWindows(t, n)
 		}
 		n.Send(s.src, s.dst, s.bytes, nil, record)
 	}
-	if _, err := n.RunUntilIdle(1 << 22); err != nil {
-		t.Fatal(err)
+	var errText string
+	start := n.Now()
+	for n.Active() > 0 && n.Err() == nil {
+		if n.Now()-start >= drainLimit {
+			errText = fmt.Sprintf("wormhole: network not idle after %d cycles (%d worms in flight)", drainLimit, n.Active())
+			break
+		}
+		n.StepUntil(start + drainLimit)
+		checkWindows(t, n)
 	}
-	if err := n.Quiesced(); err != nil {
-		t.Fatal(err)
+	if err := n.Err(); err != nil {
+		errText = err.Error()
+	} else if errText == "" {
+		if err := n.Quiesced(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	snap.Stats = n.Stats()
 	snap.Now = n.Now()
-	snap.Events = log.events
+	if log != nil {
+		snap.Events = log.events
+	}
+	return snap, errText
+}
+
+// runWorkload drives a workload that must drain, recording its event
+// stream.
+func runWorkload(t *testing.T, n *Network, sends []timedSend) runSnapshot {
+	t.Helper()
+	snap, errText := driveWorkload(t, n, sends, true)
+	if errText != "" {
+		t.Fatal(errText)
+	}
 	return snap
 }
 
 // runWorkloadQuiet is runWorkload without the event-log observer, for
-// networks stepping the domain-parallel kernel: an attached Observer
-// forces the (observably equivalent) serial fallback, so parallel legs
-// of the differential must run observer-free and compare eventless
-// snapshots.
+// networks stepping the domain-parallel kernel; parallel legs of the
+// differential compare eventless snapshots.
 func runWorkloadQuiet(t *testing.T, n *Network, sends []timedSend) runSnapshot {
 	t.Helper()
-	var snap runSnapshot
-	record := func(w *Worm, now int64) {
-		snap.Worms = append(snap.Worms, wormRecord{
-			ID: w.ID, Src: w.Src, Dst: w.Dst,
-			Bytes: w.Bytes, Flits: w.Flits(), PathLen: len(w.Path()),
-			InjectedAt: w.InjectedAt, ArrivedAt: w.ArrivedAt,
-			Blocked: w.BlockedCycles, InjectWait: w.InjectWaitCycles,
-		})
+	snap, errText := driveWorkload(t, n, sends, false)
+	if errText != "" {
+		t.Fatal(errText)
 	}
-	for _, s := range sends {
-		for n.Now() < s.at {
-			if n.Active() == 0 {
-				n.AdvanceTo(s.at)
-				break
-			}
-			n.StepUntil(s.at)
-		}
-		n.Send(s.src, s.dst, s.bytes, nil, record)
-	}
-	if _, err := n.RunUntilIdle(1 << 22); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Quiesced(); err != nil {
-		t.Fatal(err)
-	}
-	snap.Stats = n.Stats()
-	snap.Now = n.Now()
 	return snap
 }
 
@@ -291,11 +319,13 @@ func TestKernelDifferentialStepwise(t *testing.T) {
 		for _, s := range sends {
 			for n.Now() < s.at {
 				n.Step()
+				checkWindows(t, n)
 			}
 			n.Send(s.src, s.dst, s.bytes, nil, record)
 		}
 		for n.Active() > 0 {
 			n.Step()
+			checkWindows(t, n)
 		}
 		snap.Stats = n.Stats()
 		snap.Now = n.Now()

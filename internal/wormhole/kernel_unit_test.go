@@ -116,6 +116,18 @@ func TestQuiescedLeakedChannel(t *testing.T) {
 	}
 }
 
+// TestQuiescedCountDisagrees pins the O(1) Quiesced's consistency
+// error: an owned-channel count that is not zero while the owner table
+// holds nothing is reported as such, not silently accepted.
+func TestQuiescedCountDisagrees(t *testing.T) {
+	n := newMeshNet(4, 4, DefaultConfig())
+	n.ForceOwnedCount(2)
+	err := n.Quiesced()
+	if err == nil || !strings.Contains(err.Error(), "2 channels counted as owned") {
+		t.Fatalf("Quiesced with a drifted owned count: %v", err)
+	}
+}
+
 func TestSetKernelActivePanics(t *testing.T) {
 	n := newMeshNet(4, 4, DefaultConfig())
 	n.Send(0, 5, 64, nil, nil)

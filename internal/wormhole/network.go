@@ -120,9 +120,16 @@ type Worm struct {
 	// ArrivedAt is the cycle the tail flit was consumed at Dst.
 	ArrivedAt int64
 
-	flits         int
-	path          []ChannelID
-	passed        []int // flits that have exited path[i]
+	flits  int
+	path   []ChannelID
+	passed []int // flits that have exited path[i]
+	// tail is the index of the first unreleased channel: path[:tail] are
+	// released (passed == flits) and path[tail:] are still owned. A
+	// channel empties only after its upstream neighbour has, because
+	// passed[i] <= passed[i-1] <= injected, so the released channels
+	// always form a prefix: the fast kernels' flit motion walks only
+	// path[tail:], and Cancel releases exactly path[tail:].
+	tail          int
 	injected      int
 	headerReadyAt int64
 	routed        bool // path ends at Dst's ejection channel
@@ -212,6 +219,7 @@ type Network struct {
 	// keep the hot arrays pointer-free and give the parallel kernel
 	// stable worm identities across the per-cycle compaction of worms.
 	owner  []int32
+	owned  int // channels with owner >= 0, so Quiesced need not scan owner
 	inject []ChannelID
 	eject  []ChannelID
 
@@ -601,10 +609,8 @@ func (n *Network) Cancel(w *Worm) {
 	if at < 0 {
 		panic(fmt.Sprintf("wormhole: Cancel of worm %d not in flight", w.ID))
 	}
-	for i := range w.path {
-		if n.owner[w.path[i]] == w.slot {
-			n.release(w, i)
-		}
+	for w.tail < len(w.path) {
+		n.release(w, w.tail)
 	}
 	wasFrozen := w.waitState == waitUnreachable
 	n.worms = append(n.worms[:at], n.worms[at+1:]...)
@@ -804,13 +810,8 @@ func (n *Network) stepFast() {
 	if k := len(n.worms); k > 0 {
 		start := int(n.rotation % int64(k))
 		n.rotation++
-		for i := 0; i < k; i++ {
-			w := n.worms[(start+i)%k]
-			if n.asleep[w.slot] != 0 {
-				continue
-			}
-			n.moveFlitsFast(w)
-		}
+		n.moveWorms(n.worms[start:])
+		n.moveWorms(n.worms[:start])
 	}
 	for _, w := range n.worms {
 		n.routeHeaderFast(w)
@@ -820,12 +821,114 @@ func (n *Network) stepFast() {
 	}
 }
 
+// moveWorms runs phase A over ws in order, skipping sleepers. A fabric
+// with no fault model and no shared physical links can never refuse a
+// flit, so it takes the check-free loop; every other fabric takes the
+// gated one.
+//
+//lint:hotpath
+func (n *Network) moveWorms(ws []*Worm) {
+	if n.faults == nil && n.lg == nil {
+		for _, w := range ws {
+			if n.asleep[w.slot] == 0 {
+				n.moveFlitsUngated(w)
+			}
+		}
+		return
+	}
+	for _, w := range ws {
+		if n.asleep[w.slot] == 0 {
+			n.moveFlitsFast(w)
+		}
+	}
+}
+
+// moveFlitsUngated is moveFlitsFast for fabrics where every channel
+// accepts a flit whenever its buffer has room (no FaultModel, no
+// LinkGrouper): no chanUp or linkFree call, each passed counter read
+// once with the upstream count carried down the live window, and the
+// flit-hops credited once per worm. Its moves, releases, headerReadyAt
+// stamps and sleep verdict are exactly moveFlitsFast's on such a fabric.
+//
+//lint:hotpath
+func (n *Network) moveFlitsUngated(w *Worm) {
+	if w.done || len(w.path) == 0 {
+		return
+	}
+	buf, passed := n.cfg.BufFlits, w.passed
+	last, tail := len(w.path)-1, w.tail
+	hops := int64(0)
+	// cur is passed[i] and up is entered(i) = passed[i-1] (the injected
+	// count at i == 0), for i walking from last down to tail.
+	cur, up := passed[last], w.injected
+	if last > 0 {
+		up = passed[last-1]
+	}
+	// Consumption at the destination interface.
+	if w.routed && up > cur {
+		cur++
+		passed[last] = cur
+		hops++
+		if cur == w.flits {
+			n.release(w, last)
+			w.done = true
+			w.ArrivedAt = n.now
+			// Indexed push: Send reserved cap(completed) >= len(worms).
+			k := len(n.completed)
+			n.completed = n.completed[:k+1]
+			n.completed[k] = w
+		}
+	}
+	// Interior hops, downstream first: next is passed[i+1] after this
+	// cycle's move out of channel i+1, so a vacated slot is refilled in
+	// the same cycle.
+	for i := last - 1; i >= tail; i-- {
+		next := cur
+		cur = up
+		up = w.injected
+		if i > 0 {
+			up = passed[i-1]
+		}
+		if up > cur && cur-next < buf {
+			cur++
+			passed[i] = cur
+			hops++
+			if cur == 1 && i+1 == last && !w.routed {
+				// The header flit just reached the frontier router.
+				w.headerReadyAt = n.now + n.cfg.RouterDelay
+			}
+			if cur == w.flits {
+				n.release(w, i)
+			}
+		}
+	}
+	// Injection from the source interface. A pending injection means
+	// nothing is released yet (tail == 0), so cur is passed[0] here.
+	if w.injected < w.flits && w.injected-cur < buf {
+		w.injected++
+		hops++
+		if w.injected == 1 {
+			w.InjectedAt = n.now
+			if last == 0 && !w.routed {
+				w.headerReadyAt = n.now + n.cfg.RouterDelay
+			}
+		}
+	}
+	if hops > 0 {
+		n.stats.FlitHops += hops
+		n.progress = true
+	} else {
+		n.asleep[w.slot] = 1
+	}
+}
+
 // moveFlitsFast is moveFlits plus scheduling bookkeeping: it marks the
 // worm asleep when no flit could move for buffer-occupancy reasons
 // (occupancy is worm-local, so the verdict holds until the worm acquires
 // a channel), and records fabric-wide progress. A move refused only by
 // physical-link sharing does not put the worm to sleep — the link may be
-// free next cycle.
+// free next cycle. Channels before w.tail are empty, so the scan stops
+// there.
 //
 //lint:hotpath
 func (n *Network) moveFlitsFast(w *Worm) {
@@ -852,7 +955,7 @@ func (n *Network) moveFlitsFast(w *Worm) {
 		}
 	}
 	// Interior hops.
-	for i := last - 1; i >= 0; i-- {
+	for i := last - 1; i >= w.tail; i-- {
 		if w.occ(i) > 0 && w.occ(i+1) < n.cfg.BufFlits {
 			// A fault-refused move is transient (the channel may come back
 			// up next cycle): treat it like a busy link, not a sleepable
@@ -1121,6 +1224,7 @@ func (n *Network) noRouteBug(w *Worm, last int) {
 
 func (n *Network) acquire(w *Worm, c ChannelID) {
 	n.owner[c] = w.slot
+	n.owned++
 	w.path = append(w.path, c)
 	w.passed = append(w.passed, 0)
 	if c == n.eject[w.Dst] {
@@ -1137,12 +1241,16 @@ func (n *Network) acquire(w *Worm, c ChannelID) {
 	}
 }
 
+// release frees path[i], which must be the worm's first unreleased
+// channel (i == w.tail; see Worm.tail), and advances the live window.
 func (n *Network) release(w *Worm, i int) {
 	c := w.path[i]
 	if n.owner[c] != w.slot {
 		n.badRelease(w, c)
 	}
 	n.owner[c] = -1
+	n.owned--
+	w.tail = i + 1
 	n.epoch++
 	if n.obs != nil {
 		n.obs.Release(n.now, w, c)
@@ -1358,15 +1466,19 @@ func (n *Network) DeadlockReport(max int) string {
 
 // Quiesced verifies the post-run invariants: no active worms and every
 // channel released. Tests call this to prove conservation (flits injected
-// were all consumed and nothing leaked).
+// were all consumed and nothing leaked). It is O(1) on a clean fabric:
+// the owner table is scanned only to name a leaked channel.
 func (n *Network) Quiesced() error {
 	if len(n.worms) != 0 {
 		return fmt.Errorf("wormhole: %d worms still active", len(n.worms))
+	}
+	if n.owned == 0 {
+		return nil
 	}
 	for c, s := range n.owner {
 		if s >= 0 {
 			return fmt.Errorf("wormhole: channel %s still owned by worm %d", n.topo.DescribeChannel(ChannelID(c)), n.slots[s].ID)
 		}
 	}
-	return nil
+	return fmt.Errorf("wormhole: %d channels counted as owned, but the owner table holds none", n.owned)
 }

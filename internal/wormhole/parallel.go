@@ -47,7 +47,7 @@ import "repro/internal/sim"
 // domains' hot counters never share a cache line.
 type domainAcc struct {
 	flitHops   int64
-	releases   int64 // ownership-epoch delta (one per released channel)
+	releases   int64 // epoch and owned-count delta (one per released channel)
 	progress   bool
 	faultStall bool
 	completed  []int32 // slots completed this cycle, domain-local order
@@ -140,6 +140,7 @@ func (n *Network) stepParallel() {
 			acc := &n.domAcc[d]
 			n.stats.FlitHops += acc.flitHops
 			n.epoch += acc.releases
+			n.owned -= int(acc.releases)
 			if acc.progress {
 				n.progress = true
 			}
@@ -240,7 +241,7 @@ func (n *Network) moveFlitsPar(w *Worm, acc *domainAcc) {
 		}
 	}
 	// Interior hops.
-	for i := last - 1; i >= 0; i-- {
+	for i := last - 1; i >= w.tail; i-- {
 		if w.occ(i) > 0 && w.occ(i+1) < n.cfg.BufFlits {
 			if !n.chanUp(w.path[i+1]) {
 				acc.faultStall = true
@@ -283,9 +284,9 @@ func (n *Network) moveFlitsPar(w *Worm, acc *domainAcc) {
 	}
 }
 
-// releasePar is release for phase-A workers: the epoch bump is deferred
-// to the merge (counted in acc.releases) and no observer can be
-// attached on the parallel path.
+// releasePar is release for phase-A workers: the epoch bump and the
+// owned-channel count are deferred to the merge (counted in
+// acc.releases) and no observer can be attached on the parallel path.
 //
 //lint:hotpath
 func (n *Network) releasePar(w *Worm, i int, acc *domainAcc) {
@@ -294,5 +295,6 @@ func (n *Network) releasePar(w *Worm, i int, acc *domainAcc) {
 		n.badRelease(w, c)
 	}
 	n.owner[c] = -1
+	w.tail = i + 1
 	acc.releases++
 }

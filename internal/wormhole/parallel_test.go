@@ -71,13 +71,13 @@ func TestParallelDifferentialFaults(t *testing.T) {
 
 				serial := New(p.topo, DefaultConfig())
 				serial.SetFaults(plan)
-				want, wantErr := runWorkloadFaultyQuiet(t, serial, sends)
+				want, wantErr := driveWorkload(t, serial, sends, false)
 
 				for _, P := range []int{2, 4, 8} {
 					par := New(p.topo, DefaultConfig())
 					par.SetFaults(plan)
 					par.SetParallelism(P)
-					got, gotErr := runWorkloadFaultyQuiet(t, par, sends)
+					got, gotErr := driveWorkload(t, par, sends, false)
 					if gotErr != wantErr {
 						t.Fatalf("P=%d error text diverges:\n got %q\nwant %q", P, gotErr, wantErr)
 					}
@@ -86,42 +86,6 @@ func TestParallelDifferentialFaults(t *testing.T) {
 			})
 		}
 	}
-}
-
-// runWorkloadFaultyQuiet is runWorkloadFaulty without the observer, for
-// parallel networks; see runWorkloadQuiet. It does not demand the run
-// drains (dead channels may strand worms) and captures the error text as
-// part of the outcome instead.
-func runWorkloadFaultyQuiet(t *testing.T, n *Network, sends []timedSend) (runSnapshot, string) {
-	t.Helper()
-	var snap runSnapshot
-	record := func(w *Worm, now int64) {
-		snap.Worms = append(snap.Worms, wormRecord{
-			ID: w.ID, Src: w.Src, Dst: w.Dst,
-			Bytes: w.Bytes, Flits: w.Flits(), PathLen: len(w.Path()),
-			InjectedAt: w.InjectedAt, ArrivedAt: w.ArrivedAt,
-			Blocked: w.BlockedCycles, InjectWait: w.InjectWaitCycles,
-		})
-	}
-	for _, s := range sends {
-		for n.Now() < s.at {
-			if n.Active() == 0 {
-				n.AdvanceTo(s.at)
-				break
-			}
-			n.StepUntil(s.at)
-		}
-		n.Send(s.src, s.dst, s.bytes, nil, record)
-	}
-	var errText string
-	if _, err := n.RunUntilIdle(1 << 20); err != nil {
-		errText = err.Error()
-	} else if err := n.Quiesced(); err != nil {
-		t.Fatal(err)
-	}
-	snap.Stats = n.Stats()
-	snap.Now = n.Now()
-	return snap, errText
 }
 
 // TestParallelRandomPartitions is the partition-independence property:
