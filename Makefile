@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-check lint-baseline vet fmt fmt-check bench bench-tuner bench-smoke bench-gate bench-check fault-smoke recover-smoke traffic-smoke churn-smoke tuner-smoke shard-smoke scale-smoke tuner-surface golden golden-check ci
+.PHONY: all build test race lint lint-check lint-baseline vet fmt fmt-check bench bench-tuner bench-smoke bench-gate bench-check shard-smoke scale-smoke tuner-surface golden golden-check ci
 
 all: build
 
@@ -16,10 +16,11 @@ test:
 # Race-detect the concurrency-bearing packages (the deterministic
 # fan-out harness, the concurrent multicast simulator, the fault plans
 # shared read-only across sweep workers, the recovery layer the sweeps
-# fan out over, the open-system traffic engine, and the membership
-# engine driving churn schedules through sweep workers).
+# fan out over, the open-system traffic engine, the membership engine
+# driving churn schedules through sweep workers, and the tuner whose
+# surfaces and policies the traffic sweeps share).
 race:
-	$(GO) test -race ./internal/sim/... ./internal/mcastsim/... ./internal/fault/... ./internal/recover/... ./internal/traffic/... ./internal/member/...
+	$(GO) test -race ./internal/sim/... ./internal/mcastsim/... ./internal/fault/... ./internal/recover/... ./internal/traffic/... ./internal/member/... ./internal/tuner/...
 
 vet:
 	$(GO) vet ./...
@@ -86,74 +87,24 @@ bench-gate:
 bench-check:
 	cd bench && $(GO) test ./...
 
-# End-to-end fault-injection smoke: generate the F1 degradation table at
-# low trial count, exercising fault plans, degraded routing and the run
-# watchdog through the real CLI path.
-fault-smoke:
-	$(GO) run ./cmd/mcastbench -fig f1 -trials 2
-
-# Reliable-delivery smoke: the F2 recovery tables at low trial count,
-# exercising timeout/retransmit, tree repair, the binomial fallback and
-# the reachability oracle through the real CLI path.
-recover-smoke:
-	$(GO) run ./cmd/mcastbench -fig f2 -trials 2
-
-# Open-system smoke: the F3 traffic tables (throughput/latency curves,
-# saturation notes) through the real CLI path, exercising the arrival
-# processes, admission queue and the per-rate traffic cells.
-traffic-smoke:
-	$(GO) run ./cmd/mcastbench -fig f3
-
-# Churn smoke: the membership engine under the race detector (churn
-# chaos battery included), then the F5 churn tables split across two
-# shard runs, merged from cache alone — asserting the merge recomputed
-# nothing and printed the same bytes as a serial run.
-churn-smoke:
-	$(GO) test -race ./internal/member/
-	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) build -o $$tmp/mcastbench ./cmd/mcastbench; \
-	$$tmp/mcastbench -fig f5 -trials 2 > $$tmp/serial.txt; \
-	$$tmp/mcastbench -fig f5 -trials 2 -shard 0/2 -cache $$tmp/cache > /dev/null; \
-	$$tmp/mcastbench -fig f5 -trials 2 -shard 1/2 -cache $$tmp/cache > /dev/null; \
-	$$tmp/mcastbench -fig f5 -trials 2 -cache $$tmp/cache -resume -summary $$tmp/summary.json > $$tmp/merged.txt; \
-	cmp $$tmp/serial.txt $$tmp/merged.txt; \
-	grep -q '"computed": 0' $$tmp/summary.json; \
-	grep -q '"complete": true' $$tmp/summary.json; \
-	echo "churn-smoke: F5 merge bit-identical to serial run, 0 cells recomputed"
-
-# Tuner smoke: the tuner package (surface compile, policy drift, the
-# seeded switch-point regression, alloc-free hot path) under the race
-# detector, then the F6 crossover-surface tables split across two
-# shard runs, merged from cache alone — asserting the merge recomputed
-# nothing and printed the same bytes as a serial run.
-tuner-smoke:
-	$(GO) test -race ./internal/tuner/
-	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) build -o $$tmp/mcastbench ./cmd/mcastbench; \
-	$$tmp/mcastbench -fig f6 -trials 2 > $$tmp/serial.txt; \
-	$$tmp/mcastbench -fig f6 -trials 2 -shard 0/2 -cache $$tmp/cache > /dev/null; \
-	$$tmp/mcastbench -fig f6 -trials 2 -shard 1/2 -cache $$tmp/cache > /dev/null; \
-	$$tmp/mcastbench -fig f6 -trials 2 -cache $$tmp/cache -resume -summary $$tmp/summary.json > $$tmp/merged.txt; \
-	cmp $$tmp/serial.txt $$tmp/merged.txt; \
-	grep -q '"computed": 0' $$tmp/summary.json; \
-	grep -q '"complete": true' $$tmp/summary.json; \
-	echo "tuner-smoke: F6 merge bit-identical to serial run, 0 cells recomputed"
-
-# Sharded-engine smoke: split a figure across two shard runs sharing a
-# cache, merge from cache alone, and assert the merge recomputed
-# nothing and printed the same bytes as a serial run. This is the
-# cross-machine CI path in miniature.
+# Sharded-engine smoke: for each of the concurrent-batch (conc), churn
+# (F5) and crossover-surface (F6) figures, split the sweep across two
+# shard runs sharing a cache, merge from cache alone, and assert the
+# merge recomputed nothing and printed the same bytes as a serial run.
+# This is the cross-machine CI path in miniature.
 shard-smoke:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o $$tmp/mcastbench ./cmd/mcastbench; \
-	$$tmp/mcastbench -fig conc -trials 2 > $$tmp/serial.txt; \
-	$$tmp/mcastbench -fig conc -trials 2 -shard 0/2 -cache $$tmp/cache > /dev/null; \
-	$$tmp/mcastbench -fig conc -trials 2 -shard 1/2 -cache $$tmp/cache > /dev/null; \
-	$$tmp/mcastbench -fig conc -trials 2 -cache $$tmp/cache -resume -summary $$tmp/summary.json > $$tmp/merged.txt; \
-	cmp $$tmp/serial.txt $$tmp/merged.txt; \
-	grep -q '"computed": 0' $$tmp/summary.json; \
-	grep -q '"complete": true' $$tmp/summary.json; \
-	echo "shard-smoke: merge bit-identical to serial run, 0 cells recomputed"
+	for fig in conc f5 f6; do \
+		$$tmp/mcastbench -fig $$fig -trials 2 > $$tmp/serial.txt; \
+		$$tmp/mcastbench -fig $$fig -trials 2 -shard 0/2 -cache $$tmp/$$fig > /dev/null; \
+		$$tmp/mcastbench -fig $$fig -trials 2 -shard 1/2 -cache $$tmp/$$fig > /dev/null; \
+		$$tmp/mcastbench -fig $$fig -trials 2 -cache $$tmp/$$fig -resume -summary $$tmp/summary.json > $$tmp/merged.txt; \
+		cmp $$tmp/serial.txt $$tmp/merged.txt; \
+		grep -q '"computed": 0' $$tmp/summary.json; \
+		grep -q '"complete": true' $$tmp/summary.json; \
+		echo "shard-smoke: $$fig merge bit-identical to serial run, 0 cells recomputed"; \
+	done
 
 # Scale-out smoke: the domain-parallel kernel's differential tests
 # (64x64-mesh three-way differential, fault plans, random partitions)
@@ -181,4 +132,4 @@ golden:
 golden-check: golden
 	git diff --exit-code -- results
 
-ci: fmt-check build test bench-check lint race bench-smoke bench-gate fault-smoke recover-smoke traffic-smoke churn-smoke tuner-smoke shard-smoke scale-smoke golden-check
+ci: fmt-check build test bench-check lint race bench-smoke bench-gate shard-smoke scale-smoke golden-check

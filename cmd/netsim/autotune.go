@@ -10,11 +10,8 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/chain"
-	"repro/internal/core"
 	"repro/internal/mcastsim"
 	"repro/internal/model"
-	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/traffic"
 	"repro/internal/tuner"
@@ -30,90 +27,49 @@ const (
 	autotuneWindow = 4
 )
 
-// autotuneNames is the candidate vocabulary, in surface index order.
-// The tie-break prefers binomial: with equal measured latency the
-// topology-blind tree is the safer pick under drift.
-var autotuneNames = []string{"binomial", "opt-tree", "opt"}
+// autotuneAlgos are the candidates: the algorithm table's first three
+// rows, in surface index order.
+var autotuneAlgos = algos[:3]
 
-// autotuneAlgos binds the candidate names to their executable form on
-// this fabric's chain order.
-func autotuneAlgos(less func(a, b int) bool) []tuner.Algo {
-	return []tuner.Algo{
-		{Name: "binomial", Ordered: true, Table: func(k int, _, _ model.Time) core.SplitTable {
-			return core.BinomialTable{Max: k}
-		}},
-		{Name: "opt-tree", Ordered: false, Table: func(k int, thold, tend model.Time) core.SplitTable {
-			return core.NewOptTable(k, thold, tend)
-		}},
-		{Name: "opt", Ordered: true, Table: func(k int, thold, tend model.Time) core.SplitTable {
-			return core.NewOptTable(k, thold, tend)
-		}},
+// trainPolicy measures every candidate algorithm on the healthy fabric
+// over autotuneTrials seeded placements, compiles the one-point
+// crossover surface and wraps it in an online policy. Training cells
+// go through the result cache when one is open, so repeated
+// invocations retrain for free.
+func (s *session) trainPolicy() (*tuner.Policy, error) {
+	o := s.o
+	runCfg := mcastsim.Config{Software: s.soft, AddrBytes: o.addrB, MaxCycles: o.deadline}
+	names := make([]string, len(autotuneAlgos))
+	for ai, a := range autotuneAlgos {
+		names[ai] = a.Name
 	}
-}
-
-// buildAutotunePolicy measures every candidate algorithm on the
-// healthy fabric over autotuneTrials seeded placements, compiles the
-// one-point crossover surface and wraps it in an online policy.
-// Training cells go through the result cache when one is configured,
-// so repeated invocations retrain for free.
-func buildAutotunePolicy(o options, platform string, topo wormhole.Topology,
-	less func(a, b int) bool, n int,
-	soft model.Software, thold, tend model.Time, cfg wormhole.Config,
-	cache *runner.Cache) (*tuner.Policy, error) {
-	runCfg := mcastsim.Config{Software: soft, AddrBytes: o.addrB, MaxCycles: o.deadline}
-	algos := autotuneAlgos(less)
-	surf := tuner.New(platform, autotuneNames, []int{o.k}, []int{o.bytes}, []int{0})
+	surf := tuner.New(s.platform, names, []int{o.k}, []int{o.bytes}, []int{0})
 
 	fmt.Printf("autotune:            training surface on the healthy fabric (%d placements per algorithm)\n", autotuneTrials)
-	for ai, a := range algos {
-		sum, cnt := 0.0, 0
+	for ai, a := range autotuneAlgos {
+		sum := 0.0
 		for tr := 0; tr < autotuneTrials; tr++ {
 			seed := o.seed + uint64(tr)
-			addrs := sim.NewRNG(seed).Sample(n, o.k)
-			var ch chain.Chain
-			if a.Ordered {
-				ch = chain.New(addrs, less)
-			} else {
-				ch = chain.Unordered(addrs)
-			}
+			addrs := sim.NewRNG(seed).Sample(s.n, o.k)
+			ch := s.chain(a, addrs)
 			root, _ := ch.Index(addrs[0])
-			key := runner.Key{
-				Mode: "netsim", Platform: platform, Algo: a.Name, Soft: softwareKey(soft),
-				K: o.k, Bytes: o.bytes, Seed: seed, AddrBytes: o.addrB, THold: thold, TEnd: tend,
-				Extra: fmt.Sprintf("autotune=train,deadline=%d", o.deadline),
+			key := s.key("netsim", a.Name, fmt.Sprintf("autotune=train,deadline=%d", o.deadline))
+			key.Seed = seed
+			res, _, err := cached(s, key, func() (mcastsim.Result, error) {
+				return mcastsim.Run(wormhole.New(s.topo, s.cfg), a.Table(o.k, s.thold, s.tend), ch, root, o.bytes, runCfg)
+			})
+			if err != nil {
+				return nil, err
 			}
-			lat, hit := int64(0), false
-			if cache != nil {
-				cr, ok, cerr := cache.Load(key)
-				if cerr != nil {
-					return nil, cerr
-				}
-				if ok {
-					lat, hit = int64(cr.Metric("latency")), true
-				}
-			}
-			if !hit {
-				res, err := mcastsim.Run(wormhole.New(topo, cfg), a.Table(o.k, thold, tend), ch, root, o.bytes, runCfg)
-				if err != nil {
-					return nil, err
-				}
-				lat = res.Latency
-				if cache != nil {
-					if err := cache.Store(key, mcastToCache(res)); err != nil {
-						return nil, err
-					}
-				}
-			}
-			sum += float64(lat)
-			cnt++
+			sum += float64(res.Latency)
 		}
-		surf.Set(0, 0, 0, ai, sum/float64(cnt))
-		fmt.Printf("autotune:              %-9s mean %.0f cycles\n", a.Name, sum/float64(cnt))
+		surf.Set(0, 0, 0, ai, sum/autotuneTrials)
+		fmt.Printf("autotune:              %-9s mean %.0f cycles\n", a.Name, sum/autotuneTrials)
 	}
 	if err := surf.Compile(); err != nil {
 		return nil, err
 	}
-	pol, err := tuner.NewPolicy(surf, algos, tuner.PolicyConfig{Window: autotuneWindow})
+	pol, err := tuner.NewPolicy(surf, autotuneAlgos, tuner.PolicyConfig{Window: autotuneWindow})
 	if err != nil {
 		return nil, err
 	}
@@ -127,19 +83,19 @@ func buildAutotunePolicy(o options, platform string, topo wormhole.Topology,
 // records, then (live runs only — a cache hit replays no policy state)
 // the recorded switches, the drift windows and the recalibrated
 // parameter estimates.
-func printAutotuneTraffic(o options, pol *tuner.Policy, reqs []traffic.RequestResult, hit bool, tend model.Time) {
-	counts := make([]int, len(autotuneNames))
+func printAutotuneTraffic(pol *tuner.Policy, reqs []traffic.RequestResult, hit bool, tend model.Time) {
+	counts := make([]int, len(autotuneAlgos))
 	for _, rr := range reqs {
 		if rr.Algo >= 0 && rr.Algo < len(counts) {
 			counts[rr.Algo]++
 		}
 	}
 	fmt.Printf("autotune selections: ")
-	for ai, name := range autotuneNames {
+	for ai, a := range autotuneAlgos {
 		if ai > 0 {
 			fmt.Printf("  ")
 		}
-		fmt.Printf("%s=%d", name, counts[ai])
+		fmt.Printf("%s=%d", a.Name, counts[ai])
 	}
 	fmt.Println()
 	if hit {
@@ -153,11 +109,11 @@ func printAutotuneTraffic(o options, pol *tuner.Policy, reqs []traffic.RequestRe
 			s.At, pol.Name(s.From), pol.Name(s.To), s.K, s.Bytes)
 	}
 	fmt.Printf("drift:               ")
-	for ai, name := range autotuneNames {
+	for ai, a := range autotuneAlgos {
 		if ai > 0 {
 			fmt.Printf("  ")
 		}
-		fmt.Printf("%s=%.2f", name, pol.Drift(ai))
+		fmt.Printf("%s=%.2f", a.Name, pol.Drift(ai))
 	}
 	fmt.Printf("  (%d observations)\n", pol.Observations())
 	fmt.Printf("recalibrated t_end:  %d -> %d\n", tend, pol.Recalibrated(tend))

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -537,6 +539,69 @@ func TestChurnValidation(t *testing.T) {
 		_, err := capture(t, func() error { return run(o) })
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want mention of %q", name, err, tc.want)
+		}
+	}
+}
+
+// TestChurnHeatmap: -heatmap on a churn run prints the mesh heatmap of
+// the measured run, as it does for a plain multicast.
+func TestChurnHeatmap(t *testing.T) {
+	o := churnBase()
+	o.heatmap = true
+	out, err := capture(t, func() error { return run(o) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "link utilization heatmap") {
+		t.Fatalf("churn run printed no heatmap:\n%s", out)
+	}
+}
+
+// TestCacheEntryWithoutPayloadIsMiss: an entry holding only metrics and
+// series, the shape older releases wrote, is a miss in every mode: the
+// run prints its live output and rewrites the entry with a payload.
+func TestCacheEntryWithoutPayloadIsMiss(t *testing.T) {
+	recovered := base()
+	recovered.faults, recovered.faultSeed, recovered.recover = 3, 2, true
+	for _, o := range []options{base(), recovered, trafficBase(), churnBase()} {
+		o.verbose = true
+		o.cacheDir = t.TempDir()
+		live, err := capture(t, func() error { return run(o) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		files, err := filepath.Glob(filepath.Join(o.cacheDir, "*", "*.json"))
+		if err != nil || len(files) != 1 {
+			t.Fatalf("want one cache entry, got %v (%v)", files, err)
+		}
+		buf, err := os.ReadFile(files[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e map[string]json.RawMessage
+		if err := json.Unmarshal(buf, &e); err != nil {
+			t.Fatal(err)
+		}
+		e["result"] = json.RawMessage(`{"metrics":{"latency":1,"cycles":1},"series":{"deliveries":[0]}}`)
+		old, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(files[0], old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		again, err := capture(t, func() error { return run(o) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again != live {
+			t.Fatalf("payload-less entry replayed:\nlive:\n%s\nrerun:\n%s", live, again)
+		}
+		if buf, err = os.ReadFile(files[0]); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(buf), `"payload"`) {
+			t.Fatalf("entry not rewritten with a payload:\n%s", buf)
 		}
 	}
 }

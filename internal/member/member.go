@@ -142,7 +142,12 @@ func GenSchedule(spec ChurnSpec, members, pool []int) (Schedule, error) {
 	if spec.RatePerMcycle < 0 {
 		return Schedule{}, fmt.Errorf("member: negative churn rate %g", spec.RatePerMcycle)
 	}
-	if spec.RejoinFrac < 0 || spec.RejoinFrac > 1 {
+	// The event count is sized from the rate, so a NaN, infinite or
+	// denser-than-one-event-per-cycle rate is an error, not an allocation.
+	if !(spec.RatePerMcycle <= 1e6) {
+		return Schedule{}, fmt.Errorf("member: churn rate %g events/Mcycle is not a finite rate of at most one event per cycle", spec.RatePerMcycle)
+	}
+	if !(spec.RejoinFrac >= 0 && spec.RejoinFrac <= 1) {
 		return Schedule{}, fmt.Errorf("member: RejoinFrac %g outside [0,1]", spec.RejoinFrac)
 	}
 	if spec.DownCycles < 0 {

@@ -1,6 +1,7 @@
 package member_test
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -127,6 +128,10 @@ func TestGenScheduleValidation(t *testing.T) {
 		{"negative rate", member.ChurnSpec{RatePerMcycle: -1, Horizon: 100}, []int{0, 1}, nil},
 		{"rejoin frac", member.ChurnSpec{RatePerMcycle: 1, Horizon: 100, RejoinFrac: 1.5}, []int{0, 1}, nil},
 		{"negative down", member.ChurnSpec{RatePerMcycle: 1, Horizon: 100, DownCycles: -1}, []int{0, 1}, nil},
+		{"NaN rate", member.ChurnSpec{RatePerMcycle: math.NaN(), Horizon: 100}, []int{0, 1}, nil},
+		{"infinite rate", member.ChurnSpec{RatePerMcycle: math.Inf(1), Horizon: 100}, []int{0, 1}, nil},
+		{"over one event per cycle", member.ChurnSpec{RatePerMcycle: 1e12, Horizon: 100}, []int{0, 1}, nil},
+		{"NaN rejoin frac", member.ChurnSpec{RatePerMcycle: 1, Horizon: 100, RejoinFrac: math.NaN()}, []int{0, 1}, nil},
 		{"dup member", ok, []int{0, 1, 1}, nil},
 		{"pool overlaps", ok, []int{0, 1}, []int{1}},
 	}

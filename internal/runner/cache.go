@@ -22,6 +22,9 @@ type Result struct {
 	// Series are named per-destination arrays (delivery cycles,
 	// recovery statuses) for consumers that need more than aggregates.
 	Series map[string][]int64 `json:"series,omitempty"`
+	// Payload is a caller's own typed result as JSON, for consumers
+	// that store a whole engine result rather than named metrics.
+	Payload json.RawMessage `json:"payload,omitempty"`
 }
 
 // Metric returns a named scalar, 0 when absent.

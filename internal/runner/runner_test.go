@@ -77,6 +77,33 @@ func TestCacheRoundTrip(t *testing.T) {
 	}
 }
 
+// A payload round-trips byte for byte, and a result without one writes
+// no payload key, so metric-only entries keep their on-disk bytes.
+func TestCachePayload(t *testing.T) {
+	c, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := json.RawMessage(`{"Latency":12345,"Deliveries":[0,7,12345]}`)
+	if err := c.Store(sampleKey(0), Result{Payload: payload}); err != nil {
+		t.Fatal(err)
+	}
+	got, ok, err := c.Load(sampleKey(0))
+	if err != nil || !ok || string(got.Payload) != string(payload) {
+		t.Fatalf("payload round trip: ok=%v err=%v payload=%s", ok, err, got.Payload)
+	}
+	if err := c.Store(sampleKey(1), Result{Metrics: map[string]float64{"latency": 1}}); err != nil {
+		t.Fatal(err)
+	}
+	buf, err := os.ReadFile(c.path(sampleKey(1).Hash()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(buf), "payload") {
+		t.Fatalf("metric-only entry carries a payload key: %s", buf)
+	}
+}
+
 // A corrupt (unparseable) entry reads as a plain miss — the cell
 // recomputes and overwrites it. A *colliding* entry (valid JSON whose
 // canonical key string differs from the requested key) is an error,

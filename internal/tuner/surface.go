@@ -246,6 +246,9 @@ func DecodeSet(buf []byte) ([]*Surface, error) {
 		return nil, fmt.Errorf("tuner: surface set has %d hashes for %d surfaces", len(set.Hashes), len(set.Surfaces))
 	}
 	for i, s := range set.Surfaces {
+		if s == nil {
+			return nil, fmt.Errorf("tuner: surface set entry %d is null", i)
+		}
 		if got := s.Hash(); got != set.Hashes[i] {
 			return nil, fmt.Errorf("tuner: surface %q content hash mismatch: artifact says %s, content is %s", s.Platform, set.Hashes[i], got)
 		}
@@ -254,6 +257,10 @@ func DecodeSet(buf []byte) ([]*Surface, error) {
 			return nil, err
 		}
 		if stored != nil {
+			// Hash does not cover Best, so its length is checked here.
+			if len(stored) != len(s.Best) {
+				return nil, fmt.Errorf("tuner: surface %q stores %d best picks for %d cells", s.Platform, len(stored), len(s.Best))
+			}
 			for c, b := range s.Best {
 				if stored[c] != b {
 					return nil, fmt.Errorf("tuner: surface %q cell %d: stored best %d, recompiled %d", s.Platform, c, stored[c], b)
