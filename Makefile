@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-check lint-baseline vet fmt fmt-check bench bench-tuner bench-smoke bench-gate bench-check shard-smoke scale-smoke tuner-surface golden golden-check ci
+.PHONY: all build test race lint lint-check lint-baseline vet fmt fmt-check bench bench-tuner bench-smoke bench-gate bench-check shard-smoke tuner-surface golden golden-check ci
 
 all: build
 
@@ -46,13 +46,23 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# One pass over every benchmark, recorded as JSON (see the README's
-# benchmarking section). BENCH_kernel.json in the repo root is the
-# committed record `bench-gate` compares against; it re-embeds the
-# pre-kernel-rewrite numbers (results/bench_baseline.json) so the
-# historical before/after pair survives regeneration.
+# One pass over every benchmark, as a `go test -bench` log. Every
+# benchmark runs one iteration except BenchmarkFigure1, whose op
+# allocates only 1.5 KB. A one-iteration B/op reading is a process-wide
+# MemStats delta, and the timer's own stop-the-world can make the
+# runtime start an OS thread inside the window: that thread's five
+# runtime structures (5248 B) then read as a 4x regression. 10000
+# iterations put such a one-off below 1 B/op.
+BENCH_LOG = $(GO) test -run='^$$' -bench=. -skip='^BenchmarkFigure1$$' -benchtime=1x -count=1 -benchmem ./... && \
+	$(GO) test -run='^$$' -bench='^BenchmarkFigure1$$' -benchtime=10000x -count=1 -benchmem .
+
+# BENCH_LOG recorded as JSON (see the README's benchmarking section).
+# BENCH_kernel.json in the repo root is the committed record
+# `bench-gate` compares against; it re-embeds the pre-kernel-rewrite
+# numbers (results/bench_baseline.json) so the historical before/after
+# pair survives regeneration.
 bench:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x -count=1 -benchmem ./... | $(GO) run ./cmd/benchjson -baseline results/bench_baseline.json -o BENCH_kernel.json
+	($(BENCH_LOG)) | $(GO) run ./cmd/benchjson -baseline results/bench_baseline.json -o BENCH_kernel.json
 
 # Fast CI guard: the kernel microbenchmarks must run and parse, so the
 # bench suite and the benchjson pipeline can never bit-rot.
@@ -64,7 +74,7 @@ bench-smoke:
 bench-tuner:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x -count=1 -benchmem ./internal/tuner/ | $(GO) run ./cmd/benchjson -o BENCH_tuner.json
 
-# Benchmark regression gate: rerun every benchmark once and compare the
+# Benchmark regression gate: rerun BENCH_LOG and compare the
 # deterministic metrics (allocs/op, B/op) against the committed records
 # (BENCH_kernel.json for the kernels, BENCH_tuner.json for the tuner
 # hot path). ns/op is reported but not gated — single-iteration CI
@@ -75,7 +85,7 @@ bench-tuner:
 # changes.
 bench-gate:
 	@set -e; \
-	$(GO) test -run='^$$' -bench=. -benchtime=1x -count=1 -benchmem ./... > bench-gate.log; \
+	($(BENCH_LOG)) > bench-gate.log; \
 	$(GO) run ./cmd/benchjson -o bench-report.json < bench-gate.log; \
 	$(GO) run ./cmd/benchjson -compare BENCH_kernel.json -tolerance 25 < bench-gate.log > /dev/null; \
 	$(GO) run ./cmd/benchjson -compare BENCH_tuner.json -tolerance 25 < bench-gate.log > /dev/null
@@ -106,15 +116,6 @@ shard-smoke:
 		echo "shard-smoke: $$fig merge bit-identical to serial run, 0 cells recomputed"; \
 	done
 
-# Scale-out smoke: the domain-parallel kernel's differential tests
-# (64x64-mesh three-way differential, fault plans, random partitions)
-# under the race detector, then the F4 wall-time ladder through the real
-# CLI path — which asserts serial and parallel batch results are
-# byte-identical on every fabric before printing a timing.
-scale-smoke:
-	$(GO) test -race -run 'Parallel' ./internal/wormhole/
-	$(GO) run ./cmd/mcastbench -fig f4 -trials 2 -parallel 4 > /dev/null
-
 # Standalone regeneration of the committed crossover-surface artifact
 # (results/tuner_surface.json, hash-verified JSON); `make golden` also
 # refreshes it as a side effect of the F6 figure.
@@ -132,4 +133,4 @@ golden:
 golden-check: golden
 	git diff --exit-code -- results
 
-ci: fmt-check build test bench-check lint race bench-smoke bench-gate shard-smoke scale-smoke golden-check
+ci: fmt-check build test bench-check lint race bench-smoke bench-gate shard-smoke golden-check

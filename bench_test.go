@@ -10,8 +10,10 @@ import (
 
 	"repro"
 	"repro/internal/bmin"
+	"repro/internal/chain"
 	"repro/internal/exp"
 	"repro/internal/model"
+	"repro/internal/plan"
 	"repro/internal/traffic"
 	"repro/internal/wormhole"
 )
@@ -347,32 +349,30 @@ func stepKernelStall(b *testing.B, k repro.Kernel) {
 // BenchmarkStepKernel compares the two scheduling kernels on a
 // contention-heavy funnel and a stall-heavy slow-router workload; the
 // fast/reference ns/op ratios are the headline numbers in
-// BENCH_kernel.json.
+// BENCH_kernel.json. The scatter leg is the bench gate's zero-alloc
+// check on a reused 64x64 network.
 func BenchmarkStepKernel(b *testing.B) {
 	b.Run("funnel/fast", func(b *testing.B) { stepKernelFunnel(b, repro.KernelFast, true) })
 	b.Run("funnel/reference", func(b *testing.B) { stepKernelFunnel(b, repro.KernelReference, false) })
 	b.Run("funnel/reference-recycled", func(b *testing.B) { stepKernelFunnel(b, repro.KernelReference, true) })
 	b.Run("stall/fast", func(b *testing.B) { stepKernelStall(b, repro.KernelFast) })
 	b.Run("stall/reference", func(b *testing.B) { stepKernelStall(b, repro.KernelReference) })
+	b.Run("scatter/fast", stepKernelScatter)
 }
 
-// stepKernelScatter drives a domain-friendly workload on a 64x64 mesh:
-// 256 sources spread over every row band exchange 1 KB with the node 32
-// rows away, so all spatial domains carry flits at once. Every route
-// has the same length (32 column hops plus inject/eject): the worm pool
+// stepKernelScatter drives a wide workload on a 64x64 mesh: 256
+// sources spread over every row band exchange 1 KB with the node 32
+// rows away, so flits move all over the fabric at once. Every route has
+// the same length (32 column hops plus inject/eject): the worm pool
 // hands objects out in completion order, which permutes the
 // worm-to-route pairing between rounds, and equal-length routes keep
 // that permutation from ever needing a larger path buffer. The network
-// (and pool) is reused across rounds; after two priming rounds both the
-// serial and the domain-parallel kernels must run allocation-free.
-func stepKernelScatter(b *testing.B, par int) {
+// (and pool) is reused across rounds; after two priming rounds the fast
+// kernel must run allocation-free.
+func stepKernelScatter(b *testing.B) {
 	m := repro.NewMesh2D(64, 64)
 	n := repro.NewNetwork(m, repro.DefaultFabricConfig())
 	n.SetRecycling(true)
-	if par > 1 {
-		n.SetParallelism(par)
-		defer n.Close()
-	}
 	round := func() {
 		for r := 0; r < 32; r += 4 {
 			for c := 0; c < 64; c += 4 {
@@ -397,26 +397,13 @@ func stepKernelScatter(b *testing.B, par int) {
 	b.ReportMetric(float64(hops)/b.Elapsed().Seconds(), "flit-hops/s")
 }
 
-// BenchmarkStepKernelParallel compares the serial fast kernel against
-// the domain-parallel kernel on the scatter workload; the bench gate
-// holds both at zero steady-state allocs/op.
-func BenchmarkStepKernelParallel(b *testing.B) {
-	b.Run("scatter/P1", func(b *testing.B) { stepKernelScatter(b, 1) })
-	b.Run("scatter/P4", func(b *testing.B) { stepKernelScatter(b, 4) })
-}
-
 // scaleMulticast measures one 64-node 4 KB OPT multicast on a large
-// fabric, serial or domain-parallel. The network is built once and
-// reused: fabric construction (millions of channels) would otherwise
-// dominate the numbers.
-func scaleMulticast(b *testing.B, n *repro.Network, less func(x, y int) bool, nodes, par int) {
+// fabric. The network is built once and reused: fabric construction
+// (millions of channels) would otherwise dominate the numbers.
+func scaleMulticast(b *testing.B, n *repro.Network, less func(x, y int) bool, nodes int) {
 	soft := repro.DefaultSoftware()
 	runCfg := repro.RunConfig{Software: soft}
 	n.SetRecycling(true)
-	if par > 1 {
-		n.SetParallelism(par)
-		defer n.Close()
-	}
 	tend, err := repro.MeasureUnicast(n, 0, nodes-1, 4096, runCfg)
 	if err != nil {
 		b.Fatal(err)
@@ -439,28 +426,19 @@ func scaleMulticast(b *testing.B, n *repro.Network, less func(x, y int) bool, no
 
 // BenchmarkScale exercises the roadmap's large fabrics: a single OPT
 // multicast on the 1024x1024 mesh (1M nodes) and the 65536-node BMIN,
-// serial vs domain-parallel, plus an F3-style open-system traffic cell
-// on a domain-parallel mesh. These are the "interactive speed" numbers
-// recorded in BENCH_kernel.json.
+// plus an F3-style open-system traffic cell on a 64x64 mesh. These are
+// the "interactive speed" numbers recorded in BENCH_kernel.json.
 func BenchmarkScale(b *testing.B) {
 	cfg := repro.DefaultFabricConfig()
 	b.Run("mesh1024x1024/serial", func(b *testing.B) {
 		m := repro.NewMesh2D(1024, 1024)
-		scaleMulticast(b, repro.NewNetwork(m, cfg), m.DimOrderLess, m.NumNodes(), 1)
-	})
-	b.Run("mesh1024x1024/P8", func(b *testing.B) {
-		m := repro.NewMesh2D(1024, 1024)
-		scaleMulticast(b, repro.NewNetwork(m, cfg), m.DimOrderLess, m.NumNodes(), 8)
+		scaleMulticast(b, repro.NewNetwork(m, cfg), m.DimOrderLess, m.NumNodes())
 	})
 	b.Run("bmin65536/serial", func(b *testing.B) {
 		t := bmin.New(1<<16, bmin.AscentStraight)
-		scaleMulticast(b, repro.NewNetwork(t, cfg), t.LexLess, 1<<16, 1)
+		scaleMulticast(b, repro.NewNetwork(t, cfg), t.LexLess, 1<<16)
 	})
-	b.Run("bmin65536/P8", func(b *testing.B) {
-		t := bmin.New(1<<16, bmin.AscentStraight)
-		scaleMulticast(b, repro.NewNetwork(t, cfg), t.LexLess, 1<<16, 8)
-	})
-	b.Run("traffic64x64/P4", func(b *testing.B) {
+	b.Run("traffic64x64/serial", func(b *testing.B) {
 		m := repro.NewMesh2D(64, 64)
 		soft := repro.DefaultSoftware()
 		runCfg := repro.RunConfig{Software: soft}
@@ -472,7 +450,6 @@ func BenchmarkScale(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			n := repro.NewNetwork(m, cfg)
 			n.SetRecycling(true)
-			n.SetParallelism(4)
 			_, err := traffic.Run(n, traffic.Config{
 				Software: soft,
 				Arrival:  traffic.ArrivalSpec{Kind: traffic.ArrivalPoisson, RatePerMcycle: 100},
@@ -484,7 +461,6 @@ func BenchmarkScale(b *testing.B) {
 				TEnd: func(int) model.Time { return tend },
 				Seed: 1997,
 			})
-			n.Close()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -492,40 +468,16 @@ func BenchmarkScale(b *testing.B) {
 	})
 }
 
-// BenchmarkPlanSends measures the planner's per-node work.
+// BenchmarkPlanSends measures the planner's per-node work: plan.Tree
+// expands the full 1024-node OPT tree by calling plan.Sends, the step
+// every receiving node runs in mcastsim, once per node.
 func BenchmarkPlanSends(b *testing.B) {
 	tab := repro.NewOptTable(1024, 20, 55)
-	ids := make(repro.Chain, 1024)
-	for i := range ids {
-		ids[i] = i
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tree := planTreeShape(tab, 1024)
-		if tree.Size() != 1024 {
-			b.Fatal("bad tree")
+		tree, err := plan.Tree(tab, chain.Segment{L: 0, R: 1023}, 0)
+		if err != nil || tree.Size() != 1024 {
+			b.Fatal("bad tree", err)
 		}
 	}
-}
-
-func planTreeShape(tab repro.SplitTable, k int) *repro.Tree {
-	var build func(l, r, self int) *repro.Tree
-	build = func(l, r, self int) *repro.Tree {
-		t := &repro.Tree{Node: self}
-		for l < r {
-			i := r - l + 1
-			j := tab.J(i)
-			if self < l+j {
-				rec := l + j
-				t.Children = append(t.Children, build(rec, r, rec))
-				r = rec - 1
-			} else {
-				rec := r - j
-				t.Children = append(t.Children, build(l, rec, rec))
-				l = rec + 1
-			}
-		}
-		return t
-	}
-	return build(0, k-1, 0)
 }

@@ -14,12 +14,6 @@
 //	mcastbench -fig all -shard 0/4 -cache results/cache   # machine 1 of 4
 //	mcastbench -fig all -resume -summary -                # merge from cache
 //
-// The f4 scale figure additionally accepts -parallel P (run the
-// wall-time ladder with P simulation domains) and -big (extend the
-// ladder to the 1024x1024 mesh and the 65536-node BMIN):
-//
-//	mcastbench -fig f4 -parallel 4 -trials 2
-//
 // The f6 tuner figure additionally accepts -surface FILE (write the
 // compiled crossover surfaces as a hash-verified JSON artifact):
 //
@@ -56,8 +50,6 @@ type options struct {
 	resume   bool
 	summary  string // summary JSON path, "-" = stderr, "" = none
 	progress bool
-	parallel int
-	big      bool
 	surface  string
 }
 
@@ -74,8 +66,6 @@ func main() {
 	flag.BoolVar(&o.resume, "resume", false, "reuse cached cell results before computing (cache dir defaults to results/cache when -cache is unset)")
 	flag.StringVar(&o.summary, "summary", "", "write a per-run JSON summary (cells computed/cached/skipped, wall time) to this file; \"-\" = stderr")
 	flag.BoolVar(&o.progress, "progress", false, "print progress/ETA lines to stderr")
-	flag.IntVar(&o.parallel, "parallel", 0, "with -fig f4: also run the wall-time ladder with this many simulation domains (>= 2) and print serial-vs-parallel timings; 0 skips the ladder")
-	flag.BoolVar(&o.big, "big", false, "with -fig f4 -parallel: extend the wall-time ladder to the 1024x1024 mesh and the 65536-node BMIN")
 	flag.StringVar(&o.surface, "surface", "", "with -fig f6: write the compiled crossover surfaces (hash-verified JSON artifact) to this file")
 	flag.Parse()
 
@@ -295,27 +285,8 @@ func run(o options) error {
 		},
 		"f4": func() error {
 			// Scalability: the same 32-node multicast on ever larger
-			// fabrics. The latency table is deterministic (part of the
-			// golden output); the wall-time ladder below it is run
-			// metadata, printed only when -parallel asks for it.
-			if err := emit(exp.ScaleLatency(cfg, model.DefaultSoftware(), o.trials, o.seed, ex)); err != nil {
-				return err
-			}
-			if o.parallel > 0 {
-				nowMS := func() float64 { return float64(wallclock.Since(start).Microseconds()) / 1000 }
-				rows, err := exp.ScaleWall(o.parallel, o.big, cfg, model.DefaultSoftware(), o.seed, nowMS)
-				if err != nil {
-					return err
-				}
-				fmt.Printf("F4 wall-time ladder (P=%d; display-only, excluded from golden output):\n", o.parallel)
-				fmt.Printf("  %-28s %8s %6s %3s %10s %10s %10s %8s\n",
-					"fabric", "nodes", "groups", "k", "cycles", "serial ms", "par ms", "speedup")
-				for _, r := range rows {
-					fmt.Printf("  %-28s %8d %6d %3d %10d %10.1f %10.1f %7.2fx\n",
-						r.Fabric, r.Nodes, r.Groups, r.K, r.Cycles, r.SerialMS, r.ParallelMS, r.Speedup)
-				}
-			}
-			return nil
+			// fabrics.
+			return emit(exp.ScaleLatency(cfg, model.DefaultSoftware(), o.trials, o.seed, ex))
 		},
 	}
 

@@ -269,6 +269,14 @@ func (o options) validate() error {
 	if o.traffic && o.churn {
 		return fmt.Errorf("-traffic and -churn are different drive loops; pick one")
 	}
+	if o.traffic {
+		if !(o.rate > 0 && o.rate <= math.MaxFloat64) {
+			return fmt.Errorf("-rate=%g: offered rate must be > 0 and finite (requests/Mcycle)", o.rate)
+		}
+		if !(o.skew >= 0 && o.skew <= 1) {
+			return fmt.Errorf("-skew=%g outside [0,1]", o.skew)
+		}
+	}
 	if !o.churn {
 		return nil
 	}

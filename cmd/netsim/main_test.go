@@ -317,7 +317,7 @@ func TestTrafficValidation(t *testing.T) {
 		"negative rate":     {func(o *options) { o.rate = -5 }, "rate must be > 0"},
 		"unknown arrival":   {func(o *options) { o.arrival = "steady" }, "unknown arrival process"},
 		"unknown admission": {func(o *options) { o.admission = "lifo" }, "unknown admission policy"},
-		"skew over 1":       {func(o *options) { o.skew = 1.5 }, "HotFrac"},
+		"skew over 1":       {func(o *options) { o.skew = 1.5 }, "-skew"},
 		"bad algo":          {func(o *options) { o.algo = "magic" }, "unknown algorithm"},
 	} {
 		o := trafficBase()

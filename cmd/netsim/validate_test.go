@@ -30,6 +30,9 @@ func TestBadInputsReturnErrors(t *testing.T) {
 		{"-faults NaN", "-faults", func(o *options) { o.faults = math.NaN() }},
 		{"-churn -churn-rate NaN", "-churn-rate", func(o *options) { *o = churnBase(); o.churnRate = math.NaN() }},
 		{"-churn -rejoin NaN", "-rejoin", func(o *options) { *o = churnBase(); o.rejoinFrac = math.NaN() }},
+		{"-traffic -rate NaN", "-rate", func(o *options) { *o = trafficBase(); o.rate = math.NaN() }},
+		{"-traffic -rate +Inf", "-rate", func(o *options) { *o = trafficBase(); o.rate = math.Inf(1) }},
+		{"-traffic -skew NaN", "-skew", func(o *options) { *o = trafficBase(); o.skew = math.NaN() }},
 	} {
 		o := base()
 		tc.mut(&o)

@@ -3,36 +3,21 @@ package exp
 // Experiment F4: simulator scalability. The paper's figures live on
 // 16×16 mesh / 128-node BMIN fabrics; the roadmap's north star is
 // sweeping the same algorithms on fabrics three orders of magnitude
-// larger. F4 has two halves with different reproducibility contracts:
-//
-//   - ScaleLatency is a normal deterministic figure — multicast latency
-//     of the binomial and OPT trees vs fabric size, byte-reproducible
-//     and part of the golden tables. It records how tuned-tree latency
-//     grows as the same 32-node multicast spreads over an ever larger
-//     machine (longer unicast paths raise t_end, and the OPT shape
-//     re-tunes around it).
-//
-//   - ScaleWall measures wall-clock time of the domain-parallel kernel
-//     against the serial kernel on a ladder of large fabrics. Wall time
-//     is inherently non-reproducible, so these rows are display-only
-//     run metadata: they are printed only when the caller explicitly
-//     asks for parallelism (mcastbench -fig f4 -parallel P) and are
-//     excluded from golden output. The simulated results of the serial
-//     and parallel runs must still agree exactly — ScaleWall asserts
-//     byte-identical batch results and errors out on any divergence,
-//     making every -parallel run a scale-sized determinism check.
+// larger. ScaleLatency is a normal deterministic figure — multicast
+// latency of the binomial and OPT trees vs fabric size,
+// byte-reproducible and part of the golden tables. It records how
+// tuned-tree latency grows as the same 32-node multicast spreads over an
+// ever larger machine (longer unicast paths raise t_end, and the OPT
+// shape re-tunes around it). Host time on large fabrics is not part of
+// the figure; the repository benchmark's mcast-1m workload (bench/)
+// measures it on the 1024×1024 mesh.
 
 import (
 	"fmt"
-	"reflect"
 
 	"repro/internal/bmin"
-	"repro/internal/chain"
-	"repro/internal/core"
-	"repro/internal/mcastsim"
 	"repro/internal/model"
 	"repro/internal/runner"
-	"repro/internal/sim"
 	"repro/internal/wormhole"
 )
 
@@ -42,12 +27,12 @@ func DefaultScaleMeshSides() []int { return []int{16, 32, 64, 128} }
 // DefaultScaleBMINNodes is the BMIN half of the F4 latency ladder.
 func DefaultScaleBMINNodes() []int { return []int{128, 1024, 8192} }
 
-// ScaleLatency runs the deterministic half of experiment F4: the same
-// 32-destination 4-KB multicast (binomial vs OPT over the architecture
-// chain) on each fabric of the ladder. Rows are fabric sizes in nodes
-// (meshes first, then BMINs — the notes name each row's platform);
-// every row re-measures (t_hold, t_end) on its own fabric, exactly as
-// the per-platform figures do.
+// ScaleLatency runs experiment F4: the same 32-destination 4-KB
+// multicast (binomial vs OPT over the architecture chain) on each fabric
+// of the ladder. Rows are fabric sizes in nodes (meshes first, then
+// BMINs — the notes name each row's platform); every row re-measures
+// (t_hold, t_end) on its own fabric, exactly as the per-platform figures
+// do.
 func ScaleLatency(cfg wormhole.Config, soft model.Software, trials int, seed uint64, exec *runner.Exec) (*Table, error) {
 	const k, bytes = 32, 4096
 	out := &Table{
@@ -86,121 +71,4 @@ func ScaleLatency(cfg wormhole.Config, soft model.Software, trials int, seed uin
 		out.Rows = nil
 	}
 	return out, nil
-}
-
-// ScaleWallRow is one fabric of the wall-time ladder: the same seeded
-// batch of concurrent OPT multicasts run serially and with the
-// domain-parallel kernel, with the simulated outcome asserted equal.
-type ScaleWallRow struct {
-	// Fabric names the platform; Nodes is its size.
-	Fabric string
-	Nodes  int
-	// Groups concurrent multicasts of K destinations each.
-	Groups, K int
-	// Cycles is the simulated batch makespan — identical for the serial
-	// and parallel runs by the determinism contract.
-	Cycles int64
-	// SerialMS and ParallelMS are wall milliseconds for the batch;
-	// Speedup is their ratio. Display-only: never reproducible.
-	SerialMS, ParallelMS, Speedup float64
-}
-
-// scaleWallFabric is one rung of the wall-time ladder.
-type scaleWallFabric struct {
-	platform  Platform
-	groups, k int
-}
-
-// scaleWallLadder builds the wall-time fabrics: big extends the ladder
-// to the roadmap targets (1024×1024 mesh, 64k-node BMIN).
-func scaleWallLadder(cfg wormhole.Config, big bool) []scaleWallFabric {
-	ladder := []scaleWallFabric{
-		{MeshPlatform(64, 64, cfg), 8, 32},
-		{MeshPlatform(256, 256, cfg), 8, 32},
-		{BMINPlatform(4096, bmin.AscentStraight, cfg), 8, 32},
-	}
-	if big {
-		ladder = append(ladder,
-			scaleWallFabric{MeshPlatform(1024, 1024, cfg), 8, 64},
-			scaleWallFabric{BMINPlatform(1<<16, bmin.AscentStraight, cfg), 8, 64},
-		)
-	}
-	return ladder
-}
-
-// ScaleWall runs the wall-time half of experiment F4. parallel is the
-// domain count for the parallel leg (must be > 1); big extends the
-// ladder to the 1024×1024 mesh and the 64k-node BMIN. nowMS supplies
-// wall-clock milliseconds — the caller injects it (mcastbench passes a
-// wallclock-backed closure) so this package stays free of wall-clock
-// reads and the timings stay display-only by construction.
-//
-// Each rung plans a seeded batch of disjoint concurrent OPT multicasts,
-// runs it on a serial fabric and on a parallel fabric, and errors out
-// unless the two simulated outcomes are byte-identical.
-func ScaleWall(parallel int, big bool, cfg wormhole.Config, soft model.Software, seed uint64, nowMS func() float64) ([]ScaleWallRow, error) {
-	if parallel < 2 {
-		return nil, fmt.Errorf("exp: ScaleWall needs parallel >= 2, got %d", parallel)
-	}
-	const bytes = 4096
-	rcfg := mcastsim.Config{Software: soft}
-	var rows []ScaleWallRow
-	for _, f := range scaleWallLadder(cfg, big) {
-		p := f.platform
-		s := &Suite{Platform: p, Software: soft, Seed: seed}
-		tend, err := s.MeasureTEnd(bytes)
-		if err != nil {
-			return nil, err
-		}
-		thold := soft.Hold.At(bytes)
-		tab := core.NewOptTable(f.k, thold, tend)
-
-		// One seeded placement of groups×k disjoint nodes, shared by both
-		// legs so they simulate the identical workload.
-		r := sim.NewRNG(seed + uint64(p.Nodes)*0x9e37)
-		all := r.Sample(p.Nodes, f.groups*f.k)
-		groups := make([]mcastsim.Group, f.groups)
-		for gi := range groups {
-			addrs := all[gi*f.k : (gi+1)*f.k]
-			ch := chain.New(addrs, p.Less)
-			root, _ := ch.Index(addrs[0])
-			groups[gi] = mcastsim.Group{Tab: tab, Chain: ch, Root: root, Bytes: bytes}
-		}
-
-		run := func(par int) ([]mcastsim.GroupResult, float64, error) {
-			net := p.NewNet()
-			if par > 1 {
-				net.SetParallelism(par)
-				defer net.Close()
-			}
-			t0 := nowMS()
-			batch, err := mcastsim.RunConcurrent(net, groups, rcfg)
-			if err != nil {
-				return nil, 0, fmt.Errorf("exp: F4 batch on %s (P=%d): %w", p.Name, par, err)
-			}
-			return batch, nowMS() - t0, nil
-		}
-		serial, serialMS, err := run(1)
-		if err != nil {
-			return nil, err
-		}
-		par, parMS, err := run(parallel)
-		if err != nil {
-			return nil, err
-		}
-		if !reflect.DeepEqual(serial, par) {
-			return nil, fmt.Errorf("exp: F4 determinism violation on %s: parallel (P=%d) batch results diverge from serial", p.Name, parallel)
-		}
-		speedup := 0.0
-		if parMS > 0 {
-			speedup = serialMS / parMS
-		}
-		rows = append(rows, ScaleWallRow{
-			Fabric: p.Name, Nodes: p.Nodes,
-			Groups: f.groups, K: f.k,
-			Cycles:   serial[0].Cycles,
-			SerialMS: serialMS, ParallelMS: parMS, Speedup: speedup,
-		})
-	}
-	return rows, nil
 }

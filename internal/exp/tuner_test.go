@@ -3,9 +3,9 @@ package exp
 // Determinism battery for the F6 tuner sweep: the crossover surface
 // built serially must be byte-identical to one built as 2 shards and
 // merged from the warm cache, and the compiled selector decisions must
-// agree across the fast, reference and domain-parallel wormhole
-// kernels and across reruns. (The recalibration switch-point
-// regression lives in internal/tuner.)
+// agree across the fast and reference wormhole kernels and across
+// reruns. (The recalibration switch-point regression lives in
+// internal/tuner.)
 
 import (
 	"testing"
@@ -86,19 +86,14 @@ func TestTunerSweepShardedBitIdentical(t *testing.T) {
 	}
 }
 
-// TestTunerSurfaceKernelAgreement: the fast, reference and
-// domain-parallel kernels build content-identical surfaces, so the
-// compiled selector decisions cannot depend on which kernel measured
-// the training cells. A rerun on the same kernel must also agree
-// (replay determinism).
+// TestTunerSurfaceKernelAgreement: the fast and reference kernels build
+// content-identical surfaces, so the compiled selector decisions cannot
+// depend on which kernel measured the training cells. A rerun on the
+// same kernel must also agree (replay determinism).
 func TestTunerSurfaceKernelAgreement(t *testing.T) {
 	wraps := map[string]func(*wormhole.Network){
 		"fast":      func(n *wormhole.Network) { n.SetKernel(wormhole.KernelFast) },
 		"reference": func(n *wormhole.Network) { n.SetKernel(wormhole.KernelReference) },
-		"parallel": func(n *wormhole.Network) {
-			n.SetKernel(wormhole.KernelFast)
-			n.SetParallelism(2)
-		},
 	}
 	base := f6Format(t, tunerSweep(t, wraps["fast"], nil))
 	for name, wrap := range wraps {

@@ -21,9 +21,8 @@ package fault
 // layer's deadlines withdraw them. Dead stays reserved for permanent
 // link faults whose verdict never changes mid-run — the invariant the
 // reachability oracle and the kernels' unreachable-freeze machinery
-// are built on. Because Up is a pure read of immutable plan state, all
-// three kernels (fast, reference, domain-parallel) observe outages
-// bit-identically.
+// are built on. Because Up is a pure read of immutable plan state, both
+// kernels (fast and reference) observe outages bit-identically.
 
 import (
 	"fmt"
@@ -169,8 +168,7 @@ func cycleStr(t int64) string {
 }
 
 // windowedDown reports whether channel c is inside one of its scheduled
-// outage windows at cycle now. Pure read of immutable state, safe for
-// the domain-parallel kernel's concurrent phase-A workers.
+// outage windows at cycle now. Pure read of immutable state.
 func (p *Plan) windowedDown(c wormhole.ChannelID, now int64) bool {
 	for i := p.winStart[c]; i < p.winStart[c+1]; i++ {
 		w := p.wins[i]

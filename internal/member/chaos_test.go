@@ -6,8 +6,7 @@ package member_test
 // tentpole's promises — at quiesce the delivered set is a subset of the
 // membership-and-fault-reachable oracle, and exactly equal to it under
 // pure node churn — plus the determinism contract: bit-identical
-// results on reruns, on the fast and reference kernels, and under
-// domain-parallel stepping at P in {2, 4}.
+// results on reruns and on the fast and reference kernels.
 
 import (
 	"fmt"
@@ -71,14 +70,10 @@ func churnScenario(t *testing.T, p chaosPlatform, seed uint64) (chain.Chain, mem
 // churnChaosRun executes one churn run; fatal on configuration errors
 // (the run itself must never error on churn or faults).
 func churnChaosRun(t *testing.T, p chaosPlatform, ch chain.Chain, sched member.Schedule, spec fault.Spec,
-	bytes int, tend int64, kernel wormhole.Kernel, par int, seed uint64) member.Result {
+	bytes int, tend int64, kernel wormhole.Kernel, seed uint64) member.Result {
 	t.Helper()
 	net := wormhole.New(p.topo, wormhole.DefaultConfig())
 	net.SetKernel(kernel)
-	if par > 1 {
-		net.SetParallelism(par)
-		defer net.Close()
-	}
 	spec.NodeOutages = append(append([]fault.NodeOutage(nil), spec.NodeOutages...), sched.Outages...)
 	fp, err := fault.NewPlan(p.topo, spec)
 	if err != nil {
@@ -105,8 +100,7 @@ func churnChaosRun(t *testing.T, p chaosPlatform, ch chain.Chain, sched member.S
 // TestChaosChurnInvariant: for every seeded churn schedule, at quiesce
 // the delivered positions are a subset of the membership-and-fault-
 // reachable oracle — exactly equal under pure node churn — and the
-// whole Result is bit-identical across reruns, kernels and parallel
-// domain counts.
+// whole Result is bit-identical across reruns and kernels.
 func TestChaosChurnInvariant(t *testing.T) {
 	const bytes = 512
 	specs := []struct {
@@ -131,7 +125,7 @@ func TestChaosChurnInvariant(t *testing.T) {
 				sc.spec.Seed = seed
 				name := fmt.Sprintf("%s/%s/seed%d", p.name, sc.name, seed)
 
-				res := churnChaosRun(t, p, ch, sched, sc.spec, bytes, tend, wormhole.KernelFast, 1, seed)
+				res := churnChaosRun(t, p, ch, sched, sc.spec, bytes, tend, wormhole.KernelFast, seed)
 				pure := sc.spec.DeadFrac == 0 && sc.spec.FlakyFrac == 0 && sc.spec.DegradedFrac == 0
 				for i := range ch {
 					delivered := res.Deliveries[i] >= 0
@@ -153,19 +147,13 @@ func TestChaosChurnInvariant(t *testing.T) {
 					t.Fatalf("%s: applied %d of %d events", name, res.Events, len(sched.Events))
 				}
 
-				again := churnChaosRun(t, p, ch, sched, sc.spec, bytes, tend, wormhole.KernelFast, 1, seed)
+				again := churnChaosRun(t, p, ch, sched, sc.spec, bytes, tend, wormhole.KernelFast, seed)
 				if !reflect.DeepEqual(res, again) {
 					t.Fatalf("%s: rerun diverged:\n 1st %+v\n 2nd %+v", name, res, again)
 				}
-				ref := churnChaosRun(t, p, ch, sched, sc.spec, bytes, tend, wormhole.KernelReference, 1, seed)
+				ref := churnChaosRun(t, p, ch, sched, sc.spec, bytes, tend, wormhole.KernelReference, seed)
 				if !reflect.DeepEqual(res, ref) {
 					t.Fatalf("%s: kernels diverged:\n fast %+v\n ref  %+v", name, res, ref)
-				}
-				for _, par := range []int{2, 4} {
-					pres := churnChaosRun(t, p, ch, sched, sc.spec, bytes, tend, wormhole.KernelFast, par, seed)
-					if !reflect.DeepEqual(res, pres) {
-						t.Fatalf("%s: parallel P=%d diverged:\n serial   %+v\n parallel %+v", name, par, res, pres)
-					}
 				}
 			}
 		}

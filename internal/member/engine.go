@@ -53,8 +53,8 @@ type Result struct {
 // the initial members and every joiner — in architecture order; the
 // schedule's outage windows must already be compiled into net's fault
 // plan (fault.Spec.NodeOutages), since the plan is immutable once worms
-// are in flight. The run is a pure function of its arguments: reruns,
-// kernels and parallelism levels produce bit-identical Results.
+// are in flight. The run is a pure function of its arguments: reruns
+// and both kernels produce bit-identical Results.
 func Run(net *wormhole.Network, tab core.SplitTable, ch chain.Chain, sched Schedule, msgBytes int, cfg recov.Config) (Result, error) {
 	if err := sched.Validate(); err != nil {
 		return Result{}, err

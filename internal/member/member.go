@@ -27,7 +27,7 @@
 // final alive membership equals the membership-and-fault-reachable
 // oracle — what a closure of idle-fabric routability over the
 // surviving members can possibly reach — bit-identically across the
-// fast, reference and domain-parallel kernels.
+// fast and reference kernels.
 package member
 
 import (

@@ -5,6 +5,7 @@ package traffic_test
 // admission-control behaviour, and configuration validation.
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -248,6 +249,9 @@ func TestTrafficValidation(t *testing.T) {
 		"tiny group":    {func(c *traffic.Config) { c.Load.Ks = []int{1} }, "group size 1"},
 		"no sizes":      {func(c *traffic.Config) { c.Load.Sizes = nil }, "at least one message size"},
 		"bad hotfrac":   {func(c *traffic.Config) { c.Load.HotFrac = 1.5 }, "HotFrac"},
+		"NaN hotfrac":   {func(c *traffic.Config) { c.Load.HotFrac = math.NaN() }, "HotFrac"},
+		"NaN rate":      {func(c *traffic.Config) { c.Arrival.RatePerMcycle = math.NaN() }, "rate must be > 0"},
+		"+Inf rate":     {func(c *traffic.Config) { c.Arrival.RatePerMcycle = math.Inf(1) }, "rate must be > 0"},
 		"hot no set":    {func(c *traffic.Config) { c.Load.HotFrac = 0.5 }, "HotNodes"},
 		"nil plan":      {func(c *traffic.Config) { c.Plan = nil }, "Plan"},
 		"nil tend":      {func(c *traffic.Config) { c.TEnd = nil }, "TEnd"},

@@ -40,6 +40,7 @@ package traffic
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/model"
@@ -210,8 +211,10 @@ func (c Config) validate(nodes int) error {
 	default:
 		return fmt.Errorf("traffic: unknown arrival process %q (want %q or %q)", c.Arrival.Kind, ArrivalPoisson, ArrivalBursty)
 	}
-	if c.Arrival.RatePerMcycle <= 0 {
-		return fmt.Errorf("traffic: arrival rate must be > 0 requests/Mcycle, got %g", c.Arrival.RatePerMcycle)
+	// Written so NaN fails too; +Inf fails because the mean
+	// inter-arrival gap would be 0 cycles.
+	if !(c.Arrival.RatePerMcycle > 0 && c.Arrival.RatePerMcycle <= math.MaxFloat64) {
+		return fmt.Errorf("traffic: arrival rate must be > 0 requests/Mcycle and finite, got %g", c.Arrival.RatePerMcycle)
 	}
 	if c.Arrival.OnCycles < 1 || c.Arrival.OffCycles < 0 {
 		return fmt.Errorf("traffic: bursty window %d on / %d off invalid", c.Arrival.OnCycles, c.Arrival.OffCycles)
@@ -249,7 +252,7 @@ func (c Config) validate(nodes int) error {
 			return fmt.Errorf("traffic: negative message size %d", b)
 		}
 	}
-	if c.Load.HotFrac < 0 || c.Load.HotFrac > 1 {
+	if !(c.Load.HotFrac >= 0 && c.Load.HotFrac <= 1) {
 		return fmt.Errorf("traffic: HotFrac %g outside [0, 1]", c.Load.HotFrac)
 	}
 	if c.Load.HotFrac > 0 && (c.Load.HotNodes < 2 || c.Load.HotNodes > nodes) {

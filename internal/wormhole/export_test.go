@@ -68,29 +68,6 @@ func (n *Network) CheckLiveWindows() error {
 	return nil
 }
 
-// SetDomainsForTest overrides the contiguous node partition installed by
-// SetParallelism(p) with an arbitrary node-to-domain map, so property
-// tests can check that results are independent of the partition, not
-// just of the domain count. dom must have one entry per node, each in
-// [0, p); the fabric must be idle.
-func (n *Network) SetDomainsForTest(dom []int32) {
-	if len(n.worms) != 0 {
-		panic("wormhole: SetDomainsForTest with active worms")
-	}
-	if n.par <= 1 {
-		panic("wormhole: SetDomainsForTest without SetParallelism")
-	}
-	if len(dom) != n.topo.NumNodes() {
-		panic("wormhole: SetDomainsForTest with wrong map length")
-	}
-	for _, d := range dom {
-		if d < 0 || int(d) >= n.par {
-			panic("wormhole: SetDomainsForTest domain out of range")
-		}
-	}
-	copy(n.domOf, dom)
-}
-
 // DeadlockWaitersBuf exposes the cached DeadlockReport histogram so the
 // reuse regression test can assert two successive reports share one
 // backing array.

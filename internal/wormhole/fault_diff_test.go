@@ -46,11 +46,11 @@ func TestKernelDifferentialFaults(t *testing.T) {
 				ref := New(p.topo, cfg)
 				ref.SetKernel(KernelReference)
 				ref.SetFaults(plan)
-				want, wantErr := driveWorkload(t, ref, sends, true)
+				want, wantErr := driveWorkload(t, ref, sends)
 
 				fast := New(p.topo, cfg)
 				fast.SetFaults(plan)
-				got, gotErr := driveWorkload(t, fast, sends, true)
+				got, gotErr := driveWorkload(t, fast, sends)
 
 				if gotErr != wantErr {
 					t.Fatalf("error text diverges:\n got %q\nwant %q", gotErr, wantErr)
@@ -77,7 +77,7 @@ func TestFaultsWithoutDeadLinksAlwaysDrain(t *testing.T) {
 			n.SetFaults(plan)
 			r := rand.New(rand.NewSource(99))
 			sends := randWorkload(r, p.topo.NumNodes(), 40)
-			snap, errText := driveWorkload(t, n, sends, true)
+			snap, errText := driveWorkload(t, n, sends)
 			if errText != "" {
 				t.Fatalf("degraded/flaky-only fabric failed to drain: %s", errText)
 			}
@@ -182,7 +182,7 @@ func TestUnreachableErrorNamesTheWorm(t *testing.T) {
 		n.SetFaults(plan)
 		r := rand.New(rand.NewSource(int64(seed)))
 		sends := randWorkload(r, topo.NumNodes(), 64)
-		_, errText := driveWorkload(t, n, sends, true)
+		_, errText := driveWorkload(t, n, sends)
 		if errText == "" {
 			continue
 		}

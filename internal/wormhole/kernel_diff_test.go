@@ -1,11 +1,10 @@
 package wormhole_test
 
 // Differential harness for the scheduling kernels: random seeded
-// workloads on all four fabric families run through KernelFast,
-// KernelReference and the domain-parallel kernel, asserting bit-identical
-// statistics, per-worm timings and observer event streams. This is the
-// proof obligation that lets the stall-aware kernel skip cycles and the
-// parallel kernel step domains concurrently at all.
+// workloads on all four fabric families run through KernelFast and
+// KernelReference, asserting bit-identical statistics, per-worm timings
+// and observer event streams. This is the proof obligation that lets the
+// stall-aware kernel skip cycles at all.
 
 import (
 	"fmt"
@@ -119,20 +118,16 @@ const drainLimit = 1 << 22
 // mcastsim drivers do — AdvanceTo across idle gaps, StepUntil bounded by
 // the next injection time — then drains it with RunUntilIdle's checks:
 // stop at the first fabric error (Err) or once drainLimit cycles have
-// passed. The live-window invariants are checked after every StepUntil.
-// With observe the full event stream is recorded; without it the network
-// may step the domain-parallel kernel, which an attached Observer would
-// force back to serial. It returns the observable outcome and the text of
-// the error that stopped the drain: "" when the fabric drained, which must
-// then be quiesced. On faulted fabrics the error text is part of the
-// outcome (an unreachable worm freezes holding its channels by design).
-func driveWorkload(t *testing.T, n *Network, sends []timedSend, observe bool) (runSnapshot, string) {
+// passed. The live-window invariants are checked after every StepUntil,
+// and the full event stream is recorded. It returns the observable
+// outcome and the text of the error that stopped the drain: "" when the
+// fabric drained, which must then be quiesced. On faulted fabrics the
+// error text is part of the outcome (an unreachable worm freezes holding
+// its channels by design).
+func driveWorkload(t *testing.T, n *Network, sends []timedSend) (runSnapshot, string) {
 	t.Helper()
-	var log *eventLog
-	if observe {
-		log = &eventLog{}
-		n.SetObserver(log)
-	}
+	log := &eventLog{}
+	n.SetObserver(log)
 	var snap runSnapshot
 	record := func(w *Worm, now int64) { snap.Worms = append(snap.Worms, recordWorm(w)) }
 	for _, s := range sends {
@@ -165,9 +160,7 @@ func driveWorkload(t *testing.T, n *Network, sends []timedSend, observe bool) (r
 	}
 	snap.Stats = n.Stats()
 	snap.Now = n.Now()
-	if log != nil {
-		snap.Events = log.events
-	}
+	snap.Events = log.events
 	return snap, errText
 }
 
@@ -175,19 +168,7 @@ func driveWorkload(t *testing.T, n *Network, sends []timedSend, observe bool) (r
 // stream.
 func runWorkload(t *testing.T, n *Network, sends []timedSend) runSnapshot {
 	t.Helper()
-	snap, errText := driveWorkload(t, n, sends, true)
-	if errText != "" {
-		t.Fatal(errText)
-	}
-	return snap
-}
-
-// runWorkloadQuiet is runWorkload without the event-log observer, for
-// networks stepping the domain-parallel kernel; parallel legs of the
-// differential compare eventless snapshots.
-func runWorkloadQuiet(t *testing.T, n *Network, sends []timedSend) runSnapshot {
-	t.Helper()
-	snap, errText := driveWorkload(t, n, sends, false)
+	snap, errText := driveWorkload(t, n, sends)
 	if errText != "" {
 		t.Fatal(errText)
 	}
@@ -246,16 +227,11 @@ func diffPlatforms() []struct {
 }
 
 // TestKernelDifferential runs 8 seeded random workloads per fabric family
-// (32 in total) through all three kernels — reference, fast, and
-// domain-parallel at P ∈ {2,4,8} — and requires bit-identical outcomes.
-// Odd seeds use a deliberately stall-heavy config (long RouterDelay,
-// single-flit buffers) to force deep cycle-skipping; even seeds also turn
-// worm recycling on for the fast kernel, proving pooling is behaviour-
-// neutral against a non-recycling reference. The parallel legs run
-// observer-free (an Observer forces the serial fallback) and compare
-// eventless snapshots against the reference outcome; on the torus the
-// shared-link LinkGrouper makes them exercise the documented fallback
-// rather than concurrent stepping, which must be equivalent too.
+// (32 in total) through the reference and fast kernels and requires
+// bit-identical outcomes. Odd seeds use a deliberately stall-heavy config
+// (long RouterDelay, single-flit buffers) to force deep cycle-skipping;
+// even seeds also turn worm recycling on for the fast kernel, proving
+// pooling is behaviour-neutral against a non-recycling reference.
 func TestKernelDifferential(t *testing.T) {
 	for _, p := range diffPlatforms() {
 		for seed := int64(0); seed < 8; seed++ {
@@ -277,23 +253,26 @@ func TestKernelDifferential(t *testing.T) {
 				got := runWorkload(t, fast, sends)
 
 				diffSnapshots(t, got, want)
-
-				wantQuiet := want
-				wantQuiet.Events = nil
-				for _, P := range []int{2, 4, 8} {
-					par := New(p.topo, cfg)
-					par.SetRecycling(seed%2 == 0)
-					par.SetParallelism(P)
-					gotPar := runWorkloadQuiet(t, par, sends)
-					par.Close()
-					if !reflect.DeepEqual(gotPar, wantQuiet) {
-						t.Errorf("parallel P=%d diverges from reference:", P)
-						diffSnapshots(t, gotPar, wantQuiet)
-					}
-				}
 			})
 		}
 	}
+}
+
+// TestKernelDifferentialLargeMesh is the one differential above 256
+// nodes: a dense 160-send random workload on a 64×64 mesh, where many
+// worms cross long live windows at once, through the reference and fast
+// kernels.
+func TestKernelDifferentialLargeMesh(t *testing.T) {
+	topo := mesh.New2D(64, 64)
+	r := rand.New(rand.NewSource(4096))
+	sends := randWorkload(r, topo.NumNodes(), 160)
+
+	ref := New(topo, DefaultConfig())
+	ref.SetKernel(KernelReference)
+	want := runWorkload(t, ref, sends)
+
+	got := runWorkload(t, New(topo, DefaultConfig()), sends)
+	diffSnapshots(t, got, want)
 }
 
 // TestKernelDifferentialStepwise drives both kernels strictly one Step at

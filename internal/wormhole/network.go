@@ -3,8 +3,6 @@ package wormhole
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/sim"
 )
 
 // Config holds the fabric parameters. The zero value is not valid; use
@@ -127,7 +125,7 @@ type Worm struct {
 	// released (passed == flits) and path[tail:] are still owned. A
 	// channel empties only after its upstream neighbour has, because
 	// passed[i] <= passed[i-1] <= injected, so the released channels
-	// always form a prefix: the fast kernels' flit motion walks only
+	// always form a prefix: the fast kernel's flit motion walks only
 	// path[tail:], and Cancel releases exactly path[tail:].
 	tail          int
 	injected      int
@@ -139,18 +137,13 @@ type Worm struct {
 
 	// Fast-kernel scheduling state. The asleep flag itself lives in
 	// Network.asleep, a flat slice indexed by slot, so the per-cycle scan
-	// touches one byte per worm instead of a whole Worm struct (and the
-	// domain-parallel kernel can write it from worker goroutines: distinct
-	// slots are distinct memory locations). slot is the worm's index in
-	// the network's slot table for as long as it is in flight; idx is its
-	// current position in the active list (creation order), which the
-	// parallel kernel uses to reconstruct the serial completion order.
-	// waitState caches the header's outcome (blocked on an owned
+	// touches one byte per worm instead of a whole Worm struct. slot is
+	// the worm's index in the network's slot table for as long as it is
+	// in flight. waitState caches the header's outcome (blocked on an owned
 	// channel, or waiting for the injection port) and is valid while
 	// waitEpoch matches the network's ownership epoch — i.e. until any
 	// acquire or release anywhere could have changed the answer.
 	slot      int32
-	idx       int32
 	waitState uint8
 	waitEpoch int64
 	blockCand ChannelID
@@ -216,8 +209,7 @@ type Network struct {
 
 	// Channel occupancy as a flat slice indexed by ChannelID: the slot
 	// index of the owning worm, or -1 when free. Slots — not pointers —
-	// keep the hot arrays pointer-free and give the parallel kernel
-	// stable worm identities across the per-cycle compaction of worms.
+	// keep the hot arrays pointer-free.
 	owner  []int32
 	owned  int // channels with owner >= 0, so Quiesced need not scan owner
 	inject []ChannelID
@@ -226,8 +218,7 @@ type Network struct {
 	// Slot table: slots[w.slot] == w for every in-flight worm; freeSlots
 	// holds recycled indices (cap always >= len(slots), so reap can push
 	// by index). asleep[s] != 0 means slot s's worm provably cannot move
-	// a flit this epoch; one byte per slot rather than a bitset so
-	// concurrent domains never write the same word.
+	// a flit this epoch.
 	slots     []*Worm
 	freeSlots []int32
 	asleep    []uint8
@@ -238,14 +229,6 @@ type Network struct {
 	routeBuf  []ChannelID
 	stats     Stats
 	obs       Observer
-
-	// Deterministic domain-parallel stepping (see parallel.go); par <= 1
-	// means serial.
-	par     int
-	domOf   []int32   // node -> domain index
-	domList [][]int32 // per-domain active worm slots, in creation order
-	domAcc  []domainAcc
-	pool    *sim.Pool
 
 	// dlWaiters is DeadlockReport's per-channel waiting-header histogram,
 	// cached across invocations (at 1M+ channels a fresh make per
@@ -287,7 +270,6 @@ func New(topo Topology, cfg Config) *Network {
 		owner:  make([]int32, topo.NumChannels()),
 		inject: make([]ChannelID, topo.NumNodes()),
 		eject:  make([]ChannelID, topo.NumNodes()),
-		par:    1,
 	}
 	for i := range n.owner {
 		n.owner[i] = -1
@@ -503,12 +485,7 @@ func (n *Network) Send(src, dst NodeID, bytes int, tag any, onArrive ArrivalFunc
 	w.createdAt = n.now
 	n.nextID++
 	w.slot = n.takeSlot(w)
-	w.idx = int32(len(n.worms))
 	n.worms = append(n.worms, w)
-	if n.par > 1 {
-		d := n.domOf[w.Src]
-		n.domList[d] = append(n.domList[d], w.slot)
-	}
 	n.reserve()
 	return w
 }
@@ -562,16 +539,6 @@ func (n *Network) reserve() {
 		copy(grown, n.completed)
 		n.completed = grown
 	}
-	// Per-domain completion buffers: every worm of a domain may complete
-	// within one parallel phase A, and len(worms) bounds any domain's
-	// population. The buffers are drained every step, so growth never
-	// needs to copy elements.
-	for d := range n.domAcc {
-		if cap(n.domAcc[d].completed) < len(n.worms) {
-			grown := make([]int32, 0, 2*len(n.worms))
-			n.domAcc[d].completed = append(grown, n.domAcc[d].completed...)
-		}
-	}
 	if !n.recycle {
 		return
 	}
@@ -614,19 +581,6 @@ func (n *Network) Cancel(w *Worm) {
 	}
 	wasFrozen := w.waitState == waitUnreachable
 	n.worms = append(n.worms[:at], n.worms[at+1:]...)
-	for j := at; j < len(n.worms); j++ {
-		n.worms[j].idx = int32(j)
-	}
-	if n.par > 1 {
-		d := n.domOf[w.Src]
-		list := n.domList[d]
-		for i, s := range list {
-			if s == w.slot {
-				n.domList[d] = append(list[:i], list[i+1:]...)
-				break
-			}
-		}
-	}
 	n.freeSlot(w.slot)
 	// Ownership and the active set changed; cached verdicts are stale.
 	n.epoch++
@@ -673,15 +627,6 @@ func (n *Network) Unreachable(buf []*Worm) []*Worm {
 func (n *Network) Step() {
 	if n.kernel == KernelReference {
 		n.stepReference()
-		return
-	}
-	// The domain-parallel kernel is bit-identical to stepFast but cannot
-	// replay the serial per-event order an observer expects, and shared
-	// physical links (virtual channels) couple worms across domains; both
-	// cases fall back to the serial fast kernel, which is equivalent by
-	// the differential suite.
-	if n.par > 1 && n.obs == nil && n.lg == nil {
-		n.stepParallel()
 		return
 	}
 	n.stepFast()
@@ -1278,26 +1223,11 @@ func (n *Network) reap() {
 	for _, w := range n.worms {
 		if !w.done {
 			n.worms[k] = w
-			w.idx = int32(k)
 			k++
 		}
 	}
 	clear(n.worms[k:])
 	n.worms = n.worms[:k]
-	// Drop completed worms from the per-domain scan lists before their
-	// slots are freed below (a freed slot may be reissued by a Send from
-	// an arrival callback mid-drain).
-	for d := range n.domList {
-		list := n.domList[d]
-		j := 0
-		for _, s := range list {
-			if !n.slots[s].done {
-				list[j] = s
-				j++
-			}
-		}
-		n.domList[d] = list[:j]
-	}
 	// n.completed stays populated while callbacks run: an arrival
 	// callback may Send, and Send's free-list reservation counts the
 	// drained-but-unpooled worms still listed here.

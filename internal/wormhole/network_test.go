@@ -443,3 +443,26 @@ func TestPathChannelsMatchesWormPath(t *testing.T) {
 		}
 	}
 }
+
+// TestDeadlockReportReusesWaiterBuffer is the regression test for the
+// watchdog allocation fix: two successive DeadlockReports must share one
+// cached waiter-histogram backing array instead of allocating
+// NumChannels() int32s per invocation.
+func TestDeadlockReportReusesWaiterBuffer(t *testing.T) {
+	topo := mesh.New2D(8, 8)
+	n := New(topo, DefaultConfig())
+	n.Send(0, 63, 512, nil, nil)
+	for i := 0; i < 4; i++ {
+		n.Step()
+	}
+	n.DeadlockReport(4)
+	buf1 := n.DeadlockWaitersBuf()
+	if buf1 == nil {
+		t.Fatal("first DeadlockReport left no cached waiter buffer")
+	}
+	n.DeadlockReport(4)
+	buf2 := n.DeadlockWaitersBuf()
+	if &buf1[0] != &buf2[0] {
+		t.Fatal("successive DeadlockReports did not reuse the waiter buffer")
+	}
+}
