@@ -34,9 +34,28 @@ func (n *Network) ForceOwnedCount(k int) { n.owned = k }
 // by it. It also checks the owned-channel count against a scan of the
 // owner table. A tail that runs ahead of the first owned channel would
 // skip live flits; one that lags would only cost time, so only this
-// check catches the second kind of drift.
+// check catches the second kind of drift. For parked worms it checks
+// the closed form's precondition on the counters that still hold their
+// parking-cycle values — each live channel then held 1 to BufFlits
+// flits (a finished upstream stage reads flits) — and that each due
+// cycle is still ahead, and it recounts the sums Stats credits parked
+// flit-hops from.
 func (n *Network) CheckLiveWindows() error {
+	var rate, sum int64
 	for _, w := range n.worms {
+		if n.asleep[w.slot] == parked {
+			if w.due <= n.now {
+				return fmt.Errorf("worm %d: parked with due cycle %d at cycle %d", w.ID, w.due, n.now)
+			}
+			for i := w.tail; i < len(w.path); i++ {
+				if o := w.occ(i); o < 1 || (w.entered(i) < w.flits && o > n.cfg.BufFlits) {
+					return fmt.Errorf("worm %d: parked with %d flits in path[%d]", w.ID, o, i)
+				}
+			}
+			r := w.liveStages()
+			rate += r
+			sum += r * w.parkedAt()
+		}
 		if w.tail < 0 || w.tail > len(w.path) {
 			return fmt.Errorf("worm %d: tail %d outside path of %d channels", w.ID, w.tail, len(w.path))
 		}
@@ -64,6 +83,9 @@ func (n *Network) CheckLiveWindows() error {
 	}
 	if owned != n.owned {
 		return fmt.Errorf("owned-channel count %d, owner table holds %d", n.owned, owned)
+	}
+	if rate != n.parkRate || sum != n.parkSum {
+		return fmt.Errorf("parked stage sums %d/%d, recount %d/%d", n.parkRate, n.parkSum, rate, sum)
 	}
 	return nil
 }

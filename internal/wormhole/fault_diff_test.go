@@ -41,7 +41,7 @@ func TestKernelDifferentialFaults(t *testing.T) {
 					Seed:         uint64(seed)*0x9e3779b9 + 11,
 				})
 				r := rand.New(rand.NewSource(271 + seed*104729))
-				sends := randWorkload(r, p.topo.NumNodes(), 40)
+				sends := randWorkload(r, p.topo.NumNodes(), 40, 200)
 
 				ref := New(p.topo, cfg)
 				ref.SetKernel(KernelReference)
@@ -76,7 +76,7 @@ func TestFaultsWithoutDeadLinksAlwaysDrain(t *testing.T) {
 			n := New(p.topo, DefaultConfig())
 			n.SetFaults(plan)
 			r := rand.New(rand.NewSource(99))
-			sends := randWorkload(r, p.topo.NumNodes(), 40)
+			sends := randWorkload(r, p.topo.NumNodes(), 40, 200)
 			snap, errText := driveWorkload(t, n, sends)
 			if errText != "" {
 				t.Fatalf("degraded/flaky-only fabric failed to drain: %s", errText)
@@ -119,7 +119,7 @@ func TestRecyclingNeverPoolsUnderObserver(t *testing.T) {
 	n.SetObserver(obs)
 
 	r := rand.New(rand.NewSource(5))
-	sends := randWorkload(r, 64, 96)
+	sends := randWorkload(r, 64, 96, 200)
 	for _, s := range sends {
 		for n.Now() < s.at {
 			if n.Active() == 0 {
@@ -181,7 +181,7 @@ func TestUnreachableErrorNamesTheWorm(t *testing.T) {
 		n := New(topo, DefaultConfig())
 		n.SetFaults(plan)
 		r := rand.New(rand.NewSource(int64(seed)))
-		sends := randWorkload(r, topo.NumNodes(), 64)
+		sends := randWorkload(r, topo.NumNodes(), 64, 200)
 		_, errText := driveWorkload(t, n, sends)
 		if errText == "" {
 			continue

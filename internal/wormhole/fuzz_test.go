@@ -38,7 +38,14 @@ func decodeSends(data []byte, nodes int) []timedSend {
 			gap = (gap - 199) * 97
 		}
 		at += gap
-		sends = append(sends, timedSend{at: at, src: src, dst: dst, bytes: int(data[i+2])})
+		// Size byte: bytes as is, except that the top 16 values map to
+		// 512 B–8 KB worms, whose bodies stream in closed form for
+		// hundreds of cycles.
+		size := int(data[i+2])
+		if size >= 240 {
+			size = (size - 239) * 512
+		}
+		sends = append(sends, timedSend{at: at, src: src, dst: dst, bytes: size})
 	}
 	return sends
 }
@@ -64,6 +71,10 @@ func FuzzWormholeKernel(f *testing.F) {
 		r.Read(b)
 		f.Add(b)
 	}
+	// An 8 KB worm 0->15 streams while a 5.5 KB worm 3->12 crosses its
+	// routers and a short worm 1->15 blocks behind it; after a long gap a
+	// short worm and two more multi-KB worms follow.
+	f.Add([]byte{0, 15, 255, 0, 3, 12, 250, 0, 1, 15, 10, 3, 12, 3, 40, 220, 5, 10, 245, 2, 6, 9, 248, 1})
 
 	topo := mesh.New2D(4, 4)
 	ring := torus.New2D(4, 4)

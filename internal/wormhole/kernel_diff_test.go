@@ -64,10 +64,10 @@ type runSnapshot struct {
 	Events []string
 }
 
-// randWorkload draws a seeded send sequence mixing same-cycle bursts,
-// tight pacing, and long software-style gaps (which exercise both
-// AdvanceTo and StepUntil's cycle-skipping).
-func randWorkload(r *rand.Rand, nodes, count int) []timedSend {
+// randWorkload draws a seeded send sequence of payloads below maxBytes,
+// mixing same-cycle bursts, tight pacing, and long software-style gaps
+// (which exercise both AdvanceTo and StepUntil's cycle-skipping).
+func randWorkload(r *rand.Rand, nodes, count, maxBytes int) []timedSend {
 	sends := make([]timedSend, 0, count)
 	at := int64(0)
 	for i := 0; i < count; i++ {
@@ -85,7 +85,7 @@ func randWorkload(r *rand.Rand, nodes, count int) []timedSend {
 		for dst == src {
 			dst = NodeID(r.Intn(nodes))
 		}
-		sends = append(sends, timedSend{at: at, src: src, dst: dst, bytes: r.Intn(200)})
+		sends = append(sends, timedSend{at: at, src: src, dst: dst, bytes: r.Intn(maxBytes)})
 	}
 	return sends
 }
@@ -102,10 +102,11 @@ func recordWorm(w *Worm) wormRecord {
 
 // checkWindows fails the test if any in-flight worm's live window (its
 // first unreleased channel onward) or the owned-channel count disagrees
-// with the owner table.
+// with the owner table. It runs after every step, so t.Helper, which
+// costs a stack walk, is called only on failure.
 func checkWindows(t *testing.T, n *Network) {
-	t.Helper()
 	if err := n.CheckLiveWindows(); err != nil {
+		t.Helper()
 		t.Fatalf("cycle %d: %v", n.Now(), err)
 	}
 }
@@ -226,23 +227,31 @@ func diffPlatforms() []struct {
 	}
 }
 
-// TestKernelDifferential runs 8 seeded random workloads per fabric family
-// (32 in total) through the reference and fast kernels and requires
-// bit-identical outcomes. Odd seeds use a deliberately stall-heavy config
-// (long RouterDelay, single-flit buffers) to force deep cycle-skipping;
-// even seeds also turn worm recycling on for the fast kernel, proving
-// pooling is behaviour-neutral against a non-recycling reference.
+// TestKernelDifferential runs 12 seeded random workloads per fabric
+// family (48 in total) through the reference and fast kernels and
+// requires bit-identical outcomes. Seeds 0–7 send worms below 200 B;
+// seeds 8–11 (the "long" cases) send worms of up to 8 KB, whose parked
+// stretches span cycle-skipping jumps, blocked headers and other worms'
+// events (the torus, which never parks, is their control). Odd seeds use
+// a deliberately stall-heavy config (long RouterDelay, single-flit
+// buffers) to force deep cycle-skipping; even seeds also turn worm
+// recycling on for the fast kernel, proving pooling is behaviour-neutral
+// against a non-recycling reference.
 func TestKernelDifferential(t *testing.T) {
 	for _, p := range diffPlatforms() {
-		for seed := int64(0); seed < 8; seed++ {
-			t.Run(fmt.Sprintf("%s/seed%d", p.name, seed), func(t *testing.T) {
+		for seed := int64(0); seed < 12; seed++ {
+			name, maxBytes := fmt.Sprintf("%s/seed%d", p.name, seed), 200
+			if seed >= 8 {
+				name, maxBytes = fmt.Sprintf("%s/long/seed%d", p.name, seed), 8<<10
+			}
+			t.Run(name, func(t *testing.T) {
 				cfg := DefaultConfig()
 				if seed%2 == 1 {
 					cfg.RouterDelay = 7
 					cfg.BufFlits = 1
 				}
 				r := rand.New(rand.NewSource(1997 + seed*7919))
-				sends := randWorkload(r, p.topo.NumNodes(), 48)
+				sends := randWorkload(r, p.topo.NumNodes(), 48, maxBytes)
 
 				ref := New(p.topo, cfg)
 				ref.SetKernel(KernelReference)
@@ -265,7 +274,7 @@ func TestKernelDifferential(t *testing.T) {
 func TestKernelDifferentialLargeMesh(t *testing.T) {
 	topo := mesh.New2D(64, 64)
 	r := rand.New(rand.NewSource(4096))
-	sends := randWorkload(r, topo.NumNodes(), 160)
+	sends := randWorkload(r, topo.NumNodes(), 160, 200)
 
 	ref := New(topo, DefaultConfig())
 	ref.SetKernel(KernelReference)
@@ -277,42 +286,55 @@ func TestKernelDifferentialLargeMesh(t *testing.T) {
 
 // TestKernelDifferentialStepwise drives both kernels strictly one Step at
 // a time (no StepUntil, no AdvanceTo), pinning that Step itself — not
-// just the skipping entry point — is equivalent cycle for cycle.
+// just the skipping entry point — is equivalent cycle for cycle, and
+// that Stats is equal after every Step, while parked worms stream, not
+// only at the end.
 func TestKernelDifferentialStepwise(t *testing.T) {
 	topo := mesh.New2D(8, 8)
 	cfg := DefaultConfig()
 	cfg.RouterDelay = 3
 	r := rand.New(rand.NewSource(42))
-	sends := randWorkload(r, topo.NumNodes(), 32)
+	sends := randWorkload(r, topo.NumNodes(), 32, 200)
 
-	run := func(k Kernel) runSnapshot {
+	run := func(k Kernel) (runSnapshot, []Stats) {
 		n := New(topo, cfg)
 		n.SetKernel(k)
 		log := &eventLog{}
 		n.SetObserver(log)
 		var snap runSnapshot
+		var steps []Stats
 		record := func(w *Worm, now int64) {
 			snap.Worms = append(snap.Worms, wormRecord{ID: w.ID, InjectedAt: w.InjectedAt,
 				ArrivedAt: w.ArrivedAt, Blocked: w.BlockedCycles, InjectWait: w.InjectWaitCycles})
 		}
+		step := func() {
+			n.Step()
+			checkWindows(t, n)
+			steps = append(steps, n.Stats())
+		}
 		for _, s := range sends {
 			for n.Now() < s.at {
-				n.Step()
-				checkWindows(t, n)
+				step()
 			}
 			n.Send(s.src, s.dst, s.bytes, nil, record)
 		}
 		for n.Active() > 0 {
-			n.Step()
-			checkWindows(t, n)
+			step()
 		}
 		snap.Stats = n.Stats()
 		snap.Now = n.Now()
 		snap.Events = log.events
-		return snap
+		return snap, steps
 	}
 
-	diffSnapshots(t, run(KernelFast), run(KernelReference))
+	got, gotSteps := run(KernelFast)
+	want, wantSteps := run(KernelReference)
+	for i := 0; i < len(gotSteps) && i < len(wantSteps); i++ {
+		if gotSteps[i] != wantSteps[i] {
+			t.Fatalf("cycle %d: stats diverge:\n got %+v\nwant %+v", i+1, gotSteps[i], wantSteps[i])
+		}
+	}
+	diffSnapshots(t, got, want)
 }
 
 // TestAdvanceToEquivalentToIdleStepping is the fast-forward soundness
@@ -328,7 +350,7 @@ func TestAdvanceToEquivalentToIdleStepping(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			r := rand.New(rand.NewSource(7 + seed))
 			gap := 1 + r.Int63n(5000)
-			base := randWorkload(r, topo.NumNodes(), 24)
+			base := randWorkload(r, topo.NumNodes(), 24, 200)
 			shifted := make([]timedSend, len(base))
 			for i, s := range base {
 				s.at += gap

@@ -83,11 +83,14 @@ type Kernel int
 const (
 	// KernelFast is the default stall-aware kernel: worms that provably
 	// cannot move skip their per-cycle scan, blocked headers replay a
-	// cached routing decision instead of re-routing, and StepUntil jumps
-	// the clock over cycles in which nothing can happen. It is
-	// observably equivalent to KernelReference (identical Stats,
-	// per-worm timings and observer event streams), which the
-	// differential and fuzz suites in kernel_diff_test.go enforce.
+	// cached routing decision instead of re-routing, routed worms whose
+	// every live stage moves stream in closed form (on fabrics with no
+	// FaultModel and no LinkGrouper) and are visited only when one of
+	// their stages finishes, and StepUntil jumps the clock over cycles in
+	// which nothing else can happen. It is observably equivalent to
+	// KernelReference (identical Stats, per-worm timings and observer
+	// event streams), which the differential and fuzz suites in
+	// kernel_diff_test.go enforce.
 	KernelFast Kernel = iota
 	// KernelReference is the original straight-line kernel: one full
 	// pass over every worm per simulated cycle. It is kept as the
@@ -133,9 +136,8 @@ type Worm struct {
 	routed        bool // path ends at Dst's ejection channel
 	done          bool
 	onArrive      ArrivalFunc
-	createdAt     int64
 
-	// Fast-kernel scheduling state. The asleep flag itself lives in
+	// Fast-kernel scheduling state. The sleep state itself lives in
 	// Network.asleep, a flat slice indexed by slot, so the per-cycle scan
 	// touches one byte per worm instead of a whole Worm struct. slot is
 	// the worm's index in the network's slot table for as long as it is
@@ -148,7 +150,16 @@ type Worm struct {
 	waitEpoch int64
 	blockCand ChannelID
 	blockHold *Worm
+	// due is a parked worm's next event cycle (see park).
+	due int64
 }
+
+// Values of Network.asleep.
+const (
+	awake    uint8 = iota
+	sleeping       // cannot move a flit until it next acquires a channel
+	parked         // streams in closed form; visited only at its due cycle
+)
 
 const (
 	waitNone uint8 = iota
@@ -217,8 +228,8 @@ type Network struct {
 
 	// Slot table: slots[w.slot] == w for every in-flight worm; freeSlots
 	// holds recycled indices (cap always >= len(slots), so reap can push
-	// by index). asleep[s] != 0 means slot s's worm provably cannot move
-	// a flit this epoch.
+	// by index). asleep[s] is slot s's worm's phase-A state: awake,
+	// sleeping or parked.
 	slots     []*Worm
 	freeSlots []int32
 	asleep    []uint8
@@ -243,7 +254,13 @@ type Network struct {
 	// Kernel scheduling state (see DESIGN.md §4, "kernel scheduling").
 	kernel   Kernel
 	epoch    int64 // bumped on every acquire/release; keys waitState caches
-	progress bool  // the last stepped cycle moved a flit or changed ownership
+	progress bool  // the last stepped cycle did more than parked streaming (see StepUntil)
+	// Over parked worms' live stages, parkRate is their count and parkSum
+	// the sum of their parking cycles: each such stage has moved one flit
+	// per cycle since, so parkRate·now − parkSum flit-hops are not yet in
+	// stats.
+	parkRate int64
+	parkSum  int64
 
 	// Fault layer (see SetFaults). deadFn and frouter are cached from
 	// faults/topo so routing does not rebind method values per call.
@@ -366,8 +383,13 @@ func (n *Network) Now() int64 { return n.now }
 // Active returns the number of in-flight worms.
 func (n *Network) Active() int { return len(n.worms) }
 
-// Stats returns a snapshot of the aggregate counters.
-func (n *Network) Stats() Stats { return n.stats }
+// Stats returns a snapshot of the aggregate counters. FlitHops includes
+// the flits parked worms have streamed up to Now, computed in O(1).
+func (n *Network) Stats() Stats {
+	s := n.stats
+	s.FlitHops += n.parkRate*n.now - n.parkSum
+	return s
+}
 
 // SetObserver installs (or, with nil, removes) a fabric event observer.
 // While an observer is attached, worm recycling (SetRecycling) is
@@ -482,7 +504,6 @@ func (n *Network) Send(src, dst NodeID, bytes int, tag any, onArrive ArrivalFunc
 	w.Tag = tag
 	w.flits = n.cfg.Flits(bytes)
 	w.onArrive = onArrive
-	w.createdAt = n.now
 	n.nextID++
 	w.slot = n.takeSlot(w)
 	n.worms = append(n.worms, w)
@@ -499,12 +520,12 @@ func (n *Network) takeSlot(w *Worm) int32 {
 		s := n.freeSlots[k]
 		n.freeSlots = n.freeSlots[:k]
 		n.slots[s] = w
-		n.asleep[s] = 0
+		n.asleep[s] = awake
 		return s
 	}
 	s := int32(len(n.slots))
 	n.slots = append(n.slots, w)
-	n.asleep = append(n.asleep, 0)
+	n.asleep = append(n.asleep, awake)
 	if cap(n.freeSlots) < len(n.slots) {
 		grown := make([]int32, len(n.freeSlots), 2*len(n.slots))
 		copy(grown, n.freeSlots)
@@ -559,9 +580,10 @@ func (n *Network) reserve() {
 // operation: call it between Step/StepUntil calls, never from an
 // observer or arrival callback. Cancelling a completed, unknown or nil
 // worm panics. A cancelled worm's per-worm counters are discarded (see
-// Stats.Cancelled). If the cancelled worm was frozen unreachable and no
-// frozen worm remains, the recorded fabric error (Err) is cleared so the
-// run can continue.
+// Stats.Cancelled); the flit-hops it made up to the cancel cycle stay
+// counted, including those of a parked worm. If the cancelled worm was
+// frozen unreachable and no frozen worm remains, the recorded fabric
+// error (Err) is cleared so the run can continue.
 func (n *Network) Cancel(w *Worm) {
 	if w == nil || w.done {
 		panic("wormhole: Cancel of nil or completed worm")
@@ -575,6 +597,14 @@ func (n *Network) Cancel(w *Worm) {
 	}
 	if at < 0 {
 		panic(fmt.Sprintf("wormhole: Cancel of worm %d not in flight", w.ID))
+	}
+	if n.asleep[w.slot] == parked {
+		// Credit every live stage's moves since parking; none has
+		// finished, or its due event would have fired by now.
+		at, r := w.parkedAt(), w.liveStages()
+		n.stats.FlitHops += r * (n.now - at)
+		n.parkRate -= r
+		n.parkSum -= r * at
 	}
 	for w.tail < len(w.path) {
 		n.release(w, w.tail)
@@ -636,11 +666,14 @@ func (n *Network) Step() {
 // limit (which must be in the future). It is observably equivalent to
 // calling Step repeatedly while Now() < limit, but may return early — the
 // caller is expected to loop — and, under KernelFast, when the stepped
-// cycle made no progress (no flit moved, no channel changed hands) it
-// jumps the clock directly to the cycle before the earliest pending
-// router decision, bulk-crediting Cycles, BlockedCycles and
-// InjectWaitCycles for the skipped stretch. Long software gaps and
-// blocked stretches therefore cost O(1) instead of O(cycles × worms).
+// cycle made no progress (only parked worms moved flits: no other worm
+// moved one, no channel was acquired and no worm arrived) it jumps the
+// clock directly to the cycle before the next event — the earliest
+// pending router decision or parked worm's due event — bulk-crediting
+// Cycles, BlockedCycles and InjectWaitCycles for the skipped stretch
+// (parked worms' flit-hops accrue in closed form; see Stats). Long
+// software gaps, blocked stretches and streaming bodies therefore cost
+// O(1) instead of O(cycles × worms).
 //
 //lint:hotpath
 func (n *Network) StepUntil(limit int64) {
@@ -655,13 +688,14 @@ func (n *Network) StepUntil(limit int64) {
 		// the clock must advance one cycle at a time.
 		return
 	}
-	// The cycle just stepped moved nothing and changed no ownership:
-	// every worm is frozen (blocked, inject-waiting, or pending a router
-	// decision) and the fabric state cannot change before the earliest
-	// headerReadyAt. Every cycle strictly before it is an identical
+	// The cycle just stepped moved only parked worms and acquired no
+	// channel: every other worm is frozen (asleep, blocked, inject-waiting,
+	// or pending a router decision; a parked release in this cycle was
+	// already seen by phase B's routing), and nothing can change before
+	// the next event. Every cycle strictly before it is an identical
 	// stall, so the clock can jump there in one move.
 	target := limit
-	if e, ok := n.nextHeaderEvent(); ok && e-1 < limit {
+	if e, ok := n.nextEvent(); ok && e-1 < limit {
 		target = e - 1
 	}
 	if target > n.now {
@@ -675,23 +709,29 @@ func (n *Network) badStepUntil(limit int64) {
 	panic(fmt.Sprintf("wormhole: StepUntil(%d) not after now=%d", limit, n.now))
 }
 
-// nextHeaderEvent returns the earliest future cycle at which a pending
-// router decision completes (a header sitting at a frontier router whose
-// RouterDelay has not yet elapsed), if any.
+// nextEvent returns the earliest future cycle at which a pending router
+// decision completes (a header sitting at a frontier router whose
+// RouterDelay has not yet elapsed) or a parked worm's next event falls
+// due, if any.
 //
 //lint:hotpath
-func (n *Network) nextHeaderEvent() (int64, bool) {
+func (n *Network) nextEvent() (int64, bool) {
 	var min int64
 	found := false
 	for _, w := range n.worms {
-		if w.routed || len(w.path) == 0 {
+		var e int64
+		switch {
+		case n.asleep[w.slot] == parked:
+			e = w.due
+		case w.routed || len(w.path) == 0:
 			continue
-		}
-		if w.entered(len(w.path)-1) == 0 || w.headerReadyAt <= n.now {
+		case w.entered(len(w.path)-1) == 0 || w.headerReadyAt <= n.now:
 			continue
+		default:
+			e = w.headerReadyAt
 		}
-		if !found || w.headerReadyAt < min {
-			min, found = w.headerReadyAt, true
+		if !found || e < min {
+			min, found = e, true
 		}
 	}
 	return min, found
@@ -766,23 +806,29 @@ func (n *Network) stepFast() {
 	}
 }
 
-// moveWorms runs phase A over ws in order, skipping sleepers. A fabric
-// with no fault model and no shared physical links can never refuse a
-// flit, so it takes the check-free loop; every other fabric takes the
+// moveWorms runs phase A over ws in order, skipping sleepers and parked
+// worms that have no event due this cycle. A fabric with no fault model
+// and no shared physical links can never refuse a flit, so it takes the
+// check-free loop, the only one that parks; every other fabric takes the
 // gated one.
 //
 //lint:hotpath
 func (n *Network) moveWorms(ws []*Worm) {
 	if n.faults == nil && n.lg == nil {
 		for _, w := range ws {
-			if n.asleep[w.slot] == 0 {
+			switch n.asleep[w.slot] {
+			case awake:
 				n.moveFlitsUngated(w)
+			case parked:
+				if w.due == n.now {
+					n.stepParked(w)
+				}
 			}
 		}
 		return
 	}
 	for _, w := range ws {
-		if n.asleep[w.slot] == 0 {
+		if n.asleep[w.slot] == awake {
 			n.moveFlitsFast(w)
 		}
 	}
@@ -794,6 +840,7 @@ func (n *Network) moveWorms(ws []*Worm) {
 // once with the upstream count carried down the live window, and the
 // flit-hops credited once per worm. Its moves, releases, headerReadyAt
 // stamps and sleep verdict are exactly moveFlitsFast's on such a fabric.
+// A routed worm that moves a flit on every live stage is parked.
 //
 //lint:hotpath
 func (n *Network) moveFlitsUngated(w *Worm) {
@@ -803,6 +850,9 @@ func (n *Network) moveFlitsUngated(w *Worm) {
 	buf, passed := n.cfg.BufFlits, w.passed
 	last, tail := len(w.path)-1, w.tail
 	hops := int64(0)
+	// live counts a routed worm's stages that could move this cycle: each
+	// owned channel's exit, and injection while flits remain.
+	live := int64(last - tail + 1)
 	// cur is passed[i] and up is entered(i) = passed[i-1] (the injected
 	// count at i == 0), for i walking from last down to tail.
 	cur, up := passed[last], w.injected
@@ -815,13 +865,7 @@ func (n *Network) moveFlitsUngated(w *Worm) {
 		passed[last] = cur
 		hops++
 		if cur == w.flits {
-			n.release(w, last)
-			w.done = true
-			w.ArrivedAt = n.now
-			// Indexed push: Send reserved cap(completed) >= len(worms).
-			k := len(n.completed)
-			n.completed = n.completed[:k+1]
-			n.completed[k] = w
+			n.arrive(w)
 		}
 	}
 	// Interior hops, downstream first: next is passed[i+1] after this
@@ -849,22 +893,121 @@ func (n *Network) moveFlitsUngated(w *Worm) {
 	}
 	// Injection from the source interface. A pending injection means
 	// nothing is released yet (tail == 0), so cur is passed[0] here.
-	if w.injected < w.flits && w.injected-cur < buf {
-		w.injected++
-		hops++
-		if w.injected == 1 {
-			w.InjectedAt = n.now
-			if last == 0 && !w.routed {
-				w.headerReadyAt = n.now + n.cfg.RouterDelay
+	if w.injected < w.flits {
+		live++
+		if w.injected-cur < buf {
+			w.injected++
+			hops++
+			if w.injected == 1 {
+				w.InjectedAt = n.now
+				if last == 0 && !w.routed {
+					w.headerReadyAt = n.now + n.cfg.RouterDelay
+				}
 			}
 		}
 	}
-	if hops > 0 {
-		n.stats.FlitHops += hops
-		n.progress = true
-	} else {
-		n.asleep[w.slot] = 1
+	if hops == 0 {
+		n.asleep[w.slot] = sleeping
+		return
 	}
+	n.stats.FlitHops += hops
+	n.progress = true
+	if hops == live && w.routed && !w.done {
+		n.park(w)
+	}
+}
+
+// park takes a routed worm that has just moved a flit on every live stage
+// out of per-cycle stepping. It owns its channels exclusively and nothing
+// can refuse its flits, so after such a cycle every occupancy stays as it
+// is (each is at least 1, so injected > passed[tail] > … > passed[last])
+// and each counter x grows by one per cycle until it reaches flits,
+// flits − x cycles after parking. Those are the worm's events, at most one
+// per cycle: the end of injection, then each release in path order, the
+// last being its arrival. The counters keep their parking-cycle values
+// until their stage finishes; stepParked applies each event at its due
+// cycle, and the flit-hops in between are credited through parkRate and
+// parkSum.
+//
+//lint:hotpath
+func (n *Network) park(w *Worm) {
+	r := w.liveStages()
+	n.parkRate += r
+	n.parkSum += r * n.now
+	n.asleep[w.slot] = parked
+	w.due = n.now + int64(w.flits-w.dueCount())
+}
+
+// stepParked applies a parked worm's event, due this cycle, at the worm's
+// place in phase A's rotation, so releases and arrivals reach the
+// observer, phase B and reap exactly when and in the order the reference
+// kernel produces them. The finished stage's flit-hops since parking are
+// credited, and the worm stays parked until its next event. An arrival
+// counts as progress: its callback may Send, and the new worm must
+// compete for injection in the next cycle, not be skipped over.
+//
+//lint:hotpath
+func (n *Network) stepParked(w *Worm) {
+	at := w.parkedAt()
+	n.stats.FlitHops += n.now - at
+	n.parkRate--
+	n.parkSum -= at
+	if w.injected < w.flits {
+		w.injected = w.flits
+	} else {
+		w.passed[w.tail] = w.flits
+		if w.tail == len(w.path)-1 {
+			n.arrive(w)
+			n.progress = true
+			return
+		}
+		n.release(w, w.tail)
+	}
+	w.due = at + int64(w.flits-w.dueCount())
+}
+
+// liveStages counts a worm's stages that still move flits: one per owned
+// channel, plus injection while flits remain to inject.
+//
+//lint:hotpath
+func (w *Worm) liveStages() int64 {
+	r := int64(len(w.path) - w.tail)
+	if w.injected < w.flits {
+		r++
+	}
+	return r
+}
+
+// dueCount returns the counter of a parked worm's next stage to finish:
+// injected while flits remain to inject, else passed[tail].
+//
+//lint:hotpath
+func (w *Worm) dueCount() int {
+	if w.injected < w.flits {
+		return w.injected
+	}
+	return w.passed[w.tail]
+}
+
+// parkedAt returns the cycle a parked worm was parked: its next stage's
+// counter still holds its value from then and reaches flits at due.
+//
+//lint:hotpath
+func (w *Worm) parkedAt() int64 { return w.due - int64(w.flits-w.dueCount()) }
+
+// arrive retires a worm whose tail flit was just consumed at its
+// destination.
+//
+//lint:hotpath
+func (n *Network) arrive(w *Worm) {
+	n.release(w, len(w.path)-1)
+	w.done = true
+	w.ArrivedAt = n.now
+	// Indexed push: Send reserved cap(completed) >= len(worms), and at
+	// most every in-flight worm completes per cycle.
+	k := len(n.completed)
+	n.completed = n.completed[:k+1]
+	n.completed[k] = w
 }
 
 // moveFlitsFast is moveFlits plus scheduling bookkeeping: it marks the
@@ -889,14 +1032,7 @@ func (n *Network) moveFlitsFast(w *Worm) {
 		w.passed[last]++
 		n.stats.FlitHops++
 		if w.passed[last] == w.flits {
-			n.release(w, last)
-			w.done = true
-			w.ArrivedAt = n.now
-			// Indexed push: Send reserved cap(completed) >= len(worms),
-			// and at most every in-flight worm completes per cycle.
-			k := len(n.completed)
-			n.completed = n.completed[:k+1]
-			n.completed[k] = w
+			n.arrive(w)
 		}
 	}
 	// Interior hops.
@@ -950,7 +1086,7 @@ func (n *Network) moveFlitsFast(w *Worm) {
 	} else if !linkBusy {
 		// The worm is only scanned while awake, so the flag can never be
 		// set on entry; a busy link leaves it awake for a retry next cycle.
-		n.asleep[w.slot] = 1
+		n.asleep[w.slot] = sleeping
 	}
 }
 
@@ -1179,7 +1315,7 @@ func (n *Network) acquire(w *Worm, c ChannelID) {
 	// worm has a new channel its header can move into.
 	n.epoch++
 	n.progress = true
-	n.asleep[w.slot] = 0
+	n.asleep[w.slot] = awake
 	w.waitState = waitNone
 	if n.obs != nil {
 		n.obs.Acquire(n.now, w, c)
@@ -1328,7 +1464,7 @@ func (n *Network) DeadlockReport(max int) string {
 	for _, w := range n.worms {
 		switch {
 		case w.waitState == waitUnreachable:
-			line(unique, 0, "worm %d (%d->%d): unreachable, frozen holding %d channels", w.ID, w.Src, w.Dst, len(w.path))
+			line(unique, 0, "worm %d (%d->%d): unreachable, frozen holding %d channels", w.ID, w.Src, w.Dst, len(w.path)-w.tail)
 		case len(w.path) == 0:
 			c := n.inject[w.Src]
 			if h := n.owner[c]; h >= 0 {
@@ -1338,7 +1474,7 @@ func (n *Network) DeadlockReport(max int) string {
 				line(unique, 0, "worm %d (%d->%d): not yet injected", w.ID, w.Src, w.Dst)
 			}
 		case w.routed:
-			line(unique, 0, "worm %d (%d->%d): routed, draining %d channels", w.ID, w.Src, w.Dst, len(w.path))
+			line(unique, 0, "worm %d (%d->%d): routed, draining %d channels", w.ID, w.Src, w.Dst, len(w.path)-w.tail)
 		case w.entered(len(w.path)-1) == 0 || n.now < w.headerReadyAt:
 			// The worm owns its frontier channel but flits have not entered
 			// it (router delay, or a fault gate refusing them); it is what

@@ -1,6 +1,8 @@
 package wormhole_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/mesh"
@@ -464,5 +466,67 @@ func TestDeadlockReportReusesWaiterBuffer(t *testing.T) {
 	buf2 := n.DeadlockWaitersBuf()
 	if &buf1[0] != &buf2[0] {
 		t.Fatal("successive DeadlockReports did not reuse the waiter buffer")
+	}
+}
+
+// deadChannels is a fault model whose listed channels are dead and whose
+// other channels are always up.
+type deadChannels map[ChannelID]bool
+
+func (d deadChannels) Dead(c ChannelID) bool        { return d[c] }
+func (d deadChannels) Up(c ChannelID, _ int64) bool { return !d[c] }
+
+// TestDeadlockReportCountsHeldChannels: the "routed, draining" and
+// "unreachable, frozen holding" lines count the channels the worm still
+// holds, not the released prefix of its path. A 2-flit worm crossing a
+// 16×1 mesh holds at most two channels once routed, or once frozen at a
+// dead link near the far end, while its path is 17 or 12 channels long.
+func TestDeadlockReportCountsHeldChannels(t *testing.T) {
+	m := mesh.New2D(16, 1)
+	route := runOne(t, New(m, DefaultConfig()), 0, 15, 8).Path()
+	for _, tc := range []struct {
+		name   string
+		faults FaultModel
+		line   string
+	}{
+		{"routed", nil, "routed, draining %d channels"},
+		{"frozen", deadChannels{route[12]: true}, "unreachable, frozen holding %d channels"},
+	} {
+		for _, k := range []Kernel{KernelFast, KernelReference} {
+			t.Run(fmt.Sprintf("%s/kernel%d", tc.name, k), func(t *testing.T) {
+				n := New(m, DefaultConfig())
+				n.SetKernel(k)
+				if tc.faults != nil {
+					n.SetFaults(tc.faults)
+				}
+				log := &eventLog{}
+				n.SetObserver(log)
+				w := n.Send(0, 15, 8, nil, nil)
+				// Step until routed, or 20 cycles past the freeze so the
+				// body has caught up with the frozen header.
+				for frozenAt := int64(-1); len(w.Path()) < len(route); n.Step() {
+					if n.Err() != nil && frozenAt < 0 {
+						frozenAt = n.Now()
+					}
+					if frozenAt >= 0 && n.Now() >= frozenAt+20 {
+						break
+					}
+				}
+				released := 0
+				for _, e := range log.events {
+					if strings.Contains(e, " rel ") {
+						released++
+					}
+				}
+				held := len(w.Path()) - released
+				if held > 2 || released == 0 {
+					t.Fatalf("worm holds %d of %d channels; scenario too weak", held, len(w.Path()))
+				}
+				report := n.DeadlockReport(4)
+				if want := fmt.Sprintf(tc.line, held); !strings.Contains(report, want) {
+					t.Fatalf("report does not say %q:\n%s", want, report)
+				}
+			})
+		}
 	}
 }
