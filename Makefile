@@ -17,10 +17,11 @@ test:
 # fan-out harness, the concurrent multicast simulator, the fault plans
 # shared read-only across sweep workers, the recovery layer the sweeps
 # fan out over, the open-system traffic engine, the membership engine
-# driving churn schedules through sweep workers, and the tuner whose
-# surfaces and policies the traffic sweeps share).
+# driving churn schedules through sweep workers, the tuner whose
+# surfaces and policies the traffic sweeps share, the experiment engine
+# whose workers run the figures' cell closures, and those figures).
 race:
-	$(GO) test -race ./internal/sim/... ./internal/mcastsim/... ./internal/fault/... ./internal/recover/... ./internal/traffic/... ./internal/member/... ./internal/tuner/...
+	$(GO) test -race ./internal/sim/... ./internal/mcastsim/... ./internal/fault/... ./internal/recover/... ./internal/traffic/... ./internal/member/... ./internal/tuner/... ./internal/exp/... ./internal/runner/...
 
 vet:
 	$(GO) vet ./...

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 
 	"repro/internal/bmin"
@@ -76,12 +77,15 @@ func main() {
 }
 
 // parseShard parses "i/n" into (i, n); "" means (0, 1) — all cells.
+// Anything but two integers around one slash is rejected.
 func parseShard(s string) (int, int, error) {
 	if s == "" {
 		return 0, 1, nil
 	}
-	var i, n int
-	if _, err := fmt.Sscanf(s, "%d/%d", &i, &n); err != nil {
+	is, ns, _ := strings.Cut(s, "/")
+	i, ierr := strconv.Atoi(is)
+	n, nerr := strconv.Atoi(ns)
+	if ierr != nil || nerr != nil {
 		return 0, 0, fmt.Errorf("bad -shard %q (want i/n, e.g. 0/4)", s)
 	}
 	if n < 1 || i < 0 || i >= n {
@@ -91,6 +95,9 @@ func parseShard(s string) (int, int, error) {
 }
 
 func run(o options) error {
+	if o.trials < 1 {
+		return fmt.Errorf("bad -trials %d: need at least 1 placement per point", o.trials)
+	}
 	shard, nshards, err := parseShard(o.shard)
 	if err != nil {
 		return err
@@ -120,33 +127,38 @@ func run(o options) error {
 	cfg := wormhole.DefaultConfig()
 	newSuite := func(p exp.Platform) *exp.Suite {
 		s := exp.DefaultSuite(p)
-		s.Trials, s.Seed, s.Workers = o.trials, o.seed, o.workers
+		s.Trials, s.Seed = o.trials, o.seed
 		s.Exec = ex
 		return s
 	}
 	meshSuite := func() *exp.Suite { return newSuite(exp.MeshPlatform(16, 16, cfg)) }
 	bminSuite := func() *exp.Suite { return newSuite(exp.BMINPlatform(128, bmin.AscentStraight, cfg)) }
 
+	// show prints a figure's tables in order.
+	show := func(tables ...*exp.Table) {
+		for _, t := range tables {
+			switch {
+			case t.Incomplete:
+				// A shard run computed (and cached) its slice of this sweep;
+				// the merge happens on whichever run sees the full cache.
+				fmt.Printf("%s\n  [deferred: shard %s computed its cells; merge needs every shard's cache entries]\n", t.Title, o.shard)
+				continue
+			case o.csv:
+				fmt.Println("#", t.Title)
+				fmt.Print(t.CSV())
+			default:
+				fmt.Println(t.Format())
+			}
+			if o.chart {
+				fmt.Println(t.Chart(64, 16))
+			}
+		}
+	}
 	emit := func(t *exp.Table, err error) error {
-		if err != nil {
-			return err
+		if err == nil {
+			show(t)
 		}
-		if t.Incomplete {
-			// A shard run computed (and cached) its slice of this sweep;
-			// the merge happens on whichever run sees the full cache.
-			fmt.Printf("%s\n  [deferred: shard %s computed its cells; merge needs every shard's cache entries]\n", t.Title, o.shard)
-			return nil
-		}
-		if o.csv {
-			fmt.Println("#", t.Title)
-			fmt.Print(t.CSV())
-		} else {
-			fmt.Println(t.Format())
-		}
-		if o.chart {
-			fmt.Println(t.Chart(64, 16))
-		}
-		return nil
+		return err
 	}
 
 	figures := map[string]func() error{
@@ -215,30 +227,20 @@ func run(o options) error {
 			// completion latency, delivered fraction vs the reachability
 			// oracle, and the retransmission overhead bought.
 			f2, err := exp.RecoverSweep(meshSuite(), bminSuite(), 32, 4096, []int{0, 1, 2, 3, 4, 5}, o.seed)
-			if err != nil {
-				return err
+			if err == nil {
+				show(f2.Latency, f2.Delivered, f2.Overhead)
 			}
-			for _, t := range []*exp.Table{f2.Latency, f2.Delivered, f2.Overhead} {
-				if err := emit(t, nil); err != nil {
-					return err
-				}
-			}
-			return nil
+			return err
 		},
 		"f3": func() error {
 			// The open system: sustained multicast service under seeded
 			// Poisson load. Offered rate sweeps through the saturation knee
 			// of every tree; the notes pin each series' knee.
 			f3, err := exp.TrafficSweep(meshSuite(), bminSuite(), exp.DefaultTrafficRates(), exp.DefaultTrafficScenario())
-			if err != nil {
-				return err
+			if err == nil {
+				show(f3.Latency, f3.Throughput, f3.Queue)
 			}
-			for _, t := range []*exp.Table{f3.Latency, f3.Throughput, f3.Queue} {
-				if err := emit(t, nil); err != nil {
-					return err
-				}
-			}
-			return nil
+			return err
 		},
 		"f5": func() error {
 			// Dynamic membership: the reliable multicast under seeded
@@ -247,15 +249,10 @@ func run(o options) error {
 			// Rates are hot enough that churn overlaps the delivery wave,
 			// where the repair policies actually diverge.
 			f5, err := exp.ChurnSweep(meshSuite(), bminSuite(), 32, 4096, []int{100, 200, 400, 800, 1600}, o.seed)
-			if err != nil {
-				return err
+			if err == nil {
+				show(f5.Latency, f5.Delivered, f5.Repair)
 			}
-			for _, t := range []*exp.Table{f5.Latency, f5.Delivered, f5.Repair} {
-				if err := emit(t, nil); err != nil {
-					return err
-				}
-			}
-			return nil
+			return err
 		},
 		"f6": func() error {
 			// The crossover surface as a service: train a per-platform
@@ -265,11 +262,7 @@ func run(o options) error {
 			if err != nil {
 				return err
 			}
-			for _, t := range []*exp.Table{f6.Selection, f6.Latency, f6.Regret} {
-				if err := emit(t, nil); err != nil {
-					return err
-				}
-			}
+			show(f6.Selection, f6.Latency, f6.Regret)
 			if o.surface != "" {
 				if len(f6.Surfaces) == 0 {
 					fmt.Fprintf(os.Stderr, "mcastbench: -surface skipped: shard run built no surfaces\n")

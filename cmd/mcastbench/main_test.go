@@ -79,6 +79,21 @@ func TestRunHypercube(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNonPositiveTrials: a figure needs at least one
+// placement per point; zero or negative -trials is an error naming the
+// flag, not a silent fallback to the paper's 16.
+func TestRunRejectsNonPositiveTrials(t *testing.T) {
+	for _, trials := range []int{0, -4} {
+		out, err := capture(t, func() error { return run(options{fig: "model", trials: trials, seed: 1, workers: 1}) })
+		if err == nil || !strings.Contains(err.Error(), "-trials") {
+			t.Fatalf("trials %d: err = %v, want a -trials error", trials, err)
+		}
+		if out != "" {
+			t.Fatalf("trials %d: printed output before rejecting:\n%s", trials, out)
+		}
+	}
+}
+
 func TestRunUnknownFigure(t *testing.T) {
 	_, err := capture(t, func() error { return run(options{fig: "nope", trials: 2, seed: 1, workers: 1}) })
 	if err == nil || !strings.Contains(err.Error(), "unknown figure") {
@@ -155,8 +170,10 @@ func TestParseShard(t *testing.T) {
 	if _, _, err := parseShard("2/2"); err == nil {
 		t.Fatal("shard index == n must be rejected")
 	}
-	if _, _, err := parseShard("junk"); err == nil {
-		t.Fatal("malformed shard must be rejected")
+	for _, bad := range []string{"junk", "1/2/3", "1/2x", "1x/2", "1", "/2", "1/"} {
+		if _, _, err := parseShard(bad); err == nil || !strings.Contains(err.Error(), "-shard") {
+			t.Fatalf("parseShard(%q) err = %v, want a -shard error", bad, err)
+		}
 	}
 	i, n, err := parseShard("1/4")
 	if err != nil || i != 1 || n != 4 {

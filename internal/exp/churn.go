@@ -20,7 +20,6 @@ import (
 	"repro/internal/model"
 	recov "repro/internal/recover"
 	"repro/internal/runner"
-	"repro/internal/sim"
 )
 
 // F5 scenario shape, shared by every cell so schedules stay comparable
@@ -165,24 +164,17 @@ func ChurnSweep(meshSuite, bminSuite *Suite, k, bytes int, rates []int, churnSee
 			return nil, fmt.Errorf("exp: churn rate %d must be >= 0 events/Mcycle", r)
 		}
 	}
-	type column struct {
-		suite  *Suite
-		algo   Algorithm
-		policy recov.RepairPolicy
-		name   string
+	cols := []series{
+		{meshSuite, Opt("OPT-mesh")}, {meshSuite, Opt("OPT-mesh")}, {meshSuite, Opt("OPT-mesh")},
+		{bminSuite, Opt("OPT-min")}, {bminSuite, Opt("OPT-min")}, {bminSuite, Opt("OPT-min")},
 	}
-	cols := []column{
-		{meshSuite, Opt("OPT-mesh"), recov.RepairFull, "full (mesh)"},
-		{meshSuite, Opt("OPT-mesh"), recov.RepairIncremental, "incremental (mesh)"},
-		{meshSuite, Opt("OPT-mesh"), recov.RepairBinomial, "binomial (mesh)"},
-		{bminSuite, Opt("OPT-min"), recov.RepairFull, "full (BMIN)"},
-		{bminSuite, Opt("OPT-min"), recov.RepairIncremental, "incremental (BMIN)"},
-		{bminSuite, Opt("OPT-min"), recov.RepairBinomial, "binomial (BMIN)"},
+	// Each suite's columns run the three repair policies in this order.
+	policies := []recov.RepairPolicy{recov.RepairFull, recov.RepairIncremental, recov.RepairBinomial}
+	algoNames := []string{
+		"full (mesh)", "incremental (mesh)", "binomial (mesh)",
+		"full (BMIN)", "incremental (BMIN)", "binomial (BMIN)",
 	}
-	trials := meshSuite.Trials
-	if trials <= 0 {
-		trials = 16
-	}
+	trials := meshSuite.trials()
 
 	newTable := func(title, ylabel string, algos []string) *Table {
 		return &Table{
@@ -191,10 +183,6 @@ func ChurnSweep(meshSuite, bminSuite *Suite, k, bytes int, rates []int, churnSee
 			YLabel:     ylabel,
 			Algorithms: algos,
 		}
-	}
-	algoNames := make([]string, len(cols))
-	for i, c := range cols {
-		algoNames[i] = c.name
 	}
 	f5 := &F5Tables{
 		Latency: newTable(
@@ -209,22 +197,9 @@ func ChurnSweep(meshSuite, bminSuite *Suite, k, bytes int, rates []int, churnSee
 			"repair sends per run (mean; excision re-plans only)", algoNames),
 	}
 
-	// Healthy-fabric calibration, once per suite: trees are planned for
-	// the machine as specified, then churned underneath.
-	tends := make([]model.Time, len(cols))
-	for i, c := range cols {
-		if i > 0 && cols[i-1].suite == c.suite {
-			tends[i] = tends[i-1]
-			continue
-		}
-		te, err := c.suite.MeasureTEnd(bytes)
-		if err != nil {
-			return nil, err
-		}
-		tends[i] = te
-		note := fmt.Sprintf("healthy calibration on %s: t_hold(%dB)=%d t_end(%dB)=%d",
-			c.suite.Platform.Name, bytes, c.suite.Software.Hold.At(bytes), bytes, te)
-		f5.Latency.Notes = append(f5.Latency.Notes, note)
+	tends, err := calibrateHealthy(cols, &f5.Latency.Notes, bytes)
+	if err != nil {
+		return nil, err
 	}
 	f5.Latency.Notes = append(f5.Latency.Notes,
 		fmt.Sprintf("%d random placements per point, placement seed %d, churn seed %d; pool=%d horizon=%d rejoin=%g down=%d",
@@ -233,86 +208,40 @@ func ChurnSweep(meshSuite, bminSuite *Suite, k, bytes int, rates []int, churnSee
 		"reachable columns are the membership-and-fault oracle (member.ReachableAmong) on the same schedules;",
 		"delivered == reachable under pure node churn is the engine's quiesce contract")
 
-	type job struct{ ri, ci, trial int }
-	var jobs []job
-	var cells []runner.Cell
-	for ri, rate := range rates {
-		for ci, c := range cols {
-			for tr := 0; tr < trials; tr++ {
-				jobs = append(jobs, job{ri, ci, tr})
-				schedSeed := faultPlanSeed(churnSeed, ri, tr)
-				cells = append(cells, c.suite.churnCell(c.algo, c.policy, k, bytes, tr, rate,
-					schedSeed, schedSeed+uint64(ci)*0x9e3779b1,
-					c.suite.Software.Hold.At(bytes), tends[ci]))
-			}
-		}
-	}
-	results, have, err := meshSuite.exec().Run(f5.Latency.Title, cells)
-	if err != nil {
-		return nil, err
-	}
-	if runner.Missing(have) > 0 {
-		f5.Latency.Incomplete = true
-		f5.Delivered.Incomplete = true
-		f5.Repair.Incomplete = true
-		return f5, nil
+	res, err := grid{len(rates), len(cols), trials, func(r, c, tr int) runner.Cell {
+		s := cols[c].suite
+		schedSeed := faultPlanSeed(churnSeed, r, tr)
+		return s.churnCell(cols[c].algo, policies[c%len(policies)], k, bytes, tr, rates[r],
+			schedSeed, schedSeed+uint64(c)*0x9e3779b1,
+			s.Software.Hold.At(bytes), tends[c][bytes])
+	}}.run(meshSuite, f5.Latency.Title, f5.Latency, f5.Delivered, f5.Repair)
+	if res == nil {
+		return f5, err
 	}
 
-	type agg struct {
-		lat, frac, rep  sim.Stats
-		grafts, orphans sim.Stats
-		fallbacks       int
-	}
-	aggs := make([]agg, len(rates)*len(cols))
-	oracle := make([]sim.Stats, len(rates)*2) // (row, suite) reachable fraction
-	for i, j := range jobs {
-		a := &aggs[j.ri*len(cols)+j.ci]
-		res := &results[i]
-		a.lat.Add(res.Metric("latency"))
-		a.frac.Add(res.Metric("delivered"))
-		a.rep.Add(res.Metric("repairsends"))
-		a.grafts.Add(res.Metric("grafts"))
-		a.orphans.Add(res.Metric("orphans"))
-		if res.Metric("fallback") != 0 {
-			a.fallbacks++
+	fill(f5.Latency, rates, func(r, c int) Cell { return statCell(res.stats(r, c, "latency")) })
+	heads := suiteHeads(cols)
+	fill(f5.Delivered, rates, func(r, c int) Cell {
+		if c >= len(cols) {
+			// The oracle depends only on the fabric and the schedule, so
+			// each suite's first column carries it.
+			return statCell(res.stats(r, heads[c-len(cols)], "reach"))
 		}
-		if j.ci == 0 || cols[j.ci-1].suite != cols[j.ci].suite {
-			si := 0
-			if cols[j.ci].suite != meshSuite {
-				si = 1
-			}
-			oracle[j.ri*2+si].Add(res.Metric("reach"))
+		return statCell(res.stats(r, c, "delivered"))
+	})
+	fill(f5.Repair, rates, func(r, c int) Cell {
+		if fb := res.sum(r, c, "fallback"); fb > 0 {
+			f5.Repair.Notes = append(f5.Repair.Notes, fmt.Sprintf("%s at %d events/Mcycle: %d/%d runs degraded to binomial over survivors",
+				algoNames[c], rates[r], int(fb), trials))
 		}
-	}
-	f5.Latency.Rows = make([]Row, len(rates))
-	f5.Delivered.Rows = make([]Row, len(rates))
-	f5.Repair.Rows = make([]Row, len(rates))
-	for ri, rate := range rates {
-		latRow := Row{X: float64(rate), Cells: make([]Cell, len(cols))}
-		delRow := Row{X: float64(rate), Cells: make([]Cell, len(cols)+2)}
-		repRow := Row{X: float64(rate), Cells: make([]Cell, len(cols))}
-		for ci := range cols {
-			a := &aggs[ri*len(cols)+ci]
-			latRow.Cells[ci] = Cell{Mean: a.lat.Mean(), CI95: a.lat.CI95(), N: a.lat.N()}
-			delRow.Cells[ci] = Cell{Mean: a.frac.Mean(), CI95: a.frac.CI95(), N: a.frac.N()}
-			repRow.Cells[ci] = Cell{Mean: a.rep.Mean(), CI95: a.rep.CI95(), N: a.rep.N()}
-			if a.fallbacks > 0 {
-				f5.Repair.Notes = append(f5.Repair.Notes, fmt.Sprintf("%s at %d events/Mcycle: %d/%d runs degraded to binomial over survivors",
-					cols[ci].name, rate, a.fallbacks, trials))
-			}
+		if c == len(cols)-1 {
+			// Graft/orphan traffic is policy-independent by construction;
+			// record it once per row from the first mesh column.
+			grafts, orphans := res.stats(r, 0, "grafts"), res.stats(r, 0, "orphans")
+			f5.Repair.Notes = append(f5.Repair.Notes, fmt.Sprintf("at %d events/Mcycle (mesh, full): %.1f grafts, %.1f orphan sends per run",
+				rates[r], grafts.Mean(), orphans.Mean()))
 		}
-		// Graft/orphan traffic is policy-independent by construction;
-		// record it once per row from the first mesh column.
-		a0 := &aggs[ri*len(cols)]
-		f5.Repair.Notes = append(f5.Repair.Notes, fmt.Sprintf("at %d events/Mcycle (mesh, full): %.1f grafts, %.1f orphan sends per run",
-			rate, a0.grafts.Mean(), a0.orphans.Mean()))
-		for si := 0; si < 2; si++ {
-			o := &oracle[ri*2+si]
-			delRow.Cells[len(cols)+si] = Cell{Mean: o.Mean(), CI95: o.CI95(), N: o.N()}
-		}
-		f5.Latency.Rows[ri] = latRow
-		f5.Delivered.Rows[ri] = delRow
-		f5.Repair.Rows[ri] = repRow
-	}
+		return statCell(res.stats(r, c, "repairsends"))
+	})
 	return f5, nil
 }

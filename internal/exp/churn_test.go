@@ -36,7 +36,8 @@ func TestChurnSweepDeterministic(t *testing.T) {
 	run := func(workers int) string {
 		ms, bs := smallMeshSuite(), smallBMINSuite()
 		ms.Trials, bs.Trials = 3, 3
-		ms.Workers, bs.Workers = workers, workers
+		ex := &runner.Exec{Workers: workers}
+		ms.Exec, bs.Exec = ex, ex
 		f5, err := ChurnSweep(ms, bs, 12, 512, churnTestRates(), 11)
 		if err != nil {
 			t.Fatal(err)

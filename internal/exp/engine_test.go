@@ -9,6 +9,7 @@ package exp
 import (
 	"testing"
 
+	"repro/internal/model"
 	"repro/internal/runner"
 	"repro/internal/wormhole"
 )
@@ -24,8 +25,10 @@ func engineSuite(k wormhole.Kernel, ex *runner.Exec) *Suite {
 	}
 	s := DefaultSuite(p)
 	s.Trials = 3
-	s.Workers = 2
 	s.Exec = ex
+	if ex == nil {
+		s.Exec = &runner.Exec{Workers: 2}
+	}
 	return s
 }
 
@@ -145,5 +148,50 @@ func TestFaultSweepShardedBitIdentical(t *testing.T) {
 	}
 	if sum.Computed != 0 {
 		t.Fatalf("merge recomputed %d cells", sum.Computed)
+	}
+}
+
+// TestCompositionsOneBatch: a figure composed over several suites — one
+// per column (contention) or one per row (policy) — is one engine batch
+// under its own title. Every shard run defers it, and the merge
+// reproduces the serial table from cache alone.
+func TestCompositionsOneBatch(t *testing.T) {
+	for _, fig := range []struct {
+		name string
+		run  func(ex *runner.Exec) (*Table, error)
+	}{
+		{"contention", func(ex *runner.Exec) (*Table, error) {
+			ms, bs := smallMeshSuite(), smallBMINSuite()
+			ms.Trials, bs.Trials = 2, 2
+			ms.Exec, bs.Exec = ex, ex
+			return ContentionComparison(ms, bs, 8, []int{256, 1024})
+		}},
+		{"policy", func(ex *runner.Exec) (*Table, error) {
+			return PolicyAblation(64, wormhole.DefaultConfig(), model.DefaultSoftware(), 2, 11, 8, 1024, ex)
+		}},
+	} {
+		run := func(ex *runner.Exec) *Table {
+			tab, err := fig.run(ex)
+			if err != nil {
+				t.Fatalf("%s: %v", fig.name, err)
+			}
+			return tab
+		}
+		serial := run(nil).Format()
+		dir := t.TempDir()
+		for sh := 0; sh < 2; sh++ {
+			if part := run(&runner.Exec{Shard: sh, NShards: 2, Cache: openCache(t, dir)}); !part.Incomplete {
+				t.Fatalf("%s: shard %d/2 did not defer its table", fig.name, sh)
+			}
+		}
+		sum := &runner.Summary{}
+		merged := run(&runner.Exec{Cache: openCache(t, dir), Resume: true, Summary: sum})
+		if got := merged.Format(); got != serial {
+			t.Fatalf("%s: sharded merge differs from serial:\nserial:\n%s\nmerged:\n%s", fig.name, serial, got)
+		}
+		if sum.Computed != 0 || len(sum.Batches) != 1 || sum.Batches[0].Label != merged.Title {
+			t.Fatalf("%s: merge computed %d cells in batches %+v, want 0 cells in one batch titled %q",
+				fig.name, sum.Computed, sum.Batches, merged.Title)
+		}
 	}
 }

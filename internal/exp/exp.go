@@ -196,21 +196,11 @@ type Suite struct {
 	Trials int
 	// Seed makes the campaign reproducible.
 	Seed uint64
-	// Workers bounds parallelism; 0 = GOMAXPROCS.
-	Workers int
 	// Exec, when set, runs the suite's cell manifests through a shared
-	// experiment engine (sharding, on-disk cache, progress, summary).
-	// Nil runs everything in-process with Workers parallelism — the
-	// plain serial-cold behavior.
+	// experiment engine (workers, sharding, on-disk cache, progress,
+	// summary). Nil runs everything in-process on GOMAXPROCS workers —
+	// the plain serial-cold behavior.
 	Exec *runner.Exec
-}
-
-// exec returns the engine to run cell manifests on.
-func (s *Suite) exec() *runner.Exec {
-	if s.Exec != nil {
-		return s.Exec
-	}
-	return &runner.Exec{Workers: s.Workers}
 }
 
 // softKey canonically encodes the software cost model for cell keys.
@@ -386,92 +376,39 @@ func (s *Suite) sweep(title, xlabel string, xs []int, algos []Algorithm, kOf, by
 		YLabel:     "multicast latency (cycles)",
 		Algorithms: make([]string, len(algos)),
 	}
+	cols := make([]series, len(algos))
 	for i, a := range algos {
 		t.Algorithms[i] = a.Name
+		cols[i] = series{s, a}
 	}
-	trials := s.Trials
-	if trials <= 0 {
-		trials = 16
+	res, err := sweepGrid(t, cols, xs, kOf, bytesOf)
+	if res == nil {
+		return t, err
 	}
-
-	// Pre-measure (t_hold, t_end) per distinct message size.
-	tend := make(map[int]model.Time)
-	for _, x := range xs {
-		b := bytesOf(x)
-		if _, ok := tend[b]; !ok {
-			te, err := s.MeasureTEnd(b)
-			if err != nil {
-				return nil, err
-			}
-			tend[b] = te
-			t.Notes = append(t.Notes, fmt.Sprintf("measured t_hold(%dB)=%d t_end(%dB)=%d",
-				b, s.Software.Hold.At(b), b, te))
-		}
-	}
-	t.Notes = append(t.Notes, fmt.Sprintf("%d random placements per point on %s, seed %d",
-		trials, s.Platform.Name, s.Seed))
-
-	type job struct{ xi, ai, trial int }
-	var jobs []job
-	var cells []runner.Cell
-	for xi, x := range xs {
-		k, b := kOf(x), bytesOf(x)
-		for ai := range algos {
-			for tr := 0; tr < trials; tr++ {
-				jobs = append(jobs, job{xi, ai, tr})
-				cells = append(cells, s.mcastCell(algos[ai], k, b, tr, s.Software.Hold.At(b), tend[b]))
-			}
-		}
-	}
-	results, have, err := s.exec().Run(sweepLabel(title), cells)
-	if err != nil {
-		return nil, err
-	}
-	if runner.Missing(have) > 0 {
-		t.Incomplete = true
-		return t, nil
-	}
-
-	// One pass over the results, indexed by (xi, ai). Jobs were enumerated
-	// xi-major then ai then trial, so each cell still accumulates its
-	// trials in the same order as the former per-cell rescan — the online
-	// Stats sums are bit-identical, just O(jobs) instead of
-	// O(rows·algos·jobs), and cached cells replay the exact values a
-	// cold run would compute.
-	type agg struct{ lat, blocked, wait sim.Stats }
-	aggs := make([]agg, len(xs)*len(algos))
-	for i, j := range jobs {
-		a := &aggs[j.xi*len(algos)+j.ai]
-		a.lat.Add(results[i].Metric("latency"))
-		a.blocked.Add(results[i].Metric("blocked"))
-		a.wait.Add(results[i].Metric("wait"))
-	}
-	t.Rows = make([]Row, len(xs))
-	for xi, x := range xs {
-		row := Row{X: float64(x), Cells: make([]Cell, len(algos))}
-		for ai := range algos {
-			a := &aggs[xi*len(algos)+ai]
-			row.Cells[ai] = Cell{
-				Mean:       a.lat.Mean(),
-				CI95:       a.lat.CI95(),
-				Blocked:    a.blocked.Mean(),
-				InjectWait: a.wait.Mean(),
-				N:          a.lat.N(),
-			}
-		}
-		t.Rows[xi] = row
-	}
+	fill(t, xs, res.latencyCell)
 	return t, nil
 }
 
-// sweepLabel names an engine batch after its table title; composed
-// sweeps pass empty titles, which would make progress lines and
-// summaries unreadable.
-func sweepLabel(title string) string {
-	if title == "" {
-		return "sweep"
+// sweepGrid runs the healthy-multicast grid behind the sweep family: row
+// r multicasts kOf(xs[r]) nodes with bytesOf(xs[r])-byte messages and
+// column c runs cols[c]. Each suite writes its calibration notes, then
+// its placement line, to t.
+func sweepGrid(t *Table, cols []series, xs []int, kOf, bytesOf func(x int) int) (*gridResults, error) {
+	sizes := make([]int, len(xs))
+	for i, x := range xs {
+		sizes[i] = bytesOf(x)
 	}
-	return title
+	trials := cols[0].suite.trials()
+	tends, err := calibrateSeries(cols, func(s *Suite) (map[int]model.Time, error) {
+		return s.calibrateSweep(&t.Notes, trials, sizes...)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return grid{len(xs), len(cols), trials, func(r, c, tr int) runner.Cell {
+		s, b := cols[c].suite, sizes[r]
+		return s.mcastCell(cols[c].algo, kOf(xs[r]), b, tr, s.Software.Hold.At(b), tends[c][b])
+	}}.run(cols[0].suite, t.Title, t)
 }
 
 // SweepSizes is the Figure 2 family: fixed multicast size k, message size

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bmin"
 	"repro/internal/model"
+	"repro/internal/runner"
 	"repro/internal/wormhole"
 )
 
@@ -290,7 +291,7 @@ func TestSweepWorkerInvariance(t *testing.T) {
 		}
 		s := DefaultSuite(p)
 		s.Trials = 4
-		s.Workers = workers
+		s.Exec = &runner.Exec{Workers: workers}
 		tab, err := s.SweepSizes("d", 12, []int{256, 4096}, MeshAlgorithms())
 		if err != nil {
 			t.Fatal(err)

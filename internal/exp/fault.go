@@ -13,7 +13,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/model"
 	"repro/internal/runner"
-	"repro/internal/sim"
 )
 
 // faultPlanSeed derives the per-(row, trial) fault-plan seed. The plan
@@ -71,104 +70,63 @@ func (s *Suite) faultCell(a Algorithm, k, bytes, trial, pct int, planSeed uint64
 // cell aggregate; Cell.N counts the survivors and the table notes name
 // every cell that lost runs.
 func FaultSweep(meshSuite, bminSuite *Suite, k, bytes int, pcts []int, faultSeed uint64) (*Table, error) {
-	for _, p := range pcts {
-		if p < 0 || p > 100 {
-			return nil, fmt.Errorf("exp: fault percentage %d outside [0,100]", p)
-		}
+	if err := checkPcts(pcts); err != nil {
+		return nil, err
 	}
-	type column struct {
-		suite *Suite
-		algo  Algorithm
-	}
-	cols := []column{
+	cols := []series{
 		{meshSuite, Binomial("U-mesh")},
 		{meshSuite, Opt("OPT-mesh")},
 		{bminSuite, Binomial("U-min")},
 		{bminSuite, Opt("OPT-min")},
 	}
 	t := &Table{
-		Title:  fmt.Sprintf("F1: multicast latency vs %% failed links (k=%d, %d-byte messages)", k, bytes),
-		XLabel: "failed links (%)",
-		YLabel: "multicast latency (cycles, mean over surviving runs)",
+		Title:      fmt.Sprintf("F1: multicast latency vs %% failed links (k=%d, %d-byte messages)", k, bytes),
+		XLabel:     "failed links (%)",
+		YLabel:     "multicast latency (cycles, mean over surviving runs)",
+		Algorithms: seriesNames(cols),
 	}
-	for _, c := range cols {
-		t.Algorithms = append(t.Algorithms, c.algo.Name)
-	}
-	trials := meshSuite.Trials
-	if trials <= 0 {
-		trials = 16
-	}
-
-	// Healthy-fabric calibration, once per suite.
-	tends := make([]model.Time, len(cols))
-	for i, c := range cols {
-		if i > 0 && cols[i-1].suite == c.suite {
-			tends[i] = tends[i-1]
-			continue
-		}
-		te, err := c.suite.MeasureTEnd(bytes)
-		if err != nil {
-			return nil, err
-		}
-		tends[i] = te
-		t.Notes = append(t.Notes, fmt.Sprintf("healthy calibration on %s: t_hold(%dB)=%d t_end(%dB)=%d",
-			c.suite.Platform.Name, bytes, c.suite.Software.Hold.At(bytes), bytes, te))
+	trials := meshSuite.trials()
+	tends, err := calibrateHealthy(cols, &t.Notes, bytes)
+	if err != nil {
+		return nil, err
 	}
 	t.Notes = append(t.Notes, fmt.Sprintf("%d random placements per point, placement seed %d, fault seed %d",
 		trials, meshSuite.Seed, faultSeed))
 
-	type job struct{ pi, ci, trial int }
-	var jobs []job
-	var cells []runner.Cell
-	for pi, pct := range pcts {
-		for ci, c := range cols {
-			for tr := 0; tr < trials; tr++ {
-				jobs = append(jobs, job{pi, ci, tr})
-				cells = append(cells, c.suite.faultCell(c.algo, k, bytes, tr, pct,
-					faultPlanSeed(faultSeed, pi, tr), c.suite.Software.Hold.At(bytes), tends[ci]))
-			}
+	res, err := grid{len(pcts), len(cols), trials, func(r, c, tr int) runner.Cell {
+		s := cols[c].suite
+		return s.faultCell(cols[c].algo, k, bytes, tr, pcts[r],
+			faultPlanSeed(faultSeed, r, tr), s.Software.Hold.At(bytes), tends[c][bytes])
+	}}.run(meshSuite, t.Title, t)
+	if res == nil {
+		return t, err
+	}
+	fill(t, pcts, func(r, c int) Cell {
+		cell := res.latencyCell(r, c)
+		if cell.N < trials {
+			t.Notes = append(t.Notes, fmt.Sprintf("%s at %d%%: %d/%d runs delivered (rest unreachable or watchdog-aborted)",
+				cols[c].algo.Name, pcts[r], cell.N, trials))
 		}
-	}
-	results, have, err := meshSuite.exec().Run(t.Title, cells)
-	if err != nil {
-		return nil, err
-	}
-	if runner.Missing(have) > 0 {
-		t.Incomplete = true
-		return t, nil
-	}
-
-	type agg struct {
-		lat, blocked, wait sim.Stats
-	}
-	aggs := make([]agg, len(pcts)*len(cols))
-	for i, j := range jobs {
-		if results[i].Failed {
-			continue
-		}
-		a := &aggs[j.pi*len(cols)+j.ci]
-		a.lat.Add(results[i].Metric("latency"))
-		a.blocked.Add(results[i].Metric("blocked"))
-		a.wait.Add(results[i].Metric("wait"))
-	}
-	t.Rows = make([]Row, len(pcts))
-	for pi, p := range pcts {
-		row := Row{X: float64(p), Cells: make([]Cell, len(cols))}
-		for ci := range cols {
-			a := &aggs[pi*len(cols)+ci]
-			row.Cells[ci] = Cell{
-				Mean:       a.lat.Mean(),
-				CI95:       a.lat.CI95(),
-				Blocked:    a.blocked.Mean(),
-				InjectWait: a.wait.Mean(),
-				N:          a.lat.N(),
-			}
-			if n := a.lat.N(); n < trials {
-				t.Notes = append(t.Notes, fmt.Sprintf("%s at %d%%: %d/%d runs delivered (rest unreachable or watchdog-aborted)",
-					cols[ci].algo.Name, p, n, trials))
-			}
-		}
-		t.Rows[pi] = row
-	}
+		return cell
+	})
 	return t, nil
+}
+
+// checkPcts rejects a dead-link percentage outside [0,100].
+func checkPcts(pcts []int) error {
+	for _, p := range pcts {
+		if p < 0 || p > 100 {
+			return fmt.Errorf("exp: fault percentage %d outside [0,100]", p)
+		}
+	}
+	return nil
+}
+
+// calibrateHealthy measures t_end at bytes once per suite of cols on its
+// healthy fabric: the trees are planned for the machine as specified,
+// then run on the degraded or churned one.
+func calibrateHealthy(cols []series, notes *[]string, bytes int) ([]map[int]model.Time, error) {
+	return calibrateSeries(cols, func(s *Suite) (map[int]model.Time, error) {
+		return s.calibrate(notes, "healthy calibration on "+s.Platform.Name+": ", bytes)
+	})
 }

@@ -6,13 +6,12 @@ import (
 	"repro/internal/sim"
 )
 
-// TestSweepAggregationMatchesRescan pins the indexed single-pass
+// TestSweepAggregationMatchesRescan pins the figure grid's per-point
 // aggregation against the definitionally-correct per-cell rescan: re-run
 // every (x, algorithm, trial) job independently, accumulate each cell's
 // Stats in trial order, and require the sweep's cells to match
-// bit-for-bit. This is the regression test for the former
-// O(rows·algos·jobs) aggregation — the rewrite had to preserve the exact
-// Add order so golden tables stay byte-identical.
+// bit-for-bit. Any aggregation must preserve the exact Add order so
+// golden tables stay byte-identical.
 func TestSweepAggregationMatchesRescan(t *testing.T) {
 	s := smallMeshSuite()
 	sizes := []int{256, 1024}

@@ -122,41 +122,24 @@ func BMINNodes(s *Suite) (*Table, error) {
 // unordered OPT-tree on each platform, plus its tuned (contention-free)
 // counterpart as a zero baseline.
 func ContentionComparison(meshSuite, bminSuite *Suite, k int, sizes []int) (*Table, error) {
-	mt, err := meshSuite.SweepSizes("", k, sizes, []Algorithm{OptUnordered("OPT-tree"), Opt("OPT-mesh")})
-	if err != nil {
-		return nil, err
+	cols := []series{
+		{meshSuite, OptUnordered("OPT-tree")}, {meshSuite, Opt("OPT-mesh")},
+		{bminSuite, OptUnordered("OPT-tree")}, {bminSuite, Opt("OPT-min")},
 	}
-	// Run the BMIN half even when the mesh half is incomplete: a shard
-	// must enumerate (and compute its slice of) every sub-sweep's cells,
-	// or the merge run would find the later batches missing forever.
-	bt, err := bminSuite.SweepSizes("", k, sizes, []Algorithm{OptUnordered("OPT-tree"), Opt("OPT-min")})
-	if err != nil {
-		return nil, err
-	}
-	out := &Table{
+	t := &Table{
 		Title:  fmt.Sprintf("Contention overhead of the unordered OPT-tree (%d-node multicast)", k),
 		XLabel: "message size (bytes)",
 		YLabel: "mean blocked cycles per multicast",
-		Algorithms: []string{
-			"OPT-tree @ " + meshSuite.Platform.Name,
-			"OPT-mesh @ " + meshSuite.Platform.Name,
-			"OPT-tree @ " + bminSuite.Platform.Name,
-			"OPT-min @ " + bminSuite.Platform.Name,
-		},
-		Notes: append(mt.Notes, bt.Notes...),
 	}
-	if mt.Incomplete || bt.Incomplete {
-		out.Incomplete = true
-		return out, nil
+	for _, c := range cols {
+		t.Algorithms = append(t.Algorithms, c.algo.Name+" @ "+c.suite.Platform.Name)
 	}
-	for i, r := range mt.Rows {
-		br := bt.Rows[i]
-		out.Rows = append(out.Rows, Row{X: r.X, Cells: []Cell{
-			blockedCell(r.Cells[0]), blockedCell(r.Cells[1]),
-			blockedCell(br.Cells[0]), blockedCell(br.Cells[1]),
-		}})
+	res, err := sweepGrid(t, cols, sizes, func(int) int { return k }, func(x int) int { return x })
+	if res == nil {
+		return t, err
 	}
-	return out, nil
+	fill(t, sizes, func(r, c int) Cell { return blockedCell(res.latencyCell(r, c)) })
+	return t, nil
 }
 
 // blockedCell re-centers a cell on its contention metric so the shared
@@ -195,35 +178,22 @@ func RatioAblation(k int, tend model.Time, ratios []float64) *Table {
 // remark, which the analytic model ignores): the same sweep run with 0
 // and with addrBytes per carried address.
 func AddrAblation(s *Suite, k, bytes, addrBytes int) (*Table, error) {
-	algos := []Algorithm{Opt("OPT (free addresses)"), Opt("OPT (charged addresses)")}
-	base := *s
-	base.AddrBytes = 0
-	charged := *s
-	charged.AddrBytes = addrBytes
-
-	bt, err := base.SweepNodes("", bytes, DefaultNodeCounts(s.Platform.Nodes), algos[:1])
-	if err != nil {
-		return nil, err
-	}
-	ct, err := charged.SweepNodes("", bytes, DefaultNodeCounts(s.Platform.Nodes), algos[1:])
-	if err != nil {
-		return nil, err
-	}
-	out := &Table{
+	base, charged := *s, *s
+	base.AddrBytes, charged.AddrBytes = 0, addrBytes
+	cols := []series{{&base, Opt("OPT (free addresses)")}, {&charged, Opt("OPT (charged addresses)")}}
+	t := &Table{
 		Title:      fmt.Sprintf("Ablation: address-list payload (%d bytes/address, %d-byte messages)", addrBytes, bytes),
 		XLabel:     "number of nodes",
 		YLabel:     "multicast latency (cycles)",
-		Algorithms: []string{algos[0].Name, algos[1].Name},
-		Notes:      append(bt.Notes, ct.Notes...),
+		Algorithms: seriesNames(cols),
 	}
-	if bt.Incomplete || ct.Incomplete {
-		out.Incomplete = true
-		return out, nil
+	ks := DefaultNodeCounts(s.Platform.Nodes)
+	res, err := sweepGrid(t, cols, ks, func(x int) int { return x }, func(int) int { return bytes })
+	if res == nil {
+		return t, err
 	}
-	for i, r := range bt.Rows {
-		out.Rows = append(out.Rows, Row{X: r.X, Cells: []Cell{r.Cells[0], ct.Rows[i].Cells[0]}})
-	}
-	return out, nil
+	fill(t, ks, res.latencyCell)
+	return t, nil
 }
 
 // HypercubeSizes is experiment H1: U-cube vs OPT-tree vs OPT-cube on a
@@ -259,6 +229,10 @@ func BroadcastCrossover(s *Suite, sizes []int) (*Table, error) {
 	// Calibration stays outside the cells: t_end is a deterministic probe,
 	// cheap next to a full-machine broadcast, and every shard needs it to
 	// key its cells identically.
+	tends, err := s.calibrate(nil, "", sizes...)
+	if err != nil {
+		return nil, err
+	}
 	mcast := func(bytes int, tab core.SplitTable, algo string, thold, tend model.Time) runner.Cell {
 		return runner.Cell{
 			Key: runner.Key{
@@ -274,50 +248,39 @@ func BroadcastCrossover(s *Suite, sizes []int) (*Table, error) {
 			},
 		}
 	}
-	var cells []runner.Cell
-	for _, bytes := range sizes {
-		tend, err := s.MeasureTEnd(bytes)
-		if err != nil {
-			return nil, err
+	res, err := grid{len(sizes), len(out.Algorithms), 1, func(r, c, _ int) runner.Cell {
+		bytes := sizes[r]
+		thold, tend := s.Software.Hold.At(bytes), tends[bytes]
+		switch c {
+		case 0:
+			return mcast(bytes, core.BinomialTable{Max: p}, "binomial", thold, tend)
+		case 1:
+			return mcast(bytes, core.NewOptTable(p, thold, tend), "opt", thold, tend)
 		}
-		thold := s.Software.Hold.At(bytes)
-		bytes := bytes
-		cells = append(cells,
-			mcast(bytes, core.BinomialTable{Max: p}, "binomial", thold, tend),
-			mcast(bytes, core.NewOptTable(p, thold, tend), "opt", thold, tend),
-			runner.Cell{
-				Key: runner.Key{
-					Mode: "scatter", Platform: s.Platform.Name, Algo: "scatter-collect", Soft: s.softKey(),
-					K: p, Bytes: bytes, AddrBytes: s.AddrBytes,
-				},
-				Run: func() (runner.Result, error) {
-					sc, err := collective.ScatterAllgather(s.Platform.NewNet(), ch, bytes, s.runConfig())
-					if err != nil {
-						return runner.Result{}, err
-					}
-					return runner.Result{Metrics: map[string]float64{
-						"latency": float64(sc.Latency),
-						"blocked": float64(sc.BlockedCycles),
-					}}, nil
-				},
-			})
-	}
-	results, have, err := s.exec().Run(out.Title, cells)
-	if err != nil {
-		return nil, err
-	}
-	if runner.Missing(have) > 0 {
-		out.Incomplete = true
-		return out, nil
-	}
-	for bi, bytes := range sizes {
-		row := Row{X: float64(bytes), Cells: make([]Cell, 3)}
-		for ci := 0; ci < 3; ci++ {
-			r := &results[bi*3+ci]
-			row.Cells[ci] = Cell{Mean: r.Metric("latency"), Blocked: r.Metric("blocked"), N: 1}
+		return runner.Cell{
+			Key: runner.Key{
+				Mode: "scatter", Platform: s.Platform.Name, Algo: "scatter-collect", Soft: s.softKey(),
+				K: p, Bytes: bytes, AddrBytes: s.AddrBytes,
+			},
+			Run: func() (runner.Result, error) {
+				sc, err := collective.ScatterAllgather(s.Platform.NewNet(), ch, bytes, s.runConfig())
+				if err != nil {
+					return runner.Result{}, err
+				}
+				return runner.Result{Metrics: map[string]float64{
+					"latency": float64(sc.Latency),
+					"blocked": float64(sc.BlockedCycles),
+				}}, nil
+			},
 		}
-		out.Rows = append(out.Rows, row)
+	}}.run(s, out.Title, out)
+	if res == nil {
+		return out, err
 	}
+	fill(out, sizes, func(r, c int) Cell {
+		lat, blocked := res.stats(r, c, "latency"), res.stats(r, c, "blocked")
+		return Cell{Mean: lat.Mean(), Blocked: blocked.Mean(), N: 1}
+	})
 	out.Notes = append(out.Notes,
 		"full-machine broadcast: placements are fixed (all nodes), so each row is one deterministic run",
 		"scatter-collect's ring wrap send is not contention-free on a mesh; its blocked cycles are charged in the latency")
@@ -380,17 +343,10 @@ func TemporalTuning(s *Suite, k, bytes, iterations int) (*Table, error) {
 	}
 	thold := s.Software.Hold.At(bytes)
 	tab := core.NewOptTable(k, thold, tend)
-	trials := s.Trials
-	if trials <= 0 {
-		trials = 16
-	}
 	out.Notes = append(out.Notes, fmt.Sprintf("measured t_hold=%d t_end=%d; tuner: %d iterations, 2 restarts", thold, tend, iterations))
 
-	metricNames := []string{"rblocked", "lblocked", "tblocked", "rlat", "tlat"}
-	cells := make([]runner.Cell, trials)
-	for trial := 0; trial < trials; trial++ {
-		trial := trial
-		cells[trial] = runner.Cell{
+	res, err := grid{1, 1, s.trials(), func(_, _, trial int) runner.Cell {
+		return runner.Cell{
 			Key: runner.Key{
 				Mode: "temporal", Platform: s.Platform.Name, Algo: "opt", Soft: s.softKey(),
 				K: k, Bytes: bytes, Trial: trial, Seed: s.Seed, AddrBytes: s.AddrBytes,
@@ -436,26 +392,12 @@ func TemporalTuning(s *Suite, k, bytes, iterations int) (*Table, error) {
 				}}, nil
 			},
 		}
+	}}.run(s, out.Title, out)
+	if res == nil {
+		return out, err
 	}
-	results, have, err := s.exec().Run(out.Title, cells)
-	if err != nil {
-		return nil, err
-	}
-	if runner.Missing(have) > 0 {
-		out.Incomplete = true
-		return out, nil
-	}
-	var agg [5]sim.Stats
-	for _, r := range results {
-		for i, name := range metricNames {
-			agg[i].Add(r.Metric(name))
-		}
-	}
-	rowCells := make([]Cell, 5)
-	for i := range rowCells {
-		rowCells[i] = Cell{Mean: agg[i].Mean(), CI95: agg[i].CI95(), N: agg[i].N()}
-	}
-	out.Rows = []Row{{X: 0, Cells: rowCells}}
+	metrics := []string{"rblocked", "lblocked", "tblocked", "rlat", "tlat"}
+	fill(out, []int{0}, func(_, c int) Cell { return statCell(res.stats(0, 0, metrics[c])) })
 	return out, nil
 }
 
@@ -478,48 +420,35 @@ func ModelValidation(s *Suite, ks []int, bytes int) (*Table, error) {
 		return nil, err
 	}
 	thold := s.Software.Hold.At(bytes)
-	trials := s.Trials
-	if trials <= 0 {
-		trials = 16
-	}
-	out.Notes = append(out.Notes, fmt.Sprintf("measured t_hold=%d t_end=%d; %d placements per point", thold, tend, trials))
+	out.Notes = append(out.Notes, fmt.Sprintf("measured t_hold=%d t_end=%d; %d placements per point", thold, tend, s.trials()))
 
 	// The simulated column is the ordered OPT run at each k — exactly the
 	// healthy mcast cell, so M1 shares cache entries with the node-count
 	// sweeps at equal parameters.
 	var kept []int
-	var cells []runner.Cell
 	for _, k := range ks {
-		if k > s.Platform.Nodes {
-			continue
-		}
-		kept = append(kept, k)
-		for trial := 0; trial < trials; trial++ {
-			cells = append(cells, s.mcastCell(Opt("OPT"), k, bytes, trial, thold, tend))
+		if k <= s.Platform.Nodes {
+			kept = append(kept, k)
 		}
 	}
-	results, have, err := s.exec().Run(out.Title, cells)
-	if err != nil {
-		return nil, err
-	}
-	if runner.Missing(have) > 0 {
-		out.Incomplete = true
-		return out, nil
+	res, err := grid{len(kept), 1, s.trials(), func(r, _, trial int) runner.Cell {
+		return s.mcastCell(Opt("OPT"), kept[r], bytes, trial, thold, tend)
+	}}.run(s, out.Title, out)
+	if res == nil {
+		return out, err
 	}
 	for ki, k := range kept {
 		analytic := float64(core.NewOptTable(k, thold, tend).T(k))
-		var lat sim.Stats
-		for trial := 0; trial < trials; trial++ {
-			r := results[ki*trials+trial]
+		for trial, r := range res.point(ki, 0) {
 			if r.Metric("blocked") != 0 {
 				return nil, fmt.Errorf("exp: model validation requires contention-free runs; k=%d trial %d blocked", k, trial)
 			}
-			lat.Add(r.Metric("latency"))
 		}
+		lat := res.stats(ki, 0, "latency")
 		errPerMille := (lat.Mean() - analytic) / analytic * 1000
 		out.Rows = append(out.Rows, Row{X: float64(k), Cells: []Cell{
 			{Mean: analytic, N: 1},
-			{Mean: lat.Mean(), CI95: lat.CI95(), N: lat.N()},
+			statCell(lat),
 			{Mean: errPerMille, N: lat.N()},
 		}})
 	}
@@ -533,6 +462,11 @@ func ModelValidation(s *Suite, ks []int, bytes int) (*Table, error) {
 // are the mean solo latency, the mean concurrent latency, and the mean
 // blocked cycles of the batch.
 func ConcurrentInterference(s *Suite, groupCounts []int, k, bytes int) (*Table, error) {
+	for _, g := range groupCounts {
+		if g*k > s.Platform.Nodes {
+			return nil, fmt.Errorf("exp: %d groups of %d nodes exceed the %d-node fabric", g, k, s.Platform.Nodes)
+		}
+	}
 	out := &Table{
 		Title:      fmt.Sprintf("C1: concurrent OPT multicasts on a %s (k=%d each, %dB)", s.Platform.Name, k, bytes),
 		XLabel:     "simultaneous multicasts",
@@ -545,78 +479,57 @@ func ConcurrentInterference(s *Suite, groupCounts []int, k, bytes int) (*Table, 
 	}
 	thold := s.Software.Hold.At(bytes)
 	tab := core.NewOptTable(k, thold, tend)
-	trials := s.Trials
-	if trials <= 0 {
-		trials = 16
-	}
 	out.Notes = append(out.Notes,
-		fmt.Sprintf("measured t_hold=%d t_end=%d; %d trials on %s, seed %d", thold, tend, trials, s.Platform.Name, s.Seed))
+		fmt.Sprintf("measured t_hold=%d t_end=%d; %d trials on %s, seed %d", thold, tend, s.trials(), s.Platform.Name, s.Seed))
 
-	var cells []runner.Cell
-	for _, g := range groupCounts {
-		if g*k > s.Platform.Nodes {
-			return nil, fmt.Errorf("exp: %d groups of %d nodes exceed the %d-node fabric", g, k, s.Platform.Nodes)
-		}
-		for trial := 0; trial < trials; trial++ {
-			g, trial := g, trial
-			cells = append(cells, runner.Cell{
-				Key: runner.Key{
-					Mode: "conc", Platform: s.Platform.Name, Algo: "opt", Soft: s.softKey(),
-					K: k, Bytes: bytes, X: g, Trial: trial, Seed: s.Seed, AddrBytes: s.AddrBytes,
-					THold: thold, TEnd: tend,
-				},
-				Run: func() (runner.Result, error) {
-					r := sim.NewRNG(s.Seed + uint64(trial)*0x51ed + uint64(g))
-					all := r.Sample(s.Platform.Nodes, g*k)
-					groups := make([]mcastsim.Group, g)
-					var soloSum float64
-					for gi := range groups {
-						addrs := all[gi*k : (gi+1)*k]
-						ch := chain.New(addrs, s.Platform.Less)
-						root, _ := ch.Index(addrs[0])
-						groups[gi] = mcastsim.Group{Tab: tab, Chain: ch, Root: root, Bytes: bytes}
-						res, err := mcastsim.Run(s.Platform.NewNet(), tab, ch, root, bytes, s.runConfig())
-						if err != nil {
-							return runner.Result{}, err
-						}
-						soloSum += float64(res.Latency)
-					}
-					batch, err := mcastsim.RunConcurrent(s.Platform.NewNet(), groups, s.runConfig())
+	res, err := grid{len(groupCounts), 1, s.trials(), func(row, _, trial int) runner.Cell {
+		g := groupCounts[row]
+		return runner.Cell{
+			Key: runner.Key{
+				Mode: "conc", Platform: s.Platform.Name, Algo: "opt", Soft: s.softKey(),
+				K: k, Bytes: bytes, X: g, Trial: trial, Seed: s.Seed, AddrBytes: s.AddrBytes,
+				THold: thold, TEnd: tend,
+			},
+			Run: func() (runner.Result, error) {
+				r := sim.NewRNG(s.Seed + uint64(trial)*0x51ed + uint64(g))
+				all := r.Sample(s.Platform.Nodes, g*k)
+				groups := make([]mcastsim.Group, g)
+				var soloSum float64
+				for gi := range groups {
+					addrs := all[gi*k : (gi+1)*k]
+					ch := chain.New(addrs, s.Platform.Less)
+					root, _ := ch.Index(addrs[0])
+					groups[gi] = mcastsim.Group{Tab: tab, Chain: ch, Root: root, Bytes: bytes}
+					res, err := mcastsim.Run(s.Platform.NewNet(), tab, ch, root, bytes, s.runConfig())
 					if err != nil {
 						return runner.Result{}, err
 					}
-					var concSum float64
-					for _, r := range batch {
-						concSum += float64(r.Latency)
-					}
-					return runner.Result{Metrics: map[string]float64{
-						"solo":    soloSum / float64(g),
-						"conc":    concSum / float64(g),
-						"blocked": float64(batch[0].BlockedCycles),
-					}}, nil
-				},
-			})
+					soloSum += float64(res.Latency)
+				}
+				batch, err := mcastsim.RunConcurrent(s.Platform.NewNet(), groups, s.runConfig())
+				if err != nil {
+					return runner.Result{}, err
+				}
+				var concSum float64
+				for _, r := range batch {
+					concSum += float64(r.Latency)
+				}
+				return runner.Result{Metrics: map[string]float64{
+					"solo":    soloSum / float64(g),
+					"conc":    concSum / float64(g),
+					"blocked": float64(batch[0].BlockedCycles),
+				}}, nil
+			},
 		}
+	}}.run(s, out.Title, out)
+	if res == nil {
+		return out, err
 	}
-	results, have, err := s.exec().Run(out.Title, cells)
-	if err != nil {
-		return nil, err
-	}
-	if runner.Missing(have) > 0 {
-		out.Incomplete = true
-		return out, nil
-	}
-	for gi, g := range groupCounts {
-		var solo, conc, blocked sim.Stats
-		for trial := 0; trial < trials; trial++ {
-			r := results[gi*trials+trial]
-			solo.Add(r.Metric("solo"))
-			conc.Add(r.Metric("conc"))
-			blocked.Add(r.Metric("blocked"))
-		}
+	for r, g := range groupCounts {
+		blocked := res.stats(r, 0, "blocked")
 		out.Rows = append(out.Rows, Row{X: float64(g), Cells: []Cell{
-			{Mean: solo.Mean(), CI95: solo.CI95(), N: solo.N()},
-			{Mean: conc.Mean(), CI95: conc.CI95(), N: conc.N()},
+			statCell(res.stats(r, 0, "solo")),
+			statCell(res.stats(r, 0, "conc")),
 			{Mean: blocked.Mean(), N: blocked.N()},
 		}})
 	}
@@ -635,36 +548,30 @@ func PolicyAblation(nodes int, cfg wormhole.Config, soft model.Software, trials 
 		YLabel:     "mean blocked cycles per multicast",
 		Algorithms: []string{"OPT-tree blocked", "OPT-min blocked", "OPT-tree latency", "OPT-min latency"},
 	}
+	suites := make([]*Suite, len(policies))
+	tends := make([]model.Time, len(policies))
 	for i, pol := range policies {
-		s := &Suite{
-			Platform: BMINPlatform(nodes, pol, cfg),
-			Software: soft,
-			Trials:   trials,
-			Seed:     seed,
-			Exec:     exec,
-		}
-		tab, err := s.SweepSizes("", k, []int{bytes}, []Algorithm{OptUnordered("OPT-tree"), Opt("OPT-min")})
+		suites[i] = &Suite{Platform: BMINPlatform(nodes, pol, cfg), Software: soft, Trials: trials, Seed: seed, Exec: exec}
+		te, err := suites[i].MeasureTEnd(bytes)
 		if err != nil {
 			return nil, err
 		}
+		tends[i] = te
 		out.Notes = append(out.Notes, fmt.Sprintf("policy %d = %s", i, pol))
-		if tab.Incomplete {
-			// Keep iterating so every policy's cells are enumerated; only
-			// the merge is deferred.
-			out.Incomplete = true
-			continue
-		}
-		if out.Incomplete {
-			continue
-		}
-		c := tab.Rows[0].Cells
-		out.Rows = append(out.Rows, Row{X: float64(i), Cells: []Cell{
-			blockedCell(c[0]), blockedCell(c[1]),
-			{Mean: c[0].Mean, N: c[0].N}, {Mean: c[1].Mean, N: c[1].N},
-		}})
 	}
-	if out.Incomplete {
-		out.Rows = nil
+	algos := []Algorithm{OptUnordered("OPT-tree"), Opt("OPT-min")}
+	res, err := grid{len(policies), len(algos), suites[0].trials(), func(r, c, tr int) runner.Cell {
+		return suites[r].mcastCell(algos[c], k, bytes, tr, soft.Hold.At(bytes), tends[r])
+	}}.run(suites[0], out.Title, out)
+	if res == nil {
+		return out, err
+	}
+	for i := range policies {
+		c0, c1 := res.latencyCell(i, 0), res.latencyCell(i, 1)
+		out.Rows = append(out.Rows, Row{X: float64(i), Cells: []Cell{
+			blockedCell(c0), blockedCell(c1),
+			{Mean: c0.Mean, N: c0.N}, {Mean: c1.Mean, N: c1.N},
+		}})
 	}
 	return out, nil
 }

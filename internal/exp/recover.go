@@ -17,7 +17,6 @@ import (
 	"repro/internal/model"
 	recov "repro/internal/recover"
 	"repro/internal/runner"
-	"repro/internal/sim"
 	"repro/internal/wormhole"
 )
 
@@ -111,25 +110,16 @@ func (s *Suite) recoverCell(a Algorithm, k, bytes, trial, pct int, planSeed, rec
 // sets and their tables are directly comparable. pcts are the x values
 // (percent of fabric-internal links made dead, each in [0,100]).
 func RecoverSweep(meshSuite, bminSuite *Suite, k, bytes int, pcts []int, faultSeed uint64) (*F2Tables, error) {
-	for _, p := range pcts {
-		if p < 0 || p > 100 {
-			return nil, fmt.Errorf("exp: fault percentage %d outside [0,100]", p)
-		}
+	if err := checkPcts(pcts); err != nil {
+		return nil, err
 	}
-	type column struct {
-		suite *Suite
-		algo  Algorithm
-	}
-	cols := []column{
+	cols := []series{
 		{meshSuite, Binomial("U-mesh")},
 		{meshSuite, Opt("OPT-mesh")},
 		{bminSuite, Binomial("U-min")},
 		{bminSuite, Opt("OPT-min")},
 	}
-	trials := meshSuite.Trials
-	if trials <= 0 {
-		trials = 16
-	}
+	trials := meshSuite.trials()
 
 	newTable := func(title, ylabel string, algos []string) *Table {
 		return &Table{
@@ -139,10 +129,7 @@ func RecoverSweep(meshSuite, bminSuite *Suite, k, bytes int, pcts []int, faultSe
 			Algorithms: algos,
 		}
 	}
-	algoNames := make([]string, len(cols))
-	for i, c := range cols {
-		algoNames[i] = c.algo.Name
-	}
+	algoNames := seriesNames(cols)
 	f2 := &F2Tables{
 		Latency: newTable(
 			fmt.Sprintf("F2a: completion latency under recovery vs %% failed links (k=%d, %d-byte messages)", k, bytes),
@@ -156,23 +143,9 @@ func RecoverSweep(meshSuite, bminSuite *Suite, k, bytes int, pcts []int, faultSe
 			"extra messages per run (retransmits + repair sends + orphan sends, mean)", algoNames),
 	}
 
-	// Healthy-fabric calibration, once per suite (as in F1: the tree is
-	// planned for the machine as specified, then recovered on the
-	// degraded one).
-	tends := make([]model.Time, len(cols))
-	for i, c := range cols {
-		if i > 0 && cols[i-1].suite == c.suite {
-			tends[i] = tends[i-1]
-			continue
-		}
-		te, err := c.suite.MeasureTEnd(bytes)
-		if err != nil {
-			return nil, err
-		}
-		tends[i] = te
-		note := fmt.Sprintf("healthy calibration on %s: t_hold(%dB)=%d t_end(%dB)=%d",
-			c.suite.Platform.Name, bytes, c.suite.Software.Hold.At(bytes), bytes, te)
-		f2.Latency.Notes = append(f2.Latency.Notes, note)
+	tends, err := calibrateHealthy(cols, &f2.Latency.Notes, bytes)
+	if err != nil {
+		return nil, err
 	}
 	f2.Latency.Notes = append(f2.Latency.Notes, fmt.Sprintf("%d random placements per point, placement seed %d, fault seed %d (same plans as F1)",
 		trials, meshSuite.Seed, faultSeed))
@@ -180,79 +153,37 @@ func RecoverSweep(meshSuite, bminSuite *Suite, k, bytes int, pcts []int, faultSe
 		"reachable columns are the graph-reachability oracle (recover.Reachable) on the same fault plans;",
 		"delivered ~= reachable means recovery completes whenever a route exists")
 
-	type job struct{ pi, ci, trial int }
-	var jobs []job
-	var cells []runner.Cell
-	for pi, pct := range pcts {
-		for ci, c := range cols {
-			for tr := 0; tr < trials; tr++ {
-				jobs = append(jobs, job{pi, ci, tr})
-				planSeed := faultPlanSeed(faultSeed, pi, tr)
-				cells = append(cells, c.suite.recoverCell(c.algo, k, bytes, tr, pct,
-					planSeed, planSeed+uint64(ci)*0xc2b2ae35,
-					c.suite.Software.Hold.At(bytes), tends[ci]))
-			}
-		}
-	}
-	results, have, err := meshSuite.exec().Run(f2.Latency.Title, cells)
-	if err != nil {
-		return nil, err
-	}
-	if runner.Missing(have) > 0 {
-		f2.Latency.Incomplete = true
-		f2.Delivered.Incomplete = true
-		f2.Overhead.Incomplete = true
-		return f2, nil
+	res, err := grid{len(pcts), len(cols), trials, func(r, c, tr int) runner.Cell {
+		s := cols[c].suite
+		planSeed := faultPlanSeed(faultSeed, r, tr)
+		return s.recoverCell(cols[c].algo, k, bytes, tr, pcts[r],
+			planSeed, planSeed+uint64(c)*0xc2b2ae35,
+			s.Software.Hold.At(bytes), tends[c][bytes])
+	}}.run(meshSuite, f2.Latency.Title, f2.Latency, f2.Delivered, f2.Overhead)
+	if res == nil {
+		return f2, err
 	}
 
-	type agg struct {
-		lat, frac, over sim.Stats
-		fallbacks       int
+	deliveredFrac := func(r *runner.Result) float64 {
+		delivered, abandoned := r.Metric("delivered"), r.Metric("abandoned")
+		return 100 * delivered / (delivered + abandoned)
 	}
-	aggs := make([]agg, len(pcts)*len(cols))
-	oracle := make([]sim.Stats, len(pcts)*2) // (row, suite) reachable fraction
-	for i, j := range jobs {
-		a := &aggs[j.pi*len(cols)+j.ci]
-		res := &results[i]
-		a.lat.Add(res.Metric("latency"))
-		delivered, abandoned := res.Metric("delivered"), res.Metric("abandoned")
-		a.frac.Add(100 * delivered / (delivered + abandoned))
-		a.over.Add(res.Metric("overhead"))
-		if res.Metric("fallback") != 0 {
-			a.fallbacks++
+	fill(f2.Latency, pcts, func(r, c int) Cell { return statCell(res.stats(r, c, "latency")) })
+	heads := suiteHeads(cols)
+	fill(f2.Delivered, pcts, func(r, c int) Cell {
+		if c >= len(cols) {
+			// The oracle depends only on the fault plan and placement, so
+			// each suite's first column carries it.
+			return statCell(res.stats(r, heads[c-len(cols)], "reach"))
 		}
-		if j.ci == 0 || cols[j.ci-1].suite != cols[j.ci].suite {
-			si := 0
-			if cols[j.ci].suite != meshSuite {
-				si = 1
-			}
-			oracle[j.pi*2+si].Add(res.Metric("reach"))
+		return statCell(fold(res.point(r, c), deliveredFrac))
+	})
+	fill(f2.Overhead, pcts, func(r, c int) Cell {
+		if fb := res.sum(r, c, "fallback"); fb > 0 {
+			f2.Overhead.Notes = append(f2.Overhead.Notes, fmt.Sprintf("%s at %d%%: %d/%d runs fell back to binomial over survivors",
+				cols[c].algo.Name, pcts[r], int(fb), trials))
 		}
-	}
-	f2.Latency.Rows = make([]Row, len(pcts))
-	f2.Delivered.Rows = make([]Row, len(pcts))
-	f2.Overhead.Rows = make([]Row, len(pcts))
-	for pi, p := range pcts {
-		latRow := Row{X: float64(p), Cells: make([]Cell, len(cols))}
-		delRow := Row{X: float64(p), Cells: make([]Cell, len(cols)+2)}
-		ovrRow := Row{X: float64(p), Cells: make([]Cell, len(cols))}
-		for ci := range cols {
-			a := &aggs[pi*len(cols)+ci]
-			latRow.Cells[ci] = Cell{Mean: a.lat.Mean(), CI95: a.lat.CI95(), N: a.lat.N()}
-			delRow.Cells[ci] = Cell{Mean: a.frac.Mean(), CI95: a.frac.CI95(), N: a.frac.N()}
-			ovrRow.Cells[ci] = Cell{Mean: a.over.Mean(), CI95: a.over.CI95(), N: a.over.N()}
-			if a.fallbacks > 0 {
-				f2.Overhead.Notes = append(f2.Overhead.Notes, fmt.Sprintf("%s at %d%%: %d/%d runs fell back to binomial over survivors",
-					cols[ci].algo.Name, p, a.fallbacks, trials))
-			}
-		}
-		for si := 0; si < 2; si++ {
-			o := &oracle[pi*2+si]
-			delRow.Cells[len(cols)+si] = Cell{Mean: o.Mean(), CI95: o.CI95(), N: o.N()}
-		}
-		f2.Latency.Rows[pi] = latRow
-		f2.Delivered.Rows[pi] = delRow
-		f2.Overhead.Rows[pi] = ovrRow
-	}
+		return statCell(res.stats(r, c, "overhead"))
+	})
 	return f2, nil
 }

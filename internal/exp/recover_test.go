@@ -2,6 +2,8 @@ package exp
 
 import (
 	"testing"
+
+	"repro/internal/runner"
 )
 
 // TestRecoverSweepDeterministic: seeded fault plans and seeded backoff
@@ -10,7 +12,8 @@ import (
 func TestRecoverSweepDeterministic(t *testing.T) {
 	run := func(workers int) string {
 		ms, bs := smallMeshSuite(), smallBMINSuite()
-		ms.Workers, bs.Workers = workers, workers
+		ex := &runner.Exec{Workers: workers}
+		ms.Exec, bs.Exec = ex, ex
 		f2, err := RecoverSweep(ms, bs, 8, 1024, []int{0, 4}, 7)
 		if err != nil {
 			t.Fatal(err)

@@ -41,34 +41,33 @@ func ScaleLatency(cfg wormhole.Config, soft model.Software, trials int, seed uin
 		YLabel:     "multicast latency (cycles)",
 		Algorithms: []string{"binomial", "OPT"},
 	}
-	var platforms []Platform
+	var suites []*Suite
+	add := func(p Platform) {
+		suites = append(suites, &Suite{Platform: p, Software: soft, Trials: trials, Seed: seed, Exec: exec})
+	}
 	for _, side := range DefaultScaleMeshSides() {
-		platforms = append(platforms, MeshPlatform(side, side, cfg))
+		add(MeshPlatform(side, side, cfg))
 	}
 	for _, nodes := range DefaultScaleBMINNodes() {
-		platforms = append(platforms, BMINPlatform(nodes, bmin.AscentStraight, cfg))
+		add(BMINPlatform(nodes, bmin.AscentStraight, cfg))
 	}
-	for _, p := range platforms {
-		s := &Suite{Platform: p, Software: soft, Trials: trials, Seed: seed, Exec: exec}
-		t, err := s.SweepSizes("", k, []int{bytes}, []Algorithm{Binomial("binomial"), Opt("OPT")})
-		if err != nil {
+	tends := make([]map[int]model.Time, len(suites))
+	for i, s := range suites {
+		out.Notes = append(out.Notes, fmt.Sprintf("%d nodes = %s", s.Platform.Nodes, s.Platform.Name))
+		var err error
+		if tends[i], err = s.calibrateSweep(&out.Notes, s.trials(), bytes); err != nil {
 			return nil, err
 		}
-		out.Notes = append(out.Notes, fmt.Sprintf("%d nodes = %s", p.Nodes, p.Name))
-		out.Notes = append(out.Notes, t.Notes...)
-		if t.Incomplete {
-			// Keep iterating so every fabric's cells are enumerated under
-			// sharding; only the merge is deferred.
-			out.Incomplete = true
-			continue
-		}
-		if out.Incomplete {
-			continue
-		}
-		out.Rows = append(out.Rows, Row{X: float64(p.Nodes), Cells: t.Rows[0].Cells})
 	}
-	if out.Incomplete {
-		out.Rows = nil
+	algos := []Algorithm{Binomial("binomial"), Opt("OPT")}
+	res, err := grid{len(suites), len(algos), suites[0].trials(), func(r, c, tr int) runner.Cell {
+		return suites[r].mcastCell(algos[c], k, bytes, tr, soft.Hold.At(bytes), tends[r][bytes])
+	}}.run(suites[0], out.Title, out)
+	if res == nil {
+		return out, err
+	}
+	for r, s := range suites {
+		out.Rows = append(out.Rows, Row{X: float64(s.Platform.Nodes), Cells: []Cell{res.latencyCell(r, 0), res.latencyCell(r, 1)}})
 	}
 	return out, nil
 }

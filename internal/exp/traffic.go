@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/runner"
-	"repro/internal/sim"
 	"repro/internal/traffic"
 )
 
@@ -205,11 +204,7 @@ func TrafficSweep(meshSuite, bminSuite *Suite, rates []int, sc TrafficScenario) 
 			return nil, fmt.Errorf("exp: offered rates must increase (got %d after %d)", r, rates[i-1])
 		}
 	}
-	type column struct {
-		suite *Suite
-		algo  Algorithm
-	}
-	cols := []column{
+	cols := []series{
 		{meshSuite, Binomial("U-mesh")},
 		{meshSuite, OptUnordered("OPT-tree")},
 		{meshSuite, Opt("OPT-mesh")},
@@ -222,10 +217,7 @@ func TrafficSweep(meshSuite, bminSuite *Suite, rates []int, sc TrafficScenario) 
 	}
 	sc.Trials = trials
 
-	algoNames := make([]string, len(cols))
-	for i, c := range cols {
-		algoNames[i] = c.algo.Name
-	}
+	algoNames := seriesNames(cols)
 	mix := fmt.Sprintf("k in %v, sizes %v", sc.Ks, sc.Sizes)
 	newTable := func(title, ylabel string, algos []string) *Table {
 		return &Table{
@@ -250,101 +242,47 @@ func TrafficSweep(meshSuite, bminSuite *Suite, rates []int, sc TrafficScenario) 
 
 	// Healthy-fabric calibration once per suite per message size; the
 	// trees are planned from the same measured t_end at every rate.
-	tendsByCol := make([]map[int]model.Time, len(cols))
-	for ci, c := range cols {
-		if ci > 0 && cols[ci-1].suite == c.suite {
-			tendsByCol[ci] = tendsByCol[ci-1]
-			continue
-		}
-		tends := make(map[int]model.Time, len(sc.Sizes))
-		for _, b := range sc.Sizes {
-			te, err := c.suite.MeasureTEnd(b)
-			if err != nil {
-				return nil, err
-			}
-			tends[b] = te
-			f3.Latency.Notes = append(f3.Latency.Notes,
-				fmt.Sprintf("calibration on %s: t_hold(%dB)=%d t_end(%dB)=%d",
-					c.suite.Platform.Name, b, c.suite.Software.Hold.At(b), b, te))
-		}
-		tendsByCol[ci] = tends
+	tends, err := calibrateSeries(cols, func(s *Suite) (map[int]model.Time, error) {
+		return s.calibrate(&f3.Latency.Notes, "calibration on "+s.Platform.Name+": ", sc.Sizes...)
+	})
+	if err != nil {
+		return nil, err
 	}
 	f3.Latency.Notes = append(f3.Latency.Notes,
 		fmt.Sprintf("%d runs per point, %d requests per run (first %d warm-up), admission %s x%d, seed %d",
 			trials, sc.Requests, sc.Warmup, sc.Admission, sc.MaxInFlight, meshSuite.Seed))
 
-	type job struct{ ri, ci, trial int }
-	var jobs []job
-	var cells []runner.Cell
-	for ri, rate := range rates {
-		for ci, c := range cols {
-			for tr := 0; tr < trials; tr++ {
-				jobs = append(jobs, job{ri, ci, tr})
-				cells = append(cells, c.suite.trafficCell(c.algo, rate, tr, sc, tendsByCol[ci]))
-			}
-		}
-	}
-	results, have, err := meshSuite.exec().Run(f3.Latency.Title, cells)
-	if err != nil {
-		return nil, err
-	}
-	if runner.Missing(have) > 0 {
-		f3.Latency.Incomplete = true
-		f3.Throughput.Incomplete = true
-		f3.Queue.Incomplete = true
-		return f3, nil
+	res, err := grid{len(rates), len(cols), trials, func(r, c, tr int) runner.Cell {
+		return cols[c].suite.trafficCell(cols[c].algo, rates[r], tr, sc, tends[c])
+	}}.run(meshSuite, f3.Latency.Title, f3.Latency, f3.Throughput, f3.Queue)
+	if res == nil {
+		return f3, err
 	}
 
-	type agg struct {
-		p99, del, qd sim.Stats
-		shed         int
-	}
-	aggs := make([]agg, len(rates)*len(cols))
-	offeredByRow := make([]sim.Stats, len(rates))
-	for i, j := range jobs {
-		a := &aggs[j.ri*len(cols)+j.ci]
-		res := &results[i]
-		a.p99.Add(res.Metric("p99"))
-		a.del.Add(res.Metric("delivered"))
-		a.qd.Add(res.Metric("qdelay"))
-		a.shed += int(res.Metric("shed"))
-		offeredByRow[j.ri].Add(res.Metric("offered"))
-	}
-	shedsByCol := make([][]int, len(cols))
-	for ci := range cols {
-		shedsByCol[ci] = make([]int, len(rates))
-	}
-	f3.Latency.Rows = make([]Row, len(rates))
-	f3.Throughput.Rows = make([]Row, len(rates))
-	f3.Queue.Rows = make([]Row, len(rates))
-	for ri, rate := range rates {
-		latRow := Row{X: float64(rate), Cells: make([]Cell, len(cols))}
-		thrRow := Row{X: float64(rate), Cells: make([]Cell, len(cols)+1)}
-		quRow := Row{X: float64(rate), Cells: make([]Cell, len(cols))}
-		for ci := range cols {
-			a := &aggs[ri*len(cols)+ci]
-			latRow.Cells[ci] = Cell{Mean: a.p99.Mean(), CI95: a.p99.CI95(), N: a.p99.N()}
-			thrRow.Cells[ci] = Cell{Mean: a.del.Mean(), CI95: a.del.CI95(), N: a.del.N()}
-			quRow.Cells[ci] = Cell{Mean: a.qd.Mean(), CI95: a.qd.CI95(), N: a.qd.N()}
-			shedsByCol[ci][ri] = a.shed
-			if a.shed > 0 {
-				f3.Throughput.Notes = append(f3.Throughput.Notes,
-					fmt.Sprintf("%s at %d req/Mcycle: %d measured requests shed across %d runs",
-						cols[ci].algo.Name, rate, a.shed, trials))
-			}
+	fill(f3.Latency, rates, func(r, c int) Cell { return statCell(res.stats(r, c, "p99")) })
+	fill(f3.Throughput, rates, func(r, c int) Cell {
+		if c == len(cols) {
+			// The offered rate is the workload's, common to every series.
+			return statCell(fold(res.row(r), func(x *runner.Result) float64 { return x.Metric("offered") }))
 		}
-		o := &offeredByRow[ri]
-		thrRow.Cells[len(cols)] = Cell{Mean: o.Mean(), CI95: o.CI95(), N: o.N()}
-		f3.Latency.Rows[ri] = latRow
-		f3.Throughput.Rows[ri] = thrRow
-		f3.Queue.Rows[ri] = quRow
-	}
+		if shed := int(res.sum(r, c, "shed")); shed > 0 {
+			f3.Throughput.Notes = append(f3.Throughput.Notes,
+				fmt.Sprintf("%s at %d req/Mcycle: %d measured requests shed across %d runs",
+					cols[c].algo.Name, rates[r], shed, trials))
+		}
+		return statCell(res.stats(r, c, "delivered"))
+	})
+	fill(f3.Queue, rates, func(r, c int) Cell { return statCell(res.stats(r, c, "qdelay")) })
 
 	// Saturation post-pass: where each series' latency curve leaves the
 	// low-load regime. This is the figure's capacity claim in one line
 	// per series.
+	sheds := make([]int, len(rates))
 	for ci, c := range cols {
-		if sat, ok := SaturationRate(f3.Latency, ci, shedsByCol[ci], SaturationFactor); ok {
+		for r := range rates {
+			sheds[r] = int(res.sum(r, ci, "shed"))
+		}
+		if sat, ok := SaturationRate(f3.Latency, ci, sheds, SaturationFactor); ok {
 			f3.Latency.Notes = append(f3.Latency.Notes,
 				fmt.Sprintf("saturation %s (%s): ~%g req/Mcycle (p99 >= %gx its low-load value)",
 					c.algo.Name, c.suite.Platform.Name, sat, SaturationFactor))

@@ -77,24 +77,20 @@ func TunerAlgos(algos []Algorithm) []tuner.Algo {
 // faultSeed seeds the per-(pct, trial) fault plans via the F1 formula,
 // so degraded cells share plans (and cache entries) with F1/F2 where
 // the parameters line up.
-func TunerSweep(meshSuite, bminSuite *Suite, grid TunerGrid, faultSeed uint64) (*F6Tables, error) {
-	for _, p := range grid.FaultPcts {
-		if p < 0 || p > 100 {
-			return nil, fmt.Errorf("exp: fault percentage %d outside [0,100]", p)
-		}
+func TunerSweep(meshSuite, bminSuite *Suite, axes TunerGrid, faultSeed uint64) (*F6Tables, error) {
+	if err := checkPcts(axes.FaultPcts); err != nil {
+		return nil, err
 	}
-	if grid.points() == 0 {
+	pts := axes.points()
+	if pts == 0 {
 		return nil, fmt.Errorf("exp: empty tuner grid")
 	}
 	suites := []*Suite{meshSuite, bminSuite}
 	algosOf := [][]Algorithm{MeshAlgorithms(), BMINAlgorithms()}
-	trials := meshSuite.Trials
-	if trials <= 0 {
-		trials = 16
-	}
+	trials := meshSuite.trials()
 
 	sel := &Table{
-		Title:  fmt.Sprintf("F6a: crossover-surface selection map (%d-point grid, %d train + %d eval trials)", grid.points(), trials, trials),
+		Title:  fmt.Sprintf("F6a: crossover-surface selection map (%d-point grid, %d train + %d eval trials)", pts, trials, trials),
 		XLabel: "grid point",
 		YLabel: "algorithm index (see notes)",
 	}
@@ -108,84 +104,52 @@ func TunerSweep(meshSuite, bminSuite *Suite, grid TunerGrid, faultSeed uint64) (
 		XLabel: "grid point",
 		YLabel: "latency difference (cycles; regret >= 0, margin <= 0)",
 	}
+	f6 := &F6Tables{Selection: sel, Latency: lat, Regret: reg}
 
 	// Healthy-fabric calibration, once per (suite, message size).
 	tends := make([]map[int]model.Time, len(suites))
 	for si, s := range suites {
-		tends[si] = make(map[int]model.Time)
-		for _, b := range grid.Bytes {
-			te, err := s.MeasureTEnd(b)
-			if err != nil {
-				return nil, err
-			}
-			tends[si][b] = te
-			sel.Notes = append(sel.Notes, fmt.Sprintf("healthy calibration on %s: t_hold(%dB)=%d t_end(%dB)=%d",
-				s.Platform.Name, b, s.Software.Hold.At(b), b, te))
+		var err error
+		if tends[si], err = s.calibrate(&sel.Notes, "healthy calibration on "+s.Platform.Name+": ", axes.Bytes...); err != nil {
+			return nil, err
 		}
 	}
 
-	// One manifest over both platforms and both phases: phase 0 trains
-	// on trials [0, trials), phase 1 evaluates on [trials, 2*trials).
-	type job struct{ si, phase, gi, ai int }
-	var jobs []job
-	var cells []runner.Cell
-	for si, s := range suites {
-		for phase := 0; phase < 2; phase++ {
-			for gi := 0; gi < grid.points(); gi++ {
-				ki, bi, pi := grid.at(gi)
-				k, b, pct := grid.Ks[ki], grid.Bytes[bi], grid.FaultPcts[pi]
-				for ai, a := range algosOf[si] {
-					for tr := 0; tr < trials; tr++ {
-						trial := phase*trials + tr
-						jobs = append(jobs, job{si, phase, gi, ai})
-						cells = append(cells, s.faultCell(a, k, b, trial, pct,
-							faultPlanSeed(faultSeed, pi, trial), s.Software.Hold.At(b), tends[si][b]))
-					}
-				}
-			}
-		}
-	}
-	results, have, err := meshSuite.exec().Run("F6 tuner", cells)
-	if err != nil {
-		return nil, err
-	}
-	if runner.Missing(have) > 0 {
-		t := &Table{Incomplete: true}
-		return &F6Tables{Selection: t, Latency: t, Regret: t}, nil
-	}
-
-	// Aggregate surviving-run latencies per (suite, phase, point, algo).
+	// One grid over both platforms and both phases: row (si, phase, gi)
+	// is grid point gi on suite si, where phase 0 trains on trials
+	// [0, trials) and phase 1 evaluates on [trials, 2*trials).
+	row := func(si, phase, gi int) int { return (si*2+phase)*pts + gi }
 	na := len(algosOf[0])
-	aggs := make([]sim.Stats, len(suites)*2*grid.points()*na)
-	idx := func(si, phase, gi, ai int) int {
-		return ((si*2+phase)*grid.points()+gi)*na + ai
-	}
-	for i, j := range jobs {
-		if results[i].Failed {
-			continue
-		}
-		aggs[idx(j.si, j.phase, j.gi, j.ai)].Add(results[i].Metric("latency"))
+	res, err := grid{len(suites) * 2 * pts, na, trials, func(r, ai, tr int) runner.Cell {
+		si, phase, gi := r/(2*pts), r/pts%2, r%pts
+		ki, bi, pi := axes.at(gi)
+		s, b, trial := suites[si], axes.Bytes[bi], phase*trials+tr
+		return s.faultCell(algosOf[si][ai], axes.Ks[ki], b, trial, axes.FaultPcts[pi],
+			faultPlanSeed(faultSeed, pi, trial), s.Software.Hold.At(b), tends[si][b])
+	}}.run(meshSuite, "F6 tuner", sel, lat, reg)
+	if res == nil {
+		return f6, err
 	}
 
 	// Train surfaces, compile, and score the selector on eval.
-	f6 := &F6Tables{Selection: sel, Latency: lat, Regret: reg}
 	type score struct {
 		selected            int
 		evalBest, evalWorst int
-		selLat, best, worst *sim.Stats
+		selLat, best, worst sim.Stats
 		excluded            bool
 	}
 	scores := make([][]score, len(suites))
+	eval := make([]sim.Stats, na)
 	for si, s := range suites {
 		names := make([]string, na)
 		for ai, a := range algosOf[si] {
 			names[ai] = a.Name
 		}
-		surf := tuner.New(s.Platform.Name, names, grid.Ks, grid.Bytes, grid.FaultPcts)
-		for gi := 0; gi < grid.points(); gi++ {
-			ki, bi, pi := grid.at(gi)
+		surf := tuner.New(s.Platform.Name, names, axes.Ks, axes.Bytes, axes.FaultPcts)
+		for gi := 0; gi < pts; gi++ {
+			ki, bi, pi := axes.at(gi)
 			for ai := 0; ai < na; ai++ {
-				if st := &aggs[idx(si, 0, gi, ai)]; st.N() > 0 {
+				if st := res.stats(row(si, 0, gi), ai, "latency"); st.N() > 0 {
 					surf.Set(ki, bi, pi, ai, st.Mean())
 				}
 			}
@@ -196,32 +160,31 @@ func TunerSweep(meshSuite, bminSuite *Suite, grid TunerGrid, faultSeed uint64) (
 		f6.Surfaces = append(f6.Surfaces, surf)
 		sel.Notes = append(sel.Notes, fmt.Sprintf("%s surface hash %s", s.Platform.Name, surf.Hash()))
 
-		scores[si] = make([]score, grid.points())
-		for gi := 0; gi < grid.points(); gi++ {
-			ki, bi, pi := grid.at(gi)
+		scores[si] = make([]score, pts)
+		for gi := 0; gi < pts; gi++ {
+			ki, bi, pi := axes.at(gi)
 			sc := &scores[si][gi]
-			sc.selected = surf.Select(grid.Ks[ki], grid.Bytes[bi], grid.FaultPcts[pi])
+			sc.selected = surf.Select(axes.Ks[ki], axes.Bytes[bi], axes.FaultPcts[pi])
 			sc.evalBest, sc.evalWorst = -1, -1
-			for ai := 0; ai < na; ai++ {
-				st := &aggs[idx(si, 1, gi, ai)]
-				if st.N() == 0 {
+			for ai := range eval {
+				eval[ai] = res.stats(row(si, 1, gi), ai, "latency")
+				if eval[ai].N() == 0 {
 					continue
 				}
-				if sc.evalBest < 0 || st.Mean() < aggs[idx(si, 1, gi, sc.evalBest)].Mean() {
+				if sc.evalBest < 0 || eval[ai].Mean() < eval[sc.evalBest].Mean() {
 					sc.evalBest = ai
 				}
-				if sc.evalWorst < 0 || st.Mean() > aggs[idx(si, 1, gi, sc.evalWorst)].Mean() {
+				if sc.evalWorst < 0 || eval[ai].Mean() > eval[sc.evalWorst].Mean() {
 					sc.evalWorst = ai
 				}
 			}
-			sc.selLat = &aggs[idx(si, 1, gi, sc.selected)]
+			sc.selLat = eval[sc.selected]
 			if sc.evalBest < 0 || sc.selLat.N() == 0 {
 				sc.excluded = true
 				sel.Notes = append(sel.Notes, fmt.Sprintf("point %d on %s excluded: no surviving eval runs", gi, s.Platform.Name))
 				continue
 			}
-			sc.best = &aggs[idx(si, 1, gi, sc.evalBest)]
-			sc.worst = &aggs[idx(si, 1, gi, sc.evalWorst)]
+			sc.best, sc.worst = eval[sc.evalBest], eval[sc.evalWorst]
 		}
 	}
 
@@ -234,7 +197,7 @@ func TunerSweep(meshSuite, bminSuite *Suite, grid TunerGrid, faultSeed uint64) (
 	}
 	match := make([]int, len(suites))
 	scored := make([]int, len(suites))
-	for gi := 0; gi < grid.points(); gi++ {
+	for gi := 0; gi < pts; gi++ {
 		selRow := Row{X: float64(gi)}
 		latRow := Row{X: float64(gi)}
 		regRow := Row{X: float64(gi)}
@@ -269,10 +232,10 @@ func TunerSweep(meshSuite, bminSuite *Suite, grid TunerGrid, faultSeed uint64) (
 	}
 
 	// Legend and methodology notes.
-	for gi := 0; gi < grid.points(); gi++ {
-		ki, bi, pi := grid.at(gi)
+	for gi := 0; gi < pts; gi++ {
+		ki, bi, pi := axes.at(gi)
 		sel.Notes = append(sel.Notes, fmt.Sprintf("point %d: k=%d, %d-byte messages, %d%% dead links",
-			gi, grid.Ks[ki], grid.Bytes[bi], grid.FaultPcts[pi]))
+			gi, axes.Ks[ki], axes.Bytes[bi], axes.FaultPcts[pi]))
 	}
 	for si := range suites {
 		names := make([]string, na)

@@ -8,6 +8,7 @@ package exp
 // internal/tuner.)
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/bmin"
@@ -40,7 +41,9 @@ func tunerSweep(t *testing.T, wrap func(*wormhole.Network), ex *runner.Exec) *F6
 	mesh := DefaultSuite(onKernel(MeshPlatform(8, 8, wormhole.DefaultConfig())))
 	bm := DefaultSuite(onKernel(BMINPlatform(64, bmin.AscentStraight, wormhole.DefaultConfig())))
 	mesh.Trials, bm.Trials = 2, 2
-	mesh.Workers, bm.Workers = 2, 2
+	if ex == nil {
+		ex = &runner.Exec{Workers: 2}
+	}
 	mesh.Exec, bm.Exec = ex, ex
 	f6, err := TunerSweep(mesh, bm, tunerTestGrid(), 7)
 	if err != nil {
@@ -63,14 +66,21 @@ func f6Format(t *testing.T, f6 *F6Tables) string {
 
 // TestTunerSweepShardedBitIdentical: the surface built serially equals
 // the surface built as 2 shards and merged — tables and encoded
-// artifact byte for byte — and the warm merge recomputes nothing.
+// artifact byte for byte — and the warm merge recomputes nothing. Each
+// shard run, like mcastbench -shard without -resume, defers all three
+// views, and each deferred view keeps its own title.
 func TestTunerSweepShardedBitIdentical(t *testing.T) {
 	serial := f6Format(t, tunerSweep(t, nil, nil))
 	dir := t.TempDir()
 	for sh := 0; sh < 2; sh++ {
-		part := tunerSweep(t, nil, &runner.Exec{Shard: sh, NShards: 2, Cache: openCache(t, dir), Resume: true})
-		if sh == 0 && !part.Selection.Incomplete {
-			t.Fatal("shard 0/2 table not marked incomplete")
+		part := tunerSweep(t, nil, &runner.Exec{Shard: sh, NShards: 2, Cache: openCache(t, dir)})
+		for _, v := range []struct {
+			tab   *Table
+			title string
+		}{{part.Selection, "F6a:"}, {part.Latency, "F6b:"}, {part.Regret, "F6c:"}} {
+			if !v.tab.Incomplete || !strings.HasPrefix(v.tab.Title, v.title) {
+				t.Fatalf("shard %d/2: table %q (incomplete %v), want an incomplete %s table", sh, v.tab.Title, v.tab.Incomplete, v.title)
+			}
 		}
 	}
 	sum := &runner.Summary{}
