@@ -115,7 +115,7 @@ func (s Spec) validate() error {
 		name string
 		v    float64
 	}{{"DeadFrac", s.DeadFrac}, {"DegradedFrac", s.DegradedFrac}, {"FlakyFrac", s.FlakyFrac}} {
-		if f.v < 0 || f.v > 1 {
+		if !(f.v >= 0 && f.v <= 1) { // also rejects NaN
 			return fmt.Errorf("fault: %s %g outside [0,1]", f.name, f.v)
 		}
 	}
@@ -132,8 +132,9 @@ func (s Spec) validate() error {
 }
 
 // Plan is an immutable channel-fault assignment for one topology. It
-// implements wormhole.FaultModel. All state is fixed at construction, so
-// a Plan may be shared by concurrently running networks.
+// implements wormhole.FaultModel and wormhole.DeadOnly. All state is fixed
+// at construction, so a Plan may be shared by concurrently running
+// networks.
 type Plan struct {
 	spec     Spec
 	class    []Class
@@ -237,6 +238,15 @@ func (p *Plan) Up(c wormhole.ChannelID, now int64) bool {
 	default:
 		return true
 	}
+}
+
+// OnlyDead implements wormhole.DeadOnly: it reports whether the plan's
+// only faults are dead channels, with no degraded or flaky channel and no
+// scheduled window (node outages are windows). Up is then true on every
+// cycle for every channel that is not dead, so the fabric never refuses
+// a flit to a worm.
+func (p *Plan) OnlyDead() bool {
+	return p.counts[Degraded] == 0 && p.counts[Flaky] == 0 && p.winStart == nil
 }
 
 // ClassOf returns channel c's failure class.

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -161,6 +162,9 @@ func TestSpecValidation(t *testing.T) {
 		"sum over one":     {DeadFrac: 0.5, DegradedFrac: 0.4, FlakyFrac: 0.2},
 		"bad period":       {DegradedFrac: 0.1, Period: -1},
 		"down over period": {FlakyFrac: 0.1, FlakyPeriod: 16, FlakyDown: 32},
+		"NaN dead":         {DeadFrac: math.NaN()},
+		"NaN degraded":     {DegradedFrac: math.NaN()},
+		"NaN flaky":        {FlakyFrac: math.NaN()},
 	} {
 		if _, err := NewPlan(topo, spec); err == nil {
 			t.Errorf("%s: invalid spec accepted", name)
@@ -175,6 +179,45 @@ func TestSpecValidation(t *testing.T) {
 		}
 	}()
 	MustPlan(topo, Spec{DeadFrac: 2})
+}
+
+// TestOnlyDead pins which plans report that their only faults are dead
+// channels, the verdict under which the wormhole fast kernel streams
+// worms without consulting Up: the empty and dead-only plans do, and any
+// degraded or flaky channel, node outage or explicit window does not.
+// Under every plan that does, Up must hold on every cycle for every
+// channel that is not dead.
+func TestOnlyDead(t *testing.T) {
+	topo := mesh.New2D(8, 8)
+	for _, tc := range []struct {
+		name string
+		spec Spec
+		want bool
+	}{
+		{"healthy", Spec{}, true},
+		{"dead", Spec{DeadFrac: 0.06, Seed: 1}, true},
+		{"degraded", Spec{DegradedFrac: 0.05, Seed: 1}, false},
+		{"flaky", Spec{FlakyFrac: 0.05, Seed: 1}, false},
+		{"dead and flaky", Spec{DeadFrac: 0.06, FlakyFrac: 0.05, Seed: 1}, false},
+		{"node outage", Spec{NodeOutages: []NodeOutage{{Node: 3, From: 10, To: 20}}}, false},
+		{"window", Spec{Windows: []ChannelWindow{{Channel: 0, From: 0, To: Forever}}}, false},
+	} {
+		p := MustPlan(topo, tc.spec)
+		if got := p.OnlyDead(); got != tc.want {
+			t.Errorf("%s: OnlyDead() = %v, want %v (%s)", tc.name, got, tc.want, p)
+		}
+		if !tc.want {
+			continue
+		}
+		for c := 0; c < topo.NumChannels(); c++ {
+			cid := wormhole.ChannelID(c)
+			for now := int64(0); now < 128; now++ {
+				if up := p.Up(cid, now); up == p.Dead(cid) {
+					t.Fatalf("%s: channel %d Up(%d) = %v, Dead = %v", tc.name, c, now, up, p.Dead(cid))
+				}
+			}
+		}
+	}
 }
 
 // TestFlakyWindowBoundaries pins the half-open window semantics from

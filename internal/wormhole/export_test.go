@@ -39,10 +39,19 @@ func (n *Network) ForceOwnedCount(k int) { n.owned = k }
 // parking-cycle values — each live channel then held 1 to BufFlits
 // flits (a finished upstream stage reads flits) — and that each due
 // cycle is still ahead, and it recounts the sums Stats credits parked
-// flit-hops from.
+// flit-hops from. On a faulted fabric it checks that no worm has
+// acquired a dead channel: the ungated loop relies on that under a
+// model that reports OnlyDead.
 func (n *Network) CheckLiveWindows() error {
 	var rate, sum int64
 	for _, w := range n.worms {
+		if n.faults != nil {
+			for i, c := range w.path {
+				if n.faults.Dead(c) {
+					return fmt.Errorf("worm %d: path[%d] is dead channel %d", w.ID, i, c)
+				}
+			}
+		}
 		if n.asleep[w.slot] == parked {
 			if w.due <= n.now {
 				return fmt.Errorf("worm %d: parked with due cycle %d at cycle %d", w.ID, w.due, n.now)
@@ -89,6 +98,10 @@ func (n *Network) CheckLiveWindows() error {
 	}
 	return nil
 }
+
+// Parked reports whether the in-flight worm w is parked, streaming in
+// closed form.
+func (n *Network) Parked(w *Worm) bool { return n.asleep[w.slot] == parked }
 
 // DeadlockWaitersBuf exposes the cached DeadlockReport histogram so the
 // reuse regression test can assert two successive reports share one

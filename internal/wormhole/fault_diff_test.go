@@ -19,46 +19,79 @@ import (
 )
 
 // TestKernelDifferentialFaults runs seeded random workloads on all four
-// fabric families under shared seeded fault plans (dead + degraded +
-// flaky channels) through both kernels, requiring bit-identical
-// statistics, worm records, event streams and error text. Odd seeds use
-// the stall-heavy config so fault-gated refusals interleave with deep
-// cycle-skipping; that is exactly the interaction faultStall exists to
-// keep sound.
+// fabric families under shared seeded fault plans through both kernels,
+// requiring bit-identical statistics, worm records, event streams and
+// error text. Each fabric and seed runs three plans:
+//
+//   - dead + degraded + flaky channels, 40 sends below 200 B, driven to
+//     the first error: the gated loop, whose fault-refused flits veto
+//     cycle-skipping (exactly the interaction faultStall exists to keep
+//     sound);
+//   - 2% and 6% dead channels only, 48 sends of up to 8 KB, driven
+//     with every stranded worm cancelled (drive's cancelling mode): the
+//     check-free loop that parks, under a routing layer that detours and
+//     freezes, with parked worms cancelled mid-stream. The torus, which
+//     never parks, is their control.
+//
+// Odd seeds use the stall-heavy config (long RouterDelay, single-flit
+// buffers) for deep cycle-skipping.
 func TestKernelDifferentialFaults(t *testing.T) {
+	total, ran, parkedCancels := 0, 0, 0
 	for _, p := range diffPlatforms() {
 		for seed := int64(0); seed < 6; seed++ {
+			cfg := DefaultConfig()
+			if seed%2 == 1 {
+				cfg.RouterDelay = 7
+				cfg.BufFlits = 1
+			}
+			planSeed := uint64(seed)*0x9e3779b9 + 11
 			t.Run(fmt.Sprintf("%s/seed%d", p.name, seed), func(t *testing.T) {
-				cfg := DefaultConfig()
-				if seed%2 == 1 {
-					cfg.RouterDelay = 7
-					cfg.BufFlits = 1
-				}
 				plan := fault.MustPlan(p.topo, fault.Spec{
 					DeadFrac:     0.02,
 					DegradedFrac: 0.05,
 					FlakyFrac:    0.05,
-					Seed:         uint64(seed)*0x9e3779b9 + 11,
+					Seed:         planSeed,
 				})
 				r := rand.New(rand.NewSource(271 + seed*104729))
 				sends := randWorkload(r, p.topo.NumNodes(), 40, 200)
-
-				ref := New(p.topo, cfg)
-				ref.SetKernel(KernelReference)
-				ref.SetFaults(plan)
-				want, wantErr := driveWorkload(t, ref, sends)
-
-				fast := New(p.topo, cfg)
-				fast.SetFaults(plan)
-				got, gotErr := driveWorkload(t, fast, sends)
-
-				if gotErr != wantErr {
-					t.Fatalf("error text diverges:\n got %q\nwant %q", gotErr, wantErr)
-				}
-				diffSnapshots(t, got, want)
+				diffFaulted(t, p.topo, cfg, plan, sends, false)
 			})
+			for _, pct := range []int{2, 6} {
+				total++
+				t.Run(fmt.Sprintf("%s/dead%d/seed%d", p.name, pct, seed), func(t *testing.T) {
+					ran++
+					plan := fault.MustPlan(p.topo, fault.Spec{DeadFrac: float64(pct) / 100, Seed: planSeed})
+					r := rand.New(rand.NewSource(271 + seed*104729 + int64(pct)))
+					sends := randWorkload(r, p.topo.NumNodes(), 48, 8<<10)
+					parkedCancels += diffFaulted(t, p.topo, cfg, plan, sends, true)
+				})
+			}
 		}
 	}
+	if ran == total && parkedCancels == 0 {
+		t.Fatal("no dead-only run cancelled a parked worm; the cancel path of the parking loop went untested")
+	}
+}
+
+// diffFaulted drives sends on topo under plan through the reference and
+// fast kernels (see drive) and requires identical error text and
+// outcomes. It returns how many parked worms the fast run cancelled.
+func diffFaulted(t *testing.T, topo Topology, cfg Config, plan FaultModel, sends []timedSend, cancelling bool) int {
+	t.Helper()
+	ref := New(topo, cfg)
+	ref.SetKernel(KernelReference)
+	ref.SetFaults(plan)
+	want, wantErr, _ := drive(t, ref, sends, cancelling)
+
+	fast := New(topo, cfg)
+	fast.SetFaults(plan)
+	got, gotErr, parkedCancels := drive(t, fast, sends, cancelling)
+
+	if gotErr != wantErr {
+		t.Fatalf("error text diverges:\n got %q\nwant %q", gotErr, wantErr)
+	}
+	diffSnapshots(t, got, want)
+	return parkedCancels
 }
 
 // TestFaultsWithoutDeadLinksAlwaysDrain pins the liveness half of the

@@ -60,7 +60,12 @@ func decodeSends(data []byte, nodes int) []timedSend {
 // mesh (the check-free loop), a 4×4 torus whose virtual channels share
 // physical links, and the 4×4 mesh under a fault plan of degraded and
 // flaky channels seeded from the input (both the gated loop; with no
-// dead channel every workload still drains).
+// dead channel every workload still drains). A fourth leg runs the 4×4
+// mesh under a plan of dead channels only, seeded from the input: the
+// check-free loop again, now under a routing layer that detours and
+// freezes. Dead links may strand worms, so that leg cancels them as it
+// goes (drive's cancelling mode) and compares the two kernels' outcomes
+// and error text without requiring every worm delivered.
 func FuzzWormholeKernel(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 5, 8, 0, 1, 5, 8, 0, 2, 5, 8, 0, 3, 5, 8, 0})
@@ -91,6 +96,8 @@ func FuzzWormholeKernel(f *testing.F) {
 		}
 		plan := fault.MustPlan(topo, fault.Spec{DegradedFrac: 0.15, FlakyFrac: 0.15, Seed: seed})
 		fuzzLeg(t, "faulted mesh", topo, plan, cfg, sends)
+		dead := fault.MustPlan(topo, fault.Spec{DeadFrac: 0.1, Seed: seed})
+		diffFaulted(t, topo, cfg, dead, sends, true)
 	})
 }
 

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/bfly"
 	"repro/internal/bmin"
+	"repro/internal/fault"
 	"repro/internal/mesh"
 	"repro/internal/torus"
 	. "repro/internal/wormhole"
@@ -127,20 +128,67 @@ const drainLimit = 1 << 22
 // its channels by design).
 func driveWorkload(t *testing.T, n *Network, sends []timedSend) (runSnapshot, string) {
 	t.Helper()
+	snap, errText, _ := drive(t, n, sends, false)
+	return snap, errText
+}
+
+// drive implements driveWorkload and adds a cancelling mode for fabrics
+// whose dead links strand worms. A cancelling drive proceeds as a
+// recovery driver does: after every StepUntil it cancels each worm
+// frozen unreachable and goes on, so the whole workload runs instead of
+// stopping at the first Err. Before every fourth send it also cancels
+// the oldest worm still in flight, which is often parked mid-stream.
+// Each cancel is logged in the event stream, and the error text can only
+// be a drain timeout. drive also returns how many of the cancelled worms
+// were parked. A cancelling drive must not recycle worms.
+func drive(t *testing.T, n *Network, sends []timedSend, cancelling bool) (runSnapshot, string, int) {
+	t.Helper()
 	log := &eventLog{}
 	n.SetObserver(log)
 	var snap runSnapshot
 	record := func(w *Worm, now int64) { snap.Worms = append(snap.Worms, recordWorm(w)) }
-	for _, s := range sends {
+	var sent, frozen []*Worm
+	cancelled := make(map[*Worm]bool)
+	parkedCancels := 0
+	cancel := func(w *Worm) {
+		if n.Parked(w) {
+			parkedCancels++
+		}
+		log.events = append(log.events, fmt.Sprintf("t=%d cnl w=%d", n.Now(), w.ID))
+		cancelled[w] = true
+		n.Cancel(w)
+	}
+	step := func(limit int64) {
+		n.StepUntil(limit)
+		checkWindows(t, n)
+		if !cancelling || n.Err() == nil {
+			return
+		}
+		frozen = n.Unreachable(frozen[:0])
+		for _, w := range frozen {
+			cancel(w)
+		}
+		if err := n.Err(); err != nil {
+			t.Fatalf("cycle %d: error survives cancelling every frozen worm: %v", n.Now(), err)
+		}
+	}
+	for i, s := range sends {
 		for n.Now() < s.at {
 			if n.Active() == 0 {
 				n.AdvanceTo(s.at)
 				break
 			}
-			n.StepUntil(s.at)
-			checkWindows(t, n)
+			step(s.at)
 		}
-		n.Send(s.src, s.dst, s.bytes, nil, record)
+		if cancelling && i%4 == 3 {
+			for _, w := range sent {
+				if !w.Done() && !cancelled[w] {
+					cancel(w)
+					break
+				}
+			}
+		}
+		sent = append(sent, n.Send(s.src, s.dst, s.bytes, nil, record))
 	}
 	var errText string
 	start := n.Now()
@@ -149,8 +197,7 @@ func driveWorkload(t *testing.T, n *Network, sends []timedSend) (runSnapshot, st
 			errText = fmt.Sprintf("wormhole: network not idle after %d cycles (%d worms in flight)", drainLimit, n.Active())
 			break
 		}
-		n.StepUntil(start + drainLimit)
-		checkWindows(t, n)
+		step(start + drainLimit)
 	}
 	if err := n.Err(); err != nil {
 		errText = err.Error()
@@ -162,7 +209,7 @@ func driveWorkload(t *testing.T, n *Network, sends []timedSend) (runSnapshot, st
 	snap.Stats = n.Stats()
 	snap.Now = n.Now()
 	snap.Events = log.events
-	return snap, errText
+	return snap, errText, parkedCancels
 }
 
 // runWorkload drives a workload that must drain, recording its event
@@ -288,7 +335,9 @@ func TestKernelDifferentialLargeMesh(t *testing.T) {
 // a time (no StepUntil, no AdvanceTo), pinning that Step itself — not
 // just the skipping entry point — is equivalent cycle for cycle, and
 // that Stats is equal after every Step, while parked worms stream, not
-// only at the end.
+// only at the end. It runs on the healthy mesh and under a dead-only
+// fault plan, where worms park too and every worm frozen unreachable is
+// cancelled after the Step that froze it.
 func TestKernelDifferentialStepwise(t *testing.T) {
 	topo := mesh.New2D(8, 8)
 	cfg := DefaultConfig()
@@ -296,13 +345,17 @@ func TestKernelDifferentialStepwise(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	sends := randWorkload(r, topo.NumNodes(), 32, 200)
 
-	run := func(k Kernel) (runSnapshot, []Stats) {
+	run := func(k Kernel, plan FaultModel) (runSnapshot, []Stats) {
 		n := New(topo, cfg)
 		n.SetKernel(k)
+		if plan != nil {
+			n.SetFaults(plan)
+		}
 		log := &eventLog{}
 		n.SetObserver(log)
 		var snap runSnapshot
 		var steps []Stats
+		var frozen []*Worm
 		record := func(w *Worm, now int64) {
 			snap.Worms = append(snap.Worms, wormRecord{ID: w.ID, InjectedAt: w.InjectedAt,
 				ArrivedAt: w.ArrivedAt, Blocked: w.BlockedCycles, InjectWait: w.InjectWaitCycles})
@@ -310,6 +363,11 @@ func TestKernelDifferentialStepwise(t *testing.T) {
 		step := func() {
 			n.Step()
 			checkWindows(t, n)
+			frozen = n.Unreachable(frozen[:0])
+			for _, w := range frozen {
+				log.events = append(log.events, fmt.Sprintf("t=%d cnl w=%d", n.Now(), w.ID))
+				n.Cancel(w)
+			}
 			steps = append(steps, n.Stats())
 		}
 		for _, s := range sends {
@@ -327,14 +385,24 @@ func TestKernelDifferentialStepwise(t *testing.T) {
 		return snap, steps
 	}
 
-	got, gotSteps := run(KernelFast)
-	want, wantSteps := run(KernelReference)
-	for i := 0; i < len(gotSteps) && i < len(wantSteps); i++ {
-		if gotSteps[i] != wantSteps[i] {
-			t.Fatalf("cycle %d: stats diverge:\n got %+v\nwant %+v", i+1, gotSteps[i], wantSteps[i])
-		}
+	for _, tc := range []struct {
+		name string
+		plan FaultModel
+	}{
+		{"healthy", nil},
+		{"dead6", fault.MustPlan(topo, fault.Spec{DeadFrac: 0.06, Seed: 3})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, gotSteps := run(KernelFast, tc.plan)
+			want, wantSteps := run(KernelReference, tc.plan)
+			for i := 0; i < len(gotSteps) && i < len(wantSteps); i++ {
+				if gotSteps[i] != wantSteps[i] {
+					t.Fatalf("cycle %d: stats diverge:\n got %+v\nwant %+v", i+1, gotSteps[i], wantSteps[i])
+				}
+			}
+			diffSnapshots(t, got, want)
+		})
 	}
-	diffSnapshots(t, got, want)
 }
 
 // TestAdvanceToEquivalentToIdleStepping is the fast-forward soundness

@@ -84,9 +84,10 @@ const (
 	// KernelFast is the default stall-aware kernel: worms that provably
 	// cannot move skip their per-cycle scan, blocked headers replay a
 	// cached routing decision instead of re-routing, routed worms whose
-	// every live stage moves stream in closed form (on fabrics with no
-	// FaultModel and no LinkGrouper) and are visited only when one of
-	// their stages finishes, and StepUntil jumps the clock over cycles in
+	// every live stage moves stream in closed form (on fabrics where no
+	// channel can refuse a flit: no LinkGrouper, and no FaultModel or
+	// one that reports OnlyDead) and are visited only when one of their
+	// stages finishes, and StepUntil jumps the clock over cycles in
 	// which nothing else can happen. It is observably equivalent to
 	// KernelReference (identical Stats, per-worm timings and observer
 	// event streams), which the differential and fuzz suites in
@@ -264,10 +265,16 @@ type Network struct {
 
 	// Fault layer (see SetFaults). deadFn and frouter are cached from
 	// faults/topo so routing does not rebind method values per call.
-	faults     FaultModel
-	deadFn     func(ChannelID) bool
-	frouter    FaultRouter
-	faultStall bool // a flit was refused by Up() in the last stepped cycle
+	faults  FaultModel
+	deadFn  func(ChannelID) bool
+	frouter FaultRouter
+	// ungated is set when no channel can refuse a flit: no LinkGrouper,
+	// and no fault model or one that reports OnlyDead. It selects phase
+	// A's loop (see moveWorms) and is fixed while worms are in flight.
+	ungated bool
+	// faultStall: in the last stepped cycle a flit was refused by Up()
+	// or a header was frozen unreachable, so the clock must not jump.
+	faultStall bool
 	err        error
 
 	// Worm pooling (see SetRecycling).
@@ -302,6 +309,7 @@ func New(topo Topology, cfg Config) *Network {
 			n.linkStamp[i] = -1
 		}
 	}
+	n.ungated = n.lg == nil
 	return n
 }
 
@@ -402,7 +410,11 @@ func (n *Network) SetObserver(o Observer) { n.obs = o }
 // candidate freezes and records an unreachable error, see Err), and live
 // channels accept flits only on cycles the model reports Up. The model
 // must be deterministic; both kernels then remain observably equivalent
-// under any fault set. Faults may only change while the fabric is idle.
+// under any fault set. It also decides, once, which loop the fast kernel
+// moves flits with: a model that reports OnlyDead (see DeadOnly) cannot
+// refuse a flit, so worms stream and park as on a healthy fabric. Faults
+// may only change while the fabric is idle, so that decision never
+// changes under a parked worm.
 func (n *Network) SetFaults(f FaultModel) {
 	if len(n.worms) != 0 {
 		panic("wormhole: SetFaults with active worms")
@@ -410,10 +422,14 @@ func (n *Network) SetFaults(f FaultModel) {
 	n.faults = f
 	n.deadFn = nil
 	n.frouter = nil
+	n.ungated = n.lg == nil
 	if f != nil {
 		n.deadFn = f.Dead
 		if fr, ok := n.topo.(FaultRouter); ok {
 			n.frouter = fr
+		}
+		if d, ok := f.(DeadOnly); !ok || !d.OnlyDead() {
+			n.ungated = false
 		}
 	}
 }
@@ -807,14 +823,14 @@ func (n *Network) stepFast() {
 }
 
 // moveWorms runs phase A over ws in order, skipping sleepers and parked
-// worms that have no event due this cycle. A fabric with no fault model
-// and no shared physical links can never refuse a flit, so it takes the
-// check-free loop, the only one that parks; every other fabric takes the
-// gated one.
+// worms that have no event due this cycle. A fabric on which no channel
+// can refuse a flit (n.ungated: no shared physical links, and no fault
+// model or only dead channels, which no worm holds) takes the check-free
+// loop, the only one that parks; every other fabric takes the gated one.
 //
 //lint:hotpath
 func (n *Network) moveWorms(ws []*Worm) {
-	if n.faults == nil && n.lg == nil {
+	if n.ungated {
 		for _, w := range ws {
 			switch n.asleep[w.slot] {
 			case awake:
@@ -834,13 +850,15 @@ func (n *Network) moveWorms(ws []*Worm) {
 	}
 }
 
-// moveFlitsUngated is moveFlitsFast for fabrics where every channel
-// accepts a flit whenever its buffer has room (no FaultModel, no
-// LinkGrouper): no chanUp or linkFree call, each passed counter read
-// once with the upstream count carried down the live window, and the
-// flit-hops credited once per worm. Its moves, releases, headerReadyAt
-// stamps and sleep verdict are exactly moveFlitsFast's on such a fabric.
-// A routed worm that moves a flit on every live stage is parked.
+// moveFlitsUngated is moveFlitsFast for fabrics where every channel a
+// worm holds accepts a flit whenever its buffer has room (no
+// LinkGrouper, and no FaultModel or one whose only faults are dead
+// channels, which a worm never acquires): no chanUp or linkFree call,
+// each passed counter read once with the upstream count carried down the
+// live window, and the flit-hops credited once per worm. Its moves,
+// releases, headerReadyAt stamps and sleep verdict are exactly
+// moveFlitsFast's on such a fabric. A routed worm that moves a flit on
+// every live stage is parked.
 //
 //lint:hotpath
 func (n *Network) moveFlitsUngated(w *Worm) {
@@ -919,15 +937,16 @@ func (n *Network) moveFlitsUngated(w *Worm) {
 
 // park takes a routed worm that has just moved a flit on every live stage
 // out of per-cycle stepping. It owns its channels exclusively and nothing
-// can refuse its flits, so after such a cycle every occupancy stays as it
-// is (each is at least 1, so injected > passed[tail] > … > passed[last])
-// and each counter x grows by one per cycle until it reaches flits,
-// flits − x cycles after parking. Those are the worm's events, at most one
-// per cycle: the end of injection, then each release in path order, the
-// last being its arrival. The counters keep their parking-cycle values
-// until their stage finishes; stepParked applies each event at its due
-// cycle, and the flit-hops in between are credited through parkRate and
-// parkSum.
+// can refuse its flits: the fabric is ungated, and SetFaults cannot
+// change that while the worm is in flight. So after such a cycle every
+// occupancy stays as it is (each is at least 1, so injected >
+// passed[tail] > … > passed[last]) and each counter x grows by one per
+// cycle until it reaches flits, flits − x cycles after parking. Those are
+// the worm's events, at most one per cycle: the end of injection, then
+// each release in path order, the last being its arrival. The counters
+// keep their parking-cycle values until their stage finishes; stepParked
+// applies each event at its due cycle, and the flit-hops in between are
+// credited through parkRate and parkSum.
 //
 //lint:hotpath
 func (n *Network) park(w *Worm) {

@@ -470,11 +470,70 @@ func TestDeadlockReportReusesWaiterBuffer(t *testing.T) {
 }
 
 // deadChannels is a fault model whose listed channels are dead and whose
-// other channels are always up.
+// other channels are always up, so it reports OnlyDead and the fast
+// kernel runs its parking loop under it.
 type deadChannels map[ChannelID]bool
 
 func (d deadChannels) Dead(c ChannelID) bool        { return d[c] }
 func (d deadChannels) Up(c ChannelID, _ int64) bool { return !d[c] }
+func (d deadChannels) OnlyDead() bool               { return true }
+
+// gatedModel hides a fault model's OnlyDead report: embedding the
+// FaultModel interface promotes only Dead and Up.
+type gatedModel struct{ FaultModel }
+
+// TestDeadOnlyFabricParks pins the fast kernel's loop choice on
+// dead-only fabrics. The differential suites catch a gate that lets a
+// model which refuses flits park; this test catches a dead-only model
+// that never parks. Under a fault model that reports OnlyDead, a worm
+// whose path misses the dead channels streams and parks as on a healthy
+// fabric. An 8 KB unicast then arrives at the same cycle after exactly
+// as many StepUntil calls as on the healthy fabric, far fewer than its
+// flit count; behind gatedModel, the same dead set keeps the flits
+// gated and costs at least one call per flit.
+func TestDeadOnlyFabricParks(t *testing.T) {
+	m := mesh.New2D(8, 8)
+	const src, dst, bytes = 0, 63, 8 << 10
+	onPath := make(map[ChannelID]bool)
+	for _, c := range PathChannels(m, src, dst) {
+		onPath[c] = true
+	}
+	dead := deadChannels{}
+	for c := ChannelID(0); int(c) < m.NumChannels(); c += 5 {
+		if !onPath[c] {
+			dead[c] = true
+		}
+	}
+	run := func(f FaultModel) (calls int, w *Worm) {
+		n := New(m, DefaultConfig())
+		if f != nil {
+			n.SetFaults(f)
+		}
+		w = n.Send(src, dst, bytes, nil, nil)
+		for n.Active() > 0 {
+			n.StepUntil(1 << 20)
+			calls++
+		}
+		if err := n.Quiesced(); err != nil {
+			t.Fatal(err)
+		}
+		return calls, w
+	}
+	healthy, hw := run(nil)
+	got, dw := run(dead)
+	gated, _ := run(gatedModel{dead})
+	flits := DefaultConfig().Flits(bytes)
+	if dw.ArrivedAt != hw.ArrivedAt {
+		t.Fatalf("arrival under dead-only faults %d, healthy %d", dw.ArrivedAt, hw.ArrivedAt)
+	}
+	if got != healthy || 4*healthy > flits {
+		t.Fatalf("%d-flit worm took %d StepUntil calls under dead-only faults, %d on the healthy fabric; want equal and far below the flit count",
+			flits, got, healthy)
+	}
+	if gated < flits {
+		t.Fatalf("gated control took %d StepUntil calls for %d flits; the test no longer tells the loops apart", gated, flits)
+	}
+}
 
 // TestDeadlockReportCountsHeldChannels: the "routed, draining" and
 // "unreachable, frozen holding" lines count the channels the worm still

@@ -88,8 +88,22 @@ type FaultModel interface {
 	// Up reports whether channel c can accept a flit at cycle now. It is
 	// consulted only for live (non-dead) channels and models degraded
 	// bandwidth and transient outages. It must be deterministic in
-	// (c, now).
+	// (c, now). The fast kernel does not consult it under a model that
+	// reports OnlyDead (see DeadOnly): a worm never holds a dead channel,
+	// so there every channel a flit can enter is up.
 	Up(c ChannelID, now int64) bool
+}
+
+// DeadOnly is optionally implemented by fault models that can report
+// that their only faults are dead channels: Up is true for every channel
+// that is not Dead, on every cycle. Such a model never refuses a flit,
+// because a worm never acquires a dead channel, so the fast kernel moves
+// and parks worms exactly as on a healthy fabric. Models that do not
+// implement it, or report false, keep every flit gated on Up.
+// Network.SetFaults reads the report once, so like Dead and Up it must
+// not change while the model is installed.
+type DeadOnly interface {
+	OnlyDead() bool
 }
 
 // FaultRouter is optionally implemented by topologies that can route
