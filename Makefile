@@ -126,8 +126,8 @@ tuner-surface:
 # Golden tables: results/figures_all.txt is the committed full-trials
 # output of every figure, and results/tuner_surface.json the committed
 # crossover surfaces the F6 sweep compiles along the way. `golden`
-# regenerates both (minutes); `golden-check` fails if either drifted
-# from the code.
+# regenerates both (5–9 s on a 2-vCPU VM); `golden-check` fails if
+# either drifted from the code.
 golden:
 	$(GO) run ./cmd/mcastbench -fig all -surface results/tuner_surface.json > results/figures_all.txt
 

@@ -19,6 +19,10 @@
 //
 //	mcastbench -fig f6 -surface results/tuner_surface.json
 //
+// -cpuprofile FILE records a CPU profile of the whole run:
+//
+//	mcastbench -fig t1 -cpuprofile t1.pprof
+//
 // Figures: 1, 2, 2b, 3, b2, b3, contention, ratio, addr, policy, e1, e2, h1, t1, b4, conc, model, f1, f2, f3, f4, f5, f6, all.
 package main
 
@@ -31,6 +35,7 @@ import (
 	"strings"
 
 	"repro/internal/bmin"
+	"repro/internal/cpuprof"
 	"repro/internal/exp"
 	"repro/internal/model"
 	"repro/internal/runner"
@@ -68,9 +73,10 @@ func main() {
 	flag.StringVar(&o.summary, "summary", "", "write a per-run JSON summary (cells computed/cached/skipped, wall time) to this file; \"-\" = stderr")
 	flag.BoolVar(&o.progress, "progress", false, "print progress/ETA lines to stderr")
 	flag.StringVar(&o.surface, "surface", "", "with -fig f6: write the compiled crossover surfaces (hash-verified JSON artifact) to this file")
+	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof reads it)")
 	flag.Parse()
 
-	if err := run(o); err != nil {
+	if err := cpuprof.Run(*cpuprofile, func() error { return run(o) }); err != nil {
 		fmt.Fprintln(os.Stderr, "mcastbench:", err)
 		os.Exit(1)
 	}

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/cpuprof"
 )
 
 // capture runs fn with stdout redirected and returns what it printed.
@@ -208,5 +210,26 @@ func TestRunFigureF5(t *testing.T) {
 	}
 	if out != f() {
 		t.Fatal("same seed produced different f5 tables")
+	}
+}
+
+// TestCPUProfileKeepsOutput: a run under -cpuprofile prints exactly what
+// the same run prints without it, and leaves a non-empty profile.
+func TestCPUProfileKeepsOutput(t *testing.T) {
+	o := options{fig: "ratio", trials: 2, seed: 1, workers: 1}
+	want, err := capture(t, func() error { return run(o) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "cpu.pprof")
+	got, err := capture(t, func() error { return cpuprof.Run(path, func() error { return run(o) }) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("stdout under -cpuprofile differs:\n got %q\nwant %q", got, want)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+		t.Errorf("profile %s missing or empty: %v", path, err)
 	}
 }

@@ -23,6 +23,7 @@
 //	netsim -topo bmin -churn -churn-rate 1600 -degree-cap 3 -v
 //	netsim -topo mesh -autotune -k 32 -bytes 4096
 //	netsim -topo mesh -traffic -autotune -faults 3 -rate 200 -v
+//	netsim -w 1024 -h 1024 -k 64 -bytes 4096 -cpuprofile cpu.pprof
 package main
 
 import (
@@ -30,6 +31,7 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"math/bits"
 	"os"
 	"sort"
 
@@ -37,6 +39,7 @@ import (
 	"repro/internal/bmin"
 	"repro/internal/chain"
 	"repro/internal/core"
+	"repro/internal/cpuprof"
 	"repro/internal/fault"
 	"repro/internal/mcastsim"
 	"repro/internal/member"
@@ -85,9 +88,10 @@ func main() {
 	flag.StringVar(&o.repairPolicy, "repair", "incr", "churn: repair policy, full (re-plan), incr (graft/excise), binom (binomial over survivors)")
 	flag.IntVar(&o.degreeCap, "degree-cap", 0, "churn: per-node fan-out cap for degree-bounded trees (0 = one-port split table)")
 	flag.BoolVar(&o.autotune, "autotune", false, "train a crossover surface on the healthy fabric and let the tuner pick the algorithm (overrides -algo); with -traffic the policy re-picks per request and switches live on observed drift")
+	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof reads it)")
 	flag.Parse()
 
-	if err := run(o); err != nil {
+	if err := cpuprof.Run(*cpuprofile, func() error { return run(o) }); err != nil {
 		fmt.Fprintln(os.Stderr, "netsim:", err)
 		os.Exit(1)
 	}
@@ -191,29 +195,59 @@ func (o options) faultKey() string {
 	return fmt.Sprintf("dead=%g,degraded=%g,flaky=%g", o.faults, o.degraded, o.flaky)
 }
 
-// nodeCount checks the topology flags and returns the fabric's node
-// count without building it.
+// maxChannels is the channel budget of a netsim fabric, 2^26 (about 67
+// million). The kernel and the topology each keep tables sized by the
+// channel count, so a fabric that passes the int32 ID checks can still
+// need gigabytes: an 18000×18000 mesh has about 1.94 billion channels.
+// The budget leaves room for the 1024×1024 mesh (about 6.3 million
+// channels) and the 65536-node BMIN (about 2.1 million).
+const maxChannels = 1 << 26
+
+// nodeCount checks the topology flags, including the channel budget,
+// and returns the fabric's node count without building it.
 func (o options) nodeCount() (int, error) {
+	var n, chans int64
+	var sizeFlags string // the flags that set the fabric's size
 	switch o.topo {
 	case "mesh", "torus":
 		side := 1
 		if o.topo == "torus" {
 			side = 3 // a smaller ring would reuse one link for both directions
 		}
+		sizeFlags = fmt.Sprintf("-w=%d -h=%d", o.w, o.h)
 		if o.w < side || o.h < side {
-			return 0, fmt.Errorf("-w=%d -h=%d: %s sides must be >= %d", o.w, o.h, o.topo, side)
+			return 0, fmt.Errorf("%s: %s sides must be >= %d", sizeFlags, o.topo, side)
 		}
 		if o.w > math.MaxInt32/o.h {
-			return 0, fmt.Errorf("-w=%d -h=%d: %s has more than %d nodes", o.w, o.h, o.topo, math.MaxInt32)
+			return 0, fmt.Errorf("%s: %s has more than %d nodes", sizeFlags, o.topo, math.MaxInt32)
 		}
-		return o.w * o.h, nil
+		w, h := int64(o.w), int64(o.h)
+		n = w * h
+		// An inject and an eject channel per node, plus a directed link
+		// each way between neighbours: on the torus around each ring
+		// too, with two virtual channels per link.
+		chans = 2*n + 2*h*(w-1) + 2*w*(h-1)
+		if o.topo == "torus" {
+			chans = 2*n + 8*n
+		}
 	case "bmin", "bfly":
+		sizeFlags = fmt.Sprintf("-nodes=%d", o.nodes)
 		if o.nodes < 2 || o.nodes&(o.nodes-1) != 0 {
-			return 0, fmt.Errorf("-nodes=%d must be a power of two >= 2", o.nodes)
+			return 0, fmt.Errorf("%s must be a power of two >= 2", sizeFlags)
 		}
-		return o.nodes, nil
+		n = int64(o.nodes)
+		stages := int64(bits.TrailingZeros(uint(o.nodes)))
+		chans = 2 * stages * n // an up and a down channel per position and stage
+		if o.topo == "bfly" {
+			chans = (stages + 1) * n
+		}
+	default:
+		return 0, fmt.Errorf("unknown topology %q", o.topo)
 	}
-	return 0, fmt.Errorf("unknown topology %q", o.topo)
+	if chans > maxChannels {
+		return 0, fmt.Errorf("%s: a %s of %d nodes has %d channels, over netsim's budget of %d", sizeFlags, o.topo, n, chans, maxChannels)
+	}
+	return int(n), nil
 }
 
 // validate holds every CLI rule: flag ranges, flag combinations,
@@ -236,6 +270,9 @@ func (o options) validate() error {
 	}
 	if o.k > n {
 		return fmt.Errorf("-k=%d exceeds fabric size %d", o.k, n)
+	}
+	if o.bytes < 0 {
+		return fmt.Errorf("-bytes=%d must be >= 0", o.bytes)
 	}
 	if o.addrB < 0 {
 		return fmt.Errorf("-addrbytes=%d must be >= 0", o.addrB)

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/cpuprof"
 )
 
 func capture(t *testing.T, fn func() error) (string, error) {
@@ -603,5 +605,26 @@ func TestCacheEntryWithoutPayloadIsMiss(t *testing.T) {
 		if !strings.Contains(string(buf), `"payload"`) {
 			t.Fatalf("entry not rewritten with a payload:\n%s", buf)
 		}
+	}
+}
+
+// TestCPUProfileKeepsOutput: a run under -cpuprofile prints exactly what
+// the same run prints without it, and leaves a non-empty profile.
+func TestCPUProfileKeepsOutput(t *testing.T) {
+	o := base()
+	want, err := capture(t, func() error { return run(o) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "cpu.pprof")
+	got, err := capture(t, func() error { return cpuprof.Run(path, func() error { return run(o) }) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("stdout under -cpuprofile differs:\n got %q\nwant %q", got, want)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+		t.Errorf("profile %s missing or empty: %v", path, err)
 	}
 }

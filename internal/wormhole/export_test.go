@@ -35,11 +35,8 @@ func (n *Network) ForceOwnedCount(k int) { n.owned = k }
 // owner table. A tail that runs ahead of the first owned channel would
 // skip live flits; one that lags would only cost time, so only this
 // check catches the second kind of drift. For parked worms it checks
-// the closed form's precondition on the counters that still hold their
-// parking-cycle values — each live channel then held 1 to BufFlits
-// flits (a finished upstream stage reads flits) — and that each due
-// cycle is still ahead, and it recounts the sums Stats credits parked
-// flit-hops from. On a faulted fabric it checks that no worm has
+// the closed form (see checkParked) and recounts the sums Stats credits
+// parked flit-hops from. On a faulted fabric it checks that no worm has
 // acquired a dead channel: the ungated loop relies on that under a
 // model that reports OnlyDead.
 func (n *Network) CheckLiveWindows() error {
@@ -53,17 +50,13 @@ func (n *Network) CheckLiveWindows() error {
 			}
 		}
 		if n.asleep[w.slot] == parked {
-			if w.due <= n.now {
-				return fmt.Errorf("worm %d: parked with due cycle %d at cycle %d", w.ID, w.due, n.now)
+			if err := n.checkParked(w); err != nil {
+				return fmt.Errorf("worm %d (parked, routed %v) at cycle %d: %v", w.ID, w.routed, n.now, err)
 			}
-			for i := w.tail; i < len(w.path); i++ {
-				if o := w.occ(i); o < 1 || (w.entered(i) < w.flits && o > n.cfg.BufFlits) {
-					return fmt.Errorf("worm %d: parked with %d flits in path[%d]", w.ID, o, i)
-				}
+			if r := w.liveStages(); w.routed || n.now < n.stallAt(w) {
+				rate += r
+				sum += r * w.parkAt
 			}
-			r := w.liveStages()
-			rate += r
-			sum += r * w.parkedAt()
 		}
 		if w.tail < 0 || w.tail > len(w.path) {
 			return fmt.Errorf("worm %d: tail %d outside path of %d channels", w.ID, w.tail, len(w.path))
@@ -107,3 +100,88 @@ func (n *Network) Parked(w *Worm) bool { return n.asleep[w.slot] == parked }
 // reuse regression test can assert two successive reports share one
 // backing array.
 func (n *Network) DeadlockWaitersBuf() []int32 { return n.dlWaiters }
+
+// checkParked verifies a parked worm's closed form at the current cycle.
+// Its counters, each unfinished one advanced by vclock, must be the
+// counters of a worm the closed form describes: no unfinished stage has
+// reached flits (its event would have fired), its next event is ahead,
+// and every channel whose exit still moves holds 1 to BufFlits flits.
+// For a crossing worm the header must route only in a later cycle, the
+// frontier must hold at most one flit per cycle since the header entered
+// it (none in the cycle of a hop, before it enters), and when the worm
+// stalls each period (BufFlits <= RouterDelay) the frontier must hold
+// exactly that, up to BufFlits, and every other channel still fed from
+// upstream must be full.
+func (n *Network) checkParked(w *Worm) error {
+	if w.due <= n.now {
+		return fmt.Errorf("due cycle %d not ahead", w.due)
+	}
+	v := n.vclock(w)
+	last := len(w.path) - 1
+	count := func(x int) int {
+		if x == w.flits {
+			return x
+		}
+		if x+int(v) >= w.flits {
+			return -1
+		}
+		return x + int(v)
+	}
+	up := count(w.injected)
+	if up < 0 {
+		return fmt.Errorf("injection at %d+%d of %d flits has not finished", w.injected, v, w.flits)
+	}
+	buf := n.cfg.BufFlits
+	stalls := n.stalls()
+	for i := w.tail; i <= last; i++ {
+		cur := w.passed[i]
+		if w.routed || i < last {
+			cur = count(cur)
+		}
+		if cur < 0 {
+			return fmt.Errorf("path[%d] at %d+%d of %d flits has not been released", i, w.passed[i], v, w.flits)
+		}
+		occ, fed := up-cur, up < w.flits
+		switch {
+		case w.routed || i < last:
+			if occ < 1 || occ > buf {
+				return fmt.Errorf("%d flits in path[%d]", occ, i)
+			}
+			if !w.routed && stalls && fed && occ != buf {
+				return fmt.Errorf("%d flits in path[%d], fed from upstream, want %d", occ, i, buf)
+			}
+		default:
+			if cur != 0 {
+				return fmt.Errorf("the frontier path[%d] has passed %d flits", i, cur)
+			}
+			if n.now >= w.headerReadyAt {
+				return fmt.Errorf("header routes at %d, now past", w.headerReadyAt)
+			}
+			phase := n.now - (w.headerReadyAt - n.cfg.RouterDelay)
+			most := min(phase+1, int64(buf))
+			if phase < 0 {
+				most = 0
+			}
+			if int64(occ) > most || phase >= 0 && occ < 1 {
+				return fmt.Errorf("%d flits in the frontier path[%d], %d cycles after the header entered", occ, i, phase)
+			}
+			if stalls && fed && int64(occ) != most {
+				return fmt.Errorf("%d flits in the frontier path[%d], fed from upstream, want %d", occ, i, most)
+			}
+		}
+		up = cur
+	}
+	return nil
+}
+
+// CrossingParked reports whether the in-flight worm w is parked while its
+// header is still crossing the fabric.
+func (n *Network) CrossingParked(w *Worm) bool { return n.Parked(w) && !w.routed }
+
+// HeaderBlocked reports whether w's header found every routing candidate
+// owned by another worm at its last routing attempt.
+func (w *Worm) HeaderBlocked() bool { return w.waitState == waitBlocked }
+
+// HeaderFrozen reports whether w's header found every routing candidate
+// dead: w is frozen unreachable.
+func (w *Worm) HeaderFrozen() bool { return w.waitState == waitUnreachable }

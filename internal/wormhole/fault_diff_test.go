@@ -36,7 +36,8 @@ import (
 // Odd seeds use the stall-heavy config (long RouterDelay, single-flit
 // buffers) for deep cycle-skipping.
 func TestKernelDifferentialFaults(t *testing.T) {
-	total, ran, parkedCancels := 0, 0, 0
+	total, ran := 0, 0
+	var counts parkCounts
 	for _, p := range diffPlatforms() {
 		for seed := int64(0); seed < 6; seed++ {
 			cfg := DefaultConfig()
@@ -63,20 +64,20 @@ func TestKernelDifferentialFaults(t *testing.T) {
 					plan := fault.MustPlan(p.topo, fault.Spec{DeadFrac: float64(pct) / 100, Seed: planSeed})
 					r := rand.New(rand.NewSource(271 + seed*104729 + int64(pct)))
 					sends := randWorkload(r, p.topo.NumNodes(), 48, 8<<10)
-					parkedCancels += diffFaulted(t, p.topo, cfg, plan, sends, true)
+					counts.add(diffFaulted(t, p.topo, cfg, plan, sends, true))
 				})
 			}
 		}
 	}
-	if ran == total && parkedCancels == 0 {
-		t.Fatal("no dead-only run cancelled a parked worm; the cancel path of the parking loop went untested")
+	if ran == total && (counts.parkedCancels == 0 || counts.crossingCancels == 0 || counts.frozen == 0) {
+		t.Fatalf("closed-form paths of the parking loop went untested on dead-only plans: %+v", counts)
 	}
 }
 
 // diffFaulted drives sends on topo under plan through the reference and
 // fast kernels (see drive) and requires identical error text and
-// outcomes. It returns how many parked worms the fast run cancelled.
-func diffFaulted(t *testing.T, topo Topology, cfg Config, plan FaultModel, sends []timedSend, cancelling bool) int {
+// outcomes. It returns the closed-form paths the fast run took.
+func diffFaulted(t *testing.T, topo Topology, cfg Config, plan FaultModel, sends []timedSend, cancelling bool) parkCounts {
 	t.Helper()
 	ref := New(topo, cfg)
 	ref.SetKernel(KernelReference)
@@ -85,13 +86,13 @@ func diffFaulted(t *testing.T, topo Topology, cfg Config, plan FaultModel, sends
 
 	fast := New(topo, cfg)
 	fast.SetFaults(plan)
-	got, gotErr, parkedCancels := drive(t, fast, sends, cancelling)
+	got, gotErr, counts := drive(t, fast, sends, cancelling)
 
 	if gotErr != wantErr {
 		t.Fatalf("error text diverges:\n got %q\nwant %q", gotErr, wantErr)
 	}
 	diffSnapshots(t, got, want)
-	return parkedCancels
+	return counts
 }
 
 // TestFaultsWithoutDeadLinksAlwaysDrain pins the liveness half of the

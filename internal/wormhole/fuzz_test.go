@@ -50,9 +50,11 @@ func decodeSends(data []byte, nodes int) []timedSend {
 	return sends
 }
 
-// FuzzWormholeKernel checks, for every fuzz-derived workload: the fabric
-// drains within the deadline, quiesces with every channel released (the
-// live windows checked after every step on the way), flit
+// FuzzWormholeKernel checks, for every fuzz-derived workload and fabric
+// config (RouterDelay 0–3 and BufFlits 1–4, taken from two input bytes,
+// so that a crossing worm's period and stalls vary with the input): the
+// fabric drains within the deadline, quiesces with every channel
+// released (the live windows checked after every step on the way), flit
 // conservation holds (injected == consumed == the closed form
 // flits×(hops+1) summed over worms), and the fast kernel's full
 // observable outcome equals the reference kernel's. It does so on three
@@ -67,26 +69,37 @@ func decodeSends(data []byte, nodes int) []timedSend {
 // goes (drive's cancelling mode) and compares the two kernels' outcomes
 // and error text without requiring every worm delivered.
 func FuzzWormholeKernel(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0, 5, 8, 0, 1, 5, 8, 0, 2, 5, 8, 0, 3, 5, 8, 0})
-	f.Add([]byte{0, 15, 255, 0, 15, 0, 255, 0, 5, 10, 0, 255, 10, 5, 1, 201})
+	// The first eight seeds run RouterDelay 2 with BufFlits 2.
+	f.Add([]byte{}, uint8(2), uint8(1))
+	f.Add([]byte{0, 5, 8, 0, 1, 5, 8, 0, 2, 5, 8, 0, 3, 5, 8, 0}, uint8(2), uint8(1))
+	f.Add([]byte{0, 15, 255, 0, 15, 0, 255, 0, 5, 10, 0, 255, 10, 5, 1, 201}, uint8(2), uint8(1))
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 4; i++ {
 		b := make([]byte, 4*(4+r.Intn(24)))
 		r.Read(b)
-		f.Add(b)
+		f.Add(b, uint8(2), uint8(1))
 	}
 	// An 8 KB worm 0->15 streams while a 5.5 KB worm 3->12 crosses its
 	// routers and a short worm 1->15 blocks behind it; after a long gap a
-	// short worm and two more multi-KB worms follow.
-	f.Add([]byte{0, 15, 255, 0, 3, 12, 250, 0, 1, 15, 10, 3, 12, 3, 40, 220, 5, 10, 245, 2, 6, 9, 248, 1})
+	// short worm and two more multi-KB worms follow. It runs under every
+	// other config too.
+	long := []byte{0, 15, 255, 0, 3, 12, 250, 0, 1, 15, 10, 3, 12, 3, 40, 220, 5, 10, 245, 2, 6, 9, 248, 1}
+	f.Add(long, uint8(2), uint8(1))
+	for rd := uint8(0); rd < 4; rd++ {
+		for buf := uint8(0); buf < 4; buf++ {
+			if rd != 2 || buf != 1 {
+				f.Add(long, rd, buf)
+			}
+		}
+	}
 
 	topo := mesh.New2D(4, 4)
 	ring := torus.New2D(4, 4)
-	cfg := DefaultConfig()
-	cfg.RouterDelay = 2
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, rd, buf uint8) {
+		cfg := DefaultConfig()
+		cfg.RouterDelay = int64(rd % 4)
+		cfg.BufFlits = 1 + int(buf%4)
 		sends := decodeSends(data, topo.NumNodes())
 		fuzzLeg(t, "mesh", topo, nil, cfg, sends)
 		fuzzLeg(t, "torus", ring, nil, cfg, sends)

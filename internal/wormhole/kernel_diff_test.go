@@ -132,6 +132,23 @@ func driveWorkload(t *testing.T, n *Network, sends []timedSend) (runSnapshot, st
 	return snap, errText
 }
 
+// parkCounts tallies the closed-form paths one drive took, so a suite
+// can fail when one of them went untested: worms seen crossing-parked
+// after a StepUntil, crossing-parked worms whose header then found every
+// candidate owned (blocked) or dead (frozen), and cancels of parked and
+// of crossing-parked worms.
+type parkCounts struct {
+	crossing, blocked, frozen, parkedCancels, crossingCancels int
+}
+
+func (c *parkCounts) add(o parkCounts) {
+	c.crossing += o.crossing
+	c.blocked += o.blocked
+	c.frozen += o.frozen
+	c.parkedCancels += o.parkedCancels
+	c.crossingCancels += o.crossingCancels
+}
+
 // drive implements driveWorkload and adds a cancelling mode for fabrics
 // whose dead links strand worms. A cancelling drive proceeds as a
 // recovery driver does: after every StepUntil it cancels each worm
@@ -139,20 +156,26 @@ func driveWorkload(t *testing.T, n *Network, sends []timedSend) (runSnapshot, st
 // stopping at the first Err. Before every fourth send it also cancels
 // the oldest worm still in flight, which is often parked mid-stream.
 // Each cancel is logged in the event stream, and the error text can only
-// be a drain timeout. drive also returns how many of the cancelled worms
-// were parked. A cancelling drive must not recycle worms.
-func drive(t *testing.T, n *Network, sends []timedSend, cancelling bool) (runSnapshot, string, int) {
+// be a drain timeout. drive also returns the closed-form paths the run
+// took. A StepUntil runs one cycle before any jump, so a worm parked
+// while crossing before it and blocked or frozen after it was unparked
+// by its header in that cycle. A cancelling drive must not recycle worms.
+func drive(t *testing.T, n *Network, sends []timedSend, cancelling bool) (runSnapshot, string, parkCounts) {
 	t.Helper()
 	log := &eventLog{}
 	n.SetObserver(log)
 	var snap runSnapshot
 	record := func(w *Worm, now int64) { snap.Worms = append(snap.Worms, recordWorm(w)) }
-	var sent, frozen []*Worm
+	var sent, frozen, crossing []*Worm
 	cancelled := make(map[*Worm]bool)
-	parkedCancels := 0
+	var counts parkCounts
+	inFlight := func(w *Worm) bool { return !w.Done() && !cancelled[w] }
 	cancel := func(w *Worm) {
 		if n.Parked(w) {
-			parkedCancels++
+			counts.parkedCancels++
+		}
+		if n.CrossingParked(w) {
+			counts.crossingCancels++
 		}
 		log.events = append(log.events, fmt.Sprintf("t=%d cnl w=%d", n.Now(), w.ID))
 		cancelled[w] = true
@@ -161,6 +184,22 @@ func drive(t *testing.T, n *Network, sends []timedSend, cancelling bool) (runSna
 	step := func(limit int64) {
 		n.StepUntil(limit)
 		checkWindows(t, n)
+		for _, w := range crossing {
+			switch {
+			case !inFlight(w) || n.Parked(w):
+			case w.HeaderBlocked():
+				counts.blocked++
+			case w.HeaderFrozen():
+				counts.frozen++
+			}
+		}
+		crossing = crossing[:0]
+		for _, w := range sent {
+			if inFlight(w) && n.CrossingParked(w) {
+				crossing = append(crossing, w)
+			}
+		}
+		counts.crossing += len(crossing)
 		if !cancelling || n.Err() == nil {
 			return
 		}
@@ -209,18 +248,26 @@ func drive(t *testing.T, n *Network, sends []timedSend, cancelling bool) (runSna
 	snap.Stats = n.Stats()
 	snap.Now = n.Now()
 	snap.Events = log.events
-	return snap, errText, parkedCancels
+	return snap, errText, counts
 }
 
 // runWorkload drives a workload that must drain, recording its event
 // stream.
 func runWorkload(t *testing.T, n *Network, sends []timedSend) runSnapshot {
 	t.Helper()
-	snap, errText := driveWorkload(t, n, sends)
+	snap, _ := runCounted(t, n, sends)
+	return snap
+}
+
+// runCounted is runWorkload that also returns the closed-form paths the
+// run took.
+func runCounted(t *testing.T, n *Network, sends []timedSend) (runSnapshot, parkCounts) {
+	t.Helper()
+	snap, errText, counts := drive(t, n, sends, false)
 	if errText != "" {
 		t.Fatal(errText)
 	}
-	return snap
+	return snap, counts
 }
 
 // diffSnapshots fails the test with a focused report of the first
@@ -274,78 +321,124 @@ func diffPlatforms() []struct {
 	}
 }
 
-// TestKernelDifferential runs 12 seeded random workloads per fabric
-// family (48 in total) through the reference and fast kernels and
-// requires bit-identical outcomes. Seeds 0–7 send worms below 200 B;
+// TestKernelDifferential runs seeded random workloads on all four
+// fabric families through the reference and fast kernels and requires
+// bit-identical outcomes. Per family, seeds 0–7 send worms below 200 B;
 // seeds 8–11 (the "long" cases) send worms of up to 8 KB, whose parked
 // stretches span cycle-skipping jumps, blocked headers and other worms'
 // events (the torus, which never parks, is their control). Odd seeds use
 // a deliberately stall-heavy config (long RouterDelay, single-flit
 // buffers) to force deep cycle-skipping; even seeds also turn worm
 // recycling on for the fast kernel, proving pooling is behaviour-neutral
-// against a non-recycling reference.
+// against a non-recycling reference. The "period" cases send worms of up
+// to 4 KB under every RouterDelay in {0, 1, 2} and BufFlits in {1, 2, 4}:
+// a crossing worm's motion repeats every RouterDelay+1 cycles, and
+// stands still for part of each period when BufFlits <= RouterDelay.
+// The suite fails if no fast run parked a crossing worm or unparked one
+// whose header then blocked.
 func TestKernelDifferential(t *testing.T) {
+	type diffCase struct {
+		name     string
+		cfg      Config
+		seed     int64
+		maxBytes int
+		recycle  bool
+	}
+	var cases []diffCase
+	for seed := int64(0); seed < 12; seed++ {
+		c := diffCase{name: fmt.Sprintf("seed%d", seed), cfg: DefaultConfig(), seed: seed, maxBytes: 200, recycle: seed%2 == 0}
+		if seed >= 8 {
+			c.name, c.maxBytes = fmt.Sprintf("long/seed%d", seed), 8<<10
+		}
+		if seed%2 == 1 {
+			c.cfg.RouterDelay = 7
+			c.cfg.BufFlits = 1
+		}
+		cases = append(cases, c)
+	}
+	for rd := int64(0); rd <= 2; rd++ {
+		for _, buf := range []int{1, 2, 4} {
+			c := diffCase{name: fmt.Sprintf("period/rd%d-buf%d", rd, buf), cfg: DefaultConfig(), seed: 20 + rd*3 + int64(buf), maxBytes: 4 << 10}
+			c.cfg.RouterDelay, c.cfg.BufFlits = rd, buf
+			cases = append(cases, c)
+		}
+	}
+	total, ran := 0, 0
+	var counts parkCounts
 	for _, p := range diffPlatforms() {
-		for seed := int64(0); seed < 12; seed++ {
-			name, maxBytes := fmt.Sprintf("%s/seed%d", p.name, seed), 200
-			if seed >= 8 {
-				name, maxBytes = fmt.Sprintf("%s/long/seed%d", p.name, seed), 8<<10
-			}
-			t.Run(name, func(t *testing.T) {
-				cfg := DefaultConfig()
-				if seed%2 == 1 {
-					cfg.RouterDelay = 7
-					cfg.BufFlits = 1
-				}
-				r := rand.New(rand.NewSource(1997 + seed*7919))
-				sends := randWorkload(r, p.topo.NumNodes(), 48, maxBytes)
+		for _, c := range cases {
+			total++
+			t.Run(p.name+"/"+c.name, func(t *testing.T) {
+				ran++
+				r := rand.New(rand.NewSource(1997 + c.seed*7919))
+				sends := randWorkload(r, p.topo.NumNodes(), 48, c.maxBytes)
 
-				ref := New(p.topo, cfg)
+				ref := New(p.topo, c.cfg)
 				ref.SetKernel(KernelReference)
 				want := runWorkload(t, ref, sends)
 
-				fast := New(p.topo, cfg)
-				fast.SetRecycling(seed%2 == 0)
-				got := runWorkload(t, fast, sends)
+				fast := New(p.topo, c.cfg)
+				fast.SetRecycling(c.recycle)
+				got, k := runCounted(t, fast, sends)
+				counts.add(k)
 
 				diffSnapshots(t, got, want)
 			})
 		}
 	}
+	if ran == total && (counts.crossing == 0 || counts.blocked == 0) {
+		t.Fatalf("closed-form paths went untested: %+v", counts)
+	}
 }
 
 // TestKernelDifferentialLargeMesh is the one differential above 256
-// nodes: a dense 160-send random workload on a 64×64 mesh, where many
-// worms cross long live windows at once, through the reference and fast
-// kernels.
+// nodes: dense random workloads on a 64×64 mesh, where many worms cross
+// long live windows at once, through the reference and fast kernels.
+// The first sends 160 worms below 200 B; the second sends 48 of up to
+// 4 KB, so that some crossings (up to 126 hops) outlast their worm's
+// injection and the whole train moves behind the header, while others
+// are still injecting when their header reaches its destination.
 func TestKernelDifferentialLargeMesh(t *testing.T) {
 	topo := mesh.New2D(64, 64)
-	r := rand.New(rand.NewSource(4096))
-	sends := randWorkload(r, topo.NumNodes(), 160, 200)
+	for _, tc := range []struct {
+		name            string
+		count, maxBytes int
+	}{
+		{"short", 160, 200},
+		{"multiKB", 48, 4 << 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := rand.New(rand.NewSource(4096))
+			sends := randWorkload(r, topo.NumNodes(), tc.count, tc.maxBytes)
 
-	ref := New(topo, DefaultConfig())
-	ref.SetKernel(KernelReference)
-	want := runWorkload(t, ref, sends)
+			ref := New(topo, DefaultConfig())
+			ref.SetKernel(KernelReference)
+			want := runWorkload(t, ref, sends)
 
-	got := runWorkload(t, New(topo, DefaultConfig()), sends)
-	diffSnapshots(t, got, want)
+			got := runWorkload(t, New(topo, DefaultConfig()), sends)
+			diffSnapshots(t, got, want)
+		})
+	}
 }
 
 // TestKernelDifferentialStepwise drives both kernels strictly one Step at
 // a time (no StepUntil, no AdvanceTo), pinning that Step itself — not
 // just the skipping entry point — is equivalent cycle for cycle, and
-// that Stats is equal after every Step, while parked worms stream, not
-// only at the end. It runs on the healthy mesh and under a dead-only
-// fault plan, where worms park too and every worm frozen unreachable is
-// cancelled after the Step that froze it.
+// that Stats is equal after every Step, while parked worms stream or
+// cross, not only at the end. It runs on the healthy mesh and under a
+// dead-only fault plan, where worms park too and every worm frozen
+// unreachable is cancelled after the Step that froze it, with
+// RouterDelay 3, where a crossing worm stands still two cycles in four,
+// and on the healthy mesh with the default fabric, where it never
+// stalls.
 func TestKernelDifferentialStepwise(t *testing.T) {
 	topo := mesh.New2D(8, 8)
-	cfg := DefaultConfig()
-	cfg.RouterDelay = 3
+	slow := DefaultConfig()
+	slow.RouterDelay = 3
 	r := rand.New(rand.NewSource(42))
 	sends := randWorkload(r, topo.NumNodes(), 32, 200)
 
-	run := func(k Kernel, plan FaultModel) (runSnapshot, []Stats) {
+	run := func(k Kernel, cfg Config, plan FaultModel) (runSnapshot, []Stats) {
 		n := New(topo, cfg)
 		n.SetKernel(k)
 		if plan != nil {
@@ -387,14 +480,16 @@ func TestKernelDifferentialStepwise(t *testing.T) {
 
 	for _, tc := range []struct {
 		name string
+		cfg  Config
 		plan FaultModel
 	}{
-		{"healthy", nil},
-		{"dead6", fault.MustPlan(topo, fault.Spec{DeadFrac: 0.06, Seed: 3})},
+		{"healthy", slow, nil},
+		{"dead6", slow, fault.MustPlan(topo, fault.Spec{DeadFrac: 0.06, Seed: 3})},
+		{"default", DefaultConfig(), nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got, gotSteps := run(KernelFast, tc.plan)
-			want, wantSteps := run(KernelReference, tc.plan)
+			got, gotSteps := run(KernelFast, tc.cfg, tc.plan)
+			want, wantSteps := run(KernelReference, tc.cfg, tc.plan)
 			for i := 0; i < len(gotSteps) && i < len(wantSteps); i++ {
 				if gotSteps[i] != wantSteps[i] {
 					t.Fatalf("cycle %d: stats diverge:\n got %+v\nwant %+v", i+1, gotSteps[i], wantSteps[i])

@@ -83,15 +83,20 @@ type Kernel int
 const (
 	// KernelFast is the default stall-aware kernel: worms that provably
 	// cannot move skip their per-cycle scan, blocked headers replay a
-	// cached routing decision instead of re-routing, routed worms whose
-	// every live stage moves stream in closed form (on fabrics where no
-	// channel can refuse a flit: no LinkGrouper, and no FaultModel or
-	// one that reports OnlyDead) and are visited only when one of their
-	// stages finishes, and StepUntil jumps the clock over cycles in
-	// which nothing else can happen. It is observably equivalent to
-	// KernelReference (identical Stats, per-worm timings and observer
-	// event streams), which the differential and fuzz suites in
-	// kernel_diff_test.go enforce.
+	// cached routing decision instead of re-routing, and StepUntil jumps
+	// the clock over cycles in which nothing else can happen. On fabrics
+	// where no channel can refuse a flit (no LinkGrouper, and no
+	// FaultModel or one that reports OnlyDead) a worm moves in closed
+	// form once its motion is a pure function of its own counters: a
+	// routed worm whose every live stage moves streams, and a worm whose
+	// header is still crossing the fabric moves with period
+	// RouterDelay+1. Such a worm is visited only at its events — a stage
+	// finishing, a stall, its header's next routing decision — and is
+	// returned to per-cycle stepping (unparked) when its header blocks or
+	// freezes, reaches its destination, or the worm is cancelled. It is
+	// observably equivalent to KernelReference (identical Stats, per-worm
+	// timings and observer event streams), which the differential and
+	// fuzz suites in kernel_diff_test.go enforce.
 	KernelFast Kernel = iota
 	// KernelReference is the original straight-line kernel: one full
 	// pass over every worm per simulated cycle. It is kept as the
@@ -151,15 +156,22 @@ type Worm struct {
 	waitEpoch int64
 	blockCand ChannelID
 	blockHold *Worm
-	// due is a parked worm's next event cycle (see park).
-	due int64
+	// due is a parked worm's next phase-A event cycle, or never (see
+	// park). parkAt is the origin of its virtual clock (see vclock):
+	// each unfinished counter holds its true value minus the clock, the
+	// cycles the worm's stages have moved since parkAt.
+	due    int64
+	parkAt int64
 }
+
+// never is the due cycle of a parked worm with no phase-A event ahead.
+const never int64 = 1<<63 - 1
 
 // Values of Network.asleep.
 const (
 	awake    uint8 = iota
 	sleeping       // cannot move a flit until it next acquires a channel
-	parked         // streams in closed form; visited only at its due cycle
+	parked         // moves in closed form; visited only at its events
 )
 
 const (
@@ -256,10 +268,12 @@ type Network struct {
 	kernel   Kernel
 	epoch    int64 // bumped on every acquire/release; keys waitState caches
 	progress bool  // the last stepped cycle did more than parked streaming (see StepUntil)
-	// Over parked worms' live stages, parkRate is their count and parkSum
-	// the sum of their parking cycles: each such stage has moved one flit
-	// per cycle since, so parkRate·now − parkSum flit-hops are not yet in
-	// stats.
+	// Over parked worms' moving stages, parkRate is their count and
+	// parkSum the sum of their worms' parkAt: each such stage has moved
+	// one flit per cycle since, so parkRate·now − parkSum flit-hops are
+	// not yet in stats. A crossing worm's stages leave both sums while it
+	// stalls; see stepParked and hopParked for the corrections that keep
+	// the sum exact.
 	parkRate int64
 	parkSum  int64
 
@@ -392,7 +406,7 @@ func (n *Network) Now() int64 { return n.now }
 func (n *Network) Active() int { return len(n.worms) }
 
 // Stats returns a snapshot of the aggregate counters. FlitHops includes
-// the flits parked worms have streamed up to Now, computed in O(1).
+// the flits parked worms have moved up to Now, computed in O(1).
 func (n *Network) Stats() Stats {
 	s := n.stats
 	s.FlitHops += n.parkRate*n.now - n.parkSum
@@ -597,9 +611,10 @@ func (n *Network) reserve() {
 // observer or arrival callback. Cancelling a completed, unknown or nil
 // worm panics. A cancelled worm's per-worm counters are discarded (see
 // Stats.Cancelled); the flit-hops it made up to the cancel cycle stay
-// counted, including those of a parked worm. If the cancelled worm was
-// frozen unreachable and no frozen worm remains, the recorded fabric
-// error (Err) is cleared so the run can continue.
+// counted, including those of a parked worm, which is unparked first.
+// If the cancelled worm was frozen unreachable and no frozen worm
+// remains, the recorded fabric error (Err) is cleared so the run can
+// continue.
 func (n *Network) Cancel(w *Worm) {
 	if w == nil || w.done {
 		panic("wormhole: Cancel of nil or completed worm")
@@ -615,12 +630,7 @@ func (n *Network) Cancel(w *Worm) {
 		panic(fmt.Sprintf("wormhole: Cancel of worm %d not in flight", w.ID))
 	}
 	if n.asleep[w.slot] == parked {
-		// Credit every live stage's moves since parking; none has
-		// finished, or its due event would have fired by now.
-		at, r := w.parkedAt(), w.liveStages()
-		n.stats.FlitHops += r * (n.now - at)
-		n.parkRate -= r
-		n.parkSum -= r * at
+		n.unpark(w)
 	}
 	for w.tail < len(w.path) {
 		n.release(w, w.tail)
@@ -738,7 +748,12 @@ func (n *Network) nextEvent() (int64, bool) {
 		var e int64
 		switch {
 		case n.asleep[w.slot] == parked:
+			// A crossing worm's header routes at headerReadyAt, which a
+			// finished phase B always leaves in the future.
 			e = w.due
+			if !w.routed && w.headerReadyAt < e {
+				e = w.headerReadyAt
+			}
 		case w.routed || len(w.path) == 0:
 			continue
 		case w.entered(len(w.path)-1) == 0 || w.headerReadyAt <= n.now:
@@ -857,8 +872,11 @@ func (n *Network) moveWorms(ws []*Worm) {
 // each passed counter read once with the upstream count carried down the
 // live window, and the flit-hops credited once per worm. Its moves,
 // releases, headerReadyAt stamps and sleep verdict are exactly
-// moveFlitsFast's on such a fabric. A routed worm that moves a flit on
-// every live stage is parked.
+// moveFlitsFast's on such a fabric. A worm whose motion has become a
+// closed form is parked (see park): a routed worm that moved a flit on
+// every live stage, or a crossing worm that moved one on every live
+// stage but its frontier's exit, before its header's next routing
+// decision and in the steady state crossingSteady checks.
 //
 //lint:hotpath
 func (n *Network) moveFlitsUngated(w *Worm) {
@@ -930,23 +948,44 @@ func (n *Network) moveFlitsUngated(w *Worm) {
 	}
 	n.stats.FlitHops += hops
 	n.progress = true
-	if hops == live && w.routed && !w.done {
+	if w.routed {
+		if hops == live && !w.done {
+			n.park(w)
+		}
+	} else if hops == live-1 && n.now <= w.headerReadyAt && n.crossingSteady(w) {
 		n.park(w)
 	}
 }
 
-// park takes a routed worm that has just moved a flit on every live stage
-// out of per-cycle stepping. It owns its channels exclusively and nothing
-// can refuse its flits: the fabric is ungated, and SetFaults cannot
-// change that while the worm is in flight. So after such a cycle every
+// park takes a worm whose motion has become a closed form out of
+// per-cycle stepping. It owns its channels exclusively and nothing can
+// refuse its flits: the fabric is ungated, and SetFaults cannot change
+// that while the worm is in flight. Its unfinished counters keep their
+// parking-cycle values, parkAt records that cycle, and vclock gives the
+// cycles each has moved since.
+//
+// A routed worm has just moved a flit on every live stage. So every
 // occupancy stays as it is (each is at least 1, so injected >
 // passed[tail] > … > passed[last]) and each counter x grows by one per
-// cycle until it reaches flits, flits − x cycles after parking. Those are
-// the worm's events, at most one per cycle: the end of injection, then
-// each release in path order, the last being its arrival. The counters
-// keep their parking-cycle values until their stage finishes; stepParked
-// applies each event at its due cycle, and the flit-hops in between are
-// credited through parkRate and parkSum.
+// cycle until it reaches flits, flits − x cycles after parking.
+//
+// A crossing worm, whose header has not reached the ejection channel,
+// has just moved a flit on every live stage but its frontier's exit,
+// which waits for the header's next hop. Its header enters a channel
+// every P = RouterDelay+1 cycles while its routing decisions find a free
+// channel, and all its live stages move together: on every cycle when
+// q = min(P, BufFlits) equals P, and otherwise on the first q cycles
+// after each hop only. The frontier is then full, so is every channel
+// behind it still fed from upstream, and the whole worm stands still (a
+// stall) until the header moves on. Each hop adds the old frontier's
+// exit as a stage.
+//
+// Either way the stages finish in path order, at most one per cycle:
+// the end of injection, then each release, the last of a routed worm
+// being its arrival. Those and a crossing worm's stalls are its phase-A
+// events (stepParked); its header's routing decisions stay in phase B
+// (hopParked, or unpark when the header blocks or freezes). The
+// flit-hops in between are credited through parkRate and parkSum.
 //
 //lint:hotpath
 func (n *Network) park(w *Worm) {
@@ -954,20 +993,119 @@ func (n *Network) park(w *Worm) {
 	n.parkRate += r
 	n.parkSum += r * n.now
 	n.asleep[w.slot] = parked
-	w.due = n.now + int64(w.flits-w.dueCount())
+	w.parkAt = n.now
+	w.due = n.nextDue(w)
+}
+
+// crossingSteady reports whether a crossing worm that has just moved a
+// flit on every live stage but its frontier's exit is in the state the
+// crossing closed form assumes. When the frontier cannot fill before the
+// header's next hop (BufFlits > RouterDelay) every such state is.
+// Otherwise the frontier must have taken a flit on every cycle since the
+// header entered it, so that it fills after exactly BufFlits moves, and
+// every other channel still fed from upstream must be full, so that the
+// whole worm stalls at once.
+//
+//lint:hotpath
+func (n *Network) crossingSteady(w *Worm) bool {
+	if !n.stalls() {
+		return true
+	}
+	last := len(w.path) - 1
+	if w.tail == last {
+		return true // nothing is left to feed the frontier
+	}
+	if int64(w.occ(last)) != n.now-(w.headerReadyAt-n.cfg.RouterDelay)+1 {
+		return false
+	}
+	for i := w.tail; i < last; i++ {
+		if (i > w.tail || w.injected < w.flits) && w.occ(i) != n.cfg.BufFlits {
+			return false
+		}
+	}
+	return true
+}
+
+// stalls reports whether a crossing worm's frontier fills before its
+// header's next hop (BufFlits <= RouterDelay), so that the whole worm
+// stands still for part of every period.
+//
+//lint:hotpath
+func (n *Network) stalls() bool { return int64(n.cfg.BufFlits) <= n.cfg.RouterDelay }
+
+// stallAt returns the first cycle of a crossing worm's stall in its
+// current period, BufFlits cycles after its header entered the frontier
+// (at headerReadyAt − RouterDelay), or never when the worm never stalls.
+//
+//lint:hotpath
+func (n *Network) stallAt(w *Worm) int64 {
+	if !n.stalls() {
+		return never
+	}
+	return w.headerReadyAt - n.cfg.RouterDelay + int64(n.cfg.BufFlits)
+}
+
+// vclock returns how many cycles a parked worm's unfinished stages have
+// moved since parkAt, as of Now: now − parkAt, held at the cycle before
+// a crossing worm's stall while the stall lasts.
+//
+//lint:hotpath
+func (n *Network) vclock(w *Worm) int64 {
+	t := n.now
+	if !w.routed {
+		if s := n.stallAt(w); t >= s {
+			t = s - 1
+		}
+	}
+	return t - w.parkAt
+}
+
+// nextDue returns a parked worm's next phase-A event: its next stage to
+// finish or, for a crossing worm, its next stall if that comes first.
+// The stage furthest along finishes first: injection while flits remain
+// to inject, else the exit of the tail channel. A crossing worm with no
+// live stage has no event until its header hops.
+//
+//lint:hotpath
+func (n *Network) nextDue(w *Worm) int64 {
+	if w.liveStages() == 0 {
+		return never
+	}
+	x := w.injected
+	if x == w.flits {
+		x = w.passed[w.tail]
+	}
+	due := w.parkAt + int64(w.flits-x)
+	if !w.routed {
+		if s := n.stallAt(w); s < due {
+			due = s
+		}
+	}
+	return due
 }
 
 // stepParked applies a parked worm's event, due this cycle, at the worm's
 // place in phase A's rotation, so releases and arrivals reach the
 // observer, phase B and reap exactly when and in the order the reference
-// kernel produces them. The finished stage's flit-hops since parking are
-// credited, and the worm stays parked until its next event. An arrival
-// counts as progress: its callback may Send, and the new worm must
-// compete for injection in the next cycle, not be skipped over.
+// kernel produces them. A finished stage's flit-hops since parkAt are
+// credited and its counter set to flits. A stall credits its stages'
+// moves up to the cycle before and takes them out of parkRate and
+// parkSum until the header's next hop restarts them (hopParked). The
+// worm stays parked until its next event. An arrival counts as
+// progress: its callback may Send, and the new worm must compete for
+// injection in the next cycle, not be skipped over.
 //
 //lint:hotpath
 func (n *Network) stepParked(w *Worm) {
-	at := w.parkedAt()
+	at := w.parkAt
+	if !w.routed && n.now == n.stallAt(w) {
+		r := w.liveStages()
+		n.stats.FlitHops += r * (n.now - 1 - at)
+		n.parkRate -= r
+		n.parkSum -= r * at
+		w.due = never
+		return
+	}
 	n.stats.FlitHops += n.now - at
 	n.parkRate--
 	n.parkSum -= at
@@ -982,37 +1120,94 @@ func (n *Network) stepParked(w *Worm) {
 		}
 		n.release(w, w.tail)
 	}
-	w.due = at + int64(w.flits-w.dueCount())
+	w.due = n.nextDue(w)
 }
 
-// liveStages counts a worm's stages that still move flits: one per owned
-// channel, plus injection while flits remain to inject.
+// hopParked moves a parked crossing worm's header into c, the free
+// candidate its routing decision took at headerReadyAt, with acquire's
+// Acquire event, epoch bump and progress. Into the destination's
+// ejection channel the worm is unparked first; the per-cycle loop then
+// parks it again as a routed worm once every stage moves. Otherwise it
+// stays parked: the old frontier's exit becomes a stage that moves from
+// the next cycle on, when the header enters c, and the header is ready
+// to route again RouterDelay cycles after that. When the worm stalls
+// each period, the hop ends the stall and restarts every stage: parkAt
+// moves on by the stall's length, RouterDelay+1−BufFlits, so vclock
+// runs on from where it stopped. The restarted stages re-enter parkRate
+// and parkSum credited from parkAt, and the cycles between parkAt and
+// now that they did not move are taken back from stats.
+//
+//lint:hotpath
+func (n *Network) hopParked(w *Worm, c ChannelID) {
+	if c == n.eject[w.Dst] {
+		n.unpark(w)
+		n.acquire(w, c)
+		return
+	}
+	k := int64(1)
+	if n.stalls() {
+		k += w.liveStages()
+		w.parkAt += n.cfg.RouterDelay + 1 - int64(n.cfg.BufFlits)
+	}
+	n.acquire(w, c)
+	n.asleep[w.slot] = parked
+	v := n.now - w.parkAt
+	n.stats.FlitHops -= k * v
+	n.parkRate += k
+	n.parkSum += k * w.parkAt
+	w.passed[len(w.path)-2] = int(-v)
+	w.headerReadyAt = n.now + 1 + n.cfg.RouterDelay
+	w.due = n.nextDue(w)
+}
+
+// unpark returns a parked worm to per-cycle stepping at the current
+// cycle: every unfinished counter x becomes x + vclock, the value the
+// reference kernel holds (min(flits, x + now − parkAt) for a routed
+// worm: a stage that reached flits has already finished as an event),
+// and the worm's moving stages leave parkRate and parkSum with their
+// flit-hops credited to stats (a stalled worm's left when its stall
+// began). It counts as progress, so StepUntil steps the worm's next
+// cycle instead of jumping over it. It runs when a crossing header finds
+// every candidate owned or dead, when it takes its destination's
+// ejection channel, and when the worm is cancelled.
+//
+//lint:hotpath
+func (n *Network) unpark(w *Worm) {
+	v, r := n.vclock(w), w.liveStages()
+	if w.routed || n.now < n.stallAt(w) {
+		n.stats.FlitHops += r * v
+		n.parkRate -= r
+		n.parkSum -= r * w.parkAt
+	}
+	if w.injected < w.flits {
+		w.injected += int(v)
+	}
+	end := len(w.path)
+	if !w.routed {
+		end-- // the frontier's exit waits for the header's next hop
+	}
+	for i := w.tail; i < end; i++ {
+		w.passed[i] += int(v)
+	}
+	n.asleep[w.slot] = awake
+	n.progress = true
+}
+
+// liveStages counts a parked worm's stages that still move flits: one
+// per owned channel but a crossing worm's frontier, plus injection while
+// flits remain to inject.
 //
 //lint:hotpath
 func (w *Worm) liveStages() int64 {
 	r := int64(len(w.path) - w.tail)
+	if !w.routed {
+		r--
+	}
 	if w.injected < w.flits {
 		r++
 	}
 	return r
 }
-
-// dueCount returns the counter of a parked worm's next stage to finish:
-// injected while flits remain to inject, else passed[tail].
-//
-//lint:hotpath
-func (w *Worm) dueCount() int {
-	if w.injected < w.flits {
-		return w.injected
-	}
-	return w.passed[w.tail]
-}
-
-// parkedAt returns the cycle a parked worm was parked: its next stage's
-// counter still holds its value from then and reaches flits at due.
-//
-//lint:hotpath
-func (w *Worm) parkedAt() int64 { return w.due - int64(w.flits-w.dueCount()) }
 
 // arrive retires a worm whose tail flit was just consumed at its
 // destination.
@@ -1144,8 +1339,14 @@ func (n *Network) routeHeaderFast(w *Worm) {
 		return
 	}
 	last := len(w.path) - 1
-	if w.entered(last) == 0 || n.now < w.headerReadyAt {
-		return // header flit not yet at the frontier, or still routing
+	if n.now < w.headerReadyAt {
+		return // still routing
+	}
+	// A parked worm's counters lag, but once headerReadyAt has come its
+	// header always sits at the frontier.
+	isParked := n.asleep[w.slot] == parked
+	if !isParked && w.entered(last) == 0 {
+		return // header flit not yet at the frontier
 	}
 	if w.waitState == waitBlocked && w.waitEpoch == n.epoch {
 		w.BlockedCycles++
@@ -1157,9 +1358,16 @@ func (n *Network) routeHeaderFast(w *Worm) {
 	cands := n.routeCands(w)
 	for _, c := range cands {
 		if n.owner[c] < 0 {
-			n.acquire(w, c)
+			if isParked {
+				n.hopParked(w, c)
+			} else {
+				n.acquire(w, c)
+			}
 			return
 		}
+	}
+	if isParked {
+		n.unpark(w) // blocked or frozen: the body now compresses behind the header
 	}
 	if len(cands) == 0 {
 		if n.faults != nil {

@@ -535,6 +535,49 @@ func TestDeadOnlyFabricParks(t *testing.T) {
 	}
 }
 
+// TestCrossingWormStaysParked: a lone worm crossing a 64×64 mesh corner
+// to corner (126 link hops) is parked on every cycle its header crosses
+// the fabric, from its first injection until it takes the ejection
+// channel, whatever the crossing's period: RouterDelay 0–2 × BufFlits
+// {1, 2, 4}. A 4 KB worm is still injecting when its header arrives; a
+// 64 B one crosses as a moving train. Its arrival matches the reference
+// kernel's.
+func TestCrossingWormStaysParked(t *testing.T) {
+	m := mesh.New2D(64, 64)
+	const src, dst = 0, 64*64 - 1
+	for rd := int64(0); rd <= 2; rd++ {
+		for _, buf := range []int{1, 2, 4} {
+			for _, bytes := range []int{64, 4096} {
+				cfg := DefaultConfig()
+				cfg.RouterDelay, cfg.BufFlits = rd, buf
+				ref := New(m, cfg)
+				ref.SetKernel(KernelReference)
+				want := runOne(t, ref, src, dst, bytes)
+				n := New(m, cfg)
+				w := n.Send(src, dst, bytes, nil, nil)
+				crossing, parked := 0, 0
+				for !w.Done() {
+					n.Step()
+					path := w.Path()
+					if w.Done() || len(path) == 0 || w.InjectedAt == 0 || path[len(path)-1] == m.EjectChannel(dst) {
+						continue
+					}
+					crossing++
+					if n.CrossingParked(w) {
+						parked++
+					}
+				}
+				if crossing < 126 || parked != crossing {
+					t.Errorf("rd%d buf%d %d B: parked on %d of %d crossing cycles", rd, buf, bytes, parked, crossing)
+				}
+				if w.ArrivedAt != want.ArrivedAt {
+					t.Errorf("rd%d buf%d %d B: arrived at %d, reference %d", rd, buf, bytes, w.ArrivedAt, want.ArrivedAt)
+				}
+			}
+		}
+	}
+}
+
 // TestDeadlockReportCountsHeldChannels: the "routed, draining" and
 // "unreachable, frozen holding" lines count the channels the worm still
 // holds, not the released prefix of its path. A 2-flit worm crossing a
