@@ -19,9 +19,10 @@
 //
 //	mcastbench -fig f6 -surface results/tuner_surface.json
 //
-// -cpuprofile FILE records a CPU profile of the whole run:
+// -cpuprofile FILE records a CPU profile of the whole run, and
+// -memprofile FILE writes its allocs profile once it ends:
 //
-//	mcastbench -fig t1 -cpuprofile t1.pprof
+//	mcastbench -fig t1 -cpuprofile t1.pprof -memprofile t1.mem.pprof
 //
 // Figures: 1, 2, 2b, 3, b2, b3, contention, ratio, addr, policy, e1, e2, h1, t1, b4, conc, model, f1, f2, f3, f4, f5, f6, all.
 package main
@@ -74,9 +75,10 @@ func main() {
 	flag.BoolVar(&o.progress, "progress", false, "print progress/ETA lines to stderr")
 	flag.StringVar(&o.surface, "surface", "", "with -fig f6: write the compiled crossover surfaces (hash-verified JSON artifact) to this file")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof reads it)")
+	memprofile := flag.String("memprofile", "", "write the allocs profile of the run to this file after it ends (go tool pprof reads it)")
 	flag.Parse()
 
-	if err := cpuprof.Run(*cpuprofile, func() error { return run(o) }); err != nil {
+	if err := cpuprof.Run(*cpuprofile, *memprofile, func() error { return run(o) }); err != nil {
 		fmt.Fprintln(os.Stderr, "mcastbench:", err)
 		os.Exit(1)
 	}

@@ -213,23 +213,40 @@ func TestRunFigureF5(t *testing.T) {
 	}
 }
 
-// TestCPUProfileKeepsOutput: a run under -cpuprofile prints exactly what
-// the same run prints without it, and leaves a non-empty profile.
+// TestCPUProfileKeepsOutput: a run under -cpuprofile or -memprofile
+// prints exactly what the same run prints without it and leaves a
+// non-empty profile; an uncreatable profile path is an error naming its
+// flag, and nothing runs.
 func TestCPUProfileKeepsOutput(t *testing.T) {
 	o := options{fig: "ratio", trials: 2, seed: 1, workers: 1}
 	want, err := capture(t, func() error { return run(o) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "cpu.pprof")
-	got, err := capture(t, func() error { return cpuprof.Run(path, func() error { return run(o) }) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("stdout under -cpuprofile differs:\n got %q\nwant %q", got, want)
-	}
-	if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
-		t.Errorf("profile %s missing or empty: %v", path, err)
+	bad := filepath.Join(t.TempDir(), "missing", "p.pprof")
+	for _, c := range []struct {
+		flag  string
+		paths func(profile string) (cpu, mem string)
+	}{
+		{"-cpuprofile", func(p string) (string, string) { return p, "" }},
+		{"-memprofile", func(p string) (string, string) { return "", p }},
+	} {
+		profile := filepath.Join(t.TempDir(), "p.pprof")
+		cpu, mem := c.paths(profile)
+		got, err := capture(t, func() error { return cpuprof.Run(cpu, mem, func() error { return run(o) }) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("stdout under %s differs:\n got %q\nwant %q", c.flag, got, want)
+		}
+		if fi, err := os.Stat(profile); err != nil || fi.Size() == 0 {
+			t.Errorf("%s profile %s missing or empty: %v", c.flag, profile, err)
+		}
+		cpu, mem = c.paths(bad)
+		got, err = capture(t, func() error { return cpuprof.Run(cpu, mem, func() error { return run(o) }) })
+		if err == nil || !strings.Contains(err.Error(), c.flag) || got != "" {
+			t.Errorf("uncreatable %s path: err = %v, stdout %q; want an error naming the flag and no run", c.flag, err, got)
+		}
 	}
 }

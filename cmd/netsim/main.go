@@ -23,7 +23,7 @@
 //	netsim -topo bmin -churn -churn-rate 1600 -degree-cap 3 -v
 //	netsim -topo mesh -autotune -k 32 -bytes 4096
 //	netsim -topo mesh -traffic -autotune -faults 3 -rate 200 -v
-//	netsim -w 1024 -h 1024 -k 64 -bytes 4096 -cpuprofile cpu.pprof
+//	netsim -w 1024 -h 1024 -k 64 -bytes 4096 -cpuprofile cpu.pprof -memprofile mem.pprof
 package main
 
 import (
@@ -89,9 +89,10 @@ func main() {
 	flag.IntVar(&o.degreeCap, "degree-cap", 0, "churn: per-node fan-out cap for degree-bounded trees (0 = one-port split table)")
 	flag.BoolVar(&o.autotune, "autotune", false, "train a crossover surface on the healthy fabric and let the tuner pick the algorithm (overrides -algo); with -traffic the policy re-picks per request and switches live on observed drift")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof reads it)")
+	memprofile := flag.String("memprofile", "", "write the allocs profile of the run to this file after it ends (go tool pprof reads it)")
 	flag.Parse()
 
-	if err := cpuprof.Run(*cpuprofile, func() error { return run(o) }); err != nil {
+	if err := cpuprof.Run(*cpuprofile, *memprofile, func() error { return run(o) }); err != nil {
 		fmt.Fprintln(os.Stderr, "netsim:", err)
 		os.Exit(1)
 	}

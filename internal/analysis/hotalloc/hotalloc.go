@@ -14,10 +14,13 @@
 // append (may grow its backing array), make, map and slice composite
 // literals, function literals (closure headers allocate), implicit
 // interface boxing at call arguments and assignments, and any call
-// into fmt (which both allocates and boxes). Struct literals such as a
-// pool's &Worm{} miss-path are deliberately not flagged: pools must
-// allocate on a miss, and the checks here target per-cycle growth, not
-// one-time construction.
+// into fmt (which both allocates and boxes). Only values that need a
+// box count as boxing: a pointer, map, chan, func or unsafe.Pointer is
+// stored in the interface word itself, so passing a *T as a handler or
+// an event tag is allocation-free and not reported. Struct literals
+// such as a pool's &Worm{} miss-path are deliberately not flagged:
+// pools must allocate on a miss, and the checks here target per-cycle
+// growth, not one-time construction.
 //
 // Placement: a //lint:hotpath line inside a function's doc comment
 // marks the whole body; a standalone //lint:hotpath comment line marks
@@ -226,8 +229,8 @@ func checkAssignBoxing(pass *lint.Pass, st *ast.AssignStmt) {
 }
 
 // boxes reports whether storing a value of type from into a location
-// of type to allocates an interface box: to is an interface, from is a
-// concrete non-nil type.
+// of type to allocates an interface box: to is an interface, and from
+// is a concrete non-nil type that is not pointer-shaped.
 func boxes(to, from types.Type) bool {
 	if to == nil || from == nil {
 		return false
@@ -235,11 +238,11 @@ func boxes(to, from types.Type) bool {
 	if _, ok := to.Underlying().(*types.Interface); !ok {
 		return false
 	}
-	if _, ok := from.Underlying().(*types.Interface); ok {
-		return false
-	}
-	if b, ok := from.(*types.Basic); ok && b.Kind() == types.UntypedNil {
-		return false
+	switch f := from.Underlying().(type) {
+	case *types.Interface, *types.Pointer, *types.Map, *types.Chan, *types.Signature:
+		return false // an interface is copied; the rest fit the interface word
+	case *types.Basic:
+		return f.Kind() != types.UntypedNil && f.Kind() != types.UnsafePointer
 	}
 	return true
 }

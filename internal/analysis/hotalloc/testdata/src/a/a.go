@@ -3,7 +3,10 @@
 // not.
 package a
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 type S struct {
 	vals      []int
@@ -59,6 +62,32 @@ func suppressed(s *S, n int) {
 		//lint:ignore hotalloc fixture demonstrates a justified suppression
 		s.vals = append(s.vals, n)
 	}
+}
+
+// H is an interface a pointer can satisfy.
+type H interface{ Fire(int) }
+
+func (s *S) Fire(int) {}
+
+func handle(h H) {}
+
+// pointerShaped stores values that fit the interface word, which
+// allocates nothing and is not reported; the int beside them still is.
+//
+//lint:hotpath
+func (s *S) pointerShaped(m map[int]int, c chan int, f func(), p unsafe.Pointer) {
+	handle(s) // ok: a pointer is stored as is
+	sink(s)   // ok
+	sink(m)   // ok: a map is a pointer
+	sink(c)   // ok: so is a chan
+	sink(f)   // ok: and a func
+	sink(p)   // ok: and an unsafe.Pointer
+	var h H
+	h = s // ok
+	_ = h
+	_ = H(s)   // ok
+	_ = any(f) // ok
+	_ = any(3) // want `converting int to interface any boxes the value in hot path`
 }
 
 //lint:hotpath // want `//lint:hotpath is not attached to a function or statement`

@@ -11,6 +11,7 @@ package chain
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -36,10 +37,24 @@ func Unordered(addrs []int) Chain {
 }
 
 // Validate reports an error if the chain is empty or contains duplicates.
+// It checks a sorted copy, so it makes one allocation whatever the
+// chain's length, and names the first repeat only once it has found one.
 func (c Chain) Validate() error {
 	if len(c) == 0 {
 		return fmt.Errorf("chain: empty chain")
 	}
+	s := slices.Clone(c)
+	slices.Sort(s)
+	for i := 1; i < len(s); i++ {
+		if s[i] == s[i-1] {
+			return c.repeat()
+		}
+	}
+	return nil
+}
+
+// repeat reports the chain's first repeated address, scanning in order.
+func (c Chain) repeat() error {
 	seen := make(map[int]int, len(c))
 	for i, a := range c {
 		if prev, dup := seen[a]; dup {

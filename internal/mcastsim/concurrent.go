@@ -72,19 +72,7 @@ func RunConcurrent(net *wormhole.Network, groups []Group, cfg Config) ([]GroupRe
 	runners := make([]*runner, len(groups))
 	results := make([]GroupResult, len(groups))
 	for gi, g := range groups {
-		r := &runner{
-			net:    net,
-			tab:    g.Tab,
-			ch:     g.Chain,
-			bytes:  g.Bytes,
-			cfg:    cfg,
-			events: &events,
-			res:    Result{Deliveries: make([]int64, len(g.Chain))},
-			t0:     t0 + g.StartAt,
-		}
-		for i := range r.res.Deliveries {
-			r.res.Deliveries[i] = -1
-		}
+		r := newRunner(net, g.Tab, g.Chain, g.Bytes, cfg, &events, t0+g.StartAt)
 		r.onPlanErr = func(err error) {
 			if planErr == nil {
 				planErr = err

@@ -70,12 +70,6 @@ type Result struct {
 	Cycles int64
 }
 
-// message is the Tag a worm carries: the chain segment the receiver
-// becomes responsible for.
-type message struct {
-	seg chain.Segment
-}
-
 // Run executes a multicast of msgBytes payload over the given chain with
 // the source at chain index root, shaping the tree with tab, on net
 // (which must be freshly idle). It returns the execution report.
@@ -101,22 +95,11 @@ func Run(net *wormhole.Network, tab core.SplitTable, ch chain.Chain, root int, m
 		return Result{}, fmt.Errorf("mcastsim: fabric not idle: %w", err)
 	}
 
-	r := &runner{
-		net:    net,
-		tab:    tab,
-		ch:     ch,
-		bytes:  msgBytes,
-		cfg:    cfg,
-		events: new(sim.EventQueue),
-		res: Result{
-			Deliveries: make([]int64, len(ch)),
-		},
-		t0: net.Now(),
-	}
-	for i := range r.res.Deliveries {
-		r.res.Deliveries[i] = -1
-	}
-
+	// Each chain position has at most one pending event, its transfer's
+	// injection or delivery, so the queue is sized for the chain up front.
+	events := new(sim.EventQueue)
+	events.Reserve(len(ch))
+	r := newRunner(net, tab, ch, msgBytes, cfg, events, net.Now())
 	var planErr error
 	r.onPlanErr = func(err error) {
 		if planErr == nil {
@@ -171,38 +154,97 @@ type runner struct {
 	res       Result
 	t0        int64
 	onPlanErr func(error)
+
+	tSend, tRecv, tHold int64
+	// xfers holds the one transfer each chain position receives by: a
+	// multicast delivers every position once, so a run needs no more.
+	// sends holds one delivery's plan at a time; a node sends to fewer
+	// positions than the chain holds, so it never grows.
+	xfers []transfer
+	sends []plan.Send
+}
+
+// newRunner prepares one multicast over ch starting at cycle t0, its
+// events on q.
+func newRunner(net *wormhole.Network, tab core.SplitTable, ch chain.Chain, msgBytes int, cfg Config, q *sim.EventQueue, t0 int64) *runner {
+	r := &runner{
+		net:    net,
+		tab:    tab,
+		ch:     ch,
+		bytes:  msgBytes,
+		cfg:    cfg,
+		events: q,
+		res:    Result{Deliveries: make([]int64, len(ch))},
+		t0:     t0,
+		tSend:  cfg.Software.Send.At(msgBytes),
+		tRecv:  cfg.Software.Recv.At(msgBytes),
+		tHold:  cfg.Software.Hold.At(msgBytes),
+		xfers:  make([]transfer, len(ch)),
+		sends:  make([]plan.Send, 0, len(ch)),
+	}
+	for i := range r.res.Deliveries {
+		r.res.Deliveries[i] = -1
+		r.xfers[i] = transfer{r: r, to: i}
+	}
+	return r
+}
+
+// transfer is the one message that delivers chain position to: it is
+// the worm's Tag and the Handler of the message's two events.
+type transfer struct {
+	r        *runner
+	from, to int
+	seg      chain.Segment // the positions to becomes responsible for
+}
+
+// Transfer event kinds.
+const (
+	evInject = iota
+	evDeliver
+)
+
+// Fire implements sim.Handler: evInject hands the message to the fabric
+// once the sender's software send has elapsed, evDeliver completes the
+// receive.
+//
+//lint:hotpath
+func (x *transfer) Fire(at int64, kind int) {
+	r := x.r
+	if kind == evDeliver {
+		r.deliver(x.to, x.seg, at)
+		return
+	}
+	bytes := r.bytes + r.cfg.AddrBytes*(x.seg.Len()-1)
+	r.net.Send(wormhole.NodeID(r.ch[x.from]), wormhole.NodeID(r.ch[x.to]), bytes, x, arrived)
+}
+
+// arrived is the arrival callback of every multicast worm: the receiver's
+// software receive starts when the tail flit is consumed.
+//
+//lint:hotpath
+func arrived(w *wormhole.Worm, now int64) {
+	x := w.Tag.(*transfer)
+	x.r.events.Schedule(now+x.r.tRecv, x, evDeliver)
 }
 
 // deliver records that the node at chain index self has the message and
 // responsibility for seg at time t, and schedules its sends.
+//
+//lint:hotpath
 func (r *runner) deliver(self int, seg chain.Segment, t int64) {
 	r.res.Deliveries[self] = t - r.t0
 	if lat := t - r.t0; lat > r.res.Latency {
 		r.res.Latency = lat
 	}
-	sends, err := plan.Sends(r.tab, seg, self)
+	sends, err := plan.Sends(r.sends[:0], r.tab, seg, self)
 	if err != nil {
 		r.onPlanErr(err)
 		return
 	}
-	tHold := r.cfg.Software.Hold.At(r.bytes)
-	tSend := r.cfg.Software.Send.At(r.bytes)
 	for i, snd := range sends {
-		issue := t + int64(i)*tHold
-		injectAt := issue + tSend
-		src := wormhole.NodeID(r.ch[self])
-		dst := wormhole.NodeID(r.ch[snd.To])
-		seg := snd.Seg
-		toIdx := snd.To
-		r.events.At(injectAt, func() {
-			bytes := r.bytes + r.cfg.AddrBytes*(seg.Len()-1)
-			r.net.Send(src, dst, bytes, message{seg: seg}, func(w *wormhole.Worm, now int64) {
-				tRecv := r.cfg.Software.Recv.At(r.bytes)
-				r.events.At(now+tRecv, func() {
-					r.deliver(toIdx, seg, now+tRecv)
-				})
-			})
-		})
+		x := &r.xfers[snd.To]
+		x.from, x.seg = self, snd.Seg
+		r.events.Schedule(t+int64(i)*r.tHold+r.tSend, x, evInject)
 	}
 }
 

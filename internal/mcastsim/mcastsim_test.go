@@ -405,3 +405,33 @@ func TestLargerTreesStillQuiesce(t *testing.T) {
 		}
 	}
 }
+
+// TestRunAllocsFlatInK: on a warm fabric, a multicast makes the same
+// number of allocations whatever its group size — the run's own records,
+// none per send.
+func TestRunAllocsFlatInK(t *testing.T) {
+	m := mesh.New2D(8, 8)
+	net := wormhole.New(m, wormhole.DefaultConfig())
+	net.SetRecycling(true)
+	cfg := Config{Software: testSoft}
+	run := func(seed uint64, k int) func() {
+		ch, root := meshChain(m, placement(seed, m.NumNodes(), k))
+		tab := core.NewOptTable(k, testSoft.Hold.At(256), 600)
+		return func() {
+			if _, err := Run(net, tab, ch, root, 256, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	small, large := run(1, 8), run(2, 64)
+	for i := 0; i < 20; i++ {
+		small()
+		large()
+	}
+	a8 := testing.AllocsPerRun(20, small)
+	a64 := testing.AllocsPerRun(20, large)
+	if a8 != a64 {
+		t.Fatalf("a multicast made %.0f allocs at k=8 but %.0f at k=64", a8, a64)
+	}
+	t.Logf("%.0f allocs per multicast at k=8 and k=64", a8)
+}

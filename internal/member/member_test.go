@@ -262,7 +262,7 @@ func TestCrashRepairPolicyComparison(t *testing.T) {
 	for i := range positions {
 		positions[i] = i
 	}
-	sends, err := plan.RepairSends(tab, positions, root)
+	sends, err := plan.RepairSends(nil, tab, positions, root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func TestLeaveExcisesSubtree(t *testing.T) {
 	for i := range positions {
 		positions[i] = i
 	}
-	sends, err := plan.RepairSends(tab, positions, root)
+	sends, err := plan.RepairSends(nil, tab, positions, root)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/wormhole"
 )
@@ -43,6 +44,10 @@ type Mesh struct {
 	dims   []int
 	n      int
 	stride []int // stride[d] = product of dims[0..d-1]
+	// quot[d] divides an address by stride[d] without a division
+	// instruction (quot[len(dims)] by the node count), so coordinate d
+	// of u is u/stride[d] - (u/stride[d+1])*dims[d].
+	quot []reciprocal
 
 	link []wormhole.ChannelID // [u*2D + d*2 + s] -> channel or NoChannel
 	// chanSrc/chanDst give the routers at the ends of link channel
@@ -101,20 +106,25 @@ func TryNew(dims ...int) (*Mesh, error) {
 		dims:    append([]int(nil), dims...),
 		n:       n,
 		stride:  stride,
+		quot:    make([]reciprocal, len(dims)+1),
 		link:    make([]wormhole.ChannelID, n*2*len(dims)),
 		chanSrc: make([]wormhole.NodeID, 0, links),
 		chanDst: make([]wormhole.NodeID, 0, links),
 	}
+	for d, s := range stride {
+		m.quot[d] = newReciprocal(s)
+	}
+	m.quot[len(dims)] = newReciprocal(n)
 	for i := range m.link {
 		m.link[i] = wormhole.NoChannel
 	}
 	next := wormhole.ChannelID(2 * n) // after inject + eject blocks
 	for u := 0; u < n; u++ {
-		for d := range dims {
-			for s := 0; s < 2; s++ {
-				v, ok := m.neighbor(u, d, s)
-				if !ok {
-					continue
+		for d, side := range dims {
+			c := m.coord(u, d)
+			for s, v := range [2]int{u - stride[d], u + stride[d]} {
+				if s == 0 && c == 0 || s == 1 && c == side-1 {
+					continue // no neighbour beyond the mesh edge
 				}
 				m.link[m.linkIdx(u, d, s)] = next
 				m.chanSrc = append(m.chanSrc, wormhole.NodeID(u))
@@ -155,22 +165,30 @@ func NewHypercube(dim int) *Mesh {
 
 func (m *Mesh) linkIdx(u, d, s int) int { return u*2*len(m.dims) + d*2 + s }
 
-func (m *Mesh) neighbor(u, d, s int) (int, bool) {
-	c := m.coord(u, d)
-	if s == 0 {
-		if c == 0 {
-			return 0, false
-		}
-		return u - m.stride[d], true
-	}
-	if c == m.dims[d]-1 {
-		return 0, false
-	}
-	return u + m.stride[d], true
+// reciprocal divides any address by a fixed divisor with one multiply
+// and one shift. For a divisor s with 2^(l-1) < s <= 2^l, mul is
+// floor(2^(31+l)/s) + 1, which makes (u*mul) >> (31+l) exactly u/s for
+// every u < 2^31 (Granlund and Montgomery, "Division by invariant
+// integers using multiplication", 1994): writing mul*s = 2^(31+l) + e
+// with 0 < e <= s, the product overshoots u/s by u*e/(s*2^(31+l)) <
+// 2^-l <= 1/s, never reaching the next integer. mul <= 2^32, so the
+// product stays below 2^63.
+type reciprocal struct {
+	mul   uint64
+	shift uint
 }
 
+func newReciprocal(s int) reciprocal {
+	l := uint(bits.Len64(uint64(s - 1))) // ceil(log2 s)
+	shift := 31 + l
+	return reciprocal{mul: (1<<shift)/uint64(s) + 1, shift: shift}
+}
+
+// div returns u / s for 0 <= u < 2^31.
+func (r reciprocal) div(u int) int { return int((uint64(u) * r.mul) >> r.shift) }
+
 // coord returns coordinate d of node u.
-func (m *Mesh) coord(u, d int) int { return (u / m.stride[d]) % m.dims[d] }
+func (m *Mesh) coord(u, d int) int { return m.quot[d].div(u) - m.quot[d+1].div(u)*m.dims[d] }
 
 // Dims returns the side lengths.
 func (m *Mesh) Dims() []int { return append([]int(nil), m.dims...) }

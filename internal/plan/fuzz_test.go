@@ -42,7 +42,7 @@ func TestFuzzPlannerInvariants(t *testing.T) {
 		tab := newRandomTable(sim.NewRNG(seed), k)
 		seg := chain.Segment{L: 0, R: k - 1}
 
-		sends, err := Sends(tab, seg, self)
+		sends, err := Sends(nil, tab, seg, self)
 		if err != nil {
 			return false
 		}

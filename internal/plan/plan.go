@@ -43,8 +43,8 @@ func (e *IncompatibleError) Error() string {
 		e.J, e.Seg, e.Self)
 }
 
-// Sends computes the ordered transmissions the node at chain index self
-// performs for segment seg, following Algorithm 3.1/4.1:
+// Sends appends to dst the ordered transmissions the node at chain index
+// self performs for segment seg, following Algorithm 3.1/4.1:
 //
 //	while l < r:
 //	  i := r-l+1; j := J(i)
@@ -53,36 +53,47 @@ func (e *IncompatibleError) Error() string {
 //
 // The first case keeps the source in the lower part; the send goes to the
 // lowest node of the upper part. The second keeps the source in the upper
-// part; the send goes to the highest node of the lower part.
-func Sends(tab core.SplitTable, seg chain.Segment, self int) ([]Send, error) {
+// part; the send goes to the highest node of the lower part. A caller
+// that plans once per delivery passes its previous result, resliced to
+// zero length, as dst and allocates nothing once it has grown.
+func Sends(dst []Send, tab core.SplitTable, seg chain.Segment, self int) ([]Send, error) {
+	if err := split(tab, seg, self, func(s Send) { dst = append(dst, s) }); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
+// split runs the loop Sends documents over seg, handing each send to
+// emit in order. It is the one statement of the split recursion; Sends
+// and RepairSends differ only in what they record per send.
+func split(tab core.SplitTable, seg chain.Segment, self int, emit func(Send)) error {
 	if !seg.Contains(self) {
-		return nil, fmt.Errorf("plan: self index %d outside segment %v", self, seg)
+		return fmt.Errorf("plan: self index %d outside segment %v", self, seg)
 	}
 	if seg.Len() > tab.K() {
-		return nil, fmt.Errorf("plan: segment %v larger than split table K=%d", seg, tab.K())
+		return fmt.Errorf("plan: segment %v larger than split table K=%d", seg, tab.K())
 	}
-	var out []Send
 	l, r := seg.L, seg.R
 	for l < r {
 		i := r - l + 1
 		j := tab.J(i)
 		if j < 1 || j > i-1 {
-			return nil, fmt.Errorf("plan: split table returned J(%d)=%d outside [1,%d]", i, j, i-1)
+			return fmt.Errorf("plan: split table returned J(%d)=%d outside [1,%d]", i, j, i-1)
 		}
 		if self < l+j {
 			rec := l + j
-			out = append(out, Send{To: rec, Seg: chain.Segment{L: rec, R: r}})
+			emit(Send{To: rec, Seg: chain.Segment{L: rec, R: r}})
 			r = rec - 1
 		} else {
 			rec := r - j
 			if self <= rec {
-				return nil, &IncompatibleError{Seg: chain.Segment{L: l, R: r}, Self: self, J: j}
+				return &IncompatibleError{Seg: chain.Segment{L: l, R: r}, Self: self, J: j}
 			}
-			out = append(out, Send{To: rec, Seg: chain.Segment{L: l, R: rec}})
+			emit(Send{To: rec, Seg: chain.Segment{L: l, R: rec}})
 			l = rec + 1
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // Tree expands the full multicast tree rooted at chain index self for
@@ -90,7 +101,7 @@ func Sends(tab core.SplitTable, seg chain.Segment, self int) ([]Send, error) {
 // use core.Tree.Relabel to map them to addresses. Children appear in send
 // order.
 func Tree(tab core.SplitTable, seg chain.Segment, self int) (*core.Tree, error) {
-	sends, err := Sends(tab, seg, self)
+	sends, err := Sends(nil, tab, seg, self)
 	if err != nil {
 		return nil, err
 	}
@@ -143,7 +154,7 @@ func BuildSchedule(tab core.SplitTable, c chain.Chain, root int, thold, tend int
 }
 
 func (s *Schedule) expand(tab core.SplitTable, seg chain.Segment, self int, ready int64, thold, tend int64) error {
-	sends, err := Sends(tab, seg, self)
+	sends, err := Sends(nil, tab, seg, self)
 	if err != nil {
 		return err
 	}

@@ -31,7 +31,7 @@ func TestSendsCoverSegmentOnce(t *testing.T) {
 	for name, tab := range tabs {
 		for k := 1; k <= 33; k++ {
 			for self := 0; self < k; self++ {
-				sends, err := Sends(tab, fullSeg(k), self)
+				sends, err := Sends(nil, tab, fullSeg(k), self)
 				if err != nil {
 					t.Fatalf("%s k=%d self=%d: %v", name, k, self, err)
 				}
@@ -61,7 +61,7 @@ func TestSendsSegmentsDisjoint(t *testing.T) {
 	tab := core.NewOptTable(64, 20, 55)
 	for k := 2; k <= 40; k++ {
 		for self := 0; self < k; self += 3 {
-			sends, err := Sends(tab, fullSeg(k), self)
+			sends, err := Sends(nil, tab, fullSeg(k), self)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -141,13 +141,13 @@ func TestBinomialTreeMatchesRecurrence(t *testing.T) {
 // IncompatibleError, while a leading source plans fine.
 func TestChainTableRequiresLeadingSource(t *testing.T) {
 	tab := core.ChainTable{Max: 8}
-	if _, err := Sends(tab, fullSeg(8), 0); err == nil {
+	if _, err := Sends(nil, tab, fullSeg(8), 0); err == nil {
 		// Source at position 0: first split keeps [0,0]... J=1 keeps the
 		// low end, which contains position 0. This must succeed.
 	} else {
 		t.Fatalf("leading source rejected: %v", err)
 	}
-	_, err := Sends(tab, fullSeg(8), 4)
+	_, err := Sends(nil, tab, fullSeg(8), 4)
 	if err == nil {
 		t.Fatal("mid-segment source accepted by chain table")
 	}
@@ -160,10 +160,10 @@ func TestChainTableRequiresLeadingSource(t *testing.T) {
 // segments.
 func TestSendsArgumentErrors(t *testing.T) {
 	tab := core.NewOptTable(4, 20, 55)
-	if _, err := Sends(tab, chain.Segment{L: 1, R: 3}, 0); err == nil {
+	if _, err := Sends(nil, tab, chain.Segment{L: 1, R: 3}, 0); err == nil {
 		t.Error("self outside segment accepted")
 	}
-	if _, err := Sends(tab, fullSeg(5), 0); err == nil {
+	if _, err := Sends(nil, tab, fullSeg(5), 0); err == nil {
 		t.Error("segment larger than table accepted")
 	}
 }
@@ -171,7 +171,7 @@ func TestSendsArgumentErrors(t *testing.T) {
 // TestSendsSingleton: a one-node segment yields no sends.
 func TestSendsSingleton(t *testing.T) {
 	tab := core.NewOptTable(4, 20, 55)
-	sends, err := Sends(tab, chain.Segment{L: 2, R: 2}, 2)
+	sends, err := Sends(nil, tab, chain.Segment{L: 2, R: 2}, 2)
 	if err != nil || len(sends) != 0 {
 		t.Fatalf("singleton: sends=%v err=%v", sends, err)
 	}

@@ -26,9 +26,14 @@ type RepairSend struct {
 // algorithm runs over that, and the results are mapped back to original
 // chain positions.
 //
+// The sends are appended to dst. Each Live is a subslice of live itself,
+// capped at its own end, so the plan copies nothing: the caller must not
+// write to live while the sends are in use, and an append to one part
+// reallocates instead of overwriting its neighbour.
+//
 // For a contiguous live set RepairSends degenerates to exactly Sends:
 // healthy runs plan identical trees through either entry point.
-func RepairSends(tab core.SplitTable, live []int, self int) ([]RepairSend, error) {
+func RepairSends(dst []RepairSend, tab core.SplitTable, live []int, self int) ([]RepairSend, error) {
 	if len(live) == 0 {
 		return nil, fmt.Errorf("plan: repair with no survivors")
 	}
@@ -47,15 +52,11 @@ func RepairSends(tab core.SplitTable, live []int, self int) ([]RepairSend, error
 	if selfIdx < 0 {
 		return nil, fmt.Errorf("plan: responsible position %d not among survivors %v", self, live)
 	}
-	sends, err := Sends(tab, chain.Segment{L: 0, R: len(live) - 1}, selfIdx)
+	err := split(tab, chain.Segment{L: 0, R: len(live) - 1}, selfIdx, func(s Send) {
+		dst = append(dst, RepairSend{To: live[s.To], Live: live[s.Seg.L : s.Seg.R+1 : s.Seg.R+1]})
+	})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]RepairSend, len(sends))
-	for i, s := range sends {
-		part := make([]int, s.Seg.Len())
-		copy(part, live[s.Seg.L:s.Seg.R+1])
-		out[i] = RepairSend{To: live[s.To], Live: part}
-	}
-	return out, nil
+	return dst, nil
 }

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -16,7 +17,7 @@ import (
 func expandRepair(t *testing.T, tab core.SplitTable, live []int, self int, covered map[int]int) {
 	t.Helper()
 	covered[self]++
-	sends, err := RepairSends(tab, live, self)
+	sends, err := RepairSends(nil, tab, live, self)
 	if err != nil {
 		t.Fatalf("RepairSends(%v, self=%d): %v", live, self, err)
 	}
@@ -107,11 +108,11 @@ func TestRepairSendsContiguousMatchesSends(t *testing.T) {
 		tab := newRandomTable(sim.NewRNG(seed), k)
 		live := chain.Segment{L: 0, R: k - 1}.Positions()
 
-		repaired, err := RepairSends(tab, live, self)
+		repaired, err := RepairSends(nil, tab, live, self)
 		if err != nil {
 			return false
 		}
-		direct, err := Sends(tab, chain.Segment{L: 0, R: k - 1}, self)
+		direct, err := Sends(nil, tab, chain.Segment{L: 0, R: k - 1}, self)
 		if err != nil {
 			return false
 		}
@@ -155,8 +156,43 @@ func TestRepairSendsValidation(t *testing.T) {
 		{"exceeds K", []int{0, 1, 2, 3, 4}, 0},
 	}
 	for _, c := range cases {
-		if _, err := RepairSends(tab, c.live, c.self); err == nil {
+		if _, err := RepairSends(nil, tab, c.live, c.self); err == nil {
 			t.Errorf("%s: RepairSends(%v, %d) accepted", c.name, c.live, c.self)
 		}
+	}
+}
+
+// TestRepairSendsAppendsWithoutCopies: RepairSends appends to dst and
+// hands out capped subslices of live itself, so a caller that reuses its
+// buffer plans without allocating.
+func TestRepairSendsAppendsWithoutCopies(t *testing.T) {
+	const k = 40
+	tab := core.NewOptTable(k, 3, 10)
+	live := []int{1, 2, 4, 5, 6, 9, 10, 11, 15, 17, 20, 21, 22, 30}
+	self := 9
+	prefix := []RepairSend{{To: -1}}
+	sends, err := RepairSends(prefix, tab, live, self)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sends) < 3 || sends[0].To != -1 {
+		t.Fatalf("dst prefix lost or plan too small: %+v", sends)
+	}
+	for _, s := range sends[1:] {
+		i := sort.SearchInts(live, s.Live[0])
+		if &s.Live[0] != &live[i] {
+			t.Fatalf("part %v is a copy, not a subslice of live", s.Live)
+		}
+		if cap(s.Live) != len(s.Live) {
+			t.Fatalf("part %v has capacity %d: an append would overwrite its neighbour", s.Live, cap(s.Live))
+		}
+	}
+	buf := sends[:0]
+	if n := testing.AllocsPerRun(100, func() {
+		if buf, err = RepairSends(buf[:0], tab, live, self); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("RepairSends into a warm buffer made %.1f allocs, want 0", n)
 	}
 }

@@ -26,6 +26,13 @@ type Engine struct {
 	ports []int64
 	unBuf []*wormhole.Worm
 	err   error // first internal fault
+
+	// sends is the last spawn's plan, reused by the next. free holds
+	// the settled transfers of served requests for newXfer to reuse;
+	// keepXfers (a test hook) leaves it empty.
+	sends     []plan.RepairSend
+	free      []*xfer
+	keepXfers bool
 }
 
 // NewEngine returns an engine for concurrent groups on net (Serve). They
@@ -123,7 +130,14 @@ type slot struct {
 // xfer is one delivery assignment: from must get the message to to,
 // which then becomes responsible for the ascending chain positions live
 // (to included). The assignment survives retransmissions; seq
-// invalidates the events of superseded issues.
+// invalidates the events of superseded issues. It is the Handler of its
+// own events and the Tag of its worm.
+//
+// A served request's transfers are recycled once they are settled (see
+// release). seq survives reuse and only ever grows: every event carries
+// the seq of the issue that scheduled it, so an event left over from an
+// earlier use, like the deadline of a send that arrived in time, never
+// matches the transfer's current issue.
 type xfer struct {
 	g        *Group
 	from, to int
@@ -133,6 +147,45 @@ type xfer struct {
 	adopted  bool
 	worm     *wormhole.Worm
 	done     bool
+}
+
+// Transfer event kinds. An event's argument is seq<<evBits | kind.
+const (
+	evInject = iota
+	evExpire
+	evDeliver
+
+	evBits = 2
+)
+
+// Fire implements sim.Handler for the transfer's inject, deadline and
+// delivery events.
+//
+//lint:hotpath
+func (x *xfer) Fire(at int64, arg int) {
+	seq := arg >> evBits
+	switch arg & (1<<evBits - 1) {
+	case evInject:
+		x.g.inject(x, seq)
+	case evExpire:
+		x.g.expire(x, seq)
+	default:
+		x.g.deliverAt(x.to, x.live, at, x)
+		x.g.release(x)
+	}
+}
+
+// arrived is the arrival callback of every worm the engine sends; the
+// worm's Tag is its transfer. The assignment stays in flight (inflight
+// held) through the software receive: a churn event landing in that
+// window must not re-target the position.
+//
+//lint:hotpath
+func arrived(w *wormhole.Worm, now int64) {
+	x := w.Tag.(*xfer)
+	x.done = true
+	x.worm = nil
+	x.g.e.events.Schedule(now+x.g.tRecv, x, x.seq<<evBits|evDeliver)
 }
 
 // open prepares a group starting at cycle t0 with every position
@@ -415,14 +468,15 @@ func (g *Group) spawn(self int, live []int, t int64, adopted, repair bool) {
 	case g.cfg.DegreeCap > 0:
 		sends, err = plan.DegreeSends(live, self, g.cfg.DegreeCap)
 	case g.fallback:
-		sends, err = plan.RepairSends(core.BinomialTable{Max: len(g.ch)}, live, self)
+		sends, err = plan.RepairSends(g.e.sends[:0], core.BinomialTable{Max: len(g.ch)}, live, self)
 	default:
-		sends, err = plan.RepairSends(g.tab, live, self)
+		sends, err = plan.RepairSends(g.e.sends[:0], g.tab, live, self)
 	}
 	if err != nil {
 		g.e.fault(err)
 		return
 	}
+	g.e.sends = sends
 	for _, snd := range sends {
 		x := g.newXfer(self, snd.To, snd.Live, adopted || repair)
 		if repair {
@@ -434,9 +488,17 @@ func (g *Group) spawn(self int, live []int, t int64, adopted, repair bool) {
 
 // newXfer creates an assignment targeting to, registering it for
 // excise. Served requests see no membership events, so they skip the
-// registry.
+// registry, and they reuse settled transfers.
 func (g *Group) newXfer(from, to int, live []int, adopted bool) *xfer {
-	x := &xfer{g: g, from: from, to: to, live: live, adopted: adopted}
+	var x *xfer
+	if n := len(g.e.free) - 1; n >= 0 {
+		x = g.e.free[n]
+		g.e.free[n] = nil
+		g.e.free = g.e.free[:n]
+		*x = xfer{g: g, from: from, to: to, live: live, adopted: adopted, seq: x.seq}
+	} else {
+		x = &xfer{g: g, from: from, to: to, live: live, adopted: adopted}
+	}
 	if g.done == nil {
 		g.xfers = append(g.xfers, x)
 	}
@@ -445,10 +507,25 @@ func (g *Group) newXfer(from, to int, live []int, adopted bool) *xfer {
 	return x
 }
 
+// release hands a settled transfer of a served request back to the
+// engine: it has been delivered or given up, and no event of its
+// current issue can still act on it. The bump of seq voids the ones
+// still queued, such as the deadline of a send that arrived in time.
+func (g *Group) release(x *xfer) {
+	if g.done == nil || g.e.keepXfers {
+		return
+	}
+	x.seq++
+	x.g, x.live = nil, nil
+	g.e.free = append(g.e.free, x)
+}
+
 // issue schedules one transmission of x no earlier than notBefore,
 // serialized behind the sender's other sends (one-port pacing: a node's
 // consecutive issues are t_hold apart, exactly mcastsim's spacing), and
 // arms its delivery deadline.
+//
+//lint:hotpath
 func (g *Group) issue(x *xfer, notBefore int64) {
 	e := g.e
 	if e.err != nil {
@@ -461,10 +538,9 @@ func (g *Group) issue(x *xfer, notBefore int64) {
 	at := max(notBefore, *free)
 	*free = at + g.tHold
 	x.seq++
-	seq := x.seq
-	e.events.At(at+g.tSend, func() { g.inject(x, seq) })
+	e.events.Schedule(at+g.tSend, x, x.seq<<evBits|evInject)
 	if g.timeout > 0 {
-		e.events.At(at+g.timeout, func() { g.expire(x, seq) })
+		e.events.Schedule(at+g.timeout, x, x.seq<<evBits|evExpire)
 	}
 	g.res.Overhead.Sends++
 }
@@ -472,20 +548,15 @@ func (g *Group) issue(x *xfer, notBefore int64) {
 // inject hands x's message to the fabric (software send cost already
 // elapsed). The arrival callback schedules delivery after the receive
 // cost; the deadline event watches the race.
+//
+//lint:hotpath
 func (g *Group) inject(x *xfer, seq int) {
 	if x.done || x.seq != seq {
 		return
 	}
 	bytes := g.bytes + g.cfg.Sim.AddrBytes*(len(x.live)-1)
 	src, dst := wormhole.NodeID(g.ch[x.from]), wormhole.NodeID(g.ch[x.to])
-	x.worm = g.e.net.Send(src, dst, bytes, x, func(_ *wormhole.Worm, now int64) {
-		// The assignment stays in flight (inflight held) through the
-		// software receive: a churn event landing in that window must not
-		// re-target the position.
-		x.done = true
-		x.worm = nil
-		g.e.events.At(now+g.tRecv, func() { g.deliverAt(x.to, x.live, now+g.tRecv, x) })
-	})
+	x.worm = g.e.net.Send(src, dst, bytes, x, arrived)
 }
 
 // expire fires at x's delivery deadline; if the current issue of x has
@@ -559,6 +630,7 @@ func (g *Group) giveUp(x *xfer, now int64) {
 			g.spawn(x.from, withSender(rest, x.from), now, true, true)
 		}
 		g.resolve(now)
+		g.release(x)
 		return
 	}
 	g.markUnroutable(x.from, x.to)

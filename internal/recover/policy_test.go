@@ -97,7 +97,7 @@ func TestIncrementalRepairFewerRepairSends(t *testing.T) {
 	for i := range positions {
 		positions[i] = i
 	}
-	sends, err := plan.RepairSends(tab, positions, root)
+	sends, err := plan.RepairSends(nil, tab, positions, root)
 	if err != nil {
 		t.Fatal(err)
 	}

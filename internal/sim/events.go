@@ -1,29 +1,73 @@
 package sim
 
-// EventQueue is a deterministic time-ordered queue of callbacks. Events
+// EventQueue is a deterministic time-ordered queue of events. Events
 // scheduled for the same time fire in scheduling order (FIFO), which keeps
 // simulations reproducible regardless of heap internals.
+//
+// An event is stored by value: the Handler it fires on plus one integer
+// argument. A caller that schedules through a long-lived handler (a
+// pointer to its own state) therefore allocates nothing per event once
+// the heap has grown; At adapts a plain callback for cold callers.
 type EventQueue struct {
 	items []event
 	seq   uint64
 }
 
+// Handler receives the events scheduled on it: Fire runs when one comes
+// due, with the time it was scheduled for and the argument it carries.
+type Handler interface {
+	Fire(at int64, arg int)
+}
+
 type event struct {
 	at  int64
 	seq uint64
-	fn  func()
+	h   Handler
+	arg int
 }
+
+// thunk adapts a plain callback to Handler. A func value is a single
+// pointer, so storing one in the interface does not allocate.
+type thunk func()
+
+func (f thunk) Fire(int64, int) { f() }
 
 // Len returns the number of pending events.
 func (q *EventQueue) Len() int { return len(q.items) }
 
-// At schedules fn to run at the given time. Scheduling in the past is the
-// caller's bug; the queue still delivers it at the head.
-func (q *EventQueue) At(t int64, fn func()) {
+// Schedule queues an event that calls h.Fire(t, arg) at time t.
+// Scheduling in the past is the caller's bug; the queue still delivers
+// it at the head.
+//
+//lint:hotpath
+func (q *EventQueue) Schedule(t int64, h Handler, arg int) {
 	q.seq++
-	q.items = append(q.items, event{at: t, seq: q.seq, fn: fn})
-	q.up(len(q.items) - 1)
+	n := len(q.items)
+	if n == cap(q.items) {
+		q.grow()
+	}
+	q.items = q.items[:n+1]
+	q.items[n] = event{at: t, seq: q.seq, h: h, arg: arg}
+	q.up(n)
 }
+
+// grow doubles the heap's capacity: the one allocation a queue makes,
+// and only until it has held its largest backlog.
+func (q *EventQueue) grow() { q.Reserve(max(2*cap(q.items), 16)) }
+
+// Reserve grows the queue so that it holds n pending events without
+// allocating.
+func (q *EventQueue) Reserve(n int) {
+	if n > cap(q.items) {
+		items := make([]event, len(q.items), n)
+		copy(items, q.items)
+		q.items = items
+	}
+}
+
+// At schedules fn to run at the given time: Schedule for callers that
+// hold no Handler of their own.
+func (q *EventQueue) At(t int64, fn func()) { q.Schedule(t, thunk(fn), 0) }
 
 // NextTime returns the time of the earliest pending event. It panics if
 // the queue is empty; check Len first.
@@ -35,13 +79,13 @@ func (q *EventQueue) NextTime() int64 {
 }
 
 // RunDue pops and runs every event with time <= now, in time order. It
-// returns the number of events run. Callbacks may schedule further events,
+// returns the number of events run. Handlers may schedule further events,
 // including at <= now; those fire in the same call.
 func (q *EventQueue) RunDue(now int64) int {
 	n := 0
 	for len(q.items) > 0 && q.items[0].at <= now {
 		e := q.pop()
-		e.fn()
+		e.h.Fire(e.at, e.arg)
 		n++
 	}
 	return n
@@ -51,6 +95,7 @@ func (q *EventQueue) pop() event {
 	top := q.items[0]
 	last := len(q.items) - 1
 	q.items[0] = q.items[last]
+	q.items[last] = event{} // drop the handler reference
 	q.items = q.items[:last]
 	if last > 0 {
 		q.down(0)
@@ -59,7 +104,7 @@ func (q *EventQueue) pop() event {
 }
 
 func (q *EventQueue) less(i, j int) bool {
-	a, b := q.items[i], q.items[j]
+	a, b := &q.items[i], &q.items[j]
 	if a.at != b.at {
 		return a.at < b.at
 	}

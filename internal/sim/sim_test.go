@@ -327,3 +327,57 @@ func TestForEachParallelResultsDeterministic(t *testing.T) {
 		t.Fatal("parallel runs with index-local state diverged")
 	}
 }
+
+// recorder is a Handler that logs the events it receives.
+type recorder struct{ got [][2]int64 }
+
+func (r *recorder) Fire(at int64, arg int) { r.got = append(r.got, [2]int64{at, int64(arg)}) }
+
+// TestEventQueueHandlerEvents: Schedule delivers each event's time and
+// argument to its handler, and shares At's (time, insertion) order.
+func TestEventQueueHandlerEvents(t *testing.T) {
+	var q EventQueue
+	r := &recorder{}
+	q.Schedule(7, r, 1)
+	q.At(5, func() { r.got = append(r.got, [2]int64{5, -1}) })
+	q.Schedule(5, r, 2)
+	q.Schedule(3, r, 3)
+	q.RunDue(10)
+	want := [][2]int64{{3, 3}, {5, -1}, {5, 2}, {7, 1}}
+	if len(r.got) != len(want) {
+		t.Fatalf("got %v, want %v", r.got, want)
+	}
+	for i := range want {
+		if r.got[i] != want[i] {
+			t.Fatalf("got %v, want %v", r.got, want)
+		}
+	}
+}
+
+// counter is a Handler that only counts, so it allocates nothing.
+type counter struct{ n int }
+
+func (c *counter) Fire(int64, int) { c.n++ }
+
+// TestEventQueueSteadyStateAllocs: once the heap has held its largest
+// backlog, scheduling and running handler events allocates nothing.
+func TestEventQueueSteadyStateAllocs(t *testing.T) {
+	var q EventQueue
+	c := &counter{}
+	now, rounds := int64(0), 0
+	round := func() {
+		for i := 0; i < 100; i++ {
+			q.Schedule(now+int64(i%13), c, i)
+		}
+		now += 13
+		q.RunDue(now)
+		rounds++
+	}
+	round()
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Fatalf("steady-state schedule-and-run made %.1f allocs per round, want 0", n)
+	}
+	if c.n != rounds*100 || q.Len() != 0 {
+		t.Fatalf("ran %d events with %d pending, want %d and none", c.n, q.Len(), rounds*100)
+	}
+}

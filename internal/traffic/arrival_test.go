@@ -98,8 +98,9 @@ func TestExpGapFloor(t *testing.T) {
 func TestDrawMembersDistinct(t *testing.T) {
 	rng := sim.NewRNG(77)
 	hot := []int{3, 4}
+	set := newNodeSet(16)
 	for trial := 0; trial < 500; trial++ {
-		got := drawMembers(rng, 16, 8, hot, 0.95, nil)
+		got := drawMembers(rng, 16, 8, hot, 0.95, nil, set)
 		if len(got) != 8 {
 			t.Fatalf("trial %d: got %d members, want 8", trial, len(got))
 		}
@@ -113,6 +114,11 @@ func TestDrawMembersDistinct(t *testing.T) {
 			}
 			seen[v] = true
 		}
+		for _, w := range set {
+			if w != 0 {
+				t.Fatalf("trial %d: draw left members marked in its node set", trial)
+			}
+		}
 	}
 }
 
@@ -125,13 +131,14 @@ func TestHotSpotSkew(t *testing.T) {
 	)
 	rng := sim.NewRNG(31)
 	hot := sim.NewRNG(99).Sample(nodes, 4)
+	seen := newNodeSet(nodes)
 	inHot := map[int]bool{}
 	for _, h := range hot {
 		inHot[h] = true
 	}
 	hotHits, draws := 0, 0
 	for trial := 0; trial < 2000; trial++ {
-		members := drawMembers(rng, nodes, k, hot, 0.8, nil)
+		members := drawMembers(rng, nodes, k, hot, 0.8, nil, seen)
 		for _, v := range members[1:] { // destinations only; the source is uniform
 			draws++
 			if inHot[v] {

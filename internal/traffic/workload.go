@@ -44,6 +44,7 @@ func genRequests(cfg Config, nodes int) []*request {
 
 	type tabKey struct{ k, bytes int }
 	tabs := make(map[tabKey]core.SplitTable)
+	seen := newNodeSet(nodes)
 	reqs := make([]*request, cfg.Requests)
 	for i := range reqs {
 		at := arr.Next()
@@ -53,7 +54,7 @@ func genRequests(cfg Config, nodes int) []*request {
 		if cfg.Down != nil {
 			down = func(v int) bool { return cfg.Down(v, at) }
 		}
-		addrs := drawMembers(wrng, nodes, k, hot, cfg.Load.HotFrac, down)
+		addrs := drawMembers(wrng, nodes, k, hot, cfg.Load.HotFrac, down, seen)
 		var ch chain.Chain
 		var root int
 		var tab core.SplitTable
@@ -101,12 +102,14 @@ func genRequests(cfg Config, nodes int) []*request {
 // existing workloads bit-identical; once the forward scan has wrapped
 // the whole fabric the down filter is waived (an almost-all-down fabric
 // still yields a group; the recovery machinery owns the consequences).
-func drawMembers(rng *sim.RNG, nodes, k int, hot []int, hotFrac float64, down func(int) bool) []int {
+// seen, a set over the fabric's nodes that is empty on entry, marks the
+// members drawn so far; it is empty again on return, so one set serves
+// every draw of a run at O(k) per draw.
+func drawMembers(rng *sim.RNG, nodes, k int, hot []int, hotFrac float64, down func(int) bool, seen nodeSet) []int {
 	isDown := func(v int) bool { return down != nil && down(v) }
-	in := make(map[int]bool, k)
 	members := make([]int, 0, k)
 	add := func(v int) {
-		in[v] = true
+		seen.add(v)
 		members = append(members, v)
 	}
 	src := rng.Intn(nodes)
@@ -123,7 +126,7 @@ func drawMembers(rng *sim.RNG, nodes, k int, hot []int, hotFrac float64, down fu
 		if len(hot) > 0 && rng.Float64() < hotFrac {
 			v = hot[rng.Intn(len(hot))]
 		}
-		for rejects := 0; in[v] || (isDown(v) && rejects <= 64+nodes); rejects++ {
+		for rejects := 0; seen.has(v) || (isDown(v) && rejects <= 64+nodes); rejects++ {
 			if rejects < 64 {
 				if len(hot) > 0 && rng.Float64() < hotFrac {
 					v = hot[rng.Intn(len(hot))]
@@ -136,5 +139,17 @@ func drawMembers(rng *sim.RNG, nodes, k int, hot []int, hotFrac float64, down fu
 		}
 		add(v)
 	}
+	for _, v := range members {
+		seen.remove(v)
+	}
 	return members
 }
+
+// nodeSet is a bitmap over fabric node IDs.
+type nodeSet []uint64
+
+func newNodeSet(nodes int) nodeSet { return make(nodeSet, (nodes+63)/64) }
+
+func (s nodeSet) has(v int) bool { return s[v>>6]&(1<<(v&63)) != 0 }
+func (s nodeSet) add(v int)      { s[v>>6] |= 1 << (v & 63) }
+func (s nodeSet) remove(v int)   { s[v>>6] &^= 1 << (v & 63) }
