@@ -15,6 +15,7 @@ import (
 	"repro/internal/fault"
 	. "repro/internal/mcastsim"
 	"repro/internal/mesh"
+	"repro/internal/sim"
 	"repro/internal/wormhole"
 )
 
@@ -191,3 +192,125 @@ func TestDeadlockReportDeduplicatesConvoys(t *testing.T) {
 		t.Fatalf("report lost the hottest-channel summary:\n%s", msg)
 	}
 }
+
+// deadLinks is a fault model whose only faults are dead channels, so the
+// fabric stays ungated: worms stream and park as on a healthy one.
+type deadLinks map[wormhole.ChannelID]bool
+
+func (d deadLinks) Dead(c wormhole.ChannelID) bool        { return d[c] }
+func (d deadLinks) Up(c wormhole.ChannelID, _ int64) bool { return !d[c] }
+func (d deadLinks) OnlyDead() bool                        { return true }
+
+// adaptiveDeadlock sends four 1 KB worms around the square of routers
+// 0, 1, 5, 4 of a 4×4 mesh. Two dead links turn the minimal-adaptive
+// detours of worms 1->4 and 4->1 Y-first, closing a cycle of waits with
+// the X-first worms 0->5 and 5->0: each holds its first link and wants
+// the next worm's. Extra driver events fire at the given cycles.
+func adaptiveDeadlock(events ...int64) (*wormhole.Network, error) {
+	m := mesh.New2D(4, 4)
+	net := wormhole.New(m, wormhole.DefaultConfig())
+	net.SetFaults(deadLinks{wormhole.PathChannels(m, 1, 0)[1]: true, wormhole.PathChannels(m, 4, 5)[1]: true})
+	var q sim.EventQueue
+	q.At(0, func() {
+		for _, p := range [][2]wormhole.NodeID{{0, 5}, {1, 4}, {5, 0}, {4, 1}} {
+			net.Send(p[0], p[1], 1024, nil, nil)
+		}
+	})
+	for _, t := range events {
+		q.At(t, func() {})
+	}
+	return net, Drive(net, &q, 1<<20, NewWatchdog(net, Config{NoProgressCycles: 256}))
+}
+
+// TestWatchdogTripsPinned pins the cycle at which the no-progress
+// watchdog trips and its full error text in the stuck-channel and
+// stuck-injection scenarios of the watchdog and Drive tests, and on an
+// adaptive-routing deadlock on an ungated dead-link mesh, with and
+// without driver events while it lasts. The values are those of the
+// watchdog that recomputed the flit-hop count after every StepUntil,
+// when StepUntil returned after every cycle that made progress; the
+// watchdog that reads the fabric's last-move cycle must match them.
+func TestWatchdogTripsPinned(t *testing.T) {
+	m := mesh.New2D(8, 8)
+	path := wormhole.PathChannels(m, 0, 63)
+	stuckNet := func(c wormhole.ChannelID) *wormhole.Network {
+		net := wormhole.New(m, wormhole.DefaultConfig())
+		net.SetFaults(stuckChannel{c: c})
+		return net
+	}
+	cases := []struct {
+		name string
+		run  func() (*wormhole.Network, error)
+		now  int64
+		text string
+	}{
+		{"stuck-channel/run", func() (*wormhole.Network, error) {
+			ch, root := meshChain(m, []int{0, 63, 7, 56})
+			net := stuckNet(path[len(path)/2])
+			_, err := Run(net, core.BinomialTable{Max: 4}, ch, root, 1024, Config{Software: testSoft, NoProgressCycles: 256})
+			return net, err
+		}, 1468, "mcastsim: no flit moved for 256 cycles (deadlocked or partitioned fabric); 1 worms in flight at cycle 1468\n" +
+			"  worm 2 (7->63): header in flight toward link([7 0]->[7 1])\n" +
+			"  hottest blocked channel: link([7 0]->[7 1]) (1 waiting headers)"},
+		{"stuck-channel/drive", func() (*wormhole.Network, error) {
+			net := stuckNet(path[len(path)/2])
+			var q sim.EventQueue
+			q.At(0, func() { net.Send(0, 63, 1024, nil, nil) })
+			return net, Drive(net, &q, 1<<20, NewWatchdog(net, Config{Software: testSoft, NoProgressCycles: 256}))
+		}, 273, "no flit moved for 256 cycles (deadlocked or partitioned fabric); 1 worms in flight at cycle 273\n" +
+			"  worm 0 (0->63): header in flight toward link([7 0]->[7 1])\n" +
+			"  hottest blocked channel: link([7 0]->[7 1]) (1 waiting headers)"},
+		{"stuck-channel/concurrent", func() (*wormhole.Network, error) {
+			chA, rootA := meshChain(m, []int{0, 63, 7})
+			chB, rootB := meshChain(m, []int{16, 47, 24})
+			net := stuckNet(path[len(path)/2])
+			_, err := RunConcurrent(net, []Group{
+				{Tab: core.BinomialTable{Max: 3}, Chain: chA, Root: rootA, Bytes: 512},
+				{Tab: core.BinomialTable{Max: 3}, Chain: chB, Root: rootB, Bytes: 512},
+			}, Config{Software: testSoft, NoProgressCycles: 256})
+			return net, err
+		}, 881, "mcastsim: concurrent batch: no flit moved for 256 cycles (deadlocked or partitioned fabric); 2 worms in flight at cycle 881\n" +
+			"  worm 0 (0->63): header in flight toward link([7 0]->[7 1])\n" +
+			"  worm 2 (0->7): waiting to inject; inject([0 0]) held by worm 0\n" +
+			"  hottest blocked channel: inject([0 0]) (1 waiting headers)"},
+		{"stuck-injection/drive", func() (*wormhole.Network, error) {
+			net := stuckNet(m.InjectChannel(5))
+			var q sim.EventQueue
+			q.At(50_000, func() { net.Send(5, 60, 512, nil, nil) })
+			return net, Drive(net, &q, 500_000, NewWatchdog(net, Config{NoProgressCycles: 256}))
+		}, 50256, "no flit moved for 256 cycles (deadlocked or partitioned fabric); 1 worms in flight at cycle 50256\n" +
+			"  worm 0 (5->60): header in flight toward inject([5 0])\n" +
+			"  hottest blocked channel: inject([5 0]) (1 waiting headers)"},
+		{"stuck-first-hop/run", func() (*wormhole.Network, error) {
+			addrs := []int{0, 63, 62, 61, 60, 59, 58}
+			ch, root := meshChain(m, addrs)
+			net := stuckNet(path[1])
+			_, err := Run(net, core.SequentialTable{Max: len(addrs)}, ch, root, 64, Config{Software: testSoft})
+			return net, err
+		}, 4309, "mcastsim: no flit moved for 4096 cycles (deadlocked or partitioned fabric); 6 worms in flight at cycle 4309\n" +
+			"  worm 0 (0->63): header in flight toward link([0 0]->[1 0])\n" +
+			"  worm 1 (0->62): waiting to inject; inject([0 0]) held by worm 0 (+4 more worms on this channel)\n" +
+			"  hottest blocked channel: inject([0 0]) (5 waiting headers)"},
+		{"adaptive-deadlock/deadline", func() (*wormhole.Network, error) { return adaptiveDeadlock() },
+			1048577, "no flit moved for 1048572 cycles (deadlocked or partitioned fabric); 4 worms in flight at cycle 1048577\n" + deadlockLines},
+		{"adaptive-deadlock/events", func() (*wormhole.Network, error) { return adaptiveDeadlock(200, 3000) },
+			3000, "no flit moved for 2995 cycles (deadlocked or partitioned fabric); 4 worms in flight at cycle 3000\n" + deadlockLines},
+	}
+	for _, c := range cases {
+		net, err := c.run()
+		if err == nil {
+			t.Fatalf("%s: run completed", c.name)
+		}
+		if net.Now() != c.now || err.Error() != c.text {
+			t.Errorf("%s: tripped at cycle %d with\n%s\nwant cycle %d with\n%s", c.name, net.Now(), err, c.now, c.text)
+		}
+	}
+}
+
+// deadlockLines is the deadlock report of adaptiveDeadlock's cycle of
+// waits.
+const deadlockLines = "  worm 0 (0->5): blocked; wants link([1 0]->[1 1]) held by worm 1\n" +
+	"  worm 1 (1->4): blocked; wants link([1 1]->[0 1]) held by worm 2\n" +
+	"  worm 2 (5->0): blocked; wants link([0 1]->[0 0]) held by worm 3\n" +
+	"  worm 3 (4->1): blocked; wants link([0 0]->[1 0]) held by worm 0\n" +
+	"  hottest blocked channel: link([0 0]->[1 0]) (1 waiting headers)"

@@ -136,3 +136,56 @@ func TestChaosRecoveryInvariant(t *testing.T) {
 		t.Log("note: no plan partitioned a destination (abandonment untested this sweep)")
 	}
 }
+
+// releaseLog records every channel release with its cycle: the moment a
+// cancelled worm leaves the fabric.
+type releaseLog struct{ events []string }
+
+func (l *releaseLog) Acquire(int64, *wormhole.Worm, wormhole.ChannelID) {}
+func (l *releaseLog) Release(now int64, w *wormhole.Worm, c wormhole.ChannelID) {
+	l.events = append(l.events, fmt.Sprintf("t=%d w=%d c=%d", now, w.ID, c))
+}
+func (l *releaseLog) Blocked(int64, *wormhole.Worm, wormhole.ChannelID, *wormhole.Worm) {}
+func (l *releaseLog) Complete(int64, *wormhole.Worm)                                    {}
+
+// TestFrozenWormsCancelledInTheirCycle: the engine cancels every worm
+// the fault layer freezes in the cycle it froze. Under the reference
+// kernel StepUntil returns after every cycle, so Check runs in each; the
+// fast kernel's StepUntil returns in the cycle a worm froze. Deadlines
+// are set far beyond the run (slack 1000), so every cancel reclaims a
+// frozen worm, and the two kernels must release every channel in the
+// same cycle. The seeds must freeze some worm.
+func TestFrozenWormsCancelledInTheirCycle(t *testing.T) {
+	m := mesh.New2D(8, 8)
+	const bytes = 512
+	ch, root := meshGroup(m, 5, 24)
+	tend := calibrate(t, m, []int{ch[0], ch[len(ch)-1]}, bytes)
+	tab := core.NewOptTable(len(ch), testSoft.Hold.At(bytes), tend)
+	cancelled := int64(0)
+	for seed := uint64(1); seed <= 8; seed++ {
+		plan := fault.MustPlan(m, fault.Spec{DeadFrac: 0.06, Seed: seed})
+		run := func(k wormhole.Kernel) ([]string, wormhole.Stats) {
+			net := wormhole.New(m, wormhole.DefaultConfig())
+			net.SetKernel(k)
+			net.SetFaults(plan)
+			log := &releaseLog{}
+			net.SetObserver(log)
+			_, err := recov.Run(net, tab, ch, root, bytes, recov.Config{
+				Sim: mcastsim.Config{Software: testSoft}, TEnd: tend, SlackNum: 1000, SlackDen: 1, Seed: seed,
+			})
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			return log.events, net.Stats()
+		}
+		fast, fs := run(wormhole.KernelFast)
+		ref, rs := run(wormhole.KernelReference)
+		if fs != rs || !reflect.DeepEqual(fast, ref) {
+			t.Fatalf("seed %d: kernels release channels differently (cancelled %d vs %d)", seed, fs.Cancelled, rs.Cancelled)
+		}
+		cancelled += fs.Cancelled
+	}
+	if cancelled == 0 {
+		t.Fatal("no worm froze; the test is vacuous")
+	}
+}

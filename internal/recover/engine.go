@@ -50,9 +50,30 @@ func (e *Engine) Idled() {}
 // Check implements mcastsim.Monitor. Worms the fault layer froze (no
 // live route) are cancelled and their assignments routed into the
 // retry/give-up path at once — a frozen worm never completes, and
-// waiting out its deadline would just hold channels hostage. Cancelling
-// the last frozen worm clears the fabric error, so the run continues.
+// waiting out its deadline would just hold channels hostage. StepUntil
+// returns in the cycle a worm froze, so each is cancelled in that cycle.
+// Cancelling the last frozen worm clears the fabric error, so the run
+// continues. The scan for frozen worms runs only while the fabric counts
+// one, so Check costs O(1) on every other return.
+//
+//lint:hotpath
 func (e *Engine) Check() error {
+	if e.net.Frozen() > 0 {
+		e.reclaim()
+	}
+	if e.err != nil {
+		return e.err
+	}
+	if e.net.Frozen() > 0 {
+		return e.unreachable()
+	}
+	return nil
+}
+
+// reclaim cancels every frozen worm and routes its assignment into the
+// retry/give-up path. A worm this engine did not send is an internal
+// fault.
+func (e *Engine) reclaim() {
 	e.unBuf = e.net.Unreachable(e.unBuf[:0])
 	for _, w := range e.unBuf {
 		x, ok := w.Tag.(*xfer)
@@ -62,13 +83,12 @@ func (e *Engine) Check() error {
 		}
 		x.g.fail(x, true)
 	}
-	if e.err != nil {
-		return e.err
-	}
-	if err := e.net.Err(); err != nil {
-		return fmt.Errorf("%w; %s", err, e.net.DeadlockReport(8))
-	}
-	return nil
+}
+
+// unreachable reports the fabric error of a frozen worm this engine did
+// not cancel. Outlined from Check so the hot path carries no fmt call.
+func (e *Engine) unreachable() error {
+	return fmt.Errorf("%w; %s", e.net.Err(), e.net.DeadlockReport(8))
 }
 
 // Err returns the engine's first internal fault, nil if none.

@@ -3,8 +3,10 @@ package runner
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -288,4 +290,81 @@ func TestMissing(t *testing.T) {
 	if Missing([]bool{true, false, true, false}) != 2 || Missing(nil) != 0 {
 		t.Fatal("Missing miscounts")
 	}
+}
+
+// FuzzCacheLoad: whatever bytes sit at a cell's path, Load returns a
+// plain miss when they do not parse as an entry, a hit with the stored
+// result when they parse as an entry for the requested key, and
+// otherwise a collision error naming both canonical keys — never a
+// panic, and never a hit for another key. A result built from the fuzz
+// input then round-trips exactly through Store and Load. The seed corpus
+// holds a real entry, a truncated one and one for a foreign key.
+func FuzzCacheLoad(f *testing.F) {
+	key := sampleKey(0)
+	stored := Result{
+		Metrics: map[string]float64{"latency": 12345, "blocked": 0.25},
+		Series:  map[string][]int64{"deliveries": {0, 7, 12345}},
+	}
+	real, err := json.Marshal(entry{Key: key.String(), Result: stored})
+	if err != nil {
+		f.Fatal(err)
+	}
+	foreign, err := json.Marshal(entry{Key: sampleKey(9).String(), Result: stored})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append(real, '\n'), "latency", 12345.0, int64(7))
+	f.Add(real[:len(real)/2], "blocked", 0.25, int64(-1))
+	f.Add(foreign, "", -1e300, int64(1)<<62)
+
+	f.Fuzz(func(t *testing.T, data []byte, name string, v float64, s int64) {
+		c, err := OpenCache(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := c.path(key.Hash())
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var want entry
+		perr := json.Unmarshal(data, &want)
+		got, ok, lerr := c.Load(key)
+		switch {
+		case perr != nil:
+			if ok || lerr != nil {
+				t.Fatalf("unparseable entry: hit=%v err=%v, want a plain miss", ok, lerr)
+			}
+		case want.Key == key.String():
+			if !ok || lerr != nil || !reflect.DeepEqual(got, want.Result) {
+				t.Fatalf("entry for the key: hit=%v err=%v result %+v, want a hit with %+v", ok, lerr, got, want.Result)
+			}
+		default:
+			if ok {
+				t.Fatalf("entry for key %q read as a hit for %q", want.Key, key.String())
+			}
+			if lerr == nil || !strings.Contains(lerr.Error(), key.String()) || !strings.Contains(lerr.Error(), want.Key) {
+				t.Fatalf("foreign entry: err = %v, want a collision naming %q and %q", lerr, key.String(), want.Key)
+			}
+		}
+
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return // JSON has no encoding for them; Store reports the error
+		}
+		name = strings.ToValidUTF8(name, "?")
+		res := Result{
+			Failed:  s%2 != 0,
+			Metrics: map[string]float64{name: v},
+			Series:  map[string][]int64{name: {s, -s, 0}},
+		}
+		if err := c.Store(key, res); err != nil {
+			t.Fatal(err)
+		}
+		back, ok, err := c.Load(key)
+		if err != nil || !ok || !reflect.DeepEqual(back, res) {
+			t.Fatalf("round trip: hit=%v err=%v\n got %+v\nwant %+v", ok, err, back, res)
+		}
+	})
 }

@@ -8,6 +8,14 @@ package sim
 // argument. A caller that schedules through a long-lived handler (a
 // pointer to its own state) therefore allocates nothing per event once
 // the heap has grown; At adapts a plain callback for cold callers.
+//
+// The order key of an event is (time, sequence number); Schedule draws
+// the next number. A caller holding a long stream of events in time
+// order — a trace of request arrivals — can Claim a block of numbers up
+// front and schedule each event on its own number (ScheduleClaimed) only
+// when its predecessor fires: every event then pops exactly where it
+// would have had the whole stream been scheduled at the claim, while
+// the heap holds one event of the stream instead of all of them.
 type EventQueue struct {
 	items []event
 	seq   uint64
@@ -42,12 +50,39 @@ func (q *EventQueue) Len() int { return len(q.items) }
 //lint:hotpath
 func (q *EventQueue) Schedule(t int64, h Handler, arg int) {
 	q.seq++
+	q.push(event{at: t, seq: q.seq, h: h, arg: arg})
+}
+
+// Claim reserves the next n sequence numbers, as if n events were
+// scheduled now, and returns the first; the block is [first, first+n).
+// Events scheduled later by Schedule order after all of them.
+func (q *EventQueue) Claim(n int) (first uint64) {
+	first = q.seq + 1
+	q.seq += uint64(n)
+	return first
+}
+
+// ScheduleClaimed queues an event that calls h.Fire(t, arg) at time t on
+// sequence number seq, which must come from a Claim and be used once.
+// It pops where it would have had it been scheduled at the Claim,
+// provided it is queued before that position comes up: for a stream
+// claimed in time order, when the event before it fires.
+//
+//lint:hotpath
+func (q *EventQueue) ScheduleClaimed(seq uint64, t int64, h Handler, arg int) {
+	q.push(event{at: t, seq: seq, h: h, arg: arg})
+}
+
+// push adds e to the heap.
+//
+//lint:hotpath
+func (q *EventQueue) push(e event) {
 	n := len(q.items)
 	if n == cap(q.items) {
 		q.grow()
 	}
 	q.items = q.items[:n+1]
-	q.items[n] = event{at: t, seq: q.seq, h: h, arg: arg}
+	q.items[n] = e
 	q.up(n)
 }
 

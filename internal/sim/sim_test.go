@@ -381,3 +381,137 @@ func TestEventQueueSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("ran %d events with %d pending, want %d and none", c.n, q.Len(), rounds*100)
 	}
 }
+
+// stream is a claimed event stream: event i fires at times[i]. Lazily,
+// each event queues its successor on its claimed number when it fires;
+// eagerly, the whole stream is scheduled at once. onFire, when set, runs
+// after each event of the stream fires.
+type stream struct {
+	q      *EventQueue
+	first  uint64
+	times  []int64
+	lazy   bool
+	fired  int
+	onFire func(at int64, i int)
+}
+
+// start claims the stream's numbers, or schedules the whole stream.
+func (s *stream) start() {
+	if !s.lazy {
+		for i, at := range s.times {
+			s.q.Schedule(at, s, i)
+		}
+		return
+	}
+	s.first = s.q.Claim(len(s.times))
+	s.q.ScheduleClaimed(s.first, s.times[0], s, 0)
+}
+
+func (s *stream) Fire(at int64, i int) {
+	s.fired++
+	if s.lazy && i+1 < len(s.times) {
+		s.q.ScheduleClaimed(s.first+uint64(i+1), s.times[i+1], s, i+1)
+	}
+	if s.onFire != nil {
+		s.onFire(at, i)
+	}
+}
+
+// TestClaimedStreamPopsAsScheduledEagerly is the ordering property of
+// claimed sequence numbers. A stream of non-decreasing times with many
+// ties, scheduled lazily on claimed numbers, must pop in exactly the
+// order of the same stream scheduled at the claim, interleaved with
+// events scheduled before the claim, after it, and during the run by
+// the stream's and by each other's handlers — many of them at the same
+// cycle as a later element of the stream, which a fresh sequence number
+// would order differently.
+func TestClaimedStreamPopsAsScheduledEagerly(t *testing.T) {
+	type pop struct {
+		at   int64
+		kind byte
+		id   int
+	}
+	run := func(seed uint64, lazy bool) []pop {
+		r := NewRNG(seed)
+		var q EventQueue
+		var got []pop
+		n := 1 + r.Intn(60)
+		times := make([]int64, n)
+		at := int64(r.Intn(4))
+		for i := range times {
+			at += int64(r.Intn(4)) / 2 // half the gaps are ties
+			times[i] = at
+		}
+		ids := 0
+		var follow func(at int64)
+		follow = func(at int64) {
+			id := ids
+			ids++
+			q.At(at, func() {
+				got = append(got, pop{at, 'f', id})
+				if r.Intn(4) == 0 {
+					follow(at + int64(r.Intn(3)))
+				}
+			})
+		}
+		for i := r.Intn(4); i > 0; i-- {
+			follow(int64(r.Intn(int(at) + 2)))
+		}
+		s := &stream{q: &q, times: times, lazy: lazy}
+		s.onFire = func(at int64, i int) {
+			got = append(got, pop{at, 's', i})
+			for k := r.Intn(3); k > 0; k-- {
+				follow(at + int64(r.Intn(5)))
+			}
+		}
+		s.start()
+		for i := r.Intn(4); i > 0; i-- {
+			follow(int64(r.Intn(int(at) + 2)))
+		}
+		for q.Len() > 0 {
+			q.RunDue(q.NextTime())
+		}
+		if s.fired != n {
+			t.Fatalf("seed %d: %d of %d stream events fired", seed, s.fired, n)
+		}
+		return got
+	}
+	for seed := uint64(1); seed <= 300; seed++ {
+		want, got := run(seed, false), run(seed, true)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d pops lazily, %d eagerly", seed, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: pop %d is %c%d at %d lazily, %c%d at %d eagerly",
+					seed, i, got[i].kind, got[i].id, got[i].at, want[i].kind, want[i].id, want[i].at)
+			}
+		}
+	}
+}
+
+// TestClaimedStreamSteadyStateAllocs: once the heap has grown, a claimed
+// stream that keeps one event queued allocates nothing per event.
+func TestClaimedStreamSteadyStateAllocs(t *testing.T) {
+	var q EventQueue
+	s := &stream{q: &q, times: make([]int64, 100), lazy: true}
+	now, rounds := int64(0), 0
+	round := func() {
+		rounds++
+		for i := range s.times {
+			s.times[i] = now + int64(i/3)
+		}
+		s.start()
+		for q.Len() > 0 {
+			q.RunDue(q.NextTime())
+		}
+		now = s.times[len(s.times)-1] + 1
+	}
+	round()
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Fatalf("a claimed stream made %.1f allocs per round, want 0", n)
+	}
+	if s.fired != rounds*len(s.times) || q.Len() != 0 {
+		t.Fatalf("fired %d stream events with %d pending, want %d and none", s.fired, q.Len(), rounds*len(s.times))
+	}
+}

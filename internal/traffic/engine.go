@@ -27,6 +27,11 @@ type engine struct {
 	net    *wormhole.Network
 	cfg    Config
 	events *sim.EventQueue
+	// The requests arrive at t0 + arrive in index order, request i on
+	// sequence number arrivals+i of events: the engine is the Handler of
+	// that claimed stream, which keeps one arrival in the heap at a time.
+	t0       int64
+	arrivals uint64
 	// delivery serves every admitted request as a group on one engine,
 	// sharing its one-port ledger per fabric node — overlapping
 	// multicasts serialize their software sends on a common CPU
@@ -73,6 +78,7 @@ func Run(net *wormhole.Network, cfg Config) (Result, error) {
 		net:      net,
 		cfg:      cfg,
 		events:   events,
+		t0:       t0,
 		delivery: recov.NewEngine(net, events, sim.NewRNG(cfg.Seed^seedBackoff)),
 		states:   make([]*reqState, len(reqs)),
 	}
@@ -85,10 +91,16 @@ func Run(net *wormhole.Network, cfg Config) (Result, error) {
 	// cycle's admissions mutate it.
 	e.events.At(e.warmStart, func() { e.occ.Set(e.warmStart, float64(e.inflight)) })
 	for i, rq := range reqs {
-		rs := &reqState{req: rq, start: -1, done: -1}
-		e.states[i] = rs
-		at := t0 + rq.arrive
-		e.events.At(at, func() { e.arrive(rs, at) })
+		e.states[i] = &reqState{req: rq, start: -1, done: -1}
+	}
+	// genRequests draws arrival times in non-decreasing order, so each
+	// request can be queued when its predecessor arrives (see Fire).
+	e.arrivals = events.Claim(len(reqs))
+	e.schedule(0)
+	if eagerArrivals {
+		for i := 1; i < len(reqs); i++ {
+			e.schedule(i)
+		}
 	}
 
 	max := cfg.MaxCycles
@@ -154,6 +166,32 @@ func (e *engine) defaultMaxCycles(reqs []*request, t0 int64) int64 {
 	span := reqs[len(reqs)-1].arrive
 	return span + perReq*int64(len(reqs)+1) + 1<<20
 }
+
+// schedule queues request i's arrival on its claimed sequence number.
+//
+//lint:hotpath
+func (e *engine) schedule(i int) {
+	e.events.ScheduleClaimed(e.arrivals+uint64(i), e.t0+e.states[i].req.arrive, e, i)
+}
+
+// Fire implements sim.Handler for the arrival stream: request i arrives
+// at cycle at, and request i+1 is queued on its claimed number. Its
+// arrival is no earlier, so it pops where it would have had every
+// arrival been queued up front: at a tie, before the events request i's
+// admission just scheduled.
+//
+//lint:hotpath
+func (e *engine) Fire(at int64, i int) {
+	e.arrive(e.states[i], at)
+	if i+1 < len(e.states) && !eagerArrivals {
+		e.schedule(i + 1)
+	}
+}
+
+// eagerArrivals, a test hook, queues every arrival at the start of Run
+// instead of each when its predecessor fires: the schedule the claimed
+// stream must reproduce.
+var eagerArrivals bool
 
 // noteOcc records an in-service count change for the time-weighted
 // occupancy, once the measurement window is open.

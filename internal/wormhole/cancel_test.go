@@ -217,3 +217,52 @@ func TestCancelPanics(t *testing.T) {
 	mustPanic("double cancel", "not in flight", func() { n.Cancel(w) })
 	mustPanic("nil cancel", "nil or completed", func() { n.Cancel(nil) })
 }
+
+// TestErrTextSurvivesCancelAndReuse: Err's text is formatted on its
+// first call from what markUnreachable recorded, so it must read the
+// same whenever that call comes. Two worms freeze on a fully dead
+// fabric. One run calls Err at once, the other only after the first
+// frozen worm was cancelled and its struct reissued (recycling on) to a
+// worm with another ID and endpoints while the second still holds the
+// error. Both must name the first worm, byte for byte, and the error
+// clears once no frozen worm is left.
+func TestErrTextSurvivesCancelAndReuse(t *testing.T) {
+	m := mesh.New2D(8, 1)
+	run := func(early bool) string {
+		n := New(m, DefaultConfig())
+		n.SetRecycling(true)
+		n.SetFaults(fault.MustPlan(m, fault.Spec{DeadFrac: 1, Seed: 3}))
+		a := n.Send(0, 7, 256, nil, nil)
+		b := n.Send(1, 7, 256, nil, nil)
+		for i := 0; i < 64 && n.Frozen() < 2; i++ {
+			n.StepUntil(n.Now() + 16)
+		}
+		if n.Frozen() != 2 {
+			t.Fatalf("%d worms frozen, want 2", n.Frozen())
+		}
+		var text string
+		if early {
+			text = n.Err().Error()
+		}
+		n.Cancel(a)
+		if c := n.Send(5, 2, 64, nil, nil); c != a {
+			t.Fatal("the cancelled worm's struct was not reissued; the test needs recycling")
+		}
+		if !early {
+			text = n.Err().Error()
+		}
+		n.Cancel(b)
+		for i := 0; i < 64 && n.Frozen() == 0; i++ {
+			n.StepUntil(n.Now() + 16)
+		}
+		n.Cancel(a)
+		if n.Frozen() != 0 || n.Err() != nil {
+			t.Fatalf("%d frozen, Err %v after cancelling every worm", n.Frozen(), n.Err())
+		}
+		return text
+	}
+	early, late := run(true), run(false)
+	if early != late || !strings.Contains(early, "worm 0 (0->7) unreachable") {
+		t.Fatalf("Err text depends on when it is read:\n early %q\n late  %q", early, late)
+	}
+}

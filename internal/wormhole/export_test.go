@@ -24,6 +24,13 @@ func (n *Network) ForceOwner(c ChannelID, w *Worm) {
 	}
 }
 
+// SetStepHook installs (or, with nil, removes) f to run at the end of
+// every stepped cycle, after the cycle's arrival callbacks, on either
+// kernel. StepUntil may step many cycles per call; the hook lets a test
+// count them and check invariants after each, not only at its returns.
+// Skipped cycles do not run it.
+func (n *Network) SetStepHook(f func()) { n.onStep = f }
+
 // ForceOwnedCount overwrites the live owned-channel count, so tests can
 // exercise Quiesced's count-disagrees-with-table error path.
 func (n *Network) ForceOwnedCount(k int) { n.owned = k }
@@ -38,10 +45,16 @@ func (n *Network) ForceOwnedCount(k int) { n.owned = k }
 // the closed form (see checkParked) and recounts the sums Stats credits
 // parked flit-hops from. On a faulted fabric it checks that no worm has
 // acquired a dead channel: the ungated loop relies on that under a
-// model that reports OnlyDead.
+// model that reports OnlyDead. It also recounts the frozen worms and
+// checks that the flit-hop count the last-move cycle is kept against is
+// Stats' (it is called between cycles, when they must agree).
 func (n *Network) CheckLiveWindows() error {
 	var rate, sum int64
+	frozen := 0
 	for _, w := range n.worms {
+		if w.waitState == waitUnreachable {
+			frozen++
+		}
 		if n.faults != nil {
 			for i, c := range w.path {
 				if n.faults.Dead(c) {
@@ -88,6 +101,12 @@ func (n *Network) CheckLiveWindows() error {
 	}
 	if rate != n.parkRate || sum != n.parkSum {
 		return fmt.Errorf("parked stage sums %d/%d, recount %d/%d", n.parkRate, n.parkSum, rate, sum)
+	}
+	if frozen != n.frozen {
+		return fmt.Errorf("frozen-worm count %d, recount %d", n.frozen, frozen)
+	}
+	if h := n.Stats().FlitHops; h != n.hops {
+		return fmt.Errorf("last-move flit-hop count %d, Stats %d", n.hops, h)
 	}
 	return nil
 }

@@ -57,12 +57,34 @@ type wormRecord struct {
 	Blocked, InjectWait   int64
 }
 
-// runSnapshot is the full observable outcome of a workload execution.
+// runSnapshot is the full observable outcome of a workload execution,
+// plus what a driver's monitors read after each StepUntil. The two
+// kernels return from StepUntil at different cycles, so Monitors is
+// compared cycle by cycle (see diffMonitors), not as part of the outcome.
 type runSnapshot struct {
-	Stats  Stats
-	Now    int64
-	Worms  []wormRecord
-	Events []string
+	Stats    Stats
+	Now      int64
+	Worms    []wormRecord
+	Events   []string
+	Monitors []monitorState
+}
+
+// outcome returns the snapshot without its monitor readings.
+func (s runSnapshot) outcome() runSnapshot {
+	s.Monitors = nil
+	return s
+}
+
+// monitorState is what the monitors of mcastsim.Drive read after a
+// StepUntil: the cycle, the last cycle in which a flit moved, and the
+// number of worms frozen unreachable.
+type monitorState struct {
+	Now, LastMove int64
+	Frozen        int
+}
+
+func readMonitors(n *Network) monitorState {
+	return monitorState{Now: n.Now(), LastMove: n.LastMove(), Frozen: n.Frozen()}
 }
 
 // randWorkload draws a seeded send sequence of payloads below maxBytes,
@@ -103,8 +125,9 @@ func recordWorm(w *Worm) wormRecord {
 
 // checkWindows fails the test if any in-flight worm's live window (its
 // first unreleased channel onward) or the owned-channel count disagrees
-// with the owner table. It runs after every step, so t.Helper, which
-// costs a stack walk, is called only on failure.
+// with the owner table (see CheckLiveWindows). It runs after every
+// stepped cycle, so t.Helper, which costs a stack walk, is called only
+// on failure.
 func checkWindows(t *testing.T, n *Network) {
 	if err := n.CheckLiveWindows(); err != nil {
 		t.Helper()
@@ -120,10 +143,12 @@ const drainLimit = 1 << 22
 // mcastsim drivers do — AdvanceTo across idle gaps, StepUntil bounded by
 // the next injection time — then drains it with RunUntilIdle's checks:
 // stop at the first fabric error (Err) or once drainLimit cycles have
-// passed. The live-window invariants are checked after every StepUntil,
-// and the full event stream is recorded. It returns the observable
-// outcome and the text of the error that stopped the drain: "" when the
-// fabric drained, which must then be quiesced. On faulted fabrics the
+// passed. The live-window invariants are checked after every stepped
+// cycle (through the step hook) and after every StepUntil, whose
+// monitor readings are recorded, and the full event stream is recorded
+// too. It returns the observable outcome and the text of the error that
+// stopped the drain: "" when the fabric drained, which must then be
+// quiesced. On faulted fabrics the
 // error text is part of the outcome (an unreachable worm freezes holding
 // its channels by design).
 func driveWorkload(t *testing.T, n *Network, sends []timedSend) (runSnapshot, string) {
@@ -134,9 +159,9 @@ func driveWorkload(t *testing.T, n *Network, sends []timedSend) (runSnapshot, st
 
 // parkCounts tallies the closed-form paths one drive took, so a suite
 // can fail when one of them went untested: worms seen crossing-parked
-// after a StepUntil, crossing-parked worms whose header then found every
-// candidate owned (blocked) or dead (frozen), and cancels of parked and
-// of crossing-parked worms.
+// after a stepped cycle, crossing-parked worms whose header then found
+// every candidate owned (blocked) or dead (frozen), and cancels of
+// parked and of crossing-parked worms.
 type parkCounts struct {
 	crossing, blocked, frozen, parkedCancels, crossingCancels int
 }
@@ -153,13 +178,15 @@ func (c *parkCounts) add(o parkCounts) {
 // whose dead links strand worms. A cancelling drive proceeds as a
 // recovery driver does: after every StepUntil it cancels each worm
 // frozen unreachable and goes on, so the whole workload runs instead of
-// stopping at the first Err. Before every fourth send it also cancels
-// the oldest worm still in flight, which is often parked mid-stream.
-// Each cancel is logged in the event stream, and the error text can only
-// be a drain timeout. drive also returns the closed-form paths the run
-// took. A StepUntil runs one cycle before any jump, so a worm parked
-// while crossing before it and blocked or frozen after it was unparked
-// by its header in that cycle. A cancelling drive must not recycle worms.
+// stopping at the first Err. StepUntil returns in the cycle a worm
+// froze, so each is cancelled in that cycle. Before every fourth send it
+// also cancels the oldest worm still in flight, which is often parked
+// mid-stream. Each cancel is logged in the event stream, and the error
+// text can only be a drain timeout. drive also returns the closed-form
+// paths the fast kernel took: a worm parked while crossing after one
+// stepped cycle and blocked or frozen after the next was unparked by its
+// header in that cycle (skipped cycles between them change nothing). A
+// cancelling drive must not recycle worms.
 func drive(t *testing.T, n *Network, sends []timedSend, cancelling bool) (runSnapshot, string, parkCounts) {
 	t.Helper()
 	log := &eventLog{}
@@ -181,9 +208,11 @@ func drive(t *testing.T, n *Network, sends []timedSend, cancelling bool) (runSna
 		cancelled[w] = true
 		n.Cancel(w)
 	}
-	step := func(limit int64) {
-		n.StepUntil(limit)
+	n.SetStepHook(func() {
 		checkWindows(t, n)
+		if n.Kernel() != KernelFast {
+			return
+		}
 		for _, w := range crossing {
 			switch {
 			case !inFlight(w) || n.Parked(w):
@@ -200,6 +229,12 @@ func drive(t *testing.T, n *Network, sends []timedSend, cancelling bool) (runSna
 			}
 		}
 		counts.crossing += len(crossing)
+	})
+	defer n.SetStepHook(nil)
+	step := func(limit int64) {
+		n.StepUntil(limit)
+		checkWindows(t, n)
+		snap.Monitors = append(snap.Monitors, readMonitors(n))
 		if !cancelling || n.Err() == nil {
 			return
 		}
@@ -271,9 +306,13 @@ func runCounted(t *testing.T, n *Network, sends []timedSend) (runSnapshot, parkC
 }
 
 // diffSnapshots fails the test with a focused report of the first
-// divergence instead of dumping two multi-thousand-line structs.
+// divergence instead of dumping two multi-thousand-line structs. It
+// compares the monitor readings first (see diffMonitors), then the
+// outcome.
 func diffSnapshots(t *testing.T, got, want runSnapshot) {
 	t.Helper()
+	diffMonitors(t, got.Monitors, want.Monitors)
+	got, want = got.outcome(), want.outcome()
 	if reflect.DeepEqual(got, want) {
 		return
 	}
@@ -300,6 +339,27 @@ func diffSnapshots(t *testing.T, got, want runSnapshot) {
 		t.Fatalf("event count diverges: got %d want %d", len(got.Events), len(want.Events))
 	}
 	t.Fatal("snapshots diverge") // unreachable unless a new field is missed above
+}
+
+// diffMonitors requires that at every StepUntil return of the run that
+// recorded got, the run that recorded want returned at the same cycle
+// with the same readings. want comes from the reference kernel, whose
+// StepUntil returns after every cycle, or from a run that returns at the
+// same cycles as got's.
+func diffMonitors(t *testing.T, got, want []monitorState) {
+	t.Helper()
+	j := 0
+	for _, g := range got {
+		for j < len(want) && want[j].Now < g.Now {
+			j++
+		}
+		if j == len(want) || want[j].Now != g.Now {
+			t.Fatalf("StepUntil returned at cycle %d; the other run never did", g.Now)
+		}
+		if want[j] != g {
+			t.Fatalf("monitor readings diverge at cycle %d:\n got %+v\nwant %+v", g.Now, g, want[j])
+		}
+	}
 }
 
 // diffPlatforms are the four fabric families of the differential suite:

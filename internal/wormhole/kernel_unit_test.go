@@ -218,3 +218,22 @@ func TestRecyclingSteadyStateAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestFreshWormSizedOnce: without recycling every Send allocates a
+// fresh worm, whose path and passed are sized to the longest path the
+// network has built. After one corner-to-corner worm on a 16×16 mesh
+// (32 channels), each further one allocates the struct and its two
+// slices, and appends to neither beyond them.
+func TestFreshWormSizedOnce(t *testing.T) {
+	n := newMeshNet(16, 16, DefaultConfig())
+	send := func() {
+		n.Send(0, 255, 256, nil, nil)
+		if _, err := n.RunUntilIdle(1 << 16); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send()
+	if allocs := testing.AllocsPerRun(50, send); allocs > 3 {
+		t.Fatalf("a fresh corner-to-corner worm allocated %.1f objects, want at most 3", allocs)
+	}
+}

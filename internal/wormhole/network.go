@@ -265,9 +265,13 @@ type Network struct {
 	rotation  int64   // phase-A fairness rotation among worms
 
 	// Kernel scheduling state (see DESIGN.md §4, "kernel scheduling").
-	kernel   Kernel
-	epoch    int64 // bumped on every acquire/release; keys waitState caches
-	progress bool  // the last stepped cycle did more than parked streaming (see StepUntil)
+	kernel Kernel
+	epoch  int64 // bumped on every acquire/release; keys waitState caches
+	// lastMove is the last cycle in which a flit moved, and hops the
+	// flit-hop count (as Stats reports it) at the end of the last cycle
+	// stepped or skipped: a cycle moved a flit exactly when it grew hops.
+	lastMove int64
+	hops     int64
 	// Over parked worms' moving stages, parkRate is their count and
 	// parkSum the sum of their worms' parkAt: each such stage has moved
 	// one flit per cycle since, so parkRate·now − parkSum flit-hops are
@@ -289,11 +293,33 @@ type Network struct {
 	// faultStall: in the last stepped cycle a flit was refused by Up()
 	// or a header was frozen unreachable, so the clock must not jump.
 	faultStall bool
-	err        error
+	// frozen counts the in-flight worms frozen unreachable, and first
+	// names the one that froze while none was: the fabric error (Err) is
+	// formatted from it on demand and cached in err.
+	frozen int
+	first  frozenWorm
+	err    error
 
-	// Worm pooling (see SetRecycling).
+	// Worm pooling (see SetRecycling). longest is the longest path a
+	// worm has built on this network: a fresh worm's path and passed are
+	// sized to it, so they grow by append only past it.
 	recycle bool
 	free    []*Worm
+	longest int
+
+	// onStep, when set, runs at the end of every stepped cycle. It is a
+	// test hook (see export_test.go): nothing in the package sets it.
+	onStep func()
+}
+
+// frozenWorm is what Err's text names: the first worm frozen while no
+// other was, and the channel at which it found no live candidate. It is
+// copied out of the worm, which a driver may cancel and recycle before
+// Err is called.
+type frozenWorm struct {
+	id       int64
+	src, dst NodeID
+	at       ChannelID
 }
 
 // New creates a network over the given topology. It panics on an invalid
@@ -381,16 +407,18 @@ func (n *Network) routeCands(w *Worm) []ChannelID {
 }
 
 // markUnreachable freezes a worm whose destination cannot be reached
-// under the installed fault set and records the first such error. Setting
-// faultStall pins the clock to this cycle in StepUntil, so both kernels
-// observe the error at the same Now().
+// under the installed fault set, counts it, and, when no other worm is
+// frozen, records it and its channel for Err. Setting faultStall ends
+// StepUntil at this cycle, so both kernels observe the error at the same
+// Now() and a recovery driver can cancel the worm in the cycle it froze.
 func (n *Network) markUnreachable(w *Worm, where ChannelID) {
 	w.waitState = waitUnreachable
 	n.faultStall = true
-	if n.err == nil {
-		n.err = fmt.Errorf("wormhole: worm %d (%d->%d) unreachable: no live routing candidate at %s (faulted fabric)",
-			w.ID, w.Src, w.Dst, n.topo.DescribeChannel(where))
+	if n.frozen == 0 {
+		n.first = frozenWorm{id: w.ID, src: w.Src, dst: w.Dst, at: where}
+		n.err = nil
 	}
+	n.frozen++
 }
 
 // Topology returns the fabric's topology.
@@ -454,8 +482,32 @@ func (n *Network) Faults() FaultModel { return n.faults }
 // Err returns the first unrecoverable routing error — a worm whose every
 // candidate channel is dead (unreachable destination under the installed
 // fault set) — or nil. The stuck worm freezes in place, holding its
-// channels; drivers are expected to check Err and abort.
-func (n *Network) Err() error { return n.err }
+// channels; drivers are expected to check Err and abort, or to Cancel
+// every frozen worm (see Unreachable). The error names the first worm
+// that froze while no other was, and stays until no frozen worm is left.
+// Its text is formatted on the first call and the error reused after.
+func (n *Network) Err() error {
+	if n.frozen == 0 {
+		return nil
+	}
+	if n.err == nil {
+		f := n.first
+		n.err = fmt.Errorf("wormhole: worm %d (%d->%d) unreachable: no live routing candidate at %s (faulted fabric)",
+			f.id, f.src, f.dst, n.topo.DescribeChannel(f.at))
+	}
+	return n.err
+}
+
+// Frozen returns the number of in-flight worms frozen unreachable: Err
+// is non-nil exactly while it is positive. It costs O(1), so a recovery
+// driver polls Unreachable only while it is.
+func (n *Network) Frozen() int { return n.frozen }
+
+// LastMove returns the last cycle in which a flit moved anywhere in the
+// fabric — an injection, a hop or a consumption — or 0 if none has. It
+// costs O(1), so a no-progress watchdog can poll it after every
+// StepUntil.
+func (n *Network) LastMove() int64 { return n.lastMove }
 
 // Kernel returns the kernel the network is running.
 func (n *Network) Kernel() Kernel { return n.kernel }
@@ -499,14 +551,14 @@ func (n *Network) AdvanceTo(t int64) {
 }
 
 // alloc returns a zeroed worm, reusing a pooled one when available. The
-// &Worm{} miss path is the pool's one sanctioned allocation: steady
+// miss path (fresh) is the pool's one sanctioned allocation: steady
 // state hits the free list and reuses the path/passed backing arrays.
 //
 //lint:hotpath
 func (n *Network) alloc() *Worm {
 	k := len(n.free) - 1
 	if k < 0 {
-		return &Worm{}
+		return n.fresh()
 	}
 	w := n.free[k]
 	n.free[k] = nil
@@ -514,6 +566,13 @@ func (n *Network) alloc() *Worm {
 	path, passed := w.path[:0], w.passed[:0]
 	*w = Worm{path: path, passed: passed}
 	return w
+}
+
+// fresh allocates a worm whose path and passed hold the longest path
+// built on this network so far without growing: three allocations, the
+// struct and its two slices, for any route no longer than that.
+func (n *Network) fresh() *Worm {
+	return &Worm{path: make([]ChannelID, 0, n.longest), passed: make([]int, 0, n.longest)}
 }
 
 // Send creates a worm from src to dst carrying bytes of payload. The worm
@@ -635,24 +694,13 @@ func (n *Network) Cancel(w *Worm) {
 	for w.tail < len(w.path) {
 		n.release(w, w.tail)
 	}
-	wasFrozen := w.waitState == waitUnreachable
 	n.worms = append(n.worms[:at], n.worms[at+1:]...)
 	n.freeSlot(w.slot)
 	// Ownership and the active set changed; cached verdicts are stale.
 	n.epoch++
-	n.progress = true
 	n.stats.Cancelled++
-	if wasFrozen && n.err != nil {
-		frozen := false
-		for _, a := range n.worms {
-			if a.waitState == waitUnreachable {
-				frozen = true
-				break
-			}
-		}
-		if !frozen {
-			n.err = nil
-		}
+	if w.waitState == waitUnreachable {
+		n.frozen--
 	}
 	if n.recycle && n.obs == nil {
 		n.free = append(n.free, w)
@@ -661,10 +709,11 @@ func (n *Network) Cancel(w *Worm) {
 
 // Unreachable appends to buf the active worms frozen because no live
 // route toward their destination exists (see SetFaults), in creation
-// order, and returns the extended slice. Recovery drivers poll it after
-// each StepUntil: a frozen worm never completes on its own, so the
-// driver must Cancel it and re-plan the delivery (retry elsewhere, or
-// give the destination up).
+// order, and returns the extended slice. It scans every worm in flight,
+// so recovery drivers call it after a StepUntil only while Frozen is
+// positive; StepUntil returns in the cycle a worm froze. A frozen worm
+// never completes on its own, so the driver must Cancel it and re-plan
+// the delivery (retry elsewhere, or give the destination up).
 func (n *Network) Unreachable(buf []*Worm) []*Worm {
 	for _, w := range n.worms {
 		if w.waitState == waitUnreachable {
@@ -691,41 +740,41 @@ func (n *Network) Step() {
 // StepUntil advances the simulation by at least one cycle and at most to
 // limit (which must be in the future). It is observably equivalent to
 // calling Step repeatedly while Now() < limit, but may return early — the
-// caller is expected to loop — and, under KernelFast, when the stepped
-// cycle made no progress (only parked worms moved flits: no other worm
-// moved one, no channel was acquired and no worm arrived) it jumps the
-// clock directly to the cycle before the next event — the earliest
-// pending router decision or parked worm's due event — bulk-crediting
-// Cycles, BlockedCycles and InjectWaitCycles for the skipped stretch
-// (parked worms' flit-hops accrue in closed form; see Stats). Long
-// software gaps, blocked stretches and streaming bodies therefore cost
-// O(1) instead of O(cycles × worms).
+// caller is expected to loop. Under KernelReference it steps one cycle.
+// Under KernelFast it steps cycle after cycle and returns only when the
+// driver may have work: a worm arrived (its callback may have scheduled
+// an event), a fault-gated channel refused a flit or a worm froze
+// unreachable (faultStall), the clock jumped over a stall, or the clock
+// reached limit. After every stepped cycle it applies one skip rule: the
+// clock jumps to the cycle before the next one in which some worm can
+// act (see nextAct), bulk-crediting Cycles, BlockedCycles and
+// InjectWaitCycles for the skipped stretch (parked worms' flit-hops
+// accrue in closed form; see Stats). Long software gaps, blocked
+// stretches and streaming bodies therefore cost O(1) instead of
+// O(cycles × worms), and a cycle in which nothing can act is never
+// stepped after one in which something did.
 //
 //lint:hotpath
 func (n *Network) StepUntil(limit int64) {
 	if limit <= n.now {
 		n.badStepUntil(limit)
 	}
-	n.Step()
-	if n.kernel == KernelReference || n.progress || n.faultStall {
-		// faultStall: some flit was refused by a fault-gated channel this
-		// cycle; the channel's Up() verdict can change at any future cycle,
-		// so "every skipped cycle is an identical stall" does not hold and
-		// the clock must advance one cycle at a time.
+	if n.kernel == KernelReference {
+		n.stepReference()
 		return
 	}
-	// The cycle just stepped moved only parked worms and acquired no
-	// channel: every other worm is frozen (asleep, blocked, inject-waiting,
-	// or pending a router decision; a parked release in this cycle was
-	// already seen by phase B's routing), and nothing can change before
-	// the next event. Every cycle strictly before it is an identical
-	// stall, so the clock can jump there in one move.
-	target := limit
-	if e, ok := n.nextEvent(); ok && e-1 < limit {
-		target = e - 1
-	}
-	if target > n.now {
-		n.skipTo(target)
+	for {
+		// faultStall: a flit was refused by a fault-gated channel, whose
+		// Up() verdict can change at any future cycle, so "every skipped
+		// cycle is an identical stall" does not hold; or a worm froze,
+		// which its driver must see in this cycle.
+		if n.stepFast() || n.faultStall || n.now >= limit {
+			return
+		}
+		if t := n.nextAct(); t > n.now+1 {
+			n.skipTo(min(t-1, limit))
+			return
+		}
 	}
 }
 
@@ -735,46 +784,67 @@ func (n *Network) badStepUntil(limit int64) {
 	panic(fmt.Sprintf("wormhole: StepUntil(%d) not after now=%d", limit, n.now))
 }
 
-// nextEvent returns the earliest future cycle at which a pending router
-// decision completes (a header sitting at a frontier router whose
-// RouterDelay has not yet elapsed) or a parked worm's next event falls
-// due, if any.
+// nextAct is StepUntil's skip rule, applied at the end of a stepped
+// cycle that set no faultStall: it returns the first cycle after Now in
+// which some worm can act, or never. A worm can act in the next cycle
+// when it is awake with a channel to move flits in, or when its header
+// or injection request will route instead of replaying a cached verdict
+// (none cached, or the ownership epoch moved on). Otherwise it acts at
+// its pending router decision (a header at its frontier whose
+// RouterDelay has not elapsed) or, parked, at its next event or its
+// header's next routing decision, and not at all while it sleeps behind
+// a valid blocked or inject-wait verdict or is frozen. Every cycle
+// before the returned one is therefore an identical stall.
 //
 //lint:hotpath
-func (n *Network) nextEvent() (int64, bool) {
-	var min int64
-	found := false
+func (n *Network) nextAct() int64 {
+	soon, next := n.now+1, never
 	for _, w := range n.worms {
-		var e int64
-		switch {
-		case n.asleep[w.slot] == parked:
+		t := never
+		switch n.asleep[w.slot] {
+		case parked:
 			// A crossing worm's header routes at headerReadyAt, which a
 			// finished phase B always leaves in the future.
-			e = w.due
-			if !w.routed && w.headerReadyAt < e {
-				e = w.headerReadyAt
+			t = w.due
+			if !w.routed && w.headerReadyAt < t {
+				t = w.headerReadyAt
 			}
-		case w.routed || len(w.path) == 0:
-			continue
-		case w.entered(len(w.path)-1) == 0 || w.headerReadyAt <= n.now:
-			continue
+		case awake:
+			if len(w.path) > 0 {
+				return soon
+			}
+			if w.waitState == waitUnreachable || w.waitState == waitInject && w.waitEpoch == n.epoch {
+				continue
+			}
+			return soon
 		default:
-			e = w.headerReadyAt
+			// Asleep: no flit can move until the worm acquires a channel,
+			// so a worm that is not routed has its header at the frontier.
+			switch {
+			case w.routed || w.waitState == waitUnreachable:
+				continue
+			case w.headerReadyAt > n.now:
+				t = w.headerReadyAt
+			case w.waitState == waitBlocked && w.waitEpoch == n.epoch:
+				continue
+			default:
+				return soon
+			}
 		}
-		if !found || e < min {
-			min, found = e, true
+		if t < next {
+			next = t
 		}
 	}
-	return min, found
+	return next
 }
 
-// skipTo jumps the clock from a fully-stalled cycle to target, crediting
-// every skipped cycle exactly as the per-cycle kernel would have:
-// stats.Cycles and the fairness rotation advance, each blocked header
-// accrues BlockedCycles (and its per-cycle Blocked observer event), and
-// each inject-waiting worm accrues InjectWaitCycles. Callable only when
-// the preceding cycle made no progress, which guarantees every skipped
-// cycle is an identical stall.
+// skipTo jumps the clock to target over cycles in which no worm can act
+// (see nextAct), crediting every skipped cycle exactly as the per-cycle
+// kernel would have: stats.Cycles and the fairness rotation advance,
+// each blocked header accrues BlockedCycles (and its per-cycle Blocked
+// observer event), each inject-waiting worm accrues InjectWaitCycles,
+// and parked worms' stages move, which makes target the last-move cycle
+// while any stage moves.
 //
 //lint:hotpath
 func (n *Network) skipTo(target int64) {
@@ -805,19 +875,30 @@ func (n *Network) skipTo(target int64) {
 		}
 	}
 	n.now = target
+	n.noteMotion()
+}
+
+// noteMotion ends a stepped or skipped stretch: if the flit-hop count
+// grew, a flit moved in the stretch's last cycle (a skipped stretch
+// moves only parked stages, which move on every cycle of it), so that
+// cycle becomes the last-move cycle.
+//
+//lint:hotpath
+func (n *Network) noteMotion() {
+	if h := n.stats.FlitHops + n.parkRate*n.now - n.parkSum; h != n.hops {
+		n.hops, n.lastMove = h, n.now
+	}
 }
 
 // stepFast is the stall-aware kernel: identical phase structure to
 // stepReference, but worms whose flits provably cannot move skip their
 // scan, and headers in a cached blocked/inject-wait state skip
-// re-routing. It also records whether the cycle made progress, which
-// StepUntil uses to decide whether the clock may jump.
+// re-routing. It reports whether a worm arrived in the cycle.
 //
 //lint:hotpath
-func (n *Network) stepFast() {
+func (n *Network) stepFast() bool {
 	n.now++
 	n.stats.Cycles++
-	n.progress = false
 	n.faultStall = false
 	// Phase A rotates its starting worm for fairness on shared physical
 	// links; without link sharing, worm order in this phase is
@@ -832,9 +913,15 @@ func (n *Network) stepFast() {
 	for _, w := range n.worms {
 		n.routeHeaderFast(w)
 	}
-	if len(n.completed) > 0 {
+	n.noteMotion()
+	arrived := len(n.completed) > 0
+	if arrived {
 		n.reap()
 	}
+	if n.onStep != nil {
+		n.onStep()
+	}
+	return arrived
 }
 
 // moveWorms runs phase A over ws in order, skipping sleepers and parked
@@ -947,7 +1034,6 @@ func (n *Network) moveFlitsUngated(w *Worm) {
 		return
 	}
 	n.stats.FlitHops += hops
-	n.progress = true
 	if w.routed {
 		if hops == live && !w.done {
 			n.park(w)
@@ -1091,9 +1177,9 @@ func (n *Network) nextDue(w *Worm) int64 {
 // credited and its counter set to flits. A stall credits its stages'
 // moves up to the cycle before and takes them out of parkRate and
 // parkSum until the header's next hop restarts them (hopParked). The
-// worm stays parked until its next event. An arrival counts as
-// progress: its callback may Send, and the new worm must compete for
-// injection in the next cycle, not be skipped over.
+// worm stays parked until its next event. An arrival ends StepUntil:
+// its callback may Send, and the new worm must compete for injection in
+// the next cycle, not be skipped over.
 //
 //lint:hotpath
 func (n *Network) stepParked(w *Worm) {
@@ -1115,7 +1201,6 @@ func (n *Network) stepParked(w *Worm) {
 		w.passed[w.tail] = w.flits
 		if w.tail == len(w.path)-1 {
 			n.arrive(w)
-			n.progress = true
 			return
 		}
 		n.release(w, w.tail)
@@ -1125,7 +1210,7 @@ func (n *Network) stepParked(w *Worm) {
 
 // hopParked moves a parked crossing worm's header into c, the free
 // candidate its routing decision took at headerReadyAt, with acquire's
-// Acquire event, epoch bump and progress. Into the destination's
+// Acquire event and epoch bump. Into the destination's
 // ejection channel the worm is unparked first; the per-cycle loop then
 // parks it again as a routed worm once every stage moves. Otherwise it
 // stays parked: the old frontier's exit becomes a stage that moves from
@@ -1166,8 +1251,8 @@ func (n *Network) hopParked(w *Worm, c ChannelID) {
 // worm: a stage that reached flits has already finished as an event),
 // and the worm's moving stages leave parkRate and parkSum with their
 // flit-hops credited to stats (a stalled worm's left when its stall
-// began). It counts as progress, so StepUntil steps the worm's next
-// cycle instead of jumping over it. It runs when a crossing header finds
+// began). The worm is awake, so StepUntil steps its next cycle instead
+// of jumping over it. It runs when a crossing header finds
 // every candidate owned or dead, when it takes its destination's
 // ejection channel, and when the worm is cancelled.
 //
@@ -1190,7 +1275,6 @@ func (n *Network) unpark(w *Worm) {
 		w.passed[i] += int(v)
 	}
 	n.asleep[w.slot] = awake
-	n.progress = true
 }
 
 // liveStages counts a parked worm's stages that still move flits: one
@@ -1227,7 +1311,7 @@ func (n *Network) arrive(w *Worm) {
 // moveFlitsFast is moveFlits plus scheduling bookkeeping: it marks the
 // worm asleep when no flit could move for buffer-occupancy reasons
 // (occupancy is worm-local, so the verdict holds until the worm acquires
-// a channel), and records fabric-wide progress. A move refused only by
+// a channel). A move refused only by
 // physical-link sharing does not put the worm to sleep — the link may be
 // free next cycle. Channels before w.tail are empty, so the scan stops
 // there.
@@ -1295,9 +1379,7 @@ func (n *Network) moveFlitsFast(w *Worm) {
 			linkBusy = true
 		}
 	}
-	if moved {
-		n.progress = true
-	} else if !linkBusy {
+	if !moved && !linkBusy {
 		// The worm is only scanned while awake, so the flag can never be
 		// set on entry; a busy link leaves it awake for a retry next cycle.
 		n.asleep[w.slot] = sleeping
@@ -1392,7 +1474,6 @@ func (n *Network) routeHeaderFast(w *Worm) {
 func (n *Network) stepReference() {
 	n.now++
 	n.stats.Cycles++
-	n.progress = true
 	if k := len(n.worms); k > 0 {
 		start := int(n.rotation % int64(k))
 		n.rotation++
@@ -1403,8 +1484,12 @@ func (n *Network) stepReference() {
 	for _, w := range n.worms {
 		n.routeHeader(w)
 	}
+	n.noteMotion()
 	if len(n.completed) > 0 {
 		n.reap()
+	}
+	if n.onStep != nil {
+		n.onStep()
 	}
 }
 
@@ -1535,13 +1620,15 @@ func (n *Network) acquire(w *Worm, c ChannelID) {
 	n.owned++
 	w.path = append(w.path, c)
 	w.passed = append(w.passed, 0)
+	if len(w.path) > n.longest {
+		n.longest = len(w.path)
+	}
 	if c == n.eject[w.Dst] {
 		w.routed = true
 	}
 	// Ownership changed: every cached routing verdict is stale, and this
 	// worm has a new channel its header can move into.
 	n.epoch++
-	n.progress = true
 	n.asleep[w.slot] = awake
 	w.waitState = waitNone
 	if n.obs != nil {
@@ -1628,18 +1715,15 @@ func (n *Network) reap() {
 func (n *Network) RunUntilIdle(maxCycles int64) (int64, error) {
 	start := n.now
 	for len(n.worms) > 0 {
-		if n.err != nil {
-			return n.now - start, n.err
+		if n.frozen > 0 {
+			return n.now - start, n.Err()
 		}
 		if n.now-start >= maxCycles {
 			return n.now - start, fmt.Errorf("wormhole: network not idle after %d cycles (%d worms in flight)", maxCycles, len(n.worms))
 		}
 		n.StepUntil(start + maxCycles)
 	}
-	if n.err != nil {
-		return n.now - start, n.err
-	}
-	return n.now - start, nil
+	return n.now - start, n.Err()
 }
 
 // DeadlockReport renders a deterministic diagnosis of a stuck fabric:

@@ -488,9 +488,10 @@ type gatedModel struct{ FaultModel }
 // that never parks. Under a fault model that reports OnlyDead, a worm
 // whose path misses the dead channels streams and parks as on a healthy
 // fabric. An 8 KB unicast then arrives at the same cycle after exactly
-// as many StepUntil calls as on the healthy fabric, far fewer than its
-// flit count; behind gatedModel, the same dead set keeps the flits
-// gated and costs at least one call per flit.
+// as many stepped cycles as on the healthy fabric (counted by the step
+// hook; skipped cycles do not count), far fewer than its flit count;
+// behind gatedModel, the same dead set keeps the flits gated and costs
+// at least one stepped cycle per flit.
 func TestDeadOnlyFabricParks(t *testing.T) {
 	m := mesh.New2D(8, 8)
 	const src, dst, bytes = 0, 63, 8 << 10
@@ -504,20 +505,20 @@ func TestDeadOnlyFabricParks(t *testing.T) {
 			dead[c] = true
 		}
 	}
-	run := func(f FaultModel) (calls int, w *Worm) {
+	run := func(f FaultModel) (cycles int, w *Worm) {
 		n := New(m, DefaultConfig())
 		if f != nil {
 			n.SetFaults(f)
 		}
+		n.SetStepHook(func() { cycles++ })
 		w = n.Send(src, dst, bytes, nil, nil)
 		for n.Active() > 0 {
 			n.StepUntil(1 << 20)
-			calls++
 		}
 		if err := n.Quiesced(); err != nil {
 			t.Fatal(err)
 		}
-		return calls, w
+		return cycles, w
 	}
 	healthy, hw := run(nil)
 	got, dw := run(dead)
@@ -527,11 +528,11 @@ func TestDeadOnlyFabricParks(t *testing.T) {
 		t.Fatalf("arrival under dead-only faults %d, healthy %d", dw.ArrivedAt, hw.ArrivedAt)
 	}
 	if got != healthy || 4*healthy > flits {
-		t.Fatalf("%d-flit worm took %d StepUntil calls under dead-only faults, %d on the healthy fabric; want equal and far below the flit count",
+		t.Fatalf("%d-flit worm took %d stepped cycles under dead-only faults, %d on the healthy fabric; want equal and far below the flit count",
 			flits, got, healthy)
 	}
 	if gated < flits {
-		t.Fatalf("gated control took %d StepUntil calls for %d flits; the test no longer tells the loops apart", gated, flits)
+		t.Fatalf("gated control took %d stepped cycles for %d flits; the test no longer tells the loops apart", gated, flits)
 	}
 }
 
