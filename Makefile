@@ -47,15 +47,16 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# One pass over every benchmark, as a `go test -bench` log. Every
-# benchmark runs one iteration except BenchmarkFigure1, whose op
-# allocates only 1.5 KB. A one-iteration B/op reading is a process-wide
-# MemStats delta, and the timer's own stop-the-world can make the
-# runtime start an OS thread inside the window: that thread's five
-# runtime structures (5248 B) then read as a 4x regression. 10000
-# iterations put such a one-off below 1 B/op.
-BENCH_LOG = $(GO) test -run='^$$' -bench=. -skip='^BenchmarkFigure1$$' -benchtime=1x -count=1 -benchmem ./... && \
-	$(GO) test -run='^$$' -bench='^BenchmarkFigure1$$' -benchtime=10000x -count=1 -benchmem .
+# Five passes over every benchmark, as a `go test -bench` log; benchjson
+# records each benchmark once, as its five runs' medians with their
+# minima and maxima. Every benchmark runs one iteration per pass except
+# BenchmarkFigure1, whose op allocates only 1.5 KB. A one-iteration B/op
+# reading is a process-wide MemStats delta, and the timer's own
+# stop-the-world can make the runtime start an OS thread inside the
+# window: that thread's five runtime structures (5248 B) then read as a
+# 4x regression. 10000 iterations put such a one-off below 1 B/op.
+BENCH_LOG = $(GO) test -run='^$$' -bench=. -skip='^BenchmarkFigure1$$' -benchtime=1x -count=5 -benchmem ./... && \
+	$(GO) test -run='^$$' -bench='^BenchmarkFigure1$$' -benchtime=10000x -count=5 -benchmem .
 
 # BENCH_LOG recorded as JSON (see the README's benchmarking section).
 # BENCH_kernel.json in the repo root is the committed record
@@ -71,15 +72,16 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=BenchmarkStepKernel -benchtime=1x -count=1 -benchmem . | $(GO) run ./cmd/benchjson -o /dev/null
 
 # BENCH_tuner.json is the committed record for the tuner selection hot
-# path (Choose/Observe/Select); the gate holds it at 0 allocs/op.
+# path (Choose/Observe/Select), as five runs' medians; the gate holds it
+# at 0 allocs/op.
 bench-tuner:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x -count=1 -benchmem ./internal/tuner/ | $(GO) run ./cmd/benchjson -o BENCH_tuner.json
+	$(GO) test -run='^$$' -bench=. -benchtime=1x -count=5 -benchmem ./internal/tuner/ | $(GO) run ./cmd/benchjson -o BENCH_tuner.json
 
 # Benchmark regression gate: rerun BENCH_LOG and compare the
 # deterministic metrics (allocs/op, B/op) against the committed records
 # (BENCH_kernel.json for the kernels, BENCH_tuner.json for the tuner
-# hot path). ns/op is reported but not gated — single-iteration CI
-# timings are noise. The raw log and the freshly generated report
+# hot path), each benchmark's five-run median against the record's.
+# ns/op is reported but not gated — CI timings are noise. The raw log and the freshly generated report
 # (bench-gate.log, bench-report.json) are written before any compare,
 # so CI can archive them even when the gate fails. Regenerate the
 # records with `make bench` / `make bench-tuner` after intentional

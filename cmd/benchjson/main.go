@@ -6,6 +6,12 @@
 //
 //	go test -run='^$' -bench=. -benchtime=1x . | go run ./cmd/benchjson -o BENCH_kernel.json
 //
+// A benchmark that appears more than once (`go test -count=N`) is
+// recorded once: each metric is the median of its runs, and the result
+// also carries the runs' count and each metric's minimum and maximum.
+// Lines with no iterations or a metric that is not a finite number are
+// skipped.
+//
 // With -baseline FILE, a previously saved bench log is parsed the same
 // way and embedded under "baseline", recording a before/after pair in one
 // artifact.
@@ -13,8 +19,9 @@
 // With -compare FILE, the input is gated against a previously committed
 // JSON report: the deterministic metrics (allocs/op and B/op) must stay
 // within -tolerance percent of the old values, and every old benchmark
-// must still exist. ns/op is reported but not gated unless
-// -time-tolerance is set, because single-iteration CI timings are noise.
+// must still exist. A repeated benchmark is gated on its medians. ns/op
+// is reported but not gated unless -time-tolerance is set, because CI
+// timings are noise.
 //
 //	go test -run='^$' -bench=. -benchtime=1x . | go run ./cmd/benchjson -compare BENCH_kernel.json
 //
@@ -29,18 +36,26 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// result is one parsed benchmark line: its iteration count plus every
-// reported metric (ns/op, B/op, allocs/op, and any ReportMetric units).
+// result is one benchmark: its iteration count plus every reported
+// metric (ns/op, B/op, allocs/op, and any ReportMetric units). A
+// benchmark run more than once is folded (see fold): Iters sums the
+// runs' iterations, Metrics holds each metric's median, and Runs, Min
+// and Max the number of runs and each metric's extremes.
 type result struct {
 	Name    string             `json:"name"`
 	Iters   int64              `json:"iters"`
+	Runs    int                `json:"runs,omitempty"`
 	Metrics map[string]float64 `json:"metrics"`
+	Min     map[string]float64 `json:"min,omitempty"`
+	Max     map[string]float64 `json:"max,omitempty"`
 }
 
 // report is the emitted document.
@@ -50,9 +65,12 @@ type report struct {
 	Baseline   []result          `json:"baseline,omitempty"`
 }
 
-// parse consumes a `go test -bench` log, returning parsed benchmark
-// lines, context headers (goos/goarch/pkg/cpu), and whether a FAIL line
-// was seen. When echo is non-nil every input line is copied to it.
+// parse consumes a `go test -bench` log, returning its benchmarks in
+// order of first appearance with repeated names folded (see fold),
+// context headers (goos/goarch/pkg/cpu), and whether a FAIL line was
+// seen. A line whose iteration count is below 1 is skipped, and so is a
+// metric whose value is not a finite number. When echo is non-nil every
+// input line is copied to it.
 func parse(r io.Reader, echo io.Writer) ([]result, map[string]string, bool, error) {
 	var results []result
 	ctx := make(map[string]string)
@@ -79,20 +97,62 @@ func parse(r io.Reader, echo io.Writer) ([]result, map[string]string, bool, erro
 			continue
 		}
 		iters, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
+		if err != nil || iters < 1 {
 			continue
 		}
 		res := result{Name: trimProcSuffix(fields[0]), Iters: iters, Metrics: make(map[string]float64)}
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
+			if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 				continue
 			}
 			res.Metrics[fields[i+1]] = v
 		}
 		results = append(results, res)
 	}
-	return results, ctx, failed, sc.Err()
+	return fold(results), ctx, failed, sc.Err()
+}
+
+// fold merges the results that share a name (the runs of `go test
+// -count=N`) into one, at the first one's place. Each metric becomes the
+// median of the runs that reported it (the mean of the middle two for
+// an even count), with its minimum and maximum in Min and Max; Runs
+// counts the runs and Iters sums their iterations. A name seen once is
+// returned as parsed.
+func fold(results []result) []result {
+	runs := make(map[string][]result, len(results))
+	var out []result
+	for _, r := range results {
+		if _, seen := runs[r.Name]; !seen {
+			out = append(out, r)
+		}
+		runs[r.Name] = append(runs[r.Name], r)
+	}
+	for i, first := range out {
+		rs := runs[first.Name]
+		if len(rs) == 1 {
+			continue
+		}
+		f := result{Name: first.Name, Runs: len(rs), Metrics: map[string]float64{},
+			Min: map[string]float64{}, Max: map[string]float64{}}
+		values := map[string][]float64{}
+		for _, r := range rs {
+			f.Iters = min(f.Iters, math.MaxInt64-r.Iters) + r.Iters // saturates
+			for unit, v := range r.Metrics {
+				values[unit] = append(values[unit], v)
+			}
+		}
+		for unit, vs := range values {
+			slices.Sort(vs)
+			lo, hi := vs[(len(vs)-1)/2], vs[len(vs)/2]
+			// Halves first, so the sum cannot overflow; the clamp keeps
+			// a rounded subnormal mean between its two values.
+			f.Metrics[unit] = max(lo, min(hi, lo/2+hi/2))
+			f.Min[unit], f.Max[unit] = vs[0], vs[len(vs)-1]
+		}
+		out[i] = f
+	}
+	return out
 }
 
 // trimProcSuffix drops the trailing "-N" GOMAXPROCS marker from a

@@ -2,8 +2,10 @@ package main
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -174,4 +176,129 @@ func TestTrimProcSuffix(t *testing.T) {
 			t.Errorf("trimProcSuffix(%q) = %q, want %q", in, got, want)
 		}
 	}
+}
+
+// TestFoldRepeats: `go test -count=N` prints a benchmark N times, and
+// the report records it once, at its first place, with each metric's
+// median over the runs and the runs' count, minimum and maximum. An
+// even count takes the mean of the middle two; a metric only some runs
+// report is folded over those. -compare gates the median: a reference
+// at the median passes at 0% tolerance, one 50 allocs below it fails.
+func TestFoldRepeats(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		log  string
+		want []result
+	}{
+		{
+			name: "odd",
+			log: `BenchmarkKernel-2   1   300 ns/op   1000 allocs/op
+BenchmarkOther-2    4   7 ns/op
+BenchmarkKernel-2   1   100 ns/op   1200 allocs/op
+BenchmarkKernel-2   1   200 ns/op   1100 allocs/op
+`,
+			want: []result{
+				{Name: "BenchmarkKernel", Iters: 3, Runs: 3,
+					Metrics: map[string]float64{"ns/op": 200, "allocs/op": 1100},
+					Min:     map[string]float64{"ns/op": 100, "allocs/op": 1000},
+					Max:     map[string]float64{"ns/op": 300, "allocs/op": 1200}},
+				{Name: "BenchmarkOther", Iters: 4, Metrics: map[string]float64{"ns/op": 7}},
+			},
+		},
+		{
+			name: "even",
+			log: `BenchmarkKernel-2   2   400 ns/op   1000 allocs/op
+BenchmarkKernel-2   2   100 ns/op   1300 allocs/op
+BenchmarkKernel-2   2   200 ns/op   1000 allocs/op   5 flit-hops/s
+BenchmarkKernel-2   2   300 ns/op   2000 allocs/op   7 flit-hops/s
+`,
+			want: []result{
+				{Name: "BenchmarkKernel", Iters: 8, Runs: 4,
+					Metrics: map[string]float64{"ns/op": 250, "allocs/op": 1150, "flit-hops/s": 6},
+					Min:     map[string]float64{"ns/op": 100, "allocs/op": 1000, "flit-hops/s": 5},
+					Max:     map[string]float64{"ns/op": 400, "allocs/op": 2000, "flit-hops/s": 7}},
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, _, _, err := parse(strings.NewReader(tc.log), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("folded\n got %+v\nwant %+v", got, tc.want)
+			}
+			median := tc.want[0].Metrics["allocs/op"]
+			for _, ref := range []float64{median, median - 50} {
+				old := writeReport(t, []result{{Name: "BenchmarkKernel", Metrics: map[string]float64{"allocs/op": ref}}})
+				_, errw, err := runWith(t, options{compareFile: old}, tc.log)
+				if (err != nil) != (ref != median) {
+					t.Fatalf("compare against %g allocs/op (median %g): err = %v\n%s", ref, median, err, errw)
+				}
+			}
+		})
+	}
+}
+
+// gateLog is a slice of a real `make bench-gate` log: context headers,
+// plain, sub-benchmark and ReportMetric lines, and a package trailer.
+const gateLog = `goos: linux
+goarch: amd64
+pkg: repro
+cpu: Intel(R) Xeon(R) Processor
+BenchmarkOptTreeDP-2                	       1	   1080098 ns/op	 1065024 B/op	       3 allocs/op
+BenchmarkStepKernel/funnel/fast-2   	       1	  13120859 ns/op	  45288528 flit-hops/s	       0 B/op	       0 allocs/op
+BenchmarkStepKernel/stall/fast-2                        	       1	    198817 ns/op	 184512988 cycles/s	       0 B/op	       0 allocs/op
+BenchmarkScale/mesh1024x1024/serial-2                   	       1	   2057027 ns/op	  182544 B/op	      43 allocs/op
+PASS
+ok  	repro	1.624s
+`
+
+// FuzzParse feeds arbitrary logs to the parser. No input may panic it;
+// every result it returns has a name with no surrounding space, at least
+// one iteration and only finite metrics (so the report always encodes
+// as JSON); and every folded result has each metric's minimum <= median
+// <= maximum, for the same set of metrics. The seeds are a real gate
+// log, a repeated-name log and a failing log.
+func FuzzParse(f *testing.F) {
+	f.Add(gateLog)
+	f.Add(`BenchmarkKernel-2   1   300 ns/op   10 allocs/op
+BenchmarkKernel-2   1   NaN ns/op   12 allocs/op
+BenchmarkKernel-2   0   200 ns/op   +Inf allocs/op
+BenchmarkKernel-2   1   200 ns/op   11 allocs/op
+`)
+	f.Add(sampleLog + "--- FAIL: BenchmarkKernel\nFAIL\trepro\t0.01s\n")
+	f.Fuzz(func(t *testing.T, log string) {
+		results, _, _, err := parse(strings.NewReader(log), nil)
+		if err != nil {
+			return // a line too long for the scanner
+		}
+		if _, err := json.Marshal(report{Benchmarks: results}); err != nil {
+			t.Fatalf("report does not encode: %v", err)
+		}
+		for _, r := range results {
+			if r.Name == "" || strings.TrimSpace(r.Name) != r.Name {
+				t.Fatalf("untrimmed name %q", r.Name)
+			}
+			if r.Iters < 1 {
+				t.Fatalf("%s: %d iterations", r.Name, r.Iters)
+			}
+			for unit, v := range r.Metrics {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("%s: %s = %g", r.Name, unit, v)
+				}
+				if r.Runs == 0 {
+					continue
+				}
+				lo, okLo := r.Min[unit]
+				hi, okHi := r.Max[unit]
+				if !okLo || !okHi || !(lo <= v && v <= hi) {
+					t.Fatalf("%s: %s min %g (%v) median %g max %g (%v)", r.Name, unit, lo, okLo, v, hi, okHi)
+				}
+			}
+			if r.Runs != 0 && (r.Runs < 2 || len(r.Min) != len(r.Metrics) || len(r.Max) != len(r.Metrics)) {
+				t.Fatalf("%s: folded %d runs with %d metrics, %d minima, %d maxima", r.Name, r.Runs, len(r.Metrics), len(r.Min), len(r.Max))
+			}
+		}
+	})
 }

@@ -111,6 +111,27 @@ func (n *Network) CheckLiveWindows() error {
 	return nil
 }
 
+// FinishedStages counts, over the worms in flight, the stages that have
+// finished (each released channel, and injection once every flit is
+// in) and the crossing-parked worms standing in a stall. Each phase-A
+// event of a parked worm raises it by at least one, and the worms in
+// flight do not change inside a clock jump, so a StepUntil that ends
+// in a jump settled events inside it exactly when the count moved since
+// its last stepped cycle.
+func (n *Network) FinishedStages() int64 {
+	k := int64(0)
+	for _, w := range n.worms {
+		k += int64(w.tail)
+		if w.injected == w.flits {
+			k++
+		}
+		if n.asleep[w.slot] == parked && !w.routed && n.now >= n.stallAt(w) {
+			k++
+		}
+	}
+	return k
+}
+
 // Parked reports whether the in-flight worm w is parked, streaming in
 // closed form.
 func (n *Network) Parked(w *Worm) bool { return n.asleep[w.slot] == parked }

@@ -31,13 +31,17 @@ import (
 //     with every stranded worm cancelled (drive's cancelling mode): the
 //     check-free loop that parks, under a routing layer that detours and
 //     freezes, with parked worms cancelled mid-stream. The torus, which
-//     never parks, is their control.
+//     never parks, is their control. The fast kernel runs these twice,
+//     with an observer and without one (see diffFaulted).
 //
 // Odd seeds use the stall-heavy config (long RouterDelay, single-flit
-// buffers) for deep cycle-skipping.
+// buffers) for deep cycle-skipping. The suite fails if the dead-only
+// runs never cancelled a parked or a crossing-parked worm, never froze
+// a crossing-parked one, or never settled a parked worm's event inside
+// a clock jump, with or without an observer.
 func TestKernelDifferentialFaults(t *testing.T) {
 	total, ran := 0, 0
-	var counts parkCounts
+	var counts, quiet parkCounts
 	for _, p := range diffPlatforms() {
 		for seed := int64(0); seed < 6; seed++ {
 			cfg := DefaultConfig()
@@ -64,35 +68,50 @@ func TestKernelDifferentialFaults(t *testing.T) {
 					plan := fault.MustPlan(p.topo, fault.Spec{DeadFrac: float64(pct) / 100, Seed: planSeed})
 					r := rand.New(rand.NewSource(271 + seed*104729 + int64(pct)))
 					sends := randWorkload(r, p.topo.NumNodes(), 48, 8<<10)
-					counts.add(diffFaulted(t, p.topo, cfg, plan, sends, true))
+					k, q := diffFaulted(t, p.topo, cfg, plan, sends, true)
+					counts.add(k)
+					quiet.add(q)
 				})
 			}
 		}
 	}
-	if ran == total && (counts.parkedCancels == 0 || counts.crossingCancels == 0 || counts.frozen == 0) {
-		t.Fatalf("closed-form paths of the parking loop went untested on dead-only plans: %+v", counts)
+	if ran == total && (counts.parkedCancels == 0 || counts.crossingCancels == 0 || counts.frozen == 0 || counts.settled == 0 || quiet.settled == 0) {
+		t.Fatalf("closed-form paths of the parking loop went untested on dead-only plans: observed %+v, unobserved %+v", counts, quiet)
 	}
 }
 
 // diffFaulted drives sends on topo under plan through the reference and
 // fast kernels (see drive) and requires identical error text and
-// outcomes. It returns the closed-form paths the fast run took.
-func diffFaulted(t *testing.T, topo Topology, cfg Config, plan FaultModel, sends []timedSend, cancelling bool) parkCounts {
+// outcomes. A cancelling drive also runs the fast kernel with no
+// observer, as the recovery layer does, and compares it with the
+// reference run but for the event stream. It returns the closed-form
+// paths the observed and the unobserved fast runs took.
+func diffFaulted(t *testing.T, topo Topology, cfg Config, plan FaultModel, sends []timedSend, cancelling bool) (observed, unobserved parkCounts) {
 	t.Helper()
 	ref := New(topo, cfg)
 	ref.SetKernel(KernelReference)
 	ref.SetFaults(plan)
-	want, wantErr, _ := drive(t, ref, sends, cancelling)
+	want, wantErr, _ := drive(t, ref, sends, driveMode{cancelling: cancelling})
 
-	fast := New(topo, cfg)
-	fast.SetFaults(plan)
-	got, gotErr, counts := drive(t, fast, sends, cancelling)
-
-	if gotErr != wantErr {
-		t.Fatalf("error text diverges:\n got %q\nwant %q", gotErr, wantErr)
+	run := func(mode driveMode) parkCounts {
+		fast := New(topo, cfg)
+		fast.SetFaults(plan)
+		got, gotErr, counts := drive(t, fast, sends, mode)
+		if gotErr != wantErr {
+			t.Fatalf("error text diverges:\n got %q\nwant %q", gotErr, wantErr)
+		}
+		if mode.quiet {
+			diffSnapshots(t, got, want.unobserved())
+		} else {
+			diffSnapshots(t, got, want)
+		}
+		return counts
 	}
-	diffSnapshots(t, got, want)
-	return counts
+	observed = run(driveMode{cancelling: cancelling})
+	if cancelling {
+		unobserved = run(driveMode{cancelling: true, quiet: true})
+	}
+	return observed, unobserved
 }
 
 // TestFaultsWithoutDeadLinksAlwaysDrain pins the liveness half of the

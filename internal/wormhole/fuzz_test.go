@@ -69,7 +69,13 @@ func decodeSends(data []byte, nodes int) []timedSend {
 // check-free loop again, now under a routing layer that detours and
 // freezes. Dead links may strand worms, so that leg cancels them as it
 // goes (drive's cancelling mode) and compares the two kernels' outcomes
-// and error text without requiring every worm delivered.
+// and error text without requiring every worm delivered. The healthy
+// mesh and dead-only legs also run the fast kernel with no observer (as
+// the experiment sweeps and delivery layers run it; with recycling on
+// the healthy mesh), whose clock jumps settle parked worms' events worm
+// by worm, and compare it with the reference run but for the event
+// stream. TestFuzzLegsSettleInJumps checks that those legs settle events
+// inside jumps on a seed input.
 func FuzzWormholeKernel(f *testing.F) {
 	// The first eight seeds run RouterDelay 2 with BufFlits 2.
 	f.Add([]byte{}, uint8(2), uint8(1))
@@ -81,45 +87,74 @@ func FuzzWormholeKernel(f *testing.F) {
 		r.Read(b)
 		f.Add(b, uint8(2), uint8(1))
 	}
-	// An 8 KB worm 0->15 streams while a 5.5 KB worm 3->12 crosses its
-	// routers and a short worm 1->15 blocks behind it; after a long gap a
-	// short worm and two more multi-KB worms follow. It runs under every
-	// other config too.
-	long := []byte{0, 15, 255, 0, 3, 12, 250, 0, 1, 15, 10, 3, 12, 3, 40, 220, 5, 10, 245, 2, 6, 9, 248, 1}
-	f.Add(long, uint8(2), uint8(1))
+	// The multi-KB seed runs under every other config too.
+	f.Add(fuzzLongSeed, uint8(2), uint8(1))
 	for rd := uint8(0); rd < 4; rd++ {
 		for buf := uint8(0); buf < 4; buf++ {
 			if rd != 2 || buf != 1 {
-				f.Add(long, rd, buf)
+				f.Add(fuzzLongSeed, rd, buf)
 			}
 		}
 	}
 
-	topo := mesh.New2D(4, 4)
-	ring := torus.New2D(4, 4)
+	f.Fuzz(func(t *testing.T, data []byte, rd, buf uint8) { fuzzKernel(t, data, rd, buf) })
+}
 
-	f.Fuzz(func(t *testing.T, data []byte, rd, buf uint8) {
-		cfg := DefaultConfig()
-		cfg.RouterDelay = int64(rd % 4)
-		cfg.BufFlits = 1 + int(buf%4)
-		sends := decodeSends(data, topo.NumNodes())
-		fuzzLeg(t, "mesh", topo, nil, cfg, sends)
-		fuzzLeg(t, "torus", ring, nil, cfg, sends)
-		seed := uint64(len(data))
-		for _, b := range data {
-			seed = seed*131 + uint64(b)
+// fuzzLongSeed is FuzzWormholeKernel's multi-KB seed input: an 8 KB worm
+// 0->15 streams while a 5.5 KB worm 3->12 crosses its routers and a
+// short worm 1->15 blocks behind it; after a long gap a short worm and
+// two more multi-KB worms follow.
+var fuzzLongSeed = []byte{0, 15, 255, 0, 3, 12, 250, 0, 1, 15, 10, 3, 12, 3, 40, 220, 5, 10, 245, 2, 6, 9, 248, 1}
+
+// fuzzKernel is FuzzWormholeKernel's body. It returns the closed-form
+// paths the unobserved fast runs of the healthy-mesh and dead-only legs
+// took.
+func fuzzKernel(t *testing.T, data []byte, rd, buf uint8) (mesh4, dead4 parkCounts) {
+	topo := mesh.New2D(4, 4)
+	cfg := DefaultConfig()
+	cfg.RouterDelay = int64(rd % 4)
+	cfg.BufFlits = 1 + int(buf%4)
+	sends := decodeSends(data, topo.NumNodes())
+	mesh4 = fuzzLeg(t, "mesh", topo, nil, cfg, sends, true)
+	fuzzLeg(t, "torus", torus.New2D(4, 4), nil, cfg, sends, false)
+	seed := uint64(len(data))
+	for _, b := range data {
+		seed = seed*131 + uint64(b)
+	}
+	plan := fault.MustPlan(topo, fault.Spec{DegradedFrac: 0.15, FlakyFrac: 0.15, Seed: seed})
+	fuzzLeg(t, "faulted mesh", topo, plan, cfg, sends, false)
+	dead := fault.MustPlan(topo, fault.Spec{DeadFrac: 0.1, Seed: seed})
+	_, dead4 = diffFaulted(t, topo, cfg, dead, sends, true)
+	return mesh4, dead4
+}
+
+// TestFuzzLegsSettleInJumps runs FuzzWormholeKernel's body on its
+// multi-KB seed under every RouterDelay 0–3 × BufFlits 1–4 and fails
+// unless the unobserved fast runs of the healthy-mesh and of the
+// dead-only leg each settled a parked worm's event inside a clock jump:
+// without that, those legs would not test the settlement path the
+// experiment sweeps and delivery layers run.
+func TestFuzzLegsSettleInJumps(t *testing.T) {
+	var mesh4, dead4 parkCounts
+	for rd := uint8(0); rd < 4; rd++ {
+		for buf := uint8(0); buf < 4; buf++ {
+			m, d := fuzzKernel(t, fuzzLongSeed, rd, buf)
+			mesh4.add(m)
+			dead4.add(d)
 		}
-		plan := fault.MustPlan(topo, fault.Spec{DegradedFrac: 0.15, FlakyFrac: 0.15, Seed: seed})
-		fuzzLeg(t, "faulted mesh", topo, plan, cfg, sends)
-		dead := fault.MustPlan(topo, fault.Spec{DeadFrac: 0.1, Seed: seed})
-		diffFaulted(t, topo, cfg, dead, sends, true)
-	})
+	}
+	if mesh4.settled == 0 || dead4.settled == 0 {
+		t.Fatalf("no event settled inside a jump: healthy mesh %+v, dead-only %+v", mesh4, dead4)
+	}
 }
 
 // fuzzLeg runs sends on topo (under plan, when non-nil) through the fast
 // and reference kernels and requires every worm delivered with flits
-// conserved and the two outcomes identical.
-func fuzzLeg(t *testing.T, name string, topo Topology, plan FaultModel, cfg Config, sends []timedSend) {
+// conserved and the two outcomes identical. With unobserved set it also
+// runs the fast kernel with no observer and recycling on, compares it
+// with the reference run but for the event stream, and returns its
+// closed-form paths.
+func fuzzLeg(t *testing.T, name string, topo Topology, plan FaultModel, cfg Config, sends []timedSend, unobserved bool) parkCounts {
 	t.Helper()
 	run := func(k Kernel) runSnapshot {
 		n := New(topo, cfg)
@@ -153,4 +188,12 @@ func fuzzLeg(t *testing.T, name string, topo Topology, plan FaultModel, cfg Conf
 		t.Errorf("%s: fast kernel diverges from reference:", name)
 	}
 	diffSnapshots(t, got, want)
+	if !unobserved {
+		return parkCounts{}
+	}
+	n := New(topo, cfg)
+	n.SetRecycling(true)
+	got, counts := runCounted(t, n, sends, driveMode{quiet: true})
+	diffSnapshots(t, got, want.unobserved())
+	return counts
 }

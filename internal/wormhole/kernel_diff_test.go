@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/bfly"
@@ -75,16 +76,17 @@ func (s runSnapshot) outcome() runSnapshot {
 	return s
 }
 
-// monitorState is what the monitors of mcastsim.Drive read after a
-// StepUntil: the cycle, the last cycle in which a flit moved, and the
-// number of worms frozen unreachable.
+// monitorState is what a driver can read after a StepUntil: the cycle,
+// the last cycle in which a flit moved, the number of worms frozen
+// unreachable (what the monitors of mcastsim.Drive read) and Stats.
 type monitorState struct {
 	Now, LastMove int64
 	Frozen        int
+	Stats         Stats
 }
 
 func readMonitors(n *Network) monitorState {
-	return monitorState{Now: n.Now(), LastMove: n.LastMove(), Frozen: n.Frozen()}
+	return monitorState{Now: n.Now(), LastMove: n.LastMove(), Frozen: n.Frozen(), Stats: n.Stats()}
 }
 
 // randWorkload draws a seeded send sequence of payloads below maxBytes,
@@ -145,25 +147,39 @@ const drainLimit = 1 << 22
 // stop at the first fabric error (Err) or once drainLimit cycles have
 // passed. The live-window invariants are checked after every stepped
 // cycle (through the step hook) and after every StepUntil, whose
-// monitor readings are recorded, and the full event stream is recorded
-// too. It returns the observable outcome and the text of the error that
-// stopped the drain: "" when the fabric drained, which must then be
-// quiesced. On faulted fabrics the
-// error text is part of the outcome (an unreachable worm freezes holding
-// its channels by design).
+// readings are recorded, and the full event stream is recorded too. It
+// returns the observable outcome and the text of the error that stopped
+// the drain: "" when the fabric drained, which must then be quiesced. On
+// faulted fabrics the error text is part of the outcome (an unreachable
+// worm freezes holding its channels by design).
 func driveWorkload(t *testing.T, n *Network, sends []timedSend) (runSnapshot, string) {
 	t.Helper()
-	snap, errText, _ := drive(t, n, sends, false)
+	snap, errText, _ := drive(t, n, sends, driveMode{})
 	return snap, errText
+}
+
+// driveMode selects how drive runs a workload.
+type driveMode struct {
+	// cancelling cancels stranded worms as a recovery driver does (see
+	// drive).
+	cancelling bool
+	// quiet attaches no observer, as the experiment sweeps, the delivery
+	// layers and the benchmark workloads run the kernel: the fast kernel
+	// then settles the events a clock jump passes over worm by worm
+	// instead of cycle by cycle. The snapshot's event stream holds only
+	// the cancels drive logs itself.
+	quiet bool
 }
 
 // parkCounts tallies the closed-form paths one drive took, so a suite
 // can fail when one of them went untested: worms seen crossing-parked
 // after a stepped cycle, crossing-parked worms whose header then found
-// every candidate owned (blocked) or dead (frozen), and cancels of
-// parked and of crossing-parked worms.
+// every candidate owned (blocked) or dead (frozen), cancels of parked
+// and of crossing-parked worms, and clock jumps inside which a parked
+// worm's event (the end of its injection, a release or a stall) was
+// settled.
 type parkCounts struct {
-	crossing, blocked, frozen, parkedCancels, crossingCancels int
+	crossing, blocked, frozen, parkedCancels, crossingCancels, settled int
 }
 
 func (c *parkCounts) add(o parkCounts) {
@@ -172,6 +188,7 @@ func (c *parkCounts) add(o parkCounts) {
 	c.frozen += o.frozen
 	c.parkedCancels += o.parkedCancels
 	c.crossingCancels += o.crossingCancels
+	c.settled += o.settled
 }
 
 // drive implements driveWorkload and adds a cancelling mode for fabrics
@@ -185,12 +202,18 @@ func (c *parkCounts) add(o parkCounts) {
 // text can only be a drain timeout. drive also returns the closed-form
 // paths the fast kernel took: a worm parked while crossing after one
 // stepped cycle and blocked or frozen after the next was unparked by its
-// header in that cycle (skipped cycles between them change nothing). A
-// cancelling drive must not recycle worms.
-func drive(t *testing.T, n *Network, sends []timedSend, cancelling bool) (runSnapshot, string, parkCounts) {
+// header in that cycle (skipped cycles between them change nothing); a
+// StepUntil that returns after a clock jump with more stages finished
+// than at its last stepped cycle settled events inside the jump. A
+// cancelling drive must not recycle worms, and only an observed one
+// tallies crossing worms: both keep every *Worm sent.
+func drive(t *testing.T, n *Network, sends []timedSend, mode driveMode) (runSnapshot, string, parkCounts) {
 	t.Helper()
 	log := &eventLog{}
-	n.SetObserver(log)
+	if !mode.quiet {
+		n.SetObserver(log)
+	}
+	keep := mode.cancelling || !mode.quiet
 	var snap runSnapshot
 	record := func(w *Worm, now int64) { snap.Worms = append(snap.Worms, recordWorm(w)) }
 	var sent, frozen, crossing []*Worm
@@ -208,9 +231,11 @@ func drive(t *testing.T, n *Network, sends []timedSend, cancelling bool) (runSna
 		cancelled[w] = true
 		n.Cancel(w)
 	}
+	var stepped, finished int64
 	n.SetStepHook(func() {
 		checkWindows(t, n)
-		if n.Kernel() != KernelFast {
+		stepped, finished = n.Now(), n.FinishedStages()
+		if n.Kernel() != KernelFast || mode.quiet {
 			return
 		}
 		for _, w := range crossing {
@@ -234,8 +259,11 @@ func drive(t *testing.T, n *Network, sends []timedSend, cancelling bool) (runSna
 	step := func(limit int64) {
 		n.StepUntil(limit)
 		checkWindows(t, n)
+		if n.Now() > stepped && n.FinishedStages() != finished {
+			counts.settled++
+		}
 		snap.Monitors = append(snap.Monitors, readMonitors(n))
-		if !cancelling || n.Err() == nil {
+		if !mode.cancelling || n.Err() == nil {
 			return
 		}
 		frozen = n.Unreachable(frozen[:0])
@@ -254,7 +282,7 @@ func drive(t *testing.T, n *Network, sends []timedSend, cancelling bool) (runSna
 			}
 			step(s.at)
 		}
-		if cancelling && i%4 == 3 {
+		if mode.cancelling && i%4 == 3 {
 			for _, w := range sent {
 				if !w.Done() && !cancelled[w] {
 					cancel(w)
@@ -262,7 +290,10 @@ func drive(t *testing.T, n *Network, sends []timedSend, cancelling bool) (runSna
 				}
 			}
 		}
-		sent = append(sent, n.Send(s.src, s.dst, s.bytes, nil, record))
+		w := n.Send(s.src, s.dst, s.bytes, nil, record)
+		if keep {
+			sent = append(sent, w)
+		}
 	}
 	var errText string
 	start := n.Now()
@@ -290,19 +321,32 @@ func drive(t *testing.T, n *Network, sends []timedSend, cancelling bool) (runSna
 // stream.
 func runWorkload(t *testing.T, n *Network, sends []timedSend) runSnapshot {
 	t.Helper()
-	snap, _ := runCounted(t, n, sends)
+	snap, _ := runCounted(t, n, sends, driveMode{})
 	return snap
 }
 
-// runCounted is runWorkload that also returns the closed-form paths the
-// run took.
-func runCounted(t *testing.T, n *Network, sends []timedSend) (runSnapshot, parkCounts) {
+// runCounted is runWorkload in the given mode that also returns the
+// closed-form paths the run took.
+func runCounted(t *testing.T, n *Network, sends []timedSend, mode driveMode) (runSnapshot, parkCounts) {
 	t.Helper()
-	snap, errText, counts := drive(t, n, sends, false)
+	snap, errText, counts := drive(t, n, sends, mode)
 	if errText != "" {
 		t.Fatal(errText)
 	}
 	return snap, counts
+}
+
+// unobserved returns the snapshot as a run with no observer records it:
+// without its event stream, except the cancels drive logs itself.
+func (s runSnapshot) unobserved() runSnapshot {
+	var events []string
+	for _, e := range s.Events {
+		if strings.Contains(e, " cnl ") {
+			events = append(events, e)
+		}
+	}
+	s.Events = events
+	return s
 }
 
 // diffSnapshots fails the test with a focused report of the first
@@ -394,8 +438,13 @@ func diffPlatforms() []struct {
 // to 4 KB under every RouterDelay in {0, 1, 2} and BufFlits in {1, 2, 4}:
 // a crossing worm's motion repeats every RouterDelay+1 cycles, and
 // stands still for part of each period when BufFlits <= RouterDelay.
+// Every case also runs the fast kernel with no observer and recycling
+// on, as the experiment sweeps and the delivery layers run it, and
+// compares it with the reference run but for the event stream: its
+// jumps settle parked worms' events worm by worm, not cycle by cycle.
 // The suite fails if no fast run parked a crossing worm or unparked one
-// whose header then blocked.
+// whose header then blocked, or if the observed or the unobserved runs
+// never settled a parked worm's event inside a clock jump.
 func TestKernelDifferential(t *testing.T) {
 	type diffCase struct {
 		name     string
@@ -424,7 +473,7 @@ func TestKernelDifferential(t *testing.T) {
 		}
 	}
 	total, ran := 0, 0
-	var counts parkCounts
+	var counts, quiet parkCounts
 	for _, p := range diffPlatforms() {
 		for _, c := range cases {
 			total++
@@ -439,15 +488,20 @@ func TestKernelDifferential(t *testing.T) {
 
 				fast := New(p.topo, c.cfg)
 				fast.SetRecycling(c.recycle)
-				got, k := runCounted(t, fast, sends)
+				got, k := runCounted(t, fast, sends, driveMode{})
 				counts.add(k)
-
 				diffSnapshots(t, got, want)
+
+				fast = New(p.topo, c.cfg)
+				fast.SetRecycling(true)
+				got, k = runCounted(t, fast, sends, driveMode{quiet: true})
+				quiet.add(k)
+				diffSnapshots(t, got, want.unobserved())
 			})
 		}
 	}
-	if ran == total && (counts.crossing == 0 || counts.blocked == 0) {
-		t.Fatalf("closed-form paths went untested: %+v", counts)
+	if ran == total && (counts.crossing == 0 || counts.blocked == 0 || counts.settled == 0 || quiet.settled == 0) {
+		t.Fatalf("closed-form paths went untested: observed %+v, unobserved %+v", counts, quiet)
 	}
 }
 
@@ -595,6 +649,9 @@ func TestAdvanceToEquivalentToIdleStepping(t *testing.T) {
 					b.Stats.Cycles, a.Stats.Cycles, gap)
 			}
 			b.Stats.Cycles = a.Stats.Cycles
+			for i := range b.Monitors {
+				b.Monitors[i].Stats.Cycles -= gap
+			}
 			diffSnapshots(t, b, a)
 		})
 	}

@@ -220,10 +220,9 @@ func TestRecyclingSteadyStateAllocs(t *testing.T) {
 }
 
 // TestFreshWormSizedOnce: without recycling every Send allocates a
-// fresh worm, whose path and passed are sized to the longest path the
-// network has built. After one corner-to-corner worm on a 16×16 mesh
-// (32 channels), each further one allocates the struct and its two
-// slices, and appends to neither beyond them.
+// fresh worm, whose path and passed are sized to its own route. A
+// corner-to-corner worm on a 16×16 mesh (32 channels) allocates the
+// struct and its two slices, and appends to neither beyond them.
 func TestFreshWormSizedOnce(t *testing.T) {
 	n := newMeshNet(16, 16, DefaultConfig())
 	send := func() {
@@ -235,5 +234,29 @@ func TestFreshWormSizedOnce(t *testing.T) {
 	send()
 	if allocs := testing.AllocsPerRun(50, send); allocs > 3 {
 		t.Fatalf("a fresh corner-to-corner worm allocated %.1f objects, want at most 3", allocs)
+	}
+}
+
+// TestFreshWormSizedToItsRoute: a fresh worm's path is sized to its own
+// route, rounded up to a power of two, not to the longest path the
+// network has built. A 1-hop worm sent after a corner-to-corner one on
+// a 16×16 mesh holds its 3 channels (injection, one link, ejection) in
+// a 4-channel array, where sizing to the longest path would give it 32.
+func TestFreshWormSizedToItsRoute(t *testing.T) {
+	n := newMeshNet(16, 16, DefaultConfig())
+	far := n.Send(0, 255, 256, nil, nil)
+	if _, err := n.RunUntilIdle(1 << 16); err != nil {
+		t.Fatal(err)
+	}
+	w := n.Send(0, 1, 256, nil, nil)
+	if _, err := n.RunUntilIdle(1 << 16); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(far.Path()); got != 32 {
+		t.Fatalf("corner-to-corner path holds %d channels, want 32", got)
+	}
+	if len(w.Path()) != 3 || cap(w.Path()) != 4 {
+		t.Fatalf("1-hop worm after a corner-to-corner one: path %d channels in an array of %d, want 3 in 4",
+			len(w.Path()), cap(w.Path()))
 	}
 }

@@ -2,6 +2,7 @@ package wormhole
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 )
 
@@ -90,10 +91,11 @@ const (
 	// form once its motion is a pure function of its own counters: a
 	// routed worm whose every live stage moves streams, and a worm whose
 	// header is still crossing the fabric moves with period
-	// RouterDelay+1. Such a worm is visited only at its events — a stage
-	// finishing, a stall, its header's next routing decision — and is
-	// returned to per-cycle stepping (unparked) when its header blocks or
-	// freezes, reaches its destination, or the worm is cancelled. It is
+	// RouterDelay+1. Such a worm wakes the kernel only to arrive or to
+	// make its header's next routing decision; its other events (a stage
+	// finishing, a stall) are settled inside the clock jumps over them. It
+	// is returned to per-cycle stepping (unparked) when its header blocks
+	// or freezes, reaches its destination, or the worm is cancelled. It is
 	// observably equivalent to KernelReference (identical Stats, per-worm
 	// timings and observer event streams), which the differential and
 	// fuzz suites in kernel_diff_test.go enforce.
@@ -150,17 +152,23 @@ type Worm struct {
 	// in flight. waitState caches the header's outcome (blocked on an owned
 	// channel, or waiting for the injection port) and is valid while
 	// waitEpoch matches the network's ownership epoch — i.e. until any
-	// acquire or release anywhere could have changed the answer.
+	// acquire, release or park anywhere could have changed the answer —
+	// and the clock has not reached waitUntil, the first cycle in which a
+	// parked owner could release a channel the verdict waits on (see
+	// freedAt).
 	slot      int32
 	waitState uint8
 	waitEpoch int64
+	waitUntil int64
 	blockCand ChannelID
 	blockHold *Worm
-	// due is a parked worm's next phase-A event cycle, or never (see
-	// park). parkAt is the origin of its virtual clock (see vclock):
-	// each unfinished counter holds its true value minus the clock, the
-	// cycles the worm's stages have moved since parkAt.
+	// due is a parked worm's next phase-A event cycle, or never, and wake
+	// the next cycle in which it acts (see park). parkAt is the origin of
+	// its virtual clock (see vclock): each unfinished counter holds its
+	// true value minus the clock, the cycles the worm's stages have moved
+	// since parkAt.
 	due    int64
+	wake   int64
 	parkAt int64
 }
 
@@ -266,7 +274,7 @@ type Network struct {
 
 	// Kernel scheduling state (see DESIGN.md §4, "kernel scheduling").
 	kernel Kernel
-	epoch  int64 // bumped on every acquire/release; keys waitState caches
+	epoch  int64 // bumped on every acquire, release and park; keys waitState caches
 	// lastMove is the last cycle in which a flit moved, and hops the
 	// flit-hop count (as Stats reports it) at the end of the last cycle
 	// stepped or skipped: a cycle moved a flit exactly when it grew hops.
@@ -300,17 +308,24 @@ type Network struct {
 	first  frozenWorm
 	err    error
 
-	// Worm pooling (see SetRecycling). longest is the longest path a
-	// worm has built on this network: a fresh worm's path and passed are
-	// sized to it, so they grow by append only past it.
+	// Worm pooling (see SetRecycling). A fresh worm's path and passed are
+	// sized to its own route when the topology knows its hop counts
+	// (dist), and otherwise to longest, the longest path a worm has built
+	// on this network, so they grow by append only past it.
 	recycle bool
 	free    []*Worm
+	dist    distancer
 	longest int
 
 	// onStep, when set, runs at the end of every stepped cycle. It is a
 	// test hook (see export_test.go): nothing in the package sets it.
 	onStep func()
 }
+
+// distancer is implemented by topologies that know the minimal hop
+// count between two nodes (mesh, torus): a worm routed between them
+// holds that many link channels plus its injection and ejection ones.
+type distancer interface{ Distance(a, b int) int }
 
 // frozenWorm is what Err's text names: the first worm frozen while no
 // other was, and the channel at which it found no live candidate. It is
@@ -350,6 +365,7 @@ func New(topo Topology, cfg Config) *Network {
 		}
 	}
 	n.ungated = n.lg == nil
+	n.dist, _ = topo.(distancer)
 	return n
 }
 
@@ -550,15 +566,16 @@ func (n *Network) AdvanceTo(t int64) {
 	n.now = t
 }
 
-// alloc returns a zeroed worm, reusing a pooled one when available. The
-// miss path (fresh) is the pool's one sanctioned allocation: steady
-// state hits the free list and reuses the path/passed backing arrays.
+// alloc returns a zeroed worm for a route from src to dst, reusing a
+// pooled one when available. The miss path (fresh) is the pool's one
+// sanctioned allocation: steady state hits the free list and reuses the
+// path/passed backing arrays.
 //
 //lint:hotpath
-func (n *Network) alloc() *Worm {
+func (n *Network) alloc(src, dst NodeID) *Worm {
 	k := len(n.free) - 1
 	if k < 0 {
-		return n.fresh()
+		return n.fresh(src, dst)
 	}
 	w := n.free[k]
 	n.free[k] = nil
@@ -568,11 +585,21 @@ func (n *Network) alloc() *Worm {
 	return w
 }
 
-// fresh allocates a worm whose path and passed hold the longest path
-// built on this network so far without growing: three allocations, the
-// struct and its two slices, for any route no longer than that.
-func (n *Network) fresh() *Worm {
-	return &Worm{path: make([]ChannelID, 0, n.longest), passed: make([]int, 0, n.longest)}
+// fresh allocates a worm whose path and passed hold its route without
+// growing: three allocations, the struct and its two slices. On a
+// topology that reports its hop counts the route from src to dst is
+// Distance+2 channels long (a detour around dead channels grows it by
+// append), and the slices hold it rounded up to a power of two, as
+// append's doubling would leave them: a pooled worm is reissued for
+// whatever route the next Send has, and the slack lets it carry one up
+// to that size without regrowing. On any other topology they hold the
+// longest path built on this network so far.
+func (n *Network) fresh(src, dst NodeID) *Worm {
+	size := n.longest
+	if n.dist != nil {
+		size = 1 << bits.Len(uint(n.dist.Distance(int(src), int(dst))+1))
+	}
+	return &Worm{path: make([]ChannelID, 0, size), passed: make([]int, 0, size)}
 }
 
 // Send creates a worm from src to dst carrying bytes of payload. The worm
@@ -586,7 +613,7 @@ func (n *Network) Send(src, dst NodeID, bytes int, tag any, onArrive ArrivalFunc
 	if int(src) < 0 || int(src) >= n.topo.NumNodes() || int(dst) < 0 || int(dst) >= n.topo.NumNodes() {
 		panic(fmt.Sprintf("wormhole: Send endpoints %d->%d out of range [0,%d)", src, dst, n.topo.NumNodes()))
 	}
-	w := n.alloc()
+	w := n.alloc(src, dst)
 	w.ID = n.nextID
 	w.Src, w.Dst = src, dst
 	w.Bytes = bytes
@@ -744,15 +771,20 @@ func (n *Network) Step() {
 // Under KernelFast it steps cycle after cycle and returns only when the
 // driver may have work: a worm arrived (its callback may have scheduled
 // an event), a fault-gated channel refused a flit or a worm froze
-// unreachable (faultStall), the clock jumped over a stall, or the clock
-// reached limit. After every stepped cycle it applies one skip rule: the
-// clock jumps to the cycle before the next one in which some worm can
-// act (see nextAct), bulk-crediting Cycles, BlockedCycles and
-// InjectWaitCycles for the skipped stretch (parked worms' flit-hops
-// accrue in closed form; see Stats). Long software gaps, blocked
-// stretches and streaming bodies therefore cost O(1) instead of
-// O(cycles × worms), and a cycle in which nothing can act is never
-// stepped after one in which something did.
+// unreachable (faultStall), the clock jumped over cycles the last of
+// which moved no flit (a stall a no-progress monitor must see), or the
+// clock reached limit. After every stepped cycle it applies one skip
+// rule: the clock jumps to the cycle before the next one in which some
+// worm can act (see nextAct), bulk-crediting Cycles, BlockedCycles and
+// InjectWaitCycles for the skipped stretch and settling the parked
+// worms' events in it (see skipTo; parked worms' flit-hops accrue in
+// closed form, see Stats). A jump whose last cycle moved a flit leaves
+// LastMove at the clock, so no monitor can act on it, and stepping goes
+// on. Long software gaps, blocked stretches and draining bodies
+// therefore cost O(events) instead of O(cycles × worms), and a cycle in
+// which nothing can act is never stepped after one in which something
+// did. At every return, ownership, Stats, Frozen and LastMove are
+// exactly what per-cycle stepping would leave.
 //
 //lint:hotpath
 func (n *Network) StepUntil(limit int64) {
@@ -773,7 +805,9 @@ func (n *Network) StepUntil(limit int64) {
 		}
 		if t := n.nextAct(); t > n.now+1 {
 			n.skipTo(min(t-1, limit))
-			return
+			if n.lastMove != n.now || n.now >= limit {
+				return
+			}
 		}
 	}
 }
@@ -791,10 +825,16 @@ func (n *Network) badStepUntil(limit int64) {
 // or injection request will route instead of replaying a cached verdict
 // (none cached, or the ownership epoch moved on). Otherwise it acts at
 // its pending router decision (a header at its frontier whose
-// RouterDelay has not elapsed) or, parked, at its next event or its
-// header's next routing decision, and not at all while it sleeps behind
-// a valid blocked or inject-wait verdict or is frozen. Every cycle
-// before the returned one is therefore an identical stall.
+// RouterDelay has not elapsed), when its blocked or inject-wait verdict
+// expires (waitUntil: a parked owner may then release a channel it waits
+// on) or, parked, only at wake: its arrival once routed, its header's
+// next routing decision while crossing. skipTo settles a parked worm's
+// other events (the end of injection, each release, a stall): another
+// worm sees a release only when its header routes, and a header waiting
+// on the released channel acts at that cycle through its verdict's
+// expiry. A frozen worm never acts. Every cycle before the returned one
+// is therefore one in which no header routes and no flit moves but in
+// closed form.
 //
 //lint:hotpath
 func (n *Network) nextAct() int64 {
@@ -803,20 +843,21 @@ func (n *Network) nextAct() int64 {
 		t := never
 		switch n.asleep[w.slot] {
 		case parked:
-			// A crossing worm's header routes at headerReadyAt, which a
-			// finished phase B always leaves in the future.
-			t = w.due
-			if !w.routed && w.headerReadyAt < t {
-				t = w.headerReadyAt
-			}
+			// A crossing worm's header routes at wake, which a finished
+			// phase B always leaves in the future.
+			t = w.wake
 		case awake:
 			if len(w.path) > 0 {
 				return soon
 			}
-			if w.waitState == waitUnreachable || w.waitState == waitInject && w.waitEpoch == n.epoch {
+			switch {
+			case w.waitState == waitUnreachable:
 				continue
+			case w.waitState == waitInject && w.waitEpoch == n.epoch:
+				t = w.waitUntil
+			default:
+				return soon
 			}
-			return soon
 		default:
 			// Asleep: no flit can move until the worm acquires a channel,
 			// so a worm that is not routed has its header at the frontier.
@@ -826,7 +867,7 @@ func (n *Network) nextAct() int64 {
 			case w.headerReadyAt > n.now:
 				t = w.headerReadyAt
 			case w.waitState == waitBlocked && w.waitEpoch == n.epoch:
-				continue
+				t = w.waitUntil
 			default:
 				return soon
 			}
@@ -843,30 +884,54 @@ func (n *Network) nextAct() int64 {
 // kernel would have: stats.Cycles and the fairness rotation advance,
 // each blocked header accrues BlockedCycles (and its per-cycle Blocked
 // observer event), each inject-waiting worm accrues InjectWaitCycles,
-// and parked worms' stages move, which makes target the last-move cycle
-// while any stage moves.
+// and parked worms' stages move. Every phase-A event a parked worm has
+// in the stretch (the end of injection, each release, a crossing worm's
+// stall) is settled by stepParked at its own cycle, with that cycle's
+// credits. With an observer attached they are settled cycle by cycle,
+// in the reference kernel's order (phase-A events in rotation order,
+// then the cycle's replayed Blocked events); without one, worm by worm.
+// A settled release frees no channel a cached verdict waits on (each
+// verdict expires after target), so every verdict valid before the jump
+// stays valid after it. The last-move cycle is target while any parked
+// stage still moves, and otherwise the last cycle a settled stage moved.
 //
 //lint:hotpath
 func (n *Network) skipTo(target int64) {
-	delta := target - n.now
+	from, epoch := n.now, n.epoch
+	delta := target - from
 	n.stats.Cycles += delta
-	n.rotation += delta
+	stop := from
 	if n.obs != nil {
-		// Replay the per-cycle Blocked events the reference kernel
-		// would have emitted, in its order: cycles ascending, worms in
-		// creation order within a cycle.
-		for c := n.now + 1; c <= target; c++ {
+		for c := from + 1; c <= target; c++ {
+			n.now = c
+			if k := len(n.worms); k > 0 {
+				start := int(n.rotation % int64(k))
+				stop = max(stop, n.settle(n.worms[start:]), n.settle(n.worms[:start]))
+			}
+			n.rotation++
 			for _, w := range n.worms {
-				if w.waitState == waitBlocked && w.waitEpoch == n.epoch {
+				if w.waitState == waitBlocked && w.waitEpoch == epoch {
 					n.obs.Blocked(c, w, w.blockCand, w.blockHold)
 				}
 			}
 		}
+	} else {
+		n.rotation += delta
+		for _, w := range n.worms {
+			if n.asleep[w.slot] != parked {
+				continue
+			}
+			for w.due <= target {
+				n.now = w.due
+				stop = max(stop, n.stepParked(w))
+			}
+		}
 	}
 	for _, w := range n.worms {
-		if w.waitEpoch != n.epoch {
+		if w.waitEpoch != epoch {
 			continue
 		}
+		w.waitEpoch = n.epoch
 		switch w.waitState {
 		case waitBlocked:
 			w.BlockedCycles += delta
@@ -875,7 +940,27 @@ func (n *Network) skipTo(target int64) {
 		}
 	}
 	n.now = target
-	n.noteMotion()
+	if h := n.stats.FlitHops + n.parkRate*n.now - n.parkSum; h != n.hops {
+		n.hops, n.lastMove = h, target
+		if n.parkRate == 0 {
+			n.lastMove = stop
+		}
+	}
+}
+
+// settle applies the events due this cycle of the parked worms in ws, in
+// order, and returns the last cycle a settled stage moved (0 if none
+// was due).
+//
+//lint:hotpath
+func (n *Network) settle(ws []*Worm) int64 {
+	stop := int64(0)
+	for _, w := range ws {
+		if n.asleep[w.slot] == parked && w.due == n.now {
+			stop = max(stop, n.stepParked(w))
+		}
+	}
+	return stop
 }
 
 // noteMotion ends a stepped or skipped stretch: if the flit-hop count
@@ -1069,9 +1154,18 @@ func (n *Network) moveFlitsUngated(w *Worm) {
 // Either way the stages finish in path order, at most one per cycle:
 // the end of injection, then each release, the last of a routed worm
 // being its arrival. Those and a crossing worm's stalls are its phase-A
-// events (stepParked); its header's routing decisions stay in phase B
-// (hopParked, or unpark when the header blocks or freezes). The
-// flit-hops in between are credited through parkRate and parkSum.
+// events (stepParked), due at w.due; its header's routing decisions stay
+// in phase B (hopParked, or unpark when the header blocks or freezes).
+// The flit-hops in between are credited through parkRate and parkSum.
+// The worm wakes the kernel (w.wake, see nextAct) only at its arrival
+// or its header's next routing decision; skipTo settles the events
+// before it.
+//
+// Parking bumps the ownership epoch. A blocked or inject-wait verdict
+// taken while this worm was awake has no expiry for its channels, since
+// an awake worm releases only in stepped cycles; recomputing the verdict
+// gives it one (see freedAt), so no release settled inside a jump can
+// free a channel a header waits on.
 //
 //lint:hotpath
 func (n *Network) park(w *Worm) {
@@ -1079,8 +1173,13 @@ func (n *Network) park(w *Worm) {
 	n.parkRate += r
 	n.parkSum += r * n.now
 	n.asleep[w.slot] = parked
+	n.epoch++
 	w.parkAt = n.now
 	w.due = n.nextDue(w)
+	w.wake = w.headerReadyAt
+	if w.routed {
+		w.wake = n.now + int64(w.flits-w.passed[len(w.path)-1])
+	}
 }
 
 // crossingSteady reports whether a crossing worm that has just moved a
@@ -1170,19 +1269,23 @@ func (n *Network) nextDue(w *Worm) int64 {
 	return due
 }
 
-// stepParked applies a parked worm's event, due this cycle, at the worm's
-// place in phase A's rotation, so releases and arrivals reach the
-// observer, phase B and reap exactly when and in the order the reference
-// kernel produces them. A finished stage's flit-hops since parkAt are
-// credited and its counter set to flits. A stall credits its stages'
-// moves up to the cycle before and takes them out of parkRate and
-// parkSum until the header's next hop restarts them (hopParked). The
-// worm stays parked until its next event. An arrival ends StepUntil:
-// its callback may Send, and the new worm must compete for injection in
-// the next cycle, not be skipped over.
+// stepParked applies a parked worm's event, due this cycle, and returns
+// the last cycle in which the stages it stops moved: this one for a
+// finished stage, the one before for a stall. A stepped cycle applies it
+// at the worm's place in phase A's rotation, so releases and arrivals
+// reach the observer, phase B and reap exactly when and in the order the
+// reference kernel produces them; skipTo applies the events of the
+// cycles it jumps over, with the clock set to each event's cycle. A
+// finished stage's flit-hops since parkAt are credited and its counter
+// set to flits. A stall credits its stages' moves up to the cycle before
+// and takes them out of parkRate and parkSum until the header's next hop
+// restarts them (hopParked). The worm stays parked until its next event.
+// An arrival, which is always stepped (it is the worm's wake), ends
+// StepUntil: its callback may Send, and the new worm must compete for
+// injection in the next cycle, not be skipped over.
 //
 //lint:hotpath
-func (n *Network) stepParked(w *Worm) {
+func (n *Network) stepParked(w *Worm) int64 {
 	at := w.parkAt
 	if !w.routed && n.now == n.stallAt(w) {
 		r := w.liveStages()
@@ -1190,7 +1293,7 @@ func (n *Network) stepParked(w *Worm) {
 		n.parkRate -= r
 		n.parkSum -= r * at
 		w.due = never
-		return
+		return n.now - 1
 	}
 	n.stats.FlitHops += n.now - at
 	n.parkRate--
@@ -1201,11 +1304,12 @@ func (n *Network) stepParked(w *Worm) {
 		w.passed[w.tail] = w.flits
 		if w.tail == len(w.path)-1 {
 			n.arrive(w)
-			return
+			return n.now
 		}
 		n.release(w, w.tail)
 	}
 	w.due = n.nextDue(w)
+	return n.now
 }
 
 // hopParked moves a parked crossing worm's header into c, the free
@@ -1242,6 +1346,7 @@ func (n *Network) hopParked(w *Worm, c ChannelID) {
 	n.parkSum += k * w.parkAt
 	w.passed[len(w.path)-2] = int(-v)
 	w.headerReadyAt = n.now + 1 + n.cfg.RouterDelay
+	w.wake = w.headerReadyAt
 	w.due = n.nextDue(w)
 }
 
@@ -1388,9 +1493,12 @@ func (n *Network) moveFlitsFast(w *Worm) {
 
 // routeHeaderFast is routeHeader with a cache: once a header is blocked
 // (or inject-waiting), the routing decision cannot change until some
-// channel changes hands, so the cached verdict — keyed on the network's
-// ownership epoch — is replayed at O(1) instead of re-running the
-// topology's routing function every cycle.
+// channel changes hands, so the cached verdict is replayed at O(1)
+// instead of re-running the topology's routing function every cycle. A
+// verdict is keyed on the network's ownership epoch, which every
+// acquire, release and park bumps, and is stale from waitUntil on, the
+// first cycle in which a parked owner could release one of its channels
+// in a jump's settled events (see freedAt).
 //
 //lint:hotpath
 func (n *Network) routeHeaderFast(w *Worm) {
@@ -1401,7 +1509,7 @@ func (n *Network) routeHeaderFast(w *Worm) {
 		return // terminal: dead channels never heal
 	}
 	if len(w.path) == 0 {
-		if w.waitState == waitInject && w.waitEpoch == n.epoch {
+		if w.waitState == waitInject && w.waitEpoch == n.epoch && n.now < w.waitUntil {
 			w.InjectWaitCycles++
 			return
 		}
@@ -1417,6 +1525,7 @@ func (n *Network) routeHeaderFast(w *Worm) {
 			w.InjectWaitCycles++
 			w.waitState = waitInject
 			w.waitEpoch = n.epoch
+			w.waitUntil = n.freedAt(c)
 		}
 		return
 	}
@@ -1430,7 +1539,7 @@ func (n *Network) routeHeaderFast(w *Worm) {
 	if !isParked && w.entered(last) == 0 {
 		return // header flit not yet at the frontier
 	}
-	if w.waitState == waitBlocked && w.waitEpoch == n.epoch {
+	if w.waitState == waitBlocked && w.waitEpoch == n.epoch && n.now < w.waitUntil {
 		w.BlockedCycles++
 		if n.obs != nil {
 			n.obs.Blocked(n.now, w, w.blockCand, w.blockHold)
@@ -1462,9 +1571,38 @@ func (n *Network) routeHeaderFast(w *Worm) {
 	w.blockCand, w.blockHold = n.blame(cands)
 	w.waitState = waitBlocked
 	w.waitEpoch = n.epoch
+	w.waitUntil = never
+	for _, c := range cands {
+		w.waitUntil = min(w.waitUntil, n.freedAt(c))
+	}
 	if n.obs != nil {
 		n.obs.Blocked(n.now, w, w.blockCand, w.blockHold)
 	}
+}
+
+// freedAt returns a lower bound on the cycle in which channel c, owned
+// by another worm, can be released without a stepped cycle: a counter
+// grows by at most one flit per cycle, so a parked owner cannot release
+// c before its count of flits out of c reaches the worm's flits. An
+// owner that is not parked releases only in stepped cycles, where the
+// release bumps the epoch, so c gives never; if it parks later, park
+// bumps the epoch, and the verdict is retaken with this bound.
+//
+//lint:hotpath
+func (n *Network) freedAt(c ChannelID) int64 {
+	o := n.slots[n.owner[c]]
+	if n.asleep[o.slot] != parked {
+		return never
+	}
+	i := o.tail
+	for o.path[i] != c {
+		i++
+	}
+	x := int64(o.passed[i])
+	if o.routed || i < len(o.path)-1 {
+		x += n.vclock(o) // a crossing worm's frontier counter is exact
+	}
+	return n.now + int64(o.flits) - x
 }
 
 // stepReference advances the simulation by one cycle with the original

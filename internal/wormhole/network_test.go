@@ -579,6 +579,86 @@ func TestCrossingWormStaysParked(t *testing.T) {
 	}
 }
 
+// TestParkedDrainStepsOnlyArrival: a lone 4 KB worm crossing a 16×16
+// mesh corner to corner parks again, as a routed worm, soon after its
+// header takes the ejection channel, and from then on the kernel steps
+// one cycle for it, its arrival: the end of its injection and its 30-odd
+// releases are settled inside the clock jump before it, under every
+// RouterDelay 0–2 × BufFlits {1, 2, 4}. Then a 64 B worm 1->15 whose
+// header waits behind a parked 4 KB worm 0->15 on row 0 (their paths
+// share channels from node 1 on) must take the channel it waits on in
+// the cycle the reference kernel does, though the holder releases it
+// inside a jump: the waiter's blocked count and arrival must match.
+// Both runs attach no observer, so the jumps settle worm by worm.
+func TestParkedDrainStepsOnlyArrival(t *testing.T) {
+	m := mesh.New2D(16, 16)
+	for rd := int64(0); rd <= 2; rd++ {
+		for _, buf := range []int{1, 2, 4} {
+			cfg := DefaultConfig()
+			cfg.RouterDelay, cfg.BufFlits = rd, buf
+			name := fmt.Sprintf("rd%d-buf%d", rd, buf)
+
+			ref := New(m, cfg)
+			ref.SetKernel(KernelReference)
+			want := runOne(t, ref, 0, 255, 4096)
+			n := New(m, cfg)
+			var w *Worm
+			parkedAt, steps, last := int64(-1), 0, int64(0)
+			n.SetStepHook(func() {
+				switch {
+				case parkedAt >= 0:
+					steps, last = steps+1, n.Now()
+				case !w.Done() && n.Parked(w) && !n.CrossingParked(w):
+					parkedAt = n.Now()
+				}
+			})
+			w = n.Send(0, 255, 4096, nil, nil)
+			for !w.Done() {
+				n.StepUntil(1 << 20)
+			}
+			if parkedAt < 0 {
+				t.Fatalf("%s: the worm never parked as a routed worm", name)
+			}
+			if steps != 1 || last != w.ArrivedAt {
+				t.Errorf("%s: %d cycles stepped between parking at %d and arriving at %d, the last at %d; want only the arrival",
+					name, steps, parkedAt, w.ArrivedAt, last)
+			}
+			if w.ArrivedAt != want.ArrivedAt {
+				t.Errorf("%s: arrived at %d, reference %d", name, w.ArrivedAt, want.ArrivedAt)
+			}
+
+			var waited [2]*Worm
+			streaming := false
+			for i, k := range []Kernel{KernelReference, KernelFast} {
+				n := New(m, cfg)
+				n.SetKernel(k)
+				hold := n.Send(0, 15, 4096, nil, nil)
+				for n.Now() < 4 {
+					n.StepUntil(4)
+				}
+				waiter := n.Send(1, 15, 64, nil, nil)
+				n.SetStepHook(func() {
+					if !waiter.Done() && waiter.HeaderBlocked() && !hold.Done() && n.Parked(hold) && !n.CrossingParked(hold) {
+						streaming = true
+					}
+				})
+				if _, err := n.RunUntilIdle(1 << 20); err != nil {
+					t.Fatal(err)
+				}
+				waited[i] = waiter
+			}
+			got, ref1 := waited[1], waited[0]
+			if !streaming || got.BlockedCycles == 0 {
+				t.Fatalf("%s: the waiter never blocked behind the parked streaming worm; scenario too weak", name)
+			}
+			if got.BlockedCycles != ref1.BlockedCycles || got.ArrivedAt != ref1.ArrivedAt {
+				t.Errorf("%s: waiter blocked %d cycles and arrived at %d, reference %d and %d",
+					name, got.BlockedCycles, got.ArrivedAt, ref1.BlockedCycles, ref1.ArrivedAt)
+			}
+		}
+	}
+}
+
 // TestDeadlockReportCountsHeldChannels: the "routed, draining" and
 // "unreachable, frozen holding" lines count the channels the worm still
 // holds, not the released prefix of its path. A 2-flit worm crossing a
