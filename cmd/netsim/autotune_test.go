@@ -69,8 +69,8 @@ func TestAutotunePlainPick(t *testing.T) {
 	}
 }
 
-// TestAutotuneRecoverSelects: with -recover the policy's pick enters
-// through recover.Config.Select, below the fallback ladder.
+// TestAutotuneRecoverSelects: with -recover the run plans with the
+// policy's pick, and the recovery ladder still runs below it.
 func TestAutotuneRecoverSelects(t *testing.T) {
 	o := base()
 	o.autotune, o.recover = true, true

@@ -572,15 +572,7 @@ func (s *session) runSingle(addrs []int, plan *fault.Plan) error {
 	if o.recover {
 		key.Mode = "netsim-recover"
 		res, _, err := cached(s, key, func() (recov.Result, error) {
-			rcfg := recov.Config{Sim: simCfg, TEnd: s.tend, Seed: o.seed}
-			if s.pol != nil {
-				// Admission-time selection below the recovery ladder: the
-				// policy's pick replaces the caller's table at Run start.
-				rcfg.Select = func(kk int) core.SplitTable {
-					return s.pol.TableFor(kk, o.bytes, s.thold, s.tend)
-				}
-			}
-			return recov.Run(s.network(plan), tab, ch, root, o.bytes, rcfg)
+			return recov.Run(s.network(plan), tab, ch, root, o.bytes, recov.Config{Sim: simCfg, TEnd: s.tend, Seed: o.seed})
 		})
 		if err != nil {
 			return err

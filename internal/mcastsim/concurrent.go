@@ -43,22 +43,13 @@ func RunConcurrent(net *wormhole.Network, groups []Group, cfg Config) ([]GroupRe
 	}
 	seen := make(map[int]int)
 	for gi, g := range groups {
-		if err := g.Chain.Validate(); err != nil {
+		if err := CheckInput(net, g.Tab, g.Chain, g.Root, g.Bytes); err != nil {
 			return nil, fmt.Errorf("mcastsim: group %d: %w", gi, err)
 		}
-		if g.Root < 0 || g.Root >= len(g.Chain) {
-			return nil, fmt.Errorf("mcastsim: group %d: root %d outside chain", gi, g.Root)
-		}
-		if len(g.Chain) > g.Tab.K() {
-			return nil, fmt.Errorf("mcastsim: group %d: chain exceeds split table", gi)
-		}
-		if g.Bytes < 0 || g.StartAt < 0 {
-			return nil, fmt.Errorf("mcastsim: group %d: negative size or start", gi)
+		if g.StartAt < 0 {
+			return nil, fmt.Errorf("mcastsim: group %d: negative start %d", gi, g.StartAt)
 		}
 		for _, a := range g.Chain {
-			if a < 0 || a >= net.Topology().NumNodes() {
-				return nil, fmt.Errorf("mcastsim: group %d: address %d outside fabric", gi, a)
-			}
 			if prev, dup := seen[a]; dup {
 				return nil, fmt.Errorf("mcastsim: node %d appears in groups %d and %d (groups must be disjoint)", a, prev, gi)
 			}
@@ -89,16 +80,14 @@ func RunConcurrent(net *wormhole.Network, groups []Group, cfg Config) ([]GroupRe
 		events.At(r.t0, func() { r.deliver(root, seg, r.t0) })
 	}
 
-	max := int64(0)
-	for _, g := range groups {
-		perMsg := int64(net.Config().Flits(g.Bytes+cfg.AddrBytes*len(g.Chain))) + int64(net.Topology().NumChannels())
-		soft := cfg.Software.Send.At(g.Bytes) + cfg.Software.Recv.At(g.Bytes) + cfg.Software.Hold.At(g.Bytes)
-		max += (perMsg+soft+1024)*int64(len(g.Chain)+1)*4 + g.StartAt
+	max := cfg.MaxCycles
+	if max <= 0 {
+		max = 1 << 20
+		for gi, g := range groups {
+			r := runners[gi]
+			max += SafetyNet(net, g.Bytes, cfg.AddrBytes, len(g.Chain), r.tSend+r.tRecv+r.tHold) + g.StartAt
+		}
 	}
-	if cfg.MaxCycles > 0 {
-		max = cfg.MaxCycles
-	}
-	max += 1 << 20
 
 	startStats := net.Stats()
 	err := Drive(net, &events, t0+max, NewWatchdog(net, cfg))

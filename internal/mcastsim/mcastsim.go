@@ -74,22 +74,8 @@ type Result struct {
 // the source at chain index root, shaping the tree with tab, on net
 // (which must be freshly idle). It returns the execution report.
 func Run(net *wormhole.Network, tab core.SplitTable, ch chain.Chain, root int, msgBytes int, cfg Config) (Result, error) {
-	if err := ch.Validate(); err != nil {
-		return Result{}, err
-	}
-	if root < 0 || root >= len(ch) {
-		return Result{}, fmt.Errorf("mcastsim: root index %d outside chain of %d nodes", root, len(ch))
-	}
-	if len(ch) > tab.K() {
-		return Result{}, fmt.Errorf("mcastsim: chain of %d nodes exceeds split table K=%d", len(ch), tab.K())
-	}
-	if msgBytes < 0 {
-		return Result{}, fmt.Errorf("mcastsim: negative message size %d", msgBytes)
-	}
-	for _, a := range ch {
-		if a < 0 || a >= net.Topology().NumNodes() {
-			return Result{}, fmt.Errorf("mcastsim: chain address %d outside fabric of %d nodes", a, net.Topology().NumNodes())
-		}
+	if err := CheckInput(net, tab, ch, root, msgBytes); err != nil {
+		return Result{}, fmt.Errorf("mcastsim: %w", err)
 	}
 	if err := net.Quiesced(); err != nil {
 		return Result{}, fmt.Errorf("mcastsim: fabric not idle: %w", err)
@@ -113,10 +99,7 @@ func Run(net *wormhole.Network, tab core.SplitTable, ch chain.Chain, root int, m
 
 	max := cfg.MaxCycles
 	if max <= 0 {
-		// Generous: every message fully serialized plus software costs.
-		perMsg := int64(net.Config().Flits(msgBytes+cfg.AddrBytes*len(ch))) + int64(net.Topology().NumChannels())
-		soft := cfg.Software.Send.At(msgBytes) + cfg.Software.Recv.At(msgBytes) + cfg.Software.Hold.At(msgBytes)
-		max = (perMsg+soft+1024)*int64(len(ch)+1)*4 + 1<<20
+		max = SafetyNet(net, msgBytes, cfg.AddrBytes, len(ch), r.tSend+r.tRecv+r.tHold) + 1<<20
 	}
 
 	startStats := net.Stats()
@@ -142,6 +125,40 @@ func Run(net *wormhole.Network, tab core.SplitTable, ch chain.Chain, root int, m
 	r.res.InjectWaitCycles = end.InjectWaitCycles - startStats.InjectWaitCycles
 	r.res.Cycles = end.Cycles - startStats.Cycles
 	return r.res, nil
+}
+
+// CheckInput reports why a multicast of msgBytes over ch from chain
+// index root, shaped by tab, cannot run on net; nil if it can. It is
+// every delivery layer's one input check, and its errors carry no
+// package prefix.
+func CheckInput(net *wormhole.Network, tab core.SplitTable, ch chain.Chain, root, msgBytes int) error {
+	if err := ch.Validate(); err != nil {
+		return err
+	}
+	if root < 0 || root >= len(ch) {
+		return fmt.Errorf("root index %d outside chain of %d nodes", root, len(ch))
+	}
+	if len(ch) > tab.K() {
+		return fmt.Errorf("chain of %d nodes exceeds split table K=%d", len(ch), tab.K())
+	}
+	if msgBytes < 0 {
+		return fmt.Errorf("negative message size %d", msgBytes)
+	}
+	for _, a := range ch {
+		if n := net.Topology().NumNodes(); a < 0 || a >= n {
+			return fmt.Errorf("chain address %d outside fabric of %d nodes", a, n)
+		}
+	}
+	return nil
+}
+
+// SafetyNet is the generous core of every delivery layer's default
+// MaxCycles bound: a multicast of msgBytes to k chain positions with
+// software costs soft (t_send + t_recv + t_hold) and every message
+// fully serialized through every channel of net, four times over.
+func SafetyNet(net *wormhole.Network, msgBytes, addrBytes, k int, soft int64) int64 {
+	perMsg := int64(net.Config().Flits(msgBytes+addrBytes*k)) + int64(net.Topology().NumChannels())
+	return (perMsg + soft + 1024) * int64(k+1) * 4
 }
 
 type runner struct {

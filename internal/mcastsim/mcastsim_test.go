@@ -363,14 +363,20 @@ func TestRunRejectsBusyFabric(t *testing.T) {
 }
 
 // TestRunMaxCyclesGuard: an absurdly small budget reports an error rather
-// than hanging.
+// than hanging, from Run and from RunConcurrent alike.
 func TestRunMaxCyclesGuard(t *testing.T) {
 	m := mesh.New2D(16, 16)
 	tab := core.NewOptTable(8, 441, 1400)
 	ch, root := meshChain(m, placement(19, 256, 8))
-	_, err := Run(wormhole.New(m, wormhole.DefaultConfig()), tab, ch, root, 1<<16, Config{Software: testSoft, MaxCycles: 10})
-	if err == nil {
-		t.Fatal("expected cycle-budget error")
+	cfg := Config{Software: testSoft, MaxCycles: 10}
+	_, err := Run(wormhole.New(m, wormhole.DefaultConfig()), tab, ch, root, 1<<16, cfg)
+	if err == nil || !strings.Contains(err.Error(), "not complete after 10 cycles") {
+		t.Fatalf("Run: want the cycle-budget error, got %v", err)
+	}
+	group := []Group{{Tab: tab, Chain: ch, Root: root, Bytes: 1 << 16}}
+	_, err = RunConcurrent(wormhole.New(m, wormhole.DefaultConfig()), group, cfg)
+	if err == nil || !strings.Contains(err.Error(), "not complete after 10 cycles") {
+		t.Fatalf("RunConcurrent: want the cycle-budget error, got %v", err)
 	}
 }
 

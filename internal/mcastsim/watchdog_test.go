@@ -8,9 +8,11 @@ package mcastsim_test
 // blocked channel.
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/chain"
 	"repro/internal/core"
 	"repro/internal/fault"
 	. "repro/internal/mcastsim"
@@ -116,6 +118,51 @@ func TestWatchdogDisabled(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "worms in flight") {
 		t.Fatalf("MaxCycles diagnostic lacks the deadlock report: %v", err)
+	}
+}
+
+// TestDefaultDeadlinePinned: with the watchdog off and MaxCycles 0, a
+// stuck fabric runs into the default safety net, whose span the error
+// reports. The spans are the ones Run and RunConcurrent gave before the
+// four delivery layers shared mcastsim.SafetyNet.
+func TestDefaultDeadlinePinned(t *testing.T) {
+	m := mesh.New2D(8, 8)
+	path := wormhole.PathChannels(m, 0, 63)
+	stuck := stuckChannel{c: path[len(path)/2]}
+	cfg := Config{Software: testSoft, NoProgressCycles: -1}
+	runs := []struct {
+		name string
+		run  func(*wormhole.Network) error
+		want int64
+	}{
+		{"Run k=4", func(net *wormhole.Network) error {
+			ch, root := meshChain(m, []int{0, 63, 7, 56})
+			_, err := Run(net, core.BinomialTable{Max: 4}, ch, root, 1024, cfg)
+			return err
+		}, 1099916},
+		{"Run k=2 with addresses", func(net *wormhole.Network) error {
+			_, err := Run(net, core.BinomialTable{Max: 2}, chain.Chain{0, 63}, 0, 64, Config{Software: testSoft, NoProgressCycles: -1, AddrBytes: 8})
+			return err
+		}, 1072780},
+		{"RunConcurrent one group", func(net *wormhole.Network) error {
+			_, err := RunConcurrent(net, []Group{{Tab: core.BinomialTable{Max: 2}, Chain: chain.Chain{0, 63}, Bytes: 1024}}, cfg)
+			return err
+		}, 1079380},
+		{"RunConcurrent staggered groups with addresses", func(net *wormhole.Network) error {
+			_, err := RunConcurrent(net, []Group{
+				{Tab: core.BinomialTable{Max: 2}, Chain: chain.Chain{0, 63}, Bytes: 256},
+				{Tab: core.BinomialTable{Max: 3}, Chain: chain.Chain{7, 56, 9}, Bytes: 512, StartAt: 300},
+			}, Config{Software: testSoft, NoProgressCycles: -1, AddrBytes: 4})
+			return err
+		}, 1110748},
+	}
+	for _, r := range runs {
+		net := wormhole.New(m, wormhole.DefaultConfig())
+		net.SetFaults(stuck)
+		err := r.run(net)
+		if want := fmt.Sprintf("run not complete after %d cycles;", r.want); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want %q", r.name, err, want)
+		}
 	}
 }
 

@@ -151,8 +151,9 @@ func (l *releaseLog) Complete(int64, *wormhole.Worm)                            
 // TestFrozenWormsCancelledInTheirCycle: the engine cancels every worm
 // the fault layer freezes in the cycle it froze. Under the reference
 // kernel StepUntil returns after every cycle, so Check runs in each; the
-// fast kernel's StepUntil returns in the cycle a worm froze. Deadlines
-// are set far beyond the run (slack 1000), so every cancel reclaims a
+// fast kernel's StepUntil returns in the cycle a worm froze. On these
+// seeds no send reaches its default deadline (the runs are the same
+// with deadlines a thousand times t_end), so every cancel reclaims a
 // frozen worm, and the two kernels must release every channel in the
 // same cycle. The seeds must freeze some worm.
 func TestFrozenWormsCancelledInTheirCycle(t *testing.T) {
@@ -171,7 +172,7 @@ func TestFrozenWormsCancelledInTheirCycle(t *testing.T) {
 			log := &releaseLog{}
 			net.SetObserver(log)
 			_, err := recov.Run(net, tab, ch, root, bytes, recov.Config{
-				Sim: mcastsim.Config{Software: testSoft}, TEnd: tend, SlackNum: 1000, SlackDen: 1, Seed: seed,
+				Sim: mcastsim.Config{Software: testSoft}, TEnd: tend, Seed: seed,
 			})
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)

@@ -110,15 +110,14 @@ type Group struct {
 	tab   core.SplitTable
 	root  int
 	bytes int
-	cfg   Config // defaults filled
+	cfg   Config
 	t0    int64
 	res   Result
 
 	tSend, tRecv, tHold int64
-	timeout             int64 // per-send deadline TEnd*SlackNum/SlackDen; 0 arms none
-	maxRetry            int
-	churnLimit          int // < 0: fallback disabled
-	incrLimit           int // incremental -> full threshold; < 0: never degrade
+	timeout             int64 // per-send deadline Slack*TEnd; 0 arms none
+	backoff             int64 // base retransmission backoff
+	churnLimit          int   // give-ups that switch planning to binomial
 
 	pos      []slot
 	pair     []bool  // k*k (from*k+to) give-up marks, allocated by the first give-up
@@ -212,22 +211,6 @@ func arrived(w *wormhole.Worm, now int64) {
 // subscribed; the caller has validated cfg.
 func (e *Engine) open(t0 int64, tab core.SplitTable, ch chain.Chain, root, msgBytes int, cfg Config) *Group {
 	k := len(ch)
-	cfg = cfg.withDefaults()
-	maxRetry := cfg.MaxRetries
-	switch {
-	case maxRetry == 0:
-		maxRetry = 3
-	case maxRetry < 0:
-		maxRetry = 0
-	}
-	churnLimit := cfg.ChurnLimit
-	if churnLimit == 0 {
-		churnLimit = 2 + k/4
-	}
-	incrLimit := -1
-	if cfg.Repair == RepairIncremental && churnLimit > 0 {
-		incrLimit = max(churnLimit/2, 1)
-	}
 	g := &Group{
 		e:          e,
 		ch:         ch,
@@ -239,21 +222,19 @@ func (e *Engine) open(t0 int64, tab core.SplitTable, ch chain.Chain, root, msgBy
 		tSend:      cfg.Sim.Software.Send.At(msgBytes),
 		tRecv:      cfg.Sim.Software.Recv.At(msgBytes),
 		tHold:      cfg.Sim.Software.Hold.At(msgBytes),
-		timeout:    cfg.TEnd * cfg.SlackNum / cfg.SlackDen,
-		maxRetry:   maxRetry,
-		churnLimit: churnLimit,
-		incrLimit:  incrLimit,
+		timeout:    cfg.TEnd * Slack,
+		backoff:    max(cfg.TEnd/BackoffDivisor, 1),
+		churnLimit: 2 + k/4,
 		pos:        make([]slot, k),
 		res: Result{
 			Deliveries: make([]int64, k),
 			Status:     make([]mcastsim.DestStatus, k),
-			AdoptedBy:  make([]int, k),
 			FallbackAt: -1,
 		},
 	}
 	for p := range g.pos {
 		g.pos[p].wanted, g.pos[p].ever = true, true
-		g.res.Deliveries[p], g.res.AdoptedBy[p] = -1, -1
+		g.res.Deliveries[p] = -1
 	}
 	if cfg.Repair == RepairBinomial {
 		// Binomial as a fixed policy: the degradation endpoint from the
@@ -288,20 +269,13 @@ func (e *Engine) Serve(at int64, tab core.SplitTable, ch chain.Chain, root, msgB
 // scheduled.
 func (g *Group) Run(horizon int64) error {
 	net := g.e.net
-	k := len(g.ch)
 	max := g.cfg.Sim.MaxCycles
 	if max <= 0 {
-		// The mcastsim safety net, widened for the worst recovery case:
-		// every pair burning its whole retry budget with maximum backoff.
-		perMsg := int64(net.Config().Flits(g.bytes+g.cfg.Sim.AddrBytes*k)) + int64(net.Topology().NumChannels())
-		soft := g.tSend + g.tRecv + g.tHold
-		base := (perMsg+soft+1024)*int64(k+1)*4 + 1<<20
-		perAssign := (g.timeout + g.cfg.BackoffBase<<7) * int64(g.maxRetry+1)
-		max = base + int64(k+2)*int64(k+2)*perAssign + horizon
+		max = g.safetyNet() + horizon
 	}
 
 	start := net.Stats()
-	live := make([]int, 0, k)
+	live := make([]int, 0, len(g.ch))
 	for p := range g.pos {
 		if g.pos[p].wanted {
 			live = append(live, p)
@@ -324,6 +298,16 @@ func (g *Group) Run(horizon int64) error {
 	g.res.InjectWaitCycles = end.InjectWaitCycles - start.InjectWaitCycles
 	g.res.Cycles = end.Cycles - start.Cycles
 	return nil
+}
+
+// safetyNet is the group's default MaxCycles bound: the mcastsim safety
+// net, widened for the worst recovery case of every pair burning its
+// whole retry budget with maximum backoff.
+func (g *Group) safetyNet() int64 {
+	k := len(g.ch)
+	base := mcastsim.SafetyNet(g.e.net, g.bytes, g.cfg.Sim.AddrBytes, k, g.tSend+g.tRecv+g.tHold) + 1<<20
+	perAssign := (g.timeout + g.backoff<<7) * (Retries + 1)
+	return base + int64(k+2)*int64(k+2)*perAssign
 }
 
 // Result reports the group's outcome once Run has returned. Every
@@ -456,7 +440,6 @@ func (g *Group) deliverAt(self int, live []int, t int64, via *xfer) {
 		switch {
 		case via.adopted:
 			g.res.Status[self] = mcastsim.StatusAdopted
-			g.res.AdoptedBy[self] = via.from
 		case via.attempt > 0:
 			g.res.Status[self] = mcastsim.StatusRetried
 		default:
@@ -623,7 +606,7 @@ func (g *Group) fail(x *xfer, frozen bool) {
 		g.assignOrphans(now)
 		return
 	}
-	give := x.attempt >= g.maxRetry || to.down != 0
+	give := x.attempt >= Retries || to.down != 0
 	if frozen && !g.routable(x.from, x.to) {
 		give = true
 	}
@@ -633,7 +616,7 @@ func (g *Group) fail(x *xfer, frozen bool) {
 	}
 	x.attempt++
 	g.res.Overhead.Retransmits++
-	g.issue(x, now+Backoff(g.cfg.BackoffBase, x.attempt, g.e.rng))
+	g.issue(x, now+Backoff(g.backoff, x.attempt, g.e.rng))
 }
 
 // giveUp declares the (from, to) pair lost and repairs the stranded rest
@@ -680,7 +663,7 @@ func (g *Group) resolve(t int64) {
 // sender per the repair policy: one graft send while the incremental
 // budget lasts, a full re-split otherwise.
 func (g *Group) repairRest(from int, rest []int, now int64) {
-	if g.cfg.Repair == RepairIncremental && !g.fallback && (g.incrLimit < 0 || g.churn <= g.incrLimit) {
+	if g.cfg.Repair == RepairIncremental && !g.fallback && g.churn <= max(g.churnLimit/2, 1) {
 		g.graft(from, rest, now)
 		return
 	}
@@ -820,7 +803,7 @@ func (g *Group) kill(x *xfer) {
 // event and records the binomial flip when the limit is hit.
 func (g *Group) noteChurn(now int64) {
 	g.churn++
-	if !g.fallback && g.churnLimit >= 0 && g.churn >= g.churnLimit {
+	if !g.fallback && g.churn >= g.churnLimit {
 		g.fallback = true
 		g.res.FallbackAt = now - g.t0
 	}

@@ -23,7 +23,9 @@ import (
 // position 1, 4 fabric hops from 15, and its XY path to 15 crosses the
 // very same stuck hop) and node 10 (position 2, 2 hops, clean path).
 // First-candidate order would adopt via node 2 — the pathologically far
-// adopter — while nearest-by-hop must pick node 10.
+// adopter — while nearest-by-hop must pick node 10. The adopter is read
+// off the fabric: the one worm that reached node 15 must have left
+// node 10.
 func TestOrphanAdoptedByNearestDeliveredMember(t *testing.T) {
 	m := mesh.New2D(4, 4)
 	const bytes = 256
@@ -39,41 +41,57 @@ func TestOrphanAdoptedByNearestDeliveredMember(t *testing.T) {
 		t.Fatalf("geometry broken: HopDistance(10,15)=%d not closer than HopDistance(2,15)=%d", d10, d2)
 	}
 
-	run := func() recov.Result {
+	run := func() (recov.Result, []wormhole.NodeID) {
 		path := wormhole.PathChannels(m, 0, 15)
 		net := wormhole.New(m, wormhole.DefaultConfig())
-		net.SetFaults(stuckChannel{c: path[3]}) // east hop (2,0)->(3,0)
+		net.SetFaults(stuckChannel{path[3]}) // east hop (2,0)->(3,0)
+		to15 := &sendersTo{dst: 15}
+		net.SetObserver(to15)
 		res, err := recov.Run(net, core.SequentialTable{Max: len(ch)}, ch, root, bytes, recov.Config{
-			Sim:        mcastsim.Config{Software: testSoft},
-			TEnd:       tend,
-			MaxRetries: 2,
-			Seed:       13,
+			Sim:  mcastsim.Config{Software: testSoft},
+			TEnd: tend,
+			Seed: 13,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return res, to15.srcs
 	}
 
-	res := run()
+	res, srcs := run()
 	if res.Delivered != 3 || res.Abandoned != 0 {
 		t.Fatalf("want all destinations delivered, got %+v", res)
 	}
 	if res.Status[pos15] != mcastsim.StatusAdopted {
 		t.Fatalf("node 15 status = %v, want adopted", res.Status[pos15])
 	}
-	if got := res.AdoptedBy[pos15]; got != pos10 {
-		t.Fatalf("node 15 adopted by position %d, want %d (node 10, the nearest delivered member)", got, pos10)
+	if len(srcs) != 1 || srcs[0] != 10 {
+		t.Fatalf("node 15 reached by worms from nodes %v, want one from node 10 (position %d, the nearest delivered member)", srcs, pos10)
 	}
 	for _, p := range []int{root, pos2, pos10} {
-		if res.AdoptedBy[p] != -1 {
-			t.Fatalf("position %d has AdoptedBy %d, want -1", p, res.AdoptedBy[p])
+		if res.Status[p] == mcastsim.StatusAdopted {
+			t.Fatalf("position %d adopted, want delivered by its planned sender", p)
 		}
 	}
 	// The adopter choice is a pure function of the fault set and the
 	// seeded schedule: a rerun must reproduce the result bit-exactly.
-	if again := run(); !reflect.DeepEqual(res, again) {
+	if again, _ := run(); !reflect.DeepEqual(res, again) {
 		t.Fatalf("orphan adoption not deterministic:\n first %+v\nsecond %+v", res, again)
+	}
+}
+
+// sendersTo records the source of every worm that reaches dst.
+type sendersTo struct {
+	dst  wormhole.NodeID
+	srcs []wormhole.NodeID
+}
+
+func (o *sendersTo) Acquire(int64, *wormhole.Worm, wormhole.ChannelID)                 {}
+func (o *sendersTo) Release(int64, *wormhole.Worm, wormhole.ChannelID)                 {}
+func (o *sendersTo) Blocked(int64, *wormhole.Worm, wormhole.ChannelID, *wormhole.Worm) {}
+func (o *sendersTo) Complete(_ int64, w *wormhole.Worm) {
+	if w.Dst == o.dst {
+		o.srcs = append(o.srcs, w.Src)
 	}
 }
 
@@ -110,13 +128,12 @@ func TestIncrementalRepairFewerRepairSends(t *testing.T) {
 
 	run := func(policy recov.RepairPolicy) recov.Result {
 		net := wormhole.New(m, wormhole.DefaultConfig())
-		net.SetFaults(stuckChannel{c: stuck})
+		net.SetFaults(stuckChannel{stuck})
 		res, err := recov.Run(net, tab, ch, root, bytes, recov.Config{
-			Sim:        mcastsim.Config{Software: testSoft},
-			TEnd:       tend,
-			MaxRetries: 1,
-			Repair:     policy,
-			Seed:       17,
+			Sim:    mcastsim.Config{Software: testSoft},
+			TEnd:   tend,
+			Repair: policy,
+			Seed:   17,
 		})
 		if err != nil {
 			t.Fatal(err)

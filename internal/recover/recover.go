@@ -4,11 +4,12 @@
 // delivery — with three composed mechanisms:
 //
 //  1. Per-send timeout and retransmission: every send carries a delivery
-//     deadline, the model-predicted unicast latency t_end scaled by a
-//     tunable slack factor. An unacknowledged send is withdrawn from the
-//     fabric (wormhole.Network.Cancel, so delivery stays at-most-once)
-//     and re-issued with bounded exponential backoff; the backoff jitter
-//     comes from a seeded RNG, so sweeps stay reproducible.
+//     deadline, the model-predicted unicast latency t_end scaled by the
+//     fixed slack factor Slack. An unacknowledged send is withdrawn from
+//     the fabric (wormhole.Network.Cancel, so delivery stays
+//     at-most-once) and re-issued, up to Retries times, with bounded
+//     exponential backoff; the backoff jitter comes from a seeded RNG,
+//     so sweeps stay reproducible.
 //  2. Subtree adoption / tree repair: when a destination is declared
 //     dead after the retry budget, its sender strikes it from the chain
 //     and re-runs the OPT split over the surviving sub-chain
@@ -18,10 +19,10 @@
 //     an orphan, re-assigned to any delivered member that can still
 //     route to it.
 //  3. Graceful degradation: when repair churns past a threshold of
-//     give-ups, planning falls back from the parameterized OPT tree to
-//     binomial recursive-doubling over survivors — a simpler shape that
-//     trades latency for fewer deep dependency chains — and the policy
-//     flip is recorded in the result.
+//     give-ups (2 + k/4 for a k-member group), planning falls back from
+//     the parameterized OPT tree to binomial recursive-doubling over
+//     survivors — a simpler shape that trades latency for fewer deep
+//     dependency chains — and the policy flip is recorded in the result.
 //
 // One transfer state machine serves every delivery layer. Run drives a
 // single fixed group. The churn engine (internal/member) feeds its
@@ -83,6 +84,21 @@ func (p RepairPolicy) String() string {
 	}
 }
 
+// The recovery schedule. Every constant of it is anchored on the one
+// measured parameter t_end (Config.TEnd).
+const (
+	// Slack scales TEnd into the per-send delivery deadline: a send
+	// undelivered Slack*TEnd cycles after issue is declared lost and
+	// retransmitted.
+	Slack = 3
+	// Retries is the retransmission budget per assignment; once spent
+	// the destination is given up by this sender and repair takes over.
+	Retries = 3
+	// BackoffDivisor divides TEnd into the base retransmission backoff,
+	// max(TEnd/BackoffDivisor, 1) cycles (see Backoff).
+	BackoffDivisor = 4
+)
+
 // Config parameterizes one reliable multicast execution.
 type Config struct {
 	// Sim carries the software costs (t_send, t_recv, t_hold), the
@@ -93,26 +109,8 @@ type Config struct {
 	Sim mcastsim.Config
 	// TEnd is the model-predicted healthy unicast latency for the
 	// message size, as measured by mcastsim.Unicast. Required (> 0): it
-	// anchors every delivery deadline.
+	// anchors every delivery deadline and backoff.
 	TEnd model.Time
-	// SlackNum/SlackDen scale TEnd into the per-send delivery deadline:
-	// a send undelivered TEnd*SlackNum/SlackDen cycles after issue is
-	// declared lost and retransmitted. Both zero defaults to 3/1; the
-	// ratio must be >= 1 or sends provably still in flight would churn.
-	SlackNum, SlackDen int64
-	// MaxRetries is the retransmission budget per assignment; once spent
-	// the destination is given up by this sender and repair takes over.
-	// 0 defaults to 3; negative means no retries (first loss gives up).
-	MaxRetries int
-	// BackoffBase is the base retransmission backoff in cycles; attempt
-	// n waits BackoffBase<<min(n-1,6) plus seeded jitter in
-	// [0, BackoffBase). 0 defaults to max(TEnd/4, 1).
-	BackoffBase int64
-	// ChurnLimit is the graceful-degradation threshold: when give-ups
-	// reach it, later (re)planning switches from the configured split
-	// table to binomial recursive-doubling over survivors. 0 defaults to
-	// 2 + k/4 for a k-member group; negative disables the fallback.
-	ChurnLimit int
 	// Repair selects the re-planning policy after give-ups; the zero
 	// value is RepairFull, the original behavior.
 	Repair RepairPolicy
@@ -123,27 +121,8 @@ type Config struct {
 	// (whose recursive doubling has unbounded fan-out over time) does
 	// not apply; the fallback flip is still recorded for comparability.
 	DegreeCap int
-	// Select, when set, is the admission-time algorithm policy: at run
-	// start it replaces the caller's split table with its own pick for
-	// the k-member chain (a nil return keeps the caller's table). The
-	// internal/tuner crossover-surface selector fits directly. Select
-	// composes *below* the degradation ladder: once give-ups reach
-	// ChurnLimit the binomial fallback still overrides whatever Select
-	// chose, and DegreeCap still overrides table selection entirely.
-	Select func(k int) core.SplitTable
 	// Seed drives the deterministic backoff jitter.
 	Seed uint64
-}
-
-// withDefaults fills the zero-valued slack and backoff knobs.
-func (c Config) withDefaults() Config {
-	if c.SlackNum == 0 && c.SlackDen == 0 {
-		c.SlackNum, c.SlackDen = 3, 1
-	}
-	if c.BackoffBase == 0 {
-		c.BackoffBase = max(c.TEnd/4, 1)
-	}
-	return c
 }
 
 // Result reports one reliable multicast execution.
@@ -163,12 +142,6 @@ type Result struct {
 	Delivered, Abandoned int
 	// Overhead itemizes the message cost of recovery.
 	Overhead mcastsim.Overhead
-	// AdoptedBy records, per chain position, the position of the sender
-	// whose adopted (replanned, grafted, or orphan-rescue) send finally
-	// delivered it, or -1 for positions delivered by their originally
-	// planned sender, abandoned, or the source. On a healthy fabric it
-	// is all -1.
-	AdoptedBy []int
 	// FallbackAt is the cycle (relative to start) the graceful-
 	// degradation policy switched planning to binomial recursive
 	// doubling, or -1 if the churn threshold was never reached.
@@ -207,44 +180,17 @@ func Run(net *wormhole.Network, tab core.SplitTable, ch chain.Chain, root int, m
 // subscribed at the start (nil: every position); the others may join
 // later. Errors carry no package prefix.
 func Open(net *wormhole.Network, tab core.SplitTable, ch chain.Chain, root, msgBytes int, cfg Config, members []bool) (*Group, error) {
-	if err := ch.Validate(); err != nil {
+	if err := mcastsim.CheckInput(net, tab, ch, root, msgBytes); err != nil {
 		return nil, err
 	}
-	k := len(ch)
-	if root < 0 || root >= k {
-		return nil, fmt.Errorf("root index %d outside chain of %d nodes", root, k)
-	}
-	if members != nil && (len(members) != k || !members[root]) {
-		return nil, fmt.Errorf("membership of %d positions must cover the chain of %d and include the source", len(members), k)
-	}
-	if cfg.Select != nil {
-		if t := cfg.Select(k); t != nil {
-			tab = t
-		}
-	}
-	if k > tab.K() {
-		return nil, fmt.Errorf("chain of %d nodes exceeds split table K=%d", k, tab.K())
-	}
-	if msgBytes < 0 {
-		return nil, fmt.Errorf("negative message size %d", msgBytes)
-	}
-	for _, a := range ch {
-		if a < 0 || a >= net.Topology().NumNodes() {
-			return nil, fmt.Errorf("chain address %d outside fabric of %d nodes", a, net.Topology().NumNodes())
-		}
+	if members != nil && (len(members) != len(ch) || !members[root]) {
+		return nil, fmt.Errorf("membership of %d positions must cover the chain of %d and include the source", len(members), len(ch))
 	}
 	if err := net.Quiesced(); err != nil {
 		return nil, fmt.Errorf("fabric not idle: %w", err)
 	}
 	if cfg.TEnd <= 0 {
 		return nil, fmt.Errorf("Config.TEnd must be the calibrated unicast latency, got %d", cfg.TEnd)
-	}
-	cfg = cfg.withDefaults()
-	if cfg.SlackNum <= 0 || cfg.SlackDen <= 0 || cfg.SlackNum < cfg.SlackDen {
-		return nil, fmt.Errorf("slack %d/%d invalid (need a ratio >= 1)", cfg.SlackNum, cfg.SlackDen)
-	}
-	if cfg.BackoffBase < 0 {
-		return nil, fmt.Errorf("negative BackoffBase %d", cfg.BackoffBase)
 	}
 	if cfg.Repair > RepairBinomial {
 		return nil, fmt.Errorf("unknown repair policy %d", cfg.Repair)

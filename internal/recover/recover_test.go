@@ -2,6 +2,8 @@ package recover_test
 
 import (
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/chain"
@@ -98,13 +100,13 @@ func TestHealthyMatchesMcastsim(t *testing.T) {
 	}
 }
 
-// stuckChannel refuses flits on one channel without reporting it dead —
-// the failure mode that exercises the timeout path (the fault layer
-// cannot prove unreachability, so only the deadline notices).
-type stuckChannel struct{ c wormhole.ChannelID }
+// stuckChannel refuses flits on its channels without reporting them
+// dead — the failure mode that exercises the timeout path (the fault
+// layer cannot prove unreachability, so only the deadline notices).
+type stuckChannel []wormhole.ChannelID
 
 func (s stuckChannel) Dead(wormhole.ChannelID) bool          { return false }
-func (s stuckChannel) Up(c wormhole.ChannelID, _ int64) bool { return c != s.c }
+func (s stuckChannel) Up(c wormhole.ChannelID, _ int64) bool { return !slices.Contains(s, c) }
 
 // TestTimeoutRepairAndOrphanReassignment walks the full recovery ladder
 // deterministically: root 0 must reach node 3 across a silently-stuck
@@ -126,13 +128,12 @@ func TestTimeoutRepairAndOrphanReassignment(t *testing.T) {
 	// south).
 	path := wormhole.PathChannels(m, 0, 3)
 	net := wormhole.New(m, wormhole.DefaultConfig())
-	net.SetFaults(stuckChannel{c: path[2]})
+	net.SetFaults(stuckChannel{path[2]})
 
 	res, err := recov.Run(net, core.BinomialTable{Max: len(ch)}, ch, root, bytes, recov.Config{
-		Sim:        mcastsim.Config{Software: testSoft},
-		TEnd:       tend,
-		MaxRetries: 2,
-		Seed:       11,
+		Sim:  mcastsim.Config{Software: testSoft},
+		TEnd: tend,
+		Seed: 11,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -161,8 +162,12 @@ func TestTimeoutRepairAndOrphanReassignment(t *testing.T) {
 	}
 }
 
-// TestBinomialFallbackRecorded: with ChurnLimit 1 the first give-up must
-// flip planning to binomial recursive-doubling and record the cycle.
+// TestBinomialFallbackRecorded: the churn limit of a 5-member group is
+// 2 + 5/4 = 3 give-ups. Two silently stuck channels, the second east hop
+// of row 0 (on 0->3) and the east hop out of node 5 (on 5's XY routes
+// to 3 and 15), strand enough pairs to reach it: planning must flip to
+// binomial recursive-doubling and record the cycle, and every
+// destination must still be delivered.
 func TestBinomialFallbackRecorded(t *testing.T) {
 	m := mesh.New2D(4, 4)
 	const bytes = 256
@@ -172,22 +177,19 @@ func TestBinomialFallbackRecorded(t *testing.T) {
 	tend := calibrate(t, m, addrs, bytes)
 	thold := testSoft.Hold.At(bytes)
 
-	path := wormhole.PathChannels(m, 0, 3)
 	net := wormhole.New(m, wormhole.DefaultConfig())
-	net.SetFaults(stuckChannel{c: path[2]})
+	net.SetFaults(stuckChannel{wormhole.PathChannels(m, 0, 3)[2], wormhole.PathChannels(m, 5, 6)[1]})
 
 	res, err := recov.Run(net, core.NewOptTable(len(ch), thold, tend), ch, root, bytes, recov.Config{
-		Sim:        mcastsim.Config{Software: testSoft},
-		TEnd:       tend,
-		MaxRetries: 1,
-		ChurnLimit: 1,
-		Seed:       5,
+		Sim:  mcastsim.Config{Software: testSoft},
+		TEnd: tend,
+		Seed: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.FallbackAt < 0 {
-		t.Fatalf("ChurnLimit 1 with a stuck pair never fell back: %+v", res)
+		t.Fatalf("%d give-ups never fell back: %+v", res.Overhead.Repairs, res)
 	}
 	if res.Abandoned != 0 {
 		t.Fatalf("fallback run abandoned destinations: %+v", res)
@@ -204,14 +206,48 @@ func TestConfigValidation(t *testing.T) {
 		cfg  recov.Config
 	}{
 		{"missing TEnd", recov.Config{Sim: mcastsim.Config{Software: testSoft}}},
-		{"slack below one", recov.Config{Sim: mcastsim.Config{Software: testSoft}, TEnd: 100, SlackNum: 1, SlackDen: 2}},
-		{"negative slack", recov.Config{Sim: mcastsim.Config{Software: testSoft}, TEnd: 100, SlackNum: -3, SlackDen: 1}},
-		{"negative backoff", recov.Config{Sim: mcastsim.Config{Software: testSoft}, TEnd: 100, BackoffBase: -1}},
 	}
 	for _, c := range cases {
 		net := wormhole.New(m, wormhole.DefaultConfig())
 		if _, err := recov.Run(net, tab, ch, 0, 64, c.cfg); err == nil {
 			t.Errorf("%s: accepted", c.name)
+		}
+	}
+}
+
+// TestInputChecksAgree: Run, each group of RunConcurrent and the
+// recovery layer's Open share one input check, so each bad input is
+// rejected for the same reason behind each caller's own prefix.
+func TestInputChecksAgree(t *testing.T) {
+	m := mesh.New2D(4, 4)
+	tab := core.NewOptTable(4, 1, 2)
+	cases := []struct {
+		name        string
+		ch          chain.Chain
+		root, bytes int
+		want        string
+	}{
+		{"duplicate chain", chain.Chain{1, 1}, 0, 8, "appears at positions"},
+		{"root out of range", chain.Chain{1, 2}, 9, 8, "root index 9 outside chain"},
+		{"chain longer than K", chain.Chain{0, 1, 2, 3, 4}, 0, 8, "exceeds split table"},
+		{"negative size", chain.Chain{1, 2}, 0, -1, "negative message size"},
+		{"address outside fabric", chain.Chain{1, 99}, 0, 8, "chain address 99 outside fabric"},
+	}
+	sim := mcastsim.Config{Software: testSoft}
+	for _, c := range cases {
+		net := wormhole.New(m, wormhole.DefaultConfig())
+		_, err := recov.Open(net, tab, c.ch, c.root, c.bytes, recov.Config{Sim: sim, TEnd: 100}, nil)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Open: err = %v, want %q", c.name, err, c.want)
+			continue
+		}
+		reason := err.Error()
+		if _, err := mcastsim.Run(net, tab, c.ch, c.root, c.bytes, sim); err == nil || err.Error() != "mcastsim: "+reason {
+			t.Errorf("%s: Run: err = %v, want mcastsim: %s", c.name, err, reason)
+		}
+		group := []mcastsim.Group{{Tab: tab, Chain: c.ch, Root: c.root, Bytes: c.bytes}}
+		if _, err := mcastsim.RunConcurrent(net, group, sim); err == nil || err.Error() != "mcastsim: group 0: "+reason {
+			t.Errorf("%s: RunConcurrent: err = %v, want mcastsim: group 0: %s", c.name, err, reason)
 		}
 	}
 }

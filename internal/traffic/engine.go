@@ -111,7 +111,7 @@ func Run(net *wormhole.Network, cfg Config) (Result, error) {
 	// watchdog; plain mode has nothing else to notice a freeze.
 	var mon mcastsim.Monitor = e.delivery
 	if !cfg.Reliable {
-		mon = mcastsim.NewWatchdog(net, mcastsim.Config{NoProgressCycles: cfg.NoProgressCycles})
+		mon = mcastsim.NewWatchdog(net, mcastsim.Config{})
 	}
 	startStats := net.Stats()
 	err := mcastsim.Drive(net, events, t0+max, mon)
@@ -153,13 +153,12 @@ func (e *engine) defaultMaxCycles(reqs []*request, t0 int64) int64 {
 			maxSoft = soft
 		}
 		tEnd := int64(e.cfg.TEnd(b))
-		assign := (tEnd*reliableSlack + (tEnd/backoffDivisor+1)<<7) * (reliableRetries + 1)
+		assign := (tEnd*recov.Slack + (tEnd/recov.BackoffDivisor+1)<<7) * (recov.Retries + 1)
 		if assign > maxAssign {
 			maxAssign = assign
 		}
 	}
-	perMsg := int64(e.net.Config().Flits(maxBytes+e.cfg.AddrBytes*maxK)) + int64(e.net.Topology().NumChannels())
-	perReq := (perMsg+maxSoft+1024)*int64(maxK+1)*4 + 1<<12
+	perReq := mcastsim.SafetyNet(e.net, maxBytes, e.cfg.AddrBytes, maxK, maxSoft) + 1<<12
 	if e.cfg.Reliable {
 		perReq += int64(maxK+2) * int64(maxK+2) * maxAssign
 	}

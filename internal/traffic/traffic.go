@@ -139,12 +139,12 @@ type Config struct {
 	// (mcastsim.Unicast); it shapes OPT tables and anchors Reliable-mode
 	// delivery deadlines. Must be > 0 for every size in Load.Sizes.
 	TEnd func(bytes int) model.Time
-	// Reliable wraps every request in the recovery discipline: per-send
-	// deadline TEnd*3, retransmission with seeded bounded-exponential
-	// backoff (base TEnd/4, 3 retries), frozen-worm reclamation, and
-	// subtree re-planning on give-up — the internal/recover defaults.
-	// Required when the fabric carries a fault plan; without it an
-	// unreachable destination is a run error.
+	// Reliable wraps every request in the internal/recover schedule:
+	// per-send deadline recover.Slack*TEnd, retransmission with seeded
+	// bounded-exponential backoff (base TEnd/recover.BackoffDivisor,
+	// recover.Retries retries), frozen-worm reclamation, and subtree
+	// re-planning on give-up. Required on a faulted fabric: plain mode's
+	// default no-progress watchdog fails a run on any unreachable send.
 	Reliable bool
 	// Down, when set, reports whether a fabric node is down at a cycle
 	// (relative to run start): request groups are placed only on nodes up
@@ -161,11 +161,8 @@ type Config struct {
 	// independent derived stream.
 	Seed uint64
 	// MaxCycles bounds the run as a safety net; 0 derives a generous
-	// default from the workload. NoProgressCycles is the watchdog window
-	// with mcastsim.Config semantics; it is ignored in Reliable mode,
-	// where per-send deadlines subsume it.
-	MaxCycles        int64
-	NoProgressCycles int64
+	// default from the workload.
+	MaxCycles int64
 }
 
 // Independent seed streams, derived from Config.Seed by xor so the axes
@@ -175,15 +172,6 @@ const (
 	seedWorkload = 0x3a9e_77b1_c0de_f00d
 	seedHotSet   = 0x5ca1_ab1e_0dd5_eed5
 	seedBackoff  = 0xbac0_ff5e_ed00_77aa
-)
-
-// The internal/recover defaults Reliable mode runs with — the deadline
-// slack factor on TEnd, the retransmission budget, and the TEnd divisor
-// for the backoff base — as the safety-net bound needs them.
-const (
-	reliableSlack   = 3
-	reliableRetries = 3
-	backoffDivisor  = 4
 )
 
 // withDefaults fills zero-valued knobs.

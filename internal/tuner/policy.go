@@ -56,8 +56,8 @@ type PolicyConfig struct {
 // faults inflate deep chains (retransmission serialization) ahead of
 // wide ones, which is what moves crossovers at runtime.
 //
-// Policy implements traffic.Selector and composes with the recovery
-// ladder via TableFor on recover.Config.Select.
+// Policy implements traffic.Selector; a single-shot caller runs the
+// algorithm PickFor names.
 type Policy struct {
 	s       *Surface
 	algos   []Algo
@@ -194,14 +194,6 @@ func (p *Policy) Observe(at int64, algo, k, bytes int, latency int64) {
 	}
 	p.drift[algo] = sum / float64(p.n[algo])
 	p.observed++
-}
-
-// TableFor is the recovery-layer form of the selector: the split table
-// of the current pick for a k-member group of the given message size,
-// built under (thold, tend). It fits recover.Config.Select via a
-// closure that pins bytes/thold/tend.
-func (p *Policy) TableFor(k, bytes int, thold, tend model.Time) core.SplitTable {
-	return p.algos[p.PickFor(k, bytes)].Table(k, thold, tend)
 }
 
 // PickFor returns the current (drift-aware) algorithm index for a

@@ -12,8 +12,8 @@
 //     algorithm queries from the surface and recalibrates online from
 //     observed completion latencies over a sliding window of the sim
 //     event clock, switching algorithms live when drift moves a
-//     crossover. It plugs directly into traffic.Config.Tuner, and its
-//     table picks into recover.Config.Select.
+//     crossover. It plugs directly into traffic.Config.Tuner; a
+//     single-shot caller runs its PickFor.
 //
 // Everything here is deterministic: surfaces depend only on the
 // measurements fed in, and Policy's state is a pure function of its

@@ -256,7 +256,9 @@ func TestSelectionAllocFree(t *testing.T) {
 	_ = sink
 }
 
-func TestTableForAndPickFor(t *testing.T) {
+// TestPickForAndName: PickFor names an algorithm whose table plans the
+// group, the way a single-shot caller (netsim -autotune) runs it.
+func TestPickForAndName(t *testing.T) {
 	s := testSurface(t)
 	p, err := NewPolicy(s, testAlgos(), PolicyConfig{FaultPct: 2})
 	if err != nil {
@@ -265,8 +267,8 @@ func TestTableForAndPickFor(t *testing.T) {
 	if p.PickFor(16, 65536) != 0 {
 		t.Fatal("faulted operating point should pick bin")
 	}
-	if tab := p.TableFor(16, 65536, 128, 640); tab == nil || tab.K() < 16 {
-		t.Fatal("TableFor returned unusable table")
+	if tab := testAlgos()[p.PickFor(16, 65536)].Table(16, 128, 640); tab == nil || tab.K() < 16 {
+		t.Fatal("the pick's table is unusable")
 	}
 	if p.Name(0) != "bin" || p.Name(1) != "opt" {
 		t.Fatal("Name mapping broken")

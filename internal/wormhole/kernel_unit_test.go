@@ -7,6 +7,7 @@ package wormhole_test
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -259,4 +260,44 @@ func TestFreshWormSizedToItsRoute(t *testing.T) {
 		t.Fatalf("1-hop worm after a corner-to-corner one: path %d channels in an array of %d, want 3 in 4",
 			len(w.Path()), cap(w.Path()))
 	}
+}
+
+// TestPooledWormRegrownForLongerRoute: a pooled worm reissued for a
+// route longer than its path and passed capacity gets new slices sized
+// to that route at Send, two allocations, instead of regrowing both by
+// append as its header advances. The 1-hop worm's arrays hold 4
+// channels; the corner-to-corner route on a 16×16 mesh needs 32.
+func TestPooledWormRegrownForLongerRoute(t *testing.T) {
+	n := newMeshNet(16, 16, DefaultConfig())
+	n.SetRecycling(true)
+	drain := func() {
+		if _, err := n.RunUntilIdle(1 << 16); err != nil {
+			t.Fatal(err)
+		}
+	}
+	short := n.Send(0, 1, 256, nil, nil)
+	drain()
+	var long *Worm
+	allocs := mallocs(func() {
+		long = n.Send(0, 255, 256, nil, nil)
+		drain()
+	})
+	if long != short {
+		t.Fatal("the corner-to-corner Send did not reissue the pooled 1-hop worm")
+	}
+	if allocs != 2 {
+		t.Fatalf("reissuing the pooled worm for a longer route allocated %d objects, want 2 (its path and passed)", allocs)
+	}
+}
+
+// mallocs counts the heap allocations of one call of f, as
+// testing.AllocsPerRun does over many: a one-time regrowth is what it
+// measures.
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }

@@ -567,9 +567,10 @@ func (n *Network) AdvanceTo(t int64) {
 }
 
 // alloc returns a zeroed worm for a route from src to dst, reusing a
-// pooled one when available. The miss path (fresh) is the pool's one
-// sanctioned allocation: steady state hits the free list and reuses the
-// path/passed backing arrays.
+// pooled one when available. The miss path (fresh) and the regrowth of
+// a pooled worm too small for the route (routeSlices) are the pool's
+// sanctioned allocations: steady state hits the free list and reuses
+// the path/passed backing arrays.
 //
 //lint:hotpath
 func (n *Network) alloc(src, dst NodeID) *Worm {
@@ -581,25 +582,39 @@ func (n *Network) alloc(src, dst NodeID) *Worm {
 	n.free[k] = nil
 	n.free = n.free[:k]
 	path, passed := w.path[:0], w.passed[:0]
+	if size := n.routeCap(src, dst); cap(path) < size || cap(passed) < size {
+		path, passed = routeSlices(size)
+	}
 	*w = Worm{path: path, passed: passed}
 	return w
 }
 
 // fresh allocates a worm whose path and passed hold its route without
-// growing: three allocations, the struct and its two slices. On a
-// topology that reports its hop counts the route from src to dst is
-// Distance+2 channels long (a detour around dead channels grows it by
-// append), and the slices hold it rounded up to a power of two, as
-// append's doubling would leave them: a pooled worm is reissued for
-// whatever route the next Send has, and the slack lets it carry one up
-// to that size without regrowing. On any other topology they hold the
-// longest path built on this network so far.
+// growing: three allocations, the struct and its two slices.
 func (n *Network) fresh(src, dst NodeID) *Worm {
-	size := n.longest
+	path, passed := routeSlices(n.routeCap(src, dst))
+	return &Worm{path: path, passed: passed}
+}
+
+// routeCap is the capacity a worm's path and passed slices need for a
+// route from src to dst. On a topology that reports its hop counts the
+// route is Distance+2 channels long (a detour around dead channels
+// grows it by append), and the capacity holds it rounded up to a power
+// of two, as append's doubling would leave it: a pooled worm is
+// reissued for whatever route the next Send has, and the slack lets it
+// carry one up to that size without regrowing. On any other topology it
+// is the longest path built on this network so far.
+func (n *Network) routeCap(src, dst NodeID) int {
 	if n.dist != nil {
-		size = 1 << bits.Len(uint(n.dist.Distance(int(src), int(dst))+1))
+		return 1 << bits.Len(uint(n.dist.Distance(int(src), int(dst))+1))
 	}
-	return &Worm{path: make([]ChannelID, 0, size), passed: make([]int, 0, size)}
+	return n.longest
+}
+
+// routeSlices allocates empty path and passed slices of capacity size.
+// Outlined so alloc's hot path carries no make.
+func routeSlices(size int) ([]ChannelID, []int) {
+	return make([]ChannelID, 0, size), make([]int, 0, size)
 }
 
 // Send creates a worm from src to dst carrying bytes of payload. The worm
