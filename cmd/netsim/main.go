@@ -197,11 +197,12 @@ func (o options) faultKey() string {
 }
 
 // maxChannels is the channel budget of a netsim fabric, 2^26 (about 67
-// million). The kernel and the topology each keep tables sized by the
-// channel count, so a fabric that passes the int32 ID checks can still
-// need gigabytes: an 18000×18000 mesh has about 1.94 billion channels.
-// The budget leaves room for the 1024×1024 mesh (about 6.3 million
-// channels) and the 65536-node BMIN (about 2.1 million).
+// million). The topologies compute their channels from coordinates, but
+// the kernel keeps a 4-byte owner per channel, so a fabric that passes
+// the int32 ID checks can still need gigabytes: an 18000×18000 mesh has
+// about 1.94 billion channels. The budget leaves room for the 1024×1024
+// mesh (about 6.3 million channels) and the 65536-node BMIN (about 2.1
+// million).
 const maxChannels = 1 << 26
 
 // nodeCount checks the topology flags, including the channel budget,

@@ -64,6 +64,10 @@ func TryNew(nodes int) (*Butterfly, error) {
 // Stages returns the number of switch stages.
 func (b *Butterfly) Stages() int { return b.stages }
 
+// Distance returns the stage-to-stage channels of every route, stages−1:
+// a route holds them plus its injection and ejection channels.
+func (b *Butterfly) Distance(src, dst int) int { return b.stages - 1 }
+
 // LexLess is the lexicographic (numeric) chain order used for temporal
 // tuning.
 func (b *Butterfly) LexLess(a, c int) bool { return a < c }

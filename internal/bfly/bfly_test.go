@@ -29,6 +29,19 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestDistanceMatchesPath: Distance counts the channels of every route
+// besides its injection and ejection ones.
+func TestDistanceMatchesPath(t *testing.T) {
+	b := New(16)
+	for s := 0; s < 16; s++ {
+		for d := 0; d < 16; d++ {
+			if got, want := b.Distance(s, d)+2, len(wormhole.PathChannels(b, wormhole.NodeID(s), wormhole.NodeID(d))); got != want {
+				t.Fatalf("Distance(%d, %d)+2 = %d, path holds %d channels", s, d, got, want)
+			}
+		}
+	}
+}
+
 // TestPathsTraverseAllStages: every route has exactly stages+1 channels.
 func TestPathsTraverseAllStages(t *testing.T) {
 	b := New(32)

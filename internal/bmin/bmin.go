@@ -125,6 +125,11 @@ func (b *BMIN) TurnStage(src, dst int) int {
 	return bits.Len(uint(x)) - 1
 }
 
+// Distance returns the switch-to-switch channels of the route from src
+// to dst, 2·TurnStage (0 when src == dst): the route holds them plus its
+// injection and ejection channels.
+func (b *BMIN) Distance(src, dst int) int { return 2 * max(b.TurnStage(src, dst), 0) }
+
 // LexLess is the lexicographic order on node addresses used by U-min and
 // OPT-min: plain numeric comparison of the binary addresses.
 func (b *BMIN) LexLess(a, c int) bool { return a < c }

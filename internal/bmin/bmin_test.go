@@ -51,6 +51,21 @@ func TestTurnStageSymmetric(t *testing.T) {
 	}
 }
 
+// TestDistanceMatchesPath: Distance counts the channels of every route
+// besides its injection and ejection ones, under every ascent policy.
+func TestDistanceMatchesPath(t *testing.T) {
+	for _, policy := range []AscentPolicy{AscentStraight, AscentDest, AscentAdaptive, AscentAdaptiveDest} {
+		b := New(16, policy)
+		for s := 0; s < 16; s++ {
+			for d := 0; d < 16; d++ {
+				if got, want := b.Distance(s, d)+2, len(wormhole.PathChannels(b, wormhole.NodeID(s), wormhole.NodeID(d))); got != want {
+					t.Fatalf("policy=%v: Distance(%d, %d)+2 = %d, path holds %d channels", policy, s, d, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestPathShape: a route ascends to the turnaround stage and descends,
 // using exactly 2*(TurnStage+1) channels.
 func TestPathShape(t *testing.T) {

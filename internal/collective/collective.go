@@ -71,13 +71,8 @@ func ScatterAllgather(net *wormhole.Network, ch chain.Chain, msgBytes int, cfg m
 	if err := ch.Validate(); err != nil {
 		return Result{}, err
 	}
-	if msgBytes < 0 {
-		return Result{}, fmt.Errorf("collective: negative message size")
-	}
-	for _, a := range ch {
-		if a < 0 || a >= net.Topology().NumNodes() {
-			return Result{}, fmt.Errorf("collective: address %d outside fabric", a)
-		}
+	if err := mcastsim.CheckSizeAndAddresses(net, ch, msgBytes); err != nil {
+		return Result{}, fmt.Errorf("collective: %w", err)
 	}
 	if err := net.Quiesced(); err != nil {
 		return Result{}, fmt.Errorf("collective: fabric not idle: %w", err)

@@ -141,6 +141,14 @@ func CheckInput(net *wormhole.Network, tab core.SplitTable, ch chain.Chain, root
 	if len(ch) > tab.K() {
 		return fmt.Errorf("chain of %d nodes exceeds split table K=%d", len(ch), tab.K())
 	}
+	return CheckSizeAndAddresses(net, ch, msgBytes)
+}
+
+// CheckSizeAndAddresses reports a negative message size or a chain
+// address outside net's fabric; nil if there is neither. It is the part
+// of CheckInput that a collective without a split table or root shares,
+// and its errors carry no package prefix.
+func CheckSizeAndAddresses(net *wormhole.Network, ch chain.Chain, msgBytes int) error {
 	if msgBytes < 0 {
 		return fmt.Errorf("negative message size %d", msgBytes)
 	}

@@ -142,14 +142,6 @@ func abs(x int) int {
 	return x
 }
 
-// dir is the link direction from coordinate a toward b: 1 up, 0 down.
-func dir(a, b int) int {
-	if b > a {
-		return 1
-	}
-	return 0
-}
-
 func sameChannels(a, b []wormhole.ChannelID) bool {
 	if len(a) != len(b) {
 		return false

@@ -1,12 +1,14 @@
 package recover_test
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/chain"
+	"repro/internal/collective"
 	"repro/internal/core"
 	"repro/internal/mcastsim"
 	"repro/internal/mesh"
@@ -217,7 +219,9 @@ func TestConfigValidation(t *testing.T) {
 
 // TestInputChecksAgree: Run, each group of RunConcurrent and the
 // recovery layer's Open share one input check, so each bad input is
-// rejected for the same reason behind each caller's own prefix.
+// rejected for the same reason behind each caller's own prefix. The
+// scatter-allgather collective, which has no root or split table, shares
+// the chain, size and address checks.
 func TestInputChecksAgree(t *testing.T) {
 	m := mesh.New2D(4, 4)
 	tab := core.NewOptTable(4, 1, 2)
@@ -226,12 +230,13 @@ func TestInputChecksAgree(t *testing.T) {
 		ch          chain.Chain
 		root, bytes int
 		want        string
+		collective  string // ScatterAllgather's error around the reason, if it shares the check
 	}{
-		{"duplicate chain", chain.Chain{1, 1}, 0, 8, "appears at positions"},
-		{"root out of range", chain.Chain{1, 2}, 9, 8, "root index 9 outside chain"},
-		{"chain longer than K", chain.Chain{0, 1, 2, 3, 4}, 0, 8, "exceeds split table"},
-		{"negative size", chain.Chain{1, 2}, 0, -1, "negative message size"},
-		{"address outside fabric", chain.Chain{1, 99}, 0, 8, "chain address 99 outside fabric"},
+		{"duplicate chain", chain.Chain{1, 1}, 0, 8, "appears at positions", "%s"},
+		{"root out of range", chain.Chain{1, 2}, 9, 8, "root index 9 outside chain", ""},
+		{"chain longer than K", chain.Chain{0, 1, 2, 3, 4}, 0, 8, "exceeds split table", ""},
+		{"negative size", chain.Chain{1, 2}, 0, -1, "negative message size", "collective: %s"},
+		{"address outside fabric", chain.Chain{1, 99}, 0, 8, "chain address 99 outside fabric", "collective: %s"},
 	}
 	sim := mcastsim.Config{Software: testSoft}
 	for _, c := range cases {
@@ -248,6 +253,12 @@ func TestInputChecksAgree(t *testing.T) {
 		group := []mcastsim.Group{{Tab: tab, Chain: c.ch, Root: c.root, Bytes: c.bytes}}
 		if _, err := mcastsim.RunConcurrent(net, group, sim); err == nil || err.Error() != "mcastsim: group 0: "+reason {
 			t.Errorf("%s: RunConcurrent: err = %v, want mcastsim: group 0: %s", c.name, err, reason)
+		}
+		if c.collective == "" {
+			continue
+		}
+		if _, err := collective.ScatterAllgather(net, c.ch, c.bytes, sim); err == nil || err.Error() != fmt.Sprintf(c.collective, reason) {
+			t.Errorf("%s: ScatterAllgather: err = %v, want %s", c.name, err, fmt.Sprintf(c.collective, reason))
 		}
 	}
 }

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bmin"
+	"repro/internal/mesh"
 	. "repro/internal/wormhole"
 )
 
@@ -262,6 +264,30 @@ func TestFreshWormSizedToItsRoute(t *testing.T) {
 	}
 }
 
+// TestFreshBMINWormSizedToItsRoute: the BMIN reports its hop counts
+// too, so a fresh worm there is sized to its own route. On a 16-node
+// BMIN a worm between neighbours 0 and 1 turns at stage 0 and holds 2
+// channels in a 2-channel array, after a worm from 0 to 15 built an
+// 8-channel path.
+func TestFreshBMINWormSizedToItsRoute(t *testing.T) {
+	n := New(bmin.New(16, bmin.AscentStraight), DefaultConfig())
+	far := n.Send(0, 15, 256, nil, nil)
+	if _, err := n.RunUntilIdle(1 << 16); err != nil {
+		t.Fatal(err)
+	}
+	w := n.Send(0, 1, 256, nil, nil)
+	if _, err := n.RunUntilIdle(1 << 16); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(far.Path()); got != 8 {
+		t.Fatalf("0->15 path holds %d channels, want 8", got)
+	}
+	if len(w.Path()) != 2 || cap(w.Path()) != 2 {
+		t.Fatalf("0->1 worm after a 0->15 one: path %d channels in an array of %d, want 2 in 2",
+			len(w.Path()), cap(w.Path()))
+	}
+}
+
 // TestPooledWormRegrownForLongerRoute: a pooled worm reissued for a
 // route longer than its path and passed capacity gets new slices sized
 // to that route at Send, two allocations, instead of regrowing both by
@@ -287,6 +313,22 @@ func TestPooledWormRegrownForLongerRoute(t *testing.T) {
 	}
 	if allocs != 2 {
 		t.Fatalf("reissuing the pooled worm for a longer route allocated %d objects, want 2 (its path and passed)", allocs)
+	}
+}
+
+// TestNewKeepsOneTable: a network keeps one table sized by its fabric,
+// the owner of each channel, at 4 B a channel. Per-node copies of the
+// injection and ejection channels would add 8 B a node.
+func TestNewKeepsOneTable(t *testing.T) {
+	m := mesh.New(1024, 1024)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	n := New(m, DefaultConfig())
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(n)
+	if b, limit := after.TotalAlloc-before.TotalAlloc, uint64(4*m.NumChannels()+4096); b > limit {
+		t.Fatalf("New on the 1024x1024 mesh allocated %d B, want at most %d (4 B per channel plus 4 KB)", b, limit)
 	}
 }
 

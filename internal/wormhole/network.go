@@ -130,6 +130,7 @@ type Worm struct {
 	ArrivedAt int64
 
 	flits  int
+	eject  ChannelID // Dst's ejection channel, the path's last
 	path   []ChannelID
 	passed []int // flits that have exited path[i]
 	// tail is the index of the first unreleased channel: path[:tail] are
@@ -242,10 +243,8 @@ type Network struct {
 	// Channel occupancy as a flat slice indexed by ChannelID: the slot
 	// index of the owning worm, or -1 when free. Slots — not pointers —
 	// keep the hot arrays pointer-free.
-	owner  []int32
-	owned  int // channels with owner >= 0, so Quiesced need not scan owner
-	inject []ChannelID
-	eject  []ChannelID
+	owner []int32
+	owned int // channels with owner >= 0, so Quiesced need not scan owner
 
 	// Slot table: slots[w.slot] == w for every in-flight worm; freeSlots
 	// holds recycled indices (cap always >= len(slots), so reap can push
@@ -322,9 +321,10 @@ type Network struct {
 	onStep func()
 }
 
-// distancer is implemented by topologies that know the minimal hop
-// count between two nodes (mesh, torus): a worm routed between them
-// holds that many link channels plus its injection and ejection ones.
+// distancer is implemented by topologies that know the hop count of
+// the route between two nodes (mesh, torus, BMIN, butterfly): a worm
+// routed between them holds that many channels plus its injection and
+// ejection ones.
 type distancer interface{ Distance(a, b int) int }
 
 // frozenWorm is what Err's text names: the first worm frozen while no
@@ -344,18 +344,12 @@ func New(topo Topology, cfg Config) *Network {
 		panic(err)
 	}
 	n := &Network{
-		topo:   topo,
-		cfg:    cfg,
-		owner:  make([]int32, topo.NumChannels()),
-		inject: make([]ChannelID, topo.NumNodes()),
-		eject:  make([]ChannelID, topo.NumNodes()),
+		topo:  topo,
+		cfg:   cfg,
+		owner: make([]int32, topo.NumChannels()),
 	}
 	for i := range n.owner {
 		n.owner[i] = -1
-	}
-	for i := 0; i < topo.NumNodes(); i++ {
-		n.inject[i] = topo.InjectChannel(NodeID(i))
-		n.eject[i] = topo.EjectChannel(NodeID(i))
 	}
 	if lg, ok := topo.(LinkGrouper); ok {
 		n.lg = lg
@@ -631,6 +625,7 @@ func (n *Network) Send(src, dst NodeID, bytes int, tag any, onArrive ArrivalFunc
 	w := n.alloc(src, dst)
 	w.ID = n.nextID
 	w.Src, w.Dst = src, dst
+	w.eject = n.topo.EjectChannel(dst)
 	w.Bytes = bytes
 	w.Tag = tag
 	w.flits = n.cfg.Flits(bytes)
@@ -1343,7 +1338,7 @@ func (n *Network) stepParked(w *Worm) int64 {
 //
 //lint:hotpath
 func (n *Network) hopParked(w *Worm, c ChannelID) {
-	if c == n.eject[w.Dst] {
+	if c == w.eject {
 		n.unpark(w)
 		n.acquire(w, c)
 		return
@@ -1529,7 +1524,7 @@ func (n *Network) routeHeaderFast(w *Worm) {
 			return
 		}
 		// Compete for the node's single injection channel.
-		c := n.inject[w.Src]
+		c := n.topo.InjectChannel(w.Src)
 		if n.faults != nil && n.faults.Dead(c) {
 			n.markUnreachable(w, c)
 			return
@@ -1705,7 +1700,7 @@ func (n *Network) routeHeader(w *Worm) {
 	}
 	if len(w.path) == 0 {
 		// Compete for the node's single injection channel.
-		c := n.inject[w.Src]
+		c := n.topo.InjectChannel(w.Src)
 		if n.faults != nil && n.faults.Dead(c) {
 			n.markUnreachable(w, c)
 			return
@@ -1776,7 +1771,7 @@ func (n *Network) acquire(w *Worm, c ChannelID) {
 	if len(w.path) > n.longest {
 		n.longest = len(w.path)
 	}
-	if c == n.eject[w.Dst] {
+	if c == w.eject {
 		w.routed = true
 	}
 	// Ownership changed: every cached routing verdict is stale, and this
@@ -1930,7 +1925,7 @@ func (n *Network) DeadlockReport(max int) string {
 		case w.waitState == waitUnreachable:
 			line(unique, 0, "worm %d (%d->%d): unreachable, frozen holding %d channels", w.ID, w.Src, w.Dst, len(w.path)-w.tail)
 		case len(w.path) == 0:
-			c := n.inject[w.Src]
+			c := n.topo.InjectChannel(w.Src)
 			if h := n.owner[c]; h >= 0 {
 				waiters[c]++
 				line(kindInject, c, "worm %d (%d->%d): waiting to inject; %s held by worm %d", w.ID, w.Src, w.Dst, n.topo.DescribeChannel(c), n.slots[h].ID)
