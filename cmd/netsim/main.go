@@ -45,7 +45,6 @@ import (
 	"repro/internal/member"
 	"repro/internal/mesh"
 	"repro/internal/model"
-	recov "repro/internal/recover"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/torus"
@@ -164,10 +163,10 @@ var ascentPolicies = map[string]bmin.AscentPolicy{
 	"adaptive-dest": bmin.AscentAdaptiveDest,
 }
 
-var repairPolicies = map[string]recov.RepairPolicy{
-	"full":  recov.RepairFull,
-	"incr":  recov.RepairIncremental,
-	"binom": recov.RepairBinomial,
+var repairPolicies = map[string]mcastsim.RepairPolicy{
+	"full":  mcastsim.RepairFull,
+	"incr":  mcastsim.RepairIncremental,
+	"binom": mcastsim.RepairBinomial,
 }
 
 // Fixed shape of a CLI traffic run: enough arrivals for stable
@@ -572,8 +571,8 @@ func (s *session) runSingle(addrs []int, plan *fault.Plan) error {
 
 	if o.recover {
 		key.Mode = "netsim-recover"
-		res, _, err := cached(s, key, func() (recov.Result, error) {
-			return recov.Run(s.network(plan), tab, ch, root, o.bytes, recov.Config{Sim: simCfg, TEnd: s.tend, Seed: o.seed})
+		res, _, err := cached(s, key, func() (mcastsim.ReliableResult, error) {
+			return mcastsim.RunReliable(s.network(plan), tab, ch, root, o.bytes, mcastsim.ReliableConfig{Sim: simCfg, TEnd: s.tend, Seed: o.seed})
 		})
 		if err != nil {
 			return err
@@ -767,7 +766,7 @@ func (s *session) runChurn() error {
 	}
 
 	res, _, err := cached(s, key, func() (member.Result, error) {
-		return member.Run(s.network(plan), tab, ch, sched, o.bytes, recov.Config{
+		return member.Run(s.network(plan), tab, ch, sched, o.bytes, mcastsim.ReliableConfig{
 			Sim:       mcastsim.Config{Software: s.soft, AddrBytes: o.addrB, MaxCycles: o.deadline},
 			TEnd:      s.tend,
 			Repair:    repairPolicies[o.repairPolicy],
@@ -825,7 +824,7 @@ func printChurnDeliveries(ch chain.Chain, res member.Result) {
 
 // printRecoveredDeliveries lists every chain member in delivery order
 // with its recovery status; abandoned members sort last.
-func printRecoveredDeliveries(ch chain.Chain, res recov.Result) {
+func printRecoveredDeliveries(ch chain.Chain, res mcastsim.ReliableResult) {
 	type del struct {
 		node   int
 		at     int64

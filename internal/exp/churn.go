@@ -16,9 +16,9 @@ import (
 
 	"repro/internal/chain"
 	"repro/internal/fault"
+	"repro/internal/mcastsim"
 	"repro/internal/member"
 	"repro/internal/model"
-	recov "repro/internal/recover"
 	"repro/internal/runner"
 )
 
@@ -58,11 +58,11 @@ func churnPool(k int) int {
 }
 
 // policyID is the canonical cache label of a repair policy.
-func policyID(p recov.RepairPolicy) string {
+func policyID(p mcastsim.RepairPolicy) string {
 	switch p {
-	case recov.RepairIncremental:
+	case mcastsim.RepairIncremental:
 		return "incr"
-	case recov.RepairBinomial:
+	case mcastsim.RepairBinomial:
 		return "binom"
 	default:
 		return "full"
@@ -75,7 +75,7 @@ func policyID(p recov.RepairPolicy) string {
 // into the fault plan, and the membership engine run under the given
 // repair policy. The schedule seed is shared across policies of the
 // same (rate, trial), so the policies face identical churn.
-func (s *Suite) churnCell(a Algorithm, policy recov.RepairPolicy, k, bytes, trial, rate int,
+func (s *Suite) churnCell(a Algorithm, policy mcastsim.RepairPolicy, k, bytes, trial, rate int,
 	schedSeed, recSeed uint64, thold, tend model.Time) runner.Cell {
 	pool := churnPool(k)
 	return runner.Cell{
@@ -107,7 +107,7 @@ func (s *Suite) churnCell(a Algorithm, policy recov.RepairPolicy, k, bytes, tria
 			net.SetFaults(fp)
 			ch := chain.New(addrs, s.Platform.Less)
 			tab := a.Table(len(ch), thold, tend)
-			res, err := member.Run(net, tab, ch, sched, bytes, recov.Config{
+			res, err := member.Run(net, tab, ch, sched, bytes, mcastsim.ReliableConfig{
 				Sim:    s.runConfig(),
 				TEnd:   tend,
 				Repair: policy,
@@ -169,7 +169,7 @@ func ChurnSweep(meshSuite, bminSuite *Suite, k, bytes int, rates []int, churnSee
 		{bminSuite, Opt("OPT-min")}, {bminSuite, Opt("OPT-min")}, {bminSuite, Opt("OPT-min")},
 	}
 	// Each suite's columns run the three repair policies in this order.
-	policies := []recov.RepairPolicy{recov.RepairFull, recov.RepairIncremental, recov.RepairBinomial}
+	policies := []mcastsim.RepairPolicy{mcastsim.RepairFull, mcastsim.RepairIncremental, mcastsim.RepairBinomial}
 	algoNames := []string{
 		"full (mesh)", "incremental (mesh)", "binomial (mesh)",
 		"full (BMIN)", "incremental (BMIN)", "binomial (BMIN)",

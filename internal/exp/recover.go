@@ -3,7 +3,7 @@ package exp
 // Experiment F2: reliable delivery under faults. F1 measures what the
 // tuned trees deliver with no help — past a few percent dead links
 // almost every run loses some destination. F2 reruns the same seeded
-// fault plans through the recovery layer (internal/recover: per-send
+// fault plans through reliable delivery (mcastsim.RunReliable: per-send
 // timeout + retransmit, OPT-tree repair over the surviving chain,
 // binomial fallback) and reports the cost of completing anyway: the
 // completion latency, the fraction of destinations delivered next to
@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/chain"
 	"repro/internal/fault"
+	"repro/internal/mcastsim"
 	"repro/internal/model"
 	recov "repro/internal/recover"
 	"repro/internal/runner"
@@ -67,7 +68,7 @@ func (s *Suite) recoverCell(a Algorithm, k, bytes, trial, pct int, planSeed, rec
 				return runner.Result{}, fmt.Errorf("exp: source %d not in chain", addrs[0])
 			}
 			tab := a.Table(len(ch), thold, tend)
-			res, err := recov.Run(net, tab, ch, root, bytes, recov.Config{
+			res, err := mcastsim.RunReliable(net, tab, ch, root, bytes, mcastsim.ReliableConfig{
 				Sim:  s.runConfig(),
 				TEnd: tend,
 				Seed: recSeed,

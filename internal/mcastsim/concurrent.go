@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/chain"
 	"repro/internal/core"
-	"repro/internal/sim"
 	"repro/internal/wormhole"
 )
 
@@ -57,42 +56,37 @@ func RunConcurrent(net *wormhole.Network, groups []Group, cfg Config) ([]GroupRe
 		}
 	}
 
-	var events sim.EventQueue
-	var planErr error
-	t0 := net.Now()
-	runners := make([]*runner, len(groups))
-	results := make([]GroupResult, len(groups))
-	for gi, g := range groups {
-		r := newRunner(net, g.Tab, g.Chain, g.Bytes, cfg, &events, t0+g.StartAt)
-		r.onPlanErr = func(err error) {
-			if planErr == nil {
-				planErr = err
-			}
-		}
-		runners[gi] = r
-		results[gi].StartAt = g.StartAt
+	e := newEngine(net, nil)
+	total := 0
+	for _, g := range groups {
+		total += len(g.Chain)
 	}
+	e.reserve(total)
+	t0 := net.Now()
+	served := make([]*Multicast, len(groups))
 	// Release every group at its own start time through the shared queue
-	// so interleaving is purely time-driven.
+	// so interleaving is purely time-driven. The groups are node-disjoint,
+	// so each position's own one-port ledger is its node's.
 	for gi, g := range groups {
-		r := runners[gi]
-		root, seg := g.Root, chain.Segment{L: 0, R: len(g.Chain) - 1}
-		events.At(r.t0, func() { r.deliver(root, seg, r.t0) })
+		at := t0 + g.StartAt
+		e.events.At(at, func() {
+			served[gi] = e.serve(at, g.Tab, g.Chain, g.Root, g.Bytes, ReliableConfig{Sim: cfg}, nil)
+		})
 	}
 
 	max := cfg.MaxCycles
 	if max <= 0 {
 		max = 1 << 20
-		for gi, g := range groups {
-			r := runners[gi]
-			max += SafetyNet(net, g.Bytes, cfg.AddrBytes, len(g.Chain), r.tSend+r.tRecv+r.tHold) + g.StartAt
+		for _, g := range groups {
+			soft := cfg.Software.Send.At(g.Bytes) + cfg.Software.Recv.At(g.Bytes) + cfg.Software.Hold.At(g.Bytes)
+			max += SafetyNet(net, g.Bytes, cfg.AddrBytes, len(g.Chain), soft) + g.StartAt
 		}
 	}
 
 	startStats := net.Stats()
-	err := Drive(net, &events, t0+max, NewWatchdog(net, cfg))
-	if planErr != nil {
-		return nil, planErr
+	err := Drive(net, e.events, t0+max, NewWatchdog(net, cfg))
+	if e.err != nil {
+		return nil, e.err
 	}
 	if err != nil {
 		return nil, fmt.Errorf("mcastsim: concurrent batch: %w", err)
@@ -104,13 +98,14 @@ func RunConcurrent(net *wormhole.Network, groups []Group, cfg Config) ([]GroupRe
 	end := net.Stats()
 	totalWorms := end.Worms - startStats.Worms
 	var expect int64
-	for gi, r := range runners {
-		for i, d := range r.res.Deliveries {
+	results := make([]GroupResult, len(groups))
+	for gi, g := range served {
+		for i, d := range g.res.Deliveries {
 			if d < 0 {
 				return nil, fmt.Errorf("mcastsim: group %d position %d never delivered", gi, i)
 			}
 		}
-		results[gi].Result = r.res
+		results[gi] = GroupResult{Result: Result{Latency: g.res.Latency, Deliveries: g.res.Deliveries}, StartAt: groups[gi].StartAt}
 		expect += int64(len(groups[gi].Chain) - 1)
 	}
 	if totalWorms != expect {

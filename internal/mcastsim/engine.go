@@ -1,38 +1,43 @@
-package recover
+package mcastsim
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/chain"
 	"repro/internal/core"
-	"repro/internal/mcastsim"
 	"repro/internal/plan"
+	recov "repro/internal/recover"
 	"repro/internal/sim"
 	"repro/internal/wormhole"
 )
 
 // Engine is the one transfer state machine on one event queue: every
 // group running on it shares the queue, the fabric and the backoff
-// jitter stream. Drive it with mcastsim.Drive, passing the engine as the
-// Monitor.
+// jitter stream. Drive it with Drive, passing the engine as the
+// Monitor, or a Watchdog when no send has a deadline (Run,
+// RunConcurrent and plain traffic).
 type Engine struct {
 	net    *wormhole.Network
 	events *sim.EventQueue
+	queue  sim.EventQueue // events, unless NewEngine was handed a queue
 	rng    *sim.RNG
 	// ports is the one-port ledger per fabric node, shared by every
-	// group; nil when the engine carries a single group, whose positions
-	// then keep their own.
+	// group (NewEngine); nil when the engine's groups are node-disjoint
+	// (Run, RunConcurrent, Open), whose positions then keep their own.
 	ports []int64
 	unBuf []*wormhole.Worm
 	err   error // first internal fault
 
 	// sends is the last spawn's plan, reused by the next. free holds
-	// the settled transfers of served requests for newXfer to reuse;
-	// keepXfers (a test hook) leaves it empty.
-	sends     []plan.RepairSend
-	free      []*xfer
-	keepXfers bool
+	// the settled transfers of served requests for newXfer to reuse
+	// when recycle is set (NewEngine); slab holds transfers presized by
+	// reserve and not yet handed out.
+	sends   []plan.RepairSend
+	free    []*xfer
+	slab    []xfer
+	recycle bool
 }
 
 // NewEngine returns an engine for concurrent groups on net (Serve). They
@@ -40,21 +45,40 @@ type Engine struct {
 // one-port ledger per fabric node, so overlapping multicasts serialize
 // their software sends on a common CPU timeline.
 func NewEngine(net *wormhole.Network, events *sim.EventQueue, rng *sim.RNG) *Engine {
-	return &Engine{net: net, events: events, rng: rng, ports: make([]int64, net.Topology().NumNodes())}
+	return &Engine{net: net, events: events, rng: rng, ports: make([]int64, net.Topology().NumNodes()), recycle: true}
 }
 
-// Idled implements mcastsim.Monitor. Every outstanding send has a
-// pending deadline event, which subsumes the no-progress watchdog.
+// newEngine returns an engine on a queue of its own with per-position
+// one-port ledgers.
+func newEngine(net *wormhole.Network, rng *sim.RNG) *Engine {
+	e := &Engine{net: net, rng: rng}
+	e.events = &e.queue
+	return e
+}
+
+// reserve presizes the engine for groups of n positions in all that
+// send no more than once to each: one pending event and one transfer per
+// position. The plan buffer holds 2·log2(n) sends, which covers every
+// node of an OPT, binomial or chain tree at the paper's t_hold/t_end
+// ratios; a wider plan grows it once.
+func (e *Engine) reserve(n int) {
+	e.queue.Reserve(n)
+	e.slab = make([]xfer, n)
+	e.sends = make([]plan.RepairSend, 0, 2*bits.Len(uint(n)))
+}
+
+// Idled implements Monitor. Every outstanding send has a pending
+// deadline event, which subsumes the no-progress watchdog.
 func (e *Engine) Idled() {}
 
-// Check implements mcastsim.Monitor. Worms the fault layer froze (no
-// live route) are cancelled and their assignments routed into the
-// retry/give-up path at once — a frozen worm never completes, and
-// waiting out its deadline would just hold channels hostage. StepUntil
-// returns in the cycle a worm froze, so each is cancelled in that cycle.
-// Cancelling the last frozen worm clears the fabric error, so the run
-// continues. The scan for frozen worms runs only while the fabric counts
-// one, so Check costs O(1) on every other return.
+// Check implements Monitor. Worms the fault layer froze (no live route)
+// are cancelled and their assignments routed into the retry/give-up
+// path at once — a frozen worm never completes, and waiting out its
+// deadline would just hold channels hostage. StepUntil returns in the
+// cycle a worm froze, so each is cancelled in that cycle. Cancelling the
+// last frozen worm clears the fabric error, so the run continues. The
+// scan for frozen worms runs only while the fabric counts one, so Check
+// costs O(1) on every other return.
 //
 //lint:hotpath
 func (e *Engine) Check() error {
@@ -102,17 +126,17 @@ func (e *Engine) fault(err error) {
 	}
 }
 
-// Group is one multicast on an Engine: the source at chain index root
-// owes delivery to every subscribed position of ch.
-type Group struct {
+// Multicast is one multicast on an Engine: the source at chain index
+// root owes delivery to every subscribed position of ch.
+type Multicast struct {
 	e     *Engine
 	ch    chain.Chain
 	tab   core.SplitTable
 	root  int
 	bytes int
-	cfg   Config
+	cfg   ReliableConfig
 	t0    int64
-	res   Result
+	res   ReliableResult
 
 	tSend, tRecv, tHold int64
 	timeout             int64 // per-send deadline Slack*TEnd; 0 arms none
@@ -124,26 +148,29 @@ type Group struct {
 	hop      []int32 // k*k HopDistance cache: 0 unknown, d+1 routable, -1 not
 	xfers    []*xfer
 	churn    int
+	orphans  int // positions flagged orphan
 	fallback bool
 	grafts   int64
 
-	// done, when set, makes the group a served request (Serve): a lost
-	// member is abandoned for good, and done receives the outcome once
-	// every position is delivered or abandoned.
-	done     func(t int64, res Result)
+	// served makes the multicast a served request (Serve, Run,
+	// RunConcurrent): a lost member is abandoned for good, and done,
+	// if set, receives the outcome once every position is delivered or
+	// abandoned.
+	served   bool
+	done     func(t int64, res ReliableResult)
 	resolved int
 }
 
 // slot is one chain position's delivery and membership state.
 type slot struct {
-	delivered  bool
-	wanted     bool  // subscribed now
-	ever       bool  // subscribed at some point of the run
-	orphan     bool  // owed delivery, awaiting re-assignment
-	joinOrphan bool  // orphaned by a join/rejoin: its send counts as a graft
-	inflight   int   // outstanding assignments targeting the position
-	down       int64 // 0: up; else outage end (fault.Forever: permanent)
 	nextFree   int64 // when the send port frees up, unless the engine keeps per-node ledgers
+	down       int64 // 0: up; else outage end (fault.Forever: permanent)
+	inflight   int16 // outstanding assignments targeting the position (at most one)
+	delivered  bool
+	wanted     bool // subscribed now
+	ever       bool // subscribed at some point of the run
+	orphan     bool // owed delivery, awaiting re-assignment
+	joinOrphan bool // orphaned by a join/rejoin: its send counts as a graft
 }
 
 // xfer is one delivery assignment: from must get the message to to,
@@ -152,19 +179,21 @@ type slot struct {
 // invalidates the events of superseded issues. It is the Handler of its
 // own events and the Tag of its worm.
 //
-// A served request's transfers are recycled once they are settled (see
-// release). seq survives reuse and only ever grows: every event carries
-// the seq of the issue that scheduled it, so an event left over from an
-// earlier use, like the deadline of a send that arrived in time, never
-// matches the transfer's current issue.
+// On an engine from NewEngine, a served request's transfers are
+// recycled once they are settled (see release). seq survives reuse and
+// only ever grows: every event carries the seq of the issue that
+// scheduled it, so an event left over from an earlier use, like the
+// deadline of a send that arrived in time, never matches the transfer's
+// current issue. Positions are int32 and the counters narrow, since a
+// plain run presizes one transfer per position (reserve).
 type xfer struct {
-	g        *Group
-	from, to int
+	g        *Multicast
 	live     []int
-	attempt  int
-	seq      int
-	adopted  bool
 	worm     *wormhole.Worm
+	from, to int32
+	seq      uint32
+	attempt  uint8
+	adopted  bool
 	done     bool
 }
 
@@ -182,17 +211,20 @@ const (
 //
 //lint:hotpath
 func (x *xfer) Fire(at int64, arg int) {
-	seq := arg >> evBits
+	seq := uint32(arg >> evBits)
 	switch arg & (1<<evBits - 1) {
 	case evInject:
 		x.g.inject(x, seq)
 	case evExpire:
 		x.g.expire(x, seq)
 	default:
-		x.g.deliverAt(x.to, x.live, at, x)
+		x.g.deliverAt(int(x.to), x.live, at, x)
 		x.g.release(x)
 	}
 }
+
+// event is x's event argument for its current issue.
+func (x *xfer) event(kind int) int { return int(x.seq)<<evBits | kind }
 
 // arrived is the arrival callback of every worm the engine sends; the
 // worm's Tag is its transfer. The assignment stays in flight (inflight
@@ -204,14 +236,14 @@ func arrived(w *wormhole.Worm, now int64) {
 	x := w.Tag.(*xfer)
 	x.done = true
 	x.worm = nil
-	x.g.e.events.Schedule(now+x.g.tRecv, x, x.seq<<evBits|evDeliver)
+	x.g.e.events.Schedule(now+x.g.tRecv, x, x.event(evDeliver))
 }
 
-// open prepares a group starting at cycle t0 with every position
+// open prepares a multicast starting at cycle t0 with every position
 // subscribed; the caller has validated cfg.
-func (e *Engine) open(t0 int64, tab core.SplitTable, ch chain.Chain, root, msgBytes int, cfg Config) *Group {
+func (e *Engine) open(t0 int64, tab core.SplitTable, ch chain.Chain, root, msgBytes int, cfg ReliableConfig) *Multicast {
 	k := len(ch)
-	g := &Group{
+	g := &Multicast{
 		e:          e,
 		ch:         ch,
 		tab:        tab,
@@ -226,9 +258,9 @@ func (e *Engine) open(t0 int64, tab core.SplitTable, ch chain.Chain, root, msgBy
 		backoff:    max(cfg.TEnd/BackoffDivisor, 1),
 		churnLimit: 2 + k/4,
 		pos:        make([]slot, k),
-		res: Result{
+		res: ReliableResult{
 			Deliveries: make([]int64, k),
-			Status:     make([]mcastsim.DestStatus, k),
+			Status:     make([]DestStatus, k),
 			FallbackAt: -1,
 		},
 	}
@@ -247,27 +279,33 @@ func (e *Engine) open(t0 int64, tab core.SplitTable, ch chain.Chain, root, msgBy
 
 // Serve starts one open-system request at cycle at: the source at chain
 // index root delivers to every position of ch, pacing its sends on the
-// engine's per-node ledger. Unlike a group from Open, a request gives a
-// lost member up for good — the rest of its subtree is re-split from the
-// sender, with no orphan queue and no binomial fallback — and done
-// receives the request's Result at the cycle every position is
-// delivered or abandoned. A zero cfg.TEnd arms no deadlines: plain
-// service on a healthy fabric.
-func (e *Engine) Serve(at int64, tab core.SplitTable, ch chain.Chain, root, msgBytes int, cfg Config, done func(t int64, res Result)) {
+// engine's per-node ledger. Unlike a multicast from Open, a request
+// gives a lost member up for good — the rest of its subtree is re-split
+// from the sender, with no orphan queue and no binomial fallback — and
+// done receives the request's ReliableResult at the cycle every
+// position is delivered or abandoned. A zero cfg.TEnd arms no
+// deadlines: plain service on a healthy fabric.
+func (e *Engine) Serve(at int64, tab core.SplitTable, ch chain.Chain, root, msgBytes int, cfg ReliableConfig, done func(t int64, res ReliableResult)) {
+	e.serve(at, tab, ch, root, msgBytes, cfg, done)
+}
+
+// serve is Serve, returning the request's multicast.
+func (e *Engine) serve(at int64, tab core.SplitTable, ch chain.Chain, root, msgBytes int, cfg ReliableConfig, done func(t int64, res ReliableResult)) *Multicast {
 	g := e.open(at, tab, ch, root, msgBytes, cfg)
-	g.done = done
+	g.served, g.done = true, done
 	all := make([]int, len(ch))
 	for i := range all {
 		all[i] = i
 	}
 	g.deliverAt(root, all, at, nil)
+	return g
 }
 
 // Run delivers from the source to the positions subscribed at Open and
-// drives the group's engine until the fabric quiesces. horizon widens
-// the default MaxCycles safety net by the span of the events the caller
-// scheduled.
-func (g *Group) Run(horizon int64) error {
+// drives the multicast's engine until the fabric quiesces. horizon
+// widens the default MaxCycles safety net by the span of the events the
+// caller scheduled.
+func (g *Multicast) Run(horizon int64) error {
 	net := g.e.net
 	max := g.cfg.Sim.MaxCycles
 	if max <= 0 {
@@ -282,7 +320,7 @@ func (g *Group) Run(horizon int64) error {
 		}
 	}
 	g.deliverAt(g.root, live, g.t0, nil)
-	err := mcastsim.Drive(net, g.e.events, g.t0+max, g.e)
+	err := Drive(net, g.e.events, g.t0+max, g.e)
 	if g.e.err != nil {
 		return g.e.err
 	}
@@ -300,19 +338,19 @@ func (g *Group) Run(horizon int64) error {
 	return nil
 }
 
-// safetyNet is the group's default MaxCycles bound: the mcastsim safety
-// net, widened for the worst recovery case of every pair burning its
-// whole retry budget with maximum backoff.
-func (g *Group) safetyNet() int64 {
+// safetyNet is the multicast's default MaxCycles bound: the plain
+// safety net, widened for the worst recovery case of every pair burning
+// its whole retry budget with maximum backoff.
+func (g *Multicast) safetyNet() int64 {
 	k := len(g.ch)
-	base := mcastsim.SafetyNet(g.e.net, g.bytes, g.cfg.Sim.AddrBytes, k, g.tSend+g.tRecv+g.tHold) + 1<<20
+	base := SafetyNet(g.e.net, g.bytes, g.cfg.Sim.AddrBytes, k, g.tSend+g.tRecv+g.tHold) + 1<<20
 	perAssign := (g.timeout + g.backoff<<7) * (Retries + 1)
 	return base + int64(k+2)*int64(k+2)*perAssign
 }
 
-// Result reports the group's outcome once Run has returned. Every
+// Result reports the multicast's outcome once Run has returned. Every
 // undelivered position but the source counts as abandoned.
-func (g *Group) Result() Result {
+func (g *Multicast) Result() ReliableResult {
 	res := g.res
 	res.Delivered, res.Abandoned = 0, 0
 	for p := range g.pos {
@@ -321,47 +359,49 @@ func (g *Group) Result() Result {
 		case g.pos[p].delivered:
 			res.Delivered++
 		default:
-			res.Status[p] = mcastsim.StatusAbandoned
+			res.Status[p] = StatusAbandoned
 			res.Abandoned++
 		}
 	}
 	return res
 }
 
-// Schedule runs fn on the group's event queue at cycle at, relative to
-// the group's start, so caller events ride the clock that drives
+// Schedule runs fn on the multicast's event queue at cycle at, relative
+// to the multicast's start, so caller events ride the clock that drives
 // deadlines and backoffs.
-func (g *Group) Schedule(at int64, fn func()) { g.e.events.At(g.t0+at, fn) }
+func (g *Multicast) Schedule(at int64, fn func()) { g.e.events.At(g.t0+at, fn) }
 
 // Membership reports position p's churn state: subscribed now, up now,
 // and subscribed at any point of the run.
-func (g *Group) Membership(p int) (subscribed, up, joined bool) {
+func (g *Multicast) Membership(p int) (subscribed, up, joined bool) {
 	s := &g.pos[p]
 	return s.wanted, s.down == 0, s.ever
 }
 
 // Grafts counts the sends that delivered joining and rejoining members,
 // disjoint from Overhead.OrphanSends.
-func (g *Group) Grafts() int64 { return g.grafts }
+func (g *Multicast) Grafts() int64 { return g.grafts }
 
 // Join subscribes position p. Unless it already holds the payload or a
 // send to it is under way, it is grafted from the nearest delivered
 // member.
-func (g *Group) Join(p int) {
+func (g *Multicast) Join(p int) {
 	s := &g.pos[p]
 	s.wanted, s.ever = true, true
 	if !s.delivered && s.inflight == 0 {
-		s.orphan, s.joinOrphan = true, true
+		g.setOrphan(p, true)
+		s.joinOrphan = true
 	}
 	g.assignOrphans(g.e.net.Now())
 }
 
 // Leave unsubscribes position p: it is owed nothing more, and the
 // assignments it would have relayed are repaired around it.
-func (g *Group) Leave(p int) {
+func (g *Multicast) Leave(p int) {
 	now := g.e.net.Now()
 	s := &g.pos[p]
-	s.wanted, s.orphan, s.joinOrphan = false, false, false
+	s.wanted, s.joinOrphan = false, false
+	g.setOrphan(p, false)
 	if !s.delivered {
 		g.excise(p, now)
 	}
@@ -371,7 +411,7 @@ func (g *Group) Leave(p int) {
 // Crash takes position p down until cycle until (fault.Forever: for
 // good). Whatever it held is lost with it, and every assignment
 // touching it is repaired around it.
-func (g *Group) Crash(p int, until int64) {
+func (g *Multicast) Crash(p int, until int64) {
 	now := g.e.net.Now()
 	s := &g.pos[p]
 	s.down = until
@@ -379,19 +419,21 @@ func (g *Group) Crash(p int, until int64) {
 		s.delivered = false
 		g.res.Deliveries[p] = -1
 	}
-	s.orphan, s.joinOrphan = false, false
+	s.joinOrphan = false
+	g.setOrphan(p, false)
 	g.excise(p, now)
 	g.assignOrphans(now)
 }
 
 // Rejoin brings a crashed position p back up and re-subscribes it; it
 // is grafted from the nearest delivered member.
-func (g *Group) Rejoin(p int) {
+func (g *Multicast) Rejoin(p int) {
 	s := &g.pos[p]
 	s.down = 0
 	s.wanted = true
 	if !s.delivered && s.inflight == 0 {
-		s.orphan, s.joinOrphan = true, true
+		g.setOrphan(p, true)
+		s.joinOrphan = true
 	}
 	g.assignOrphans(g.e.net.Now())
 }
@@ -400,11 +442,11 @@ func (g *Group) Rejoin(p int) {
 // and every finite outage has ended: give-up verdicts reached
 // mid-outage no longer hold, so the pair marks are cleared and every
 // position still owed delivery is queued against the settled fabric.
-func (g *Group) Settle() {
+func (g *Multicast) Settle() {
 	g.pair = nil
 	for p := range g.pos {
 		if g.owed(p) {
-			g.pos[p].orphan = true
+			g.setOrphan(p, true)
 		}
 	}
 	g.assignOrphans(g.e.net.Now())
@@ -414,7 +456,7 @@ func (g *Group) Settle() {
 // responsibility for live, at time t via assignment via (nil for the
 // source), schedules its sends, and revisits queued orphans — a new
 // delivered member is a new candidate relay.
-func (g *Group) deliverAt(self int, live []int, t int64, via *xfer) {
+func (g *Multicast) deliverAt(self int, live []int, t int64, via *xfer) {
 	s := &g.pos[self]
 	if via != nil {
 		s.inflight--
@@ -431,7 +473,7 @@ func (g *Group) deliverAt(self int, live []int, t int64, via *xfer) {
 		return
 	}
 	s.delivered = true
-	s.orphan = false
+	g.setOrphan(self, false)
 	g.res.Deliveries[self] = t - g.t0
 	g.res.Latency = max(g.res.Latency, t-g.t0)
 	adopted := false
@@ -439,11 +481,11 @@ func (g *Group) deliverAt(self int, live []int, t int64, via *xfer) {
 		adopted = via.adopted
 		switch {
 		case via.adopted:
-			g.res.Status[self] = mcastsim.StatusAdopted
+			g.res.Status[self] = StatusAdopted
 		case via.attempt > 0:
-			g.res.Status[self] = mcastsim.StatusRetried
+			g.res.Status[self] = StatusRetried
 		default:
-			g.res.Status[self] = mcastsim.StatusDelivered
+			g.res.Status[self] = StatusDelivered
 		}
 	}
 	if self != g.root && !s.wanted {
@@ -464,7 +506,7 @@ func (g *Group) deliverAt(self int, live []int, t int64, via *xfer) {
 // binomial recursive doubling once the degradation policy has flipped.
 // repair marks the sends as replanned (they count toward
 // Overhead.RepairSends and their receivers as adopted).
-func (g *Group) spawn(self int, live []int, t int64, adopted, repair bool) {
+func (g *Multicast) spawn(self int, live []int, t int64, adopted, repair bool) {
 	var sends []plan.RepairSend
 	var err error
 	switch {
@@ -491,31 +533,38 @@ func (g *Group) spawn(self int, live []int, t int64, adopted, repair bool) {
 
 // newXfer creates an assignment targeting to, registering it for
 // excise. Served requests see no membership events, so they skip the
-// registry, and they reuse settled transfers.
-func (g *Group) newXfer(from, to int, live []int, adopted bool) *xfer {
+// registry. A transfer comes from the recycled ones, then from those
+// reserve presized, then from the heap.
+func (g *Multicast) newXfer(from, to int, live []int, adopted bool) *xfer {
+	e := g.e
 	var x *xfer
-	if n := len(g.e.free) - 1; n >= 0 {
-		x = g.e.free[n]
-		g.e.free[n] = nil
-		g.e.free = g.e.free[:n]
-		*x = xfer{g: g, from: from, to: to, live: live, adopted: adopted, seq: x.seq}
-	} else {
-		x = &xfer{g: g, from: from, to: to, live: live, adopted: adopted}
+	switch n := len(e.free) - 1; {
+	case n >= 0:
+		x = e.free[n]
+		e.free[n] = nil
+		e.free = e.free[:n]
+	case len(e.slab) > 0:
+		x = &e.slab[0]
+		e.slab = e.slab[1:]
+	default:
+		x = new(xfer)
 	}
-	if g.done == nil {
+	*x = xfer{g: g, from: int32(from), to: int32(to), live: live, adopted: adopted, seq: x.seq}
+	if !g.served {
 		g.xfers = append(g.xfers, x)
 	}
 	g.pos[to].inflight++
-	g.pos[to].orphan = false
+	g.setOrphan(to, false)
 	return x
 }
 
-// release hands a settled transfer of a served request back to the
-// engine: it has been delivered or given up, and no event of its
-// current issue can still act on it. The bump of seq voids the ones
-// still queued, such as the deadline of a send that arrived in time.
-func (g *Group) release(x *xfer) {
-	if g.done == nil || g.e.keepXfers {
+// release hands a settled transfer of a served request back to an
+// engine that recycles them: it has been delivered or given up, and no
+// event of its current issue can still act on it. The bump of seq
+// voids the ones still queued, such as the deadline of a send that
+// arrived in time.
+func (g *Multicast) release(x *xfer) {
+	if !g.served || !g.e.recycle {
 		return
 	}
 	x.seq++
@@ -525,11 +574,10 @@ func (g *Group) release(x *xfer) {
 
 // issue schedules one transmission of x no earlier than notBefore,
 // serialized behind the sender's other sends (one-port pacing: a node's
-// consecutive issues are t_hold apart, exactly mcastsim's spacing), and
-// arms its delivery deadline.
+// consecutive issues are t_hold apart), and arms its delivery deadline.
 //
 //lint:hotpath
-func (g *Group) issue(x *xfer, notBefore int64) {
+func (g *Multicast) issue(x *xfer, notBefore int64) {
 	e := g.e
 	if e.err != nil {
 		return
@@ -541,9 +589,9 @@ func (g *Group) issue(x *xfer, notBefore int64) {
 	at := max(notBefore, *free)
 	*free = at + g.tHold
 	x.seq++
-	e.events.Schedule(at+g.tSend, x, x.seq<<evBits|evInject)
+	e.events.Schedule(at+g.tSend, x, x.event(evInject))
 	if g.timeout > 0 {
-		e.events.Schedule(at+g.timeout, x, x.seq<<evBits|evExpire)
+		e.events.Schedule(at+g.timeout, x, x.event(evExpire))
 	}
 	g.res.Overhead.Sends++
 }
@@ -553,7 +601,7 @@ func (g *Group) issue(x *xfer, notBefore int64) {
 // cost; the deadline event watches the race.
 //
 //lint:hotpath
-func (g *Group) inject(x *xfer, seq int) {
+func (g *Multicast) inject(x *xfer, seq uint32) {
 	if x.done || x.seq != seq {
 		return
 	}
@@ -564,7 +612,7 @@ func (g *Group) inject(x *xfer, seq int) {
 
 // expire fires at x's delivery deadline; if the current issue of x has
 // not arrived by then the send is declared lost.
-func (g *Group) expire(x *xfer, seq int) {
+func (g *Multicast) expire(x *xfer, seq uint32) {
 	if x.done || x.seq != seq {
 		return
 	}
@@ -580,7 +628,7 @@ func (g *Group) expire(x *xfer, seq int) {
 // cannot help; a freeze on a routable pair was a contention-driven
 // detour into a dead end, and a retry on a quieter fabric can still
 // succeed).
-func (g *Group) fail(x *xfer, frozen bool) {
+func (g *Multicast) fail(x *xfer, frozen bool) {
 	if x.done {
 		return
 	}
@@ -591,14 +639,15 @@ func (g *Group) fail(x *xfer, frozen bool) {
 	}
 	x.seq++
 	now := g.e.net.Now()
-	to := &g.pos[x.to]
-	if !to.wanted && to.down == 0 {
+	from, to := int(x.from), int(x.to)
+	s := &g.pos[to]
+	if !s.wanted && s.down == 0 {
 		// The target unsubscribed mid-flight; drop the assignment but
 		// keep its subtree members in play.
 		g.kill(x)
-		if rest := g.strandable(x.live, x.to); len(rest) > 0 {
-			if g.senderStands(x.from) {
-				g.repairRest(x.from, rest, now)
+		if rest := g.strandable(x.live, to); len(rest) > 0 {
+			if g.senderStands(from) {
+				g.repairRest(from, rest, now)
 			} else {
 				g.orphanAll(rest)
 			}
@@ -606,8 +655,8 @@ func (g *Group) fail(x *xfer, frozen bool) {
 		g.assignOrphans(now)
 		return
 	}
-	give := x.attempt >= Retries || to.down != 0
-	if frozen && !g.routable(x.from, x.to) {
+	give := x.attempt >= Retries || s.down != 0
+	if frozen && !g.routable(from, to) {
 		give = true
 	}
 	if give {
@@ -616,45 +665,46 @@ func (g *Group) fail(x *xfer, frozen bool) {
 	}
 	x.attempt++
 	g.res.Overhead.Retransmits++
-	g.issue(x, now+Backoff(g.backoff, x.attempt, g.e.rng))
+	g.issue(x, now+Backoff(g.backoff, int(x.attempt), g.e.rng))
 }
 
 // giveUp declares the (from, to) pair lost and repairs the stranded rest
 // of to's subtree from the same sender. A served request abandons to for
-// good and re-splits the rest; any other group marks the pair
+// good and re-splits the rest; any other multicast marks the pair
 // unroutable, advances the degradation ladder, repairs per its policy
 // and queues to for re-assignment to another delivered member.
-func (g *Group) giveUp(x *xfer, now int64) {
+func (g *Multicast) giveUp(x *xfer, now int64) {
 	g.res.Overhead.Repairs++
 	x.done = true
-	g.pos[x.to].inflight--
-	if g.done != nil {
-		if rest := g.strandable(x.live, x.to); len(rest) > 0 {
-			g.spawn(x.from, withSender(rest, x.from), now, true, true)
+	from, to := int(x.from), int(x.to)
+	g.pos[to].inflight--
+	if g.served {
+		if rest := g.strandable(x.live, to); len(rest) > 0 {
+			g.spawn(from, withSender(rest, from), now, true, true)
 		}
 		g.resolve(now)
 		g.release(x)
 		return
 	}
-	g.markUnroutable(x.from, x.to)
+	g.markUnroutable(from, to)
 	g.noteChurn(now)
-	if to := &g.pos[x.to]; to.wanted && to.down == 0 {
-		to.orphan = true
+	if s := &g.pos[to]; s.wanted && s.down == 0 {
+		g.setOrphan(to, true)
 	}
-	if rest := g.strandable(x.live, x.to); len(rest) > 0 {
-		g.repairRest(x.from, rest, now)
+	if rest := g.strandable(x.live, to); len(rest) > 0 {
+		g.repairRest(from, rest, now)
 	}
 	g.assignOrphans(now)
 }
 
 // resolve counts one more position of a served request settled for good
 // and hands done the outcome once every position is.
-func (g *Group) resolve(t int64) {
-	if g.done == nil {
+func (g *Multicast) resolve(t int64) {
+	if !g.served {
 		return
 	}
 	g.resolved++
-	if g.resolved == len(g.ch) {
+	if g.resolved == len(g.ch) && g.done != nil {
 		g.done(t, g.Result())
 	}
 }
@@ -662,7 +712,7 @@ func (g *Group) resolve(t int64) {
 // repairRest re-plans the stranded subtree rest from the standing
 // sender per the repair policy: one graft send while the incremental
 // budget lasts, a full re-split otherwise.
-func (g *Group) repairRest(from int, rest []int, now int64) {
+func (g *Multicast) repairRest(from int, rest []int, now int64) {
 	if g.cfg.Repair == RepairIncremental && !g.fallback && g.churn <= max(g.churnLimit/2, 1) {
 		g.graft(from, rest, now)
 		return
@@ -688,7 +738,7 @@ func withSender(rest []int, from int) []int {
 // re-derives its own sends on delivery, exactly as any tree node does.
 // If no stranded member is routable from the sender, they are queued as
 // orphans for per-member adoption instead.
-func (g *Group) graft(from int, rest []int, now int64) {
+func (g *Multicast) graft(from int, rest []int, now int64) {
 	h, bestD := -1, 0
 	for _, p := range rest {
 		if g.unroutable(from, p) {
@@ -718,9 +768,10 @@ func (g *Group) graft(from int, rest []int, now int64) {
 // function of the fault set, so the schedule is deterministic;
 // unassignable orphans wait for the next delivered member and are
 // abandoned if the run drains first. Join/rejoin orphans count as
-// grafts. Served requests never queue orphans.
-func (g *Group) assignOrphans(now int64) {
-	if g.done != nil {
+// grafts. With no orphan queued — always so for served requests — it
+// returns at once.
+func (g *Multicast) assignOrphans(now int64) {
+	if g.orphans == 0 {
 		return
 	}
 	k := len(g.ch)
@@ -762,9 +813,10 @@ func (g *Group) assignOrphans(now int64) {
 // from that sender (this is where incremental grafting saves its sends
 // over full re-splitting). When the sender itself is the casualty the
 // survivors fall to the orphan queue for per-member adoption.
-func (g *Group) excise(p int, now int64) {
+func (g *Multicast) excise(p int, now int64) {
 	for _, x := range g.xfers {
-		if x.done || (x.to != p && x.from != p) {
+		from, to := int(x.from), int(x.to)
+		if x.done || (to != p && from != p) {
 			continue
 		}
 		g.kill(x)
@@ -772,9 +824,9 @@ func (g *Group) excise(p int, now int64) {
 		if len(rest) == 0 {
 			continue
 		}
-		if x.to == p && g.senderStands(x.from) {
+		if to == p && g.senderStands(from) {
 			g.noteChurn(now)
-			g.repairRest(x.from, rest, now)
+			g.repairRest(from, rest, now)
 		} else {
 			g.orphanAll(rest)
 		}
@@ -785,7 +837,7 @@ func (g *Group) excise(p int, now int64) {
 // withdrawn and the xfer's pending events are invalidated. Assignments
 // whose fabric delivery already completed (done, receive pending) are
 // resolved by deliverAt instead.
-func (g *Group) kill(x *xfer) {
+func (g *Multicast) kill(x *xfer) {
 	if x.done {
 		return
 	}
@@ -801,7 +853,7 @@ func (g *Group) kill(x *xfer) {
 
 // noteChurn advances the graceful-degradation counter for one repair
 // event and records the binomial flip when the limit is hit.
-func (g *Group) noteChurn(now int64) {
+func (g *Multicast) noteChurn(now int64) {
 	g.churn++
 	if !g.fallback && g.churn >= g.churnLimit {
 		g.fallback = true
@@ -811,21 +863,21 @@ func (g *Group) noteChurn(now int64) {
 
 // owed reports whether position p still needs the message and no
 // assignment targets it.
-func (g *Group) owed(p int) bool {
+func (g *Multicast) owed(p int) bool {
 	s := &g.pos[p]
 	return s.wanted && !s.delivered && s.down == 0 && s.inflight == 0
 }
 
 // senderStands reports whether a position can act as a sender:
 // delivered, subscribed and up.
-func (g *Group) senderStands(p int) bool {
+func (g *Multicast) senderStands(p int) bool {
 	s := &g.pos[p]
 	return s.delivered && s.wanted && s.down == 0
 }
 
 // strandable filters live down to the positions still owed delivery,
 // skipping position skip, preserving order.
-func (g *Group) strandable(live []int, skip int) []int {
+func (g *Multicast) strandable(live []int, skip int) []int {
 	rest := make([]int, 0, len(live))
 	for _, q := range live {
 		if q != skip && g.owed(q) {
@@ -838,7 +890,7 @@ func (g *Group) strandable(live []int, skip int) []int {
 // filterLive keeps self plus the positions of live still owed delivery,
 // preserving order. On an undisturbed tree nothing drops out, and live
 // itself is returned without a copy.
-func (g *Group) filterLive(live []int, self int) []int {
+func (g *Multicast) filterLive(live []int, self int) []int {
 	for i, p := range live {
 		if p == self || g.owed(p) {
 			continue
@@ -854,18 +906,33 @@ func (g *Group) filterLive(live []int, self int) []int {
 	return live
 }
 
-func (g *Group) orphanAll(ps []int) {
+// setOrphan flags or clears position p's place in the orphan queue,
+// keeping the count assignOrphans reads.
+func (g *Multicast) setOrphan(p int, on bool) {
+	s := &g.pos[p]
+	if s.orphan == on {
+		return
+	}
+	s.orphan = on
+	if on {
+		g.orphans++
+	} else {
+		g.orphans--
+	}
+}
+
+func (g *Multicast) orphanAll(ps []int) {
 	for _, p := range ps {
-		g.pos[p].orphan = true
+		g.setOrphan(p, true)
 	}
 }
 
 // unroutable reports whether the pair (a, b) was given up.
-func (g *Group) unroutable(a, b int) bool {
+func (g *Multicast) unroutable(a, b int) bool {
 	return g.pair != nil && g.pair[a*len(g.ch)+b]
 }
 
-func (g *Group) markUnroutable(a, b int) {
+func (g *Multicast) markUnroutable(a, b int) {
 	if g.pair == nil {
 		g.pair = make([]bool, len(g.ch)*len(g.ch))
 	}
@@ -875,7 +942,7 @@ func (g *Group) markUnroutable(a, b int) {
 // hopDist caches the idle-fabric HopDistance oracle per position pair —
 // dead channels never heal, so the verdict is stable for the whole run.
 // Returns -1 for unroutable pairs.
-func (g *Group) hopDist(a, b int) int {
+func (g *Multicast) hopDist(a, b int) int {
 	k := len(g.ch)
 	if g.hop == nil {
 		g.hop = make([]int32, k*k)
@@ -888,7 +955,7 @@ func (g *Group) hopDist(a, b int) int {
 		return int(v - 1)
 	}
 	net := g.e.net
-	d := HopDistance(net.Topology(), net.Faults(), wormhole.NodeID(g.ch[a]), wormhole.NodeID(g.ch[b]))
+	d := recov.HopDistance(net.Topology(), net.Faults(), wormhole.NodeID(g.ch[a]), wormhole.NodeID(g.ch[b]))
 	if d < 0 {
 		g.hop[i] = -1
 	} else {
@@ -898,4 +965,4 @@ func (g *Group) hopDist(a, b int) int {
 }
 
 // routable reports whether the pair has any idle-fabric route.
-func (g *Group) routable(a, b int) bool { return g.hopDist(a, b) >= 0 }
+func (g *Multicast) routable(a, b int) bool { return g.hopDist(a, b) >= 0 }

@@ -9,6 +9,47 @@
 // loops of Algorithms 3.1/4.1) and issues them back-to-back, spaced
 // t_hold apart. Nothing is globally scheduled — latency, pipelining and
 // contention emerge from the fabric simulation.
+//
+// One transfer state machine, the Engine, runs that rule for every
+// delivery layer. Run, RunConcurrent and Unicast serve their multicasts
+// on it with no deadlines; the open-system traffic engine
+// (internal/traffic) serves each admitted request as a group on one
+// shared Engine (Serve). RunReliable and Open add reliable delivery on a
+// (possibly faulted) fabric, with three composed mechanisms:
+//
+//  1. Per-send timeout and retransmission: every send carries a delivery
+//     deadline, the model-predicted unicast latency t_end scaled by the
+//     fixed slack factor Slack. An unacknowledged send is withdrawn from
+//     the fabric (wormhole.Network.Cancel, so delivery stays
+//     at-most-once) and re-issued, up to Retries times, with bounded
+//     exponential backoff; the backoff jitter comes from a seeded RNG,
+//     so sweeps stay reproducible.
+//  2. Subtree adoption / tree repair: when a destination is declared
+//     dead after the retry budget, its sender strikes it from the chain
+//     and re-runs the OPT split over the surviving sub-chain
+//     (plan.RepairSends) — striking members from an architecture-ordered
+//     chain preserves the order, so the repaired tree keeps the paper's
+//     contention-freedom on the healthy links. The struck member becomes
+//     an orphan, re-assigned to any delivered member that can still
+//     route to it.
+//  3. Graceful degradation: when repair churns past a threshold of
+//     give-ups (2 + k/4 for a k-member group), planning falls back from
+//     the parameterized OPT tree to binomial recursive-doubling over
+//     survivors — a simpler shape that trades latency for fewer deep
+//     dependency chains — and the policy flip is recorded in the result.
+//
+// The churn engine (internal/member) feeds its schedule onto a
+// multicast's event queue through Join, Leave, Crash, Rejoin and Settle;
+// with every position subscribed and none down those branches are
+// no-ops, which is why RunReliable is the same engine. Give-ups, graft
+// points and adopters are judged by the idle-fabric reachability oracle
+// of internal/recover.
+//
+// The recovery clock is the event queue, never the watchdog: deadlines
+// and backoffs fire at exact cycles, and unreachable freezes pin the
+// fast kernel's cycle-skipping to the freeze cycle, so both wormhole
+// kernels drive recovery through identical decisions at identical times
+// (the chaos harness asserts this bit-exactly).
 package mcastsim
 
 import (
@@ -17,8 +58,6 @@ import (
 	"repro/internal/chain"
 	"repro/internal/core"
 	"repro/internal/model"
-	"repro/internal/plan"
-	"repro/internal/sim"
 	"repro/internal/wormhole"
 )
 
@@ -73,6 +112,10 @@ type Result struct {
 // Run executes a multicast of msgBytes payload over the given chain with
 // the source at chain index root, shaping the tree with tab, on net
 // (which must be freshly idle). It returns the execution report.
+//
+// The multicast is one request served with no deadlines (Serve with
+// TEnd 0) on an engine of its own, driven under the Watchdog: a frozen
+// worm or a stalled fabric is an error, not a retry.
 func Run(net *wormhole.Network, tab core.SplitTable, ch chain.Chain, root int, msgBytes int, cfg Config) (Result, error) {
 	if err := CheckInput(net, tab, ch, root, msgBytes); err != nil {
 		return Result{}, fmt.Errorf("mcastsim: %w", err)
@@ -81,31 +124,24 @@ func Run(net *wormhole.Network, tab core.SplitTable, ch chain.Chain, root int, m
 		return Result{}, fmt.Errorf("mcastsim: fabric not idle: %w", err)
 	}
 
-	// Each chain position has at most one pending event, its transfer's
-	// injection or delivery, so the queue is sized for the chain up front.
-	events := new(sim.EventQueue)
-	events.Reserve(len(ch))
-	r := newRunner(net, tab, ch, msgBytes, cfg, events, net.Now())
-	var planErr error
-	r.onPlanErr = func(err error) {
-		if planErr == nil {
-			planErr = err
-		}
-	}
-	r.deliver(root, chain.Segment{L: 0, R: len(ch) - 1}, r.t0)
-	if planErr != nil {
-		return Result{}, planErr
+	e := newEngine(net, nil)
+	e.reserve(len(ch))
+	g := e.serve(net.Now(), tab, ch, root, msgBytes, ReliableConfig{Sim: cfg}, nil)
+	// A plain run's only engine fault is a plan error: it wins over any
+	// drive error and keeps the planner's text.
+	if e.err != nil {
+		return Result{}, e.err
 	}
 
 	max := cfg.MaxCycles
 	if max <= 0 {
-		max = SafetyNet(net, msgBytes, cfg.AddrBytes, len(ch), r.tSend+r.tRecv+r.tHold) + 1<<20
+		max = SafetyNet(net, msgBytes, cfg.AddrBytes, len(ch), g.tSend+g.tRecv+g.tHold) + 1<<20
 	}
 
 	startStats := net.Stats()
-	err := Drive(net, r.events, r.t0+max, NewWatchdog(net, cfg))
-	if planErr != nil {
-		return Result{}, planErr
+	err := Drive(net, e.events, g.t0+max, NewWatchdog(net, cfg))
+	if e.err != nil {
+		return Result{}, e.err
 	}
 	if err != nil {
 		return Result{}, fmt.Errorf("mcastsim: %w", err)
@@ -113,18 +149,21 @@ func Run(net *wormhole.Network, tab core.SplitTable, ch chain.Chain, root int, m
 	if err := net.Quiesced(); err != nil {
 		return Result{}, fmt.Errorf("mcastsim: fabric did not quiesce: %w", err)
 	}
-	for i, d := range r.res.Deliveries {
+	for i, d := range g.res.Deliveries {
 		if d < 0 {
 			return Result{}, fmt.Errorf("mcastsim: chain position %d (node %d) never received the message", i, ch[i])
 		}
 	}
 
 	end := net.Stats()
-	r.res.Worms = end.Worms - startStats.Worms
-	r.res.BlockedCycles = end.BlockedCycles - startStats.BlockedCycles
-	r.res.InjectWaitCycles = end.InjectWaitCycles - startStats.InjectWaitCycles
-	r.res.Cycles = end.Cycles - startStats.Cycles
-	return r.res, nil
+	return Result{
+		Latency:          g.res.Latency,
+		Deliveries:       g.res.Deliveries,
+		Worms:            end.Worms - startStats.Worms,
+		BlockedCycles:    end.BlockedCycles - startStats.BlockedCycles,
+		InjectWaitCycles: end.InjectWaitCycles - startStats.InjectWaitCycles,
+		Cycles:           end.Cycles - startStats.Cycles,
+	}, nil
 }
 
 // CheckInput reports why a multicast of msgBytes over ch from chain
@@ -169,122 +208,18 @@ func SafetyNet(net *wormhole.Network, msgBytes, addrBytes, k int, soft int64) in
 	return (perMsg + soft + 1024) * int64(k+1) * 4
 }
 
-type runner struct {
-	net       *wormhole.Network
-	tab       core.SplitTable
-	ch        chain.Chain
-	bytes     int
-	cfg       Config
-	events    *sim.EventQueue
-	res       Result
-	t0        int64
-	onPlanErr func(error)
-
-	tSend, tRecv, tHold int64
-	// xfers holds the one transfer each chain position receives by: a
-	// multicast delivers every position once, so a run needs no more.
-	// sends holds one delivery's plan at a time; a node sends to fewer
-	// positions than the chain holds, so it never grows.
-	xfers []transfer
-	sends []plan.Send
-}
-
-// newRunner prepares one multicast over ch starting at cycle t0, its
-// events on q.
-func newRunner(net *wormhole.Network, tab core.SplitTable, ch chain.Chain, msgBytes int, cfg Config, q *sim.EventQueue, t0 int64) *runner {
-	r := &runner{
-		net:    net,
-		tab:    tab,
-		ch:     ch,
-		bytes:  msgBytes,
-		cfg:    cfg,
-		events: q,
-		res:    Result{Deliveries: make([]int64, len(ch))},
-		t0:     t0,
-		tSend:  cfg.Software.Send.At(msgBytes),
-		tRecv:  cfg.Software.Recv.At(msgBytes),
-		tHold:  cfg.Software.Hold.At(msgBytes),
-		xfers:  make([]transfer, len(ch)),
-		sends:  make([]plan.Send, 0, len(ch)),
-	}
-	for i := range r.res.Deliveries {
-		r.res.Deliveries[i] = -1
-		r.xfers[i] = transfer{r: r, to: i}
-	}
-	return r
-}
-
-// transfer is the one message that delivers chain position to: it is
-// the worm's Tag and the Handler of the message's two events.
-type transfer struct {
-	r        *runner
-	from, to int
-	seg      chain.Segment // the positions to becomes responsible for
-}
-
-// Transfer event kinds.
-const (
-	evInject = iota
-	evDeliver
-)
-
-// Fire implements sim.Handler: evInject hands the message to the fabric
-// once the sender's software send has elapsed, evDeliver completes the
-// receive.
-//
-//lint:hotpath
-func (x *transfer) Fire(at int64, kind int) {
-	r := x.r
-	if kind == evDeliver {
-		r.deliver(x.to, x.seg, at)
-		return
-	}
-	bytes := r.bytes + r.cfg.AddrBytes*(x.seg.Len()-1)
-	r.net.Send(wormhole.NodeID(r.ch[x.from]), wormhole.NodeID(r.ch[x.to]), bytes, x, arrived)
-}
-
-// arrived is the arrival callback of every multicast worm: the receiver's
-// software receive starts when the tail flit is consumed.
-//
-//lint:hotpath
-func arrived(w *wormhole.Worm, now int64) {
-	x := w.Tag.(*transfer)
-	x.r.events.Schedule(now+x.r.tRecv, x, evDeliver)
-}
-
-// deliver records that the node at chain index self has the message and
-// responsibility for seg at time t, and schedules its sends.
-//
-//lint:hotpath
-func (r *runner) deliver(self int, seg chain.Segment, t int64) {
-	r.res.Deliveries[self] = t - r.t0
-	if lat := t - r.t0; lat > r.res.Latency {
-		r.res.Latency = lat
-	}
-	sends, err := plan.Sends(r.sends[:0], r.tab, seg, self)
-	if err != nil {
-		r.onPlanErr(err)
-		return
-	}
-	for i, snd := range sends {
-		x := &r.xfers[snd.To]
-		x.from, x.seg = self, snd.Seg
-		r.events.Schedule(t+int64(i)*r.tHold+r.tSend, x, evInject)
-	}
-}
-
 // Unicast measures one end-to-end point-to-point latency (t_end) between
 // src and dst for the given message size: software send cost, fabric
 // traversal, software receive cost. It is the micro-benchmark the
 // calibration step uses to fit t_net, mirroring how the paper measures
 // its parameters at user level.
 func Unicast(net *wormhole.Network, src, dst int, msgBytes int, cfg Config) (int64, error) {
-	ch := chain.Chain{src, dst}
 	if src == dst {
 		return 0, fmt.Errorf("mcastsim: unicast endpoints must differ")
 	}
-	tab := core.NewOptTable(2, 1, 1)
-	res, err := Run(net, tab, ch, 0, msgBytes, cfg)
+	// Every split table has J(2) = 1: the one send is the same whatever
+	// the table.
+	res, err := Run(net, core.BinomialTable{Max: 2}, chain.Chain{src, dst}, 0, msgBytes, cfg)
 	if err != nil {
 		return 0, err
 	}

@@ -414,7 +414,7 @@ func TestLargerTreesStillQuiesce(t *testing.T) {
 
 // TestRunAllocsFlatInK: on a warm fabric, a multicast makes the same
 // number of allocations whatever its group size — the run's own records,
-// none per send.
+// none per send — and no more than runMaxAllocs.
 func TestRunAllocsFlatInK(t *testing.T) {
 	m := mesh.New2D(8, 8)
 	net := wormhole.New(m, wormhole.DefaultConfig())
@@ -439,5 +439,15 @@ func TestRunAllocsFlatInK(t *testing.T) {
 	if a8 != a64 {
 		t.Fatalf("a multicast made %.0f allocs at k=8 but %.0f at k=64", a8, a64)
 	}
+	if a64 > runMaxAllocs {
+		t.Fatalf("a multicast made %.0f allocs, want at most %d", a64, runMaxAllocs)
+	}
 	t.Logf("%.0f allocs per multicast at k=8 and k=64", a8)
 }
+
+// runMaxAllocs is what a plain multicast allocates: the chain check's
+// sorted copy, the engine (its queue embedded) with the queue's heap,
+// the transfers and the plan buffer it presizes, the multicast with its
+// per-position records, deliveries and statuses, the source's live list,
+// and the watchdog.
+const runMaxAllocs = 11

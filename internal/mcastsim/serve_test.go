@@ -1,4 +1,4 @@
-package recover
+package mcastsim
 
 import (
 	"reflect"
@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/chain"
 	"repro/internal/core"
-	"repro/internal/mcastsim"
 	"repro/internal/mesh"
 	"repro/internal/model"
 	"repro/internal/sim"
@@ -32,7 +31,7 @@ func newServePlatform(t *testing.T) servePlatform {
 	t.Helper()
 	const bytes = 256
 	m := mesh.New2D(8, 8)
-	tEnd, err := mcastsim.Unicast(wormhole.New(m, wormhole.DefaultConfig()), 0, 63, bytes, mcastsim.Config{Software: serveSoft})
+	tEnd, err := Unicast(wormhole.New(m, wormhole.DefaultConfig()), 0, 63, bytes, Config{Software: serveSoft})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,9 +47,9 @@ func (p servePlatform) group(seed uint64, k int) (chain.Chain, int) {
 	return ch, root
 }
 
-// reliable arms the recover defaults: a deadline of 3 t_end per send.
-func (p servePlatform) reliable() Config {
-	return Config{Sim: mcastsim.Config{Software: serveSoft}, TEnd: p.tEnd}
+// reliable arms the reliable defaults: a deadline of 3 t_end per send.
+func (p servePlatform) reliable() ReliableConfig {
+	return ReliableConfig{Sim: Config{Software: serveSoft}, TEnd: p.tEnd}
 }
 
 // TestServeAllocsFlatInK: on a warm engine and fabric, a served request
@@ -64,12 +63,12 @@ func TestServeAllocsFlatInK(t *testing.T) {
 	e := NewEngine(net, &q, sim.NewRNG(3))
 	cfg := p.reliable()
 	served := 0
-	done := func(int64, Result) { served++ }
+	done := func(int64, ReliableResult) { served++ }
 	serve := func(seed uint64, k int) func() {
 		ch, root := p.group(seed, k)
 		return func() {
 			e.Serve(net.Now(), p.tab, ch, root, p.bytes, cfg, done)
-			if err := mcastsim.Drive(net, &q, net.Now()+1<<30, e); err != nil {
+			if err := Drive(net, &q, net.Now()+1<<30, e); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -93,7 +92,7 @@ func TestServeAllocsFlatInK(t *testing.T) {
 // servedRun is one served request's outcome.
 type servedRun struct {
 	done int64
-	res  Result
+	res  ReliableResult
 }
 
 // serveOverlapping serves a stream of overlapping Reliable requests on
@@ -104,7 +103,7 @@ func serveOverlapping(t *testing.T, p servePlatform, keep bool) (out []servedRun
 	net := wormhole.New(p.m, wormhole.DefaultConfig())
 	var q sim.EventQueue
 	e := NewEngine(net, &q, sim.NewRNG(11))
-	e.keepXfers = keep
+	e.recycle = !keep
 	cfg := p.reliable()
 	ks := []int{8, 64, 32, 16}
 	out = make([]servedRun, 24)
@@ -112,10 +111,10 @@ func serveOverlapping(t *testing.T, p servePlatform, keep bool) (out []servedRun
 		ch, root := p.group(uint64(100+i), ks[i%len(ks)])
 		at := int64(i) * p.tEnd
 		q.At(at, func() {
-			e.Serve(at, p.tab, ch, root, p.bytes, cfg, func(done int64, res Result) { out[i] = servedRun{done, res} })
+			e.Serve(at, p.tab, ch, root, p.bytes, cfg, func(done int64, res ReliableResult) { out[i] = servedRun{done, res} })
 		})
 	}
-	if err := mcastsim.Drive(net, &q, 1<<40, e); err != nil {
+	if err := Drive(net, &q, 1<<40, e); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range out {

@@ -1,9 +1,9 @@
 package mcastsim
 
 // DestStatus classifies how one chain position fared in a reliable
-// multicast (package recover). Plain Run either delivers every position
-// or fails wholesale, so it has no use for the type; the recovery layer
-// reports its per-destination outcomes in this vocabulary so drivers and
+// multicast (RunReliable, Open, Serve). Plain Run delivers every
+// position or fails wholesale, so its Result reports none; the engine
+// records every position's outcome in this vocabulary so drivers and
 // experiments share one definition.
 type DestStatus uint8
 

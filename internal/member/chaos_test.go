@@ -21,7 +21,6 @@ import (
 	"repro/internal/mcastsim"
 	"repro/internal/member"
 	"repro/internal/mesh"
-	recov "repro/internal/recover"
 	"repro/internal/sim"
 	"repro/internal/torus"
 	"repro/internal/wormhole"
@@ -82,10 +81,10 @@ func churnChaosRun(t *testing.T, p chaosPlatform, ch chain.Chain, sched member.S
 	net.SetFaults(fp)
 	thold := testSoft.Hold.At(bytes)
 	tab := core.NewOptTable(len(ch), thold, tend)
-	res, err := member.Run(net, tab, ch, sched, bytes, recov.Config{
+	res, err := member.Run(net, tab, ch, sched, bytes, mcastsim.ReliableConfig{
 		Sim:    mcastsim.Config{Software: testSoft},
 		TEnd:   tend,
-		Repair: recov.RepairIncremental,
+		Repair: mcastsim.RepairIncremental,
 		Seed:   seed,
 	})
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 	"repro/internal/chain"
 	"repro/internal/core"
 	"repro/internal/mcastsim"
-	recov "repro/internal/recover"
 	"repro/internal/wormhole"
 )
 
@@ -33,7 +32,7 @@ type Result struct {
 	// the permanently crashed.
 	Delivered, Undelivered, Left, Dead int
 	// Overhead itemizes the recovery cost (sends, retransmits, repairs,
-	// orphan re-assignments), as in recover.Result.
+	// orphan re-assignments), as in mcastsim.ReliableResult.
 	Overhead mcastsim.Overhead
 	// Grafts counts the join/rejoin graft sends, disjoint from
 	// Overhead.OrphanSends.
@@ -48,14 +47,14 @@ type Result struct {
 }
 
 // Run executes a reliable multicast of msgBytes while the churn
-// schedule fires, on the recover delivery engine with cfg's semantics
-// (recover.Run's). ch must contain every address the schedule mentions —
+// schedule fires, on the mcastsim delivery engine with cfg's semantics
+// (mcastsim.RunReliable's). ch must contain every address the schedule mentions —
 // the initial members and every joiner — in architecture order; the
 // schedule's outage windows must already be compiled into net's fault
 // plan (fault.Spec.NodeOutages), since the plan is immutable once worms
 // are in flight. The run is a pure function of its arguments: reruns
 // and both kernels produce bit-identical Results.
-func Run(net *wormhole.Network, tab core.SplitTable, ch chain.Chain, sched Schedule, msgBytes int, cfg recov.Config) (Result, error) {
+func Run(net *wormhole.Network, tab core.SplitTable, ch chain.Chain, sched Schedule, msgBytes int, cfg mcastsim.ReliableConfig) (Result, error) {
 	if err := sched.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -78,7 +77,7 @@ func Run(net *wormhole.Network, tab core.SplitTable, ch chain.Chain, sched Sched
 		}
 	}
 	root := pos[sched.Members[0]]
-	g, err := recov.Open(net, tab, ch, root, msgBytes, cfg, members)
+	g, err := mcastsim.Open(net, tab, ch, root, msgBytes, cfg, members)
 	if err != nil {
 		return Result{}, fmt.Errorf("member: %w", err)
 	}

@@ -14,7 +14,6 @@ import (
 	"repro/internal/mcastsim"
 	"repro/internal/member"
 	"repro/internal/mesh"
-	recov "repro/internal/recover"
 	"repro/internal/wormhole"
 )
 
@@ -91,10 +90,10 @@ func FuzzChurnRun(f *testing.F) {
 		}
 		net := wormhole.New(m, wormhole.DefaultConfig())
 		net.SetFaults(fp)
-		res, err := member.Run(net, core.BinomialTable{Max: len(ch)}, ch, sched, bytes, recov.Config{
+		res, err := member.Run(net, core.BinomialTable{Max: len(ch)}, ch, sched, bytes, mcastsim.ReliableConfig{
 			Sim:    mcastsim.Config{Software: testSoft},
 			TEnd:   tend,
-			Repair: recov.RepairIncremental,
+			Repair: mcastsim.RepairIncremental,
 			Seed:   seed,
 		})
 		if err != nil {

@@ -12,14 +12,14 @@
 //     single flit (wormhole.Network.SetFaults refuses changes with
 //     active worms, deliberately).
 //
-//   - Run feeds the schedule to the recover delivery engine: membership
+//   - Run feeds the schedule to the mcastsim delivery engine: membership
 //     events are entries in the same event queue that drives timeouts
 //     and backoffs, so every membership decision happens at an exact
 //     cycle (DESIGN.md invariant 11). The engine excises a crashed
 //     victim's subtree and re-parents the survivors onto the nearest
 //     delivered members, grafts joins and rejoins onto the nearest
 //     delivered member in one send, and repairs along the configured
-//     recover.RepairPolicy ladder. Run itself only validates the
+//     mcastsim.RepairPolicy ladder. Run itself only validates the
 //     schedule, schedules its events, and assembles the Result and the
 //     oracle.
 //

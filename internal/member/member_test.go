@@ -13,7 +13,6 @@ import (
 	"repro/internal/mesh"
 	"repro/internal/model"
 	"repro/internal/plan"
-	recov "repro/internal/recover"
 	"repro/internal/sim"
 	"repro/internal/wormhole"
 )
@@ -189,20 +188,20 @@ func TestNoChurnMatchesRecover(t *testing.T) {
 		tab := core.BinomialTable{Max: k}
 		netR := wormhole.New(m, wormhole.DefaultConfig())
 		netR.SetFaults(fp)
-		base, err := recov.Run(netR, tab, ch, root, bytes, recov.Config{
+		base, err := mcastsim.RunReliable(netR, tab, ch, root, bytes, mcastsim.ReliableConfig{
 			Sim: mcastsim.Config{Software: testSoft}, TEnd: tend, Seed: 11})
 		if err != nil {
 			t.Fatal(err)
 		}
 		netM := wormhole.New(m, wormhole.DefaultConfig())
 		netM.SetFaults(fp)
-		got, err := member.Run(netM, tab, ch, sched, bytes, recov.Config{
+		got, err := member.Run(netM, tab, ch, sched, bytes, mcastsim.ReliableConfig{
 			Sim: mcastsim.Config{Software: testSoft}, TEnd: tend, Seed: 11})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.Latency != base.Latency || !reflect.DeepEqual(got.Deliveries, base.Deliveries) {
-			t.Fatalf("no-churn run diverges from recover:\n got %+v\nbase %+v", got, base)
+			t.Fatalf("no-churn run diverges from RunReliable:\n got %+v\nbase %+v", got, base)
 		}
 		if !reflect.DeepEqual(got.Overhead, base.Overhead) {
 			t.Fatalf("no-churn overhead diverges:\n got %+v\nbase %+v", got.Overhead, base.Overhead)
@@ -212,7 +211,7 @@ func TestNoChurnMatchesRecover(t *testing.T) {
 		}
 		for i := range ch {
 			if got.Oracle[i] != (base.Deliveries[i] >= 0) {
-				t.Fatalf("spec %+v: oracle[%d]=%v but recover delivery=%d", spec, i, got.Oracle[i], base.Deliveries[i])
+				t.Fatalf("spec %+v: oracle[%d]=%v but reliable delivery=%d", spec, i, got.Oracle[i], base.Deliveries[i])
 			}
 		}
 	}
@@ -231,10 +230,10 @@ func without(addrs []int, x int) []int {
 
 // run executes one churn run with the given policy on a fresh fabric.
 func run(t *testing.T, topo wormhole.Topology, tab core.SplitTable, ch chain.Chain, sched member.Schedule,
-	bytes int, tend int64, policy recov.RepairPolicy) member.Result {
+	bytes int, tend int64, policy mcastsim.RepairPolicy) member.Result {
 	t.Helper()
 	net := churnNet(t, topo, sched, fault.Spec{})
-	res, err := member.Run(net, tab, ch, sched, bytes, recov.Config{
+	res, err := member.Run(net, tab, ch, sched, bytes, mcastsim.ReliableConfig{
 		Sim:    mcastsim.Config{Software: testSoft},
 		TEnd:   tend,
 		Repair: policy,
@@ -278,8 +277,8 @@ func TestCrashRepairPolicyComparison(t *testing.T) {
 		Horizon: 4096,
 	}
 
-	full := run(t, m, tab, ch, sched, bytes, tend, recov.RepairFull)
-	incr := run(t, m, tab, ch, sched, bytes, tend, recov.RepairIncremental)
+	full := run(t, m, tab, ch, sched, bytes, tend, mcastsim.RepairFull)
+	incr := run(t, m, tab, ch, sched, bytes, tend, mcastsim.RepairIncremental)
 
 	for name, res := range map[string]member.Result{"full": full, "incremental": incr} {
 		if res.Dead != 1 || res.Left != 0 {
@@ -301,7 +300,7 @@ func TestCrashRepairPolicyComparison(t *testing.T) {
 		t.Fatalf("incremental repair sends %d not strictly fewer than full re-plan's %d",
 			incr.Overhead.RepairSends, full.Overhead.RepairSends)
 	}
-	if again := run(t, m, tab, ch, sched, bytes, tend, recov.RepairIncremental); !reflect.DeepEqual(incr, again) {
+	if again := run(t, m, tab, ch, sched, bytes, tend, mcastsim.RepairIncremental); !reflect.DeepEqual(incr, again) {
 		t.Fatalf("churn run not deterministic:\n1st %+v\n2nd %+v", incr, again)
 	}
 }
@@ -324,7 +323,7 @@ func TestJoinGraftedOntoDeliveredMember(t *testing.T) {
 		Events:  []member.Event{{At: 1, Kind: member.KindJoin, Node: joiner}},
 		Horizon: 4096,
 	}
-	res := run(t, m, core.BinomialTable{Max: len(ch)}, ch, sched, bytes, tend, recov.RepairFull)
+	res := run(t, m, core.BinomialTable{Max: len(ch)}, ch, sched, bytes, tend, mcastsim.RepairFull)
 	if !res.Member[posJ] || res.Deliveries[posJ] < 0 {
 		t.Fatalf("joiner not delivered: %+v", res)
 	}
@@ -362,7 +361,7 @@ func TestLeaveExcisesSubtree(t *testing.T) {
 		Events:  []member.Event{{At: 1, Kind: member.KindLeave, Node: leaver}},
 		Horizon: 4096,
 	}
-	res := run(t, m, tab, ch, sched, bytes, tend, recov.RepairIncremental)
+	res := run(t, m, tab, ch, sched, bytes, tend, mcastsim.RepairIncremental)
 	if res.Member[posL] || !res.Alive[posL] || res.Oracle[posL] {
 		t.Fatalf("leaver still in contract: %+v", res)
 	}
@@ -395,7 +394,7 @@ func TestCrashRejoinRedelivered(t *testing.T) {
 		Outages: []fault.NodeOutage{{Node: victim, From: crashAt, To: crashAt + downFor}},
 		Horizon: 8192,
 	}
-	res := run(t, m, core.BinomialTable{Max: k}, ch, sched, bytes, tend, recov.RepairIncremental)
+	res := run(t, m, core.BinomialTable{Max: k}, ch, sched, bytes, tend, mcastsim.RepairIncremental)
 	if !res.Member[victimPos] || !res.Alive[victimPos] {
 		t.Fatalf("rejoined member not restored: %+v", res)
 	}

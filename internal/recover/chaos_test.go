@@ -47,14 +47,14 @@ func chaosPlatforms() []chaosPlatform {
 // chaosRun executes one recovery run and returns the result; fatal on
 // configuration errors (the run itself must never error on a fault).
 func chaosRun(t *testing.T, p chaosPlatform, fp *fault.Plan, ch chain.Chain, root, bytes int,
-	tend int64, kernel wormhole.Kernel, seed uint64) recov.Result {
+	tend int64, kernel wormhole.Kernel, seed uint64) mcastsim.ReliableResult {
 	t.Helper()
 	net := wormhole.New(p.topo, wormhole.DefaultConfig())
 	net.SetKernel(kernel)
 	net.SetFaults(fp)
 	thold := testSoft.Hold.At(bytes)
 	tab := core.NewOptTable(len(ch), thold, tend)
-	res, err := recov.Run(net, tab, ch, root, bytes, recov.Config{
+	res, err := mcastsim.RunReliable(net, tab, ch, root, bytes, mcastsim.ReliableConfig{
 		Sim:  mcastsim.Config{Software: testSoft},
 		TEnd: tend,
 		Seed: seed,
@@ -171,7 +171,7 @@ func TestFrozenWormsCancelledInTheirCycle(t *testing.T) {
 			net.SetFaults(plan)
 			log := &releaseLog{}
 			net.SetObserver(log)
-			_, err := recov.Run(net, tab, ch, root, bytes, recov.Config{
+			_, err := mcastsim.RunReliable(net, tab, ch, root, bytes, mcastsim.ReliableConfig{
 				Sim: mcastsim.Config{Software: testSoft}, TEnd: tend, Seed: seed,
 			})
 			if err != nil {

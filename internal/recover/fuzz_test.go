@@ -45,18 +45,18 @@ func FuzzReliableRun(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := recov.Config{
+		cfg := mcastsim.ReliableConfig{
 			Sim:       mcastsim.Config{Software: testSoft},
 			TEnd:      tend,
-			Repair:    recov.RepairPolicy(repair % 3),
+			Repair:    mcastsim.RepairPolicy(repair % 3),
 			DegreeCap: int(degreeCap % 4),
 			Seed:      seed,
 		}
-		run := func(kernel wormhole.Kernel) recov.Result {
+		run := func(kernel wormhole.Kernel) mcastsim.ReliableResult {
 			net := wormhole.New(topo, wormhole.DefaultConfig())
 			net.SetKernel(kernel)
 			net.SetFaults(fp)
-			res, err := recov.Run(net, core.NewOptTable(len(ch), testSoft.Hold.At(bytes), tend), ch, root, bytes, cfg)
+			res, err := mcastsim.RunReliable(net, core.NewOptTable(len(ch), testSoft.Hold.At(bytes), tend), ch, root, bytes, cfg)
 			if err != nil {
 				t.Fatalf("recovery errored: %v", err)
 			}

@@ -1,3 +1,9 @@
+// Package recover is the idle-fabric reachability oracle of reliable
+// delivery: which chain positions a multicast can still reach under a
+// fault model, and at what hop distance. The delivery engine
+// (internal/mcastsim) gives a send up and picks graft points and
+// adopters by it, and the chaos tests, the fuzzers, the F2 experiment
+// and the benchmark judge delivered sets against it.
 package recover
 
 import (

@@ -41,13 +41,13 @@ func TestOrphanAdoptedByNearestDeliveredMember(t *testing.T) {
 		t.Fatalf("geometry broken: HopDistance(10,15)=%d not closer than HopDistance(2,15)=%d", d10, d2)
 	}
 
-	run := func() (recov.Result, []wormhole.NodeID) {
+	run := func() (mcastsim.ReliableResult, []wormhole.NodeID) {
 		path := wormhole.PathChannels(m, 0, 15)
 		net := wormhole.New(m, wormhole.DefaultConfig())
 		net.SetFaults(stuckChannel{path[3]}) // east hop (2,0)->(3,0)
 		to15 := &sendersTo{dst: 15}
 		net.SetObserver(to15)
-		res, err := recov.Run(net, core.SequentialTable{Max: len(ch)}, ch, root, bytes, recov.Config{
+		res, err := mcastsim.RunReliable(net, core.SequentialTable{Max: len(ch)}, ch, root, bytes, mcastsim.ReliableConfig{
 			Sim:  mcastsim.Config{Software: testSoft},
 			TEnd: tend,
 			Seed: 13,
@@ -126,10 +126,10 @@ func TestIncrementalRepairFewerRepairSends(t *testing.T) {
 	path := wormhole.PathChannels(m, wormhole.NodeID(ch[root]), wormhole.NodeID(ch[first.To]))
 	stuck := path[len(path)/2]
 
-	run := func(policy recov.RepairPolicy) recov.Result {
+	run := func(policy mcastsim.RepairPolicy) mcastsim.ReliableResult {
 		net := wormhole.New(m, wormhole.DefaultConfig())
 		net.SetFaults(stuckChannel{stuck})
-		res, err := recov.Run(net, tab, ch, root, bytes, recov.Config{
+		res, err := mcastsim.RunReliable(net, tab, ch, root, bytes, mcastsim.ReliableConfig{
 			Sim:    mcastsim.Config{Software: testSoft},
 			TEnd:   tend,
 			Repair: policy,
@@ -141,8 +141,8 @@ func TestIncrementalRepairFewerRepairSends(t *testing.T) {
 		return res
 	}
 
-	full := run(recov.RepairFull)
-	incr := run(recov.RepairIncremental)
+	full := run(mcastsim.RepairFull)
+	incr := run(mcastsim.RepairIncremental)
 	if full.Delivered != k-1 || incr.Delivered != k-1 {
 		t.Fatalf("delivered: full %d, incremental %d, want %d each", full.Delivered, incr.Delivered, k-1)
 	}
@@ -169,8 +169,8 @@ func TestRepairBinomialFromStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := recov.Run(wormhole.New(m, wormhole.DefaultConfig()), core.NewOptTable(k, thold, tend), ch, root, bytes,
-		recov.Config{Sim: mcastsim.Config{Software: testSoft}, TEnd: tend, Repair: recov.RepairBinomial})
+	got, err := mcastsim.RunReliable(wormhole.New(m, wormhole.DefaultConfig()), core.NewOptTable(k, thold, tend), ch, root, bytes,
+		mcastsim.ReliableConfig{Sim: mcastsim.Config{Software: testSoft}, TEnd: tend, Repair: mcastsim.RepairBinomial})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,8 +193,8 @@ func TestDegreeCapHonored(t *testing.T) {
 	ch, root := meshGroup(m, 9, k)
 	tend := calibrate(t, m, ch, bytes)
 
-	res, err := recov.Run(wormhole.New(m, wormhole.DefaultConfig()), core.BinomialTable{Max: k}, ch, root, bytes,
-		recov.Config{Sim: mcastsim.Config{Software: testSoft}, TEnd: tend, DegreeCap: cap})
+	res, err := mcastsim.RunReliable(wormhole.New(m, wormhole.DefaultConfig()), core.BinomialTable{Max: k}, ch, root, bytes,
+		mcastsim.ReliableConfig{Sim: mcastsim.Config{Software: testSoft}, TEnd: tend, DegreeCap: cap})
 	if err != nil {
 		t.Fatal(err)
 	}

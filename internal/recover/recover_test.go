@@ -2,7 +2,6 @@ package recover_test
 
 import (
 	"fmt"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -48,60 +47,6 @@ func meshGroup(m *mesh.Mesh, seed uint64, k int) (chain.Chain, int) {
 	return ch, root
 }
 
-// TestHealthyMatchesMcastsim: on a fault-free fabric the recovery layer
-// must execute the exact multicast mcastsim executes — same deliveries,
-// same latency, same worm count, zero recovery actions. The per-send
-// deadlines and orphan machinery must be pure bookkeeping until
-// something actually fails.
-func TestHealthyMatchesMcastsim(t *testing.T) {
-	m := mesh.New2D(8, 8)
-	const k, bytes = 12, 1024
-	addrs := sim.NewRNG(7).Sample(m.NumNodes(), k)
-	ch := chain.New(addrs, m.DimOrderLess)
-	root, _ := ch.Index(addrs[0])
-	tend := calibrate(t, m, addrs, bytes)
-	thold := testSoft.Hold.At(bytes)
-
-	for _, tab := range []core.SplitTable{
-		core.BinomialTable{Max: k},
-		core.NewOptTable(k, thold, tend),
-	} {
-		base, err := mcastsim.Run(wormhole.New(m, wormhole.DefaultConfig()), tab, ch, root, bytes, mcastsim.Config{Software: testSoft})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := recov.Run(wormhole.New(m, wormhole.DefaultConfig()), tab, ch, root, bytes, recov.Config{
-			Sim:  mcastsim.Config{Software: testSoft},
-			TEnd: tend,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Latency != base.Latency || got.Worms != base.Worms ||
-			got.BlockedCycles != base.BlockedCycles || got.InjectWaitCycles != base.InjectWaitCycles {
-			t.Fatalf("healthy run diverges from mcastsim:\n got %+v\nbase %+v", got, base)
-		}
-		if !reflect.DeepEqual(got.Deliveries, base.Deliveries) {
-			t.Fatalf("healthy deliveries diverge:\n got %v\nbase %v", got.Deliveries, base.Deliveries)
-		}
-		oh := got.Overhead
-		if oh.Retransmits != 0 || oh.Cancelled != 0 || oh.RepairSends != 0 || oh.OrphanSends != 0 || oh.Repairs != 0 {
-			t.Fatalf("healthy run performed recovery actions: %+v", oh)
-		}
-		if oh.Sends != got.Worms {
-			t.Fatalf("Sends=%d but Worms=%d on a healthy run", oh.Sends, got.Worms)
-		}
-		if got.Delivered != k-1 || got.Abandoned != 0 || got.FallbackAt != -1 {
-			t.Fatalf("healthy outcome wrong: %+v", got)
-		}
-		for i, s := range got.Status {
-			if s != mcastsim.StatusDelivered {
-				t.Fatalf("healthy status[%d] = %v", i, s)
-			}
-		}
-	}
-}
-
 // stuckChannel refuses flits on its channels without reporting them
 // dead — the failure mode that exercises the timeout path (the fault
 // layer cannot prove unreachability, so only the deadline notices).
@@ -132,7 +77,7 @@ func TestTimeoutRepairAndOrphanReassignment(t *testing.T) {
 	net := wormhole.New(m, wormhole.DefaultConfig())
 	net.SetFaults(stuckChannel{path[2]})
 
-	res, err := recov.Run(net, core.BinomialTable{Max: len(ch)}, ch, root, bytes, recov.Config{
+	res, err := mcastsim.RunReliable(net, core.BinomialTable{Max: len(ch)}, ch, root, bytes, mcastsim.ReliableConfig{
 		Sim:  mcastsim.Config{Software: testSoft},
 		TEnd: tend,
 		Seed: 11,
@@ -182,7 +127,7 @@ func TestBinomialFallbackRecorded(t *testing.T) {
 	net := wormhole.New(m, wormhole.DefaultConfig())
 	net.SetFaults(stuckChannel{wormhole.PathChannels(m, 0, 3)[2], wormhole.PathChannels(m, 5, 6)[1]})
 
-	res, err := recov.Run(net, core.NewOptTable(len(ch), thold, tend), ch, root, bytes, recov.Config{
+	res, err := mcastsim.RunReliable(net, core.NewOptTable(len(ch), thold, tend), ch, root, bytes, mcastsim.ReliableConfig{
 		Sim:  mcastsim.Config{Software: testSoft},
 		TEnd: tend,
 		Seed: 5,
@@ -205,13 +150,13 @@ func TestConfigValidation(t *testing.T) {
 	tab := core.BinomialTable{Max: 2}
 	cases := []struct {
 		name string
-		cfg  recov.Config
+		cfg  mcastsim.ReliableConfig
 	}{
-		{"missing TEnd", recov.Config{Sim: mcastsim.Config{Software: testSoft}}},
+		{"missing TEnd", mcastsim.ReliableConfig{Sim: mcastsim.Config{Software: testSoft}}},
 	}
 	for _, c := range cases {
 		net := wormhole.New(m, wormhole.DefaultConfig())
-		if _, err := recov.Run(net, tab, ch, 0, 64, c.cfg); err == nil {
+		if _, err := mcastsim.RunReliable(net, tab, ch, 0, 64, c.cfg); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
 	}
@@ -241,7 +186,7 @@ func TestInputChecksAgree(t *testing.T) {
 	sim := mcastsim.Config{Software: testSoft}
 	for _, c := range cases {
 		net := wormhole.New(m, wormhole.DefaultConfig())
-		_, err := recov.Open(net, tab, c.ch, c.root, c.bytes, recov.Config{Sim: sim, TEnd: 100}, nil)
+		_, err := mcastsim.Open(net, tab, c.ch, c.root, c.bytes, mcastsim.ReliableConfig{Sim: sim, TEnd: 100}, nil)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: Open: err = %v, want %q", c.name, err, c.want)
 			continue

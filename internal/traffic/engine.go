@@ -6,7 +6,6 @@ import (
 	"repro/internal/chain"
 	"repro/internal/core"
 	"repro/internal/mcastsim"
-	recov "repro/internal/recover"
 	"repro/internal/sim"
 	"repro/internal/wormhole"
 )
@@ -37,7 +36,7 @@ type engine struct {
 	// multicasts serialize their software sends on a common CPU
 	// timeline, the open-system generalization of mcastsim's per-run
 	// t_hold spacing — and its backoff jitter stream.
-	delivery *recov.Engine
+	delivery *mcastsim.Engine
 	states   []*reqState
 
 	inflight  int
@@ -79,7 +78,7 @@ func Run(net *wormhole.Network, cfg Config) (Result, error) {
 		cfg:      cfg,
 		events:   events,
 		t0:       t0,
-		delivery: recov.NewEngine(net, events, sim.NewRNG(cfg.Seed^seedBackoff)),
+		delivery: mcastsim.NewEngine(net, events, sim.NewRNG(cfg.Seed^seedBackoff)),
 		states:   make([]*reqState, len(reqs)),
 	}
 	if cfg.Tuner != nil {
@@ -153,7 +152,7 @@ func (e *engine) defaultMaxCycles(reqs []*request, t0 int64) int64 {
 			maxSoft = soft
 		}
 		tEnd := int64(e.cfg.TEnd(b))
-		assign := (tEnd*recov.Slack + (tEnd/recov.BackoffDivisor+1)<<7) * (recov.Retries + 1)
+		assign := (tEnd*mcastsim.Slack + (tEnd/mcastsim.BackoffDivisor+1)<<7) * (mcastsim.Retries + 1)
 		if assign > maxAssign {
 			maxAssign = assign
 		}
@@ -243,7 +242,7 @@ func (e *engine) resolve(rs *reqState, t int64) {
 
 // begin moves a request into service: the source "delivers" to itself
 // with responsibility for the whole chain, which schedules its sends.
-// Reliable mode arms the recover defaults (deadline 3·t_end, three
+// Reliable mode arms the reliable defaults (deadline 3·t_end, three
 // retries, backoff base t_end/4); plain mode arms no deadlines.
 func (e *engine) begin(rs *reqState, t int64) {
 	rs.start = t
@@ -253,17 +252,17 @@ func (e *engine) begin(rs *reqState, t int64) {
 	e.inflight++
 	e.noteOcc(t)
 	rq := rs.req
-	cfg := recov.Config{Sim: mcastsim.Config{Software: e.cfg.Software, AddrBytes: e.cfg.AddrBytes}}
+	cfg := mcastsim.ReliableConfig{Sim: mcastsim.Config{Software: e.cfg.Software, AddrBytes: e.cfg.AddrBytes}}
 	if e.cfg.Reliable {
 		cfg.TEnd = rq.tEnd
 	}
-	e.delivery.Serve(t, rq.tab, rq.ch, rq.root, rq.bytes, cfg, func(t int64, res recov.Result) { e.complete(rs, t, res) })
+	e.delivery.Serve(t, rq.tab, rq.ch, rq.root, rq.bytes, cfg, func(t int64, res mcastsim.ReliableResult) { e.complete(rs, t, res) })
 }
 
 // complete closes a request once every chain position is delivered or
 // abandoned, frees its service slot, and starts the next queued request
 // at the same cycle.
-func (e *engine) complete(rs *reqState, t int64, res recov.Result) {
+func (e *engine) complete(rs *reqState, t int64, res mcastsim.ReliableResult) {
 	rs.done = t
 	rs.delivered = make([]bool, len(res.Deliveries))
 	for p, d := range res.Deliveries {

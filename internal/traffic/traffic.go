@@ -20,7 +20,7 @@
 //     never silently dropped.
 //
 // Admitted requests run concurrently on one shared fabric, each as a
-// group on one internal/recover delivery engine: nodes re-derive sends
+// group on one mcastsim delivery engine: nodes re-derive sends
 // from the split table on delivery, and one-port spacing comes from the
 // engine's per-node port ledger, so overlapping requests serialize their
 // software sends honestly. Reliable mode arms the engine's per-send
@@ -139,10 +139,10 @@ type Config struct {
 	// (mcastsim.Unicast); it shapes OPT tables and anchors Reliable-mode
 	// delivery deadlines. Must be > 0 for every size in Load.Sizes.
 	TEnd func(bytes int) model.Time
-	// Reliable wraps every request in the internal/recover schedule:
-	// per-send deadline recover.Slack*TEnd, retransmission with seeded
-	// bounded-exponential backoff (base TEnd/recover.BackoffDivisor,
-	// recover.Retries retries), frozen-worm reclamation, and subtree
+	// Reliable wraps every request in the reliable-delivery schedule:
+	// per-send deadline mcastsim.Slack*TEnd, retransmission with seeded
+	// bounded-exponential backoff (base TEnd/mcastsim.BackoffDivisor,
+	// mcastsim.Retries retries), frozen-worm reclamation, and subtree
 	// re-planning on give-up. Required on a faulted fabric: plain mode's
 	// default no-progress watchdog fails a run on any unreachable send.
 	Reliable bool
