@@ -31,15 +31,14 @@ import (
 	"flag"
 	"fmt"
 	"math"
-	"math/bits"
 	"os"
 	"sort"
 
 	"repro/internal/bfly"
 	"repro/internal/bmin"
 	"repro/internal/chain"
-	"repro/internal/core"
 	"repro/internal/cpuprof"
+	"repro/internal/exp"
 	"repro/internal/fault"
 	"repro/internal/mcastsim"
 	"repro/internal/member"
@@ -83,7 +82,7 @@ func main() {
 	flag.Float64Var(&o.skew, "skew", 0, "traffic: fraction of destination draws aimed at a seeded hot set (0 = uniform)")
 	flag.BoolVar(&o.churn, "churn", false, "run the multicast under a seeded membership churn schedule (joins, leaves, crashes, rejoins)")
 	flag.Float64Var(&o.churnRate, "churn-rate", 400, "churn: membership events per million cycles")
-	flag.Float64Var(&o.rejoinFrac, "rejoin", 0.5, "churn: fraction of crashed members that rejoin after the outage window")
+	flag.Float64Var(&o.rejoinFrac, "rejoin", exp.ChurnRejoinFrac, "churn: fraction of crashed members that rejoin after the outage window")
 	flag.StringVar(&o.repairPolicy, "repair", "incr", "churn: repair policy, full (re-plan), incr (graft/excise), binom (binomial over survivors)")
 	flag.IntVar(&o.degreeCap, "degree-cap", 0, "churn: per-node fan-out cap for degree-bounded trees (0 = one-port split table)")
 	flag.BoolVar(&o.autotune, "autotune", false, "train a crossover surface on the healthy fabric and let the tuner pick the algorithm (overrides -algo); with -traffic the policy re-picks per request and switches live on observed drift")
@@ -133,18 +132,9 @@ type options struct {
 // candidates in surface index order, so the surface's tie-break prefers
 // binomial: with equal measured latency the topology-blind tree is the
 // safer pick under drift.
-var algos = []tuner.Algo{
-	{Name: "binomial", Ordered: true, Table: func(k int, _, _ model.Time) core.SplitTable {
-		return core.BinomialTable{Max: k}
-	}},
-	{Name: "opt-tree", Ordered: false, Table: optTable},
-	{Name: "opt", Ordered: true, Table: optTable},
-	{Name: "sequential", Ordered: true, Table: func(k int, _, _ model.Time) core.SplitTable {
-		return core.SequentialTable{Max: k}
-	}},
-}
-
-func optTable(k int, thold, tend model.Time) core.SplitTable { return core.NewOptTable(k, thold, tend) }
+var algos = exp.TunerAlgos([]exp.Algorithm{
+	exp.Binomial("binomial"), exp.OptUnordered("opt-tree"), exp.Opt("opt"), exp.Sequential("sequential"),
+})
 
 // algoNamed looks a -algo value up in the algorithm table.
 func algoNamed(name string) (tuner.Algo, bool) {
@@ -176,17 +166,6 @@ const (
 	trafficWarmup   = 8
 )
 
-// Fixed shape of a CLI churn run, matching the F5 figure's scenario:
-// the schedule horizon, the crash outage window, and the joiner-pool
-// divisor (pool = max(2, k/churnPoolDiv) extra addresses that may join).
-const (
-	churnHorizon    = 65536
-	churnDownCycles = 4096
-	churnPoolDiv    = 4
-)
-
-func (o options) joinerPool() int { return max(2, o.k/churnPoolDiv) }
-
 // faulted reports whether any channel fault flag is set.
 func (o options) faulted() bool { return o.faults > 0 || o.degraded > 0 || o.flaky > 0 }
 
@@ -204,62 +183,69 @@ func (o options) faultKey() string {
 // million).
 const maxChannels = 1 << 26
 
-// nodeCount checks the topology flags, including the channel budget,
-// and returns the fabric's node count without building it.
-func (o options) nodeCount() (int, error) {
-	var n, chans int64
-	var sizeFlags string // the flags that set the fabric's size
+// fabric is a built -topo fabric with its chain order and its name in
+// cache keys.
+type fabric struct {
+	topo     wormhole.Topology
+	less     func(a, b int) bool
+	mesh     *mesh.Mesh // the -heatmap target; nil off-mesh
+	platform string
+}
+
+// newFabric builds the -topo fabric and checks it against the channel
+// budget. The constructors keep no per-node or per-channel table, so a
+// fabric of any size is cheap to build; only wormhole.New allocates per
+// channel. Errors name the size flags.
+func (o options) newFabric() (f fabric, err error) {
+	sizeFlags := fmt.Sprintf("-w=%d -h=%d", o.w, o.h)
 	switch o.topo {
-	case "mesh", "torus":
-		side := 1
-		if o.topo == "torus" {
-			side = 3 // a smaller ring would reuse one link for both directions
+	case "mesh":
+		var m *mesh.Mesh
+		if m, err = mesh.TryNew(o.w, o.h); err == nil {
+			f = fabric{topo: m, less: m.DimOrderLess, mesh: m, platform: fmt.Sprintf("mesh%dx%d", o.w, o.h)}
 		}
-		sizeFlags = fmt.Sprintf("-w=%d -h=%d", o.w, o.h)
-		if o.w < side || o.h < side {
-			return 0, fmt.Errorf("%s: %s sides must be >= %d", sizeFlags, o.topo, side)
+	case "torus":
+		var tr *torus.Torus
+		if tr, err = torus.TryNew(o.w, o.h); err == nil {
+			f = fabric{topo: tr, less: tr.DimOrderLess, platform: fmt.Sprintf("torus%dx%d", o.w, o.h)}
 		}
-		if o.w > math.MaxInt32/o.h {
-			return 0, fmt.Errorf("%s: %s has more than %d nodes", sizeFlags, o.topo, math.MaxInt32)
-		}
-		w, h := int64(o.w), int64(o.h)
-		n = w * h
-		// An inject and an eject channel per node, plus a directed link
-		// each way between neighbours: on the torus around each ring
-		// too, with two virtual channels per link.
-		chans = 2*n + 2*h*(w-1) + 2*w*(h-1)
-		if o.topo == "torus" {
-			chans = 2*n + 8*n
-		}
-	case "bmin", "bfly":
+	case "bmin":
 		sizeFlags = fmt.Sprintf("-nodes=%d", o.nodes)
-		if o.nodes < 2 || o.nodes&(o.nodes-1) != 0 {
-			return 0, fmt.Errorf("%s must be a power of two >= 2", sizeFlags)
+		// An unknown -policy sizes the fabric as straight ascent would;
+		// validate rejects it after the size checks.
+		var b *bmin.BMIN
+		if b, err = bmin.TryNew(o.nodes, ascentPolicies[o.policy]); err == nil {
+			f = fabric{topo: b, less: b.LexLess, platform: fmt.Sprintf("bmin%d/%s", o.nodes, o.policy)}
 		}
-		n = int64(o.nodes)
-		stages := int64(bits.TrailingZeros(uint(o.nodes)))
-		chans = 2 * stages * n // an up and a down channel per position and stage
-		if o.topo == "bfly" {
-			chans = (stages + 1) * n
+	case "bfly":
+		sizeFlags = fmt.Sprintf("-nodes=%d", o.nodes)
+		var b *bfly.Butterfly
+		if b, err = bfly.TryNew(o.nodes); err == nil {
+			f = fabric{topo: b, less: b.LexLess, platform: fmt.Sprintf("bfly%d", o.nodes)}
 		}
 	default:
-		return 0, fmt.Errorf("unknown topology %q", o.topo)
+		return f, fmt.Errorf("unknown topology %q", o.topo)
 	}
-	if chans > maxChannels {
-		return 0, fmt.Errorf("%s: a %s of %d nodes has %d channels, over netsim's budget of %d", sizeFlags, o.topo, n, chans, maxChannels)
+	if err != nil {
+		return f, fmt.Errorf("%s: %w", sizeFlags, err)
 	}
-	return int(n), nil
+	if chans := f.topo.NumChannels(); chans > maxChannels {
+		return f, fmt.Errorf("%s: a %s of %d nodes has %d channels, over netsim's budget of %d",
+			sizeFlags, o.topo, f.topo.NumNodes(), chans, maxChannels)
+	}
+	return f, nil
 }
 
 // validate holds every CLI rule: flag ranges, flag combinations,
-// topology sizes and the k range. It runs before any fabric is built;
-// the library configs (traffic.Config, member.GenSchedule,
+// topology sizes and the k range. It builds the fabric only to read its
+// size; the library configs (traffic.Config, member.GenSchedule,
 // fault.NewPlan) still check their own fields.
 func (o options) validate() error {
-	n, err := o.nodeCount()
+	f, err := o.newFabric()
 	if err != nil {
 		return err
 	}
+	n := f.topo.NumNodes()
 	if _, ok := ascentPolicies[o.policy]; o.topo == "bmin" && !ok {
 		return fmt.Errorf("unknown policy %q", o.policy)
 	}
@@ -330,7 +316,7 @@ func (o options) validate() error {
 	if o.degreeCap < 0 {
 		return fmt.Errorf("-degree-cap=%d must be >= 0", o.degreeCap)
 	}
-	if pool := o.joinerPool(); o.k+pool > n {
+	if pool := exp.ChurnPool(o.k); o.k+pool > n {
 		return fmt.Errorf("-k=%d plus a %d-node joiner pool exceeds fabric size %d", o.k, pool, n)
 	}
 	return nil
@@ -339,12 +325,9 @@ func (o options) validate() error {
 // session is one validated invocation: the built fabric, the measured
 // parameters, the result cache and the live views every mode shares.
 type session struct {
-	o        options
-	topo     wormhole.Topology
-	less     func(a, b int) bool
-	n        int
-	mesh     *mesh.Mesh // the -heatmap target; nil off-mesh
-	platform string     // cache-key fabric description
+	o options
+	fabric
+	n int
 
 	cfg         wormhole.Config
 	soft        model.Software
@@ -360,39 +343,11 @@ type session struct {
 
 // newSession builds the fabric from validated options.
 func newSession(o options) (*session, error) {
-	s := &session{o: o, cfg: wormhole.DefaultConfig(), soft: model.DefaultSoftware()}
-	switch o.topo {
-	case "mesh":
-		m, err := mesh.TryNew(o.w, o.h)
-		if err != nil {
-			return nil, err
-		}
-		s.topo, s.less, s.mesh = m, m.DimOrderLess, m
-		s.platform = fmt.Sprintf("mesh%dx%d", o.w, o.h)
-	case "torus":
-		tr, err := torus.TryNew(o.w, o.h)
-		if err != nil {
-			return nil, err
-		}
-		s.topo, s.less = tr, tr.DimOrderLess
-		s.platform = fmt.Sprintf("torus%dx%d", o.w, o.h)
-	case "bmin":
-		b, err := bmin.TryNew(o.nodes, ascentPolicies[o.policy])
-		if err != nil {
-			return nil, err
-		}
-		s.topo, s.less = b, b.LexLess
-		s.platform = fmt.Sprintf("bmin%d/%s", o.nodes, o.policy)
-	case "bfly":
-		b, err := bfly.TryNew(o.nodes)
-		if err != nil {
-			return nil, err
-		}
-		s.topo, s.less = b, b.LexLess
-		s.platform = fmt.Sprintf("bfly%d", o.nodes)
+	f, err := o.newFabric()
+	if err != nil {
+		return nil, err
 	}
-	s.n = s.topo.NumNodes()
-	return s, nil
+	return &session{o: o, fabric: f, n: f.topo.NumNodes(), cfg: wormhole.DefaultConfig(), soft: model.DefaultSoftware()}, nil
 }
 
 // run validates o, builds the fabric, measures t_end and runs the
@@ -502,17 +457,10 @@ func (s *session) chain(a tuner.Algo, addrs []int) chain.Chain {
 // software model, the workload and the measured parameters.
 func (s *session) key(mode, algo, extra string) runner.Key {
 	return runner.Key{
-		Mode: mode, Platform: s.platform, Algo: algo, Soft: softwareKey(s.soft),
+		Mode: mode, Platform: s.platform, Algo: algo, Soft: exp.SoftwareKey(s.soft),
 		K: s.o.k, Bytes: s.o.bytes, Seed: s.o.seed, AddrBytes: s.o.addrB, THold: s.thold, TEnd: s.tend,
 		Extra: extra,
 	}
-}
-
-// softwareKey canonically encodes the software cost model for cache
-// keys (same encoding as internal/exp's cell keys).
-func softwareKey(soft model.Software) string {
-	enc := func(l model.Linear) string { return fmt.Sprintf("%g+%g/B", l.Fixed, l.PerByte) }
-	return fmt.Sprintf("send=%s,recv=%s,hold=%s", enc(soft.Send), enc(soft.Recv), enc(soft.Hold))
 }
 
 // cached returns the engine result the cache holds for key, or runs
@@ -732,14 +680,14 @@ func (s *session) runTraffic(plan *fault.Plan) error {
 // next to any requested channel faults.
 func (s *session) runChurn() error {
 	o := s.o
-	pool := o.joinerPool()
+	pool := exp.ChurnPool(o.k)
 	addrs := sim.NewRNG(o.seed).Sample(s.n, o.k+pool)
 	members, joiners := addrs[:o.k], addrs[o.k:]
 	sched, err := member.GenSchedule(member.ChurnSpec{
 		RatePerMcycle: o.churnRate,
-		Horizon:       churnHorizon,
+		Horizon:       exp.ChurnHorizon,
 		RejoinFrac:    o.rejoinFrac,
-		DownCycles:    churnDownCycles,
+		DownCycles:    exp.ChurnDownCycles,
 		Seed:          o.faultSeed,
 	}, members, joiners)
 	if err != nil {
@@ -755,12 +703,12 @@ func (s *session) runChurn() error {
 	key := s.key("netsim-churn", s.algo.Name,
 		fmt.Sprintf("rate=%g,rejoin=%g,repair=%s,cap=%d,pool=%d,horizon=%d,down=%d,%s,deadline=%d",
 			o.churnRate, o.rejoinFrac, o.repairPolicy, o.degreeCap, pool,
-			churnHorizon, churnDownCycles, o.faultKey(), o.deadline))
+			exp.ChurnHorizon, exp.ChurnDownCycles, o.faultKey(), o.deadline))
 	key.FaultSeed = o.faultSeed
 
 	s.printHeader(s.algo.Name, fmt.Sprintf(" (+%d joiner pool)", pool), plan, "")
 	fmt.Printf("churn:               %g events/Mcycle over %d cycles: %d events (%d crashes), rejoin %.0f%%\n",
-		o.churnRate, int64(churnHorizon), len(sched.Events), len(sched.Outages), o.rejoinFrac*100)
+		o.churnRate, exp.ChurnHorizon, len(sched.Events), len(sched.Outages), o.rejoinFrac*100)
 	if o.degreeCap > 0 {
 		fmt.Printf("trees:               degree-bounded, fan-out cap %d\n", o.degreeCap)
 	}

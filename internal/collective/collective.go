@@ -200,10 +200,10 @@ func (d *driver) acquire(i, c int, t int64) {
 // watchdog, so a destination cut off by faults surfaces at the freeze
 // with its cause and deadlock report instead of at the cycle deadline.
 func (d *driver) drain() error {
-	// Generous bound: every chunk crosses every link serially.
-	perMsg := int64(d.net.Config().Flits(d.bytes)) + int64(d.net.Topology().NumChannels())
+	// Generous bound: every chunk crosses every link serially, twice
+	// the multicast safety net.
 	soft := d.cfg.Software.Send.At(d.bytes) + d.cfg.Software.Recv.At(d.bytes) + d.cfg.Software.Hold.At(d.bytes)
-	deadline := d.t0 + (perMsg+soft+1024)*int64(len(d.ch)+1)*8 + 1<<22
+	deadline := d.t0 + 2*mcastsim.SafetyNet(d.net, d.bytes, 0, len(d.ch), soft) + 1<<22
 	if err := mcastsim.Drive(d.net, &d.events, deadline, mcastsim.NewWatchdog(d.net, d.cfg)); err != nil {
 		return fmt.Errorf("collective: broadcast: %w", err)
 	}

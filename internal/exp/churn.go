@@ -23,13 +23,13 @@ import (
 )
 
 // F5 scenario shape, shared by every cell so schedules stay comparable
-// across policies: the joiner pool next to k initial members, the
-// schedule horizon, the crash-window length and the rejoin probability.
+// across policies (and by netsim -churn): the schedule horizon, the
+// crash-window length and the rejoin probability. The joiner pool next
+// to k initial members is ChurnPool(k).
 const (
-	churnPoolFrac   = 4     // pool size = max(2, k/churnPoolFrac)
-	churnHorizon    = 65536 // cycles of scheduled churn
-	churnDownCycles = 4096  // crash outage window
-	churnRejoinFrac = 0.5   // fraction of crashes that rejoin
+	ChurnHorizon    = 65536 // cycles of scheduled churn
+	ChurnDownCycles = 4096  // crash outage window
+	ChurnRejoinFrac = 0.5   // fraction of crashes that rejoin
 )
 
 // F5Tables bundles the three views of experiment F5 over one sweep.
@@ -49,25 +49,9 @@ type F5Tables struct {
 	Repair *Table
 }
 
-// churnPool returns the joiner-pool size for k initial members.
-func churnPool(k int) int {
-	if p := k / churnPoolFrac; p > 2 {
-		return p
-	}
-	return 2
-}
-
-// policyID is the canonical cache label of a repair policy.
-func policyID(p mcastsim.RepairPolicy) string {
-	switch p {
-	case mcastsim.RepairIncremental:
-		return "incr"
-	case mcastsim.RepairBinomial:
-		return "binom"
-	default:
-		return "full"
-	}
-}
+// ChurnPool returns the joiner-pool size for k initial members: the
+// addresses outside the group that may join it.
+func ChurnPool(k int) int { return max(2, k/4) }
 
 // churnCell builds the engine cell for one churned reliable multicast:
 // k initial members plus a joiner pool placed by the trial, a churn
@@ -77,23 +61,23 @@ func policyID(p mcastsim.RepairPolicy) string {
 // same (rate, trial), so the policies face identical churn.
 func (s *Suite) churnCell(a Algorithm, policy mcastsim.RepairPolicy, k, bytes, trial, rate int,
 	schedSeed, recSeed uint64, thold, tend model.Time) runner.Cell {
-	pool := churnPool(k)
+	pool := ChurnPool(k)
 	return runner.Cell{
 		Key: runner.Key{
-			Mode: "churn", Platform: s.Platform.Name, Algo: a.keyID(), Soft: s.softKey(),
+			Mode: "churn", Platform: s.Platform.Name, Algo: a.keyID(), Soft: SoftwareKey(s.Software),
 			K: k, Bytes: bytes, X: rate, Trial: trial, Seed: s.Seed, AddrBytes: s.AddrBytes,
 			THold: thold, TEnd: tend, FaultSeed: schedSeed, RecSeed: recSeed,
 			Extra: fmt.Sprintf("policy=%s|pool=%d|horizon=%d|rejoin=%g|down=%d",
-				policyID(policy), pool, churnHorizon, churnRejoinFrac, churnDownCycles),
+				policy, pool, ChurnHorizon, ChurnRejoinFrac, ChurnDownCycles),
 		},
 		Run: func() (runner.Result, error) {
 			addrs := s.placement(trial, k+pool)
 			members, joiners := addrs[:k], addrs[k:]
 			sched, err := member.GenSchedule(member.ChurnSpec{
 				RatePerMcycle: float64(rate),
-				Horizon:       churnHorizon,
-				RejoinFrac:    churnRejoinFrac,
-				DownCycles:    churnDownCycles,
+				Horizon:       ChurnHorizon,
+				RejoinFrac:    ChurnRejoinFrac,
+				DownCycles:    ChurnDownCycles,
 				Seed:          schedSeed,
 			}, members, joiners)
 			if err != nil {
@@ -203,7 +187,7 @@ func ChurnSweep(meshSuite, bminSuite *Suite, k, bytes int, rates []int, churnSee
 	}
 	f5.Latency.Notes = append(f5.Latency.Notes,
 		fmt.Sprintf("%d random placements per point, placement seed %d, churn seed %d; pool=%d horizon=%d rejoin=%g down=%d",
-			trials, meshSuite.Seed, churnSeed, churnPool(k), churnHorizon, churnRejoinFrac, churnDownCycles))
+			trials, meshSuite.Seed, churnSeed, ChurnPool(k), ChurnHorizon, ChurnRejoinFrac, ChurnDownCycles))
 	f5.Delivered.Notes = append(f5.Delivered.Notes,
 		"reachable columns are the membership-and-fault oracle (member.ReachableAmong) on the same schedules;",
 		"delivered == reachable under pure node churn is the engine's quiesce contract")

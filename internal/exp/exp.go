@@ -203,10 +203,11 @@ type Suite struct {
 	Exec *runner.Exec
 }
 
-// softKey canonically encodes the software cost model for cell keys.
-func (s *Suite) softKey() string {
+// SoftwareKey canonically encodes a software cost model for cache keys
+// (runner.Key.Soft), of figure cells and netsim runs alike.
+func SoftwareKey(soft model.Software) string {
 	enc := func(l model.Linear) string { return fmt.Sprintf("%g+%g/B", l.Fixed, l.PerByte) }
-	return fmt.Sprintf("send=%s,recv=%s,hold=%s", enc(s.Software.Send), enc(s.Software.Recv), enc(s.Software.Hold))
+	return fmt.Sprintf("send=%s,recv=%s,hold=%s", enc(soft.Send), enc(soft.Recv), enc(soft.Hold))
 }
 
 // mcastCell builds the engine cell for one healthy-fabric multicast:
@@ -216,7 +217,7 @@ func (s *Suite) softKey() string {
 func (s *Suite) mcastCell(a Algorithm, k, bytes, trial int, thold, tend model.Time) runner.Cell {
 	return runner.Cell{
 		Key: runner.Key{
-			Mode: "mcast", Platform: s.Platform.Name, Algo: a.keyID(), Soft: s.softKey(),
+			Mode: "mcast", Platform: s.Platform.Name, Algo: a.keyID(), Soft: SoftwareKey(s.Software),
 			K: k, Bytes: bytes, Trial: trial, Seed: s.Seed, AddrBytes: s.AddrBytes,
 			THold: thold, TEnd: tend,
 		},

@@ -37,7 +37,7 @@ func (s *Suite) faultCell(a Algorithm, k, bytes, trial, pct int, planSeed uint64
 	}
 	return runner.Cell{
 		Key: runner.Key{
-			Mode: "fault", Platform: s.Platform.Name, Algo: a.keyID(), Soft: s.softKey(),
+			Mode: "fault", Platform: s.Platform.Name, Algo: a.keyID(), Soft: SoftwareKey(s.Software),
 			K: k, Bytes: bytes, Trial: trial, Seed: s.Seed, AddrBytes: s.AddrBytes,
 			THold: thold, TEnd: tend, FaultSeed: planSeed, DeadPct: pct,
 		},

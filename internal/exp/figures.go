@@ -236,7 +236,7 @@ func BroadcastCrossover(s *Suite, sizes []int) (*Table, error) {
 	mcast := func(bytes int, tab core.SplitTable, algo string, thold, tend model.Time) runner.Cell {
 		return runner.Cell{
 			Key: runner.Key{
-				Mode: "bcast", Platform: s.Platform.Name, Algo: algo, Soft: s.softKey(),
+				Mode: "bcast", Platform: s.Platform.Name, Algo: algo, Soft: SoftwareKey(s.Software),
 				K: p, Bytes: bytes, AddrBytes: s.AddrBytes, THold: thold, TEnd: tend,
 			},
 			Run: func() (runner.Result, error) {
@@ -259,7 +259,7 @@ func BroadcastCrossover(s *Suite, sizes []int) (*Table, error) {
 		}
 		return runner.Cell{
 			Key: runner.Key{
-				Mode: "scatter", Platform: s.Platform.Name, Algo: "scatter-collect", Soft: s.softKey(),
+				Mode: "scatter", Platform: s.Platform.Name, Algo: "scatter-collect", Soft: SoftwareKey(s.Software),
 				K: p, Bytes: bytes, AddrBytes: s.AddrBytes,
 			},
 			Run: func() (runner.Result, error) {
@@ -348,7 +348,7 @@ func TemporalTuning(s *Suite, k, bytes, iterations int) (*Table, error) {
 	res, err := grid{1, 1, s.trials(), func(_, _, trial int) runner.Cell {
 		return runner.Cell{
 			Key: runner.Key{
-				Mode: "temporal", Platform: s.Platform.Name, Algo: "opt", Soft: s.softKey(),
+				Mode: "temporal", Platform: s.Platform.Name, Algo: "opt", Soft: SoftwareKey(s.Software),
 				K: k, Bytes: bytes, Trial: trial, Seed: s.Seed, AddrBytes: s.AddrBytes,
 				THold: thold, TEnd: tend,
 				Extra: fmt.Sprintf("iters=%d,slack=50,restarts=2", iterations),
@@ -486,7 +486,7 @@ func ConcurrentInterference(s *Suite, groupCounts []int, k, bytes int) (*Table, 
 		g := groupCounts[row]
 		return runner.Cell{
 			Key: runner.Key{
-				Mode: "conc", Platform: s.Platform.Name, Algo: "opt", Soft: s.softKey(),
+				Mode: "conc", Platform: s.Platform.Name, Algo: "opt", Soft: SoftwareKey(s.Software),
 				K: k, Bytes: bytes, X: g, Trial: trial, Seed: s.Seed, AddrBytes: s.AddrBytes,
 				THold: thold, TEnd: tend,
 			},

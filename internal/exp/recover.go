@@ -47,7 +47,7 @@ type F2Tables struct {
 func (s *Suite) recoverCell(a Algorithm, k, bytes, trial, pct int, planSeed, recSeed uint64, thold, tend model.Time) runner.Cell {
 	return runner.Cell{
 		Key: runner.Key{
-			Mode: "recover", Platform: s.Platform.Name, Algo: a.keyID(), Soft: s.softKey(),
+			Mode: "recover", Platform: s.Platform.Name, Algo: a.keyID(), Soft: SoftwareKey(s.Software),
 			K: k, Bytes: bytes, Trial: trial, Seed: s.Seed, AddrBytes: s.AddrBytes,
 			THold: thold, TEnd: tend, FaultSeed: planSeed, DeadPct: pct, RecSeed: recSeed,
 		},

@@ -35,40 +35,32 @@ type F3Tables struct {
 	Queue *Table
 }
 
-// TrafficScenario pins the workload and admission axes shared by every
-// cell of one F3 sweep; the offered rate is the x axis.
+// TrafficScenario pins the workload and service axes shared by every
+// cell of one F3 sweep; the offered rate is the x axis. Arrivals are
+// Poisson, destinations uniform and admission an unbounded FIFO queue
+// (netsim -traffic runs the engine's other arrival, admission and
+// hot-spot settings).
 type TrafficScenario struct {
 	// Ks and Sizes are the per-request group-size and message-size mixes.
 	Ks, Sizes []int
 	// Requests arrivals per run, the first Warmup excluded from metrics.
 	Requests, Warmup int
-	// Arrival is traffic.ArrivalPoisson or traffic.ArrivalBursty;
-	// OnCycles/OffCycles shape the bursty windows (0 = engine defaults).
-	Arrival             string
-	OnCycles, OffCycles int64
-	// Admission is traffic.AdmissionFIFO or traffic.AdmissionBounded,
-	// with the service parallelism and (bounded) queue bound.
-	Admission             string
-	MaxInFlight, QueueCap int
-	// HotFrac/HotNodes add destination hot-spot skew (0 = uniform).
-	HotFrac  float64
-	HotNodes int
+	// MaxInFlight is the service parallelism.
+	MaxInFlight int
 	// Trials is the number of independent runs per (rate, algorithm)
 	// point. Each trial is a full open-system run, so F3 keeps this far
 	// below the closed-system figures' 16.
 	Trials int
 }
 
-// DefaultTrafficScenario is the headline F3 configuration: Poisson
-// arrivals, a mixed workload, FIFO admission with 4-way service.
+// DefaultTrafficScenario is the headline F3 configuration: a mixed
+// workload with 4-way service.
 func DefaultTrafficScenario() TrafficScenario {
 	return TrafficScenario{
 		Ks:          []int{8, 16},
 		Sizes:       []int{1024},
 		Requests:    96,
 		Warmup:      16,
-		Arrival:     traffic.ArrivalPoisson,
-		Admission:   traffic.AdmissionFIFO,
 		MaxInFlight: 4,
 		Trials:      3,
 	}
@@ -96,11 +88,12 @@ func (sc TrafficScenario) extra(tends map[int]model.Time) string {
 	for i, b := range sc.Sizes {
 		tendParts[i] = fmt.Sprintf("%d:%d", b, tends[b])
 	}
-	return fmt.Sprintf("arr=%s/%d/%d,adm=%s/%d/%d,req=%d,warm=%d,ks=%s,sizes=%s,hot=%g/%d,tends=%s",
-		sc.Arrival, sc.OnCycles, sc.OffCycles,
-		sc.Admission, sc.MaxInFlight, sc.QueueCap,
-		sc.Requests, sc.Warmup, ints(sc.Ks), ints(sc.Sizes),
-		sc.HotFrac, sc.HotNodes, strings.Join(tendParts, "+"))
+	// The zeros stand for the bursty window, the bounded queue and the
+	// hot set, which F3 does not use; printing them keeps every cached
+	// F3 cell's key.
+	return fmt.Sprintf("arr=%s/0/0,adm=%s/%d/0,req=%d,warm=%d,ks=%s,sizes=%s,hot=0/0,tends=%s",
+		traffic.ArrivalPoisson, traffic.AdmissionFIFO, sc.MaxInFlight,
+		sc.Requests, sc.Warmup, ints(sc.Ks), ints(sc.Sizes), strings.Join(tendParts, "+"))
 }
 
 // trafficCell builds the engine cell for one open-system run: algorithm
@@ -112,7 +105,7 @@ func (sc TrafficScenario) extra(tends map[int]model.Time) string {
 func (s *Suite) trafficCell(a Algorithm, rate, trial int, sc TrafficScenario, tends map[int]model.Time) runner.Cell {
 	return runner.Cell{
 		Key: runner.Key{
-			Mode: "traffic", Platform: s.Platform.Name, Algo: a.keyID(), Soft: s.softKey(),
+			Mode: "traffic", Platform: s.Platform.Name, Algo: a.keyID(), Soft: SoftwareKey(s.Software),
 			X: rate, Trial: trial, Seed: s.Seed, AddrBytes: s.AddrBytes,
 			Extra: sc.extra(tends),
 		},
@@ -124,17 +117,14 @@ func (s *Suite) trafficCell(a Algorithm, rate, trial int, sc TrafficScenario, te
 			res, err := traffic.Run(s.Platform.NewNet(), traffic.Config{
 				Software:  s.Software,
 				AddrBytes: s.AddrBytes,
-				Arrival: traffic.ArrivalSpec{
-					Kind: sc.Arrival, RatePerMcycle: float64(rate),
-					OnCycles: sc.OnCycles, OffCycles: sc.OffCycles,
-				},
-				Load:     traffic.Workload{Ks: sc.Ks, Sizes: sc.Sizes, HotFrac: sc.HotFrac, HotNodes: sc.HotNodes},
-				Admit:    traffic.Admission{Policy: sc.Admission, MaxInFlight: sc.MaxInFlight, QueueCap: sc.QueueCap},
-				Requests: sc.Requests,
-				Warmup:   sc.Warmup,
-				Less:     less,
-				Plan:     a.Table,
-				TEnd:     func(b int) model.Time { return tends[b] },
+				Arrival:   traffic.ArrivalSpec{Kind: traffic.ArrivalPoisson, RatePerMcycle: float64(rate)},
+				Load:      traffic.Workload{Ks: sc.Ks, Sizes: sc.Sizes},
+				Admit:     traffic.Admission{Policy: traffic.AdmissionFIFO, MaxInFlight: sc.MaxInFlight},
+				Requests:  sc.Requests,
+				Warmup:    sc.Warmup,
+				Less:      less,
+				Plan:      a.Table,
+				TEnd:      func(b int) model.Time { return tends[b] },
 				// The same per-trial seed derivation as Suite.placement, so
 				// every algorithm at every rate of a trial faces the same
 				// arrival pattern and workload mix — common random numbers
@@ -229,14 +219,14 @@ func TrafficSweep(meshSuite, bminSuite *Suite, rates []int, sc TrafficScenario) 
 	}
 	f3 := &F3Tables{
 		Latency: newTable(
-			fmt.Sprintf("F3a: p99 completion latency vs offered load (%s, %s arrivals)", mix, sc.Arrival),
+			fmt.Sprintf("F3a: p99 completion latency vs offered load (%s, %s arrivals)", mix, traffic.ArrivalPoisson),
 			"p99 completion latency (cycles, arrival to last delivery)", algoNames),
 		Throughput: newTable(
-			fmt.Sprintf("F3b: delivered throughput vs offered load (%s, %s arrivals)", mix, sc.Arrival),
+			fmt.Sprintf("F3b: delivered throughput vs offered load (%s, %s arrivals)", mix, traffic.ArrivalPoisson),
 			"delivered rate (requests/Mcycle, measured window)",
 			append(append([]string{}, algoNames...), "offered (measured)")),
 		Queue: newTable(
-			fmt.Sprintf("F3c: admission-queue delay vs offered load (%s, %s arrivals)", mix, sc.Arrival),
+			fmt.Sprintf("F3c: admission-queue delay vs offered load (%s, %s arrivals)", mix, traffic.ArrivalPoisson),
 			"mean queueing delay (cycles, arrival to service start)", algoNames),
 	}
 
@@ -250,7 +240,7 @@ func TrafficSweep(meshSuite, bminSuite *Suite, rates []int, sc TrafficScenario) 
 	}
 	f3.Latency.Notes = append(f3.Latency.Notes,
 		fmt.Sprintf("%d runs per point, %d requests per run (first %d warm-up), admission %s x%d, seed %d",
-			trials, sc.Requests, sc.Warmup, sc.Admission, sc.MaxInFlight, meshSuite.Seed))
+			trials, sc.Requests, sc.Warmup, traffic.AdmissionFIFO, sc.MaxInFlight, meshSuite.Seed))
 
 	res, err := grid{len(rates), len(cols), trials, func(r, c, tr int) runner.Cell {
 		return cols[c].suite.trafficCell(cols[c].algo, rates[r], tr, sc, tends[c])

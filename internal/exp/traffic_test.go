@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/bmin"
 	"repro/internal/runner"
-	"repro/internal/traffic"
 	"repro/internal/wormhole"
 )
 
@@ -23,8 +22,6 @@ func trafficTestScenario() TrafficScenario {
 		Sizes:       []int{1024},
 		Requests:    48,
 		Warmup:      8,
-		Arrival:     traffic.ArrivalPoisson,
-		Admission:   traffic.AdmissionFIFO,
 		MaxInFlight: 2,
 		Trials:      2,
 	}

@@ -24,11 +24,10 @@
 //     down on tl in [0, FlakyDown) and up on tl in [FlakyDown,
 //     FlakyPeriod). Each period thus contains exactly FlakyDown down
 //     cycles, contiguous modulo the period; the boundary cycle tl ==
-//     FlakyDown is the first up cycle, not the last down one. FlakyDown
-//     == 0 never fails and FlakyDown == FlakyPeriod never serves —
-//     both extremes are valid specs.
-//   - A degraded channel serves the single cycle tl == 0 of its Period
-//     and refuses the other Period-1, a 1/Period duty cycle.
+//     FlakyDown is the first up cycle, not the last down one.
+//   - A degraded channel serves the single cycle tl == 0 of its
+//     DegradedPeriod and refuses the other DegradedPeriod-1, a
+//     1/DegradedPeriod duty cycle.
 //
 // Phases are drawn per channel at plan construction, so faulted
 // channels do not pulse in lockstep; phase only shifts where a window
@@ -51,14 +50,23 @@ const (
 	// Dead channels never carry a flit; the routing layer detours around
 	// them or reports the destination unreachable.
 	Dead
-	// Degraded channels accept one flit every Period cycles (a 1/Period
-	// duty cycle), modelling a link retrained to a fraction of its
-	// bandwidth.
+	// Degraded channels accept one flit every DegradedPeriod cycles,
+	// modelling a link retrained to a fraction of its bandwidth.
 	Degraded
 	// Flaky channels alternate outage and service windows: down for
 	// FlakyDown cycles out of every FlakyPeriod, modelling transient
 	// faults (thermal throttling, lossy retransmission storms).
 	Flaky
+)
+
+// The fixed duty cycles of the time-varying classes: a degraded channel
+// runs at 1/DegradedPeriod of its bandwidth (25%), and a flaky channel
+// is down for FlakyDown cycles out of every FlakyPeriod (see the package
+// comment for the exact window semantics).
+const (
+	DegradedPeriod = 4
+	FlakyPeriod    = 64
+	FlakyDown      = 16
 )
 
 // Spec parameterizes a fault plan. Fractions are of the fabric-internal
@@ -67,21 +75,11 @@ const (
 type Spec struct {
 	// DeadFrac is the fraction of fabric channels that fail permanently.
 	DeadFrac float64
-	// DegradedFrac is the fraction running at a 1/Period duty cycle.
+	// DegradedFrac is the fraction running at a 1/DegradedPeriod duty
+	// cycle.
 	DegradedFrac float64
-	// Period is the degraded duty-cycle period in cycles (default 4, i.e.
-	// 25% bandwidth).
-	Period int64
 	// FlakyFrac is the fraction with periodic transient outages.
 	FlakyFrac float64
-	// FlakyPeriod and FlakyDown shape the outage window: down for
-	// FlakyDown cycles out of every FlakyPeriod (defaults 64 and 16; see
-	// the package comment for the exact window semantics). With an
-	// explicit FlakyPeriod, FlakyDown keeps its literal value, so 0 is an
-	// empty outage window (never down) and FlakyDown == FlakyPeriod a
-	// full one (never up) — both valid extremes.
-	FlakyPeriod int64
-	FlakyDown   int64
 	// Seed selects which channels fail and each channel's phase offset.
 	Seed uint64
 	// NodeOutages schedules node-level faults: each entry takes that
@@ -95,21 +93,6 @@ type Spec struct {
 	Windows []ChannelWindow
 }
 
-func (s Spec) withDefaults() Spec {
-	if s.Period == 0 {
-		s.Period = 4
-	}
-	if s.FlakyPeriod == 0 {
-		s.FlakyPeriod = 64
-		if s.FlakyDown == 0 {
-			// Both unset: the 16/64 default window. An explicit FlakyPeriod
-			// keeps FlakyDown literal, so 0 means never down.
-			s.FlakyDown = 16
-		}
-	}
-	return s
-}
-
 func (s Spec) validate() error {
 	for _, f := range []struct {
 		name string
@@ -121,12 +104,6 @@ func (s Spec) validate() error {
 	}
 	if sum := s.DeadFrac + s.DegradedFrac + s.FlakyFrac; sum > 1 {
 		return fmt.Errorf("fault: fractions sum to %g > 1", sum)
-	}
-	if s.Period < 1 {
-		return fmt.Errorf("fault: Period %d < 1", s.Period)
-	}
-	if s.FlakyPeriod < 1 || s.FlakyDown < 0 || s.FlakyDown > s.FlakyPeriod {
-		return fmt.Errorf("fault: flaky window %d/%d invalid", s.FlakyDown, s.FlakyPeriod)
 	}
 	return nil
 }
@@ -148,14 +125,12 @@ type Plan struct {
 	// spec schedules none, keeping the hot Up path a single nil check.
 	winStart []int32
 	wins     []window
-	outages  []NodeOutage
 }
 
 // NewPlan draws a fault plan over the topology's fabric-internal
 // channels. The same (topology, spec) always produces the same plan. It
 // returns an error for an invalid spec.
 func NewPlan(topo wormhole.Topology, spec Spec) (*Plan, error) {
-	spec = spec.withDefaults()
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
@@ -192,10 +167,10 @@ func NewPlan(topo wormhole.Topology, spec Spec) (*Plan, error) {
 			p.class[c] = Dead
 		case i < nDead+nDeg:
 			p.class[c] = Degraded
-			p.phase[c] = int64(rng.Uint64() % uint64(spec.Period))
+			p.phase[c] = int64(rng.Uint64() % DegradedPeriod)
 		default:
 			p.class[c] = Flaky
-			p.phase[c] = int64(rng.Uint64() % uint64(spec.FlakyPeriod))
+			p.phase[c] = int64(rng.Uint64() % FlakyPeriod)
 		}
 	}
 	for _, cl := range p.class {
@@ -222,7 +197,7 @@ func (p *Plan) Dead(c wormhole.ChannelID) bool { return p.class[c] == Dead }
 
 // Up implements wormhole.FaultModel: whether channel c accepts a flit at
 // cycle now. Healthy channels always do; degraded channels on one cycle
-// in Period; flaky channels outside their outage window. Phases are
+// in DegradedPeriod; flaky channels outside their outage window. Phases are
 // per-channel so faulted channels do not pulse in lockstep.
 func (p *Plan) Up(c wormhole.ChannelID, now int64) bool {
 	if p.winStart != nil && p.windowedDown(c, now) {
@@ -230,9 +205,9 @@ func (p *Plan) Up(c wormhole.ChannelID, now int64) bool {
 	}
 	switch p.class[c] {
 	case Degraded:
-		return (now+p.phase[c])%p.spec.Period == 0
+		return (now+p.phase[c])%DegradedPeriod == 0
 	case Flaky:
-		return (now+p.phase[c])%p.spec.FlakyPeriod >= p.spec.FlakyDown
+		return (now+p.phase[c])%FlakyPeriod >= FlakyDown
 	case Dead:
 		return false
 	default:
@@ -265,10 +240,10 @@ func (p *Plan) Eligible() int { return p.eligible }
 // String summarizes the plan for logs and table notes.
 func (p *Plan) String() string {
 	s := fmt.Sprintf("fault plan seed=%d: %d dead, %d degraded(1/%d), %d flaky(%d/%d) of %d fabric channels",
-		p.spec.Seed, p.counts[Dead], p.counts[Degraded], p.spec.Period,
-		p.counts[Flaky], p.spec.FlakyDown, p.spec.FlakyPeriod, p.eligible)
-	if len(p.outages) > 0 || len(p.spec.Windows) > 0 {
-		s += fmt.Sprintf(", %d node outages, %d channel windows", len(p.outages), len(p.spec.Windows))
+		p.spec.Seed, p.counts[Dead], p.counts[Degraded], DegradedPeriod,
+		p.counts[Flaky], FlakyDown, FlakyPeriod, p.eligible)
+	if len(p.spec.NodeOutages) > 0 || len(p.spec.Windows) > 0 {
+		s += fmt.Sprintf(", %d node outages, %d channel windows", len(p.spec.NodeOutages), len(p.spec.Windows))
 	}
 	return s
 }

@@ -144,7 +144,6 @@ func (p *Plan) buildWindows(topo wormhole.Topology) error {
 		}
 		p.winStart[c] = int32(idx)
 	}
-	p.outages = append([]NodeOutage(nil), p.spec.NodeOutages...)
 	return nil
 }
 
@@ -177,20 +176,4 @@ func (p *Plan) windowedDown(c wormhole.ChannelID, now int64) bool {
 		}
 	}
 	return false
-}
-
-// NodeDownAt reports whether node n is inside one of its scheduled
-// outages at cycle now.
-func (p *Plan) NodeDownAt(n int, now int64) bool {
-	for _, o := range p.outages {
-		if o.Node == n && now >= o.From && now < o.To {
-			return true
-		}
-	}
-	return false
-}
-
-// Outages returns the plan's validated node outages.
-func (p *Plan) Outages() []NodeOutage {
-	return append([]NodeOutage(nil), p.outages...)
 }

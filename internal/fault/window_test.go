@@ -34,21 +34,10 @@ func TestNodeOutageWindowBoundaries(t *testing.T) {
 			}
 		}
 	}
-	for _, e := range []struct {
-		now  int64
-		want bool
-	}{{from - 1, false}, {from, true}, {to - 1, true}, {to, false}} {
-		if got := p.NodeDownAt(node, e.now); got != e.want {
-			t.Fatalf("NodeDownAt(%d, %d) = %v, want %v", node, e.now, got, e.want)
-		}
-	}
 	// Other nodes' channels are untouched.
 	other := wormhole.NodeID(7)
 	if !p.Up(topo.InjectChannel(other), from) || !p.Up(topo.EjectChannel(other), from) {
 		t.Fatal("outage leaked onto another node's channels")
-	}
-	if p.NodeDownAt(7, from) {
-		t.Fatal("NodeDownAt true for a node with no outage")
 	}
 	// Outages never promote a channel to Dead: the routing layer still
 	// plans through a down node, and only the Up verdict refuses flits.
@@ -65,9 +54,6 @@ func TestNodeOutageForever(t *testing.T) {
 	for _, now := range []int64{50, 1 << 40, Forever - 1} {
 		if p.Up(inj, now) {
 			t.Fatalf("Up(%d) = true inside a Forever outage", now)
-		}
-		if !p.NodeDownAt(3, now) {
-			t.Fatalf("NodeDownAt(3, %d) = false inside a Forever outage", now)
 		}
 	}
 	if !p.Up(inj, 49) {
@@ -161,12 +147,6 @@ func TestOutagesDoNotPerturbDraws(t *testing.T) {
 	if !reflect.DeepEqual(a.class, b.class) || !reflect.DeepEqual(a.phase, b.phase) {
 		t.Fatal("adding node outages perturbed the seeded class/phase draws")
 	}
-	if got := b.Outages(); !reflect.DeepEqual(got, withOut.NodeOutages) {
-		t.Fatalf("Outages() = %v, want %v", got, withOut.NodeOutages)
-	}
-	if len(a.Outages()) != 0 {
-		t.Fatal("plan without outages reports some")
-	}
 }
 
 // TestWindowOnFaultedChannel: a window composes with a drawn class — the
@@ -174,7 +154,7 @@ func TestOutagesDoNotPerturbDraws(t *testing.T) {
 // behaves per its class outside.
 func TestWindowOnFaultedChannel(t *testing.T) {
 	topo := mesh.New2D(8, 8)
-	base := MustPlan(topo, Spec{DegradedFrac: 0.2, Period: 4, Seed: 7})
+	base := MustPlan(topo, Spec{DegradedFrac: 0.2, Seed: 7})
 	var target wormhole.ChannelID = -1
 	for c := 0; c < topo.NumChannels(); c++ {
 		if base.ClassOf(wormhole.ChannelID(c)) == Degraded {
@@ -185,7 +165,7 @@ func TestWindowOnFaultedChannel(t *testing.T) {
 	if target < 0 {
 		t.Fatal("no degraded channel drawn; test is vacuous")
 	}
-	p := MustPlan(topo, Spec{DegradedFrac: 0.2, Period: 4, Seed: 7,
+	p := MustPlan(topo, Spec{DegradedFrac: 0.2, Seed: 7,
 		Windows: []ChannelWindow{{Channel: target, From: 0, To: 64}}})
 	for now := int64(0); now < 64; now++ {
 		if p.Up(target, now) {

@@ -31,14 +31,16 @@ const (
 	RepairBinomial
 )
 
+// String is the policy's name in netsim's -repair flag and the F5
+// figure's cache keys.
 func (p RepairPolicy) String() string {
 	switch p {
 	case RepairFull:
 		return "full"
 	case RepairIncremental:
-		return "incremental"
+		return "incr"
 	case RepairBinomial:
-		return "binomial"
+		return "binom"
 	default:
 		return fmt.Sprintf("RepairPolicy(%d)", uint8(p))
 	}

@@ -19,9 +19,6 @@ type Result struct {
 	Failed bool `json:"failed,omitempty"`
 	// Metrics are named scalar outcomes ("latency", "blocked", ...).
 	Metrics map[string]float64 `json:"metrics,omitempty"`
-	// Series are named per-destination arrays (delivery cycles,
-	// recovery statuses) for consumers that need more than aggregates.
-	Series map[string][]int64 `json:"series,omitempty"`
 	// Payload is a caller's own typed result as JSON, for consumers
 	// that store a whole engine result rather than named metrics.
 	Payload json.RawMessage `json:"payload,omitempty"`

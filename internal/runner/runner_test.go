@@ -59,7 +59,7 @@ func TestCacheRoundTrip(t *testing.T) {
 	}
 	res := Result{
 		Metrics: map[string]float64{"latency": 12345, "blocked": 0},
-		Series:  map[string][]int64{"deliveries": {0, 7, 12345}},
+		Payload: json.RawMessage(`{"deliveries":[0,7,12345]}`),
 	}
 	if err := c.Store(key, res); err != nil {
 		t.Fatal(err)
@@ -71,7 +71,7 @@ func TestCacheRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("stored entry did not load")
 	}
-	if got.Metric("latency") != 12345 || got.Series["deliveries"][2] != 12345 {
+	if got.Metric("latency") != 12345 || string(got.Payload) != string(res.Payload) {
 		t.Fatalf("round trip lost data: %+v", got)
 	}
 	if _, ok, err := c.Load(sampleKey(1)); ok || err != nil {
@@ -303,7 +303,7 @@ func FuzzCacheLoad(f *testing.F) {
 	key := sampleKey(0)
 	stored := Result{
 		Metrics: map[string]float64{"latency": 12345, "blocked": 0.25},
-		Series:  map[string][]int64{"deliveries": {0, 7, 12345}},
+		Payload: json.RawMessage(`{"deliveries":[0,7,12345]}`),
 	}
 	real, err := json.Marshal(entry{Key: key.String(), Result: stored})
 	if err != nil {
@@ -354,10 +354,14 @@ func FuzzCacheLoad(f *testing.F) {
 			return // JSON has no encoding for them; Store reports the error
 		}
 		name = strings.ToValidUTF8(name, "?")
+		payload, err := json.Marshal(map[string][]int64{name: {s, -s, 0}})
+		if err != nil {
+			t.Fatal(err)
+		}
 		res := Result{
 			Failed:  s%2 != 0,
 			Metrics: map[string]float64{name: v},
-			Series:  map[string][]int64{name: {s, -s, 0}},
+			Payload: payload,
 		}
 		if err := c.Store(key, res); err != nil {
 			t.Fatal(err)

@@ -16,11 +16,11 @@ type arrival interface {
 func newArrival(spec ArrivalSpec, rng *sim.RNG) arrival {
 	switch spec.Kind {
 	case ArrivalBursty:
-		period := spec.OnCycles + spec.OffCycles
+		const period = OnCycles + OffCycles
 		// Inside the on-windows the process runs hot by the inverse duty
 		// cycle, so the long-run average matches the configured rate.
-		scale := 1e6 / spec.RatePerMcycle * float64(spec.OnCycles) / float64(period)
-		return &bursty{rng: rng, scale: scale, on: spec.OnCycles, period: period}
+		scale := 1e6 / spec.RatePerMcycle * OnCycles / period
+		return &bursty{rng: rng, scale: scale}
 	default: // ArrivalPoisson
 		return &poisson{rng: rng, scale: 1e6 / spec.RatePerMcycle}
 	}
@@ -57,13 +57,12 @@ func (p *poisson) Next() int64 {
 // away, the long-run wall-clock rate matches the configured average
 // exactly.
 type bursty struct {
-	rng        *sim.RNG
-	scale      float64 // mean gap in active cycles
-	on, period int64
-	active     int64 // cumulative on-window cycles consumed
+	rng    *sim.RNG
+	scale  float64 // mean gap in active cycles
+	active int64   // cumulative on-window cycles consumed
 }
 
 func (b *bursty) Next() int64 {
 	b.active += expGap(b.rng, b.scale)
-	return (b.active/b.on)*b.period + b.active%b.on
+	return (b.active/OnCycles)*(OnCycles+OffCycles) + b.active%OnCycles
 }

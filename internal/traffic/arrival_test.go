@@ -42,9 +42,9 @@ func TestPoissonInterArrivalMean(t *testing.T) {
 }
 
 func TestBurstyDutyCycle(t *testing.T) {
-	spec := ArrivalSpec{Kind: ArrivalBursty, RatePerMcycle: 400, OnCycles: 5000, OffCycles: 15000}
+	spec := ArrivalSpec{Kind: ArrivalBursty, RatePerMcycle: 400}
 	arr := newArrival(spec, sim.NewRNG(9))
-	period := spec.OnCycles + spec.OffCycles
+	const period = OnCycles + OffCycles
 	prev := int64(0)
 	var last int64
 	const n = 20000
@@ -53,9 +53,9 @@ func TestBurstyDutyCycle(t *testing.T) {
 		if at <= prev {
 			t.Fatalf("arrival %d not strictly increasing: %d after %d", i, at, prev)
 		}
-		if ph := at % period; ph >= spec.OnCycles {
+		if ph := at % period; ph >= OnCycles {
 			t.Fatalf("arrival %d at cycle %d falls in an off-window (phase %d >= on %d)",
-				i, at, ph, spec.OnCycles)
+				i, at, ph, OnCycles)
 		}
 		prev = at
 		last = at
@@ -71,7 +71,7 @@ func TestBurstyDutyCycle(t *testing.T) {
 
 func TestArrivalSeedDeterminism(t *testing.T) {
 	for _, kind := range []string{ArrivalPoisson, ArrivalBursty} {
-		spec := ArrivalSpec{Kind: kind, RatePerMcycle: 80, OnCycles: 4000, OffCycles: 4000}
+		spec := ArrivalSpec{Kind: kind, RatePerMcycle: 80}
 		a := newArrival(spec, sim.NewRNG(123))
 		b := newArrival(spec, sim.NewRNG(123))
 		for i := 0; i < 1000; i++ {
@@ -100,7 +100,7 @@ func TestDrawMembersDistinct(t *testing.T) {
 	hot := []int{3, 4}
 	set := newNodeSet(16)
 	for trial := 0; trial < 500; trial++ {
-		got := drawMembers(rng, 16, 8, hot, 0.95, nil, set)
+		got := drawMembers(rng, 16, 8, hot, 0.95, set)
 		if len(got) != 8 {
 			t.Fatalf("trial %d: got %d members, want 8", trial, len(got))
 		}
@@ -138,7 +138,7 @@ func TestHotSpotSkew(t *testing.T) {
 	}
 	hotHits, draws := 0, 0
 	for trial := 0; trial < 2000; trial++ {
-		members := drawMembers(rng, nodes, k, hot, 0.8, nil, seen)
+		members := drawMembers(rng, nodes, k, hot, 0.8, seen)
 		for _, v := range members[1:] { // destinations only; the source is uniform
 			draws++
 			if inHot[v] {

@@ -65,12 +65,15 @@ type ArrivalSpec struct {
 	// RatePerMcycle is the long-run offered rate in requests per million
 	// cycles. Must be > 0.
 	RatePerMcycle float64
-	// OnCycles/OffCycles shape the bursty process: arrivals fall only in
-	// the on-windows of a fixed on/off period, at a rate scaled up so the
-	// long-run average still matches RatePerMcycle. Both default to
-	// 16384; ignored for Poisson.
-	OnCycles, OffCycles int64
 }
+
+// The bursty process's fixed window: arrivals fall only in the first
+// OnCycles of every OnCycles+OffCycles, at a rate scaled up so the
+// long-run average still matches ArrivalSpec.RatePerMcycle.
+const (
+	OnCycles  = 16384
+	OffCycles = 16384
+)
 
 // Workload parameterizes the per-request draws.
 type Workload struct {
@@ -146,16 +149,6 @@ type Config struct {
 	// re-planning on give-up. Required on a faulted fabric: plain mode's
 	// default no-progress watchdog fails a run on any unreachable send.
 	Reliable bool
-	// Down, when set, reports whether a fabric node is down at a cycle
-	// (relative to run start): request groups are placed only on nodes up
-	// at their pre-drawn arrival cycle, modelling membership that routes
-	// around known outages. fault.Plan.NodeDownAt fits directly on a
-	// fresh fabric. Placement stays a pure function of (Seed, Down), so
-	// determinism is preserved; a node crashing after placement is
-	// handled by the recovery machinery, which is why Down requires
-	// Reliable mode. When every candidate is down the draw degrades to
-	// accepting a down node rather than failing generation.
-	Down func(node int, at int64) bool
 	// Seed drives every random draw of the run: arrival gaps, workload
 	// mix, placements, hot set and backoff jitter each get an
 	// independent derived stream.
@@ -176,12 +169,6 @@ const (
 
 // withDefaults fills zero-valued knobs.
 func (c Config) withDefaults() Config {
-	if c.Arrival.OnCycles == 0 {
-		c.Arrival.OnCycles = 16384
-	}
-	if c.Arrival.OffCycles == 0 {
-		c.Arrival.OffCycles = 16384
-	}
 	if c.Admit.MaxInFlight == 0 {
 		c.Admit.MaxInFlight = 4
 	}
@@ -203,9 +190,6 @@ func (c Config) validate(nodes int) error {
 	// inter-arrival gap would be 0 cycles.
 	if !(c.Arrival.RatePerMcycle > 0 && c.Arrival.RatePerMcycle <= math.MaxFloat64) {
 		return fmt.Errorf("traffic: arrival rate must be > 0 requests/Mcycle and finite, got %g", c.Arrival.RatePerMcycle)
-	}
-	if c.Arrival.OnCycles < 1 || c.Arrival.OffCycles < 0 {
-		return fmt.Errorf("traffic: bursty window %d on / %d off invalid", c.Arrival.OnCycles, c.Arrival.OffCycles)
 	}
 	switch c.Admit.Policy {
 	case AdmissionFIFO, AdmissionBounded:
@@ -245,9 +229,6 @@ func (c Config) validate(nodes int) error {
 	}
 	if c.Load.HotFrac > 0 && (c.Load.HotNodes < 2 || c.Load.HotNodes > nodes) {
 		return fmt.Errorf("traffic: HotNodes %d outside [2, %d nodes] with HotFrac %g", c.Load.HotNodes, nodes, c.Load.HotFrac)
-	}
-	if c.Down != nil && !c.Reliable {
-		return fmt.Errorf("traffic: Config.Down (outage-aware placement) requires Reliable mode: a node can crash after placement and only the recovery machinery handles the resulting loss")
 	}
 	if c.Plan == nil && c.Tuner == nil {
 		return fmt.Errorf("traffic: Config.Plan (split-table builder) is required")

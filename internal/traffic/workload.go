@@ -50,11 +50,7 @@ func genRequests(cfg Config, nodes int) []*request {
 		at := arr.Next()
 		k := cfg.Load.Ks[wrng.Intn(len(cfg.Load.Ks))]
 		bytes := cfg.Load.Sizes[wrng.Intn(len(cfg.Load.Sizes))]
-		var down func(int) bool
-		if cfg.Down != nil {
-			down = func(v int) bool { return cfg.Down(v, at) }
-		}
-		addrs := drawMembers(wrng, nodes, k, hot, cfg.Load.HotFrac, down, seen)
+		addrs := drawMembers(wrng, nodes, k, hot, cfg.Load.HotFrac, seen)
 		var ch chain.Chain
 		var root int
 		var tab core.SplitTable
@@ -93,40 +89,26 @@ func genRequests(cfg Config, nodes int) []*request {
 // drawMembers picks k distinct fabric nodes: the source first (uniform —
 // skew models popular destinations, not popular senders), then k-1
 // destinations, each drawn from the hot set with probability hotFrac and
-// uniformly otherwise. Duplicate draws — and, when a down filter is
-// given, nodes known to be down — are rejected; after a bounded streak
-// of rejections (a tiny hot set that is already fully in the group) the
-// draw falls back to a deterministic forward scan so generation always
-// terminates on the same member set for the same stream. A nil down
-// consumes exactly the draws the filterless generator did, keeping
-// existing workloads bit-identical; once the forward scan has wrapped
-// the whole fabric the down filter is waived (an almost-all-down fabric
-// still yields a group; the recovery machinery owns the consequences).
-// seen, a set over the fabric's nodes that is empty on entry, marks the
-// members drawn so far; it is empty again on return, so one set serves
-// every draw of a run at O(k) per draw.
-func drawMembers(rng *sim.RNG, nodes, k int, hot []int, hotFrac float64, down func(int) bool, seen nodeSet) []int {
-	isDown := func(v int) bool { return down != nil && down(v) }
+// uniformly otherwise. Duplicate draws are rejected; after a bounded
+// streak of rejections (a tiny hot set that is already fully in the
+// group) the draw falls back to a deterministic forward scan so
+// generation always terminates on the same member set for the same
+// stream. seen, a set over the fabric's nodes that is empty on entry,
+// marks the members drawn so far; it is empty again on return, so one
+// set serves every draw of a run at O(k) per draw.
+func drawMembers(rng *sim.RNG, nodes, k int, hot []int, hotFrac float64, seen nodeSet) []int {
 	members := make([]int, 0, k)
 	add := func(v int) {
 		seen.add(v)
 		members = append(members, v)
 	}
-	src := rng.Intn(nodes)
-	for rejects := 0; isDown(src) && rejects <= 64+nodes; rejects++ {
-		if rejects < 64 {
-			src = rng.Intn(nodes)
-		} else {
-			src = (src + 1) % nodes
-		}
-	}
-	add(src)
+	add(rng.Intn(nodes))
 	for len(members) < k {
 		v := rng.Intn(nodes)
 		if len(hot) > 0 && rng.Float64() < hotFrac {
 			v = hot[rng.Intn(len(hot))]
 		}
-		for rejects := 0; seen.has(v) || (isDown(v) && rejects <= 64+nodes); rejects++ {
+		for rejects := 0; seen.has(v); rejects++ {
 			if rejects < 64 {
 				if len(hot) > 0 && rng.Float64() < hotFrac {
 					v = hot[rng.Intn(len(hot))]

@@ -36,10 +36,11 @@ type PolicyConfig struct {
 	// FaultPct is the fault-axis coordinate of the operating point (the
 	// injected dead-link percentage the fabric is running under).
 	FaultPct int
-	// MaxSwitches caps the recorded switch log (further switches still
-	// happen, they are only counted). 0 defaults to 64.
-	MaxSwitches int
 }
+
+// MaxSwitches caps a Policy's recorded switch log; further switches
+// still happen, they are only counted.
+const MaxSwitches = 64
 
 // Policy is the runtime selector: Choose answers admission-time
 // algorithm queries by argmin over the surface's measured latencies,
@@ -60,8 +61,7 @@ type PolicyConfig struct {
 // algorithm PickFor names.
 type Policy struct {
 	s       *Surface
-	algos   []Algo
-	choices []traffic.Choice
+	choices []traffic.Choice // one per surface algorithm
 	pct     int
 	window  int
 
@@ -108,16 +108,12 @@ func NewPolicy(s *Surface, algos []Algo, cfg PolicyConfig) (*Policy, error) {
 	if cfg.Window < 1 {
 		return nil, fmt.Errorf("tuner: drift window %d must be >= 1", cfg.Window)
 	}
-	if cfg.MaxSwitches == 0 {
-		cfg.MaxSwitches = 64
-	}
 	if cfg.FaultPct < 0 {
 		return nil, fmt.Errorf("tuner: negative fault coordinate %d", cfg.FaultPct)
 	}
 	na := len(algos)
 	p := &Policy{
 		s:        s,
-		algos:    append([]Algo(nil), algos...),
 		choices:  make([]traffic.Choice, na),
 		pct:      cfg.FaultPct,
 		window:   cfg.Window,
@@ -126,7 +122,7 @@ func NewPolicy(s *Surface, algos []Algo, cfg PolicyConfig) (*Policy, error) {
 		head:     make([]int, na),
 		drift:    make([]float64, na),
 		last:     make([]int8, s.cells()),
-		switches: make([]Switch, cfg.MaxSwitches),
+		switches: make([]Switch, MaxSwitches),
 	}
 	for i, a := range algos {
 		p.choices[i] = traffic.Choice{Algo: i, Ordered: a.Ordered, Plan: a.Table}
@@ -149,7 +145,7 @@ func NewPolicy(s *Surface, algos []Algo, cfg PolicyConfig) (*Policy, error) {
 //lint:hotpath
 func (p *Policy) Choose(at int64, k, bytes int) traffic.Choice {
 	cell := p.s.CellIndex(k, bytes, p.pct)
-	na := len(p.algos)
+	na := len(p.choices)
 	best := argmin(p.s.Latency[cell*na:(cell+1)*na], p.drift)
 	if prev := p.last[cell]; prev >= 0 && int(prev) != best {
 		if p.nswitch < len(p.switches) {
@@ -172,10 +168,10 @@ func (p *Policy) Choose(at int64, k, bytes int) traffic.Choice {
 //
 //lint:hotpath
 func (p *Policy) Observe(at int64, algo, k, bytes int, latency int64) {
-	if algo < 0 || algo >= len(p.algos) || latency <= 0 {
+	if algo < 0 || algo >= len(p.choices) || latency <= 0 {
 		return
 	}
-	pred := p.s.Latency[p.s.CellIndex(k, bytes, p.pct)*len(p.algos)+algo]
+	pred := p.s.Latency[p.s.CellIndex(k, bytes, p.pct)*len(p.choices)+algo]
 	if pred <= 0 {
 		return
 	}
@@ -200,7 +196,7 @@ func (p *Policy) Observe(at int64, algo, k, bytes int, latency int64) {
 // workload point without recording switch state — a read-only probe.
 func (p *Policy) PickFor(k, bytes int) int {
 	cell := p.s.CellIndex(k, bytes, p.pct)
-	na := len(p.algos)
+	na := len(p.choices)
 	return argmin(p.s.Latency[cell*na:(cell+1)*na], p.drift)
 }
 
@@ -230,7 +226,7 @@ func (p *Policy) Switches() ([]Switch, int) { return p.switches[:p.nswitch], p.d
 func (p *Policy) Recalibrated(base model.Time) model.Time {
 	var sum float64
 	var n int
-	for i := range p.algos {
+	for i := range p.choices {
 		sum += p.drift[i] * float64(p.n[i])
 		n += p.n[i]
 	}

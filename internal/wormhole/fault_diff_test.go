@@ -142,9 +142,9 @@ func TestFaultsWithoutDeadLinksAlwaysDrain(t *testing.T) {
 }
 
 // retainObserver keeps every completed *Worm alongside a copy of the
-// fields it saw at Complete time — the usage pattern of trace.Timeline
-// and trace.BlockLog, which index per-worm data by pointer after the
-// worm has left the fabric.
+// fields it saw at Complete time — what an outside observer may do,
+// since the Observer contract lets it keep the pointer after the worm
+// has left the fabric.
 type retainObserver struct {
 	worms []*Worm
 	seen  []wormRecord

@@ -1809,10 +1809,12 @@ func (n *Network) badRelease(w *Worm, c ChannelID) {
 // reap removes completed worms, preserving creation order of the rest,
 // then fires arrival callbacks in completion order. With recycling
 // enabled, each worm is pooled for reuse once its callback and Complete
-// event have fired — unless an observer is attached: observers may
-// legitimately retain the *Worm passed to Complete (trace.Timeline and
-// trace.BlockLog do), and reusing it would scribble over their records.
-// With an observer, completed worms are simply left to the garbage
+// event have fired — unless an observer is attached: an observer may
+// legitimately retain the *Worm passed to Complete, and reusing it would
+// scribble over its records. This repository's observers (trace.Timeline
+// among them) copy the fields they need by value, but the Observer
+// contract does not require it of outside ones. With an observer,
+// completed worms are simply left to the garbage
 // collector, so SetRecycling(true)+SetObserver is safe, just not pooled.
 //
 //lint:hotpath
