@@ -33,6 +33,7 @@ import (
 	"math"
 	"os"
 	"sort"
+	"strings"
 
 	"repro/internal/bfly"
 	"repro/internal/bmin"
@@ -153,10 +154,19 @@ var ascentPolicies = map[string]bmin.AscentPolicy{
 	"adaptive-dest": bmin.AscentAdaptiveDest,
 }
 
-var repairPolicies = map[string]mcastsim.RepairPolicy{
-	"full":  mcastsim.RepairFull,
-	"incr":  mcastsim.RepairIncremental,
-	"binom": mcastsim.RepairBinomial,
+// repairPolicies are the policies -repair selects, each by its String.
+var repairPolicies = []mcastsim.RepairPolicy{mcastsim.RepairFull, mcastsim.RepairIncremental, mcastsim.RepairBinomial}
+
+// repairPolicy returns the policy whose String is name.
+func repairPolicy(name string) (mcastsim.RepairPolicy, error) {
+	names := make([]string, len(repairPolicies))
+	for i, p := range repairPolicies {
+		if names[i] = p.String(); names[i] == name {
+			return p, nil
+		}
+	}
+	last := len(names) - 1
+	return 0, fmt.Errorf("unknown repair policy %q (want %s or %s)", name, strings.Join(names[:last], ", "), names[last])
 }
 
 // Fixed shape of a CLI traffic run: enough arrivals for stable
@@ -304,8 +314,8 @@ func (o options) validate() error {
 	if !o.churn {
 		return nil
 	}
-	if _, ok := repairPolicies[o.repairPolicy]; !ok {
-		return fmt.Errorf("unknown repair policy %q (want full, incr or binom)", o.repairPolicy)
+	if _, err := repairPolicy(o.repairPolicy); err != nil {
+		return err
 	}
 	if !(o.churnRate >= 0) {
 		return fmt.Errorf("-churn-rate=%g must be >= 0 events/Mcycle", o.churnRate)
@@ -699,6 +709,7 @@ func (s *session) runChurn() error {
 	}
 	ch := s.chain(s.algo, addrs)
 	tab := s.algo.Table(len(ch), s.thold, s.tend)
+	repair, _ := repairPolicy(o.repairPolicy) // validate checked the name
 
 	key := s.key("netsim-churn", s.algo.Name,
 		fmt.Sprintf("rate=%g,rejoin=%g,repair=%s,cap=%d,pool=%d,horizon=%d,down=%d,%s,deadline=%d",
@@ -717,7 +728,7 @@ func (s *session) runChurn() error {
 		return member.Run(s.network(plan), tab, ch, sched, o.bytes, mcastsim.ReliableConfig{
 			Sim:       mcastsim.Config{Software: s.soft, AddrBytes: o.addrB, MaxCycles: o.deadline},
 			TEnd:      s.tend,
-			Repair:    repairPolicies[o.repairPolicy],
+			Repair:    repair,
 			DegreeCap: o.degreeCap,
 			Seed:      o.seed,
 		})

@@ -1,11 +1,12 @@
 // Package sharedcapture enforces the index-local-state contract of the
 // repo's concurrent entry points.
 //
-// sim.ForEach documents that the closure it receives "must write only
-// to index-local state": every worker goroutine may write results[i]
-// for its own i, but never a shared accumulator, because scheduling
-// order would then leak into the output (and the race detector would
-// fire). This analyzer checks closures passed to those entry points:
+// sim.ForEachProgress documents that the closure it receives "must
+// write only to index-local state": every worker goroutine may write
+// results[i] for its own i, but never a shared accumulator, because
+// scheduling order would then leak into the output (and the race
+// detector would fire). This analyzer checks closures passed to those
+// entry points, its completion hook included:
 // a write to a captured variable is only allowed when the left-hand
 // side is indexed by something declared inside the closure (the loop
 // parameter or a value derived from it). Writes to captured maps are
@@ -23,13 +24,13 @@ import (
 // on multiple goroutines. Extend this set when mcastsim or sim grow new
 // parallel entry points.
 var concurrentEntryPoints = map[string]bool{
-	"repro/internal/sim.ForEach": true,
+	"repro/internal/sim.ForEachProgress": true,
 }
 
 // Analyzer is the sharedcapture check.
 var Analyzer = &lint.Analyzer{
 	Name: "sharedcapture",
-	Doc: "flag closures passed to sim.ForEach (and other concurrent entry " +
+	Doc: "flag closures passed to sim.ForEachProgress (and other concurrent entry " +
 		"points) that write captured variables not indexed by the loop parameter",
 	Run: run,
 }

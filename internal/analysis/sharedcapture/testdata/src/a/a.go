@@ -9,19 +9,22 @@ func bad(n int) float64 {
 	first := make([]float64, n)
 	byTrial := make(map[int]float64)
 	var count int
-	sim.ForEach(n, 4, func(i int) {
+	var done int
+	sim.ForEachProgress(n, 4, func(i int) {
 		sum += float64(i)       // want `writes captured variable sum`
 		first[0] = float64(i)   // want `writes captured variable first`
 		byTrial[i] = float64(i) // want `writes captured map byTrial`
 		count++                 // want `writes captured variable count`
+	}, func(completed int) {
+		done = completed // want `writes captured variable done`
 	})
-	return sum + first[0] + float64(count)
+	return sum + first[0] + float64(count+done)
 }
 
 func good(n int) []cell {
 	out := make([]cell, n)
 	jobs := make([]int, n)
-	sim.ForEach(n, 0, func(i int) {
+	sim.ForEachProgress(n, 0, func(i int) {
 		r := sim.NewRNG(uint64(i))
 		j := jobs[i]
 		out[i].lat = r.Float64()
@@ -29,7 +32,7 @@ func good(n int) []cell {
 		local := 0
 		local++
 		_ = local
-	})
+	}, nil)
 	return out
 }
 

@@ -1,6 +1,6 @@
 // Package waitleak flags goroutines that nothing ever joins.
 //
-// The repo's concurrency contract (DESIGN.md, sim.ForEach) is that
+// The repo's concurrency contract (DESIGN.md, sim.ForEachProgress) is that
 // every spawned goroutine has an owner that observes its completion —
 // a WaitGroup the spawner Waits on, or a channel the goroutine sends
 // on or closes. A goroutine with no visible join can outlive the

@@ -100,15 +100,14 @@ func ScatterAllgather(net *wormhole.Network, ch chain.Chain, msgBytes int, cfg m
 		return d.res, nil
 	}
 
-	start := net.Stats()
 	d.scatter(0, p-1, d.t0)
-	if err := d.drain(); err != nil {
+	stats, err := d.drain()
+	if err != nil {
 		return Result{}, err
 	}
-	end := net.Stats()
-	d.res.Worms = end.Worms - start.Worms
-	d.res.BlockedCycles = end.BlockedCycles - start.BlockedCycles
-	d.res.InjectWaitCycles = end.InjectWaitCycles - start.InjectWaitCycles
+	d.res.Worms = stats.Worms
+	d.res.BlockedCycles = stats.BlockedCycles
+	d.res.InjectWaitCycles = stats.InjectWaitCycles
 	for i, c := range d.res.Completions {
 		if c < 0 {
 			return Result{}, fmt.Errorf("collective: node %d never completed", ch[i])
@@ -199,16 +198,15 @@ func (d *driver) acquire(i, c int, t int64) {
 // drain runs the event/fabric loop to completion under the no-progress
 // watchdog, so a destination cut off by faults surfaces at the freeze
 // with its cause and deadlock report instead of at the cycle deadline.
-func (d *driver) drain() error {
+// It returns the counters the run added to the fabric's Stats.
+func (d *driver) drain() (wormhole.Stats, error) {
 	// Generous bound: every chunk crosses every link serially, twice
 	// the multicast safety net.
 	soft := d.cfg.Software.Send.At(d.bytes) + d.cfg.Software.Recv.At(d.bytes) + d.cfg.Software.Hold.At(d.bytes)
 	deadline := d.t0 + 2*mcastsim.SafetyNet(d.net, d.bytes, 0, len(d.ch), soft) + 1<<22
-	if err := mcastsim.Drive(d.net, &d.events, deadline, mcastsim.NewWatchdog(d.net, d.cfg)); err != nil {
-		return fmt.Errorf("collective: broadcast: %w", err)
+	stats, err := mcastsim.Drive(d.net, &d.events, deadline, mcastsim.NewWatchdog(d.net, d.cfg))
+	if err != nil {
+		return stats, fmt.Errorf("collective: broadcast: %w", err)
 	}
-	if err := d.net.Quiesced(); err != nil {
-		return fmt.Errorf("collective: fabric did not quiesce: %w", err)
-	}
-	return nil
+	return stats, nil
 }

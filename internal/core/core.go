@@ -72,9 +72,9 @@ func NewOptTable(k int, thold, tend model.Time) *OptTable {
 	for i := 3; i <= k; i++ {
 		j := ot.j[i-1]
 		// Option A: keep the same split size as for i-1 nodes.
-		a := maxTime(ot.t[j]+thold, ot.t[i-j]+tend)
+		a := max(ot.t[j]+thold, ot.t[i-j]+tend)
 		// Option B: grow the source-side part by one.
-		b := maxTime(ot.t[j+1]+thold, ot.t[i-1-j]+tend)
+		b := max(ot.t[j+1]+thold, ot.t[i-1-j]+tend)
 		if a < b {
 			ot.t[i] = a
 			ot.j[i] = j
@@ -210,11 +210,4 @@ func OptimalLatency(k int, thold, tend model.Time) model.Time {
 		t[i] = best
 	}
 	return t[k]
-}
-
-func maxTime(a, b model.Time) model.Time {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/model"
@@ -179,12 +178,4 @@ func (t *Tree) Relabel(f func(int) int) *Tree {
 		}
 	}
 	return out
-}
-
-// SortedNodes returns the node identifiers in ascending order; convenient
-// for set comparisons in tests.
-func (t *Tree) SortedNodes() []int {
-	ns := t.Nodes()
-	sort.Ints(ns)
-	return ns
 }

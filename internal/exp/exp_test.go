@@ -275,7 +275,7 @@ func TestSweepDeterministic(t *testing.T) {
 	}
 }
 
-// TestSweepWorkerInvariance: the sim.ForEach fan-out must not affect
+// TestSweepWorkerInvariance: the sim.ForEachProgress fan-out must not affect
 // results — a sweep rendered with one worker is byte-identical to the
 // same sweep with several, both on the default stall-aware kernel (every
 // sweep fabric also exercises worm recycling via newNet) and on the

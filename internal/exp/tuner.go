@@ -18,6 +18,7 @@ package exp
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/model"
 	"repro/internal/runner"
@@ -242,7 +243,7 @@ func TunerSweep(meshSuite, bminSuite *Suite, axes TunerGrid, faultSeed uint64) (
 		for ai, a := range algosOf[si] {
 			names[ai] = fmt.Sprintf("%d=%s", ai, a.Name)
 		}
-		sel.Notes = append(sel.Notes, fmt.Sprintf("%s algorithm indices: %s", short[si], join(names)))
+		sel.Notes = append(sel.Notes, fmt.Sprintf("%s algorithm indices: %s", short[si], strings.Join(names, ", ")))
 		reg.Notes = append(reg.Notes, fmt.Sprintf("selector matched best static on %d/%d scored %s points",
 			match[si], scored[si], short[si]))
 	}
@@ -250,16 +251,4 @@ func TunerSweep(meshSuite, bminSuite *Suite, axes TunerGrid, faultSeed uint64) (
 		trials, meshSuite.Seed, faultSeed, trials, 2*trials))
 	reg.Notes = append(reg.Notes, "regret = selector eval latency - best static (0 when the surface picked the eval winner); margin = selector - worst static (never > 0 unless the surface mis-ranked the envelope)")
 	return f6, nil
-}
-
-// join renders a name list as comma-separated text.
-func join(xs []string) string {
-	out := ""
-	for i, x := range xs {
-		if i > 0 {
-			out += ", "
-		}
-		out += x
-	}
-	return out
 }

@@ -83,20 +83,14 @@ func RunConcurrent(net *wormhole.Network, groups []Group, cfg Config) ([]GroupRe
 		}
 	}
 
-	startStats := net.Stats()
-	err := Drive(net, e.events, t0+max, NewWatchdog(net, cfg))
+	stats, err := Drive(net, e.events, t0+max, NewWatchdog(net, cfg))
 	if e.err != nil {
 		return nil, e.err
 	}
 	if err != nil {
 		return nil, fmt.Errorf("mcastsim: concurrent batch: %w", err)
 	}
-	if err := net.Quiesced(); err != nil {
-		return nil, fmt.Errorf("mcastsim: fabric did not quiesce: %w", err)
-	}
 
-	end := net.Stats()
-	totalWorms := end.Worms - startStats.Worms
 	var expect int64
 	results := make([]GroupResult, len(groups))
 	for gi, g := range served {
@@ -108,15 +102,15 @@ func RunConcurrent(net *wormhole.Network, groups []Group, cfg Config) ([]GroupRe
 		results[gi] = GroupResult{Result: Result{Latency: g.res.Latency, Deliveries: g.res.Deliveries}, StartAt: groups[gi].StartAt}
 		expect += int64(len(groups[gi].Chain) - 1)
 	}
-	if totalWorms != expect {
-		return nil, fmt.Errorf("mcastsim: %d worms completed, want %d", totalWorms, expect)
+	if stats.Worms != expect {
+		return nil, fmt.Errorf("mcastsim: %d worms completed, want %d", stats.Worms, expect)
 	}
 	// Per-group blocked cycles are not separable from fabric stats; report
 	// the aggregate on every group and the batch split via worm counts.
 	for gi := range results {
-		results[gi].BlockedCycles = end.BlockedCycles - startStats.BlockedCycles
-		results[gi].InjectWaitCycles = end.InjectWaitCycles - startStats.InjectWaitCycles
-		results[gi].Cycles = end.Cycles - startStats.Cycles
+		results[gi].BlockedCycles = stats.BlockedCycles
+		results[gi].InjectWaitCycles = stats.InjectWaitCycles
+		results[gi].Cycles = stats.Cycles
 		results[gi].Worms = int64(len(groups[gi].Chain) - 1)
 	}
 	return results, nil

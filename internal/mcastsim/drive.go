@@ -23,10 +23,12 @@ type Monitor interface {
 // a fault stall or a jump) but never past the next event, and jumps an
 // empty fabric straight to the next event. It returns once both the
 // queue and the fabric are idle, when mon.Check fails, or when the clock
-// passes deadline. Errors carry no package prefix; callers add their
-// own.
-func Drive(net *wormhole.Network, q *sim.EventQueue, deadline int64, mon Monitor) error {
-	start := net.Now()
+// passes deadline. A drive that ends idle checks that the fabric
+// quiesced and returns the counters the run added to net's Stats, so
+// every delivery layer reads a run's counters here. Errors carry no
+// package prefix; callers add their own.
+func Drive(net *wormhole.Network, q *sim.EventQueue, deadline int64, mon Monitor) (wormhole.Stats, error) {
+	t0, start := net.Now(), net.Stats()
 	for q.Len() > 0 || net.Active() > 0 {
 		if net.Active() == 0 {
 			if next := q.NextTime(); next > net.Now() {
@@ -49,13 +51,24 @@ func Drive(net *wormhole.Network, q *sim.EventQueue, deadline int64, mon Monitor
 		}
 		net.StepUntil(limit)
 		if err := mon.Check(); err != nil {
-			return err
+			return wormhole.Stats{}, err
 		}
 		if net.Now() > deadline {
-			return fmt.Errorf("run not complete after %d cycles; %s", deadline-start, net.DeadlockReport(8))
+			return wormhole.Stats{}, fmt.Errorf("run not complete after %d cycles; %s", deadline-t0, net.DeadlockReport(8))
 		}
 	}
-	return nil
+	if err := net.Quiesced(); err != nil {
+		return wormhole.Stats{}, fmt.Errorf("fabric did not quiesce: %w", err)
+	}
+	end := net.Stats()
+	return wormhole.Stats{
+		Cycles:           end.Cycles - start.Cycles,
+		Worms:            end.Worms - start.Worms,
+		FlitHops:         end.FlitHops - start.FlitHops,
+		BlockedCycles:    end.BlockedCycles - start.BlockedCycles,
+		InjectWaitCycles: end.InjectWaitCycles - start.InjectWaitCycles,
+		Cancelled:        end.Cancelled - start.Cancelled,
+	}, nil
 }
 
 // defaultNoProgress is the watchdog window used when

@@ -44,7 +44,7 @@ func TestDriveFiresEventsAtExactCycles(t *testing.T) {
 	const far = 1_000_000
 	at(far)
 	mon := &quietMonitor{}
-	if err := Drive(net, &q, 2*far, mon); err != nil {
+	if _, err := Drive(net, &q, 2*far, mon); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 4 {
@@ -83,7 +83,7 @@ func TestDriveIdledResetsStallClock(t *testing.T) {
 	net.SetFaults(stuckChannel{c: m.InjectChannel(5)})
 	var q sim.EventQueue
 	q.At(sendAt, func() { net.Send(5, 60, 512, nil, nil) })
-	err := Drive(net, &q, 10*sendAt, NewWatchdog(net, Config{NoProgressCycles: window}))
+	_, err := Drive(net, &q, 10*sendAt, NewWatchdog(net, Config{NoProgressCycles: window}))
 	if err == nil || !strings.Contains(err.Error(), "no flit moved") {
 		t.Fatalf("want a no-progress trip, got %v", err)
 	}
@@ -117,7 +117,7 @@ func TestDriveErrorsCarryOnePrefix(t *testing.T) {
 		if c.cfg.MaxCycles > 0 {
 			limit = c.cfg.MaxCycles
 		}
-		err := Drive(net, &q, limit, NewWatchdog(net, c.cfg))
+		_, err := Drive(net, &q, limit, NewWatchdog(net, c.cfg))
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Fatalf("%s: Drive returned %v, want %q", c.name, err, c.want)
 		}

@@ -312,7 +312,6 @@ func (g *Multicast) Run(horizon int64) error {
 		max = g.safetyNet() + horizon
 	}
 
-	start := net.Stats()
 	live := make([]int, 0, len(g.ch))
 	for p := range g.pos {
 		if g.pos[p].wanted {
@@ -320,21 +319,17 @@ func (g *Multicast) Run(horizon int64) error {
 		}
 	}
 	g.deliverAt(g.root, live, g.t0, nil)
-	err := Drive(net, g.e.events, g.t0+max, g.e)
+	stats, err := Drive(net, g.e.events, g.t0+max, g.e)
 	if g.e.err != nil {
 		return g.e.err
 	}
 	if err != nil {
 		return err
 	}
-	if err := net.Quiesced(); err != nil {
-		return fmt.Errorf("fabric did not quiesce: %w", err)
-	}
-	end := net.Stats()
-	g.res.Worms = end.Worms - start.Worms
-	g.res.BlockedCycles = end.BlockedCycles - start.BlockedCycles
-	g.res.InjectWaitCycles = end.InjectWaitCycles - start.InjectWaitCycles
-	g.res.Cycles = end.Cycles - start.Cycles
+	g.res.Worms = stats.Worms
+	g.res.BlockedCycles = stats.BlockedCycles
+	g.res.InjectWaitCycles = stats.InjectWaitCycles
+	g.res.Cycles = stats.Cycles
 	return nil
 }
 

@@ -138,31 +138,25 @@ func Run(net *wormhole.Network, tab core.SplitTable, ch chain.Chain, root int, m
 		max = SafetyNet(net, msgBytes, cfg.AddrBytes, len(ch), g.tSend+g.tRecv+g.tHold) + 1<<20
 	}
 
-	startStats := net.Stats()
-	err := Drive(net, e.events, g.t0+max, NewWatchdog(net, cfg))
+	stats, err := Drive(net, e.events, g.t0+max, NewWatchdog(net, cfg))
 	if e.err != nil {
 		return Result{}, e.err
 	}
 	if err != nil {
 		return Result{}, fmt.Errorf("mcastsim: %w", err)
 	}
-	if err := net.Quiesced(); err != nil {
-		return Result{}, fmt.Errorf("mcastsim: fabric did not quiesce: %w", err)
-	}
 	for i, d := range g.res.Deliveries {
 		if d < 0 {
 			return Result{}, fmt.Errorf("mcastsim: chain position %d (node %d) never received the message", i, ch[i])
 		}
 	}
-
-	end := net.Stats()
 	return Result{
 		Latency:          g.res.Latency,
 		Deliveries:       g.res.Deliveries,
-		Worms:            end.Worms - startStats.Worms,
-		BlockedCycles:    end.BlockedCycles - startStats.BlockedCycles,
-		InjectWaitCycles: end.InjectWaitCycles - startStats.InjectWaitCycles,
-		Cycles:           end.Cycles - startStats.Cycles,
+		Worms:            stats.Worms,
+		BlockedCycles:    stats.BlockedCycles,
+		InjectWaitCycles: stats.InjectWaitCycles,
+		Cycles:           stats.Cycles,
 	}, nil
 }
 

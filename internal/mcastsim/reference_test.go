@@ -51,16 +51,12 @@ func refRun(net *wormhole.Network, tab core.SplitTable, ch chain.Chain, root int
 		max = mcastsim.SafetyNet(net, msgBytes, cfg.AddrBytes, len(ch), r.tSend+r.tRecv+r.tHold) + 1<<20
 	}
 
-	startStats := net.Stats()
-	err := mcastsim.Drive(net, r.events, r.t0+max, mcastsim.NewWatchdog(net, cfg))
+	stats, err := mcastsim.Drive(net, r.events, r.t0+max, mcastsim.NewWatchdog(net, cfg))
 	if planErr != nil {
 		return mcastsim.Result{}, planErr
 	}
 	if err != nil {
 		return mcastsim.Result{}, fmt.Errorf("mcastsim: %w", err)
-	}
-	if err := net.Quiesced(); err != nil {
-		return mcastsim.Result{}, fmt.Errorf("mcastsim: fabric did not quiesce: %w", err)
 	}
 	for i, d := range r.res.Deliveries {
 		if d < 0 {
@@ -68,11 +64,10 @@ func refRun(net *wormhole.Network, tab core.SplitTable, ch chain.Chain, root int
 		}
 	}
 
-	end := net.Stats()
-	r.res.Worms = end.Worms - startStats.Worms
-	r.res.BlockedCycles = end.BlockedCycles - startStats.BlockedCycles
-	r.res.InjectWaitCycles = end.InjectWaitCycles - startStats.InjectWaitCycles
-	r.res.Cycles = end.Cycles - startStats.Cycles
+	r.res.Worms = stats.Worms
+	r.res.BlockedCycles = stats.BlockedCycles
+	r.res.InjectWaitCycles = stats.InjectWaitCycles
+	r.res.Cycles = stats.Cycles
 	return r.res, nil
 }
 
@@ -130,20 +125,14 @@ func refRunConcurrent(net *wormhole.Network, groups []mcastsim.Group, cfg mcasts
 		}
 	}
 
-	startStats := net.Stats()
-	err := mcastsim.Drive(net, &events, t0+max, mcastsim.NewWatchdog(net, cfg))
+	stats, err := mcastsim.Drive(net, &events, t0+max, mcastsim.NewWatchdog(net, cfg))
 	if planErr != nil {
 		return nil, planErr
 	}
 	if err != nil {
 		return nil, fmt.Errorf("mcastsim: concurrent batch: %w", err)
 	}
-	if err := net.Quiesced(); err != nil {
-		return nil, fmt.Errorf("mcastsim: fabric did not quiesce: %w", err)
-	}
 
-	end := net.Stats()
-	totalWorms := end.Worms - startStats.Worms
 	var expect int64
 	for gi, r := range runners {
 		for i, d := range r.res.Deliveries {
@@ -154,13 +143,13 @@ func refRunConcurrent(net *wormhole.Network, groups []mcastsim.Group, cfg mcasts
 		results[gi].Result = r.res
 		expect += int64(len(groups[gi].Chain) - 1)
 	}
-	if totalWorms != expect {
-		return nil, fmt.Errorf("mcastsim: %d worms completed, want %d", totalWorms, expect)
+	if stats.Worms != expect {
+		return nil, fmt.Errorf("mcastsim: %d worms completed, want %d", stats.Worms, expect)
 	}
 	for gi := range results {
-		results[gi].BlockedCycles = end.BlockedCycles - startStats.BlockedCycles
-		results[gi].InjectWaitCycles = end.InjectWaitCycles - startStats.InjectWaitCycles
-		results[gi].Cycles = end.Cycles - startStats.Cycles
+		results[gi].BlockedCycles = stats.BlockedCycles
+		results[gi].InjectWaitCycles = stats.InjectWaitCycles
+		results[gi].Cycles = stats.Cycles
 		results[gi].Worms = int64(len(groups[gi].Chain) - 1)
 	}
 	return results, nil

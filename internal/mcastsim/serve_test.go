@@ -68,7 +68,7 @@ func TestServeAllocsFlatInK(t *testing.T) {
 		ch, root := p.group(seed, k)
 		return func() {
 			e.Serve(net.Now(), p.tab, ch, root, p.bytes, cfg, done)
-			if err := Drive(net, &q, net.Now()+1<<30, e); err != nil {
+			if _, err := Drive(net, &q, net.Now()+1<<30, e); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -114,7 +114,7 @@ func serveOverlapping(t *testing.T, p servePlatform, keep bool) (out []servedRun
 			e.Serve(at, p.tab, ch, root, p.bytes, cfg, func(done int64, res ReliableResult) { out[i] = servedRun{done, res} })
 		})
 	}
-	if err := Drive(net, &q, 1<<40, e); err != nil {
+	if _, err := Drive(net, &q, 1<<40, e); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range out {

@@ -266,7 +266,8 @@ func adaptiveDeadlock(events ...int64) (*wormhole.Network, error) {
 	for _, t := range events {
 		q.At(t, func() {})
 	}
-	return net, Drive(net, &q, 1<<20, NewWatchdog(net, Config{NoProgressCycles: 256}))
+	_, err := Drive(net, &q, 1<<20, NewWatchdog(net, Config{NoProgressCycles: 256}))
+	return net, err
 }
 
 // TestWatchdogTripsPinned pins the cycle at which the no-progress
@@ -303,7 +304,8 @@ func TestWatchdogTripsPinned(t *testing.T) {
 			net := stuckNet(path[len(path)/2])
 			var q sim.EventQueue
 			q.At(0, func() { net.Send(0, 63, 1024, nil, nil) })
-			return net, Drive(net, &q, 1<<20, NewWatchdog(net, Config{Software: testSoft, NoProgressCycles: 256}))
+			_, err := Drive(net, &q, 1<<20, NewWatchdog(net, Config{Software: testSoft, NoProgressCycles: 256}))
+			return net, err
 		}, 273, "no flit moved for 256 cycles (deadlocked or partitioned fabric); 1 worms in flight at cycle 273\n" +
 			"  worm 0 (0->63): header in flight toward link([7 0]->[7 1])\n" +
 			"  hottest blocked channel: link([7 0]->[7 1]) (1 waiting headers)"},
@@ -324,7 +326,8 @@ func TestWatchdogTripsPinned(t *testing.T) {
 			net := stuckNet(m.InjectChannel(5))
 			var q sim.EventQueue
 			q.At(50_000, func() { net.Send(5, 60, 512, nil, nil) })
-			return net, Drive(net, &q, 500_000, NewWatchdog(net, Config{NoProgressCycles: 256}))
+			_, err := Drive(net, &q, 500_000, NewWatchdog(net, Config{NoProgressCycles: 256}))
+			return net, err
 		}, 50256, "no flit moved for 256 cycles (deadlocked or partitioned fabric); 1 worms in flight at cycle 50256\n" +
 			"  worm 0 (5->60): header in flight toward inject([5 0])\n" +
 			"  hottest blocked channel: inject([5 0]) (1 waiting headers)"},

@@ -3,7 +3,6 @@ package runner
 import (
 	"fmt"
 	"io"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -26,7 +25,7 @@ type Cell struct {
 // Exec is typically shared across all figures of a CLI invocation so
 // the summary accumulates whole-run totals.
 type Exec struct {
-	// Workers bounds the sim.ForEach fan-out; 0 = GOMAXPROCS.
+	// Workers bounds the sim.ForEachProgress fan-out; 0 = GOMAXPROCS.
 	Workers int
 	// Shard/NShards select an i-of-n slice of each manifest for
 	// cross-machine splitting. Ownership is cell-index mod NShards over
@@ -83,9 +82,10 @@ func (e *Exec) Run(label string, cells []Cell) ([]Result, []bool, error) {
 			label, batch.Cells, batch.Cached, batch.Skipped, len(todo))
 	}
 
+	// Errors are kept per cell, so the one reported is the first in
+	// manifest order whatever the workers' schedule.
 	errs := make([]error, len(todo))
-	var storeMu sync.Mutex
-	var storeErr error
+	storeErrs := make([]error, len(todo))
 	start := wallclock.Now()
 	var lastTick atomic.Int64
 	sim.ForEachProgress(len(todo), e.Workers, func(j int) {
@@ -100,13 +100,7 @@ func (e *Exec) Run(label string, cells []Cell) ([]Result, []bool, error) {
 			// Store at completion time, not at batch end: a killed run
 			// keeps everything it finished, which is what makes sweeps
 			// resumable.
-			if err := e.Cache.Store(cells[i].Key, res); err != nil {
-				storeMu.Lock()
-				if storeErr == nil {
-					storeErr = err
-				}
-				storeMu.Unlock()
-			}
+			storeErrs[j] = e.Cache.Store(cells[i].Key, res)
 		}
 	}, e.ticker(label, len(todo), start, &lastTick))
 	for j, err := range errs {
@@ -114,8 +108,10 @@ func (e *Exec) Run(label string, cells []Cell) ([]Result, []bool, error) {
 			return nil, nil, fmt.Errorf("runner: %s cell %s: %w", label, cells[todo[j]].Key.String(), err)
 		}
 	}
-	if storeErr != nil {
-		return nil, nil, storeErr
+	for _, err := range storeErrs {
+		if err != nil {
+			return nil, nil, err
+		}
 	}
 	if e.Progress != nil && len(todo) > 0 {
 		fmt.Fprintf(e.Progress, "%s: computed %d cells in %s\n", label, len(todo), wallclock.Since(start).Round(time.Millisecond))

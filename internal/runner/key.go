@@ -4,7 +4,7 @@
 // one simulated multicast (or recovery run, concurrent batch, ...) with
 // fully pinned inputs. A cell is identified by a Key — a canonical
 // encoding of everything that determines its outcome — and the engine
-// (engine.go) runs the cells of a manifest through the sim.ForEach
+// (engine.go) runs the cells of a manifest through the sim.ForEachProgress
 // worker pool, optionally restricted to one shard of a cross-machine
 // split and optionally backed by a content-addressed on-disk cache
 // (cache.go). Because aggregation always consumes results in manifest

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 func sampleKey(trial int) Key {
@@ -255,6 +256,42 @@ func TestRunErrorNamesCell(t *testing.T) {
 	_, _, err := e.Run("errs", cells)
 	if err == nil || !strings.Contains(err.Error(), "trial=1") || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("err = %v, want cell key + cause", err)
+	}
+}
+
+// TestStoreErrorFirstInManifestOrder: when two cells' stores fail, the
+// batch reports the lower-index cell's error, whichever worker stored
+// first. A directory at each entry path makes both stores fail; cell 2
+// waits until cell 5 has run, so cell 5's store usually fails first.
+func TestStoreErrorFirstInManifestOrder(t *testing.T) {
+	c, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{2, 5} {
+		if err := os.MkdirAll(c.path(sampleKey(i).Hash()), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := c.path(sampleKey(2).Hash())
+	for round := 0; round < 10; round++ {
+		cells := makeCells(8, nil)
+		ran5 := make(chan struct{})
+		run2, run5 := cells[2].Run, cells[5].Run
+		cells[2].Run = func() (Result, error) {
+			<-ran5
+			time.Sleep(time.Millisecond)
+			return run2()
+		}
+		cells[5].Run = func() (Result, error) {
+			defer close(ran5)
+			return run5()
+		}
+		e := &Exec{Workers: 4, Cache: c}
+		_, _, err := e.Run("stores", cells)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("round %d: err = %v, want the store error of cell 2 (%s)", round, err, want)
+		}
 	}
 }
 

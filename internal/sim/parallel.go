@@ -6,21 +6,16 @@ import (
 	"sync/atomic"
 )
 
-// ForEach runs fn(i) for every i in [0, n) on up to workers goroutines
-// (GOMAXPROCS when workers <= 0). Each index is processed exactly once;
-// fn must write only to index-local state so the overall result stays
-// deterministic regardless of scheduling. It is the harness used to fan
-// the paper's 16 independent placements per data point across cores.
-func ForEach(n, workers int, fn func(i int)) {
-	ForEachProgress(n, workers, fn, nil)
-}
-
-// ForEachProgress is ForEach with a completion hook: after each index
-// finishes, done is called with the running count of completed indices
-// (1..n). done may be invoked from any worker goroutine, so it must be
-// safe for concurrent use; it exists for progress/ETA reporting and must
-// not influence results — the experiment engine feeds it a stderr
-// ticker, never a table.
+// ForEachProgress runs fn(i) for every i in [0, n) on up to workers
+// goroutines (GOMAXPROCS when workers <= 0). Each index is processed
+// exactly once; fn must write only to index-local state so the overall
+// result stays deterministic regardless of scheduling. It is the harness
+// the experiment engine fans a figure's independent cells across cores
+// with. After each index finishes, done (unless nil) is called with the
+// running count of completed indices (1..n). done may be invoked from
+// any worker goroutine, so it must be safe for concurrent use; it exists
+// for progress/ETA reporting and must not influence results — the
+// experiment engine feeds it a stderr ticker, never a table.
 func ForEachProgress(n, workers int, fn func(i int), done func(completed int)) {
 	if n <= 0 {
 		return

@@ -19,16 +19,16 @@ func perIndex(i int) float64 {
 }
 
 // TestForEachWorkerCountInvariance is the index-local-state contract
-// from ForEach's doc comment as a property: the result vector must be
+// from ForEachProgress's doc comment as a property: the result vector must be
 // bit-for-bit identical no matter how many workers split the range.
 func TestForEachWorkerCountInvariance(t *testing.T) {
 	const n = 257 // odd, not a multiple of any worker count below
 	serial := make([]float64, n)
-	ForEach(n, 1, func(i int) { serial[i] = perIndex(i) })
+	ForEachProgress(n, 1, func(i int) { serial[i] = perIndex(i) }, nil)
 
 	for _, workers := range []int{2, 3, 8, 16} {
 		got := make([]float64, n)
-		ForEach(n, workers, func(i int) { got[i] = perIndex(i) })
+		ForEachProgress(n, workers, func(i int) { got[i] = perIndex(i) }, nil)
 		for i := range got {
 			if got[i] != serial[i] {
 				t.Fatalf("workers=%d: index %d = %v, want %v (serial)", workers, i, got[i], serial[i])
@@ -43,7 +43,7 @@ func TestForEachWorkerCountInvariance(t *testing.T) {
 func TestForEachMoreWorkersThanItems(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 7} {
 		var visits [8]int32
-		ForEach(n, 64, func(i int) { atomic.AddInt32(&visits[i], 1) })
+		ForEachProgress(n, 64, func(i int) { atomic.AddInt32(&visits[i], 1) }, nil)
 		for i := 0; i < n; i++ {
 			if visits[i] != 1 {
 				t.Fatalf("n=%d workers=64: index %d visited %d times", n, i, visits[i])
@@ -62,7 +62,7 @@ func TestForEachMoreWorkersThanItems(t *testing.T) {
 func TestForEachDegenerateRanges(t *testing.T) {
 	for _, n := range []int{0, -1, -100} {
 		called := int32(0)
-		ForEach(n, 8, func(i int) { atomic.AddInt32(&called, 1) })
+		ForEachProgress(n, 8, func(i int) { atomic.AddInt32(&called, 1) }, nil)
 		if called != 0 {
 			t.Fatalf("n=%d: fn called %d times", n, called)
 		}
@@ -74,8 +74,8 @@ func TestForEachDegenerateRanges(t *testing.T) {
 func TestForEachDefaultWorkers(t *testing.T) {
 	const n = 100
 	var visits [n]int32
-	ForEach(n, 0, func(i int) { atomic.AddInt32(&visits[i], 1) })
-	ForEach(n, -3, func(i int) { atomic.AddInt32(&visits[i], 1) })
+	ForEachProgress(n, 0, func(i int) { atomic.AddInt32(&visits[i], 1) }, nil)
+	ForEachProgress(n, -3, func(i int) { atomic.AddInt32(&visits[i], 1) }, nil)
 	for i, v := range visits {
 		if v != 2 {
 			t.Fatalf("index %d visited %d times across two runs, want 2", i, v)

@@ -304,23 +304,23 @@ func TestForEachVisitsAll(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 7, 100} {
 		const n = 137
 		var visited [n]int32
-		ForEach(n, workers, func(i int) { atomic.AddInt32(&visited[i], 1) })
+		ForEachProgress(n, workers, func(i int) { atomic.AddInt32(&visited[i], 1) }, nil)
 		for i, v := range visited {
 			if v != 1 {
 				t.Fatalf("workers=%d: index %d visited %d times", workers, i, v)
 			}
 		}
 	}
-	ForEach(0, 4, func(int) { t.Fatal("fn called for n=0") })
+	ForEachProgress(0, 4, func(int) { t.Fatal("fn called for n=0") }, nil)
 }
 
 func TestForEachParallelResultsDeterministic(t *testing.T) {
 	run := func() [64]uint64 {
 		var out [64]uint64
-		ForEach(64, 4, func(i int) {
+		ForEachProgress(64, 4, func(i int) {
 			r := NewRNG(uint64(i))
 			out[i] = r.Uint64()
-		})
+		}, nil)
 		return out
 	}
 	if run() != run() {

@@ -95,7 +95,7 @@ func Tune(cfg Config, tab core.SplitTable, addrs []int, bytes int, thold, tend m
 	for restart := 0; restart < cfg.Restarts; restart++ {
 		cur := append(chain.Chain(nil), base...)
 		if restart > 0 {
-			shuffle(rng, cur)
+			rng.Shuffle(cur)
 		}
 		curCost, err := evalChain(cur)
 		if err != nil {
@@ -149,7 +149,7 @@ func cost(k *contention.Checker, tab core.SplitTable, ch chain.Chain, root, byte
 	for _, c := range conflicts {
 		aStart, aEnd := c.A.Issue+tSend, c.A.Arrive-tRecv
 		bStart, bEnd := c.B.Issue+tSend, c.B.Arrive-tRecv
-		lo, hi := maxi(aStart, bStart), mini(aEnd, bEnd)
+		lo, hi := max(aStart, bStart), min(aEnd, bEnd)
 		if hi > lo {
 			total += hi - lo
 		} else {
@@ -157,25 +157,4 @@ func cost(k *contention.Checker, tab core.SplitTable, ch chain.Chain, root, byte
 		}
 	}
 	return total, nil
-}
-
-func shuffle(r *sim.RNG, c chain.Chain) {
-	for i := len(c) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		c[i], c[j] = c[j], c[i]
-	}
-}
-
-func maxi(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func mini(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

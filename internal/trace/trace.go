@@ -1,9 +1,9 @@
 // Package trace provides fabric observers and renderers for analyzing
 // simulated multicasts: per-channel utilization, per-message timelines,
-// blocked-event logs, and an ASCII link-utilization heatmap for 2-D
-// meshes. It is what cmd/netsim's -trace and -heatmap flags are built
-// on, and what the tests use to localize contention when a supposedly
-// contention-free run blocks.
+// and an ASCII link-utilization heatmap for 2-D meshes. It is what
+// cmd/netsim's -trace and -heatmap flags are built on, and what the
+// tests use to localize contention when a supposedly contention-free
+// run blocks.
 package trace
 
 import (
@@ -195,63 +195,6 @@ func (t *Timeline) Gantt(width int) string {
 	return b.String()
 }
 
-// BlockLog records every blocked-header event.
-type BlockLog struct {
-	topo   wormhole.Topology
-	Events []BlockEvent
-	// Cap bounds memory; once reached, further events only count.
-	Cap     int
-	Dropped int64
-}
-
-// BlockEvent is one cycle of one header waiting on an owned channel.
-type BlockEvent struct {
-	Now     int64
-	Waiter  int64 // worm ID
-	Holder  int64 // worm ID
-	Channel wormhole.ChannelID
-}
-
-// NewBlockLog builds a block-event log capped at capacity events.
-func NewBlockLog(topo wormhole.Topology, capacity int) *BlockLog {
-	return &BlockLog{topo: topo, Cap: capacity}
-}
-
-// Acquire implements wormhole.Observer.
-func (l *BlockLog) Acquire(int64, *wormhole.Worm, wormhole.ChannelID) {}
-
-// Release implements wormhole.Observer.
-func (l *BlockLog) Release(int64, *wormhole.Worm, wormhole.ChannelID) {}
-
-// Blocked implements wormhole.Observer.
-func (l *BlockLog) Blocked(now int64, w *wormhole.Worm, c wormhole.ChannelID, holder *wormhole.Worm) {
-	if l.Cap > 0 && len(l.Events) >= l.Cap {
-		l.Dropped++
-		return
-	}
-	ev := BlockEvent{Now: now, Waiter: w.ID, Channel: c}
-	if holder != nil {
-		ev.Holder = holder.ID
-	}
-	l.Events = append(l.Events, ev)
-}
-
-// Complete implements wormhole.Observer.
-func (l *BlockLog) Complete(int64, *wormhole.Worm) {}
-
-// String renders the log.
-func (l *BlockLog) String() string {
-	var b strings.Builder
-	for _, e := range l.Events {
-		fmt.Fprintf(&b, "t=%-8d worm %d blocked on %s (held by worm %d)\n",
-			e.Now, e.Waiter, l.topo.DescribeChannel(e.Channel), e.Holder)
-	}
-	if l.Dropped > 0 {
-		fmt.Fprintf(&b, "(+%d events dropped)\n", l.Dropped)
-	}
-	return b.String()
-}
-
 // Multi fans fabric events out to several observers.
 type Multi []wormhole.Observer
 
@@ -335,6 +278,5 @@ func MeshHeatmap(m *mesh.Mesh, u *ChannelUsage) string {
 var (
 	_ wormhole.Observer = (*ChannelUsage)(nil)
 	_ wormhole.Observer = (*Timeline)(nil)
-	_ wormhole.Observer = (*BlockLog)(nil)
 	_ wormhole.Observer = Multi(nil)
 )

@@ -109,36 +109,6 @@ func TestTimelineEmptyGantt(t *testing.T) {
 	}
 }
 
-// TestBlockLogRecordsHolder: blocked events name both worms and the
-// channel; the cap drops excess events but counts them.
-func TestBlockLogRecordsHolder(t *testing.T) {
-	m := mesh.New2D(8, 8)
-	l := NewBlockLog(m, 5)
-	n := wormhole.New(m, wormhole.DefaultConfig())
-	n.SetObserver(l)
-	w1 := n.Send(0, 7, 4000, nil, nil)
-	w2 := n.Send(1, 6, 4000, nil, nil)
-	if _, err := n.RunUntilIdle(1 << 22); err != nil {
-		t.Fatal(err)
-	}
-	if len(l.Events) == 0 {
-		t.Fatal("no block events recorded")
-	}
-	if len(l.Events) > 5 {
-		t.Fatalf("cap not enforced: %d events", len(l.Events))
-	}
-	if w1.BlockedCycles+w2.BlockedCycles > 5 && l.Dropped == 0 {
-		t.Fatal("expected dropped events beyond the cap")
-	}
-	e := l.Events[0]
-	if e.Waiter == e.Holder {
-		t.Fatal("waiter == holder")
-	}
-	if !strings.Contains(l.String(), "blocked on") {
-		t.Fatal("String missing narrative")
-	}
-}
-
 // TestMultiFansOut: both observers see the same events.
 func TestMultiFansOut(t *testing.T) {
 	m := mesh.New2D(8, 8)
@@ -211,7 +181,7 @@ func TestObserverDoesNotPerturbSimulation(t *testing.T) {
 		return out
 	}
 	a := run(nil)
-	b := run(Multi{NewChannelUsage(mesh.New2D(8, 8)), NewTimeline(), NewBlockLog(mesh.New2D(8, 8), 100)})
+	b := run(Multi{NewChannelUsage(mesh.New2D(8, 8)), NewTimeline()})
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("observer perturbed the simulation")

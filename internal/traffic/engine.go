@@ -112,23 +112,19 @@ func Run(net *wormhole.Network, cfg Config) (Result, error) {
 	if !cfg.Reliable {
 		mon = mcastsim.NewWatchdog(net, mcastsim.Config{})
 	}
-	startStats := net.Stats()
-	err := mcastsim.Drive(net, events, t0+max, mon)
+	stats, err := mcastsim.Drive(net, events, t0+max, mon)
 	if ferr := e.delivery.Err(); ferr != nil {
 		err = ferr
 	}
 	if err != nil {
 		return Result{}, fmt.Errorf("traffic: %w", err)
 	}
-	if err := net.Quiesced(); err != nil {
-		return Result{}, fmt.Errorf("traffic: fabric did not quiesce: %w", err)
-	}
 	for _, rs := range e.states {
 		if !rs.shed && rs.done < 0 {
 			return Result{}, fmt.Errorf("traffic: request %d admitted but never completed", rs.req.id)
 		}
 	}
-	return e.collect(t0, startStats), nil
+	return e.collect(t0, stats), nil
 }
 
 // defaultMaxCycles derives the safety-net deadline: the arrival span

@@ -65,7 +65,7 @@ type Result struct {
 }
 
 // collect assembles the Result from the engine's final state.
-func (e *engine) collect(t0 int64, start wormhole.Stats) Result {
+func (e *engine) collect(t0 int64, stats wormhole.Stats) Result {
 	m := Metrics{
 		Requests:    len(e.states),
 		Measured:    len(e.states) - e.cfg.Warmup,
@@ -138,10 +138,9 @@ func (e *engine) collect(t0 int64, start wormhole.Stats) Result {
 	m.MeanQueueDelay = qs.Mean()
 	m.MeanOccupancy = e.occ.Mean(t0 + m.End)
 
-	end := e.net.Stats()
-	m.Worms = end.Worms - start.Worms
-	m.BlockedCycles = end.BlockedCycles - start.BlockedCycles
-	m.InjectWaitCycles = end.InjectWaitCycles - start.InjectWaitCycles
-	m.Cycles = end.Cycles - start.Cycles
+	m.Worms = stats.Worms
+	m.BlockedCycles = stats.BlockedCycles
+	m.InjectWaitCycles = stats.InjectWaitCycles
+	m.Cycles = stats.Cycles
 	return Result{Requests: reqs, Metrics: m}
 }

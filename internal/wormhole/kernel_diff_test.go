@@ -176,8 +176,7 @@ type driveMode struct {
 // after a stepped cycle, crossing-parked worms whose header then found
 // every candidate owned (blocked) or dead (frozen), cancels of parked
 // and of crossing-parked worms, and clock jumps inside which a parked
-// worm's event (the end of its injection, a release or a stall) was
-// settled.
+// worm's event (the end of its injection or a release) was settled.
 type parkCounts struct {
 	crossing, blocked, frozen, parkedCancels, crossingCancels, settled int
 }
@@ -436,8 +435,9 @@ func diffPlatforms() []struct {
 // recycling on for the fast kernel, proving pooling is behaviour-neutral
 // against a non-recycling reference. The "period" cases send worms of up
 // to 4 KB under every RouterDelay in {0, 1, 2} and BufFlits in {1, 2, 4}:
-// a crossing worm's motion repeats every RouterDelay+1 cycles, and
-// stands still for part of each period when BufFlits <= RouterDelay.
+// a crossing worm's motion repeats every RouterDelay+1 cycles; it parks
+// when BufFlits > RouterDelay, and otherwise stands still for part of
+// each period and steps per cycle.
 // Every case also runs the fast kernel with no observer and recycling
 // on, as the experiment sweeps and the delivery layers run it, and
 // compares it with the reference run but for the event stream: its
@@ -542,9 +542,9 @@ func TestKernelDifferentialLargeMesh(t *testing.T) {
 // cross, not only at the end. It runs on the healthy mesh and under a
 // dead-only fault plan, where worms park too and every worm frozen
 // unreachable is cancelled after the Step that froze it, with
-// RouterDelay 3, where a crossing worm stands still two cycles in four,
-// and on the healthy mesh with the default fabric, where it never
-// stalls.
+// RouterDelay 3, where a crossing worm stands still two cycles in four
+// and steps per cycle, and on the healthy mesh with the default fabric,
+// where it never stalls and parks.
 func TestKernelDifferentialStepwise(t *testing.T) {
 	topo := mesh.New2D(8, 8)
 	slow := DefaultConfig()

@@ -3,6 +3,7 @@ package wormhole
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 )
 
@@ -89,11 +90,11 @@ const (
 	// where no channel can refuse a flit (no LinkGrouper, and no
 	// FaultModel or one that reports OnlyDead) a worm moves in closed
 	// form once its motion is a pure function of its own counters: a
-	// routed worm whose every live stage moves streams, and a worm whose
-	// header is still crossing the fabric moves with period
-	// RouterDelay+1. Such a worm wakes the kernel only to arrive or to
-	// make its header's next routing decision; its other events (a stage
-	// finishing, a stall) are settled inside the clock jumps over them. It
+	// routed worm whose every live stage moves streams, and, when
+	// BufFlits > RouterDelay, a worm whose header is still crossing the
+	// fabric moves with period RouterDelay+1. Such a worm wakes the kernel
+	// only to arrive or to make its header's next routing decision; its
+	// stages finishing are settled inside the clock jumps over them. It
 	// is returned to per-cycle stepping (unparked) when its header blocks
 	// or freezes, reaches its destination, or the worm is cancelled. It is
 	// observably equivalent to KernelReference (identical Stats, per-worm
@@ -261,11 +262,6 @@ type Network struct {
 	stats     Stats
 	obs       Observer
 
-	// dlWaiters is DeadlockReport's per-channel waiting-header histogram,
-	// cached across invocations (at 1M+ channels a fresh make per
-	// watchdog fire is a multi-MB allocation) and cleared lazily.
-	dlWaiters []int32
-
 	// Virtual-channel support (nil lg = every channel has its own link).
 	lg        LinkGrouper
 	linkStamp []int64 // cycle a link last carried a flit
@@ -282,9 +278,7 @@ type Network struct {
 	// Over parked worms' moving stages, parkRate is their count and
 	// parkSum the sum of their worms' parkAt: each such stage has moved
 	// one flit per cycle since, so parkRate·now − parkSum flit-hops are
-	// not yet in stats. A crossing worm's stages leave both sums while it
-	// stalls; see stepParked and hopParked for the corrections that keep
-	// the sum exact.
+	// not yet in stats.
 	parkRate int64
 	parkSum  int64
 
@@ -839,7 +833,7 @@ func (n *Network) badStepUntil(limit int64) {
 // expires (waitUntil: a parked owner may then release a channel it waits
 // on) or, parked, only at wake: its arrival once routed, its header's
 // next routing decision while crossing. skipTo settles a parked worm's
-// other events (the end of injection, each release, a stall): another
+// other events (the end of injection, each release): another
 // worm sees a release only when its header routes, and a header waiting
 // on the released channel acts at that cycle through its verdict's
 // expiry. A frozen worm never acts. Every cycle before the returned one
@@ -895,11 +889,11 @@ func (n *Network) nextAct() int64 {
 // each blocked header accrues BlockedCycles (and its per-cycle Blocked
 // observer event), each inject-waiting worm accrues InjectWaitCycles,
 // and parked worms' stages move. Every phase-A event a parked worm has
-// in the stretch (the end of injection, each release, a crossing worm's
-// stall) is settled by stepParked at its own cycle, with that cycle's
-// credits. With an observer attached they are settled cycle by cycle,
-// in the reference kernel's order (phase-A events in rotation order,
-// then the cycle's replayed Blocked events); without one, worm by worm.
+// in the stretch (the end of injection, each release) is settled by
+// stepParked at its own cycle, with that cycle's credits. With an
+// observer attached they are settled cycle by cycle, in the reference
+// kernel's order (phase-A events in rotation order, then the cycle's
+// replayed Blocked events); without one, worm by worm.
 // A settled release frees no channel a cached verdict waits on (each
 // verdict expires after target), so every verdict valid before the jump
 // stays valid after it. The last-move cycle is target while any parked
@@ -933,7 +927,8 @@ func (n *Network) skipTo(target int64) {
 			}
 			for w.due <= target {
 				n.now = w.due
-				stop = max(stop, n.stepParked(w))
+				n.stepParked(w)
+				stop = max(stop, n.now)
 			}
 		}
 	}
@@ -959,15 +954,15 @@ func (n *Network) skipTo(target int64) {
 }
 
 // settle applies the events due this cycle of the parked worms in ws, in
-// order, and returns the last cycle a settled stage moved (0 if none
-// was due).
+// order, and returns this cycle if one was due, else 0.
 //
 //lint:hotpath
 func (n *Network) settle(ws []*Worm) int64 {
 	stop := int64(0)
 	for _, w := range ws {
 		if n.asleep[w.slot] == parked && w.due == n.now {
-			stop = max(stop, n.stepParked(w))
+			n.stepParked(w)
+			stop = n.now
 		}
 	}
 	return stop
@@ -1056,9 +1051,11 @@ func (n *Network) moveWorms(ws []*Worm) {
 // releases, headerReadyAt stamps and sleep verdict are exactly
 // moveFlitsFast's on such a fabric. A worm whose motion has become a
 // closed form is parked (see park): a routed worm that moved a flit on
-// every live stage, or a crossing worm that moved one on every live
-// stage but its frontier's exit, before its header's next routing
-// decision and in the steady state crossingSteady checks.
+// every live stage, or, when its frontier cannot fill before its
+// header's next routing decision (BufFlits > RouterDelay), a crossing
+// worm that moved one on every live stage but its frontier's exit before
+// that decision. Under any other config a crossing worm steps per cycle
+// and sleeps once its frontier fills.
 //
 //lint:hotpath
 func (n *Network) moveFlitsUngated(w *Worm) {
@@ -1133,7 +1130,7 @@ func (n *Network) moveFlitsUngated(w *Worm) {
 		if hops == live && !w.done {
 			n.park(w)
 		}
-	} else if hops == live-1 && n.now <= w.headerReadyAt && n.crossingSteady(w) {
+	} else if hops == live-1 && n.now <= w.headerReadyAt && int64(buf) > n.cfg.RouterDelay {
 		n.park(w)
 	}
 }
@@ -1152,24 +1149,21 @@ func (n *Network) moveFlitsUngated(w *Worm) {
 //
 // A crossing worm, whose header has not reached the ejection channel,
 // has just moved a flit on every live stage but its frontier's exit,
-// which waits for the header's next hop. Its header enters a channel
-// every P = RouterDelay+1 cycles while its routing decisions find a free
-// channel, and all its live stages move together: on every cycle when
-// q = min(P, BufFlits) equals P, and otherwise on the first q cycles
-// after each hop only. The frontier is then full, so is every channel
-// behind it still fed from upstream, and the whole worm stands still (a
-// stall) until the header moves on. Each hop adds the old frontier's
-// exit as a stage.
+// which waits for the header's next hop. It parks only when BufFlits >
+// RouterDelay: its header then enters a channel every RouterDelay+1
+// cycles while its routing decisions find a free channel, its frontier
+// takes at most RouterDelay+1 flits before that hop and so never fills,
+// and every live stage moves on every cycle. Each hop adds the old
+// frontier's exit as a stage.
 //
 // Either way the stages finish in path order, at most one per cycle:
 // the end of injection, then each release, the last of a routed worm
-// being its arrival. Those and a crossing worm's stalls are its phase-A
-// events (stepParked), due at w.due; its header's routing decisions stay
-// in phase B (hopParked, or unpark when the header blocks or freezes).
-// The flit-hops in between are credited through parkRate and parkSum.
-// The worm wakes the kernel (w.wake, see nextAct) only at its arrival
-// or its header's next routing decision; skipTo settles the events
-// before it.
+// being its arrival. Those are its phase-A events (stepParked), due at
+// w.due; its header's routing decisions stay in phase B (hopParked, or
+// unpark when the header blocks or freezes). The flit-hops in between
+// are credited through parkRate and parkSum. The worm wakes the kernel
+// (w.wake, see nextAct) only at its arrival or its header's next routing
+// decision; skipTo settles the events before it.
 //
 // Parking bumps the ownership epoch. A blocked or inject-wait verdict
 // taken while this worm was awake has no expiry for its channels, since
@@ -1192,74 +1186,16 @@ func (n *Network) park(w *Worm) {
 	}
 }
 
-// crossingSteady reports whether a crossing worm that has just moved a
-// flit on every live stage but its frontier's exit is in the state the
-// crossing closed form assumes. When the frontier cannot fill before the
-// header's next hop (BufFlits > RouterDelay) every such state is.
-// Otherwise the frontier must have taken a flit on every cycle since the
-// header entered it, so that it fills after exactly BufFlits moves, and
-// every other channel still fed from upstream must be full, so that the
-// whole worm stalls at once.
-//
-//lint:hotpath
-func (n *Network) crossingSteady(w *Worm) bool {
-	if !n.stalls() {
-		return true
-	}
-	last := len(w.path) - 1
-	if w.tail == last {
-		return true // nothing is left to feed the frontier
-	}
-	if int64(w.occ(last)) != n.now-(w.headerReadyAt-n.cfg.RouterDelay)+1 {
-		return false
-	}
-	for i := w.tail; i < last; i++ {
-		if (i > w.tail || w.injected < w.flits) && w.occ(i) != n.cfg.BufFlits {
-			return false
-		}
-	}
-	return true
-}
-
-// stalls reports whether a crossing worm's frontier fills before its
-// header's next hop (BufFlits <= RouterDelay), so that the whole worm
-// stands still for part of every period.
-//
-//lint:hotpath
-func (n *Network) stalls() bool { return int64(n.cfg.BufFlits) <= n.cfg.RouterDelay }
-
-// stallAt returns the first cycle of a crossing worm's stall in its
-// current period, BufFlits cycles after its header entered the frontier
-// (at headerReadyAt − RouterDelay), or never when the worm never stalls.
-//
-//lint:hotpath
-func (n *Network) stallAt(w *Worm) int64 {
-	if !n.stalls() {
-		return never
-	}
-	return w.headerReadyAt - n.cfg.RouterDelay + int64(n.cfg.BufFlits)
-}
-
 // vclock returns how many cycles a parked worm's unfinished stages have
-// moved since parkAt, as of Now: now − parkAt, held at the cycle before
-// a crossing worm's stall while the stall lasts.
+// moved since parkAt, as of Now.
 //
 //lint:hotpath
-func (n *Network) vclock(w *Worm) int64 {
-	t := n.now
-	if !w.routed {
-		if s := n.stallAt(w); t >= s {
-			t = s - 1
-		}
-	}
-	return t - w.parkAt
-}
+func (n *Network) vclock(w *Worm) int64 { return n.now - w.parkAt }
 
 // nextDue returns a parked worm's next phase-A event: its next stage to
-// finish or, for a crossing worm, its next stall if that comes first.
-// The stage furthest along finishes first: injection while flits remain
-// to inject, else the exit of the tail channel. A crossing worm with no
-// live stage has no event until its header hops.
+// finish. The stage furthest along finishes first: injection while flits
+// remain to inject, else the exit of the tail channel. A crossing worm
+// with no live stage has no event until its header hops.
 //
 //lint:hotpath
 func (n *Network) nextDue(w *Worm) int64 {
@@ -1270,56 +1206,36 @@ func (n *Network) nextDue(w *Worm) int64 {
 	if x == w.flits {
 		x = w.passed[w.tail]
 	}
-	due := w.parkAt + int64(w.flits-x)
-	if !w.routed {
-		if s := n.stallAt(w); s < due {
-			due = s
-		}
-	}
-	return due
+	return w.parkAt + int64(w.flits-x)
 }
 
-// stepParked applies a parked worm's event, due this cycle, and returns
-// the last cycle in which the stages it stops moved: this one for a
-// finished stage, the one before for a stall. A stepped cycle applies it
-// at the worm's place in phase A's rotation, so releases and arrivals
-// reach the observer, phase B and reap exactly when and in the order the
-// reference kernel produces them; skipTo applies the events of the
-// cycles it jumps over, with the clock set to each event's cycle. A
-// finished stage's flit-hops since parkAt are credited and its counter
-// set to flits. A stall credits its stages' moves up to the cycle before
-// and takes them out of parkRate and parkSum until the header's next hop
-// restarts them (hopParked). The worm stays parked until its next event.
-// An arrival, which is always stepped (it is the worm's wake), ends
-// StepUntil: its callback may Send, and the new worm must compete for
-// injection in the next cycle, not be skipped over.
+// stepParked applies a parked worm's event, a stage finishing this
+// cycle. A stepped cycle applies it at the worm's place in phase A's
+// rotation, so releases and arrivals reach the observer, phase B and
+// reap exactly when and in the order the reference kernel produces them;
+// skipTo applies the events of the cycles it jumps over, with the clock
+// set to each event's cycle. The stage's flit-hops since parkAt are
+// credited and its counter set to flits. The worm stays parked until its
+// next event. An arrival, which is always stepped (it is the worm's
+// wake), ends StepUntil: its callback may Send, and the new worm must
+// compete for injection in the next cycle, not be skipped over.
 //
 //lint:hotpath
-func (n *Network) stepParked(w *Worm) int64 {
-	at := w.parkAt
-	if !w.routed && n.now == n.stallAt(w) {
-		r := w.liveStages()
-		n.stats.FlitHops += r * (n.now - 1 - at)
-		n.parkRate -= r
-		n.parkSum -= r * at
-		w.due = never
-		return n.now - 1
-	}
-	n.stats.FlitHops += n.now - at
+func (n *Network) stepParked(w *Worm) {
+	n.stats.FlitHops += n.now - w.parkAt
 	n.parkRate--
-	n.parkSum -= at
+	n.parkSum -= w.parkAt
 	if w.injected < w.flits {
 		w.injected = w.flits
 	} else {
 		w.passed[w.tail] = w.flits
 		if w.tail == len(w.path)-1 {
 			n.arrive(w)
-			return n.now
+			return
 		}
 		n.release(w, w.tail)
 	}
 	w.due = n.nextDue(w)
-	return n.now
 }
 
 // hopParked moves a parked crossing worm's header into c, the free
@@ -1329,12 +1245,10 @@ func (n *Network) stepParked(w *Worm) int64 {
 // parks it again as a routed worm once every stage moves. Otherwise it
 // stays parked: the old frontier's exit becomes a stage that moves from
 // the next cycle on, when the header enters c, and the header is ready
-// to route again RouterDelay cycles after that. When the worm stalls
-// each period, the hop ends the stall and restarts every stage: parkAt
-// moves on by the stall's length, RouterDelay+1−BufFlits, so vclock
-// runs on from where it stopped. The restarted stages re-enter parkRate
-// and parkSum credited from parkAt, and the cycles between parkAt and
-// now that they did not move are taken back from stats.
+// to route again RouterDelay cycles after that. The new stage enters
+// parkRate and parkSum credited from parkAt, so its counter starts at
+// parkAt − now and the cycles between parkAt and now, in which it did
+// not move, are taken back from stats.
 //
 //lint:hotpath
 func (n *Network) hopParked(w *Worm, c ChannelID) {
@@ -1343,17 +1257,12 @@ func (n *Network) hopParked(w *Worm, c ChannelID) {
 		n.acquire(w, c)
 		return
 	}
-	k := int64(1)
-	if n.stalls() {
-		k += w.liveStages()
-		w.parkAt += n.cfg.RouterDelay + 1 - int64(n.cfg.BufFlits)
-	}
 	n.acquire(w, c)
 	n.asleep[w.slot] = parked
-	v := n.now - w.parkAt
-	n.stats.FlitHops -= k * v
-	n.parkRate += k
-	n.parkSum += k * w.parkAt
+	v := n.vclock(w)
+	n.stats.FlitHops -= v
+	n.parkRate++
+	n.parkSum += w.parkAt
 	w.passed[len(w.path)-2] = int(-v)
 	w.headerReadyAt = n.now + 1 + n.cfg.RouterDelay
 	w.wake = w.headerReadyAt
@@ -1362,23 +1271,20 @@ func (n *Network) hopParked(w *Worm, c ChannelID) {
 
 // unpark returns a parked worm to per-cycle stepping at the current
 // cycle: every unfinished counter x becomes x + vclock, the value the
-// reference kernel holds (min(flits, x + now − parkAt) for a routed
-// worm: a stage that reached flits has already finished as an event),
-// and the worm's moving stages leave parkRate and parkSum with their
-// flit-hops credited to stats (a stalled worm's left when its stall
-// began). The worm is awake, so StepUntil steps its next cycle instead
-// of jumping over it. It runs when a crossing header finds
-// every candidate owned or dead, when it takes its destination's
-// ejection channel, and when the worm is cancelled.
+// reference kernel holds (a stage that reached flits has already
+// finished as an event), and the worm's moving stages leave parkRate and
+// parkSum with their flit-hops credited to stats. The worm is awake, so
+// StepUntil steps its next cycle instead of jumping over it. It runs
+// when a crossing header finds every candidate owned or dead, when it
+// takes its destination's ejection channel, and when the worm is
+// cancelled.
 //
 //lint:hotpath
 func (n *Network) unpark(w *Worm) {
 	v, r := n.vclock(w), w.liveStages()
-	if w.routed || n.now < n.stallAt(w) {
-		n.stats.FlitHops += r * v
-		n.parkRate -= r
-		n.parkSum -= r * w.parkAt
-	}
+	n.stats.FlitHops += r * v
+	n.parkRate -= r
+	n.parkSum -= r * w.parkAt
 	if w.injected < w.flits {
 		w.injected += int(v)
 	}
@@ -1889,15 +1795,10 @@ func (n *Network) RunUntilIdle(maxCycles int64) (int64, error) {
 func (n *Network) DeadlockReport(max int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%d worms in flight at cycle %d", len(n.worms), n.now)
-	// The per-channel waiting-header histogram is cached on the Network
-	// and cleared lazily: at 1M+ channels a fresh allocation per watchdog
-	// fire would turn a diagnostic into a multi-MB allocation.
-	if len(n.dlWaiters) < n.topo.NumChannels() {
-		n.dlWaiters = make([]int32, n.topo.NumChannels())
-	} else {
-		clear(n.dlWaiters)
-	}
-	waiters := n.dlWaiters
+	// waits lists the channels waiting headers want, once per header and
+	// channel; the hottest is the most frequent. It grows with the worms
+	// in flight, not with the fabric.
+	var waits []ChannelID
 	type entry struct {
 		text string
 		more int // additional worms collapsed into this line
@@ -1929,7 +1830,7 @@ func (n *Network) DeadlockReport(max int) string {
 		case len(w.path) == 0:
 			c := n.topo.InjectChannel(w.Src)
 			if h := n.owner[c]; h >= 0 {
-				waiters[c]++
+				waits = append(waits, c)
 				line(kindInject, c, "worm %d (%d->%d): waiting to inject; %s held by worm %d", w.ID, w.Src, w.Dst, n.topo.DescribeChannel(c), n.slots[h].ID)
 			} else {
 				line(unique, 0, "worm %d (%d->%d): not yet injected", w.ID, w.Src, w.Dst)
@@ -1941,7 +1842,7 @@ func (n *Network) DeadlockReport(max int) string {
 			// it (router delay, or a fault gate refusing them); it is what
 			// the worm is waiting on, so it counts toward the hot channel.
 			c := w.path[len(w.path)-1]
-			waiters[c]++
+			waits = append(waits, c)
 			line(unique, 0, "worm %d (%d->%d): header in flight toward %s", w.ID, w.Src, w.Dst, n.topo.DescribeChannel(c))
 		default:
 			cands := n.routeCands(w)
@@ -1952,7 +1853,7 @@ func (n *Network) DeadlockReport(max int) string {
 			free := ChannelID(-1)
 			for _, c := range cands {
 				if n.owner[c] >= 0 {
-					waiters[c]++
+					waits = append(waits, c)
 				} else if free < 0 {
 					free = c
 				}
@@ -1979,10 +1880,16 @@ func (n *Network) DeadlockReport(max int) string {
 	if lines > max {
 		fmt.Fprintf(&b, "\n  ... and %d more", lines-max)
 	}
-	hot, hotCount := ChannelID(-1), int32(0)
-	for c, k := range waiters {
-		if k > hotCount {
-			hot, hotCount = ChannelID(c), k
+	// Sorted, a tie goes to the lowest channel ID.
+	slices.Sort(waits)
+	hot, hotCount, run := ChannelID(-1), 0, 0
+	for i, c := range waits {
+		run++
+		if i > 0 && c != waits[i-1] {
+			run = 1
+		}
+		if run > hotCount {
+			hot, hotCount = c, run
 		}
 	}
 	if hot >= 0 {
