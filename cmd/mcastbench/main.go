@@ -69,7 +69,7 @@ func main() {
 	flag.BoolVar(&o.csv, "csv", false, "emit CSV instead of aligned text")
 	flag.BoolVar(&o.chart, "chart", false, "also draw each figure as an ASCII chart")
 	flag.StringVar(&o.shard, "shard", "", "compute only slice i of n of every sweep manifest, format i/n (e.g. 0/4); requires -cache to be useful")
-	flag.StringVar(&o.cacheDir, "cache", "", "content-addressed cell cache directory; without -resume every owned cell recomputes and overwrites its entry")
+	flag.StringVar(&o.cacheDir, "cache", "", "cell cache directory (one append-only log per run); without -resume every owned cell recomputes and appends an entry that replaces the old one")
 	flag.BoolVar(&o.resume, "resume", false, "reuse cached cell results before computing (cache dir defaults to results/cache when -cache is unset)")
 	flag.StringVar(&o.summary, "summary", "", "write a per-run JSON summary (cells computed/cached/skipped, wall time) to this file; \"-\" = stderr")
 	flag.BoolVar(&o.progress, "progress", false, "print progress/ETA lines to stderr")
@@ -102,7 +102,7 @@ func parseShard(s string) (int, int, error) {
 	return i, n, nil
 }
 
-func run(o options) error {
+func run(o options) (err error) {
 	if o.trials < 1 {
 		return fmt.Errorf("bad -trials %d: need at least 1 placement per point", o.trials)
 	}
@@ -121,11 +121,14 @@ func run(o options) error {
 		cacheDir = filepath.Join("results", "cache")
 	}
 	if cacheDir != "" {
-		c, err := runner.OpenCache(cacheDir)
-		if err != nil {
+		if ex.Cache, err = runner.OpenCache(cacheDir); err != nil {
 			return err
 		}
-		ex.Cache = c
+		defer func() {
+			if cerr := ex.Cache.Close(); err == nil {
+				err = cerr
+			}
+		}()
 	}
 	if o.progress {
 		ex.Progress = os.Stderr

@@ -1,10 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -13,10 +13,11 @@ import (
 )
 
 // Every figure's cell manifest at one trial: the number of distinct cache
-// keys a "-fig all -trials 1" run stores and the SHA-256 of their sorted,
-// newline-joined canonical strings. A refactor of the figure code must
-// leave both unchanged; an intended key change bumps runner.Schema and
-// these constants together.
+// keys a "-fig all -trials 1" run stores (in its cache log, where a cell
+// two figures share appears once per figure) and the SHA-256 of their
+// sorted, newline-joined canonical strings. A refactor of the figure
+// code must leave both unchanged; an intended key change bumps
+// runner.Schema and these constants together.
 const (
 	manifestKeys   = 570
 	manifestSHA256 = "8a8dd04d767dd3138887949e274de21f53d7c864dcb8f0dc58ee9f9ab91c3523"
@@ -33,26 +34,29 @@ func TestManifestKeysStable(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	var keys []string
-	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || filepath.Ext(path) != ".json" {
-			return err
-		}
-		buf, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		var e struct {
-			Key string `json:"key"`
-		}
-		if err := json.Unmarshal(buf, &e); err != nil {
-			return err
-		}
-		keys = append(keys, e.Key)
-		return nil
-	})
+	logs, err := filepath.Glob(filepath.Join(dir, "*.jsonl"))
 	if err != nil {
 		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	var keys []string
+	for _, path := range logs {
+		buf, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range bytes.Split(bytes.TrimSuffix(buf, []byte{'\n'}), []byte{'\n'}) {
+			var e struct {
+				Key string `json:"key"`
+			}
+			if err := json.Unmarshal(line, &e); err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+			if !seen[e.Key] {
+				seen[e.Key] = true
+				keys = append(keys, e.Key)
+			}
+		}
 	}
 	sort.Strings(keys)
 	sum := sha256.Sum256([]byte(strings.Join(keys, "\n")))

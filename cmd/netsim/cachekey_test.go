@@ -1,11 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -50,6 +49,25 @@ func keyInvocations() []options {
 	return runs
 }
 
+// cacheLines returns the lines of the cache logs in dir, in name order
+// (the order in which the cache reads them).
+func cacheLines(t *testing.T, dir string) [][]byte {
+	t.Helper()
+	logs, err := filepath.Glob(filepath.Join(dir, "*.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines [][]byte
+	for _, path := range logs {
+		buf, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines = append(lines, bytes.Split(bytes.TrimSuffix(buf, []byte{'\n'}), []byte{'\n'})...)
+	}
+	return lines
+}
+
 // TestCacheKeysStable pins the cache keys netsim stores across every
 // mode: a change that moves any key field (the platform, the software
 // encoding, a mode's Extra text, the churn scenario, the autotune
@@ -62,26 +80,19 @@ func TestCacheKeysStable(t *testing.T) {
 			t.Fatalf("%+v: %v", o, err)
 		}
 	}
+	seen := map[string]bool{}
 	var keys []string
-	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || filepath.Ext(path) != ".json" {
-			return err
-		}
-		buf, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
+	for _, line := range cacheLines(t, dir) {
 		var e struct {
 			Key string `json:"key"`
 		}
-		if err := json.Unmarshal(buf, &e); err != nil {
-			return fmt.Errorf("%s: %w", path, err)
+		if err := json.Unmarshal(line, &e); err != nil {
+			t.Fatalf("%s: %v", line, err)
 		}
-		keys = append(keys, e.Key)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		if !seen[e.Key] {
+			seen[e.Key] = true
+			keys = append(keys, e.Key)
+		}
 	}
 	sort.Strings(keys)
 	sum := sha256.Sum256([]byte(strings.Join(keys, "\n")))

@@ -75,7 +75,7 @@ func main() {
 	flag.Uint64Var(&o.faultSeed, "fault-seed", 1, "fault plan seed (same seed = same failed links)")
 	flag.Int64Var(&o.deadline, "deadline", 0, "abort the multicast after this many cycles (0 = generous default)")
 	flag.BoolVar(&o.recover, "recover", false, "run the reliable-delivery layer (timeout/retransmit, tree repair, binomial fallback); requires a fault flag")
-	flag.StringVar(&o.cacheDir, "cache", "", "content-addressed result cache directory (reuse an identical prior run; ignored with -trace/-heatmap)")
+	flag.StringVar(&o.cacheDir, "cache", "", "result cache directory (reuse an identical prior run; ignored with -trace/-heatmap)")
 	flag.BoolVar(&o.traffic, "traffic", false, "run sustained open-system traffic (seeded arrivals at -rate) instead of a single multicast")
 	flag.Float64Var(&o.rate, "rate", 200, "traffic: offered load in requests per million cycles")
 	flag.StringVar(&o.arrival, "arrival", "poisson", "traffic: arrival process, poisson or bursty")
@@ -112,7 +112,7 @@ type options struct {
 	faultSeed               uint64
 	deadline                int64
 	recover                 bool   // reliable delivery instead of plain mcastsim
-	cacheDir                string // content-addressed result cache, "" = off
+	cacheDir                string // result cache directory, "" = off
 
 	traffic            bool    // open-system traffic instead of a single multicast
 	rate               float64 // offered requests per Mcycle
@@ -362,7 +362,7 @@ func newSession(o options) (*session, error) {
 
 // run validates o, builds the fabric, measures t_end and runs the
 // selected mode through the shared cache and view path.
-func run(o options) error {
+func run(o options) (err error) {
 	if err := o.validate(); err != nil {
 		return err
 	}
@@ -387,12 +387,17 @@ func run(o options) error {
 	s.thold = s.soft.Hold.At(o.bytes)
 
 	// A live view is the output of its run, so it bypasses the cache.
-	if o.cacheDir != "" {
-		if o.gantt || o.heatmap {
-			fmt.Fprintln(os.Stderr, "netsim: -trace/-heatmap need a live run; ignoring -cache")
-		} else if s.cache, err = runner.OpenCache(o.cacheDir); err != nil {
+	if o.cacheDir != "" && (o.gantt || o.heatmap) {
+		fmt.Fprintln(os.Stderr, "netsim: -trace/-heatmap need a live run; ignoring -cache")
+	} else if o.cacheDir != "" {
+		if s.cache, err = runner.OpenCache(o.cacheDir); err != nil {
 			return err
 		}
+		defer func() {
+			if cerr := s.cache.Close(); err == nil {
+				err = cerr
+			}
+		}()
 	}
 	s.algo, _ = algoNamed(o.algo)
 	if o.autotune {
@@ -477,14 +482,11 @@ func (s *session) key(mode, algo, extra string) runner.Key {
 // live and stores it. The result travels as its own type's JSON in the
 // entry's Payload, which round-trips every int64 and float64 exactly.
 // An entry without a payload, or with one that does not decode, is a
-// miss: the run recomputes and overwrites it. hit reports a replay.
+// miss: the run recomputes and stores a new entry, which replaces it on
+// the next open. hit reports a replay.
 func cached[T any](s *session, key runner.Key, live func() (T, error)) (res T, hit bool, err error) {
 	if s.cache != nil {
-		r, ok, err := s.cache.Load(key)
-		if err != nil {
-			return res, false, err
-		}
-		if ok && len(r.Payload) > 0 && json.Unmarshal(r.Payload, &res) == nil {
+		if r, ok := s.cache.Load(key); ok && len(r.Payload) > 0 && json.Unmarshal(r.Payload, &res) == nil {
 			s.replayed++
 			return res, true, nil
 		}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -561,7 +562,7 @@ func TestChurnHeatmap(t *testing.T) {
 
 // TestCacheEntryWithoutPayloadIsMiss: an entry holding only metrics and
 // series, the shape older releases wrote, is a miss in every mode: the
-// run prints its live output and rewrites the entry with a payload.
+// run prints its live output and stores the entry again with a payload.
 func TestCacheEntryWithoutPayloadIsMiss(t *testing.T) {
 	recovered := base()
 	recovered.faults, recovered.faultSeed, recovered.recover = 3, 2, true
@@ -572,16 +573,16 @@ func TestCacheEntryWithoutPayloadIsMiss(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		files, err := filepath.Glob(filepath.Join(o.cacheDir, "*", "*.json"))
-		if err != nil || len(files) != 1 {
-			t.Fatalf("want one cache entry, got %v (%v)", files, err)
+		logs, err := filepath.Glob(filepath.Join(o.cacheDir, "*.jsonl"))
+		if err != nil || len(logs) != 1 {
+			t.Fatalf("want one cache log, got %v (%v)", logs, err)
 		}
-		buf, err := os.ReadFile(files[0])
-		if err != nil {
-			t.Fatal(err)
+		lines := cacheLines(t, o.cacheDir)
+		if len(lines) != 1 {
+			t.Fatalf("want one cache entry, got %d", len(lines))
 		}
 		var e map[string]json.RawMessage
-		if err := json.Unmarshal(buf, &e); err != nil {
+		if err := json.Unmarshal(lines[0], &e); err != nil {
 			t.Fatal(err)
 		}
 		e["result"] = json.RawMessage(`{"metrics":{"latency":1,"cycles":1},"series":{"deliveries":[0]}}`)
@@ -589,7 +590,7 @@ func TestCacheEntryWithoutPayloadIsMiss(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(files[0], old, 0o644); err != nil {
+		if err := os.WriteFile(logs[0], append(old, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		again, err := capture(t, func() error { return run(o) })
@@ -599,11 +600,9 @@ func TestCacheEntryWithoutPayloadIsMiss(t *testing.T) {
 		if again != live {
 			t.Fatalf("payload-less entry replayed:\nlive:\n%s\nrerun:\n%s", live, again)
 		}
-		if buf, err = os.ReadFile(files[0]); err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(string(buf), `"payload"`) {
-			t.Fatalf("entry not rewritten with a payload:\n%s", buf)
+		lines = cacheLines(t, o.cacheDir)
+		if last := lines[len(lines)-1]; len(lines) != 2 || !bytes.Contains(last, e["key"]) || !bytes.Contains(last, []byte(`"payload"`)) {
+			t.Fatalf("entry not stored again with a payload:\n%s", bytes.Join(lines, []byte{'\n'}))
 		}
 	}
 }

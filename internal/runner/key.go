@@ -6,16 +6,14 @@
 // encoding of everything that determines its outcome — and the engine
 // (engine.go) runs the cells of a manifest through the sim.ForEachProgress
 // worker pool, optionally restricted to one shard of a cross-machine
-// split and optionally backed by a content-addressed on-disk cache
-// (cache.go). Because aggregation always consumes results in manifest
-// order, a sweep assembled from any mix of computed and cached cells,
-// across any shard split and worker count, is bit-identical to a serial
-// cold run.
+// split and optionally backed by an on-disk cache of append-only logs,
+// one per handle, indexed by key at open (cache.go). Because
+// aggregation always consumes results in manifest order, a sweep
+// assembled from any mix of computed and cached cells, across any shard
+// split and worker count, is bit-identical to a serial cold run.
 package runner
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"strings"
 )
@@ -81,8 +79,8 @@ type Key struct {
 }
 
 // String renders the key canonically: fixed field order, one line,
-// schema-prefixed. This string is what the content hash covers and what
-// cache entries store for collision checks and debugging.
+// schema-prefixed. This string is what the cache indexes results by and
+// what each of its entries stores.
 func (k Key) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "schema=%d|mode=%s|platform=%s|algo=%s|soft=%s", Schema, k.Mode, k.Platform, k.Algo, k.Soft)
@@ -90,11 +88,4 @@ func (k Key) String() string {
 	fmt.Fprintf(&b, "|thold=%d|tend=%d|faultseed=%d|deadpct=%d|recseed=%d|extra=%s",
 		k.THold, k.TEnd, k.FaultSeed, k.DeadPct, k.RecSeed, k.Extra)
 	return b.String()
-}
-
-// Hash is the cell's content address: hex SHA-256 of the canonical
-// string.
-func (k Key) Hash() string {
-	sum := sha256.Sum256([]byte(k.String()))
-	return hex.EncodeToString(sum[:])
 }

@@ -3,10 +3,11 @@
 //
 // The detclock analyzer bans time.Now/time.Since from every package
 // that produces or consumes experiment numbers: published results must
-// be pure functions of seeds and the simulated cycle clock. But two
-// spots legitimately need elapsed wall time — the experiment engine's
-// progress/ETA ticker and the CLI summaries' wall_ms field — and both
-// are display-only: they write to stderr or to run metadata, never
+// be pure functions of seeds and the simulated cycle clock. But three
+// spots legitimately need the wall clock — the experiment engine's
+// progress/ETA ticker, the CLI summaries' wall_ms field and the cell
+// cache's log names, which sort by creation time — and all three are
+// run metadata: they write to stderr, a summary or a file name, never
 // into a table, a golden file, or a cache payload. Routing those reads
 // through this package keeps the exception enumerable: a grep for
 // wallclock. lists every wall-clock consumer in the repo, and any new
