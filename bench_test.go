@@ -14,6 +14,7 @@ import (
 	"repro/internal/exp"
 	"repro/internal/model"
 	"repro/internal/plan"
+	"repro/internal/sim"
 	"repro/internal/traffic"
 	"repro/internal/wormhole"
 )
@@ -399,8 +400,12 @@ func stepKernelScatter(b *testing.B) {
 
 // scaleMulticast measures one 64-node 4 KB OPT multicast on a large
 // fabric. The network is built once and reused: fabric construction
-// (millions of channels) would otherwise dominate the numbers.
-func scaleMulticast(b *testing.B, n *repro.Network, less func(x, y int) bool, nodes int) {
+// (millions of channels) would otherwise dominate the numbers. The
+// group is either fixed, 64 evenly spaced nodes, or, when varied, drawn
+// afresh with seed i+1 for iteration i, as bench/'s mcast-1m workload
+// draws one per op: a fixed group keeps its channels cache- and
+// TLB-resident from one iteration to the next, a varied one does not.
+func scaleMulticast(b *testing.B, n *repro.Network, less func(x, y int) bool, nodes int, varied bool) {
 	soft := repro.DefaultSoftware()
 	runCfg := repro.RunConfig{Software: soft}
 	n.SetRecycling(true)
@@ -415,9 +420,13 @@ func scaleMulticast(b *testing.B, n *repro.Network, less func(x, y int) bool, no
 		addrs[i] = i * (nodes / k)
 	}
 	ch := repro.NewChain(addrs, less)
-	root, _ := ch.Index(addrs[0])
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if varied {
+			addrs = sim.NewRNG(uint64(i)+1).Sample(nodes, k)
+			ch = repro.NewChain(addrs, less)
+		}
+		root, _ := ch.Index(addrs[0])
 		if _, err := repro.RunMulticast(n, tab, ch, root, 4096, runCfg); err != nil {
 			b.Fatal(err)
 		}
@@ -425,18 +434,24 @@ func scaleMulticast(b *testing.B, n *repro.Network, less func(x, y int) bool, no
 }
 
 // BenchmarkScale exercises the roadmap's large fabrics: a single OPT
-// multicast on the 1024x1024 mesh (1M nodes) and the 65536-node BMIN,
-// plus an F3-style open-system traffic cell on a 64x64 mesh. These are
-// the "interactive speed" numbers recorded in BENCH_kernel.json.
+// multicast on the 1024x1024 mesh (1M nodes), to a fixed group and to a
+// fresh group per iteration (the mcast-1m shape), and on the 65536-node
+// BMIN, plus an F3-style open-system traffic cell on a 64x64 mesh.
+// These are the "interactive speed" numbers recorded in
+// BENCH_kernel.json.
 func BenchmarkScale(b *testing.B) {
 	cfg := repro.DefaultFabricConfig()
 	b.Run("mesh1024x1024/serial", func(b *testing.B) {
 		m := repro.NewMesh2D(1024, 1024)
-		scaleMulticast(b, repro.NewNetwork(m, cfg), m.DimOrderLess, m.NumNodes())
+		scaleMulticast(b, repro.NewNetwork(m, cfg), m.DimOrderLess, m.NumNodes(), false)
+	})
+	b.Run("mesh1024x1024/varied", func(b *testing.B) {
+		m := repro.NewMesh2D(1024, 1024)
+		scaleMulticast(b, repro.NewNetwork(m, cfg), m.DimOrderLess, m.NumNodes(), true)
 	})
 	b.Run("bmin65536/serial", func(b *testing.B) {
 		t := bmin.New(1<<16, bmin.AscentStraight)
-		scaleMulticast(b, repro.NewNetwork(t, cfg), t.LexLess, 1<<16)
+		scaleMulticast(b, repro.NewNetwork(t, cfg), t.LexLess, 1<<16, false)
 	})
 	b.Run("traffic64x64/serial", func(b *testing.B) {
 		m := repro.NewMesh2D(64, 64)

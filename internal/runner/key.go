@@ -13,10 +13,7 @@
 // split and worker count, is bit-identical to a serial cold run.
 package runner
 
-import (
-	"fmt"
-	"strings"
-)
+import "strconv"
 
 // Schema versions the key encoding and the semantics behind it (cell
 // payload layout, simulator defaults not spelled out in the key). Bump
@@ -80,12 +77,27 @@ type Key struct {
 
 // String renders the key canonically: fixed field order, one line,
 // schema-prefixed. This string is what the cache indexes results by and
-// what each of its entries stores.
+// what each of its entries stores. It is built in a 512-byte stack
+// buffer, which holds any key of the repository's figures and CLIs, so
+// the only allocation is the string itself, at its exact size.
 func (k Key) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "schema=%d|mode=%s|platform=%s|algo=%s|soft=%s", Schema, k.Mode, k.Platform, k.Algo, k.Soft)
-	fmt.Fprintf(&b, "|k=%d|bytes=%d|x=%d|trial=%d|seed=%d|addrbytes=%d", k.K, k.Bytes, k.X, k.Trial, k.Seed, k.AddrBytes)
-	fmt.Fprintf(&b, "|thold=%d|tend=%d|faultseed=%d|deadpct=%d|recseed=%d|extra=%s",
-		k.THold, k.TEnd, k.FaultSeed, k.DeadPct, k.RecSeed, k.Extra)
-	return b.String()
+	var buf [512]byte
+	b := strconv.AppendInt(append(buf[:0], "schema="...), Schema, 10)
+	b = append(append(b, "|mode="...), k.Mode...)
+	b = append(append(b, "|platform="...), k.Platform...)
+	b = append(append(b, "|algo="...), k.Algo...)
+	b = append(append(b, "|soft="...), k.Soft...)
+	b = strconv.AppendInt(append(b, "|k="...), int64(k.K), 10)
+	b = strconv.AppendInt(append(b, "|bytes="...), int64(k.Bytes), 10)
+	b = strconv.AppendInt(append(b, "|x="...), int64(k.X), 10)
+	b = strconv.AppendInt(append(b, "|trial="...), int64(k.Trial), 10)
+	b = strconv.AppendUint(append(b, "|seed="...), k.Seed, 10)
+	b = strconv.AppendInt(append(b, "|addrbytes="...), int64(k.AddrBytes), 10)
+	b = strconv.AppendInt(append(b, "|thold="...), k.THold, 10)
+	b = strconv.AppendInt(append(b, "|tend="...), k.TEnd, 10)
+	b = strconv.AppendUint(append(b, "|faultseed="...), k.FaultSeed, 10)
+	b = strconv.AppendInt(append(b, "|deadpct="...), int64(k.DeadPct), 10)
+	b = strconv.AppendUint(append(b, "|recseed="...), k.RecSeed, 10)
+	b = append(append(b, "|extra="...), k.Extra...)
+	return string(b)
 }

@@ -30,6 +30,22 @@ func TestKeyStringStable(t *testing.T) {
 	}
 }
 
+// TestKeyStringAllocsOnce: String allocates only the string it returns,
+// also when every number takes its widest form; the figures render
+// thousands of keys per sweep.
+func TestKeyStringAllocsOnce(t *testing.T) {
+	wide := sampleKey(math.MinInt)
+	wide.K, wide.Bytes, wide.X, wide.AddrBytes, wide.DeadPct = math.MinInt, math.MinInt, math.MinInt, math.MinInt, math.MinInt
+	wide.Seed, wide.FaultSeed, wide.RecSeed = math.MaxUint64, math.MaxUint64, math.MaxUint64
+	wide.THold, wide.TEnd = math.MinInt64, math.MinInt64
+	wide.Extra = "iters=64"
+	for _, k := range []Key{sampleKey(3), wide} {
+		if a := testing.AllocsPerRun(100, func() { _ = k.String() }); a > 1 {
+			t.Errorf("String of %s: %v allocations, want at most 1", k, a)
+		}
+	}
+}
+
 // openCache opens the cache in dir, to be closed when the test ends, or
 // fails the test.
 func openCache(t *testing.T, dir string) *Cache {

@@ -5,24 +5,34 @@ import "fmt"
 // ForceOwner fabricates (or, with nil, clears) channel ownership so tests
 // can exercise the Quiesced leaked-channel error path, which is
 // unreachable through the public API of a correct kernel. The ghost worm
-// is given a slot of its own so the slot-indexed owner table stays
-// coherent, and the owned-channel count follows the table.
+// is given a slot of its own so the slot-indexed owner set stays
+// coherent.
 func (n *Network) ForceOwner(c ChannelID, w *Worm) {
-	was := n.owner[c] >= 0
-	if w == nil {
-		if was {
-			n.freeSlot(n.owner[c])
-			n.owned--
-		}
-		n.owner[c] = -1
-		return
+	if s := n.own.free(c); s >= 0 {
+		n.freeSlot(s)
 	}
-	w.slot = n.takeSlot(w)
-	n.owner[c] = w.slot
-	if !was {
-		n.owned++
+	if w != nil {
+		w.slot = n.takeSlot(w)
+		n.own.claim(c, w.slot)
 	}
 }
+
+// NewHashed is New with the owner set's size limit lowered to zero: the
+// network keeps its channel owners in the hashed form whatever the
+// fabric's size, so a differential run can hold it against a network
+// that keeps them flat.
+func NewHashed(topo Topology, cfg Config) *Network {
+	n := New(topo, cfg)
+	n.own = owners{}
+	return n
+}
+
+// Hashed reports whether n keeps its channel owners in the hashed form.
+func (n *Network) Hashed() bool { return n.own.flat == nil }
+
+// HashedGrew reports whether n's hashed owner table has grown past its
+// first size.
+func (n *Network) HashedGrew() bool { return len(n.own.tab) > minBuckets }
 
 // SetStepHook installs (or, with nil, removes) f to run at the end of
 // every stepped cycle, after the cycle's arrival callbacks, on either
@@ -31,17 +41,14 @@ func (n *Network) ForceOwner(c ChannelID, w *Worm) {
 // Skipped cycles do not run it.
 func (n *Network) SetStepHook(f func()) { n.onStep = f }
 
-// ForceOwnedCount overwrites the live owned-channel count, so tests can
-// exercise Quiesced's count-disagrees-with-table error path.
-func (n *Network) ForceOwnedCount(k int) { n.owned = k }
-
 // CheckLiveWindows verifies the live-window invariants for every worm in
 // flight: each channel in path[:tail] has passed all of the worm's flits
 // and is no longer owned by it, and each channel in path[tail:] is owned
-// by it. It also checks the owned-channel count against a scan of the
-// owner table. A tail that runs ahead of the first owned channel would
-// skip live flits; one that lags would only cost time, so only this
-// check catches the second kind of drift. For parked worms it checks
+// by it. It checks the owner set in either form (see owners.check) and
+// that it holds no channel outside the live windows. A tail that runs
+// ahead of the first owned channel would skip live flits; one that lags
+// would only cost time, so only this check catches the second kind of
+// drift. For parked worms it checks
 // the closed form (see checkParked) and recounts the sums Stats credits
 // parked flit-hops from. On a faulted fabric it checks that no worm has
 // acquired a dead channel: the ungated loop relies on that under a
@@ -49,8 +56,11 @@ func (n *Network) ForceOwnedCount(k int) { n.owned = k }
 // checks that the flit-hop count the last-move cycle is kept against is
 // Stats' (it is called between cycles, when they must agree).
 func (n *Network) CheckLiveWindows() error {
+	if err := n.own.check(); err != nil {
+		return err
+	}
 	var rate, sum int64
-	frozen := 0
+	frozen, live := 0, 0
 	for _, w := range n.worms {
 		if w.waitState == waitUnreachable {
 			frozen++
@@ -78,25 +88,20 @@ func (n *Network) CheckLiveWindows() error {
 				return fmt.Errorf("worm %d: released channel %d (path[%d], tail %d) has passed %d of %d flits",
 					w.ID, c, i, w.tail, w.passed[i], w.flits)
 			}
-			if n.owner[c] == w.slot {
+			if n.own.of(c) == w.slot {
 				return fmt.Errorf("worm %d: channel %d (path[%d]) before tail %d is still owned", w.ID, c, i, w.tail)
 			}
 		}
+		live += len(w.path) - w.tail
 		for i, c := range w.path[w.tail:] {
-			if n.owner[c] != w.slot {
+			if n.own.of(c) != w.slot {
 				return fmt.Errorf("worm %d: channel %d (path[%d]) at or after tail %d is not owned by it",
 					w.ID, c, w.tail+i, w.tail)
 			}
 		}
 	}
-	owned := 0
-	for _, s := range n.owner {
-		if s >= 0 {
-			owned++
-		}
-	}
-	if owned != n.owned {
-		return fmt.Errorf("owned-channel count %d, owner table holds %d", n.owned, owned)
+	if live != n.own.n {
+		return fmt.Errorf("owner set holds %d channels, the live windows %d", n.own.n, live)
 	}
 	if rate != n.parkRate || sum != n.parkSum {
 		return fmt.Errorf("parked stage sums %d/%d, recount %d/%d", n.parkRate, n.parkSum, rate, sum)
@@ -207,3 +212,54 @@ func (w *Worm) HeaderBlocked() bool { return w.waitState == waitBlocked }
 // HeaderFrozen reports whether w's header found every routing candidate
 // dead: w is frozen unreachable.
 func (w *Worm) HeaderFrozen() bool { return w.waitState == waitUnreachable }
+
+// check verifies the owner set's own invariants. Flat: the count of
+// owned channels is the table's. Hashed: the table is empty or a power
+// of two at most a quarter full with the shift that matches its size,
+// the count is its entries', and a probe from each entry's home bucket
+// reaches it before any empty bucket or other entry of its channel, so
+// every lookup finds it.
+func (o *owners) check() error {
+	if o.flat != nil {
+		k := 0
+		for _, s := range o.flat {
+			if s != 0 {
+				k++
+			}
+		}
+		if k != o.n {
+			return fmt.Errorf("flat owner count %d, table holds %d", o.n, k)
+		}
+		return nil
+	}
+	size := len(o.tab)
+	if size == 0 {
+		if o.n != 0 {
+			return fmt.Errorf("hashed owner count %d with no table", o.n)
+		}
+		return nil
+	}
+	if size&(size-1) != 0 || size < minBuckets || 1<<(32-int(o.shift)) != size {
+		return fmt.Errorf("hashed owner table of %d buckets with shift %d", size, o.shift)
+	}
+	if 4*o.n > size {
+		return fmt.Errorf("hashed owner table of %d buckets holds %d channels, over a quarter", size, o.n)
+	}
+	k := 0
+	for i, e := range o.tab {
+		if e.key == 0 {
+			continue
+		}
+		k++
+		c := ChannelID(e.key - 1)
+		for j := o.home(c); j != i; j = (j + 1) & (size - 1) {
+			if o.tab[j].key == 0 || o.tab[j].key == e.key {
+				return fmt.Errorf("channel %d in bucket %d is cut off from its home %d at bucket %d", c, i, o.home(c), j)
+			}
+		}
+	}
+	if k != o.n {
+		return fmt.Errorf("hashed owner count %d, table holds %d", o.n, k)
+	}
+	return nil
+}

@@ -38,7 +38,8 @@ import (
 // buffers) for deep cycle-skipping. The suite fails if the dead-only
 // runs never cancelled a parked or a crossing-parked worm, never froze
 // a crossing-parked one, or never settled a parked worm's event inside
-// a clock jump, with or without an observer.
+// a clock jump, with or without an observer, or if no observed run's
+// hashed owner table grew past its first size.
 func TestKernelDifferentialFaults(t *testing.T) {
 	total, ran := 0, 0
 	var counts, quiet parkCounts
@@ -75,17 +76,18 @@ func TestKernelDifferentialFaults(t *testing.T) {
 			}
 		}
 	}
-	if ran == total && (counts.parkedCancels == 0 || counts.crossingCancels == 0 || counts.frozen == 0 || counts.settled == 0 || quiet.settled == 0) {
-		t.Fatalf("closed-form paths of the parking loop went untested on dead-only plans: observed %+v, unobserved %+v", counts, quiet)
+	if ran == total && (counts.parkedCancels == 0 || counts.crossingCancels == 0 || counts.frozen == 0 || counts.settled == 0 || quiet.settled == 0 || counts.grew == 0) {
+		t.Fatalf("closed-form paths of the parking loop or hashed-owner growth went untested on dead-only plans: observed %+v, unobserved %+v", counts, quiet)
 	}
 }
 
 // diffFaulted drives sends on topo under plan through the reference and
 // fast kernels (see drive) and requires identical error text and
-// outcomes. A cancelling drive also runs the fast kernel with no
-// observer, as the recovery layer does, and compares it with the
-// reference run but for the event stream. It returns the closed-form
-// paths the observed and the unobserved fast runs took.
+// outcomes. The observed fast run keeps its channel owners hashed, the
+// reference flat. A cancelling drive also runs the fast kernel with no
+// observer, on the flat form, as the recovery layer does, and compares
+// it with the reference run but for the event stream. It returns the
+// closed-form paths the observed and the unobserved fast runs took.
 func diffFaulted(t *testing.T, topo Topology, cfg Config, plan FaultModel, sends []timedSend, cancelling bool) (observed, unobserved parkCounts) {
 	t.Helper()
 	ref := New(topo, cfg)
@@ -95,6 +97,9 @@ func diffFaulted(t *testing.T, topo Topology, cfg Config, plan FaultModel, sends
 
 	run := func(mode driveMode) parkCounts {
 		fast := New(topo, cfg)
+		if !mode.quiet {
+			fast = NewHashed(topo, cfg)
+		}
 		fast.SetFaults(plan)
 		got, gotErr, counts := drive(t, fast, sends, mode)
 		if gotErr != wantErr {

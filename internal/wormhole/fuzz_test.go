@@ -59,7 +59,9 @@ func decodeSends(data []byte, nodes int) []timedSend {
 // flits×(hops+1) summed over worms), the fast kernel's full observable
 // outcome equals the reference kernel's, and at every StepUntil return
 // of the fast kernel its last-move cycle and frozen count equal the
-// reference kernel's at that cycle. It does so on three
+// reference kernel's at that cycle. The observed fast runs keep their
+// channel owners hashed and the reference runs flat, so an owner-set
+// fault shows as a divergence. It does so on three
 // fabrics, one per flit-motion loop of the fast kernel: a healthy 4×4
 // mesh (the check-free loop), a 4×4 torus whose virtual channels share
 // physical links, and the 4×4 mesh under a fault plan of degraded and
@@ -75,7 +77,7 @@ func decodeSends(data []byte, nodes int) []timedSend {
 // the healthy mesh), whose clock jumps settle parked worms' events worm
 // by worm, and compare it with the reference run but for the event
 // stream. TestFuzzLegsSettleInJumps checks that those legs settle events
-// inside jumps on a seed input.
+// inside jumps, and that the hashed owner tables grow, on a seed input.
 func FuzzWormholeKernel(f *testing.F) {
 	// The first eight seeds run DefaultConfig's RouterDelay 1 with
 	// BufFlits 2.
@@ -114,24 +116,25 @@ var fuzzJumpSeed = []byte{0, 3, 255, 0, 12, 15, 255, 0, 4, 7, 5, 209, 8, 11, 5, 
 
 // fuzzKernel is FuzzWormholeKernel's body. It returns the closed-form
 // paths the unobserved fast runs of the healthy-mesh and dead-only legs
-// took.
-func fuzzKernel(t *testing.T, data []byte, rd, buf uint8) (mesh4, dead4 parkCounts) {
+// took, and whether the hashed owner table of some leg's observed fast
+// run grew.
+func fuzzKernel(t *testing.T, data []byte, rd, buf uint8) (mesh4, dead4 parkCounts, grew bool) {
 	topo := mesh.New2D(4, 4)
 	cfg := DefaultConfig()
 	cfg.RouterDelay = int64(rd % 4)
 	cfg.BufFlits = 1 + int(buf%4)
 	sends := decodeSends(data, topo.NumNodes())
-	mesh4 = fuzzLeg(t, "mesh", topo, nil, cfg, sends, true)
-	fuzzLeg(t, "torus", torus.New2D(4, 4), nil, cfg, sends, false)
+	mesh4, grewMesh := fuzzLeg(t, "mesh", topo, nil, cfg, sends, true)
+	_, grewTorus := fuzzLeg(t, "torus", torus.New2D(4, 4), nil, cfg, sends, false)
 	seed := uint64(len(data))
 	for _, b := range data {
 		seed = seed*131 + uint64(b)
 	}
 	plan := fault.MustPlan(topo, fault.Spec{DegradedFrac: 0.15, FlakyFrac: 0.15, Seed: seed})
-	fuzzLeg(t, "faulted mesh", topo, plan, cfg, sends, false)
+	_, grewFaulted := fuzzLeg(t, "faulted mesh", topo, plan, cfg, sends, false)
 	dead := fault.MustPlan(topo, fault.Spec{DeadFrac: 0.1, Seed: seed})
-	_, dead4 = diffFaulted(t, topo, cfg, dead, sends, true)
-	return mesh4, dead4
+	observed, dead4 := diffFaulted(t, topo, cfg, dead, sends, true)
+	return mesh4, dead4, grewMesh || grewTorus || grewFaulted || observed.grew > 0
 }
 
 // TestFuzzLegsSettleInJumps runs FuzzWormholeKernel's body on
@@ -140,12 +143,16 @@ func fuzzKernel(t *testing.T, data []byte, rd, buf uint8) (mesh4, dead4 parkCoun
 // RouterDelay), the unobserved fast runs of the healthy-mesh and of the
 // dead-only leg each settled a parked worm's event inside a clock jump:
 // without that, those legs would not test the settlement path the
-// experiment sweeps and delivery layers run.
+// experiment sweeps and delivery layers run. It also fails unless some
+// observed run's hashed owner table grew past its first size, so that
+// the fuzzer reaches the hashed form's growth.
 func TestFuzzLegsSettleInJumps(t *testing.T) {
 	var mesh4, dead4 parkCounts
+	grew := false
 	for rd := uint8(0); rd < 4; rd++ {
 		for buf := uint8(0); buf < 4; buf++ {
-			m, d := fuzzKernel(t, fuzzJumpSeed, rd, buf)
+			m, d, g := fuzzKernel(t, fuzzJumpSeed, rd, buf)
+			grew = grew || g
 			if buf+1 > rd {
 				mesh4.add(m)
 				dead4.add(d)
@@ -155,25 +162,31 @@ func TestFuzzLegsSettleInJumps(t *testing.T) {
 	if mesh4.settled == 0 || dead4.settled == 0 {
 		t.Fatalf("no event settled inside a jump: healthy mesh %+v, dead-only %+v", mesh4, dead4)
 	}
+	if !grew {
+		t.Fatal("no hashed owner table grew past its first size")
+	}
 }
 
 // fuzzLeg runs sends on topo (under plan, when non-nil) through the fast
-// and reference kernels and requires every worm delivered with flits
-// conserved and the two outcomes identical. With unobserved set it also
-// runs the fast kernel with no observer and recycling on, compares it
-// with the reference run but for the event stream, and returns its
-// closed-form paths.
-func fuzzLeg(t *testing.T, name string, topo Topology, plan FaultModel, cfg Config, sends []timedSend, unobserved bool) parkCounts {
+// kernel on hashed owners and the reference kernel on flat ones, and
+// requires every worm delivered with flits conserved and the two
+// outcomes identical; grew reports whether the fast run's hashed table
+// grew. With unobserved set it also runs the fast kernel with no
+// observer and recycling on, on flat owners, compares it with the
+// reference run but for the event stream, and returns its closed-form
+// paths.
+func fuzzLeg(t *testing.T, name string, topo Topology, plan FaultModel, cfg Config, sends []timedSend, unobserved bool) (quiet parkCounts, grew bool) {
 	t.Helper()
-	run := func(k Kernel) runSnapshot {
-		n := New(topo, cfg)
+	run := func(n *Network, k Kernel) runSnapshot {
 		n.SetKernel(k)
 		if plan != nil {
 			n.SetFaults(plan)
 		}
 		return runWorkload(t, n, sends) // fails the test unless the fabric drains and quiesces
 	}
-	got, want := run(KernelFast), run(KernelReference)
+	fast := NewHashed(topo, cfg)
+	got, want := run(fast, KernelFast), run(New(topo, cfg), KernelReference)
+	grew = fast.HashedGrew()
 
 	if len(got.Worms) != len(sends) {
 		t.Fatalf("%s: %d of %d worms completed", name, len(got.Worms), len(sends))
@@ -198,11 +211,11 @@ func fuzzLeg(t *testing.T, name string, topo Topology, plan FaultModel, cfg Conf
 	}
 	diffSnapshots(t, got, want)
 	if !unobserved {
-		return parkCounts{}
+		return parkCounts{}, grew
 	}
 	n := New(topo, cfg)
 	n.SetRecycling(true)
-	got, counts := runCounted(t, n, sends, driveMode{quiet: true})
+	got, quiet = runCounted(t, n, sends, driveMode{quiet: true})
 	diffSnapshots(t, got, want.unobserved())
-	return counts
+	return quiet, grew
 }

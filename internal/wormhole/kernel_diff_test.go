@@ -126,8 +126,8 @@ func recordWorm(w *Worm) wormRecord {
 }
 
 // checkWindows fails the test if any in-flight worm's live window (its
-// first unreleased channel onward) or the owned-channel count disagrees
-// with the owner table (see CheckLiveWindows). It runs after every
+// first unreleased channel onward) disagrees with the owner set, or the
+// set with its own invariants (see CheckLiveWindows). It runs after every
 // stepped cycle, so t.Helper, which costs a stack walk, is called only
 // on failure.
 func checkWindows(t *testing.T, n *Network) {
@@ -176,9 +176,11 @@ type driveMode struct {
 // after a stepped cycle, crossing-parked worms whose header then found
 // every candidate owned (blocked) or dead (frozen), cancels of parked
 // and of crossing-parked worms, and clock jumps inside which a parked
-// worm's event (the end of its injection or a release) was settled.
+// worm's event (the end of its injection or a release) was settled. It
+// also counts the runs whose hashed owner table grew past its first
+// size.
 type parkCounts struct {
-	crossing, blocked, frozen, parkedCancels, crossingCancels, settled int
+	crossing, blocked, frozen, parkedCancels, crossingCancels, settled, grew int
 }
 
 func (c *parkCounts) add(o parkCounts) {
@@ -188,6 +190,7 @@ func (c *parkCounts) add(o parkCounts) {
 	c.parkedCancels += o.parkedCancels
 	c.crossingCancels += o.crossingCancels
 	c.settled += o.settled
+	c.grew += o.grew
 }
 
 // drive implements driveWorkload and adds a cancelling mode for fabrics
@@ -309,6 +312,9 @@ func drive(t *testing.T, n *Network, sends []timedSend, mode driveMode) (runSnap
 		if err := n.Quiesced(); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if n.HashedGrew() {
+		counts.grew++
 	}
 	snap.Stats = n.Stats()
 	snap.Now = n.Now()
@@ -438,13 +444,17 @@ func diffPlatforms() []struct {
 // a crossing worm's motion repeats every RouterDelay+1 cycles; it parks
 // when BufFlits > RouterDelay, and otherwise stands still for part of
 // each period and steps per cycle.
-// Every case also runs the fast kernel with no observer and recycling
-// on, as the experiment sweeps and the delivery layers run it, and
-// compares it with the reference run but for the event stream: its
+// The observed fast run keeps its channel owners hashed (NewHashed)
+// while the reference keeps them flat: both kernels share the owner set,
+// so only a run on the other form can catch a fault in it. Every case
+// also runs the fast kernel with no observer and recycling on, on the
+// flat form, as the experiment sweeps and the delivery layers run it,
+// and compares it with the reference run but for the event stream: its
 // jumps settle parked worms' events worm by worm, not cycle by cycle.
 // The suite fails if no fast run parked a crossing worm or unparked one
-// whose header then blocked, or if the observed or the unobserved runs
-// never settled a parked worm's event inside a clock jump.
+// whose header then blocked, if the observed or the unobserved runs
+// never settled a parked worm's event inside a clock jump, or if no
+// hashed owner table grew past its first size.
 func TestKernelDifferential(t *testing.T) {
 	type diffCase struct {
 		name     string
@@ -486,7 +496,7 @@ func TestKernelDifferential(t *testing.T) {
 				ref.SetKernel(KernelReference)
 				want := runWorkload(t, ref, sends)
 
-				fast := New(p.topo, c.cfg)
+				fast := NewHashed(p.topo, c.cfg)
 				fast.SetRecycling(c.recycle)
 				got, k := runCounted(t, fast, sends, driveMode{})
 				counts.add(k)
@@ -500,8 +510,8 @@ func TestKernelDifferential(t *testing.T) {
 			})
 		}
 	}
-	if ran == total && (counts.crossing == 0 || counts.blocked == 0 || counts.settled == 0 || quiet.settled == 0) {
-		t.Fatalf("closed-form paths went untested: observed %+v, unobserved %+v", counts, quiet)
+	if ran == total && (counts.crossing == 0 || counts.blocked == 0 || counts.settled == 0 || quiet.settled == 0 || counts.grew == 0) {
+		t.Fatalf("closed-form paths or hashed-owner growth went untested: observed %+v, unobserved %+v", counts, quiet)
 	}
 }
 

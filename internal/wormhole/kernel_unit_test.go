@@ -105,29 +105,24 @@ func TestQuiescedActiveWorm(t *testing.T) {
 	}
 }
 
+// TestQuiescedLeakedChannel: on both forms of the owner set, Quiesced
+// names the lowest leaked channel and its owner, whatever order the
+// channels leaked in, and passes once they are cleared.
 func TestQuiescedLeakedChannel(t *testing.T) {
-	n := newMeshNet(4, 4, DefaultConfig())
-	ghost := &Worm{ID: 42}
-	n.ForceOwner(5, ghost)
-	err := n.Quiesced()
-	if err == nil || !strings.Contains(err.Error(), "owned by worm 42") {
-		t.Fatalf("Quiesced with a leaked channel: %v", err)
-	}
-	n.ForceOwner(5, nil)
-	if err := n.Quiesced(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestQuiescedCountDisagrees pins the O(1) Quiesced's consistency
-// error: an owned-channel count that is not zero while the owner table
-// holds nothing is reported as such, not silently accepted.
-func TestQuiescedCountDisagrees(t *testing.T) {
-	n := newMeshNet(4, 4, DefaultConfig())
-	n.ForceOwnedCount(2)
-	err := n.Quiesced()
-	if err == nil || !strings.Contains(err.Error(), "2 channels counted as owned") {
-		t.Fatalf("Quiesced with a drifted owned count: %v", err)
+	m := mesh.New2D(4, 4)
+	for _, n := range []*Network{New(m, DefaultConfig()), NewHashed(m, DefaultConfig())} {
+		n.ForceOwner(40, &Worm{ID: 43})
+		n.ForceOwner(5, &Worm{ID: 42})
+		err := n.Quiesced()
+		want := fmt.Sprintf("channel %s still owned by worm 42", m.DescribeChannel(5))
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("Quiesced with leaked channels 40 and 5 (hashed %v): %v, want %q", n.Hashed(), err, want)
+		}
+		n.ForceOwner(5, nil)
+		n.ForceOwner(40, nil)
+		if err := n.Quiesced(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -304,7 +299,7 @@ func TestPooledWormRegrownForLongerRoute(t *testing.T) {
 	short := n.Send(0, 1, 256, nil, nil)
 	drain()
 	var long *Worm
-	allocs := mallocs(func() {
+	allocs, _ := allocated(func() {
 		long = n.Send(0, 255, 256, nil, nil)
 		drain()
 	})
@@ -316,30 +311,42 @@ func TestPooledWormRegrownForLongerRoute(t *testing.T) {
 	}
 }
 
-// TestNewKeepsOneTable: a network keeps one table sized by its fabric,
-// the owner of each channel, at 4 B a channel. Per-node copies of the
+// TestNewSizesOwnersByFabric: New keeps a flat owner table, 4 B a
+// channel, only on a small fabric; on the 1024x1024 mesh its owners are
+// hashed, made at the first claim and sized by the channels in flight,
+// so New allocates no more than 4 KB there. Per-node copies of the
 // injection and ejection channels would add 8 B a node.
-func TestNewKeepsOneTable(t *testing.T) {
-	m := mesh.New(1024, 1024)
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	n := New(m, DefaultConfig())
-	runtime.ReadMemStats(&after)
-	runtime.KeepAlive(n)
-	if b, limit := after.TotalAlloc-before.TotalAlloc, uint64(4*m.NumChannels()+4096); b > limit {
-		t.Fatalf("New on the 1024x1024 mesh allocated %d B, want at most %d (4 B per channel plus 4 KB)", b, limit)
+func TestNewSizesOwnersByFabric(t *testing.T) {
+	small := mesh.New(16, 16)
+	for _, tc := range []struct {
+		name   string
+		topo   Topology
+		hashed bool
+		limit  uint64
+	}{
+		{"16x16", small, false, 4*uint64(small.NumChannels()) + 4096},
+		{"1024x1024", mesh.New(1024, 1024), true, 4096},
+	} {
+		_, b := allocated(func() {
+			n := New(tc.topo, DefaultConfig())
+			if n.Hashed() != tc.hashed {
+				t.Errorf("New on the %s mesh: hashed owners %v, want %v", tc.name, n.Hashed(), tc.hashed)
+			}
+		})
+		if b > tc.limit {
+			t.Errorf("New on the %s mesh allocated %d B, want at most %d", tc.name, b, tc.limit)
+		}
 	}
 }
 
-// mallocs counts the heap allocations of one call of f, as
-// testing.AllocsPerRun does over many: a one-time regrowth is what it
-// measures.
-func mallocs(f func()) uint64 {
+// allocated counts the heap allocations of one call of f, and their
+// bytes, as testing.AllocsPerRun does over many: a one-time regrowth is
+// what it measures.
+func allocated(f func()) (objects, bytes uint64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	f()
 	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }

@@ -241,11 +241,9 @@ type Network struct {
 	cfg  Config
 	now  int64
 
-	// Channel occupancy as a flat slice indexed by ChannelID: the slot
-	// index of the owning worm, or -1 when free. Slots — not pointers —
-	// keep the hot arrays pointer-free.
-	owner []int32
-	owned int // channels with owner >= 0, so Quiesced need not scan owner
+	// Channel occupancy: the slot index of each owned channel's worm (see
+	// owners). Slots — not pointers — keep the hot arrays pointer-free.
+	own owners
 
 	// Slot table: slots[w.slot] == w for every in-flight worm; freeSlots
 	// holds recycled indices (cap always >= len(slots), so reap can push
@@ -338,12 +336,9 @@ func New(topo Topology, cfg Config) *Network {
 		panic(err)
 	}
 	n := &Network{
-		topo:  topo,
-		cfg:   cfg,
-		owner: make([]int32, topo.NumChannels()),
-	}
-	for i := range n.owner {
-		n.owner[i] = -1
+		topo: topo,
+		cfg:  cfg,
+		own:  newOwners(topo.NumChannels()),
 	}
 	if lg, ok := topo.(LinkGrouper); ok {
 		n.lg = lg
@@ -1435,7 +1430,14 @@ func (n *Network) routeHeaderFast(w *Worm) {
 			n.markUnreachable(w, c)
 			return
 		}
-		if n.owner[c] < 0 {
+		// owners.claim, with the flat form inlined (see owners).
+		var taken bool
+		if n.own.flat != nil {
+			taken = n.own.claimFlat(c, w.slot)
+		} else {
+			taken = n.own.claimHashed(c, w.slot)
+		}
+		if taken {
 			n.acquire(w, c)
 		} else {
 			w.InjectWaitCycles++
@@ -1464,7 +1466,14 @@ func (n *Network) routeHeaderFast(w *Worm) {
 	}
 	cands := n.routeCands(w)
 	for _, c := range cands {
-		if n.owner[c] < 0 {
+		// owners.claim, with the flat form inlined (see owners).
+		var taken bool
+		if n.own.flat != nil {
+			taken = n.own.claimFlat(c, w.slot)
+		} else {
+			taken = n.own.claimHashed(c, w.slot)
+		}
+		if taken {
 			if isParked {
 				n.hopParked(w, c)
 			} else {
@@ -1506,7 +1515,7 @@ func (n *Network) routeHeaderFast(w *Worm) {
 //
 //lint:hotpath
 func (n *Network) freedAt(c ChannelID) int64 {
-	o := n.slots[n.owner[c]]
+	o := n.slots[n.own.of(c)]
 	if n.asleep[o.slot] != parked {
 		return never
 	}
@@ -1611,7 +1620,7 @@ func (n *Network) routeHeader(w *Worm) {
 			n.markUnreachable(w, c)
 			return
 		}
-		if n.owner[c] < 0 {
+		if n.own.claim(c, w.slot) {
 			n.acquire(w, c)
 		} else {
 			w.InjectWaitCycles++
@@ -1624,7 +1633,7 @@ func (n *Network) routeHeader(w *Worm) {
 	}
 	cands := n.routeCands(w)
 	for _, c := range cands {
-		if n.owner[c] < 0 {
+		if n.own.claim(c, w.slot) {
 			n.acquire(w, c)
 			return
 		}
@@ -1652,9 +1661,9 @@ func (n *Network) routeHeader(w *Worm) {
 // holder resolve to the earliest candidate in preference order, keeping
 // the report deterministic.
 func (n *Network) blame(cands []ChannelID) (ChannelID, *Worm) {
-	c, h := cands[0], n.slots[n.owner[cands[0]]]
+	c, h := cands[0], n.slots[n.own.of(cands[0])]
 	for _, cc := range cands[1:] {
-		if o := n.slots[n.owner[cc]]; o.ID < h.ID {
+		if o := n.slots[n.own.of(cc)]; o.ID < h.ID {
 			c, h = cc, o
 		}
 	}
@@ -1669,9 +1678,8 @@ func (n *Network) noRouteBug(w *Worm, last int) {
 		n.topo.DescribeChannel(w.path[last]), w.Src, w.Dst))
 }
 
+// acquire extends w's path into c, which w has just claimed.
 func (n *Network) acquire(w *Worm, c ChannelID) {
-	n.owner[c] = w.slot
-	n.owned++
 	w.path = append(w.path, c)
 	w.passed = append(w.passed, 0)
 	if len(w.path) > n.longest {
@@ -1694,11 +1702,16 @@ func (n *Network) acquire(w *Worm, c ChannelID) {
 // channel (i == w.tail; see Worm.tail), and advances the live window.
 func (n *Network) release(w *Worm, i int) {
 	c := w.path[i]
-	if n.owner[c] != w.slot {
+	// owners.free, with the flat form inlined (see owners).
+	var s int32
+	if n.own.flat != nil {
+		s = n.own.freeFlat(c)
+	} else {
+		s = n.own.freeHashed(c)
+	}
+	if s != w.slot {
 		n.badRelease(w, c)
 	}
-	n.owner[c] = -1
-	n.owned--
 	w.tail = i + 1
 	n.epoch++
 	if n.obs != nil {
@@ -1829,7 +1842,7 @@ func (n *Network) DeadlockReport(max int) string {
 			line(unique, 0, "worm %d (%d->%d): unreachable, frozen holding %d channels", w.ID, w.Src, w.Dst, len(w.path)-w.tail)
 		case len(w.path) == 0:
 			c := n.topo.InjectChannel(w.Src)
-			if h := n.owner[c]; h >= 0 {
+			if h := n.own.of(c); h >= 0 {
 				waits = append(waits, c)
 				line(kindInject, c, "worm %d (%d->%d): waiting to inject; %s held by worm %d", w.ID, w.Src, w.Dst, n.topo.DescribeChannel(c), n.slots[h].ID)
 			} else {
@@ -1852,7 +1865,7 @@ func (n *Network) DeadlockReport(max int) string {
 			}
 			free := ChannelID(-1)
 			for _, c := range cands {
-				if n.owner[c] >= 0 {
+				if n.own.of(c) >= 0 {
 					waits = append(waits, c)
 				} else if free < 0 {
 					free = c
@@ -1901,18 +1914,15 @@ func (n *Network) DeadlockReport(max int) string {
 // Quiesced verifies the post-run invariants: no active worms and every
 // channel released. Tests call this to prove conservation (flits injected
 // were all consumed and nothing leaked). It is O(1) on a clean fabric:
-// the owner table is scanned only to name a leaked channel.
+// the owner set counts its channels, and is scanned only to name the
+// lowest leaked one.
 func (n *Network) Quiesced() error {
 	if len(n.worms) != 0 {
 		return fmt.Errorf("wormhole: %d worms still active", len(n.worms))
 	}
-	if n.owned == 0 {
+	if n.own.n == 0 {
 		return nil
 	}
-	for c, s := range n.owner {
-		if s >= 0 {
-			return fmt.Errorf("wormhole: channel %s still owned by worm %d", n.topo.DescribeChannel(ChannelID(c)), n.slots[s].ID)
-		}
-	}
-	return fmt.Errorf("wormhole: %d channels counted as owned, but the owner table holds none", n.owned)
+	c, s := n.own.lowest()
+	return fmt.Errorf("wormhole: channel %s still owned by worm %d", n.topo.DescribeChannel(c), n.slots[s].ID)
 }
