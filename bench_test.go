@@ -405,6 +405,12 @@ func stepKernelScatter(b *testing.B) {
 // afresh with seed i+1 for iteration i, as bench/'s mcast-1m workload
 // draws one per op: a fixed group keeps its channels cache- and
 // TLB-resident from one iteration to the next, a varied one does not.
+// Three untimed multicasts to the fixed group run first, so that a
+// fixed group's record, which `make bench` takes at one iteration,
+// measures a multicast on a network in steady state: the first grows
+// the worm pool and the channel-owner set, and in the next two the pool
+// still hands some worms routes longer than their slices hold, which
+// regrows them.
 func scaleMulticast(b *testing.B, n *repro.Network, less func(x, y int) bool, nodes int, varied bool) {
 	soft := repro.DefaultSoftware()
 	runCfg := repro.RunConfig{Software: soft}
@@ -420,16 +426,22 @@ func scaleMulticast(b *testing.B, n *repro.Network, less func(x, y int) bool, no
 		addrs[i] = i * (nodes / k)
 	}
 	ch := repro.NewChain(addrs, less)
+	multicast := func() {
+		root, _ := ch.Index(addrs[0])
+		if _, err := repro.RunMulticast(n, tab, ch, root, 4096, runCfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for range 3 {
+		multicast()
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if varied {
 			addrs = sim.NewRNG(uint64(i)+1).Sample(nodes, k)
 			ch = repro.NewChain(addrs, less)
 		}
-		root, _ := ch.Index(addrs[0])
-		if _, err := repro.RunMulticast(n, tab, ch, root, 4096, runCfg); err != nil {
-			b.Fatal(err)
-		}
+		multicast()
 	}
 }
 

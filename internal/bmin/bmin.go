@@ -215,6 +215,33 @@ func (b *BMIN) Route(cur wormhole.ChannelID, src, dst wormhole.NodeID, buf []wor
 	return append(buf, b.down(l-1, q))
 }
 
+// AppendRoute implements wormhole.RoutePlanner for the deterministic
+// ascents: it appends the channels Route leads a worm from src to dst
+// through after its injection channel, ending with dst's ejection
+// channel. The ascent keeps src's column (AscentStraight) or takes dst's
+// bit at each stage (AscentDest) up to the turnaround stage, and the
+// descent fixes one bit of dst's address per stage. The adaptive
+// policies offer two up ports, so their route is not fixed at the
+// source and they append nothing.
+func (b *BMIN) AppendRoute(src, dst wormhole.NodeID, buf []wormhole.ChannelID) []wormhole.ChannelID {
+	if b.policy != AscentStraight && b.policy != AscentDest {
+		return buf
+	}
+	turn := max(b.TurnStage(int(src), int(dst)), 0)
+	p, d := int(src), int(dst)
+	for l := 0; l < turn; l++ {
+		if b.policy == AscentDest {
+			p = setBit(p, l, (d>>l)&1)
+		}
+		buf = append(buf, b.up(l+1, p))
+	}
+	for l := turn; l >= 0; l-- {
+		p = setBit(p, l, (d>>l)&1)
+		buf = append(buf, b.down(l, p))
+	}
+	return buf
+}
+
 // RouteDegraded implements wormhole.FaultRouter via alternate ascent.
 // Turnaround routing is flexible exactly while ascending: a message may
 // turn at ANY stage at or above its turnaround stage (address bits above
@@ -306,6 +333,7 @@ func (b *BMIN) DescribeChannel(c wormhole.ChannelID) string {
 }
 
 var (
-	_ wormhole.Topology    = (*BMIN)(nil)
-	_ wormhole.FaultRouter = (*BMIN)(nil)
+	_ wormhole.Topology     = (*BMIN)(nil)
+	_ wormhole.FaultRouter  = (*BMIN)(nil)
+	_ wormhole.RoutePlanner = (*BMIN)(nil)
 )

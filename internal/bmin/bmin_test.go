@@ -1,6 +1,7 @@
 package bmin_test
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -60,6 +61,32 @@ func TestDistanceMatchesPath(t *testing.T) {
 			for d := 0; d < 16; d++ {
 				if got, want := b.Distance(s, d)+2, len(wormhole.PathChannels(b, wormhole.NodeID(s), wormhole.NodeID(d))); got != want {
 					t.Fatalf("policy=%v: Distance(%d, %d)+2 = %d, path holds %d channels", policy, s, d, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestAppendRouteMatchesPath: on BMINs of 2 to 256 nodes, for every
+// (src, dst), the deterministic ascents plan exactly the route Route
+// walks after the injection channel, and the adaptive ones, whose route
+// can branch, plan nothing. The plan is appended after a sentinel,
+// which must be kept.
+func TestAppendRouteMatchesPath(t *testing.T) {
+	var buf []wormhole.ChannelID
+	for n := 2; n <= 256; n *= 2 {
+		for _, policy := range []AscentPolicy{AscentStraight, AscentDest, AscentAdaptive, AscentAdaptiveDest} {
+			b := New(n, policy)
+			for s := wormhole.NodeID(0); int(s) < n; s++ {
+				for d := wormhole.NodeID(0); int(d) < n; d++ {
+					buf = b.AppendRoute(s, d, append(buf[:0], wormhole.NoChannel))
+					var want []wormhole.ChannelID
+					if policy == AscentStraight || policy == AscentDest {
+						want = wormhole.PathChannels(b, s, d)[1:]
+					}
+					if buf[0] != wormhole.NoChannel || !slices.Equal(buf[1:], want) {
+						t.Fatalf("N=%d policy=%v: AppendRoute(%d -> %d) = %v after the sentinel, want %v", n, policy, s, d, buf, want)
+					}
 				}
 			}
 		}

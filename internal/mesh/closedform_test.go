@@ -159,6 +159,21 @@ func (k *checker) route(cur wormhole.ChannelID, dst wormhole.NodeID) {
 	}
 }
 
+// plan compares AppendRoute(src, dst) with the tables' route walk from
+// src's injection channel: every channel after it, through dst's
+// ejection channel. The plan is appended after a sentinel, which must
+// be kept.
+func (k *checker) plan(src, dst wormhole.NodeID) {
+	k.got = k.m.AppendRoute(src, dst, append(k.got[:0], wormhole.NoChannel))
+	k.ref = k.ref[:0]
+	for c, eject := k.m.InjectChannel(src), k.m.EjectChannel(dst); c != eject; c = k.ref[len(k.ref)-1] {
+		k.ref = k.t.route(c, dst, k.ref)
+	}
+	if k.got[0] != wormhole.NoChannel || !sameChannels(k.got[1:], k.ref) {
+		k.tb.Fatalf("%v (plane %v): AppendRoute(%d -> %d) = %v after the sentinel, tables %v", k.m.dims, k.m.plane, src, dst, k.got, k.ref)
+	}
+}
+
 // forms returns m and, when m is a plane, a copy that takes the
 // general form's path, so both are compared with the tables.
 func forms(m *Mesh) []*Mesh {
@@ -215,6 +230,24 @@ func matchTables(t *testing.T, m *Mesh, rng *sim.RNG) {
 	}
 }
 
+// TestAppendRouteMatchesTables: for every (src, dst) pair of a set of
+// small meshes (a single node, a line either way round, a plane, a plane
+// with a side-1 dimension between its levels, a 3-D mesh and a 4-cube),
+// AppendRoute equals the tables' route walk. Planes are checked on
+// their flat path and on the general one.
+func TestAppendRouteMatchesTables(t *testing.T) {
+	for _, dims := range [][]int{{1, 1}, {1, 9}, {9, 1}, {4, 4}, {3, 1, 5}, {3, 5, 7}, {2, 2, 2, 2}} {
+		for _, m := range forms(New(dims...)) {
+			k := &checker{tb: t, m: m, t: newTables(m)}
+			for u := 0; u < m.NumNodes(); u++ {
+				for v := 0; v < m.NumNodes(); v++ {
+					k.plan(wormhole.NodeID(u), wormhole.NodeID(v))
+				}
+			}
+		}
+	}
+}
+
 // TestClosedFormMatchesTables1M: on the 1024×1024 mesh, 1M random
 // links, channels and route queries match the tables on the flat path,
 // and 256k on the general one.
@@ -260,8 +293,8 @@ func allocBytes(f func()) uint64 {
 
 // FuzzMeshRoute compares the closed form with the tables on random
 // shapes (1–4 dimensions of sides 1–9, or a hypercube of up to 2^10
-// nodes), random links, channels and (cur, dst) queries, and a random
-// dead set.
+// nodes), random links, channels, (cur, dst) queries and planned
+// (src, dst) routes, and a random dead set.
 func FuzzMeshRoute(f *testing.F) {
 	f.Add([]byte{1, 9}, uint64(1), uint8(0))
 	f.Add([]byte{2, 16, 16}, uint64(2), uint8(10))
@@ -297,8 +330,8 @@ func FuzzMeshRoute(f *testing.F) {
 	})
 }
 
-// fuzzQueries compares 256 random links, channels and route queries
-// with the tables, RouteDegraded under dead.
+// fuzzQueries compares 256 random links, channels, route queries and
+// planned routes with the tables, RouteDegraded under dead.
 func fuzzQueries(t *testing.T, k *checker, rng *sim.RNG, dead func(wormhole.ChannelID) bool, pct uint32) {
 	m, n, dims := k.m, k.m.NumNodes(), k.m.dims
 	for i := 0; i < 256; i++ {
@@ -310,6 +343,7 @@ func fuzzQueries(t *testing.T, k *checker, rng *sim.RNG, dead func(wormhole.Chan
 		}
 		dst := wormhole.NodeID(rng.Intn(n))
 		k.route(c, dst)
+		k.plan(wormhole.NodeID(rng.Intn(n)), dst)
 		k.got = m.RouteDegraded(c, 0, dst, dead, k.got[:0])
 		k.ref = k.t.routeDegraded(c, dst, dead, k.ref[:0])
 		if !sameChannels(k.got, k.ref) {
@@ -323,6 +357,9 @@ func fuzzQueries(t *testing.T, k *checker, rng *sim.RNG, dead func(wormhole.Chan
 // its ejection channel; ns/route is the time per Route call. closed is
 // the mesh's Route, general the same Route with the plane's flat step
 // turned off (what the flat step buys), and table the tables' lookup.
+// plan emits the same 4096 channels of the same walks from routes that
+// AppendRoute plans whole, one per walk and lap, as the fast kernel
+// plans a worm's at Send; ns/channel is its time per channel emitted.
 func BenchmarkMeshRoute(b *testing.B) {
 	for _, dims := range [][]int{{16, 16}, {1024, 1024}} {
 		m := New(dims...)
@@ -340,17 +377,27 @@ func BenchmarkMeshRoute(b *testing.B) {
 				return t.route(cur, dst, buf)
 			})
 		})
+		b.Run(name+"/plan", func(b *testing.B) {
+			benchPlan(b, m)
+		})
 	}
+}
+
+// benchWalks draws benchRoute's and benchPlan's 64 walks.
+func benchWalks(m *Mesh) (src, dst [64]wormhole.NodeID) {
+	rng := sim.NewRNG(64)
+	for i := range src {
+		src[i] = wormhole.NodeID(rng.Intn(m.NumNodes()))
+		dst[i] = wormhole.NodeID(rng.Intn(m.NumNodes()))
+	}
+	return src, dst
 }
 
 func benchRoute(b *testing.B, m *Mesh, route func(cur wormhole.ChannelID, src, dst wormhole.NodeID, buf []wormhole.ChannelID) []wormhole.ChannelID) {
 	const walks, steps = 64, 4096
-	rng := sim.NewRNG(64)
-	var src, dst [walks]wormhole.NodeID
+	src, dst := benchWalks(m)
 	var cur [walks]wormhole.ChannelID
 	for i := range src {
-		src[i] = wormhole.NodeID(rng.Intn(m.NumNodes()))
-		dst[i] = wormhole.NodeID(rng.Intn(m.NumNodes()))
 		cur[i] = m.InjectChannel(src[i])
 	}
 	buf := make([]wormhole.ChannelID, 0, 4)
@@ -367,3 +414,34 @@ func benchRoute(b *testing.B, m *Mesh, route func(cur wormhole.ChannelID, src, d
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*steps), "ns/route")
 }
+
+// benchPlan is benchRoute for AppendRoute: walk i emits the channels of
+// its planned route in order, planning the route afresh whenever it has
+// emitted the last, so the walks emit what benchRoute's do.
+func benchPlan(b *testing.B, m *Mesh) {
+	const steps = 4096
+	src, dst := benchWalks(m)
+	var plans [len(src)][]wormhole.ChannelID
+	var next [len(src)]int
+	for i := range plans {
+		plans[i] = make([]wormhole.ChannelID, 0, m.Distance(int(src[i]), int(dst[i]))+1)
+	}
+	var sum wormhole.ChannelID
+	b.ReportAllocs()
+	b.ResetTimer()
+	for it := 0; it < b.N; it++ {
+		for s := 0; s < steps; s++ {
+			i := s % len(src)
+			if next[i] == len(plans[i]) {
+				plans[i], next[i] = m.AppendRoute(src[i], dst[i], plans[i][:0]), 0
+			}
+			sum += plans[i][next[i]]
+			next[i]++
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*steps), "ns/channel")
+	planSink = sum
+}
+
+// planSink keeps benchPlan's reads of the channels it emits.
+var planSink wormhole.ChannelID

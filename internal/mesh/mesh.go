@@ -304,23 +304,19 @@ func (m *Mesh) Distance(a, b int) int {
 // first-routed dimension (dimension 0) most significant. For a 2-D mesh
 // nodes sort by (x, y). See the package comment for why the chain's most
 // significant dimension must be the routing's first dimension.
-func (m *Mesh) DimOrderLess(a, b int) bool {
-	for d := 0; d < len(m.dims); d++ {
-		ca, cb := m.coord(a, d), m.coord(b, d)
-		if ca != cb {
-			return ca < cb
-		}
-	}
-	return false
-}
+func (m *Mesh) DimOrderLess(a, b int) bool { return m.ChainKey(a) < m.ChainKey(b) }
 
 // ChainKey returns an integer whose natural order equals <_d, convenient
 // for sorting and for tests: the mixed-radix value with dimension 0 most
-// significant.
+// significant. A side-1 dimension adds nothing to it, so it takes one
+// split per level.
 func (m *Mesh) ChainKey(u int) int {
 	k := 0
-	for d := 0; d < len(m.dims); d++ {
-		k = k*m.dims[d] + m.coord(u, d)
+	for i := range m.lv {
+		l := &m.lv[i]
+		c, q := l.split(u)
+		k = k*(l.last+1) + c
+		u = q
 	}
 	return k
 }
@@ -564,17 +560,27 @@ func (m *Mesh) follow2(j int) router {
 		} else {
 			y++
 		}
-		r.line, r.base, r.ext = y, y*l1.weight, 2
-		if y > 0 {
-			r.base -= l1.stride
-		} else {
-			r.ext--
-		}
-		if y == l1.last {
-			r.ext--
-		}
+		r.line = y
+		r.base, r.ext = m.line1(y)
 	}
 	return r
+}
+
+// line1 is lineBase on a plane, where line y's base is y·weight −
+// stride·[y > 0] and its routers each have a link along level 1 to
+// every neighbouring line.
+func (m *Mesh) line1(y int) (base, ext int) {
+	l1 := &m.lv[1]
+	base, ext = y*l1.weight, 2
+	if y > 0 {
+		base -= l1.stride
+	} else {
+		ext--
+	}
+	if y == l1.last {
+		ext--
+	}
+	return base, ext
 }
 
 // addr returns the address of router r.
@@ -608,6 +614,48 @@ func (m *Mesh) Route(cur wormhole.ChannelID, src, dst wormhole.NodeID, buf []wor
 		}
 		k, q = hq, dq
 	}
+}
+
+// AppendRoute implements wormhole.RoutePlanner: it appends the channels
+// Route leads a worm from src to dst through after its injection
+// channel, ending with dst's ejection channel. It walks the router
+// forward from src's, so no hop decodes a channel ID: along level 0
+// first, then, on a plane, along level 1, and otherwise up the levels
+// as Route's loop corrects them, lowest first.
+func (m *Mesh) AppendRoute(src, dst wormhole.NodeID, buf []wormhole.ChannelID) []wormhole.ChannelID {
+	if len(m.lv) == 0 {
+		return append(buf, m.EjectChannel(dst)) // a single node
+	}
+	r := m.routerOf(int(src))
+	x, q := m.lv[0].split(int(dst))
+	for r.x != x {
+		s := dir(r.x, x)
+		buf = append(buf, m.along0(r, s))
+		r.x += 2*s - 1
+	}
+	if m.plane {
+		for r.line != q {
+			s := dir(r.line, q)
+			buf = append(buf, m.upper1(r, s))
+			r.line += 2*s - 1
+			r.base, r.ext = m.line1(r.line)
+		}
+		return append(buf, m.EjectChannel(dst))
+	}
+	for i, k := 1, r.line; k != q; i++ {
+		l := &m.lv[i]
+		hc, hq := l.split(k)
+		dc, dq := l.split(q)
+		for hc != dc {
+			s := dir(hc, dc)
+			buf = append(buf, m.upper(r, i, s))
+			hc += 2*s - 1
+			r.line += (2*s - 1) * l.lines
+			r.base, r.ext = m.lineBase(r.line)
+		}
+		k, q = hq, dq
+	}
+	return append(buf, m.EjectChannel(dst))
 }
 
 // dir is the link direction from coordinate a toward b: 1 up, 0 down.
@@ -701,6 +749,7 @@ func (m *Mesh) DescribeChannel(c wormhole.ChannelID) string {
 }
 
 var (
-	_ wormhole.Topology    = (*Mesh)(nil)
-	_ wormhole.FaultRouter = (*Mesh)(nil)
+	_ wormhole.Topology     = (*Mesh)(nil)
+	_ wormhole.FaultRouter  = (*Mesh)(nil)
+	_ wormhole.RoutePlanner = (*Mesh)(nil)
 )

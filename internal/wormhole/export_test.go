@@ -201,6 +201,10 @@ func (n *Network) checkParked(w *Worm) error {
 	return nil
 }
 
+// Planned reports whether Send planned w's route: the fast kernel then
+// reads each hop past injection from the plan instead of routing it.
+func (w *Worm) Planned() bool { return w.plan > 1 }
+
 // CrossingParked reports whether the in-flight worm w is parked while its
 // header is still crossing the fabric.
 func (n *Network) CrossingParked(w *Worm) bool { return n.Parked(w) && !w.routed }

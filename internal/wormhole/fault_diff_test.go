@@ -35,11 +35,15 @@ import (
 //     with an observer and without one (see diffFaulted).
 //
 // Odd seeds use the stall-heavy config (long RouterDelay, single-flit
-// buffers) for deep cycle-skipping. The suite fails if the dead-only
-// runs never cancelled a parked or a crossing-parked worm, never froze
-// a crossing-parked one, or never settled a parked worm's event inside
-// a clock jump, with or without an observer, or if no observed run's
-// hashed owner table grew past its first size.
+// buffers) for deep cycle-skipping. On the mesh and the straight BMIN
+// the fast kernel plans a worm's route at Send unless a channel on it
+// is dead; such a worm routes every hop, detouring or freezing as the
+// reference does. The suite fails if the dead-only runs never cancelled
+// a parked or a crossing-parked worm, never froze a crossing-parked one,
+// or never settled a parked worm's event inside a clock jump, with or
+// without an observer, if their observed runs never took a planned hop
+// or never left a worm unplanned for a dead channel on its route, or if
+// no observed run's hashed owner table grew past its first size.
 func TestKernelDifferentialFaults(t *testing.T) {
 	total, ran := 0, 0
 	var counts, quiet parkCounts
@@ -76,8 +80,9 @@ func TestKernelDifferentialFaults(t *testing.T) {
 			}
 		}
 	}
-	if ran == total && (counts.parkedCancels == 0 || counts.crossingCancels == 0 || counts.frozen == 0 || counts.settled == 0 || quiet.settled == 0 || counts.grew == 0) {
-		t.Fatalf("closed-form paths of the parking loop or hashed-owner growth went untested on dead-only plans: observed %+v, unobserved %+v", counts, quiet)
+	if ran == total && (counts.parkedCancels == 0 || counts.crossingCancels == 0 || counts.frozen == 0 || counts.settled == 0 || quiet.settled == 0 || counts.grew == 0 ||
+		counts.planned == 0 || counts.unplanned == 0) {
+		t.Fatalf("closed-form paths of the parking loop, planned routes or hashed-owner growth went untested on dead-only plans: observed %+v, unobserved %+v", counts, quiet)
 	}
 }
 

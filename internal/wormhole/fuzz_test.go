@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/bmin"
 	"repro/internal/fault"
 	"repro/internal/mesh"
 	"repro/internal/torus"
@@ -66,18 +67,23 @@ func decodeSends(data []byte, nodes int) []timedSend {
 // mesh (the check-free loop), a 4×4 torus whose virtual channels share
 // physical links, and the 4×4 mesh under a fault plan of degraded and
 // flaky channels seeded from the input (both the gated loop; with no
-// dead channel every workload still drains). A fourth leg runs the 4×4
-// mesh under a plan of dead channels only, seeded from the input: the
-// check-free loop again, now under a routing layer that detours and
-// freezes. Dead links may strand worms, so that leg cancels them as it
-// goes (drive's cancelling mode) and compares the two kernels' outcomes
-// and error text without requiring every worm delivered. The healthy
-// mesh and dead-only legs also run the fast kernel with no observer (as
+// dead channel every workload still drains). A fourth leg runs a healthy
+// 16-node BMIN with straight ascent, the check-free loop on the other
+// fabric whose routes the fast kernel plans at Send. A fifth runs the
+// 4×4 mesh under a plan of dead channels only, seeded from the input:
+// the check-free loop again, now under a routing layer that detours and
+// freezes, where a worm whose route holds a dead channel is not planned.
+// Dead links may strand worms, so that leg cancels them as it goes
+// (drive's cancelling mode) and compares the two kernels' outcomes and
+// error text without requiring every worm delivered. The healthy mesh,
+// BMIN and dead-only legs also run the fast kernel with no observer (as
 // the experiment sweeps and delivery layers run it; with recycling on
-// the healthy mesh), whose clock jumps settle parked worms' events worm
-// by worm, and compare it with the reference run but for the event
-// stream. TestFuzzLegsSettleInJumps checks that those legs settle events
-// inside jumps, and that the hashed owner tables grow, on a seed input.
+// the healthy fabrics), whose clock jumps settle parked worms' events
+// worm by worm, and compare it with the reference run but for the event
+// stream. TestFuzzLegsSettleInJumps checks, on a seed input, that those
+// legs settle events inside jumps and take planned hops, that the
+// dead-only leg leaves a worm unplanned, and that the hashed owner
+// tables grow.
 func FuzzWormholeKernel(f *testing.F) {
 	// The first eight seeds run DefaultConfig's RouterDelay 1 with
 	// BufFlits 2.
@@ -115,10 +121,10 @@ var fuzzLongSeed = []byte{0, 15, 255, 0, 3, 12, 250, 0, 1, 15, 10, 3, 12, 3, 40,
 var fuzzJumpSeed = []byte{0, 3, 255, 0, 12, 15, 255, 0, 4, 7, 5, 209, 8, 11, 5, 58}
 
 // fuzzKernel is FuzzWormholeKernel's body. It returns the closed-form
-// paths the unobserved fast runs of the healthy-mesh and dead-only legs
-// took, and whether the hashed owner table of some leg's observed fast
-// run grew.
-func fuzzKernel(t *testing.T, data []byte, rd, buf uint8) (mesh4, dead4 parkCounts, grew bool) {
+// paths the unobserved fast runs of the healthy-mesh, BMIN and dead-only
+// legs took, and whether the hashed owner table of some leg's observed
+// fast run grew.
+func fuzzKernel(t *testing.T, data []byte, rd, buf uint8) (mesh4, bmin16, dead4 parkCounts, grew bool) {
 	topo := mesh.New2D(4, 4)
 	cfg := DefaultConfig()
 	cfg.RouterDelay = int64(rd % 4)
@@ -126,6 +132,7 @@ func fuzzKernel(t *testing.T, data []byte, rd, buf uint8) (mesh4, dead4 parkCoun
 	sends := decodeSends(data, topo.NumNodes())
 	mesh4, grewMesh := fuzzLeg(t, "mesh", topo, nil, cfg, sends, true)
 	_, grewTorus := fuzzLeg(t, "torus", torus.New2D(4, 4), nil, cfg, sends, false)
+	bmin16, grewBMIN := fuzzLeg(t, "bmin", bmin.New(16, bmin.AscentStraight), nil, cfg, sends, true)
 	seed := uint64(len(data))
 	for _, b := range data {
 		seed = seed*131 + uint64(b)
@@ -134,7 +141,7 @@ func fuzzKernel(t *testing.T, data []byte, rd, buf uint8) (mesh4, dead4 parkCoun
 	_, grewFaulted := fuzzLeg(t, "faulted mesh", topo, plan, cfg, sends, false)
 	dead := fault.MustPlan(topo, fault.Spec{DeadFrac: 0.1, Seed: seed})
 	observed, dead4 := diffFaulted(t, topo, cfg, dead, sends, true)
-	return mesh4, dead4, grewMesh || grewTorus || grewFaulted || observed.grew > 0
+	return mesh4, bmin16, dead4, grewMesh || grewTorus || grewBMIN || grewFaulted || observed.grew > 0
 }
 
 // TestFuzzLegsSettleInJumps runs FuzzWormholeKernel's body on
@@ -143,16 +150,20 @@ func fuzzKernel(t *testing.T, data []byte, rd, buf uint8) (mesh4, dead4 parkCoun
 // RouterDelay), the unobserved fast runs of the healthy-mesh and of the
 // dead-only leg each settled a parked worm's event inside a clock jump:
 // without that, those legs would not test the settlement path the
-// experiment sweeps and delivery layers run. It also fails unless some
-// observed run's hashed owner table grew past its first size, so that
-// the fuzzer reaches the hashed form's growth.
+// experiment sweeps and delivery layers run. It also fails unless the
+// unobserved runs of the healthy mesh and the dead-only leg under those
+// configs, and of the BMIN under all, each took a planned hop, unless
+// the dead-only leg left some worm unplanned for a dead channel on its
+// route, and unless some observed run's hashed owner table grew past
+// its first size, so that the fuzzer reaches the hashed form's growth.
 func TestFuzzLegsSettleInJumps(t *testing.T) {
-	var mesh4, dead4 parkCounts
+	var mesh4, bmin16, dead4 parkCounts
 	grew := false
 	for rd := uint8(0); rd < 4; rd++ {
 		for buf := uint8(0); buf < 4; buf++ {
-			m, d, g := fuzzKernel(t, fuzzJumpSeed, rd, buf)
+			m, b, d, g := fuzzKernel(t, fuzzJumpSeed, rd, buf)
 			grew = grew || g
+			bmin16.add(b)
 			if buf+1 > rd {
 				mesh4.add(m)
 				dead4.add(d)
@@ -161,6 +172,9 @@ func TestFuzzLegsSettleInJumps(t *testing.T) {
 	}
 	if mesh4.settled == 0 || dead4.settled == 0 {
 		t.Fatalf("no event settled inside a jump: healthy mesh %+v, dead-only %+v", mesh4, dead4)
+	}
+	if mesh4.planned == 0 || bmin16.planned == 0 || dead4.planned == 0 || dead4.unplanned == 0 {
+		t.Fatalf("planned routes went untested: healthy mesh %+v, BMIN %+v, dead-only %+v", mesh4, bmin16, dead4)
 	}
 	if !grew {
 		t.Fatal("no hashed owner table grew past its first size")

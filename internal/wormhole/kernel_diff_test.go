@@ -178,9 +178,11 @@ type driveMode struct {
 // and of crossing-parked worms, and clock jumps inside which a parked
 // worm's event (the end of its injection or a release) was settled. It
 // also counts the runs whose hashed owner table grew past its first
-// size.
+// size, the hops delivered worms took from a planned route, and the
+// worms left unplanned because their route held a dead channel.
 type parkCounts struct {
 	crossing, blocked, frozen, parkedCancels, crossingCancels, settled, grew int
+	planned, unplanned                                                       int
 }
 
 func (c *parkCounts) add(o parkCounts) {
@@ -191,6 +193,28 @@ func (c *parkCounts) add(o parkCounts) {
 	c.crossingCancels += o.crossingCancels
 	c.settled += o.settled
 	c.grew += o.grew
+	c.planned += o.planned
+	c.unplanned += o.unplanned
+}
+
+// wantPlan reports whether Send should plan a worm from src to dst on n:
+// under the fast kernel, on a topology that fixes the route at its
+// source (AppendRoute appends it), when no channel of the route Route
+// walks is dead. dead reports a route left unplanned for its dead
+// channel.
+func wantPlan(n *Network, src, dst NodeID) (plan, dead bool) {
+	p, ok := n.Topology().(RoutePlanner)
+	if !ok || n.Kernel() != KernelFast || len(p.AppendRoute(src, dst, nil)) == 0 {
+		return false, false
+	}
+	if f := n.Faults(); f != nil {
+		for _, c := range PathChannels(n.Topology(), src, dst)[1:] {
+			if f.Dead(c) {
+				return false, true
+			}
+		}
+	}
+	return true, false
 }
 
 // drive implements driveWorkload and adds a cancelling mode for fabrics
@@ -208,7 +232,10 @@ func (c *parkCounts) add(o parkCounts) {
 // StepUntil that returns after a clock jump with more stages finished
 // than at its last stepped cycle settled events inside the jump. A
 // cancelling drive must not recycle worms, and only an observed one
-// tallies crossing worms: both keep every *Worm sent.
+// tallies crossing worms: both keep every *Worm sent. drive also
+// requires each worm planned at Send exactly when wantPlan says so, and
+// counts the hops of delivered planned worms and the worms left
+// unplanned for a dead channel.
 func drive(t *testing.T, n *Network, sends []timedSend, mode driveMode) (runSnapshot, string, parkCounts) {
 	t.Helper()
 	log := &eventLog{}
@@ -217,10 +244,15 @@ func drive(t *testing.T, n *Network, sends []timedSend, mode driveMode) (runSnap
 	}
 	keep := mode.cancelling || !mode.quiet
 	var snap runSnapshot
-	record := func(w *Worm, now int64) { snap.Worms = append(snap.Worms, recordWorm(w)) }
+	var counts parkCounts
+	record := func(w *Worm, now int64) {
+		snap.Worms = append(snap.Worms, recordWorm(w))
+		if w.Planned() {
+			counts.planned += len(w.Path()) - 1
+		}
+	}
 	var sent, frozen, crossing []*Worm
 	cancelled := make(map[*Worm]bool)
-	var counts parkCounts
 	inFlight := func(w *Worm) bool { return !w.Done() && !cancelled[w] }
 	cancel := func(w *Worm) {
 		if n.Parked(w) {
@@ -293,6 +325,13 @@ func drive(t *testing.T, n *Network, sends []timedSend, mode driveMode) (runSnap
 			}
 		}
 		w := n.Send(s.src, s.dst, s.bytes, nil, record)
+		plan, dead := wantPlan(n, s.src, s.dst)
+		if w.Planned() != plan {
+			t.Fatalf("cycle %d: worm %d (%d->%d) planned %v, want %v", n.Now(), w.ID, s.src, s.dst, w.Planned(), plan)
+		}
+		if dead {
+			counts.unplanned++
+		}
 		if keep {
 			sent = append(sent, w)
 		}
@@ -412,9 +451,11 @@ func diffMonitors(t *testing.T, got, want []monitorState) {
 }
 
 // diffPlatforms are the four fabric families of the differential suite:
-// the paper's mesh and BMIN (with adaptive ascent, so routing returns
-// multiple candidates), a torus whose virtual channels share physical
-// links, and the non-partitionable butterfly.
+// the paper's mesh and BMIN, a torus whose virtual channels share
+// physical links, and the non-partitionable butterfly. The BMIN runs
+// twice: with adaptive ascent, so routing returns multiple candidates,
+// and with straight ascent, the BMIN every figure runs, whose routes the
+// fast kernel plans at Send as it does the mesh's.
 func diffPlatforms() []struct {
 	name string
 	topo Topology
@@ -425,6 +466,7 @@ func diffPlatforms() []struct {
 	}{
 		{"mesh16x16", mesh.New2D(16, 16)},
 		{"bmin128", bmin.New(128, bmin.AscentAdaptive)},
+		{"bmin128straight", bmin.New(128, bmin.AscentStraight)},
 		{"torus8x8", torus.New2D(8, 8)},
 		{"bfly64", bfly.New(64)},
 	}
@@ -451,10 +493,13 @@ func diffPlatforms() []struct {
 // flat form, as the experiment sweeps and the delivery layers run it,
 // and compares it with the reference run but for the event stream: its
 // jumps settle parked worms' events worm by worm, not cycle by cycle.
-// The suite fails if no fast run parked a crossing worm or unparked one
-// whose header then blocked, if the observed or the unobserved runs
-// never settled a parked worm's event inside a clock jump, or if no
-// hashed owner table grew past its first size.
+// The mesh and the straight BMIN plan their worms' routes at Send, so
+// their fast runs take their hops from the plan while the reference
+// routes every hop. The suite fails if no fast run parked a crossing
+// worm or unparked one whose header then blocked, if the observed or the
+// unobserved runs never settled a parked worm's event inside a clock
+// jump or never took a planned hop, or if no hashed owner table grew
+// past its first size.
 func TestKernelDifferential(t *testing.T) {
 	type diffCase struct {
 		name     string
@@ -510,8 +555,9 @@ func TestKernelDifferential(t *testing.T) {
 			})
 		}
 	}
-	if ran == total && (counts.crossing == 0 || counts.blocked == 0 || counts.settled == 0 || quiet.settled == 0 || counts.grew == 0) {
-		t.Fatalf("closed-form paths or hashed-owner growth went untested: observed %+v, unobserved %+v", counts, quiet)
+	if ran == total && (counts.crossing == 0 || counts.blocked == 0 || counts.settled == 0 || quiet.settled == 0 || counts.grew == 0 ||
+		counts.planned == 0 || quiet.planned == 0) {
+		t.Fatalf("closed-form paths, planned hops or hashed-owner growth went untested: observed %+v, unobserved %+v", counts, quiet)
 	}
 }
 

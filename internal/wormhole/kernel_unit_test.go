@@ -217,6 +217,33 @@ func TestRecyclingSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestPlannedSendAllocatesNothing: Send plans a worm's route into the
+// spare capacity of its path, so on the mesh and on a straight BMIN
+// (both plan) Send of a recycled worm allocates nothing, and the worm it
+// returns is the pooled one, planned.
+func TestPlannedSendAllocatesNothing(t *testing.T) {
+	for _, topo := range []Topology{mesh.New2D(16, 16), bmin.New(128, bmin.AscentStraight)} {
+		n := New(topo, DefaultConfig())
+		n.SetRecycling(true)
+		far := NodeID(topo.NumNodes() - 1)
+		pooled := n.Send(0, far, 256, nil, nil)
+		if _, err := n.RunUntilIdle(1 << 16); err != nil {
+			t.Fatal(err)
+		}
+		var w *Worm
+		allocs := testing.AllocsPerRun(50, func() {
+			w = n.Send(0, far, 256, nil, nil)
+			n.Cancel(w)
+		})
+		if allocs != 0 {
+			t.Errorf("%T: Send of a recycled worm allocated %.1f objects, want 0", topo, allocs)
+		}
+		if w != pooled || !w.Planned() {
+			t.Errorf("%T: Send reissued the pooled worm %v, planned %v; want both", topo, w == pooled, w.Planned())
+		}
+	}
+}
+
 // TestFreshWormSizedOnce: without recycling every Send allocates a
 // fresh worm, whose path and passed are sized to its own route. A
 // corner-to-corner worm on a 16×16 mesh (32 channels) allocates the

@@ -96,7 +96,10 @@ const (
 	// only to arrive or to make its header's next routing decision; its
 	// stages finishing are settled inside the clock jumps over them. It
 	// is returned to per-cycle stepping (unparked) when its header blocks
-	// or freezes, reaches its destination, or the worm is cancelled. It is
+	// or freezes, reaches its destination, or the worm is cancelled. On a
+	// topology that fixes each route at its source (RoutePlanner) a
+	// worm's route is planned at Send, and its header reads each hop from
+	// the plan instead of routing it. It is
 	// observably equivalent to KernelReference (identical Stats, per-worm
 	// timings and observer event streams), which the differential and
 	// fuzz suites in kernel_diff_test.go enforce.
@@ -130,9 +133,14 @@ type Worm struct {
 	// ArrivedAt is the cycle the tail flit was consumed at Dst.
 	ArrivedAt int64
 
-	flits  int
-	eject  ChannelID // Dst's ejection channel, the path's last
+	flits int
+	eject ChannelID // Dst's ejection channel, the path's last
+	// path holds the channels acquired, path[:len(path)], and the fast
+	// kernel's plan past them: path[len(path):plan], in path's spare
+	// capacity, are the channels the header takes next (see planRoute).
+	// acquire's append writes a planned channel over itself.
 	path   []ChannelID
+	plan   int
 	passed []int // flits that have exited path[i]
 	// tail is the index of the first unreleased channel: path[:tail] are
 	// released (passed == flits) and path[tail:] are still owned. A
@@ -307,6 +315,9 @@ type Network struct {
 	free    []*Worm
 	dist    distancer
 	longest int
+	// planner, when the topology fixes each route at its source, plans
+	// a worm's route at Send (see planRoute).
+	planner RoutePlanner
 
 	// onStep, when set, runs at the end of every stepped cycle. It is a
 	// test hook (see export_test.go): nothing in the package sets it.
@@ -349,6 +360,7 @@ func New(topo Topology, cfg Config) *Network {
 	}
 	n.ungated = n.lg == nil
 	n.dist, _ = topo.(distancer)
+	n.planner, _ = topo.(RoutePlanner)
 	return n
 }
 
@@ -585,8 +597,10 @@ func (n *Network) fresh(src, dst NodeID) *Worm {
 // grows it by append), and the capacity holds it rounded up to a power
 // of two, as append's doubling would leave it: a pooled worm is
 // reissued for whatever route the next Send has, and the slack lets it
-// carry one up to that size without regrowing. On any other topology it
-// is the longest path built on this network so far.
+// carry one up to that size without regrowing. The path's capacity past
+// the channels acquired holds the worm's planned route (see planRoute),
+// so planning costs no memory. On any other topology it is the longest
+// path built on this network so far.
 func (n *Network) routeCap(src, dst NodeID) int {
 	if n.dist != nil {
 		return 1 << bits.Len(uint(n.dist.Distance(int(src), int(dst))+1))
@@ -619,11 +633,36 @@ func (n *Network) Send(src, dst NodeID, bytes int, tag any, onArrive ArrivalFunc
 	w.Tag = tag
 	w.flits = n.cfg.Flits(bytes)
 	w.onArrive = onArrive
+	if n.planner != nil && n.kernel == KernelFast {
+		n.planRoute(w)
+	}
 	n.nextID++
 	w.slot = n.takeSlot(w)
 	n.worms = append(n.worms, w)
 	n.reserve()
 	return w
+}
+
+// planRoute writes the channels w's header will take after its
+// injection channel into the spare capacity of its path, which routeCap
+// sizes to the whole route, so routeHeaderFast reads each hop instead of
+// routing it. A route with a dead channel on it is not planned: the
+// header detours or freezes there, so it routes every hop with
+// routeCands, as the reference kernel does. The check is made once,
+// here: SetFaults cannot change the model while the worm is in flight,
+// and while a planned channel is live the routing layer returns it
+// alone (Route's single candidate, or RouteDegraded's healthy one; see
+// FaultRouter), so a planned hop is the one routeCands would give.
+func (n *Network) planRoute(w *Worm) {
+	p := n.planner.AppendRoute(w.Src, w.Dst, append(w.path[:0], n.topo.InjectChannel(w.Src)))
+	if n.faults != nil {
+		for _, c := range p[1:] {
+			if n.faults.Dead(c) {
+				return
+			}
+		}
+	}
+	w.path, w.plan = p[:0], len(p)
 }
 
 // takeSlot assigns w a slot in the flat worm-state arrays, growing them
@@ -1464,7 +1503,14 @@ func (n *Network) routeHeaderFast(w *Worm) {
 		}
 		return
 	}
-	cands := n.routeCands(w)
+	// A planned hop is the single candidate Route would give (see
+	// planRoute).
+	var cands []ChannelID
+	if k := len(w.path); k < w.plan {
+		cands = w.path[k : k+1]
+	} else {
+		cands = n.routeCands(w)
+	}
 	for _, c := range cands {
 		// owners.claim, with the flat form inlined (see owners).
 		var taken bool
@@ -1532,8 +1578,9 @@ func (n *Network) freedAt(c ChannelID) int64 {
 
 // stepReference advances the simulation by one cycle with the original
 // straight-line kernel: one full pass over all worms per cycle, no
-// caching, no cycle-skipping. Kept as the oracle the differential and
-// fuzz suites compare KernelFast against.
+// caching, no cycle-skipping, and every header hop routed with the
+// topology's Route (no worm is planned under it). Kept as the oracle the
+// differential and fuzz suites compare KernelFast against.
 func (n *Network) stepReference() {
 	n.now++
 	n.stats.Cycles++

@@ -76,6 +76,21 @@ type LinkGrouper interface {
 	LinkOf(c ChannelID) int
 }
 
+// RoutePlanner is optionally implemented by topologies whose route from
+// a source to a destination is fixed at the source (the mesh's XY
+// routing, the BMIN's deterministic ascents). AppendRoute appends to buf
+// every channel Route leads a worm from src to dst through after its
+// injection channel, ending with dst's ejection channel: the chain of
+// Route's single candidates taken from InjectChannel(src). A topology
+// whose route can branch (an adaptive ascent) appends nothing. The fast
+// kernel plans each worm's route with it once, at Send, and its header
+// then reads each hop instead of routing it; the reference kernel
+// routes every hop with Route, so the two kernels' equivalence checks
+// the plan.
+type RoutePlanner interface {
+	AppendRoute(src, dst NodeID, buf []ChannelID) []ChannelID
+}
+
 // FaultModel describes a degraded fabric. Implementations must be pure
 // functions of their arguments (no clocks, no mutation), so that both
 // scheduling kernels — and repeated runs — observe identical behaviour.
