@@ -12,6 +12,7 @@ import (
 	"repro/internal/bmin"
 	"repro/internal/chain"
 	"repro/internal/exp"
+	"repro/internal/mcastsim"
 	"repro/internal/model"
 	"repro/internal/plan"
 	"repro/internal/sim"
@@ -405,12 +406,15 @@ func stepKernelScatter(b *testing.B) {
 // afresh with seed i+1 for iteration i, as bench/'s mcast-1m workload
 // draws one per op: a fixed group keeps its channels cache- and
 // TLB-resident from one iteration to the next, a varied one does not.
-// Three untimed multicasts to the fixed group run first, so that a
-// fixed group's record, which `make bench` takes at one iteration,
-// measures a multicast on a network in steady state: the first grows
-// the worm pool and the channel-owner set, and in the next two the pool
-// still hands some worms routes longer than their slices hold, which
-// regrows them.
+// Untimed multicasts run first, so that the record `make bench` takes
+// at one iteration measures a multicast on a network in steady state.
+// The first grows the worm pool and the channel-owner set, and after it
+// the pool still hands some worms routes longer than their slices hold,
+// which regrows them. A fixed group's routes settle after three
+// multicasts. A varied group's keep regrowing slices until the pool has
+// seen routes near the longest, so the varied leg warms up on 32 groups
+// of seeds the timed loop never draws: with 3 its one-iteration record
+// read 55,864 B/op and 23 allocs/op, with 32 it reads 19,000 and 19.
 func scaleMulticast(b *testing.B, n *repro.Network, less func(x, y int) bool, nodes int, varied bool) {
 	soft := repro.DefaultSoftware()
 	runCfg := repro.RunConfig{Software: soft}
@@ -426,22 +430,26 @@ func scaleMulticast(b *testing.B, n *repro.Network, less func(x, y int) bool, no
 		addrs[i] = i * (nodes / k)
 	}
 	ch := repro.NewChain(addrs, less)
-	multicast := func() {
+	multicast := func(seed uint64) {
+		if varied {
+			addrs = sim.NewRNG(seed).Sample(nodes, k)
+			ch = repro.NewChain(addrs, less)
+		}
 		root, _ := ch.Index(addrs[0])
 		if _, err := repro.RunMulticast(n, tab, ch, root, 4096, runCfg); err != nil {
 			b.Fatal(err)
 		}
 	}
-	for range 3 {
-		multicast()
+	warmups := uint64(3)
+	if varied {
+		warmups = 32
+	}
+	for j := range warmups {
+		multicast(^j) // the timed loop draws seeds 1 to b.N
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if varied {
-			addrs = sim.NewRNG(uint64(i)+1).Sample(nodes, k)
-			ch = repro.NewChain(addrs, less)
-		}
-		multicast()
+		multicast(uint64(i) + 1)
 	}
 }
 
@@ -493,6 +501,75 @@ func BenchmarkScale(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkServe measures the delivery engine on its own: each op
+// serves 64 requests of 32 members and 1 KB, one after another, on one
+// mcastsim.NewEngine over a 16x16 mesh, driving each to idle. OPT on a
+// dimension-ordered chain is contention-free on the mesh (Theorem 1)
+// and the requests never overlap, so no worm ever waits for a channel
+// (checked), and the kernel's work per send is the least it can be.
+// The plain leg arms no deadline (TEnd 0); the reliable leg arms one
+// per send at 3 t_end, which every send meets (checked), so the two
+// legs differ by the deadlines' cost. After warm-up both legs make five
+// allocations per request, 320 per op, and none per send.
+func BenchmarkServe(b *testing.B) {
+	b.Run("plain", func(b *testing.B) { serveRequests(b, false) })
+	b.Run("reliable", func(b *testing.B) { serveRequests(b, true) })
+}
+
+func serveRequests(b *testing.B, reliable bool) {
+	const k, bytes, requests = 32, 1024, 64
+	m := repro.NewMesh2D(16, 16)
+	soft := repro.DefaultSoftware()
+	tend, err := repro.MeasureUnicast(repro.NewNetwork(m, repro.DefaultFabricConfig()), 0, m.NumNodes()-1, bytes, repro.RunConfig{Software: soft})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tab := repro.NewOptTable(k, soft.Hold.At(bytes), tend)
+	cfg := mcastsim.ReliableConfig{Sim: mcastsim.Config{Software: soft}}
+	if reliable {
+		cfg.TEnd = tend
+	}
+	chains, roots := make([]chain.Chain, requests), make([]int, requests)
+	for i := range chains {
+		addrs := sim.NewRNG(uint64(i)+1).Sample(m.NumNodes(), k)
+		chains[i] = chain.New(addrs, m.DimOrderLess)
+		roots[i], _ = chains[i].Index(addrs[0])
+	}
+	net := repro.NewNetwork(m, repro.DefaultFabricConfig())
+	net.SetRecycling(true)
+	var q sim.EventQueue
+	e := mcastsim.NewEngine(net, &q, sim.NewRNG(1))
+	var served, delivered, retransmits int64
+	done := func(_ int64, res mcastsim.ReliableResult) {
+		served++
+		delivered += int64(res.Delivered)
+		retransmits += res.Overhead.Retransmits
+	}
+	op := func() {
+		for i, ch := range chains {
+			e.Serve(net.Now(), tab, ch, roots[i], bytes, cfg, done)
+			st, err := mcastsim.Drive(net, &q, net.Now()+1<<30, e)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if st.BlockedCycles != 0 {
+				b.Fatalf("request %d: %d blocked cycles on a fabric where no worm may contend", i, st.BlockedCycles)
+			}
+		}
+	}
+	op()
+	op()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+	b.StopTimer()
+	if want := int64(requests * (b.N + 2)); served != want || delivered != want*(k-1) || retransmits != 0 {
+		b.Fatalf("%d requests served, %d deliveries, %d retransmits; want %d, %d, 0", served, delivered, retransmits, want, want*(k-1))
+	}
 }
 
 // BenchmarkPlanSends measures the planner's per-node work: plan.Tree

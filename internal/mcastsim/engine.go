@@ -38,6 +38,8 @@ type Engine struct {
 	free    []*xfer
 	slab    []xfer
 	recycle bool
+
+	dues dueFIFO // deadlines armed at inject
 }
 
 // NewEngine returns an engine for concurrent groups on net (Serve). They
@@ -45,7 +47,9 @@ type Engine struct {
 // one-port ledger per fabric node, so overlapping multicasts serialize
 // their software sends on a common CPU timeline.
 func NewEngine(net *wormhole.Network, events *sim.EventQueue, rng *sim.RNG) *Engine {
-	return &Engine{net: net, events: events, rng: rng, ports: make([]int64, net.Topology().NumNodes()), recycle: true}
+	e := &Engine{net: net, events: events, rng: rng, ports: make([]int64, net.Topology().NumNodes()), recycle: true}
+	e.dues.q = events
+	return e
 }
 
 // newEngine returns an engine on a queue of its own with per-position
@@ -53,6 +57,7 @@ func NewEngine(net *wormhole.Network, events *sim.EventQueue, rng *sim.RNG) *Eng
 func newEngine(net *wormhole.Network, rng *sim.RNG) *Engine {
 	e := &Engine{net: net, rng: rng}
 	e.events = &e.queue
+	e.dues.q = e.events
 	return e
 }
 
@@ -68,7 +73,8 @@ func (e *Engine) reserve(n int) {
 }
 
 // Idled implements Monitor. Every outstanding send has a pending
-// deadline event, which subsumes the no-progress watchdog.
+// inject event until it injects and an armed deadline from then on,
+// which subsumes the no-progress watchdog.
 func (e *Engine) Idled() {}
 
 // Check implements Monitor. Worms the fault layer froze (no live route)
@@ -177,7 +183,9 @@ type slot struct {
 // which then becomes responsible for the ascending chain positions live
 // (to included). The assignment survives retransmissions; seq
 // invalidates the events of superseded issues. It is the Handler of its
-// own events and the Tag of its worm.
+// own events and the Tag of its worm. dueNum is the sequence number
+// issue claimed for the current issue's deadline, which is armed when
+// the send injects (see dueFIFO).
 //
 // On an engine from NewEngine, a served request's transfers are
 // recycled once they are settled (see release). seq survives reuse and
@@ -190,6 +198,7 @@ type xfer struct {
 	g        *Multicast
 	live     []int
 	worm     *wormhole.Worm
+	dueNum   uint64
 	from, to int32
 	seq      uint32
 	attempt  uint8
@@ -198,8 +207,12 @@ type xfer struct {
 }
 
 // Transfer event kinds. An event's argument is seq<<evBits | kind.
+// evArm is an inject that arms the send's deadline; evInject arms none,
+// either because the send has no deadline or because it was scheduled
+// at issue.
 const (
 	evInject = iota
+	evArm
 	evExpire
 	evDeliver
 
@@ -215,6 +228,9 @@ func (x *xfer) Fire(at int64, arg int) {
 	switch arg & (1<<evBits - 1) {
 	case evInject:
 		x.g.inject(x, seq)
+	case evArm:
+		x.g.inject(x, seq)
+		x.g.arm(x, seq, at)
 	case evExpire:
 		x.g.expire(x, seq)
 	default:
@@ -569,7 +585,11 @@ func (g *Multicast) release(x *xfer) {
 
 // issue schedules one transmission of x no earlier than notBefore,
 // serialized behind the sender's other sends (one-port pacing: a node's
-// consecutive issues are t_hold apart), and arms its delivery deadline.
+// consecutive issues are t_hold apart), and claims the sequence number
+// of its delivery deadline, Slack*TEnd after the issue. The deadline is
+// armed on that number when the send injects (arm), so it pops exactly
+// where it would have had it been scheduled here; one that comes due
+// before the send injects is scheduled here.
 //
 //lint:hotpath
 func (g *Multicast) issue(x *xfer, notBefore int64) {
@@ -584,16 +604,22 @@ func (g *Multicast) issue(x *xfer, notBefore int64) {
 	at := max(notBefore, *free)
 	*free = at + g.tHold
 	x.seq++
-	e.events.Schedule(at+g.tSend, x, x.event(evInject))
-	if g.timeout > 0 {
+	switch {
+	case g.timeout == 0:
+		e.events.Schedule(at+g.tSend, x, x.event(evInject))
+	case g.timeout < g.tSend:
+		e.events.Schedule(at+g.tSend, x, x.event(evInject))
 		e.events.Schedule(at+g.timeout, x, x.event(evExpire))
+	default:
+		e.events.Schedule(at+g.tSend, x, x.event(evArm))
+		x.dueNum = e.events.Claim(1)
 	}
 	g.res.Overhead.Sends++
 }
 
 // inject hands x's message to the fabric (software send cost already
 // elapsed). The arrival callback schedules delivery after the receive
-// cost; the deadline event watches the race.
+// cost; the deadline watches the race.
 //
 //lint:hotpath
 func (g *Multicast) inject(x *xfer, seq uint32) {
@@ -605,6 +631,17 @@ func (g *Multicast) inject(x *xfer, seq uint32) {
 	x.worm = g.e.net.Send(src, dst, bytes, x, arrived)
 }
 
+// arm arms the deadline of x's issue seq, whose send injected at cycle
+// at, on the number issue claimed for it. An issue that arms its
+// deadline here is never superseded before it injects, so x.dueNum is
+// still that issue's number; a void inject arms its deadline all the
+// same, since the drive ends at its last deadline.
+//
+//lint:hotpath
+func (g *Multicast) arm(x *xfer, seq uint32, at int64) {
+	g.e.dues.arm(deadline{x: x, at: at - g.tSend + g.timeout, num: x.dueNum, seq: seq})
+}
+
 // expire fires at x's delivery deadline; if the current issue of x has
 // not arrived by then the send is declared lost.
 func (g *Multicast) expire(x *xfer, seq uint32) {
@@ -612,6 +649,92 @@ func (g *Multicast) expire(x *xfer, seq uint32) {
 		return
 	}
 	g.fail(x, false)
+}
+
+// deadline is one armed delivery deadline: due at cycle at, on the
+// claimed sequence number num, for the issue seq of x.
+type deadline struct {
+	x   *xfer
+	at  int64
+	num uint64
+	seq uint32
+}
+
+// met reports whether the deadline can no longer act: the issue it
+// watches arrived, was given up or was superseded. A met deadline stays
+// met, since a transfer's seq only grows and done clears only on reuse,
+// after release has bumped seq.
+func (d *deadline) met() bool { return d.x.done || d.x.seq != d.seq }
+
+// dueFIFO holds the deadlines armed at inject in (cycle, number) order,
+// with only its head waiting in the event heap, on its claimed number.
+// A deadline comes due a fixed Slack*TEnd - t_send after its send
+// injects, and sends inject in time order, so while an engine's groups
+// share one message size deadlines arrive in due order and each joins
+// the tail; one that would sort before the tail is scheduled on its
+// own, on its claimed number. Either way every deadline pops where it
+// would have had it been scheduled at issue, and met ones behind the
+// head are dropped without a pop.
+type dueFIFO struct {
+	q       *sim.EventQueue
+	ring    []deadline // len a power of two
+	head, n int
+}
+
+// arm queues d, due no earlier than now.
+//
+//lint:hotpath
+func (f *dueFIFO) arm(d deadline) {
+	if f.n > 0 {
+		tail := &f.ring[(f.head+f.n-1)&(len(f.ring)-1)]
+		if d.at < tail.at || d.at == tail.at && d.num < tail.num {
+			f.q.ScheduleClaimed(d.num, d.at, d.x, int(d.seq)<<evBits|evExpire)
+			return
+		}
+	}
+	if f.n == len(f.ring) {
+		f.grow()
+	}
+	f.ring[(f.head+f.n)&(len(f.ring)-1)] = d
+	f.n++
+	if f.n == 1 {
+		f.q.ScheduleClaimed(d.num, d.at, f, 0)
+	}
+}
+
+// Fire implements sim.Handler for the head's deadline, which has come
+// due: it runs, and the next deadline takes the head's place in the
+// heap. Met deadlines on the way are dropped, except the last: a drive
+// ends at its last event, so the last deadline always pops.
+//
+//lint:hotpath
+func (f *dueFIFO) Fire(int64, int) {
+	d := f.pop()
+	d.x.g.expire(d.x, d.seq)
+	for f.n > 1 && f.ring[f.head].met() {
+		f.pop()
+	}
+	if f.n > 0 {
+		h := &f.ring[f.head]
+		f.q.ScheduleClaimed(h.num, h.at, f, 0)
+	}
+}
+
+func (f *dueFIFO) pop() deadline {
+	d := f.ring[f.head]
+	f.head = (f.head + 1) & (len(f.ring) - 1)
+	f.n--
+	return d
+}
+
+// grow doubles the ring: the one allocation the FIFO makes, and only
+// until it has held its largest backlog.
+func (f *dueFIFO) grow() {
+	ring := make([]deadline, max(2*len(f.ring), 16))
+	for i := range f.n {
+		ring[i] = f.ring[(f.head+i)&(len(f.ring)-1)]
+	}
+	f.ring, f.head = ring, 0
 }
 
 // fail handles a lost send: the outstanding worm (if any) is withdrawn

@@ -66,8 +66,9 @@ type ReliableConfig struct {
 	// Sim carries the software costs (t_send, t_recv, t_hold), the
 	// address-byte charge, and the MaxCycles safety net, with the same
 	// semantics as for Run. NoProgressCycles is ignored: every
-	// outstanding send has a pending deadline event, so the per-send
-	// timeouts subsume the no-progress watchdog.
+	// outstanding send has a pending inject event until it injects and
+	// an armed deadline from then on, so the per-send timeouts subsume
+	// the no-progress watchdog.
 	Sim Config
 	// TEnd is the model-predicted healthy unicast latency for the
 	// message size, as measured by Unicast. Required (> 0) by
